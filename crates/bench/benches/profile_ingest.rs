@@ -7,6 +7,8 @@
 //! measures
 //!
 //! * `codec/encode` and `codec/decode` — the wire format alone;
+//! * `codec/decode_snapshot` — a pulled snapshot frame streamed back
+//!   into a graph (what every `pull` costs the client after the wire);
 //! * `aggregate/shards=N/serial` — one thread ingesting every frame
 //!   into an aggregator with N ∈ {1, 4, 8} shards;
 //! * `aggregate/shards=N/streaming` — the server's zero-copy path:
@@ -18,6 +20,8 @@
 //!   invalidated (epoch advance), i.e. the full lock-merge-encode cost;
 //! * `pull/cached` — the same pull against a warm generation-stamped
 //!   cache (the repeated-`OP_PULL` fast path, O(1) per request);
+//! * `plan/build` — a cold `OP_PLAN` on a cached snapshot: the 40% rule
+//!   over every call site of the merged graph, plus the plan encoding;
 //! * `wal/append` — the durable-store write path (4 shards, WAL append
 //!   then apply, fsync off — the async-fsync configuration whose cost
 //!   must stay within 2× of `aggregate/shards=4/streaming`);
@@ -37,6 +41,7 @@
 use cbs_bench::{smoke_mode, BenchGroup, BenchResult};
 use cbs_core::bytecode::{CallSiteId, MethodId};
 use cbs_core::dcg::CallEdge;
+use cbs_core::inliner::{build_plan, NewLinearPolicy};
 use cbs_core::profiled::{
     AggregatorConfig, DcgCodec, DcgFrame, IngestScratch, ProfileJournal, ShardedAggregator,
 };
@@ -231,6 +236,30 @@ fn main() {
         .bench("pull/cached", || loaded.encoded_snapshot().len())
         .clone();
     entries.push(json_entry("pull/cached", snapshot_edges, &cached));
+    // The read path's other two passes over the same aggregate: what a
+    // plan-cache miss adds on top of a cached snapshot, and what the
+    // client pays to turn the pulled bytes back into a graph.
+    let snapshot = loaded.merged_snapshot_shared();
+    let plan_build = group
+        .bench("plan/build", || {
+            let plan = build_plan(&snapshot, &NewLinearPolicy::default(), loaded.generation());
+            DcgCodec::encode_plan(&plan).len()
+        })
+        .clone();
+    entries.push(json_entry("plan/build", snapshot_edges, &plan_build));
+    let encoded = loaded.encoded_snapshot();
+    let decode_snapshot = group
+        .bench("codec/decode_snapshot", || {
+            DcgCodec::decode_snapshot(&encoded)
+                .expect("own encoding decodes")
+                .num_edges()
+        })
+        .clone();
+    entries.push(json_entry(
+        "codec/decode_snapshot",
+        snapshot_edges,
+        &decode_snapshot,
+    ));
 
     // Durable-store write path: same frames, same 4-shard aggregator as
     // aggregate/shards=4/streaming, plus a WAL append per frame with

@@ -74,6 +74,19 @@ impl DynamicCallGraph {
         Self::default()
     }
 
+    /// Creates an empty graph with room for `edges` distinct edges, so
+    /// a producer that knows its size up front (a decoder, a merge)
+    /// fills the store without rehashing or regrowing.
+    pub fn with_capacity(edges: usize) -> Self {
+        Self {
+            index: HashMap::with_capacity_and_hasher(edges, EdgeHashBuilder),
+            edges: Vec::with_capacity(edges),
+            weights: Vec::with_capacity(edges),
+            sorted: Vec::with_capacity(edges),
+            ..Self::default()
+        }
+    }
+
     /// Adds `weight` to `edge`'s slot, interning a new slot if needed.
     /// Does not touch `total`; callers keep it consistent.
     fn bump(&mut self, edge: CallEdge, weight: f64) {
@@ -82,11 +95,21 @@ impl DynamicCallGraph {
             Entry::Vacant(v) => {
                 let slot = self.edges.len() as u32;
                 v.insert(slot);
+                // Producers that already walk edges in ascending order
+                // (decoders, merges) only ever append to the permutation.
+                let append = self
+                    .sorted
+                    .last()
+                    .is_none_or(|&last| self.edges[last as usize] < edge);
                 self.edges.push(edge);
                 self.weights.push(weight);
-                let edges = &self.edges;
-                let pos = self.sorted.partition_point(|&s| edges[s as usize] < edge);
-                self.sorted.insert(pos, slot);
+                if append {
+                    self.sorted.push(slot);
+                } else {
+                    let edges = &self.edges;
+                    let pos = self.sorted.partition_point(|&s| edges[s as usize] < edge);
+                    self.sorted.insert(pos, slot);
+                }
             }
         }
     }
@@ -348,14 +371,55 @@ impl DynamicCallGraph {
     /// Merges every graph of `shards` into one, in iteration order.
     ///
     /// This is the deterministic reduction step of the parallel
-    /// experiment runner: shards are always passed in stable cell order,
-    /// so the merged graph (weights *and* total) is identical to what the
-    /// serial path would have accumulated.
+    /// experiment runner and of the profile server's snapshot rebuild:
+    /// shards are always passed in stable order, so the merged graph
+    /// (weights *and* total) is identical to what the serial path would
+    /// have accumulated.
+    ///
+    /// Bit-identical to folding [`merge`](Self::merge) over `shards`
+    /// from an empty graph, but done as one k-way merge of the inputs'
+    /// sorted permutations: each output edge is met once, in ascending
+    /// order, its weight summed over the inputs holding it in input
+    /// order, so the result is built append-only into pre-sized storage.
     pub fn merge_all<'a>(shards: impl IntoIterator<Item = &'a DynamicCallGraph>) -> Self {
-        let mut out = DynamicCallGraph::new();
-        for g in shards {
-            out.merge(g);
+        /// Past every real key (keys are 96-bit): an exhausted input.
+        const EXHAUSTED: u128 = u128::MAX;
+        let inputs: Vec<&DynamicCallGraph> = shards.into_iter().collect();
+        debug_assert!(
+            inputs.iter().all(|g| g.is_sealed()),
+            "merge sources must be sealed"
+        );
+        let head = |g: &DynamicCallGraph, pos: usize| {
+            g.sorted
+                .get(pos)
+                .map_or(EXHAUSTED, |&s| g.edges[s as usize].sort_key())
+        };
+        let mut out = Self::with_capacity(inputs.iter().map(|g| g.num_edges()).sum());
+        let mut pos = vec![0usize; inputs.len()];
+        let mut heads: Vec<u128> = inputs.iter().map(|g| head(g, 0)).collect();
+        loop {
+            let min = heads.iter().copied().min().unwrap_or(EXHAUSTED);
+            if min == EXHAUSTED {
+                break;
+            }
+            let mut merged: Option<(CallEdge, f64)> = None;
+            for (i, g) in inputs.iter().enumerate() {
+                if heads[i] != min {
+                    continue;
+                }
+                let slot = g.sorted[pos[i]] as usize;
+                let w = g.weights[slot];
+                if w > 0.0 {
+                    merged = Some((g.edges[slot], merged.map_or(w, |(_, sum)| sum + w)));
+                }
+                pos[i] += 1;
+                heads[i] = head(g, pos[i]);
+            }
+            if let Some((edge, w)) = merged {
+                out.bump(edge, w);
+            }
         }
+        out.recompute_total();
         out
     }
 

@@ -25,7 +25,7 @@ use crate::transform::{InlineDecision, InlineKind};
 use cbs_bytecode::{CallSiteId, ClassId, MethodId, Op, Program};
 use cbs_dcg::DynamicCallGraph;
 use cbs_opt::Optimizer;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// What the fleet policy decided for one call site.
@@ -129,26 +129,20 @@ pub fn build_plan(
     generation: u64,
 ) -> InlinePlan {
     let total_weight = graph.total_weight();
-    // Group edges by (caller, site); BTreeMaps give the deterministic
-    // (caller, site) entry order and per-site callee order.
-    let mut sites: BTreeMap<(MethodId, CallSiteId), BTreeMap<MethodId, f64>> = BTreeMap::new();
-    for (e, w) in graph.iter() {
-        if w <= 0.0 {
-            continue;
-        }
-        *sites
-            .entry((e.caller, e.site))
-            .or_default()
-            .entry(e.callee)
-            .or_insert(0.0) += w;
-    }
     let mut entries = Vec::new();
-    for ((caller, site), callees) in sites {
-        let site_weight: f64 = callees.values().sum();
-        if site_weight <= 0.0 {
-            continue;
+    // `graph.iter()` is ascending in `(caller, site, callee)`, so every
+    // call site is one contiguous run, runs arrive in `(caller, site)`
+    // order and each run's callees are ascending and distinct.
+    let mut edges = graph.iter().filter(|&(_, w)| w > 0.0).peekable();
+    let mut dist: Vec<(MethodId, f64)> = Vec::new();
+    while let Some(&(first, _)) = edges.peek() {
+        let (caller, site) = (first.caller, first.site);
+        dist.clear();
+        while let Some((e, w)) = edges.next_if(|(e, _)| e.caller == caller && e.site == site) {
+            dist.push((e.callee, w));
         }
-        let mut dist: Vec<(MethodId, f64)> = callees.into_iter().collect();
+        // Summed in callee order, before the weight sort below.
+        let site_weight: f64 = dist.iter().map(|(_, w)| w).sum();
         dist.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .expect("weights are finite")

@@ -36,11 +36,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Below this many total edges a merged-snapshot rebuild stays serial;
-/// at or above it (and with ≥ 4 shards) shard graphs are merged by a
-/// small pool of scoped threads in a fixed reduction order.
-const PARALLEL_MERGE_MIN_EDGES: usize = 4096;
-
 /// Reusable scratch for partitioning a frame's records into per-shard
 /// buckets.
 ///
@@ -434,16 +429,13 @@ impl ShardedAggregator {
     }
 
     /// Builds a merged snapshot from the live shards: all shards locked
-    /// (index order), decayed to the current epoch, and merged with a
-    /// fixed reduction order.
+    /// (index order), decayed to the current epoch, sealed, and merged in
+    /// one pass over their sorted runs.
     ///
     /// Caller-partitioning means every edge lives in exactly one shard,
-    /// so merging only copies disjoint edge sets and the merged graph —
-    /// including its canonically re-summed total — is bit-identical for
-    /// *any* merge tree shape. That freedom is what lets large rebuilds
-    /// fan the per-shard merges out over scoped threads (chunked, fixed
-    /// chunk boundaries, chunk results folded in index order) without
-    /// perturbing a single output bit vs the serial shard-order merge.
+    /// so the merge only interleaves disjoint runs; the merged graph —
+    /// including its canonically re-summed total — does not depend on
+    /// the shard count.
     fn rebuild_merged(&self) -> DynamicCallGraph {
         let epoch = self.epoch.load(Ordering::Acquire);
         let mut guards: Vec<MutexGuard<'_, Shard>> = Vec::with_capacity(self.shards.len());
@@ -455,27 +447,7 @@ impl ShardedAggregator {
             guard.graph.seal();
             guards.push(guard);
         }
-        let total_edges: usize = guards.iter().map(|g| g.graph.num_edges()).sum();
-        if guards.len() >= 4 && total_edges >= PARALLEL_MERGE_MIN_EDGES {
-            // Four chunks ≈ four merge workers; the last partial merge
-            // below walks the chunk results in index order.
-            let chunk = guards.len().div_ceil(4);
-            let partials: Vec<DynamicCallGraph> = std::thread::scope(|s| {
-                let workers: Vec<_> = guards
-                    .chunks(chunk)
-                    .map(|gs| {
-                        s.spawn(move || DynamicCallGraph::merge_all(gs.iter().map(|g| &g.graph)))
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("merge worker"))
-                    .collect()
-            });
-            DynamicCallGraph::merge_all(partials.iter())
-        } else {
-            DynamicCallGraph::merge_all(guards.iter().map(|g| &g.graph))
-        }
+        DynamicCallGraph::merge_all(guards.iter().map(|g| &g.graph))
     }
 
     /// The cached `(graph, encoded)` pair for the current generation,
@@ -912,39 +884,6 @@ mod tests {
             "advance_epoch must invalidate the cached encoding"
         );
         assert_eq!(*before_epoch, *after_epoch, "decay 1.0: same bytes rebuilt");
-    }
-
-    #[test]
-    fn parallel_rebuild_matches_serial_merge_bit_for_bit() {
-        // Enough edges to cross PARALLEL_MERGE_MIN_EDGES with 8 shards.
-        let records: Vec<(CallEdge, f64)> = (0..6000u32)
-            .map(|i| (e(i % 997, i % 13, i % 31), 0.5 + f64::from(i % 17)))
-            .collect();
-        let par = ShardedAggregator::new(AggregatorConfig::with_shards(8));
-        par.ingest_records(&records);
-        assert!(par.stats().total_edges() >= PARALLEL_MERGE_MIN_EDGES);
-        // Serial reference: shard-order merge under the same partition.
-        let reference = {
-            let epoch = par.epoch.load(Ordering::Acquire);
-            let mut guards: Vec<MutexGuard<'_, Shard>> = Vec::new();
-            for shard in &par.shards {
-                let mut guard = shard.lock().expect("shard lock");
-                ShardedAggregator::catch_up(&mut guard, epoch, par.decay_factor, par.min_weight);
-                guard.graph.seal();
-                guards.push(guard);
-            }
-            DynamicCallGraph::merge_all(guards.iter().map(|g| &g.graph))
-        };
-        let rebuilt = par.merged_snapshot();
-        assert_eq!(rebuilt, reference);
-        assert_eq!(
-            DcgCodec::encode_snapshot(&rebuilt),
-            DcgCodec::encode_snapshot(&reference)
-        );
-        assert_eq!(
-            rebuilt.total_weight().to_bits(),
-            reference.total_weight().to_bits()
-        );
     }
 
     #[test]

@@ -35,6 +35,7 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::ops::Deref;
 
 /// A failure of one client exchange.
 #[derive(Debug)]
@@ -85,6 +86,19 @@ impl From<io::Error> for ClientError {
 impl From<CodecError> for ClientError {
     fn from(e: CodecError) -> Self {
         ClientError::Codec(e)
+    }
+}
+
+/// An `ST_OK` reply, kept in the buffer it was read into and viewed
+/// past its status byte — a pulled snapshot is not copied a second time
+/// just to drop that byte.
+struct OkReply(Vec<u8>);
+
+impl Deref for OkReply {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0[1..]
     }
 }
 
@@ -149,7 +163,7 @@ impl<S: Read + Write> ProfileClient<S> {
         ProfiledMetrics::get().client_poisoned.inc();
     }
 
-    fn exchange(&mut self, op: u8, body: &[&[u8]]) -> Result<Vec<u8>, ClientError> {
+    fn exchange(&mut self, op: u8, body: &[&[u8]]) -> Result<OkReply, ClientError> {
         if self.poisoned {
             return Err(ClientError::Poisoned);
         }
@@ -179,7 +193,7 @@ impl<S: Read + Write> ProfileClient<S> {
             ));
         };
         match reply.split_first() {
-            Some((&ST_OK, payload)) => Ok(payload.to_vec()),
+            Some((&ST_OK, _)) => Ok(OkReply(reply)),
             Some((_, payload)) => Err(ClientError::Server(
                 String::from_utf8_lossy(payload).into_owned(),
             )),
@@ -225,7 +239,7 @@ impl<S: Read + Write> ProfileClient<S> {
             OP_PUSH_SEQ,
             &[&client_id.to_be_bytes(), &seq.to_be_bytes(), frame_bytes],
         )?;
-        match payload.as_slice() {
+        match &*payload {
             b"applied" => Ok(PushOutcome::Applied),
             b"duplicate" => Ok(PushOutcome::Duplicate),
             other => Err(self.poison_protocol(format!(
@@ -324,6 +338,13 @@ impl<S: Read + Write> ProfileClient<S> {
                     return Err(self.poison_protocol("chunked reply declared zero pages"));
                 }
                 total = got_total;
+                // Every page but the last is as long as page 0, so
+                // `total` such chunks hold the whole frame. Only a hint:
+                // a size the allocator refuses is left to grow page by
+                // page as the chunks actually arrive.
+                if let Some(whole) = (total as usize).checked_mul(payload.len() - 8) {
+                    let _ = frame.try_reserve_exact(whole);
+                }
             } else if got_total != total {
                 return Err(self.poison_protocol(format!(
                     "total pages changed mid-pull ({total} -> {got_total})"

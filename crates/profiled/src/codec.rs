@@ -124,7 +124,7 @@ impl DcgFrame {
     /// For a snapshot this *is* the producer's graph; for a delta it is
     /// just the increments.
     pub fn to_graph(&self) -> DynamicCallGraph {
-        let mut g = DynamicCallGraph::new();
+        let mut g = DynamicCallGraph::with_capacity(self.edges.len());
         for &(e, w) in &self.edges {
             g.record(e, w);
         }
@@ -546,16 +546,26 @@ impl DcgCodec {
     /// Decodes a frame and requires it to be a snapshot, returning the
     /// reconstructed graph.
     ///
+    /// The kind is checked from the header, before any record is
+    /// decoded; records then stream straight into a graph sized from
+    /// the header count. The codec has already proved the keys strictly
+    /// ascending, so every record appends.
+    ///
     /// # Errors
     ///
-    /// [`CodecError::BadKind`] if the frame is a delta, plus any decode
-    /// error.
+    /// [`CodecError::BadKind`] if the frame is a delta (whatever its
+    /// body holds), plus any decode error.
     pub fn decode_snapshot(bytes: &[u8]) -> Result<DynamicCallGraph, CodecError> {
-        let frame = Self::decode(bytes)?;
-        if frame.kind != FrameKind::Snapshot {
-            return Err(CodecError::BadKind(frame.kind.to_byte()));
+        let iter = Self::records(bytes)?;
+        if iter.kind() != FrameKind::Snapshot {
+            return Err(CodecError::BadKind(iter.kind().to_byte()));
         }
-        Ok(frame.to_graph())
+        let mut graph = DynamicCallGraph::with_capacity(iter.len());
+        for rec in iter {
+            let (edge, weight) = rec?;
+            graph.record(edge, weight);
+        }
+        Ok(graph)
     }
 
     /// Encodes a fleet inlining plan as a `CBSI` frame.
@@ -849,6 +859,23 @@ mod tests {
         let mut bytes = DcgCodec::encode_snapshot(&g);
         bytes.push(0);
         assert_eq!(DcgCodec::decode(&bytes), Err(CodecError::TrailingBytes));
+    }
+
+    /// Regression: `decode_snapshot` used to decode a whole delta frame
+    /// into a `Vec` before refusing it. The kind is a header fact, so a
+    /// delta answers `BadKind` even when its body would not decode.
+    #[test]
+    fn decode_snapshot_refuses_a_delta_from_its_header() {
+        let delta = DcgCodec::encode_delta(&[(e(0, 0, 1), 1.0), (e(2, 0, 1), 0.125)]);
+        let refused = Err(CodecError::BadKind(FrameKind::Delta.to_byte()));
+        assert_eq!(DcgCodec::decode_snapshot(&delta), refused);
+        let cut = &delta[..delta.len() - 1];
+        assert_eq!(DcgCodec::decode(cut), Err(CodecError::Truncated));
+        assert_eq!(DcgCodec::decode_snapshot(cut), refused);
+        let mut trailing = delta.clone();
+        trailing.push(0);
+        assert_eq!(DcgCodec::decode(&trailing), Err(CodecError::TrailingBytes));
+        assert_eq!(DcgCodec::decode_snapshot(&trailing), refused);
     }
 
     #[test]

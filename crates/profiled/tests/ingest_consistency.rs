@@ -301,22 +301,56 @@ fn queries_match_brute_force_scans_of_a_serial_reingest() {
 
 #[test]
 fn cross_shard_count_snapshots_are_bit_identical() {
-    // The encoded merged snapshot must not depend on the shard count:
-    // partitioning is an implementation detail of contention, not of
-    // the aggregate.
-    let mut g = DynamicCallGraph::new();
-    for i in 0..500u32 {
-        g.record(e(i % 83, i % 13, i % 29), 0.75 + f64::from(i % 7));
-    }
-    let bytes = DcgCodec::encode_snapshot(&g);
-    let mut encodings = Vec::new();
-    for shards in [1, 2, 4, 8, 16] {
-        let agg = ShardedAggregator::new(AggregatorConfig::with_shards(shards));
-        agg.ingest(&DcgCodec::decode(&bytes).unwrap());
-        encodings.push((shards, agg.encoded_snapshot().as_ref().clone()));
-    }
-    let (_, first) = &encodings[0];
-    for (shards, enc) in &encodings {
-        assert_eq!(enc, first, "shards={shards} diverged");
+    // What the daemon serves — `OP_PULL` and `OP_PLAN` bytes — must not
+    // depend on the shard count: partitioning is an implementation
+    // detail of contention, not of the aggregate. Checked at each read
+    // boundary a shard can be in: first merge, new edges deferred since
+    // the previous pull (seal, then merge), and a decay epoch that
+    // prunes edges (shard stores rebuilt, then merge).
+    let frame = |range: std::ops::Range<u32>, stride: u32| {
+        let mut g = DynamicCallGraph::new();
+        for i in range {
+            g.record(e(i * stride % 997, i % 13, i % 31), 0.75 + f64::from(i % 7));
+        }
+        DcgCodec::decode(&DcgCodec::encode_snapshot(&g)).unwrap()
+    };
+    let first = frame(0..6000, 1);
+    // Mostly edges the first frame never saw, landing between its keys.
+    let second = frame(6000..9000, 5);
+    let config = |shards| AggregatorConfig {
+        shards,
+        decay_factor: 0.5,
+        min_weight: 1.0,
+    };
+    let served = |shards: usize| {
+        let agg = ShardedAggregator::new(config(shards));
+        let mut pulls = Vec::new();
+        let mut pull = |agg: &ShardedAggregator| {
+            pulls.push((
+                agg.encoded_snapshot().as_ref().clone(),
+                agg.encoded_plan().as_ref().clone(),
+            ));
+        };
+        agg.ingest(&first);
+        pull(&agg);
+        agg.ingest(&second);
+        pull(&agg);
+        let edges_before = agg.stats().total_edges();
+        agg.advance_epoch();
+        pull(&agg);
+        assert!(
+            (1..edges_before).contains(&agg.stats().total_edges()),
+            "the epoch must prune some edges but not all"
+        );
+        pulls
+    };
+    let reference = served(1);
+    assert!(reference.windows(2).all(|w| w[0] != w[1]));
+    for shards in [4, 8, 13] {
+        let got = served(shards);
+        for (step, (got, want)) in got.iter().zip(&reference).enumerate() {
+            assert!(got.0 == want.0, "shards={shards} pull {step}: snapshot");
+            assert!(got.1 == want.1, "shards={shards} pull {step}: plan");
+        }
     }
 }

@@ -50,16 +50,23 @@ for key in records frames wire_bytes; do
   grep -Eq "\"$key\": [1-9][0-9]*" "$BENCH_JSON" \
     || { echo "FAIL: $BENCH_JSON missing positive \"$key\"" >&2; exit 1; }
 done
-for cfg in codec/encode codec/decode \
+for cfg in codec/encode codec/decode codec/decode_snapshot \
            aggregate/shards=1/serial aggregate/shards=4/serial aggregate/shards=8/serial \
            aggregate/shards=4/streaming aggregate/shards=8/streaming \
-           pull/rebuild pull/cached wal/append wal/append_concurrent \
+           pull/rebuild pull/cached plan/build wal/append wal/append_concurrent \
            wal/append_single_lock recovery/replay; do
   grep -q "\"config\": \"$cfg\"" "$BENCH_JSON" \
     || { echo "FAIL: $BENCH_JSON missing config \"$cfg\"" >&2; exit 1; }
 done
 awk '/"median_ns"/ && $0 !~ /"median_ns": [1-9][0-9]*/ { bad = 1 } END { exit bad }' "$BENCH_JSON" \
   || { echo "FAIL: non-positive median_ns in $BENCH_JSON" >&2; exit 1; }
+# Read-path acceptance bound: a cold pull of the 50k-edge aggregate is
+# one linear merge of the shards' sorted runs plus the encode. A rebuild
+# that throws the order away (re-hash, re-sort, re-merge) lands above it.
+awk -F'"median_ns": ' '
+  /"config": "pull\/rebuild"/ { split($2, a, ","); rebuild = a[1] }
+  END { if (rebuild == 0 || rebuild >= 5000000) exit 1 }' "$BENCH_JSON" \
+  || { echo "FAIL: pull/rebuild median is not below 5000000 ns in $BENCH_JSON" >&2; exit 1; }
 # Durability acceptance bound: the WAL-on ingest path (async fsync) must
 # stay within 2x of the equivalent in-memory streaming path.
 awk -F'"median_ns": ' '

@@ -96,6 +96,100 @@ fn merged_graphs_self_overlap_at_100() {
     });
 }
 
+/// Everything observable about a graph, as bits: iteration order, each
+/// weight, the running total, and the point-lookup index.
+fn graph_bits(g: &DynamicCallGraph) -> (Vec<(CallEdge, u64)>, u64) {
+    let edges: Vec<(CallEdge, u64)> = g.iter().map(|(e, w)| (*e, w.to_bits())).collect();
+    assert_eq!(edges.len(), g.num_edges());
+    for (e, w) in &edges {
+        assert_eq!(g.weight(e).to_bits(), *w, "index disagrees with iteration");
+    }
+    (edges, g.total_weight().to_bits())
+}
+
+fn arb_edge(rng: &mut SmallRng, callers: std::ops::Range<u32>) -> CallEdge {
+    use cbs_repro::bytecode::{CallSiteId, MethodId};
+    CallEdge::new(
+        MethodId::new(rng.gen_range(callers)),
+        CallSiteId::new(rng.gen_range(0u32..4)),
+        MethodId::new(rng.gen_range(0u32..6)),
+    )
+}
+
+#[test]
+fn merge_all_is_the_left_fold_of_merge_bit_for_bit() {
+    // `merge_all` is one k-way merge of the inputs' sorted runs; the
+    // fold of `merge` is its definition. Fractional weights make the
+    // summation order of an edge shared by several inputs visible.
+    run_cases("merge_all_is_the_left_fold_of_merge", 256, |rng| {
+        let k = rng.gen_range(0usize..=9);
+        let inputs: Vec<DynamicCallGraph> = (0..k as u32)
+            .map(|i| {
+                let mut g = DynamicCallGraph::new();
+                let (callers, edges) = match rng.gen_range(0u32..4) {
+                    0 => (0..0, 0),                    // empty
+                    1 => (i * 8..i * 8 + 8, 30),       // disjoint from every other input
+                    _ => (0..6, rng.gen_range(1..40)), // overlapping
+                };
+                for _ in 0..edges {
+                    g.record(arb_edge(rng, callers.clone()), rng.gen_f64() * 100.0 + 0.01);
+                }
+                if rng.gen_bool(0.2) {
+                    // Every edge survives with weight zero: `merge`
+                    // skips them, and so must the k-way merge.
+                    g.decay(0.0, 0.0);
+                }
+                g
+            })
+            .collect();
+        let mut fold = DynamicCallGraph::new();
+        for g in &inputs {
+            fold.merge(g);
+        }
+        let mut merged = DynamicCallGraph::merge_all(&inputs);
+        assert_eq!(graph_bits(&merged), graph_bits(&fold), "k={k}");
+        // The merged store is a live graph: later records splice in
+        // exactly as they do into the fold's.
+        for _ in 0..8 {
+            let (e, w) = (arb_edge(rng, 0..80), f64::from(rng.gen_range(1u32..9)));
+            merged.record(e, w);
+            fold.record(e, w);
+        }
+        assert_eq!(
+            graph_bits(&merged),
+            graph_bits(&fold),
+            "k={k} after records"
+        );
+    });
+}
+
+#[test]
+fn record_order_does_not_change_the_graph() {
+    // Ascending input rides `record`'s append fast path, descending
+    // input always splices at the front, shuffled input mixes both.
+    // Integral weights keep the running total exact in any order.
+    run_cases("record_order_does_not_change_the_graph", CASES, |rng| {
+        let mut records: Vec<(CallEdge, f64)> = (0..rng.gen_range(1usize..120))
+            .map(|_| (arb_edge(rng, 0..10), f64::from(rng.gen_range(1u32..1000))))
+            .collect();
+        let build = |records: &[(CallEdge, f64)]| {
+            // Half the needed room: pre-sized storage that still regrows.
+            let mut g = DynamicCallGraph::with_capacity(records.len() / 2);
+            for &(e, w) in records {
+                g.record(e, w);
+            }
+            graph_bits(&g)
+        };
+        let shuffled = build(&records);
+        records.sort_by_key(|r| r.0);
+        let ascending = build(&records);
+        records.reverse();
+        let descending = build(&records);
+        assert_eq!(ascending, shuffled);
+        assert_eq!(ascending, descending);
+    });
+}
+
 #[test]
 fn decay_scales_weights() {
     run_cases("decay_scales_weights", CASES, |rng| {
