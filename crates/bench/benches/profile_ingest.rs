@@ -9,19 +9,24 @@
 //! * `codec/encode` and `codec/decode` — the wire format alone;
 //! * `codec/decode_snapshot` — a pulled snapshot frame streamed back
 //!   into a graph (what every `pull` costs the client after the wire);
-//! * `aggregate/shards=N/serial` — one thread ingesting every frame
-//!   into an aggregator with N ∈ {1, 4, 8} shards;
+//! * `aggregate/shards=N/serial` — one thread folding every decoded
+//!   frame into an aggregator with N ∈ {1, 4, 8} shards via
+//!   `ShardedAggregator::ingest`;
 //! * `aggregate/shards=N/streaming` — the server's zero-copy path:
 //!   encoded frames fold straight into the shards via
-//!   `ingest_frame_bytes` with a pooled partition scratch;
+//!   `ingest_frame_bytes` (`partition_frame` → `apply_partitioned`)
+//!   with a pooled partition scratch;
 //! * `aggregate/shards=N/threads=4` — four pusher threads splitting the
-//!   frames, where shard count governs lock contention;
-//! * `pull/rebuild` — a merged-snapshot pull whose cache was just
-//!   invalidated (epoch advance), i.e. the full lock-merge-encode cost;
-//! * `pull/cached` — the same pull against a warm generation-stamped
-//!   cache (the repeated-`OP_PULL` fast path, O(1) per request);
-//! * `plan/build` — a cold `OP_PLAN` on a cached snapshot: the 40% rule
-//!   over every call site of the merged graph, plus the plan encoding;
+//!   decoded frames (`ingest` again), where shard count governs lock
+//!   contention;
+//! * `pull/rebuild` — `encoded_snapshot` after `advance_epoch` just
+//!   invalidated the cache, i.e. the full lock-merge-encode cost;
+//! * `pull/cached` — `encoded_snapshot` against a warm
+//!   generation-stamped cache (the repeated-`OP_PULL` fast path, O(1)
+//!   per request);
+//! * `plan/build` — a cold `OP_PLAN` on a cached snapshot: `build_plan`
+//!   (the 40% rule over every call site) over `merged_snapshot`, plus
+//!   `encode_plan`;
 //! * `wal/append` — the durable-store write path (4 shards, WAL append
 //!   then apply, fsync off — the async-fsync configuration whose cost
 //!   must stay within 2× of `aggregate/shards=4/streaming`);
@@ -239,7 +244,7 @@ fn main() {
     // The read path's other two passes over the same aggregate: what a
     // plan-cache miss adds on top of a cached snapshot, and what the
     // client pays to turn the pulled bytes back into a graph.
-    let snapshot = loaded.merged_snapshot_shared();
+    let snapshot = loaded.merged_snapshot();
     let plan_build = group
         .bench("plan/build", || {
             let plan = build_plan(&snapshot, &NewLinearPolicy::default(), loaded.generation());

@@ -73,9 +73,8 @@ fn load(path: &str) -> Result<DynamicCallGraph, Box<dyn std::error::Error>> {
 fn load_any(path: &str) -> Result<DynamicCallGraph, Box<dyn std::error::Error>> {
     let bytes = std::fs::read(path)?;
     if bytes.starts_with(b"CBSP") {
-        Ok(DcgCodec::decode(&bytes)
-            .map_err(|e| format!("{path}: {e}"))?
-            .to_graph())
+        let frame = DcgCodec::decode(&bytes).map_err(|e| format!("{path}: {e}"))?;
+        Ok(frame.edges.into_iter().collect())
     } else {
         Ok(serialize::from_text(std::str::from_utf8(&bytes).map_err(
             |_| format!("{path}: neither CBSP binary nor UTF-8 text"),
@@ -204,7 +203,7 @@ fn resilient_pull<S: std::io::Read + std::io::Write>(
     client: &mut ResilientClient<S>,
     out: &str,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let (merged, pages) = client.pull_counted()?;
+    let (merged, pages) = client.pull()?;
     match format_for(out, None)? {
         Format::Text => std::fs::write(out, serialize::to_text(&merged))?,
         Format::Binary => std::fs::write(out, DcgCodec::encode_snapshot(&merged))?,

@@ -1,24 +1,21 @@
 //! Whole-program container.
 
 use crate::class::Class;
-use crate::ids::{CallSiteId, ClassId, MethodId};
+use crate::ids::{ClassId, MethodId};
 use crate::method::Method;
 use crate::op::Op;
-use std::collections::HashMap;
 
 /// A complete executable program: classes, methods and an entry method.
 ///
-/// Programs are immutable once built except through explicit transformation
-/// APIs ([`Program::replace_method`], [`Program::add_method`]) used by the
-/// optimizer and inliner, which must be followed by re-verification
-/// ([`crate::verify::verify`]).
+/// Programs are immutable once built except through
+/// [`Program::replace_method`], used by the optimizer and inliner, which
+/// must be followed by re-verification ([`crate::verify::verify`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     classes: Vec<Class>,
     methods: Vec<Method>,
     entry: MethodId,
-    /// Total number of distinct call sites ever allocated; transformations
-    /// allocate fresh sites from here.
+    /// Total number of distinct call sites the builder allocated.
     next_site: u32,
 }
 
@@ -108,46 +105,9 @@ impl Program {
         self.next_site
     }
 
-    /// Allocates a fresh call-site identity (for transformations that
-    /// introduce new call instructions).
-    pub fn alloc_call_site(&mut self) -> CallSiteId {
-        let id = CallSiteId::new(self.next_site);
-        self.next_site += 1;
-        id
-    }
-
     /// Replaces a method body wholesale (optimizer / inliner output).
     pub fn replace_method(&mut self, id: MethodId, code: Vec<Op>) {
         self.methods[id.index()].set_code(code);
-    }
-
-    /// Adds a new method (e.g. an outlined cold path) and returns its id.
-    pub fn add_method(
-        &mut self,
-        name: impl Into<String>,
-        class: ClassId,
-        num_params: u16,
-        num_locals: u16,
-        code: Vec<Op>,
-    ) -> MethodId {
-        let id = MethodId::new(self.methods.len() as u32);
-        self.methods
-            .push(Method::new(id, name, class, num_params, num_locals, code));
-        id
-    }
-
-    /// Builds the static map from call site to its owning method and pc.
-    ///
-    /// A site can appear in several methods after inlining duplicates call
-    /// instructions; the map records every occurrence.
-    pub fn call_site_locations(&self) -> HashMap<CallSiteId, Vec<(MethodId, u32)>> {
-        let mut map: HashMap<CallSiteId, Vec<(MethodId, u32)>> = HashMap::new();
-        for m in &self.methods {
-            for (pc, site, _) in m.call_instructions() {
-                map.entry(site).or_default().push((m.id(), pc));
-            }
-        }
-        map
     }
 
     /// The set of classes whose vtable maps `slot` to each method — i.e. the
@@ -167,7 +127,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::VirtualSlot;
+    use crate::ids::{CallSiteId, VirtualSlot};
 
     fn tiny_program() -> Program {
         let main = Method::new(
@@ -208,25 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn call_site_allocation_is_monotonic() {
-        let mut p = tiny_program();
-        assert_eq!(p.num_call_sites(), 1);
-        let s1 = p.alloc_call_site();
-        let s2 = p.alloc_call_site();
-        assert_eq!(s1, CallSiteId::new(1));
-        assert_eq!(s2, CallSiteId::new(2));
-        assert_eq!(p.num_call_sites(), 3);
-    }
-
-    #[test]
-    fn call_site_locations_finds_sites() {
-        let p = tiny_program();
-        let map = p.call_site_locations();
-        assert_eq!(map.len(), 1);
-        assert_eq!(map[&CallSiteId::new(0)], vec![(MethodId::new(0), 0)]);
-    }
-
-    #[test]
     fn virtual_targets_dedup() {
         let p = tiny_program();
         assert_eq!(
@@ -237,11 +178,9 @@ mod tests {
     }
 
     #[test]
-    fn add_and_replace_method() {
+    fn replace_method_swaps_the_body() {
         let mut p = tiny_program();
-        let id = p.add_method("g", ClassId::new(0), 0, 0, vec![Op::Const(1), Op::Return]);
-        assert_eq!(id, MethodId::new(2));
-        assert_eq!(p.method(id).name(), "g");
+        let id = MethodId::new(1);
         p.replace_method(id, vec![Op::Const(2), Op::Return]);
         assert_eq!(p.method(id).code()[0], Op::Const(2));
     }

@@ -60,19 +60,7 @@ impl InlinerAblation {
 
 /// Reproduces the §5.1 observation: replacing the old inliner with the
 /// new linear-threshold inliner helps even with timer-quality profiles.
-///
-/// # Errors
-///
-/// Propagates generation or VM failures.
-pub fn inliner_ablation(
-    scale: f64,
-    benchmarks: Option<&[Benchmark]>,
-) -> Result<InlinerAblation, ExperimentError> {
-    inliner_ablation_with(scale, benchmarks, Parallelism::SERIAL)
-}
-
-/// [`inliner_ablation`] with benchmarks sharded across `jobs` worker
-/// threads.
+/// Benchmarks are sharded across `jobs` worker threads.
 ///
 /// # Errors
 ///
@@ -160,19 +148,7 @@ impl ExhaustiveOverhead {
 
 /// Measures the overhead of exhaustive instrumented counting (the Vortex
 /// PIC-counter experiment, reported as 15–50%).
-///
-/// # Errors
-///
-/// Propagates generation or VM failures.
-pub fn exhaustive_overhead(
-    scale: f64,
-    benchmarks: Option<&[Benchmark]>,
-) -> Result<ExhaustiveOverhead, ExperimentError> {
-    exhaustive_overhead_with(scale, benchmarks, Parallelism::SERIAL)
-}
-
-/// [`exhaustive_overhead`] with benchmarks sharded across `jobs` worker
-/// threads.
+/// Benchmarks are sharded across `jobs` worker threads.
 ///
 /// # Errors
 ///
@@ -230,19 +206,7 @@ impl PatchingComparison {
 
 /// Compares a Suganuma-style burst profiler with CBS on short-running
 /// inputs, where delayed instrumentation hurts most.
-///
-/// # Errors
-///
-/// Propagates generation or VM failures.
-pub fn patching_vs_cbs(
-    scale: f64,
-    benchmarks: Option<&[Benchmark]>,
-) -> Result<PatchingComparison, ExperimentError> {
-    patching_vs_cbs_with(scale, benchmarks, Parallelism::SERIAL)
-}
-
-/// [`patching_vs_cbs`] with benchmarks sharded across `jobs` worker
-/// threads.
+/// Benchmarks are sharded across `jobs` worker threads.
 ///
 /// # Errors
 ///
@@ -279,7 +243,8 @@ mod tests {
 
     #[test]
     fn exhaustive_instrumentation_is_expensive() {
-        let e = exhaustive_overhead(0.05, Some(&[Benchmark::Jess])).unwrap();
+        let e =
+            exhaustive_overhead_with(0.05, Some(&[Benchmark::Jess]), Parallelism::SERIAL).unwrap();
         let oh = e.rows[0].values[0];
         assert!(
             oh > 5.0,
@@ -290,7 +255,7 @@ mod tests {
 
     #[test]
     fn cbs_beats_bursts_on_short_runs() {
-        let c = patching_vs_cbs(0.05, Some(&[Benchmark::Kawa])).unwrap();
+        let c = patching_vs_cbs_with(0.05, Some(&[Benchmark::Kawa]), Parallelism::SERIAL).unwrap();
         let (patching, cbs) = (c.rows[0].values[0], c.rows[0].values[1]);
         assert!(
             cbs > patching,
@@ -301,7 +266,12 @@ mod tests {
 
     #[test]
     fn new_inliner_at_least_matches_old() {
-        let a = inliner_ablation(0.1, Some(&[Benchmark::Jess, Benchmark::Mtrt])).unwrap();
+        let a = inliner_ablation_with(
+            0.1,
+            Some(&[Benchmark::Jess, Benchmark::Mtrt]),
+            Parallelism::SERIAL,
+        )
+        .unwrap();
         assert!(
             a.new_minus_old() > -0.5,
             "new inliner regressed by {}",
@@ -405,19 +375,7 @@ impl HardwareComparison {
 /// Compares emulated low-overhead/imprecise hardware call sampling (§7)
 /// against CBS: the software mechanism reaches comparable accuracy at
 /// comparable overhead without micro-architecture-specific support.
-///
-/// # Errors
-///
-/// Propagates generation or VM failures.
-pub fn hardware_vs_cbs(
-    scale: f64,
-    benchmarks: Option<&[Benchmark]>,
-) -> Result<HardwareComparison, ExperimentError> {
-    hardware_vs_cbs_with(scale, benchmarks, Parallelism::SERIAL)
-}
-
-/// [`hardware_vs_cbs`] with benchmarks sharded across `jobs` worker
-/// threads.
+/// Benchmarks are sharded across `jobs` worker threads.
 ///
 /// # Errors
 ///
@@ -487,19 +445,7 @@ impl ContextSensitivity {
 /// walks, scored against an exhaustive calling-context tree. Context
 /// accuracy trails flat accuracy (there are far more contexts than
 /// edges), but the mechanism needs no changes.
-///
-/// # Errors
-///
-/// Propagates generation or VM failures.
-pub fn context_sensitivity(
-    scale: f64,
-    benchmarks: Option<&[Benchmark]>,
-) -> Result<ContextSensitivity, ExperimentError> {
-    context_sensitivity_with(scale, benchmarks, Parallelism::SERIAL)
-}
-
-/// [`context_sensitivity`] with benchmarks sharded across `jobs` worker
-/// threads.
+/// Benchmarks are sharded across `jobs` worker threads.
 ///
 /// # Errors
 ///
@@ -610,19 +556,7 @@ impl DepthAblation {
 /// Measures how much of profile-directed inlining's benefit requires
 /// *transitive* rounds (sites exposed by earlier splices): the first
 /// round captures most of it, mirroring why real inliners bound depth.
-///
-/// # Errors
-///
-/// Propagates generation or VM failures.
-pub fn inline_depth_ablation(
-    scale: f64,
-    benchmarks: Option<&[Benchmark]>,
-) -> Result<DepthAblation, ExperimentError> {
-    inline_depth_ablation_with(scale, benchmarks, Parallelism::SERIAL)
-}
-
-/// [`inline_depth_ablation`] with benchmarks sharded across `jobs`
-/// worker threads.
+/// Benchmarks are sharded across `jobs` worker threads.
 ///
 /// # Errors
 ///

@@ -174,22 +174,10 @@ fn speedup_for(
     Ok((speedup(timer_cycles), speedup(cbs_cycles), compile_delta))
 }
 
-/// Reproduces one side of Figure 5.
-///
-/// # Errors
-///
-/// Propagates generation or VM failures.
-pub fn figure5(
-    flavor: VmFlavor,
-    scale: f64,
-    benchmarks: Option<&[Benchmark]>,
-) -> Result<Figure5, ExperimentError> {
-    figure5_with(flavor, scale, benchmarks, Parallelism::SERIAL)
-}
-
-/// [`figure5`] with the per-benchmark profile→inline→re-measure
-/// pipelines sharded across `jobs` worker threads. Rows come back in
-/// suite order, so the figure is identical to a serial run.
+/// Reproduces one side of Figure 5, the per-benchmark
+/// profile→inline→re-measure pipelines sharded across `jobs` worker
+/// threads. Rows come back in suite order, so the figure is identical
+/// to a serial run.
 ///
 /// # Errors
 ///
@@ -227,10 +215,11 @@ mod tests {
 
     #[test]
     fn jikes_cbs_inlining_speeds_up() {
-        let f = figure5(
+        let f = figure5_with(
             VmFlavor::Jikes,
             0.2,
             Some(&[Benchmark::Jess, Benchmark::Mtrt]),
+            Parallelism::SERIAL,
         )
         .unwrap();
         assert_eq!(f.rows.len(), 2);
@@ -252,10 +241,11 @@ mod tests {
 
     #[test]
     fn j9_dynamic_heuristics_reduce_compilation() {
-        let f = figure5(
+        let f = figure5_with(
             VmFlavor::J9,
             0.2,
             Some(&[Benchmark::Jess, Benchmark::Javac]),
+            Parallelism::SERIAL,
         )
         .unwrap();
         // Dynamic heuristics suppress cold-site inlining, so the compiled

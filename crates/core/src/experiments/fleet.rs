@@ -173,17 +173,9 @@ fn stream_profile(graph: &DynamicCallGraph, agg: &ShardedAggregator) -> usize {
     bytes
 }
 
-/// Runs the fleet-aggregation experiment serially.
-///
-/// # Errors
-///
-/// Propagates generation or VM failures.
-pub fn fleet(scale: f64) -> Result<Fleet, ExperimentError> {
-    fleet_with(scale, Parallelism::SERIAL)
-}
-
-/// [`fleet`] with VM replicas sharded across `jobs` worker threads.
-/// Output is bit-identical for any `jobs` value — see the module docs.
+/// Runs the fleet-aggregation experiment, VM replicas sharded across
+/// `jobs` worker threads. Output is bit-identical for any `jobs` value
+/// — see the module docs.
 ///
 /// # Errors
 ///
@@ -362,15 +354,6 @@ fn delta_batches(vm: &DynamicCallGraph) -> Vec<Vec<(CallEdge, f64)>> {
     all.chunks(64).map(<[_]>::to_vec).collect()
 }
 
-/// [`fleet_faults_with`] run serially.
-///
-/// # Errors
-///
-/// Propagates generation, VM, or unrecoverable transport failures.
-pub fn fleet_faults(scale: f64, seed: u64) -> Result<FleetFaults, ExperimentError> {
-    fleet_faults_with(scale, Parallelism::SERIAL, seed)
-}
-
 /// The fleet experiment over a *faulty* transport: every VM streams its
 /// profile through the resilient client while a seeded schedule drops,
 /// delays, truncates, and resets roughly a quarter of all exchanges
@@ -445,7 +428,7 @@ pub fn fleet_faults_with(
                 clean.push_delta(batch).map_err(transport)?;
             }
         }
-        let (clean_pulled, _) = clean.pull_chunked_counted().map_err(transport)?;
+        let (clean_pulled, _) = clean.pull_chunked().map_err(transport)?;
         clean_server.shutdown();
 
         // Faulty run: same batches, hostile schedule, one resilient
@@ -504,7 +487,7 @@ pub fn fleet_faults_with(
         let mut puller =
             ResilientClient::connect_faulty(addr, config, pull_policy, 0xFFFF, pull_schedule)
                 .with_sleep(Box::new(|_| {}));
-        let (faulty_pulled, pull_pages) = puller.pull_counted().map_err(transport)?;
+        let (faulty_pulled, pull_pages) = puller.pull().map_err(transport)?;
         let s = puller.stats();
         retries += s.retries;
         reconnects += s.reconnects;
@@ -557,7 +540,7 @@ mod tests {
 
     #[test]
     fn pooled_profiles_meet_or_beat_single_vms() {
-        let f = fleet(0.02).unwrap();
+        let f = fleet_with(0.02, Parallelism::SERIAL).unwrap();
         assert_eq!(f.rows.len(), 13);
         for r in &f.rows {
             assert_eq!(r.vms, FLEET_SIZE);
@@ -592,7 +575,7 @@ mod tests {
 
     #[test]
     fn faulty_transport_pools_bit_identical_profiles() {
-        let f = fleet_faults(0.01, 0xCB5).unwrap();
+        let f = fleet_faults_with(0.01, Parallelism::SERIAL, 0xCB5).unwrap();
         assert_eq!(f.rows.len(), 13);
         assert!(
             f.all_bit_identical,
@@ -631,7 +614,7 @@ mod tests {
         // Same seed, same report — the whole faulty pipeline is
         // deterministic (seeded schedules, instant injected timeouts,
         // recorded backoff sleeps).
-        let again = fleet_faults(0.01, 0xCB5).unwrap();
+        let again = fleet_faults_with(0.01, Parallelism::SERIAL, 0xCB5).unwrap();
         assert_eq!(again.render(), text);
     }
 

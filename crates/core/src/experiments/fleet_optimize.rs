@@ -289,18 +289,9 @@ fn transformed_run(
     })
 }
 
-/// Runs the fleet-exploitation experiment serially.
-///
-/// # Errors
-///
-/// Propagates generation, VM, or profile-transport failures.
-pub fn fleet_optimize(scale: f64) -> Result<FleetOptimize, ExperimentError> {
-    fleet_optimize_with(scale, Parallelism::SERIAL)
-}
-
-/// [`fleet_optimize`] with VM replicas and transformed runs sharded
-/// across `jobs` worker threads. Output is bit-identical for any `jobs`
-/// value — see the module docs.
+/// Runs the fleet-exploitation experiment, VM replicas and transformed
+/// runs sharded across `jobs` worker threads. Output is bit-identical
+/// for any `jobs` value — see the module docs.
 ///
 /// # Errors
 ///
@@ -389,7 +380,7 @@ mod tests {
 
     #[test]
     fn pooled_plan_meets_or_beats_the_best_single_vm_plan() {
-        let f = fleet_optimize(0.02).unwrap();
+        let f = fleet_optimize_with(0.02, Parallelism::SERIAL).unwrap();
         assert_eq!(f.rows.len(), 13);
         for r in &f.rows {
             assert_eq!(r.vms, FLEET_SIZE);
@@ -429,7 +420,7 @@ mod tests {
         // Rerunning at the same scale is also bit-identical (plan
         // building, the simulated clock, and generations are all
         // deterministic).
-        let again = fleet_optimize(0.01).unwrap();
+        let again = fleet_optimize_with(0.01, Parallelism::SERIAL).unwrap();
         assert_eq!(again.render(), serial.render());
     }
 }

@@ -59,18 +59,8 @@ impl Table1 {
 }
 
 /// Reproduces Table 1 by building and running every benchmark at both
-/// input sizes.
-///
-/// # Errors
-///
-/// Propagates generation or VM failures.
-pub fn table1(scale: f64) -> Result<Table1, ExperimentError> {
-    table1_with(scale, Parallelism::SERIAL)
-}
-
-/// [`table1`] with benchmark runs sharded across `jobs` worker threads.
-/// Rows come back in suite order, so the table is identical to a serial
-/// run.
+/// input sizes, the runs sharded across `jobs` worker threads. Rows
+/// come back in suite order, so the table is identical to a serial run.
 ///
 /// # Errors
 ///
@@ -103,7 +93,7 @@ mod tests {
 
     #[test]
     fn table1_small_scale_has_all_rows() {
-        let t = table1(0.01).unwrap();
+        let t = table1_with(0.01, Parallelism::SERIAL).unwrap();
         assert_eq!(t.rows.len(), 26);
         for r in &t.rows {
             assert!(r.seconds > 0.0, "{}", r.benchmark);
@@ -120,7 +110,7 @@ mod tests {
         // The generator is built so the driver reaches every method; at
         // small scales a few ultra-cold tiers may not fire, but the large
         // majority must.
-        let t = table1(0.01).unwrap();
+        let t = table1_with(0.01, Parallelism::SERIAL).unwrap();
         for r in t.rows.iter().filter(|r| r.size == InputSize::Small) {
             let expected = r.benchmark.spec(InputSize::Small).num_methods as f64;
             assert!(
@@ -170,17 +160,8 @@ impl WorkloadShapes {
 /// Characterizes each benchmark's exhaustive edge-weight distribution
 /// with the [`cbs_dcg::stats`] shape statistics — the quantities that
 /// determine how fast any sampling profiler can converge on it
-/// (concentrated `compress` vs long-tailed `javac`/`kawa`).
-///
-/// # Errors
-///
-/// Propagates generation or VM failures.
-pub fn workload_shapes(scale: f64) -> Result<WorkloadShapes, ExperimentError> {
-    workload_shapes_with(scale, Parallelism::SERIAL)
-}
-
-/// [`workload_shapes`] with per-benchmark runs sharded across `jobs`
-/// worker threads.
+/// (concentrated `compress` vs long-tailed `javac`/`kawa`). The
+/// per-benchmark runs are sharded across `jobs` worker threads.
 ///
 /// # Errors
 ///
@@ -211,7 +192,7 @@ mod shape_tests {
 
     #[test]
     fn shapes_distinguish_concentrated_from_flat() {
-        let shapes = workload_shapes(0.05).unwrap();
+        let shapes = workload_shapes_with(0.05, Parallelism::SERIAL).unwrap();
         assert_eq!(shapes.rows.len(), 13);
         let find = |b: Benchmark| {
             shapes

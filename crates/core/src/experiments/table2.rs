@@ -102,24 +102,6 @@ impl Table2 {
             .find(|c| c.stride == stride && c.samples_per_tick == samples_per_tick)
     }
 
-    /// The overhead/accuracy Pareto frontier of the grid: cells not
-    /// dominated by any other cell (strictly better on one axis, at least
-    /// as good on the other), sorted by ascending overhead.
-    pub fn pareto_frontier(&self) -> Vec<&Table2Cell> {
-        let mut frontier: Vec<&Table2Cell> = self
-            .cells
-            .iter()
-            .filter(|c| {
-                !self.cells.iter().any(|o| {
-                    (o.overhead_pct < c.overhead_pct && o.accuracy >= c.accuracy)
-                        || (o.overhead_pct <= c.overhead_pct && o.accuracy > c.accuracy)
-                })
-            })
-            .collect();
-        frontier.sort_by(|a, b| a.overhead_pct.partial_cmp(&b.overhead_pct).expect("finite"));
-        frontier
-    }
-
     /// The most accurate configuration whose overhead stays below
     /// `max_overhead_pct` — the paper's "reasonable space of parameters
     /// that maximize accuracy while holding overhead to less than 0.5%".
@@ -265,15 +247,8 @@ mod tests {
     }
 
     #[test]
-    fn pareto_and_best_under() {
+    fn best_under_picks_the_most_accurate_cell_below_the_cap() {
         let t = table2(&Table2Options::quick(VmFlavor::Jikes, 0.05)).unwrap();
-        let frontier = t.pareto_frontier();
-        assert!(!frontier.is_empty());
-        // Frontier is sorted by overhead with non-decreasing accuracy.
-        for pair in frontier.windows(2) {
-            assert!(pair[0].overhead_pct <= pair[1].overhead_pct);
-            assert!(pair[0].accuracy <= pair[1].accuracy);
-        }
         let best = t.best_under(0.5).expect("some cell fits");
         assert!(best.overhead_pct < 0.5);
         // Nothing under the cap beats it.

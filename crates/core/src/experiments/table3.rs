@@ -9,9 +9,9 @@ use cbs_vm::{VmConfig, VmFlavor};
 use cbs_workloads::{Benchmark, InputSize};
 
 /// The Jikes CBS configuration Table 3 uses.
-pub const JIKES_CONFIG: (u32, u32) = (3, 16);
+const JIKES_CONFIG: (u32, u32) = (3, 16);
 /// The J9 CBS configuration Table 3 uses.
-pub const J9_CONFIG: (u32, u32) = (7, 32);
+const J9_CONFIG: (u32, u32) = (7, 32);
 
 /// One row: a benchmark × input measured on both VMs with the base and
 /// chosen CBS profilers.
@@ -62,19 +62,6 @@ impl Table3 {
             }
         }
         sums.map(|s| s / n)
-    }
-
-    /// Average accuracies for the small inputs:
-    /// `[jikes_base, jikes_cbs, j9_base, j9_cbs]`.
-    pub fn small_accuracy_averages(&self) -> [f64; 4] {
-        let a = self.averages(|r| r.size == InputSize::Small);
-        [a[1], a[3], a[5], a[7]]
-    }
-
-    /// Average accuracies for the large inputs, same order.
-    pub fn large_accuracy_averages(&self) -> [f64; 4] {
-        let a = self.averages(|r| r.size == InputSize::Large);
-        [a[1], a[3], a[5], a[7]]
     }
 
     /// Renders the paper-style table with per-size averages.
@@ -151,18 +138,9 @@ fn profile_pair(
 }
 
 /// Reproduces Table 3 over the given benchmarks (defaults to the full
-/// suite when `benchmarks` is `None`).
-///
-/// # Errors
-///
-/// Propagates generation or VM failures.
-pub fn table3(scale: f64, benchmarks: Option<&[Benchmark]>) -> Result<Table3, ExperimentError> {
-    table3_with(scale, benchmarks, Parallelism::SERIAL)
-}
-
-/// [`table3`] with benchmark rows sharded across `jobs` worker threads.
-/// Rows come back in suite order, so the table is identical to a serial
-/// run.
+/// suite when `benchmarks` is `None`), the rows sharded across `jobs`
+/// worker threads. Rows come back in suite order, so the table is
+/// identical to a serial run.
 ///
 /// # Errors
 ///
@@ -211,11 +189,23 @@ pub fn table3_with(
 mod tests {
     use super::*;
 
+    /// Average accuracies over one input size:
+    /// `[jikes_base, jikes_cbs, j9_base, j9_cbs]`.
+    fn accuracy_averages(t: &Table3, size: InputSize) -> [f64; 4] {
+        let a = t.averages(|r| r.size == size);
+        [a[1], a[3], a[5], a[7]]
+    }
+
     #[test]
     fn cbs_beats_base_on_average() {
-        let t = table3(0.05, Some(&[Benchmark::Jess, Benchmark::Javac])).unwrap();
+        let t = table3_with(
+            0.05,
+            Some(&[Benchmark::Jess, Benchmark::Javac]),
+            Parallelism::SERIAL,
+        )
+        .unwrap();
         assert_eq!(t.rows.len(), 4);
-        let small = t.small_accuracy_averages();
+        let small = accuracy_averages(&t, InputSize::Small);
         assert!(
             small[1] > small[0],
             "Jikes CBS {} must beat base {}",
@@ -238,9 +228,9 @@ mod tests {
 
     #[test]
     fn large_inputs_converge_further() {
-        let t = table3(0.05, Some(&[Benchmark::Jess])).unwrap();
-        let small = t.small_accuracy_averages();
-        let large = t.large_accuracy_averages();
+        let t = table3_with(0.05, Some(&[Benchmark::Jess]), Parallelism::SERIAL).unwrap();
+        let small = accuracy_averages(&t, InputSize::Small);
+        let large = accuracy_averages(&t, InputSize::Large);
         assert!(
             large[1] >= small[1] * 0.9,
             "large-input CBS accuracy should not collapse: {large:?} vs {small:?}"

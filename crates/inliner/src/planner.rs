@@ -393,8 +393,8 @@ mod tests {
         use cbs_vm::{CallEvent, Profiler};
 
         #[derive(Debug, Default)]
-        pub struct Exhaustive {
-            pub dcg: DynamicCallGraph,
+        pub(super) struct Exhaustive {
+            pub(super) dcg: DynamicCallGraph,
         }
 
         impl Profiler for Exhaustive {

@@ -125,17 +125,6 @@ impl ControlFlowGraph {
     pub fn block_of(&self, pc: usize) -> BlockId {
         self.block_of[pc]
     }
-
-    /// Predecessor lists (computed on demand).
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for (i, b) in self.blocks.iter().enumerate() {
-            for &s in &b.successors {
-                preds[s].push(i);
-            }
-        }
-        preds
-    }
 }
 
 #[cfg(test)]
@@ -169,8 +158,6 @@ mod tests {
         // Both arms join at the return block.
         assert_eq!(cfg.blocks()[1].successors, vec![3]);
         assert_eq!(cfg.blocks()[2].successors, vec![3]);
-        let preds = cfg.predecessors();
-        assert_eq!(preds[3], vec![1, 2]);
     }
 
     #[test]

@@ -17,11 +17,6 @@ pub struct OptStats {
 }
 
 impl OptStats {
-    /// Total rewrites across all passes.
-    pub fn total_rewrites(&self) -> usize {
-        self.rewrites_by_pass.values().sum()
-    }
-
     /// Merges another run's statistics into this one.
     pub fn merge(&mut self, other: &OptStats) {
         for (name, n) in &other.rewrites_by_pass {
@@ -63,14 +58,6 @@ impl Optimizer {
     /// Creates the default pipeline.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a pipeline with an explicit pass list.
-    pub fn with_passes(passes: Vec<Box<dyn Pass>>) -> Self {
-        Self {
-            passes,
-            max_iterations: 16,
-        }
     }
 
     /// Optimizes one method in place, re-verifying it afterwards.
@@ -119,6 +106,10 @@ mod tests {
     use super::*;
     use cbs_bytecode::{Op, ProgramBuilder};
 
+    fn total_rewrites(stats: &OptStats) -> usize {
+        stats.rewrites_by_pass.values().sum()
+    }
+
     fn one_method_program(
         build: impl FnOnce(&mut cbs_bytecode::CodeBuilder<'_>),
     ) -> (Program, MethodId) {
@@ -142,7 +133,7 @@ mod tests {
                 .ret();
         });
         let stats = Optimizer::new().optimize_method(&mut p, main);
-        assert!(stats.total_rewrites() >= 2, "stats: {stats:?}");
+        assert!(total_rewrites(&stats) >= 2, "stats: {stats:?}");
         assert_eq!(
             p.method(main).code(),
             &[
@@ -199,7 +190,7 @@ mod tests {
         let mut p = b.build().unwrap();
         let stats = Optimizer::new().optimize_program(&mut p);
         assert_eq!(p.method(f).code(), &[Op::Const(3), Op::Return]);
-        assert!(stats.total_rewrites() >= 3);
+        assert!(total_rewrites(&stats) >= 3);
     }
 
     #[test]
@@ -213,7 +204,7 @@ mod tests {
         b.iterations = 4;
         a.merge(&b);
         assert_eq!(a.rewrites_by_pass["peephole"], 5);
-        assert_eq!(a.total_rewrites(), 6);
+        assert_eq!(total_rewrites(&a), 6);
         assert_eq!(a.iterations, 4);
     }
 }

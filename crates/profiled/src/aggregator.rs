@@ -4,8 +4,8 @@
 //! hash-partitioned by **caller** so every edge of a method — and hence
 //! every call site's whole receiver distribution — lives in exactly one
 //! shard. Ingestion from concurrent connections therefore contends only
-//! on the shards a frame actually touches, while the 40%-rule queries
-//! ([`site_distribution`]) stay single-graph exact.
+//! on the shards a frame actually touches, and the merge behind a pull
+//! only interleaves disjoint sorted runs.
 //!
 //! Freshness is a *virtual epoch clock*: [`advance_epoch`] only bumps an
 //! atomic counter; each shard applies one multiplicative decay pass per
@@ -26,13 +26,11 @@
 //!
 //! [`advance_epoch`]: ShardedAggregator::advance_epoch
 //! [`merged_snapshot`]: ShardedAggregator::merged_snapshot
-//! [`site_distribution`]: ShardedAggregator::site_distribution
 
 use crate::codec::{CodecError, DcgCodec, DcgFrame, FrameKind};
 use crate::metrics::ProfiledMetrics;
-use cbs_bytecode::{CallSiteId, MethodId};
+use cbs_bytecode::MethodId;
 use cbs_dcg::{CallEdge, DynamicCallGraph};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -239,75 +237,17 @@ impl ShardedAggregator {
     /// Snapshot and delta frames are both *additive*: a snapshot is a
     /// VM's first flush, deltas are its subsequent growth, so the
     /// aggregate over a fleet is simply the sum of everything pushed
-    /// (then decayed by the epoch clock). Records are grouped so each
-    /// touched shard is locked exactly once per frame.
+    /// (then decayed by the epoch clock). The records are partitioned
+    /// into per-shard buckets in **one pass**; each bucket preserves the
+    /// input (edge-sorted) order of its shard's records, so repeated
+    /// ingestion histories stay bit-identical.
     pub fn ingest(&self, frame: &DcgFrame) {
-        self.ingest_records(&frame.edges);
-        self.frames.fetch_add(1, Ordering::Relaxed);
-        ProfiledMetrics::get().agg_frames.inc();
-    }
-
-    /// Folds raw `(edge, weight)` records (already validated positive and
-    /// finite, as the codec guarantees) into the shards.
-    ///
-    /// Convenience wrapper over
-    /// [`ingest_records_with`](Self::ingest_records_with) using a
-    /// throwaway scratch; pooled callers (the server's connection
-    /// threads) pass their own to keep the path allocation-free.
-    pub fn ingest_records(&self, records: &[(CallEdge, f64)]) {
         let mut scratch = IngestScratch::new();
-        self.ingest_records_with(records, &mut scratch);
-    }
-
-    /// Folds raw records into the shards through a caller-owned
-    /// partitioning scratch.
-    ///
-    /// The records are partitioned into per-shard buckets in **one
-    /// pass**; each bucket preserves the input (edge-sorted) order of
-    /// its shard's records, so the weights land in exactly the order the
-    /// old one-scan-per-shard path applied them and repeated ingestion
-    /// histories stay bit-identical.
-    pub fn ingest_records_with(&self, records: &[(CallEdge, f64)], scratch: &mut IngestScratch) {
-        if self.shards.len() == 1 {
-            let mut guard = self.locked_current(0);
-            guard.graph.record_all_deferred(records);
-        } else {
-            scratch.reset(self.shards.len());
-            for &(e, w) in records {
-                scratch.buckets[self.shard_of(e.caller)].push((e, w));
-            }
-            self.apply_buckets(scratch);
+        scratch.reset(self.shards.len());
+        for &(e, w) in &frame.edges {
+            scratch.buckets[self.shard_of(e.caller)].push((e, w));
         }
-        self.finish_ingest(records.len());
-    }
-
-    /// Locks each touched shard once (index order) and applies its
-    /// bucket, clearing buckets for reuse.
-    ///
-    /// Records are applied *deferred*: weights land immediately, but
-    /// the shard's sorted permutation is left stale until the next
-    /// snapshot rebuild seals it ([`rebuild_merged`](Self::rebuild_merged)).
-    /// A shard absorbing thousands of frames between pulls therefore
-    /// pays for permutation maintenance once per pull, not per frame.
-    fn apply_buckets(&self, scratch: &mut IngestScratch) {
-        for (shard, bucket) in scratch.buckets.iter_mut().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut guard = self.locked_current(shard);
-            guard.graph.record_all_deferred(bucket);
-            bucket.clear();
-        }
-    }
-
-    /// Record-count bookkeeping shared by every ingest path; bumps the
-    /// snapshot generation when any record was applied.
-    fn finish_ingest(&self, records: usize) {
-        self.records.fetch_add(records as u64, Ordering::Relaxed);
-        ProfiledMetrics::get().agg_records.add(records as u64);
-        if records > 0 {
-            self.generation.fetch_add(1, Ordering::Release);
-        }
+        self.apply_partitioned(&mut scratch);
     }
 
     /// Decodes an encoded frame *streamingly* into the shards: records
@@ -368,12 +308,31 @@ impl ShardedAggregator {
     /// does the per-frame bookkeeping. Returns the record count
     /// applied (the partition's count: the buckets drain into the
     /// shards exactly as filled).
+    ///
+    /// Each touched shard is locked once, in index order. Records are
+    /// applied *deferred*: weights land immediately, but the shard's
+    /// sorted permutation is left stale until the next snapshot rebuild
+    /// seals it. A shard absorbing thousands of frames between pulls
+    /// therefore pays for permutation maintenance once per pull, not
+    /// per frame.
     pub fn apply_partitioned(&self, scratch: &mut IngestScratch) -> usize {
         let count = scratch.buckets.iter().map(Vec::len).sum();
-        self.apply_buckets(scratch);
+        for (shard, bucket) in scratch.buckets.iter_mut().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            let mut guard = self.locked_current(shard);
+            guard.graph.record_all_deferred(bucket);
+            bucket.clear();
+        }
+        let m = ProfiledMetrics::get();
         self.frames.fetch_add(1, Ordering::Relaxed);
-        ProfiledMetrics::get().agg_frames.inc();
-        self.finish_ingest(count);
+        m.agg_frames.inc();
+        self.records.fetch_add(count as u64, Ordering::Relaxed);
+        m.agg_records.add(count as u64);
+        if count > 0 {
+            self.generation.fetch_add(1, Ordering::Release);
+        }
         count
     }
 
@@ -482,17 +441,11 @@ impl ShardedAggregator {
         (graph, encoded)
     }
 
-    /// A consistent fleet-wide snapshot, served from the
+    /// A consistent fleet-wide snapshot, shared from the
     /// generation-stamped cache (rebuilt only after ingest or an epoch
-    /// advance). The returned graph is bit-identical to locking all
-    /// shards and merging them in shard order.
-    pub fn merged_snapshot(&self) -> DynamicCallGraph {
-        self.merged_snapshot_shared().as_ref().clone()
-    }
-
-    /// [`merged_snapshot`](Self::merged_snapshot) without the copy:
-    /// hands out the cache's shared graph.
-    pub fn merged_snapshot_shared(&self) -> Arc<DynamicCallGraph> {
+    /// advance). The graph is bit-identical to locking all shards and
+    /// merging them in shard order.
+    pub fn merged_snapshot(&self) -> Arc<DynamicCallGraph> {
         self.cached_snapshot().0
     }
 
@@ -525,7 +478,7 @@ impl ShardedAggregator {
             m.plan_cache_invalidations.inc();
         }
         m.plan_cache_misses.inc();
-        let graph = self.merged_snapshot_shared();
+        let graph = self.merged_snapshot();
         let plan =
             cbs_inliner::build_plan(&graph, &cbs_inliner::NewLinearPolicy::default(), generation);
         m.plan_builds.inc();
@@ -536,42 +489,6 @@ impl ShardedAggregator {
             encoded: Arc::clone(&encoded),
         });
         encoded
-    }
-
-    /// Fleet-wide hot edges: edges holding at least `percent` of the
-    /// merged total weight, heaviest first (the inliner's hot-edge
-    /// query). Served from the snapshot cache.
-    pub fn hot_edges(&self, percent: f64) -> Vec<(CallEdge, f64)> {
-        self.merged_snapshot_shared().hot_edges(percent)
-    }
-
-    /// The fleet-wide receiver distribution of one call site, sorted by
-    /// descending weight — the input to the paper's 40% guarded-inlining
-    /// rule.
-    ///
-    /// A call site is identified by its `(caller, site)` pair: site ids
-    /// can repeat under *other* callers (including callers that happen to
-    /// hash to the same shard), so the query filters the cached merged
-    /// snapshot on the caller itself, never on its shard.
-    pub fn site_distribution(&self, caller: MethodId, site: CallSiteId) -> Vec<(MethodId, f64)> {
-        let graph = self.merged_snapshot_shared();
-        let mut per_callee: HashMap<MethodId, f64> = HashMap::new();
-        for (e, w) in graph.iter() {
-            if e.caller == caller && e.site == site {
-                *per_callee.entry(e.callee).or_insert(0.0) += w;
-            }
-        }
-        let mut v: Vec<(MethodId, f64)> = per_callee.into_iter().collect();
-        v.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        v
-    }
-
-    /// Total weight flowing out of `caller`, from the cached merged
-    /// snapshot. All of `caller`'s edges share one shard, so the merged
-    /// graph's caller-filtered subsequence is exactly that shard's — the
-    /// sum is bit-identical to scanning the shard under its lock.
-    pub fn outgoing_weight(&self, caller: MethodId) -> f64 {
-        self.merged_snapshot_shared().outgoing_weight(caller)
     }
 
     /// Ingestion counters and per-shard sizes.
@@ -592,7 +509,7 @@ impl ShardedAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::DcgCodec;
+    use cbs_bytecode::CallSiteId;
 
     fn e(caller: u32, site: u32, callee: u32) -> CallEdge {
         CallEdge::new(
@@ -606,6 +523,13 @@ mod tests {
         entries.iter().copied().collect()
     }
 
+    fn delta(edges: &[(CallEdge, f64)]) -> DcgFrame {
+        DcgFrame {
+            kind: FrameKind::Delta,
+            edges: edges.to_vec(),
+        }
+    }
+
     #[test]
     fn sharded_merge_equals_direct_merge_for_any_shard_count() {
         let a = graph(&[(e(0, 0, 1), 3.0), (e(7, 1, 2), 1.0), (e(93, 2, 3), 4.0)]);
@@ -616,7 +540,7 @@ mod tests {
             agg.ingest(&DcgCodec::decode(&DcgCodec::encode_snapshot(&a)).unwrap());
             agg.ingest(&DcgCodec::decode(&DcgCodec::encode_snapshot(&b)).unwrap());
             let merged = agg.merged_snapshot();
-            assert_eq!(merged, expected, "shards={shards}");
+            assert_eq!(*merged, expected, "shards={shards}");
             assert_eq!(agg.stats().frames, 2);
             assert_eq!(agg.stats().records, 5);
             assert_eq!(agg.stats().total_edges(), merged.num_edges());
@@ -627,19 +551,20 @@ mod tests {
     fn caller_partitioning_keeps_sites_whole() {
         let agg = ShardedAggregator::new(AggregatorConfig::with_shards(8));
         // Virtual site 4 in caller 2 dispatches to three receivers.
-        agg.ingest_records(&[
+        agg.ingest(&delta(&[
             (e(2, 4, 10), 50.0),
             (e(2, 4, 11), 45.0),
             (e(2, 4, 12), 5.0),
             (e(3, 9, 10), 100.0),
-        ]);
-        let dist = agg.site_distribution(MethodId::new(2), CallSiteId::new(4));
+        ]));
+        let merged = agg.merged_snapshot();
+        let dist = merged.site_distribution(CallSiteId::new(4));
         assert_eq!(dist.len(), 3);
         assert_eq!(dist[0], (MethodId::new(10), 50.0));
         // 40%-rule shares are exact per-site fractions.
         let total: f64 = dist.iter().map(|(_, w)| w).sum();
         assert!((dist[0].1 / total - 0.5).abs() < 1e-12);
-        assert_eq!(agg.outgoing_weight(MethodId::new(2)), 100.0);
+        assert_eq!(merged.outgoing_weight(MethodId::new(2)), 100.0);
         // All of caller 2's edges share one shard.
         let s = agg.shard_of(MethodId::new(2));
         let shard_sizes = agg.stats().shard_edges;
@@ -654,7 +579,7 @@ mod tests {
             min_weight: 0.0,
         };
         let agg = ShardedAggregator::new(cfg);
-        agg.ingest_records(&[(e(0, 0, 1), 16.0), (e(9, 1, 2), 4.0)]);
+        agg.ingest(&delta(&[(e(0, 0, 1), 16.0), (e(9, 1, 2), 4.0)]));
         // Three epochs pass without the shards being touched.
         agg.advance_epoch();
         agg.advance_epoch();
@@ -666,7 +591,7 @@ mod tests {
         );
         assert!((merged.weight(&e(9, 1, 2)) - 0.5).abs() < 1e-12);
         // Fresh weight lands undecayed after the catch-up.
-        agg.ingest_records(&[(e(0, 0, 1), 1.0)]);
+        agg.ingest(&delta(&[(e(0, 0, 1), 1.0)]));
         assert!((agg.merged_snapshot().weight(&e(0, 0, 1)) - 3.0).abs() < 1e-12);
         assert_eq!(agg.epoch(), 3);
     }
@@ -688,9 +613,9 @@ mod tests {
             .map(|i| (e(i % 7, i % 3, i % 5), 0.1 + f64::from(i) / 3.0))
             .collect();
         let lazy = ShardedAggregator::new(cfg);
-        lazy.ingest_records(&records);
+        lazy.ingest(&delta(&records));
         let eager = ShardedAggregator::new(cfg);
-        eager.ingest_records(&records);
+        eager.ingest(&delta(&records));
         for _ in 0..5 {
             lazy.advance_epoch();
             eager.advance_epoch();
@@ -715,7 +640,7 @@ mod tests {
             min_weight: 0.0,
         };
         let original = ShardedAggregator::new(cfg);
-        original.ingest_records(&[(e(0, 0, 1), 16.0), (e(9, 1, 2), 5.5)]);
+        original.ingest(&delta(&[(e(0, 0, 1), 16.0), (e(9, 1, 2), 5.5)]));
         original.advance_epoch();
         original.advance_epoch();
         let snapshot = original.encoded_snapshot();
@@ -747,23 +672,11 @@ mod tests {
             min_weight: 0.5,
         };
         let agg = ShardedAggregator::new(cfg);
-        agg.ingest_records(&[(e(0, 0, 1), 100.0), (e(1, 1, 2), 1.0)]);
+        agg.ingest(&delta(&[(e(0, 0, 1), 100.0), (e(1, 1, 2), 1.0)]));
         agg.advance_epoch();
         let merged = agg.merged_snapshot();
         assert_eq!(merged.num_edges(), 1, "light edge pruned: {merged:?}");
         assert!((merged.weight(&e(0, 0, 1)) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hot_edges_are_fleet_wide() {
-        let agg = ShardedAggregator::new(AggregatorConfig::with_shards(4));
-        // Two "VMs" each see half of a hot edge's traffic.
-        agg.ingest_records(&[(e(0, 0, 1), 49.0), (e(5, 1, 2), 1.0)]);
-        agg.ingest_records(&[(e(0, 0, 1), 49.0), (e(6, 2, 3), 1.0)]);
-        let hot = agg.hot_edges(50.0);
-        assert_eq!(hot.len(), 1);
-        assert_eq!(hot[0].0, e(0, 0, 1));
-        assert_eq!(hot[0].1, 98.0);
     }
 
     #[test]
@@ -780,7 +693,7 @@ mod tests {
         // Expected: same records ingested serially.
         let serial = ShardedAggregator::new(AggregatorConfig::with_shards(4));
         for f in &frames {
-            serial.ingest_records(f);
+            serial.ingest(&delta(f));
         }
         let expected = serial.merged_snapshot();
 
@@ -789,7 +702,7 @@ mod tests {
                 let agg = Arc::clone(&agg);
                 scope.spawn(move || {
                     for f in chunk {
-                        agg.ingest_records(f);
+                        agg.ingest(&delta(f));
                     }
                 });
             }
@@ -852,7 +765,7 @@ mod tests {
     fn snapshot_cache_hits_until_invalidated() {
         use std::sync::Arc;
         let agg = ShardedAggregator::new(AggregatorConfig::with_shards(4));
-        agg.ingest_records(&[(e(0, 0, 1), 2.0), (e(9, 1, 2), 3.0)]);
+        agg.ingest(&delta(&[(e(0, 0, 1), 2.0), (e(9, 1, 2), 3.0)]));
 
         let first = agg.encoded_snapshot();
         let again = agg.encoded_snapshot();
@@ -860,12 +773,12 @@ mod tests {
             Arc::ptr_eq(&first, &again),
             "repeated pulls must share the cached encoding"
         );
-        let g1 = agg.merged_snapshot_shared();
-        let g2 = agg.merged_snapshot_shared();
+        let g1 = agg.merged_snapshot();
+        let g2 = agg.merged_snapshot();
         assert!(Arc::ptr_eq(&g1, &g2));
 
         // Ingest invalidates: the next pull re-encodes and sees new data.
-        agg.ingest_records(&[(e(0, 0, 1), 1.0)]);
+        agg.ingest(&delta(&[(e(0, 0, 1), 1.0)]));
         let after_push = agg.encoded_snapshot();
         assert!(!Arc::ptr_eq(&first, &after_push), "push must invalidate");
         assert_eq!(
@@ -887,69 +800,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_queries_match_direct_shard_scans() {
-        let agg = ShardedAggregator::new(AggregatorConfig::with_shards(8));
-        // Site id 4 reused under several callers (some in other shards).
-        agg.ingest_records(&[
-            (e(2, 4, 10), 50.0),
-            (e(2, 4, 11), 45.0),
-            (e(3, 4, 10), 500.0),
-            (e(17, 4, 12), 9.0),
-            (e(2, 6, 12), 5.0),
-        ]);
-        let dist = agg.site_distribution(MethodId::new(2), CallSiteId::new(4));
-        // Only caller 2's own edges contribute — callers 3 and 17 reuse
-        // site id 4 but belong to different call sites, wherever their
-        // shards land.
-        assert_eq!(
-            dist,
-            vec![(MethodId::new(10), 50.0), (MethodId::new(11), 45.0)]
-        );
-        assert_eq!(agg.outgoing_weight(MethodId::new(2)), 100.0);
-    }
-
-    /// Regression: two callers that hash to the *same shard* and reuse a
-    /// site id are distinct call sites. Filtering by shard (as the query
-    /// once did) merges their receiver distributions and corrupts the
-    /// 40%-rule input.
-    #[test]
-    fn site_distribution_filters_on_caller_not_shard() {
-        let agg = ShardedAggregator::new(AggregatorConfig::with_shards(8));
-        let a = MethodId::new(2);
-        let b = (3..4096u32)
-            .map(MethodId::new)
-            .find(|m| agg.shard_of(*m) == agg.shard_of(a))
-            .expect("some other caller shares caller 2's shard");
-        agg.ingest_records(&[
-            (
-                CallEdge::new(a, CallSiteId::new(4), MethodId::new(10)),
-                50.0,
-            ),
-            (
-                CallEdge::new(a, CallSiteId::new(4), MethodId::new(11)),
-                45.0,
-            ),
-            // Same shard, same site id, different caller: must not leak in.
-            (
-                CallEdge::new(b, CallSiteId::new(4), MethodId::new(12)),
-                500.0,
-            ),
-        ]);
-        let dist = agg.site_distribution(a, CallSiteId::new(4));
-        assert_eq!(
-            dist,
-            vec![(MethodId::new(10), 50.0), (MethodId::new(11), 45.0)],
-            "same-shard caller {b:?} polluted caller {a:?}'s distribution"
-        );
-        let dist_b = agg.site_distribution(b, CallSiteId::new(4));
-        assert_eq!(dist_b, vec![(MethodId::new(12), 500.0)]);
-    }
-
-    #[test]
     fn zero_shards_clamps_to_one() {
         let agg = ShardedAggregator::new(AggregatorConfig::with_shards(0));
         assert_eq!(agg.num_shards(), 1);
-        agg.ingest_records(&[(e(0, 0, 1), 1.0)]);
+        agg.ingest(&delta(&[(e(0, 0, 1), 1.0)]));
         assert_eq!(agg.merged_snapshot().num_edges(), 1);
     }
 }

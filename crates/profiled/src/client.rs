@@ -298,7 +298,8 @@ impl<S: Read + Write> ProfileClient<S> {
     }
 
     /// Pulls the fleet-wide merged snapshot via paged `OP_PULL_CHUNK`
-    /// exchanges, reassembling however many frames the snapshot needs.
+    /// exchanges, reassembling however many frames the snapshot needs;
+    /// returns the graph and the number of chunk frames fetched.
     /// Page 0 captures a consistent snapshot server-side, so the merge
     /// cannot tear between pages.
     ///
@@ -307,17 +308,7 @@ impl<S: Read + Write> ProfileClient<S> {
     /// Transport failures, a server-side rejection, an undecodable
     /// reassembled frame, or pagination protocol violations (which
     /// poison the connection).
-    pub fn pull_chunked(&mut self) -> Result<DynamicCallGraph, ClientError> {
-        Ok(self.pull_chunked_counted()?.0)
-    }
-
-    /// [`pull_chunked`](Self::pull_chunked), also returning how many
-    /// chunk frames were fetched.
-    ///
-    /// # Errors
-    ///
-    /// As [`pull_chunked`](Self::pull_chunked).
-    pub fn pull_chunked_counted(&mut self) -> Result<(DynamicCallGraph, u32), ClientError> {
+    pub fn pull_chunked(&mut self) -> Result<(DynamicCallGraph, u32), ClientError> {
         let mut frame = Vec::new();
         let mut page: u32 = 0;
         let mut total: u32 = 1;

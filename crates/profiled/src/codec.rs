@@ -118,20 +118,6 @@ pub struct DcgFrame {
     pub edges: Vec<(CallEdge, f64)>,
 }
 
-impl DcgFrame {
-    /// Rebuilds a [`DynamicCallGraph`] from this frame's records.
-    ///
-    /// For a snapshot this *is* the producer's graph; for a delta it is
-    /// just the increments.
-    pub fn to_graph(&self) -> DynamicCallGraph {
-        let mut g = DynamicCallGraph::with_capacity(self.edges.len());
-        for &(e, w) in &self.edges {
-            g.record(e, w);
-        }
-        g
-    }
-}
-
 /// A failure to decode a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {

@@ -12,8 +12,7 @@
 //!   [`cbs_dcg::DynamicCallGraph::drain_delta`]);
 //! * [`aggregator`] — [`ShardedAggregator`], hash-partitioned by caller
 //!   across N shards with a lazily-applied exponential-decay epoch
-//!   clock, consistent merged snapshots, and the hot-edge /
-//!   receiver-distribution queries the 40%-rule inliner consumes;
+//!   clock and consistent, generation-cached merged snapshots;
 //! * [`server`]/[`client`] — a `std::net` TCP service speaking
 //!   length-prefixed frames with per-connection timeouts, frame-size and
 //!   inflight-connection limits, and malformed-frame rejection that

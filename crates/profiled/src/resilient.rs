@@ -395,23 +395,14 @@ impl<S: Read + Write> ResilientClient<S> {
     }
 
     /// Pulls the merged snapshot via paged `OP_PULL_CHUNK` exchanges,
-    /// with reconnection and retries (pulls are idempotent).
+    /// with reconnection and retries (pulls are idempotent); returns
+    /// the graph and the page count of the successful attempt.
     ///
     /// # Errors
     ///
     /// The last attempt's failure once retries are exhausted.
-    pub fn pull(&mut self) -> Result<DynamicCallGraph, ClientError> {
+    pub fn pull(&mut self) -> Result<(DynamicCallGraph, u32), ClientError> {
         self.retrying(|s| s.ensure_connected()?.pull_chunked())
-    }
-
-    /// [`pull`](Self::pull), also returning the page count of the
-    /// successful attempt.
-    ///
-    /// # Errors
-    ///
-    /// As [`pull`](Self::pull).
-    pub fn pull_counted(&mut self) -> Result<(DynamicCallGraph, u32), ClientError> {
-        self.retrying(|s| s.ensure_connected()?.pull_chunked_counted())
     }
 
     /// Pulls the fleet inlining plan, with reconnection and retries

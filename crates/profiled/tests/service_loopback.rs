@@ -47,7 +47,7 @@ fn snapshot_plus_100_deltas_reconstructs_bit_identically() {
 
     let pulled = client.pull().expect("pull succeeds");
     let merged = server.aggregator().merged_snapshot();
-    assert_eq!(pulled, merged);
+    assert_eq!(pulled, *merged);
     assert_eq!(pulled.num_edges(), merged.num_edges());
     for (e, w) in merged.iter() {
         assert_eq!(pulled.weight(e).to_bits(), w.to_bits(), "edge {e}");
@@ -58,7 +58,7 @@ fn snapshot_plus_100_deltas_reconstructs_bit_identically() {
         "totals accumulate in the same canonical edge order on both sides"
     );
     // The stream was lossless, so the server graph equals the VM's own.
-    assert_eq!(merged, vm);
+    assert_eq!(*merged, vm);
 
     let stats = server.aggregator().stats();
     assert_eq!(stats.frames, 101);

@@ -254,10 +254,10 @@ fn chunked_pull_reassembles_an_oversized_snapshot_bit_identically() {
     }
     // …but the paged pull reassembles it exactly, on the same
     // connection (the refusal did not poison).
-    let (pulled, pages) = client.pull_chunked_counted().expect("chunked pull");
+    let (pulled, pages) = client.pull_chunked().expect("chunked pull");
     assert!(pages > 1, "snapshot must have spanned multiple pages");
     let merged = server.aggregator().merged_snapshot();
-    assert_eq!(pulled, merged);
+    assert_eq!(pulled, *merged);
     for (e, w) in merged.iter() {
         assert_eq!(pulled.weight(e).to_bits(), w.to_bits(), "edge {e}");
     }
@@ -323,8 +323,8 @@ fn chunk_page_without_a_page0_capture_is_refused_cleanly() {
     // reassembles the exact merged snapshot.
     let mut client = ProfileClient::connect(server.addr(), config).expect("connects");
     assert_eq!(
-        client.pull_chunked().expect("chunked pull"),
-        server.aggregator().merged_snapshot()
+        client.pull_chunked().expect("chunked pull").0,
+        *server.aggregator().merged_snapshot()
     );
     server.shutdown();
 }
@@ -363,7 +363,7 @@ fn faulty_and_clean_runs_pool_bit_identical_profiles() {
             client.push_delta(batch.clone()).expect("delivered");
         }
         client.flush().expect("outbox drained");
-        client.pull().expect("pulled")
+        client.pull().expect("pulled").0
     };
 
     let clean_server = start_server(config);
@@ -459,7 +459,7 @@ fn resilient_pull_retries_through_faults() {
         42,
         schedule,
     ));
-    let pulled = client.pull().expect("retried to success");
+    let (pulled, _) = client.pull().expect("retried to success");
     assert_eq!(pulled, vm);
     assert!(client.stats().retries >= 5);
     server.shutdown();

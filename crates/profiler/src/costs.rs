@@ -90,15 +90,6 @@ impl OverheadMeter {
     pub fn cycles_f64(&self) -> f64 {
         self.millicycles as f64 / 1000.0
     }
-
-    /// Overhead as a percentage of `base_cycles`.
-    pub fn percent_of(&self, base_cycles: u64) -> f64 {
-        if base_cycles == 0 {
-            0.0
-        } else {
-            100.0 * self.cycles_f64() / base_cycles as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -112,14 +103,6 @@ mod tests {
         m.charge(700);
         assert_eq!(m.cycles(), 2);
         assert!((m.cycles_f64() - 2.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percent_of_base() {
-        let mut m = OverheadMeter::new();
-        m.charge(5_000_000); // 5000 cycles
-        assert!((m.percent_of(1_000_000) - 0.5).abs() < 1e-12);
-        assert_eq!(m.percent_of(0), 0.0);
     }
 
     #[test]

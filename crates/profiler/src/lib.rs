@@ -54,7 +54,6 @@ mod exhaustive;
 mod hardware;
 pub mod metrics;
 mod multi;
-mod organizer;
 mod patching;
 mod pc;
 mod timer;
@@ -67,7 +66,6 @@ pub use exhaustive::{ExhaustiveCctProfiler, ExhaustiveMode, ExhaustiveProfiler};
 pub use hardware::{HardwareConfig, HardwareSampler};
 pub use metrics::CbsMetrics;
 pub use multi::MultiProfiler;
-pub use organizer::{DcgOrganizer, OrganizedSampler, SampleBuffer};
 pub use patching::{CodePatchingProfiler, PatchingConfig};
 pub use pc::PcSampler;
 pub use timer::TimerSampler;

@@ -35,14 +35,6 @@ impl TimerSampler {
         Self::default()
     }
 
-    /// Creates a sampler with explicit costs.
-    pub fn with_costs(costs: ProfilingCosts) -> Self {
-        Self {
-            costs,
-            ..Self::default()
-        }
-    }
-
     fn arm(&mut self, thread: ThreadId) {
         let idx = thread.index();
         if idx >= self.armed.len() {

@@ -164,7 +164,7 @@ impl Checkpoint {
 
     /// Writes the checkpoint to the temp name and fsyncs it — the
     /// prepare half of the atomic install. The store calls this and
-    /// [`commit_temp`] separately so the mid-checkpoint crash site can
+    /// [`commit_temp`](Self::commit_temp) separately so the mid-checkpoint crash site can
     /// fire between them.
     ///
     /// # Errors

@@ -22,7 +22,7 @@
 //!   operations;
 //! * [`lock`] — the advisory data-directory lockfile that makes a
 //!   second concurrent opener fail fast instead of corrupting the WAL;
-//! * [`inspect`] — the read-only directory summary behind
+//! * [`inspect()`] — the read-only directory summary behind
 //!   `dcgtool store inspect`.
 //!
 //! Writes flow through a staged path — a short append critical section,

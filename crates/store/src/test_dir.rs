@@ -10,13 +10,13 @@ static NEXT: AtomicU64 = AtomicU64::new(0);
 /// A uniquely-named directory under the system temp dir, deleted when
 /// dropped.
 #[derive(Debug)]
-pub struct TestDir {
+pub(crate) struct TestDir {
     path: PathBuf,
 }
 
 impl TestDir {
     /// Creates `<tmp>/cbs-store-<label>-<pid>-<n>`.
-    pub fn new(label: &str) -> Self {
+    pub(crate) fn new(label: &str) -> Self {
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let path =
             std::env::temp_dir().join(format!("cbs-store-{label}-{}-{n}", std::process::id()));
@@ -25,7 +25,7 @@ impl TestDir {
     }
 
     /// The directory path.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 }

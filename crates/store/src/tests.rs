@@ -14,7 +14,7 @@ use cbs_bytecode::{CallSiteId, MethodId};
 use cbs_dcg::CallEdge;
 use cbs_profiled::{
     AggregatorConfig, CrashSite, CrashSpec, DcgCodec, FaultSchedule, IngestScratch, JournalError,
-    ProfileJournal, SeqIngest, ShardedAggregator,
+    MemJournal, ProfileJournal, SeqIngest, ShardedAggregator,
 };
 use std::fs;
 use std::path::Path;
@@ -268,6 +268,78 @@ fn bad_frame_is_rolled_back_and_never_journaled() {
             .ingest_sequenced(1, 1, &frame(2), &mut scratch)
             .unwrap(),
         SeqIngest::Duplicate
+    );
+}
+
+/// `MemJournal` and `ProfileStore` are two implementations of one
+/// contract. The same script — plain and sequenced pushes, a replayed
+/// sequence, malformed frames in every position, an epoch advance
+/// between pushes, more clients than the dedup table holds — must
+/// answer identically op by op and leave identical observable state,
+/// in memory, on the live store, and on the store reopened from its WAL.
+#[test]
+fn mem_journal_and_store_honour_one_contract() {
+    let seq = |client, seq, frame: Vec<u8>| Op::PushSeq { client, seq, frame };
+    let garbage = || b"not a CBSP frame".to_vec();
+    let script = [
+        Op::Push(frame(0)),
+        seq(1, 1, frame(1)),
+        seq(2, 1, frame(2)),
+        seq(1, 1, frame(1)),  // replay: duplicate, not re-applied
+        seq(1, 1, garbage()), // malformed replay: bad frame beats duplicate
+        seq(1, 2, garbage()), // malformed new frame: seq 2 stays unused
+        Op::Push(garbage()),
+        Op::Epoch,
+        seq(1, 2, frame(3)), // so this is applied, after the decay
+        seq(3, 7, frame(4)),
+        seq(4, 1, frame(5)), // fourth client: the 3-entry table evicts
+        Op::Push(frame(6)),
+    ];
+    let run = |journal: &dyn ProfileJournal| -> Vec<String> {
+        let mut scratch = IngestScratch::new();
+        script
+            .iter()
+            .map(|op| match op {
+                Op::Push(f) => format!("{:?}", journal.ingest_frame(f, &mut scratch)),
+                Op::PushSeq { client, seq, frame } => format!(
+                    "{:?}",
+                    journal.ingest_sequenced(*client, *seq, frame, &mut scratch)
+                ),
+                Op::Epoch => format!("{:?}", journal.advance_epoch()),
+            })
+            .collect()
+    };
+    let observe = |journal: &dyn ProfileJournal, agg: &ShardedAggregator| {
+        (
+            journal.dedup_usage(),
+            agg.encoded_snapshot().as_ref().clone(),
+            agg.encoded_plan().as_ref().clone(),
+        )
+    };
+
+    let config = fast_config();
+    let mem_agg = agg(decaying());
+    let mem = MemJournal::with_capacity(Arc::clone(&mem_agg), config.dedup_capacity);
+    let mem_results = run(&mem);
+    let want = observe(&mem, &mem_agg);
+    assert_eq!(
+        mem_results.iter().filter(|r| r.starts_with("Err(")).count(),
+        3
+    );
+    assert_eq!(mem_results[3], "Ok(Duplicate)");
+    assert!(mem_results[8].starts_with("Ok(Applied"), "{mem_results:?}");
+    assert_eq!(want.0.clients, 3, "the fourth client evicted one");
+
+    let dir = TestDir::new("journal-contract");
+    {
+        let store = ProfileStore::open(dir.path(), agg(decaying()), config.clone()).unwrap();
+        assert_eq!(run(&store), mem_results, "results op by op");
+        assert!(observe(&store, store.aggregator()) == want, "live store");
+    }
+    let reopened = ProfileStore::open(dir.path(), agg(decaying()), config).unwrap();
+    assert!(
+        observe(&reopened, reopened.aggregator()) == want,
+        "store reopened from its WAL"
     );
 }
 

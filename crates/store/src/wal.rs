@@ -27,7 +27,7 @@
 
 use crate::crc::crc32;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -227,9 +227,8 @@ impl SegmentWriter {
         &self.path
     }
 
-    /// Appends one record, returning the offset the record starts at
-    /// (so a failed apply can [`truncate_to`](Self::truncate_to) it
-    /// back off). Does **not** sync; that is the fsync policy's call.
+    /// Appends one record, returning the offset the record starts at.
+    /// Does **not** sync; that is the fsync policy's call.
     ///
     /// # Errors
     ///
@@ -248,7 +247,7 @@ impl SegmentWriter {
 
     /// Appends a deliberately torn record: the framing and only the
     /// first `keep` payload bytes reach the file, simulating a power
-    /// loss mid-write (the [`crate::CrashSite::TornWalRecord`] crash
+    /// loss mid-write (the [`cbs_profiled::CrashSite::TornWalRecord`] crash
     /// site). The write is synced so the torn state is what a restart
     /// observes.
     ///
@@ -264,19 +263,6 @@ impl SegmentWriter {
         (&*self.file).write_all(&framed)?;
         self.len += framed.len() as u64;
         self.file.sync_all()
-    }
-
-    /// Truncates the segment back to `offset` (undoing an append whose
-    /// apply failed) and re-seats the write cursor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates truncation failures.
-    pub fn truncate_to(&mut self, offset: u64) -> io::Result<()> {
-        self.file.set_len(offset)?;
-        (&*self.file).seek(SeekFrom::Start(offset))?;
-        self.len = offset;
-        Ok(())
     }
 
     /// Fsyncs the segment file.
@@ -447,30 +433,6 @@ mod tests {
             Some(WalOp::Frame(b"frame-a"))
         );
         assert_eq!(decode_op(&scan.records[1].payload), Some(WalOp::Epoch(7)));
-    }
-
-    #[test]
-    fn truncate_to_undoes_an_append() {
-        let dir = TestDir::new("wal-truncate");
-        let mut w = SegmentWriter::create(dir.path(), 0).unwrap();
-        w.append(&encode_frame(b"keep")).unwrap();
-        let offset = w.append(&encode_frame(b"undo")).unwrap();
-        w.truncate_to(offset).unwrap();
-        w.append(&encode_frame(b"next")).unwrap();
-        w.sync().unwrap();
-
-        let scan = scan_segment(w.path()).unwrap();
-        assert!(!scan.corrupt);
-        let ops: Vec<_> = scan
-            .records
-            .iter()
-            .map(|r| decode_op(&r.payload).unwrap())
-            .map(|op| match op {
-                WalOp::Frame(f) => f.to_vec(),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(ops, vec![b"keep".to_vec(), b"next".to_vec()]);
     }
 
     #[test]

@@ -107,11 +107,6 @@ impl CostModel {
             Op::Io(units) => self.io_unit * u64::from(*units),
         }
     }
-
-    /// Cost of one call-stack sample that walks `frames` frames.
-    pub fn sample_cost(&self, frames: usize) -> u64 {
-        self.stack_walk_base + self.stack_walk_frame * frames as u64
-    }
 }
 
 #[cfg(test)]
@@ -142,16 +137,6 @@ mod tests {
         let c = CostModel::default();
         assert_eq!(c.op_cost(&Op::Io(10)), 10 * c.io_unit);
         assert_eq!(c.op_cost(&Op::Io(0)), 0);
-    }
-
-    #[test]
-    fn sample_cost_scales_with_depth() {
-        let c = CostModel::default();
-        assert_eq!(c.sample_cost(0), c.stack_walk_base);
-        assert_eq!(
-            c.sample_cost(10),
-            c.stack_walk_base + 10 * c.stack_walk_frame
-        );
     }
 
     #[test]

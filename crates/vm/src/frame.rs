@@ -98,11 +98,6 @@ impl Frame {
         let len = self.stack.len();
         len.checked_sub(depth + 1).map(|i| self.stack[i])
     }
-
-    /// Current operand stack depth.
-    pub fn stack_depth(&self) -> usize {
-        self.stack.len()
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +109,7 @@ mod tests {
         let f = Frame::new(MethodId::new(1), 3);
         assert_eq!(f.locals(), &[Value::Int(0); 3]);
         assert_eq!(f.pc(), 0);
-        assert_eq!(f.stack_depth(), 0);
+        assert_eq!(f.peek(0), None);
         assert_eq!(f.pending_site(), None);
     }
 

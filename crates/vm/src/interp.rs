@@ -345,7 +345,7 @@ impl<'p> Vm<'p> {
     /// 4. **Frame pooling** — returned frames are recycled through a
     ///    per-thread pool, so steady-state calls do not heap-allocate.
     /// 5. **Superinstruction fusion** — straight-line op runs matching
-    ///    the [`FusedKind`] templates (detected once in [`Vm::new`])
+    ///    the `FusedKind` templates (detected once in [`Vm::new`])
     ///    execute as a single dispatch whenever no timer tick or fuel
     ///    boundary can land inside the run; otherwise the same ops run
     ///    through the ordinary per-op path, so every observable event

@@ -25,10 +25,10 @@ const SLOT: VirtualSlot = VirtualSlot::new(0);
 /// `target_seconds`; they mirror the magnitudes of
 /// `cbs_vm::CostModel::default()` without creating a dependency.
 mod est {
-    pub const WORK_UNIT: f64 = 4.0; // load+const+op+store
-    pub const CALL: f64 = 22.0; // call + return + arg traffic
-    pub const VCALL: f64 = 34.0; // dispatch + diamond
-    pub const CLOCK_HZ: f64 = 10_000_000.0;
+    pub(super) const WORK_UNIT: f64 = 4.0; // load+const+op+store
+    pub(super) const CALL: f64 = 22.0; // call + return + arg traffic
+    pub(super) const VCALL: f64 = 34.0; // dispatch + diamond
+    pub(super) const CLOCK_HZ: f64 = 10_000_000.0;
 }
 
 /// Builds the program described by `spec`.

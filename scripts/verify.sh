@@ -25,8 +25,13 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --offline --locked --workspace --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings -W unreachable-pub"
+cargo clippy --offline --locked --workspace --all-targets -- -D warnings -W unreachable-pub
+
+echo "==> SIZE.json is current (regenerate: scripts/size.sh)"
+# The ledger may grow; it may not go stale.
+scripts/size.sh /dev/stdout | cmp SIZE.json - \
+  || { echo "FAIL: SIZE.json is stale (run scripts/size.sh and commit it)" >&2; exit 1; }
 
 echo "==> cargo build --release (tier-1)"
 cargo build --offline --locked --release
@@ -39,6 +44,14 @@ cargo test --offline --locked -q
 
 echo "==> cargo test -q --workspace (member-crate unit tests)"
 cargo test --offline --locked -q --workspace
+
+echo "==> benchmark/ builds against this tree, and its smoke passes"
+# benchmark/ is a workspace of its own that imports the crates' public
+# names; without this stage a PR can delete one of them and stay green.
+# The smoke checks schema + correctness on all five workloads, no
+# timing; under 30 s on a 2-core host.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke > /dev/null
 
 echo "==> BENCH_ingest.json schema check (committed ingest-bench artifact)"
 BENCH_JSON=BENCH_ingest.json

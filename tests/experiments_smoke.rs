@@ -2,14 +2,15 @@
 //! each must run, render, and show the paper's qualitative trend.
 
 use cbs_repro::experiments::{
-    exhaustive_overhead, figure1_demo, figure5, inliner_ablation, patching_vs_cbs, table1, table2,
-    table3, Table2Options,
+    context_sensitivity_with, exhaustive_overhead_with, figure1_demo, figure5_with,
+    frequency_sweep, hardware_vs_cbs_with, inliner_ablation_with, patching_vs_cbs_with,
+    table1_with, table2, table3_with, Table2Options,
 };
 use cbs_repro::prelude::*;
 
 #[test]
 fn table1_renders_full_suite() {
-    let t = table1(0.02).unwrap();
+    let t = table1_with(0.02, Parallelism::SERIAL).unwrap();
     assert_eq!(t.rows.len(), 26);
     let text = t.render();
     for b in Benchmark::all() {
@@ -34,9 +35,10 @@ fn table2_grid_trends() {
 
 #[test]
 fn table3_cbs_dominates_base() {
-    let t = table3(
+    let t = table3_with(
         0.2,
         Some(&[Benchmark::Jess, Benchmark::Mtrt, Benchmark::Javac]),
+        Parallelism::SERIAL,
     )
     .unwrap();
     for r in &t.rows {
@@ -70,10 +72,11 @@ fn figure1_reproduces_the_bias() {
 
 #[test]
 fn figure5_jikes_cbs_never_degrades() {
-    let f = figure5(
+    let f = figure5_with(
         VmFlavor::Jikes,
         0.3,
         Some(&[Benchmark::Javac, Benchmark::Jack]),
+        Parallelism::SERIAL,
     )
     .unwrap();
     for r in &f.rows {
@@ -87,10 +90,11 @@ fn figure5_jikes_cbs_never_degrades() {
 
 #[test]
 fn figure5_j9_timer_only_hurts() {
-    let f = figure5(
+    let f = figure5_with(
         VmFlavor::J9,
         0.3,
         Some(&[Benchmark::Jess, Benchmark::Javac]),
+        Parallelism::SERIAL,
     )
     .unwrap();
     for r in &f.rows {
@@ -110,22 +114,22 @@ fn figure5_j9_timer_only_hurts() {
 #[test]
 fn ablations_match_paper_claims() {
     // §5.1: the new inliner extracts more from identical profile data.
-    let a = inliner_ablation(0.3, Some(&[Benchmark::Mtrt])).unwrap();
+    let a = inliner_ablation_with(0.3, Some(&[Benchmark::Mtrt]), Parallelism::SERIAL).unwrap();
     assert!(a.new_minus_old() > 0.0, "new-old = {}", a.new_minus_old());
 
     // §3.1: exhaustive PIC counters cost 15–50%.
-    let e = exhaustive_overhead(0.2, Some(&[Benchmark::Jess])).unwrap();
+    let e = exhaustive_overhead_with(0.2, Some(&[Benchmark::Jess]), Parallelism::SERIAL).unwrap();
     let oh = e.rows[0].values[0];
     assert!((10.0..60.0).contains(&oh), "exhaustive overhead {oh}%");
 
     // §3.2: continuous CBS beats warmup-gated bursts on short runs.
-    let p = patching_vs_cbs(0.2, Some(&[Benchmark::Kawa])).unwrap();
+    let p = patching_vs_cbs_with(0.2, Some(&[Benchmark::Kawa]), Parallelism::SERIAL).unwrap();
     assert!(p.rows[0].values[1] > p.rows[0].values[0]);
 }
 
 #[test]
 fn frequency_sweep_shows_structural_bias() {
-    let f = cbs_repro::experiments::frequency_sweep().unwrap();
+    let f = frequency_sweep().unwrap();
     assert_eq!(f.timer_rows.len(), 3);
     // Faster ticking does not fix the timer's accuracy …
     let accs: Vec<f64> = f.timer_rows.iter().map(|r| r.2).collect();
@@ -142,7 +146,7 @@ fn frequency_sweep_shows_structural_bias() {
 
 #[test]
 fn hardware_emulation_is_cheap_and_accurate() {
-    let h = cbs_repro::experiments::hardware_vs_cbs(0.2, Some(&[Benchmark::Mtrt])).unwrap();
+    let h = hardware_vs_cbs_with(0.2, Some(&[Benchmark::Mtrt]), Parallelism::SERIAL).unwrap();
     let r = &h.rows[0];
     let (hw_acc, hw_oh) = (r.values[0], r.values[1]);
     assert!(hw_acc > 40.0, "hardware sampling accuracy {hw_acc}");
@@ -152,7 +156,7 @@ fn hardware_emulation_is_cheap_and_accurate() {
 
 #[test]
 fn context_sensitive_extension_scores() {
-    let c = cbs_repro::experiments::context_sensitivity(0.2, Some(&[Benchmark::Jess])).unwrap();
+    let c = context_sensitivity_with(0.2, Some(&[Benchmark::Jess]), Parallelism::SERIAL).unwrap();
     let r = &c.rows[0];
     let (flat, ctx, contexts, edges) = (r.values[0], r.values[1], r.values[2], r.values[3]);
     assert!(flat > 0.0 && ctx > 0.0);

@@ -5,7 +5,7 @@
 use cbs_prng::prop::run_cases;
 use cbs_prng::SmallRng;
 use cbs_repro::dcg::{overlap, CallEdge, DynamicCallGraph};
-use cbs_repro::experiments::{table1, table1_with, table2, table3, table3_with, Table2Options};
+use cbs_repro::experiments::{table1_with, table2, table3_with, Table2Options};
 use cbs_repro::prelude::*;
 use cbs_repro::run_cells;
 
@@ -138,7 +138,7 @@ fn run_cells_is_transparent_for_profiling_work() {
 
 #[test]
 fn table1_parallel_renders_byte_identically() {
-    let a = table1(0.01).unwrap().render();
+    let a = table1_with(0.01, Parallelism::SERIAL).unwrap().render();
     let b = table1_with(0.01, Parallelism::jobs(4)).unwrap().render();
     assert_eq!(a, b);
 }
@@ -165,7 +165,9 @@ fn table2_parallel_renders_byte_identically() {
 #[test]
 fn table3_parallel_renders_byte_identically() {
     let benches = [Benchmark::Jess, Benchmark::Mtrt];
-    let a = table3(0.03, Some(&benches)).unwrap().render();
+    let a = table3_with(0.03, Some(&benches), Parallelism::SERIAL)
+        .unwrap()
+        .render();
     let b = table3_with(0.03, Some(&benches), Parallelism::jobs(3))
         .unwrap()
         .render();
