@@ -7,11 +7,20 @@
 //! NullProfiler, CBS, and exhaustive configurations, on two workload
 //! shapes: loop-dominated (compress — dispatch is the whole cost, the
 //! optimization target) and call-heavy (jess — call machinery shared by
-//! both paths dilutes the ratio). Emits `BENCH_interp.json` at the repo
-//! root and asserts the optimized NullProfiler path is at least 2x the
-//! reference path on the loop-dominated workload (median of paired
-//! interleaved rounds, which is robust to interference drift on shared
-//! hosts) — both skipped under `CBS_BENCH_SMOKE` where timings are noise.
+//! both paths dilutes the ratio). Two more configs watch the two ways
+//! the fast path has been lost before: `null_optimized_downstream` is
+//! the same null run through `run_with(&mut NullProfiler)` instantiated
+//! *here*, outside `cbs-vm` (`null_optimized` goes through
+//! `Vm::run_unprofiled`, instantiated inside it), which is slower
+//! whenever a per-op helper is not `#[inline]`; `null_on_inlined_program`
+//! runs the workload after inline + optimize from its own CBS(3,16)
+//! profile, which executes fewer instructions and must not take longer.
+//! Emits `BENCH_interp.json` at the repo root (`scripts/verify.sh` gates
+//! both ratios on it) and asserts the optimized NullProfiler path is at
+//! least 2x the reference path on the loop-dominated workload (median of
+//! paired interleaved rounds, which is robust to interference drift on
+//! shared hosts) — both skipped under `CBS_BENCH_SMOKE` where timings
+//! are noise.
 
 use std::time::Instant;
 
@@ -64,9 +73,11 @@ fn bench_workload(label: &str, benchmark: Benchmark) -> WorkloadRun {
         })
         .clone();
     let optimized = group
-        .bench("null_optimized", || {
-            let mut p = NullProfiler;
-            vm.run_with(&mut p).expect("runs")
+        .bench("null_optimized", || vm.run_unprofiled().expect("runs"))
+        .clone();
+    let downstream = group
+        .bench("null_optimized_downstream", || {
+            vm.run_with(&mut NullProfiler).expect("runs")
         })
         .clone();
     let cbs = group
@@ -79,6 +90,26 @@ fn bench_workload(label: &str, benchmark: Benchmark) -> WorkloadRun {
         .bench("exhaustive_optimized", || {
             let mut p = ExhaustiveProfiler::new();
             vm.run_with(&mut p).expect("runs")
+        })
+        .clone();
+
+    // The program this system produces from the workload: inlined and
+    // optimized from its own profile. Its rate is quoted against the
+    // *original* cycle count, so it reads as the same work done faster.
+    let mut inlined_program = program.clone();
+    let mut profile = CounterBasedSampler::new(CbsConfig::new(3, 16));
+    vm.run_with(&mut profile).expect("runs");
+    inline_program(
+        &mut inlined_program,
+        Some(&profile.take_dcg()),
+        &NewLinearPolicy::default(),
+        &InlineBudget::default(),
+        true,
+    );
+    let inlined_vm = Vm::new(&inlined_program, VmConfig::default());
+    let inlined = group
+        .bench("null_on_inlined_program", || {
+            inlined_vm.run_unprofiled().expect("runs")
         })
         .clone();
 
@@ -110,9 +141,11 @@ fn bench_workload(label: &str, benchmark: Benchmark) -> WorkloadRun {
     let json = format!
     (
         "  {{\n    \"workload\": \"{label}/small scaled 0.02\",\n    \"simulated_cycles\": {cycles},\n    \
-         \"speedup_null_vs_reference\": {speedup:.2},\n    \"configs\": [\n{},\n{},\n{},\n{}\n    ]\n  }}",
+         \"speedup_null_vs_reference\": {speedup:.2},\n    \"configs\": [\n{},\n{},\n{},\n{},\n{},\n{}\n    ]\n  }}",
         json_entry("null_reference_dyn", cycles, &reference),
         json_entry("null_optimized", cycles, &optimized),
+        json_entry("null_optimized_downstream", cycles, &downstream),
+        json_entry("null_on_inlined_program", cycles, &inlined),
         json_entry("cbs_optimized", cycles, &cbs),
         json_entry("exhaustive_optimized", cycles, &exhaustive),
     );

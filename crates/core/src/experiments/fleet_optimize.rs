@@ -21,10 +21,10 @@
 //! single-VM plan's — asserted by the tier-1 tests and visible in the
 //! rendered table's two speedup columns.
 //!
-//! Determinism: VM cells and transformed runs go through [`run_cells`]
-//! (input-order results), profiles are streamed serially in VM order,
-//! plan building is deterministic per snapshot generation, and the
-//! simulated clock is exact — the render is bit-identical for any
+//! Determinism: each benchmark's VM cells and transformed runs go through
+//! [`run_cells`] (input-order results), profiles are streamed serially in
+//! VM order, plan building is deterministic per snapshot generation, and
+//! the simulated clock is exact — the render is bit-identical for any
 //! `--jobs` value.
 
 use super::fleet::{transport, FLEET_SIZE, STRIDES};
@@ -32,11 +32,12 @@ use super::ExperimentError;
 use crate::parallel::{run_cells, Parallelism};
 use crate::render::{f2, TextTable};
 use cbs_adaptive::{AdaptiveConfig, FleetAdaptiveController};
+use cbs_bytecode::Program;
 use cbs_dcg::DynamicCallGraph;
 use cbs_inliner::{build_plan, InlinePlan, NewLinearPolicy};
 use cbs_profiled::{serve, AggregatorConfig, NetConfig, ProfileClient, ShardedAggregator};
-use cbs_profiler::{CbsConfig, CounterBasedSampler};
-use cbs_vm::{Value, VmConfig};
+use cbs_profiler::{CallGraphProfiler, CbsConfig, CounterBasedSampler};
+use cbs_vm::{Value, Vm, VmConfig};
 use cbs_workloads::{Benchmark, InputSize};
 use std::sync::Arc;
 
@@ -191,28 +192,25 @@ impl FleetOptimize {
     }
 }
 
-/// Runs one VM replica of `bench` under sparse CBS (a replica-specific
-/// stride and timer seed, [`SPARSE_SAMPLES_PER_WINDOW`] samples per
-/// window) and returns its sampled call graph.
+/// Runs one VM replica of `program` under sparse CBS (a
+/// replica-specific stride and timer seed, [`SPARSE_SAMPLES_PER_WINDOW`]
+/// samples per window) and returns its sampled call graph.
 fn run_sparse_replica(
-    bench: Benchmark,
+    program: &Program,
     replica: usize,
-    scale: f64,
 ) -> Result<DynamicCallGraph, ExperimentError> {
-    let spec = bench.spec(InputSize::Small).scaled(scale);
-    let program = cbs_workloads::generator::build(&spec)?;
     let vm_config = VmConfig {
         // Decorrelate the replicas' timer phases; execution is
         // unaffected.
         timer_seed: 0xF1EE7 + replica as u64,
         ..VmConfig::default()
     };
-    let cbs = CounterBasedSampler::new(CbsConfig::new(
+    let mut cbs = CounterBasedSampler::new(CbsConfig::new(
         STRIDES[replica % STRIDES.len()],
         SPARSE_SAMPLES_PER_WINDOW,
     ));
-    let m = crate::measure::measure(&program, vm_config, vec![Box::new(cbs)])?;
-    Ok(m.outcomes[0].dcg.clone())
+    Vm::new(program, vm_config).run_with(&mut cbs)?;
+    Ok(cbs.take_dcg())
 }
 
 /// Streams one VM's sampled profile over the wire the way a
@@ -263,16 +261,13 @@ struct RunOutcome {
     inlines: usize,
 }
 
-/// Rebuilds `bench` fresh, optionally applies `plan` through a
+/// Takes a fresh copy of `program`, optionally applies `plan` through a
 /// [`FleetAdaptiveController`], and runs it unprofiled.
 fn transformed_run(
-    bench: Benchmark,
-    scale: f64,
+    program: &Program,
     plan: Option<&InlinePlan>,
 ) -> Result<RunOutcome, ExperimentError> {
-    let spec = bench.spec(InputSize::Small).scaled(scale);
-    let program = cbs_workloads::generator::build(&spec)?;
-    let mut ctl = FleetAdaptiveController::new(program, AdaptiveConfig::default());
+    let mut ctl = FleetAdaptiveController::new(program.clone(), AdaptiveConfig::default());
     let mut inlines = 0;
     if let Some(plan) = plan {
         ctl.apply_fleet_plan(plan);
@@ -300,70 +295,52 @@ pub fn fleet_optimize_with(
     scale: f64,
     jobs: Parallelism,
 ) -> Result<FleetOptimize, ExperimentError> {
-    // Phase 1: every (benchmark, replica) VM cell, in parallel.
-    let cells: Vec<(Benchmark, usize)> = Benchmark::all()
-        .into_iter()
-        .flat_map(|b| (0..FLEET_SIZE).map(move |r| (b, r)))
-        .collect();
-    let profiles = run_cells(cells, jobs, |(bench, replica)| {
-        run_sparse_replica(bench, replica, scale)
-    })?;
-
-    // Phase 2: per benchmark, stream the fleet's profiles through the
-    // live service (serially, in VM order) and pull the served plan;
-    // build each VM's single-VM plan locally from its own sampled graph
-    // with the same policy. Plan building is cheap — only the
-    // transformed runs below are worth parallelizing.
     let policy = NewLinearPolicy::default();
-    let benchmarks = Benchmark::all();
-    let mut fleet_plans = Vec::new();
-    let mut single_plans: Vec<Vec<InlinePlan>> = Vec::new();
-    for (i, _) in benchmarks.iter().enumerate() {
-        let fleet = &profiles[i * FLEET_SIZE..(i + 1) * FLEET_SIZE];
-        fleet_plans.push(pull_fleet_plan(fleet)?);
-        single_plans.push(fleet.iter().map(|vm| build_plan(vm, &policy, 0)).collect());
-    }
-
-    // Phase 3: baseline + fleet + K single-VM transformed runs per
-    // benchmark, in parallel (input order keeps results deterministic).
-    let variants = 2 + FLEET_SIZE;
-    let run_cells_in: Vec<(Benchmark, Option<InlinePlan>)> = benchmarks
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &bench)| {
-            let mut v = vec![(bench, None), (bench, Some(fleet_plans[i].clone()))];
-            v.extend(single_plans[i].iter().map(|p| (bench, Some(p.clone()))));
-            v
-        })
-        .collect();
-    let outcomes = run_cells(run_cells_in, jobs, |(bench, plan)| {
-        transformed_run(bench, scale, plan.as_ref())
-    })?;
-
     let mut rows = Vec::new();
-    for (i, &bench) in benchmarks.iter().enumerate() {
-        let slot = &outcomes[i * variants..(i + 1) * variants];
-        let base = &slot[0];
-        let fleet = &slot[1];
-        let singles = &slot[2..];
-        let best_single_cycles = singles
-            .iter()
-            .map(|o| o.cycles)
-            .min()
-            .unwrap_or(base.cycles);
-        let results_preserved = slot[1..]
-            .iter()
-            .all(|o| o.return_values == base.return_values);
+    for bench in Benchmark::all() {
+        // Generated once: the replicas share the program, the
+        // transformed runs each clone it, and it is gone before the next
+        // benchmark's is built.
+        let program = cbs_workloads::generator::build(&bench.spec(InputSize::Small).scaled(scale))?;
+
+        // Collect: the benchmark's VM replicas, in parallel.
+        let fleet = run_cells((0..FLEET_SIZE).collect(), jobs, |replica| {
+            run_sparse_replica(&program, replica)
+        })?;
+
+        // Stream the fleet's profiles through the live service
+        // (serially, in VM order) and pull the served plan; build each
+        // VM's single-VM plan locally from its own sampled graph with the
+        // same policy. Plan building is cheap — only the runs are worth
+        // parallelizing.
+        let fleet_plan = pull_fleet_plan(&fleet)?;
+        let single_plans: Vec<InlinePlan> =
+            fleet.iter().map(|vm| build_plan(vm, &policy, 0)).collect();
+
+        // Exploit: baseline, fleet plan and the K single-VM plans, in
+        // parallel (input order keeps results deterministic).
+        let variants: Vec<Option<&InlinePlan>> = [None, Some(&fleet_plan)]
+            .into_iter()
+            .chain(single_plans.iter().map(Some))
+            .collect();
+        let outcomes = run_cells(variants, jobs, |plan| transformed_run(&program, plan))?;
+        let (base, fleet_run, singles) = (&outcomes[0], &outcomes[1], &outcomes[2..]);
         rows.push(FleetOptimizeRow {
             benchmark: bench,
             vms: FLEET_SIZE,
-            plan_entries: fleet_plans[i].entries.len(),
-            generation: fleet_plans[i].generation,
-            fleet_inlines: fleet.inlines,
+            plan_entries: fleet_plan.entries.len(),
+            generation: fleet_plan.generation,
+            fleet_inlines: fleet_run.inlines,
             base_cycles: base.cycles,
-            best_single_cycles,
-            fleet_cycles: fleet.cycles,
-            results_preserved,
+            best_single_cycles: singles
+                .iter()
+                .map(|o| o.cycles)
+                .min()
+                .unwrap_or(base.cycles),
+            fleet_cycles: fleet_run.cycles,
+            results_preserved: outcomes[1..]
+                .iter()
+                .all(|o| o.return_values == base.return_values),
         });
     }
     Ok(FleetOptimize {

@@ -293,6 +293,18 @@ impl Profiler for CounterBasedSampler {
         // buffered samples.
         self.flush_pending();
     }
+
+    /// Figure 3's overloaded check: armed while the thread's window is
+    /// open. A VM that cannot overload an existing check pays its
+    /// explicit one on every entry, so that configuration never disarms.
+    #[inline]
+    fn armed(&self, thread: ThreadId) -> bool {
+        self.config.explicit_entry_check
+            || self
+                .threads
+                .get(thread.index())
+                .is_some_and(|st| st.enabled)
+    }
 }
 
 impl CallGraphProfiler for CounterBasedSampler {

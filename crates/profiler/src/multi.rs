@@ -7,7 +7,6 @@
 //! exactly as it would alone — asserted by integration tests.
 
 use crate::traits::CallGraphProfiler;
-use cbs_bytecode::MethodId;
 use cbs_vm::{CallEvent, Profiler, StackSlice, ThreadId};
 
 /// A fan-out profiler delivering every event to each attached profiler.
@@ -121,10 +120,10 @@ impl Profiler for MultiProfiler {
         }
     }
 
-    fn on_backedge(&mut self, method: MethodId, clock: u64, thread: ThreadId) {
-        for p in &mut self.profilers {
-            p.on_backedge(method, clock, thread);
-        }
+    /// Armed while any attached profiler is: the others ignore the
+    /// extra events exactly as they would alone.
+    fn armed(&self, thread: ThreadId) -> bool {
+        self.profilers.iter().any(|p| p.armed(thread))
     }
 
     fn on_finish(&mut self, clock: u64) {

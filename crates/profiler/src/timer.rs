@@ -76,6 +76,12 @@ impl Profiler for TimerSampler {
     fn on_exit(&mut self, event: &CallEvent<'_>) {
         self.sample(event);
     }
+
+    /// Armed from a tick to the one sample it pays for.
+    #[inline]
+    fn armed(&self, thread: ThreadId) -> bool {
+        self.armed.get(thread.index()).copied().unwrap_or(false)
+    }
 }
 
 impl CallGraphProfiler for TimerSampler {

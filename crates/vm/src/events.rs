@@ -2,10 +2,10 @@
 //!
 //! The interpreter reports every dynamic event a production VM's profiling
 //! hosting mechanism could observe: timer interrupts, method entries
-//! (prologue yieldpoints / entry checks), method exits (epilogue
-//! yieldpoints; Jikes flavor only) and loop backedges. Profilers decide —
-//! exactly as the runtime logic of the paper's Figure 3 does — which events
-//! to act on, and account for their own *simulated* cost, so many profiler
+//! (prologue yieldpoints / entry checks) and method exits (epilogue
+//! yieldpoints; Jikes flavor only). Profilers decide — exactly as the
+//! runtime logic of the paper's Figure 3 does — which events to act on,
+//! and account for their own *simulated* cost, so many profiler
 //! configurations can observe a single run without perturbing it or each
 //! other.
 
@@ -165,9 +165,21 @@ pub trait Profiler {
         let _ = event;
     }
 
-    /// A loop backedge executed. Only delivered by the Jikes flavor.
-    fn on_backedge(&mut self, method: MethodId, clock: u64, thread: ThreadId) {
-        let _ = (method, clock, thread);
+    /// Whether entry and exit events on `thread` can matter to this
+    /// profiler right now — the paper's overloaded check (§4, Figures
+    /// 3–4): a disarmed sampler rides a test the VM already makes, so
+    /// its idle path costs nothing.
+    ///
+    /// While this answers `false` the interpreter materialises no
+    /// [`CallEvent`] and delivers neither [`on_entry`](Self::on_entry)
+    /// nor [`on_exit`](Self::on_exit) for that thread. It asks again
+    /// when a thread is scheduled and after every `on_tick`, `on_entry`
+    /// and `on_exit` it delivers, so the answer may change only inside
+    /// those hooks. A profiler whose hooks would ignore the event anyway
+    /// may answer `false`; the default, `true`, sees every event.
+    fn armed(&self, thread: ThreadId) -> bool {
+        let _ = thread;
+        true
     }
 
     /// The run completed successfully at `clock`. Delivered exactly once,
@@ -185,7 +197,12 @@ pub trait Profiler {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullProfiler;
 
-impl Profiler for NullProfiler {}
+impl Profiler for NullProfiler {
+    #[inline]
+    fn armed(&self, _thread: ThreadId) -> bool {
+        false
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -237,7 +254,7 @@ mod tests {
         let mut p = NullProfiler;
         let frames = vec![frame(0, 0, None)];
         p.on_tick(1, ThreadId(0), StackSlice::new(&frames));
-        p.on_backedge(MethodId::new(0), 2, ThreadId(0));
+        assert!(!p.armed(ThreadId(0)));
         // No state, nothing to assert beyond "did not panic".
     }
 }

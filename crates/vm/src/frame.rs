@@ -43,57 +43,68 @@ impl Frame {
     }
 
     /// The executing method.
+    #[inline]
     pub fn method(&self) -> MethodId {
         self.method
     }
 
     /// Current instruction index.
+    #[inline]
     pub fn pc(&self) -> u32 {
         self.pc
     }
 
     /// Sets the instruction index.
+    #[inline]
     pub fn set_pc(&mut self, pc: u32) {
         self.pc = pc;
     }
 
     /// The in-flight call site, if this frame has called inward.
+    #[inline]
     pub fn pending_site(&self) -> Option<CallSiteId> {
         self.pending_site
     }
 
     /// Records or clears the in-flight call site.
+    #[inline]
     pub fn set_pending_site(&mut self, site: Option<CallSiteId>) {
         self.pending_site = site;
     }
 
     /// Local slots (read).
+    #[inline]
     pub fn locals(&self) -> &[Value] {
         &self.locals
     }
 
     /// Local slots (write).
+    #[inline]
     pub fn locals_mut(&mut self) -> &mut [Value] {
         &mut self.locals
     }
 
     /// Operand stack (read).
+    #[inline]
     pub fn stack(&self) -> &[Value] {
         &self.stack
     }
 
     /// Pushes onto the operand stack.
+    #[inline]
     pub fn push(&mut self, v: Value) {
         self.stack.push(v);
     }
 
     /// Pops from the operand stack.
+    #[inline]
     pub fn pop(&mut self) -> Option<Value> {
         self.stack.pop()
     }
 
     /// Peeks `depth` values below the top (0 = top). `None` if too
     /// shallow.
+    #[inline]
     pub fn peek(&self, depth: usize) -> Option<Value> {
         let len = self.stack.len();
         len.checked_sub(depth + 1).map(|i| self.stack[i])

@@ -83,24 +83,56 @@ struct Fused {
 
 #[derive(Debug, Clone)]
 enum FusedKind {
-    /// One or more `Load(s), Const(k), <int binop>, Store(s)` quads on a
-    /// single slot — the dominant straight-line pattern in generated
-    /// workloads — folded into the local in registers.
-    WorkRun { slot: u16, steps: Box<[(Op, i64)]> },
-    /// `Load(s), <int binop>, Store(s)`: folds the value on top of the
-    /// operand stack into a local (`s = v <op> s`), the accumulate idiom
-    /// emitted after every call.
-    FoldAccum { slot: u16, op: Op },
-    /// `Load(s), Const(k), <op>, JumpIfZero/NonZero(target)` with a
-    /// *forward* target — a guard branch. Forward jumps are not
+    /// A straight-line integer computation held in a register:
+    ///
+    /// ```text
+    /// [Load src] [binop] { Const k, binop | Store d, Load d }* [Store dst]
+    /// ```
+    ///
+    /// at least three ops and one arithmetic step long. The generator's
+    /// `Load s, Const k, op, Store s` quads, the `Load s, op, Store s`
+    /// accumulate emitted after every call, and the
+    /// `Load s, (Const k, op)+, Store d` chains `cbs-opt`'s store/load
+    /// forwarding rewrites them into are all instances.
+    IntRun {
+        /// Where the accumulator starts.
+        head: RunHead,
+        steps: Box<[RunStep]>,
+        /// `Store dst` closes the run; without it the result is pushed.
+        dst: Option<u16>,
+    },
+    /// `Load s, [Const k, <op>], JumpIfZero/NonZero(target)` with a
+    /// *forward* target — a guard branch, or (without the test) the
+    /// loop-exit check of an inlined counted loop. Forward jumps are not
     /// backedges, so the per-op path fires no yieldpoint here either.
     TestBranch {
         slot: u16,
-        k: i64,
-        op: Op,
+        test: Option<(Op, i64)>,
         target: u32,
         jump_if_zero: bool,
     },
+}
+
+/// How an [`FusedKind::IntRun`] obtains its accumulator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunHead {
+    /// `Load s`: the local.
+    Local(u16),
+    /// `Load s, <binop>`: the operand-stack top folded with the local
+    /// (`top <op> local`), popping the top.
+    FoldTop(u16, Op),
+    /// No leading `Load`: the operand-stack top, popped.
+    Top,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunStep {
+    /// `Const k, <binop>`: `acc = acc <op> k`.
+    Arith(Op, i64),
+    /// `Store d, Load d`: a spill — the local is written, the
+    /// accumulator stays in its register. Spills a later step of the same
+    /// run overwrites are dropped by [`scan_fused`].
+    Spill(u16),
 }
 
 /// Integer binops whose fused evaluation cannot trap and exactly matches
@@ -122,6 +154,7 @@ fn fusible_int_binop(op: Op) -> bool {
 }
 
 /// Evaluates `a <op> b` exactly as the corresponding per-op arm does.
+#[inline]
 fn apply_int(op: Op, a: i64, b: i64) -> i64 {
     match op {
         Op::Add => a.wrapping_add(b),
@@ -141,103 +174,121 @@ fn apply_int(op: Op, a: i64, b: i64) -> i64 {
     }
 }
 
+/// Matches the [`FusedKind::IntRun`] grammar at `p`. `steps` is the scan's
+/// scratch buffer, so a run costs one exact-size allocation.
+fn scan_int_run(code: &[Op], costs: &[u64], p: usize, steps: &mut Vec<RunStep>) -> Option<Fused> {
+    let mut q = p;
+    let mut arith_steps = 0usize;
+    let head = match code[q] {
+        Op::Load(s) => {
+            q += 1;
+            match code.get(q) {
+                Some(&op) if fusible_int_binop(op) => {
+                    q += 1;
+                    arith_steps += 1;
+                    RunHead::FoldTop(s, op)
+                }
+                _ => RunHead::Local(s),
+            }
+        }
+        _ => RunHead::Top,
+    };
+    steps.clear();
+    while let (Some(&a), Some(&b)) = (code.get(q), code.get(q + 1)) {
+        match (a, b) {
+            // Div/Rem by a non-zero constant cannot trap either.
+            (Op::Const(k), op)
+                if fusible_int_binop(op) || (matches!(op, Op::Div | Op::Rem) && k != 0) =>
+            {
+                steps.push(RunStep::Arith(op, k));
+                arith_steps += 1;
+            }
+            // Only the last write to a local survives the run: nothing
+            // inside it reads a spilled slot back except the `Load` the
+            // spill absorbs.
+            (Op::Store(d), Op::Load(e)) if d == e => {
+                steps.retain(|&s| s != RunStep::Spill(d));
+                steps.push(RunStep::Spill(d));
+            }
+            _ => break,
+        }
+        q += 2;
+    }
+    let dst = match code.get(q) {
+        Some(&Op::Store(d)) => {
+            q += 1;
+            Some(d)
+        }
+        _ => None,
+    };
+    if arith_steps == 0 || q - p < 3 {
+        return None;
+    }
+    if let Some(d) = dst {
+        steps.retain(|&s| s != RunStep::Spill(d));
+    }
+    Some(Fused {
+        total_cost: costs[p..q].iter().sum(),
+        num_ops: (q - p) as u64,
+        next_pc: q as u32,
+        kind: FusedKind::IntRun {
+            head,
+            steps: steps.as_slice().into(),
+            dst,
+        },
+    })
+}
+
+/// Matches the [`FusedKind::TestBranch`] template at `p`.
+fn scan_test_branch(code: &[Op], costs: &[u64], p: usize) -> Option<Fused> {
+    let Op::Load(slot) = code[p] else {
+        return None;
+    };
+    let (test, jump_pc) = match (code.get(p + 1), code.get(p + 2)) {
+        (Some(&Op::Const(k)), Some(&op)) if fusible_int_binop(op) || op == Op::CmpEq => {
+            (Some((op, k)), p + 3)
+        }
+        _ => (None, p + 1),
+    };
+    let (target, jump_if_zero) = match code.get(jump_pc) {
+        Some(&Op::JumpIfZero(t)) => (t, true),
+        Some(&Op::JumpIfNonZero(t)) => (t, false),
+        _ => return None,
+    };
+    // A backward target is a backedge yieldpoint and must stay per-op.
+    (target as usize > jump_pc).then(|| Fused {
+        total_cost: costs[p..=jump_pc].iter().sum(),
+        num_ops: (jump_pc + 1 - p) as u64,
+        next_pc: jump_pc as u32 + 1,
+        kind: FusedKind::TestBranch {
+            slot,
+            test,
+            target,
+            jump_if_zero,
+        },
+    })
+}
+
 /// Builds the superinstruction table for one method: a maximal-munch
 /// linear scan for the [`FusedKind`] templates. Runs are recorded only at
 /// their first pc; a jump that lands inside a run simply executes per-op
 /// from there (correct, just not fused).
 fn scan_fused(code: &[Op], costs: &[u64]) -> Vec<Option<Box<Fused>>> {
     let mut out: Vec<Option<Box<Fused>>> = vec![None; code.len()];
+    let mut steps = Vec::new();
     let mut p = 0usize;
     while p < code.len() {
-        let Op::Load(slot) = code[p] else {
-            p += 1;
-            continue;
-        };
-
-        // WorkRun: maximal run of Load/Const/binop/Store quads on `slot`.
-        let mut q = p;
-        let mut steps: Vec<(Op, i64)> = Vec::new();
-        let mut total = 0u64;
-        while q + 3 < code.len() {
-            let (Op::Load(a), Op::Const(k)) = (code[q], code[q + 1]) else {
-                break;
-            };
-            let op3 = code[q + 2];
-            let Op::Store(b) = code[q + 3] else {
-                break;
-            };
-            // Div/Rem by a non-zero constant cannot trap either.
-            let fusible = fusible_int_binop(op3) || (matches!(op3, Op::Div | Op::Rem) && k != 0);
-            if a != slot || b != slot || !fusible {
-                break;
+        // The branch first: it also swallows the jump an integer run
+        // over the same `Load, Const, op` would leave to the per-op path.
+        match scan_test_branch(code, costs, p).or_else(|| scan_int_run(code, costs, p, &mut steps))
+        {
+            Some(f) => {
+                let next = f.next_pc as usize;
+                out[p] = Some(Box::new(f));
+                p = next;
             }
-            steps.push((op3, k));
-            total += costs[q] + costs[q + 1] + costs[q + 2] + costs[q + 3];
-            q += 4;
+            None => p += 1,
         }
-        if !steps.is_empty() {
-            out[p] = Some(Box::new(Fused {
-                total_cost: total,
-                num_ops: (q - p) as u64,
-                next_pc: q as u32,
-                kind: FusedKind::WorkRun {
-                    slot,
-                    steps: steps.into_boxed_slice(),
-                },
-            }));
-            p = q;
-            continue;
-        }
-
-        // TestBranch: Load/Const/op/forward-JumpIf*.
-        if p + 3 < code.len() {
-            if let Op::Const(k) = code[p + 1] {
-                let op3 = code[p + 2];
-                if fusible_int_binop(op3) || matches!(op3, Op::CmpEq) {
-                    let jump = match code[p + 3] {
-                        Op::JumpIfZero(t) => Some((t, true)),
-                        Op::JumpIfNonZero(t) => Some((t, false)),
-                        _ => None,
-                    };
-                    let jump_pc = (p + 3) as u32;
-                    if let Some((target, jump_if_zero)) = jump {
-                        if target > jump_pc {
-                            out[p] = Some(Box::new(Fused {
-                                total_cost: costs[p..=p + 3].iter().sum(),
-                                num_ops: 4,
-                                next_pc: jump_pc + 1,
-                                kind: FusedKind::TestBranch {
-                                    slot,
-                                    k,
-                                    op: op3,
-                                    target,
-                                    jump_if_zero,
-                                },
-                            }));
-                            p += 4;
-                            continue;
-                        }
-                    }
-                }
-            }
-        }
-
-        // FoldAccum: Load/binop/Store on the same slot.
-        if p + 2 < code.len() {
-            let op2 = code[p + 1];
-            if fusible_int_binop(op2) && matches!(code[p + 2], Op::Store(b) if b == slot) {
-                out[p] = Some(Box::new(Fused {
-                    total_cost: costs[p..=p + 2].iter().sum(),
-                    num_ops: 3,
-                    next_pc: (p + 3) as u32,
-                    kind: FusedKind::FoldAccum { slot, op: op2 },
-                }));
-                p += 3;
-                continue;
-            }
-        }
-
-        p += 1;
     }
     out
 }
@@ -248,7 +299,7 @@ struct ThreadState {
     done: bool,
     result: Value,
     /// Retired frames recycled by calls, so the steady-state call path
-    /// performs no heap allocation (see [`push_callee`]).
+    /// performs no heap allocation (see [`enter_callee`]).
     pool: Vec<Frame>,
 }
 
@@ -305,9 +356,14 @@ impl<'p> Vm<'p> {
 
     /// Runs the program to completion, reporting events to `profiler`.
     ///
-    /// Thin wrapper over [`Vm::run_with`] for callers that hold a
-    /// `&mut dyn Profiler`; callers with a concrete profiler type should
-    /// prefer `run_with`, which monomorphizes the event hooks away.
+    /// [`Vm::run_with`] instantiated at `dyn Profiler`, for callers that
+    /// hold a trait object. It is the same loop with the same inlined
+    /// helpers; what the `dyn` path adds is one indirect call per
+    /// *delivered* hook and per [`Profiler::armed`] re-read, and a
+    /// sampler that is disarmed most of the run (CBS, the timer sampler)
+    /// is delivered almost nothing — so there is no reason to avoid this
+    /// entry point for them. A profiler that takes every event
+    /// (exhaustive counting) does inline better through `run_with`.
     ///
     /// # Errors
     ///
@@ -322,13 +378,20 @@ impl<'p> Vm<'p> {
     ///
     /// This is the hot path of every experiment. It is generic over the
     /// profiler (`?Sized`, so `P = dyn Profiler` also works) and applies
-    /// four micro-architectural optimizations relative to the reference
+    /// six micro-architectural optimizations relative to the reference
     /// interpreter ([`Vm::run_reference`]), none of which change any
     /// observable behavior — reports, event sequences and trap points are
     /// bit-identical (pinned by `tests/dispatch_equivalence.rs`):
     ///
     /// 1. **Monomorphized dispatch** — with a concrete `P`, profiler
-    ///    hooks inline; for [`NullProfiler`] they vanish entirely.
+    ///    hooks inline; for [`NullProfiler`] they vanish entirely. The
+    ///    instantiation lives in the *caller's* crate, so every helper
+    ///    this function calls per op or per call (`Frame`'s accessors,
+    ///    `Value::as_int`, `Heap::get_field`, `pop_val`, `enter_callee`,
+    ///    `apply_int`, …) is `#[inline]`: without that a downstream
+    ///    `run_with(&mut NullProfiler)` is slower than
+    ///    [`Vm::run_unprofiled`] on the same run (`interp_throughput`
+    ///    gates the two within 5 %).
     /// 2. **Cached code cursor, detached top frame** — the running
     ///    thread's top frame is popped off the frame stack and held in a
     ///    local along with its pc and the executing method's code slice
@@ -336,7 +399,8 @@ impl<'p> Vm<'p> {
     ///    per-op path performs no `Vec` accesses, no frame pc
     ///    loads/stores, and no `CostModel::op_cost` re-match. The frame
     ///    is reattached (pc written back) wherever the stack is
-    ///    observable: tick delivery, call entry/exit, thread switch.
+    ///    observable: tick delivery, a delivered call entry/exit, thread
+    ///    switch.
     /// 3. **Cheap liveness / budget checks** — a live-thread counter
     ///    replaces the per-slice `threads.iter().any(..)` scan, and an
     ///    absent `max_cycles` budget becomes `u64::MAX` so the per-op
@@ -344,12 +408,24 @@ impl<'p> Vm<'p> {
     ///    test.
     /// 4. **Frame pooling** — returned frames are recycled through a
     ///    per-thread pool, so steady-state calls do not heap-allocate.
-    /// 5. **Superinstruction fusion** — straight-line op runs matching
-    ///    the `FusedKind` templates (detected once in [`Vm::new`])
-    ///    execute as a single dispatch whenever no timer tick or fuel
-    ///    boundary can land inside the run; otherwise the same ops run
-    ///    through the ordinary per-op path, so every observable event
-    ///    falls at exactly the same cycle either way.
+    /// 5. **Superinstruction fusion** — two templates, detected once in
+    ///    [`Vm::new`]: the integer run
+    ///    `[Load src] [binop] { Const k, binop | Store d, Load d }* [Store dst]`
+    ///    (the accumulator lives in a register from a local or the stack
+    ///    top to a local or the stack top; it covers the generator's
+    ///    `Load, Const, op, Store` quads and the longer chains `cbs-opt`
+    ///    forwards them into alike) and the forward test-branch
+    ///    `Load s, [Const k, op], JumpIf*`. A run executes as a single
+    ///    dispatch whenever no timer tick or fuel boundary can land
+    ///    inside it and every operand is an `Int`; otherwise the same
+    ///    ops run through the ordinary per-op path, so every observable
+    ///    event and trap falls at exactly the same cycle and pc either
+    ///    way.
+    /// 6. **The overloaded check** — [`Profiler::armed`] is held in a
+    ///    local and re-read only after a hook is delivered. While it is
+    ///    `false` a call builds no [`CallEvent`], reattaches no frame and
+    ///    makes no profiler call: a disarmed sampler costs a flag test,
+    ///    as the paper's Figures 3–4 have it.
     ///
     /// # Errors
     ///
@@ -358,7 +434,9 @@ impl<'p> Vm<'p> {
     /// exhausted cycle budget.
     pub fn run_with<P: Profiler + ?Sized>(&self, profiler: &mut P) -> Result<ExecReport, VmError> {
         let program = self.program;
-        let flavor = self.config.flavor;
+        let samples_exits = self.config.flavor.samples_exits();
+        let backedge_yieldpoints = self.config.flavor.has_backedge_yieldpoints();
+        let max_stack_depth = self.config.max_stack_depth;
         let period = self.config.timer_period();
         let entry = program.entry();
         let entry_locals = program.method(entry).num_locals();
@@ -411,6 +489,11 @@ impl<'p> Vm<'p> {
             let tid = ThreadId(cur as u32);
             let t = &mut threads[cur];
             let mut pending_switch = false;
+            // The overloaded check: entry and exit events are built and
+            // delivered only while the profiler is armed on this thread.
+            // Its answer can change only inside a hook, so it is re-read
+            // after each hook that is delivered and nowhere else.
+            let mut armed = profiler.armed(tid);
 
             // The code cursor: the running thread's top frame is detached
             // from the frame stack and held in a local, together with its
@@ -443,46 +526,63 @@ impl<'p> Vm<'p> {
                         fused_tally.bails += 1;
                     } else {
                         let next = match &f.kind {
-                            FusedKind::WorkRun { slot, steps } => {
-                                if let Value::Int(mut x) = frame.locals()[usize::from(*slot)] {
-                                    for &(op, k) in steps.iter() {
-                                        x = apply_int(op, x, k);
+                            FusedKind::IntRun { head, steps, dst } => {
+                                // Every operand is checked before anything
+                                // is popped or written.
+                                let start = match *head {
+                                    RunHead::Local(s) => frame.locals()[usize::from(s)].as_int(),
+                                    RunHead::FoldTop(s, op) => {
+                                        match (frame.peek(0), frame.locals()[usize::from(s)]) {
+                                            (Some(Value::Int(top)), Value::Int(loc)) => {
+                                                frame.pop();
+                                                Some(apply_int(op, top, loc))
+                                            }
+                                            _ => None,
+                                        }
                                     }
-                                    frame.locals_mut()[usize::from(*slot)] = Value::Int(x);
-                                    Some(f.next_pc)
-                                } else {
-                                    None
-                                }
-                            }
-                            FusedKind::FoldAccum { slot, op } => {
-                                match (
-                                    frame.stack().last().copied(),
-                                    frame.locals()[usize::from(*slot)],
-                                ) {
-                                    (Some(Value::Int(v)), Value::Int(loc)) => {
-                                        frame.pop();
-                                        frame.locals_mut()[usize::from(*slot)] =
-                                            Value::Int(apply_int(*op, v, loc));
-                                        Some(f.next_pc)
+                                    RunHead::Top => match frame.peek(0) {
+                                        Some(Value::Int(top)) => {
+                                            frame.pop();
+                                            Some(top)
+                                        }
+                                        _ => None,
+                                    },
+                                };
+                                start.map(|mut acc| {
+                                    for step in steps.iter() {
+                                        match *step {
+                                            RunStep::Arith(op, k) => acc = apply_int(op, acc, k),
+                                            RunStep::Spill(d) => {
+                                                frame.locals_mut()[usize::from(d)] =
+                                                    Value::Int(acc);
+                                            }
+                                        }
                                     }
-                                    _ => None,
-                                }
+                                    match *dst {
+                                        Some(d) => {
+                                            frame.locals_mut()[usize::from(d)] = Value::Int(acc);
+                                        }
+                                        None => frame.push(Value::Int(acc)),
+                                    }
+                                    f.next_pc
+                                })
                             }
                             FusedKind::TestBranch {
                                 slot,
-                                k,
-                                op,
+                                test,
                                 target,
                                 jump_if_zero,
-                            } => {
-                                if let Value::Int(loc) = frame.locals()[usize::from(*slot)] {
-                                    let v = apply_int(*op, loc, *k);
-                                    let jump = if *jump_if_zero { v == 0 } else { v != 0 };
-                                    Some(if jump { *target } else { f.next_pc })
+                            } => frame.locals()[usize::from(*slot)].as_int().map(|loc| {
+                                let v = match *test {
+                                    Some((op, k)) => apply_int(op, loc, k),
+                                    None => loc,
+                                };
+                                if (v == 0) == *jump_if_zero {
+                                    *target
                                 } else {
-                                    None
+                                    f.next_pc
                                 }
-                            }
+                            }),
                         };
                         if let Some(next_pc) = next {
                             fused_tally.runs += 1;
@@ -530,6 +630,7 @@ impl<'p> Vm<'p> {
                         next_tick += draw_period();
                         pending_switch = true;
                     }
+                    armed = profiler.armed(tid);
                     frame = t.frames.pop().expect("frame reattached for tick delivery");
                 }
 
@@ -622,13 +723,10 @@ impl<'p> Vm<'p> {
                     Op::Jump(target) => {
                         let backedge = target <= pc;
                         pc = target;
-                        if backedge && flavor.has_backedge_yieldpoints() {
-                            profiler.on_backedge(mid, clock, tid);
-                            if pending_switch {
-                                frame.set_pc(pc);
-                                t.frames.push(frame);
-                                break 'slice;
-                            }
+                        if backedge && backedge_yieldpoints && pending_switch {
+                            frame.set_pc(pc);
+                            t.frames.push(frame);
+                            break 'slice;
                         }
                     }
                     Op::JumpIfZero(target) | Op::JumpIfNonZero(target) => {
@@ -641,85 +739,64 @@ impl<'p> Vm<'p> {
                         if jump {
                             let backedge = target <= pc;
                             pc = target;
-                            if backedge && flavor.has_backedge_yieldpoints() {
-                                profiler.on_backedge(mid, clock, tid);
-                                if pending_switch {
-                                    frame.set_pc(pc);
-                                    t.frames.push(frame);
-                                    break 'slice;
-                                }
+                            if backedge && backedge_yieldpoints && pending_switch {
+                                frame.set_pc(pc);
+                                t.frames.push(frame);
+                                break 'slice;
                             }
                         } else {
                             pc += 1;
                         }
                     }
-                    Op::Call { site, target } => {
+                    Op::Call { .. } | Op::CallVirtual { .. } => {
+                        let (site, target) = match op {
+                            Op::Call { site, target } => (site, target),
+                            Op::CallVirtual { site, slot, arity } => {
+                                let receiver = frame
+                                    .peek(usize::from(arity) - 1)
+                                    .ok_or(VmError::OperandUnderflow { method: mid, pc })?;
+                                let r = receiver.as_ref().ok_or(VmError::TypeMismatch {
+                                    method: mid,
+                                    pc,
+                                    expected: "object receiver",
+                                })?;
+                                let target = program
+                                    .class(heap.class_of(r))
+                                    .resolve(slot)
+                                    .ok_or(VmError::BadVirtualDispatch { method: mid, pc })?;
+                                (site, target)
+                            }
+                            _ => unreachable!(),
+                        };
                         calls += 1;
                         invocations[target.index()] += 1;
-                        // Reattach the caller; `push_callee` writes the
-                        // return address (pc + 1) and pending site into it.
-                        t.frames.push(frame);
-                        push_callee(
-                            t,
-                            program,
-                            mid,
-                            pc,
-                            site,
-                            target,
-                            self.config.max_stack_depth,
-                        )?;
-                        profiler.on_entry(&CallEvent {
-                            edge: CallEdge::new(mid, site, target),
-                            clock,
-                            thread: tid,
-                            stack: StackSlice::new(&t.frames),
-                        });
+                        // The detached caller counts toward the depth.
+                        if t.frames.len() + 1 >= max_stack_depth {
+                            return Err(VmError::StackOverflow {
+                                limit: max_stack_depth,
+                            });
+                        }
+                        let callee =
+                            enter_callee(&mut t.pool, program, &mut frame, pc, site, target)?;
+                        // The caller goes back on the stack (return address
+                        // and pending site written); the callee becomes the
+                        // detached top frame.
+                        t.frames.push(std::mem::replace(&mut frame, callee));
+                        if armed {
+                            t.frames.push(frame);
+                            profiler.on_entry(&CallEvent {
+                                edge: CallEdge::new(mid, site, target),
+                                clock,
+                                thread: tid,
+                                stack: StackSlice::new(&t.frames),
+                            });
+                            armed = profiler.armed(tid);
+                            frame = t.frames.pop().expect("callee frame just pushed");
+                        }
                         if pending_switch {
+                            t.frames.push(frame);
                             break 'slice;
                         }
-                        frame = t.frames.pop().expect("callee frame just pushed");
-                        pc = 0;
-                        mid = target;
-                        code = program.method(mid).code();
-                        costs = cost_rows[mid.index()].as_slice();
-                        fused = self.fused_rows[mid.index()].as_slice();
-                    }
-                    Op::CallVirtual { site, slot, arity } => {
-                        let receiver = frame
-                            .peek(usize::from(arity) - 1)
-                            .ok_or(VmError::OperandUnderflow { method: mid, pc })?;
-                        let r = receiver.as_ref().ok_or(VmError::TypeMismatch {
-                            method: mid,
-                            pc,
-                            expected: "object receiver",
-                        })?;
-                        let target = self
-                            .program
-                            .class(heap.class_of(r))
-                            .resolve(slot)
-                            .ok_or(VmError::BadVirtualDispatch { method: mid, pc })?;
-                        calls += 1;
-                        invocations[target.index()] += 1;
-                        t.frames.push(frame);
-                        push_callee(
-                            t,
-                            program,
-                            mid,
-                            pc,
-                            site,
-                            target,
-                            self.config.max_stack_depth,
-                        )?;
-                        profiler.on_entry(&CallEvent {
-                            edge: CallEdge::new(mid, site, target),
-                            clock,
-                            thread: tid,
-                            stack: StackSlice::new(&t.frames),
-                        });
-                        if pending_switch {
-                            break 'slice;
-                        }
-                        frame = t.frames.pop().expect("callee frame just pushed");
                         pc = 0;
                         mid = target;
                         code = program.method(mid).code();
@@ -736,7 +813,7 @@ impl<'p> Vm<'p> {
                             t.frames.push(frame);
                             break 'slice;
                         }
-                        if flavor.samples_exits() {
+                        if armed && samples_exits {
                             // The exit event shows the stack with the
                             // returning frame still on top, as the
                             // reference interpreter does.
@@ -754,11 +831,10 @@ impl<'p> Vm<'p> {
                                 thread: tid,
                                 stack: StackSlice::new(&t.frames),
                             });
-                            let retired = t.frames.pop().expect("returning frame");
-                            t.pool.push(retired);
-                        } else {
-                            t.pool.push(frame);
+                            armed = profiler.armed(tid);
+                            frame = t.frames.pop().expect("returning frame");
                         }
+                        t.pool.push(frame);
                         let caller = t.frames.last_mut().expect("caller frame");
                         caller.set_pending_site(None);
                         caller.push(rv);
@@ -1015,11 +1091,8 @@ impl<'p> Vm<'p> {
                     Op::Jump(target) => {
                         let backedge = target <= pc;
                         t.frames.last_mut().expect("frame").set_pc(target);
-                        if backedge && flavor.has_backedge_yieldpoints() {
-                            profiler.on_backedge(mid, clock, tid);
-                            if pending_switch {
-                                break 'slice;
-                            }
+                        if backedge && flavor.has_backedge_yieldpoints() && pending_switch {
+                            break 'slice;
                         }
                     }
                     Op::JumpIfZero(target) | Op::JumpIfNonZero(target) => {
@@ -1032,11 +1105,8 @@ impl<'p> Vm<'p> {
                         };
                         if jump {
                             f.set_pc(target);
-                            if target <= pc && flavor.has_backedge_yieldpoints() {
-                                profiler.on_backedge(mid, clock, tid);
-                                if pending_switch {
-                                    break 'slice;
-                                }
+                            if target <= pc && flavor.has_backedge_yieldpoints() && pending_switch {
+                                break 'slice;
                             }
                         } else {
                             f.set_pc(pc + 1);
@@ -1045,15 +1115,14 @@ impl<'p> Vm<'p> {
                     Op::Call { site, target } => {
                         calls += 1;
                         invocations[target.index()] += 1;
-                        push_callee(
-                            t,
-                            program,
-                            mid,
-                            pc,
-                            site,
-                            target,
-                            self.config.max_stack_depth,
-                        )?;
+                        if t.frames.len() >= self.config.max_stack_depth {
+                            return Err(VmError::StackOverflow {
+                                limit: self.config.max_stack_depth,
+                            });
+                        }
+                        let caller = t.frames.last_mut().expect("frame");
+                        let callee = enter_callee(&mut t.pool, program, caller, pc, site, target)?;
+                        t.frames.push(callee);
                         profiler.on_entry(&CallEvent {
                             edge: CallEdge::new(mid, site, target),
                             clock,
@@ -1082,15 +1151,14 @@ impl<'p> Vm<'p> {
                             .ok_or(VmError::BadVirtualDispatch { method: mid, pc })?;
                         calls += 1;
                         invocations[target.index()] += 1;
-                        push_callee(
-                            t,
-                            program,
-                            mid,
-                            pc,
-                            site,
-                            target,
-                            self.config.max_stack_depth,
-                        )?;
+                        if t.frames.len() >= self.config.max_stack_depth {
+                            return Err(VmError::StackOverflow {
+                                limit: self.config.max_stack_depth,
+                            });
+                        }
+                        let caller = t.frames.last_mut().expect("frame");
+                        let callee = enter_callee(&mut t.pool, program, caller, pc, site, target)?;
+                        t.frames.push(callee);
                         profiler.on_entry(&CallEvent {
                             edge: CallEdge::new(mid, site, target),
                             clock,
@@ -1195,53 +1263,46 @@ impl<'p> Vm<'p> {
     }
 }
 
-/// Pops the callee's arguments from the caller, pushes the callee frame.
+/// Builds the frame for a call at `pc` of `caller`: pops the callee's
+/// arguments into its locals and leaves the return address (`pc + 1`) and
+/// the in-flight site in the caller.
 ///
-/// The callee frame is recycled from the thread's frame pool when one is
-/// available (the optimized interpreter returns frames there on
-/// `Op::Return`), falling back to a fresh allocation. The reference
-/// interpreter never fills the pool, so it keeps the original
-/// allocate-per-call behavior through this same function.
-fn push_callee(
-    t: &mut ThreadState,
+/// The frame is recycled from the thread's pool when one is available
+/// (the optimized interpreter returns frames there on `Op::Return`),
+/// falling back to a fresh allocation. The reference interpreter never
+/// fills the pool, so it keeps the original allocate-per-call behavior
+/// through this same function.
+#[inline]
+fn enter_callee(
+    pool: &mut Vec<Frame>,
     program: &Program,
-    caller: MethodId,
+    caller: &mut Frame,
     pc: u32,
     site: cbs_bytecode::CallSiteId,
     target: MethodId,
-    max_depth: usize,
-) -> Result<(), VmError> {
-    if t.frames.len() >= max_depth {
-        return Err(VmError::StackOverflow { limit: max_depth });
-    }
+) -> Result<Frame, VmError> {
     let callee = program.method(target);
-    let mut frame = match t.pool.pop() {
+    let mut frame = match pool.pop() {
         Some(mut recycled) => {
             recycled.reset(target, callee.num_locals());
             recycled
         }
         None => Frame::new(target, callee.num_locals()),
     };
-    let arity = usize::from(callee.num_params());
-    {
-        let caller_frame = t.frames.last_mut().expect("caller frame");
-        for i in (0..arity).rev() {
-            let v = caller_frame
-                .pop()
-                .ok_or(VmError::OperandUnderflow { method: caller, pc })?;
-            frame.locals_mut()[i] = v;
-        }
-        caller_frame.set_pc(pc + 1); // return address
-        caller_frame.set_pending_site(Some(site));
+    for i in (0..usize::from(callee.num_params())).rev() {
+        frame.locals_mut()[i] = pop_val(caller, caller.method(), pc)?;
     }
-    t.frames.push(frame);
-    Ok(())
+    caller.set_pc(pc + 1); // return address
+    caller.set_pending_site(Some(site));
+    Ok(frame)
 }
 
+#[inline]
 fn pop_val(f: &mut Frame, method: MethodId, pc: u32) -> Result<Value, VmError> {
     f.pop().ok_or(VmError::OperandUnderflow { method, pc })
 }
 
+#[inline]
 fn pop_int(f: &mut Frame, method: MethodId, pc: u32) -> Result<i64, VmError> {
     pop_val(f, method, pc)?
         .as_int()
@@ -1252,6 +1313,7 @@ fn pop_int(f: &mut Frame, method: MethodId, pc: u32) -> Result<i64, VmError> {
         })
 }
 
+#[inline]
 fn pop_obj(f: &mut Frame, method: MethodId, pc: u32) -> Result<crate::value::ObjRef, VmError> {
     pop_val(f, method, pc)?
         .as_ref()
@@ -1666,16 +1728,122 @@ mod tests {
         assert_eq!(optimized, reference);
     }
 
-    /// Pins which shapes `scan_fused` recognizes: maximal work runs,
-    /// forward-only test-branches, fold-accumulates, and the non-zero
-    /// constant requirement for fused division.
+    /// The `Profiler::armed` contract, from the profiler's side: entries
+    /// and exits arrive only while it says it is armed, and its answer is
+    /// re-read after every hook — so a sampler that wants three events
+    /// per tick is delivered exactly three, under both flavors and with
+    /// threads interleaving. The reference interpreter, which never asks,
+    /// shows the events were there to deliver.
     #[test]
-    fn scan_fused_recognizes_expected_templates() {
-        let costs = |code: &[Op]| vec![1u64; code.len()];
+    fn entries_and_exits_are_delivered_only_while_armed() {
+        use crate::config::VmFlavor;
 
-        // Two consecutive quads on slot 0 fuse into one maximal run
-        // starting at pc 0; interior pcs stay per-op.
-        let run = [
+        #[derive(Default)]
+        struct ThreePerTick {
+            wanted: [u32; 2],
+            ticks: u64,
+            acted_on: u64,
+            delivered_idle: u64,
+        }
+        impl ThreePerTick {
+            fn event(&mut self, thread: ThreadId) {
+                let wanted = &mut self.wanted[thread.index()];
+                if *wanted == 0 {
+                    self.delivered_idle += 1;
+                } else {
+                    *wanted -= 1;
+                    self.acted_on += 1;
+                }
+            }
+        }
+        impl Profiler for ThreePerTick {
+            fn on_tick(&mut self, _clock: u64, thread: ThreadId, _stack: StackSlice<'_>) {
+                self.wanted[thread.index()] = 3;
+                self.ticks += 1;
+            }
+            fn on_entry(&mut self, event: &CallEvent<'_>) {
+                self.event(event.thread);
+            }
+            fn on_exit(&mut self, event: &CallEvent<'_>) {
+                self.event(event.thread);
+            }
+            fn armed(&self, thread: ThreadId) -> bool {
+                self.wanted[thread.index()] > 0
+            }
+        }
+
+        let mut b = ProgramBuilder::new();
+        let cls = b.add_class("C", 0);
+        let f = b
+            .function("f", cls, 1, 0, |c| {
+                c.load(0).const_(3).mul().ret();
+            })
+            .unwrap();
+        let main = b
+            .function("main", cls, 0, 1, |c| {
+                c.counted_loop(0, 20_000, |c| {
+                    c.const_(2).call(f).pop();
+                });
+                c.const_(0).ret();
+            })
+            .unwrap();
+        b.set_entry(main);
+        let p = b.build().unwrap();
+        for flavor in [VmFlavor::Jikes, VmFlavor::J9] {
+            let vm = Vm::new(
+                &p,
+                VmConfig {
+                    flavor,
+                    num_threads: 2,
+                    // Exact periods, far longer than three events take.
+                    timer_hz: 10_000,
+                    timer_jitter: 0,
+                    ..VmConfig::default()
+                },
+            );
+            let mut gated = ThreePerTick::default();
+            let report = vm.run_with(&mut gated).unwrap();
+            assert!(gated.ticks > 100 && gated.ticks == report.ticks);
+            assert_eq!(gated.delivered_idle, 0, "{flavor:?}");
+            // The last window of each thread may outlive the run.
+            assert!(
+                gated.acted_on <= 3 * gated.ticks && gated.acted_on + 6 > 3 * gated.ticks,
+                "{flavor:?}: {} events for {} ticks",
+                gated.acted_on,
+                gated.ticks
+            );
+
+            let mut ungated = ThreePerTick::default();
+            assert_eq!(vm.run_reference(&mut ungated).unwrap(), report);
+            assert_eq!(ungated.acted_on, gated.acted_on, "{flavor:?}");
+            assert!(ungated.delivered_idle > 10 * ungated.acted_on);
+        }
+    }
+
+    /// Pins the two templates `scan_fused` recognizes: the integer-run
+    /// grammar with each optional part present and absent, spill
+    /// elision, and everything the guard's soundness rests on being
+    /// refused at scan time (division by a zero constant, backward
+    /// branches, runs shorter than three ops).
+    #[test]
+    fn scan_fused_pins_the_run_grammar() {
+        use RunHead::{FoldTop, Local, Top};
+        use RunStep::{Arith, Spill};
+        // One cycle per op, so `total_cost == num_ops`.
+        let scan = |code: &[Op]| scan_fused(code, &vec![1u64; code.len()]);
+        let run_at = |code: &[Op], p: usize| {
+            let f = scan(code)[p].clone().expect("run fuses");
+            assert_eq!(f.total_cost, f.num_ops);
+            let FusedKind::IntRun { head, steps, dst } = f.kind else {
+                panic!("expected an integer run at {p}: {:?}", f.kind)
+            };
+            (f.num_ops, f.next_pc, head, steps.into_vec(), dst)
+        };
+
+        // The generator's quads on one slot: one maximal run, recorded
+        // at its first pc only; the interior `Store 0, Load 0` is a spill
+        // the closing `Store 0` overwrites, so it is dropped.
+        let quads = [
             Op::Load(0),
             Op::Const(5),
             Op::Add,
@@ -1686,44 +1854,147 @@ mod tests {
             Op::Store(0),
             Op::Return,
         ];
-        let fused = scan_fused(&run, &costs(&run));
-        let f = fused[0].as_deref().expect("work run fuses");
-        assert_eq!((f.num_ops, f.next_pc, f.total_cost), (8, 8, 8));
-        assert!(matches!(&f.kind, FusedKind::WorkRun { slot: 0, steps } if steps.len() == 2));
-        assert!(fused[1..].iter().all(Option::is_none), "interiors per-op");
+        assert_eq!(
+            run_at(&quads, 0),
+            (
+                8,
+                8,
+                Local(0),
+                vec![Arith(Op::Add, 5), Arith(Op::Xor, 1)],
+                Some(0)
+            )
+        );
+        assert!(scan(&quads)[1..].iter().all(Option::is_none), "interiors");
 
-        // Division fuses only when the constant divisor is non-zero.
-        let div0 = [Op::Load(0), Op::Const(0), Op::Div, Op::Store(0), Op::Return];
-        assert!(scan_fused(&div0, &costs(&div0))[0].is_none());
-        let div2 = [Op::Load(0), Op::Const(2), Op::Div, Op::Store(0), Op::Return];
-        assert!(scan_fused(&div2, &costs(&div2))[0].is_some());
+        // The optimizer's forwarded chain into another slot.
+        let chain = [
+            Op::Load(1),
+            Op::Const(3),
+            Op::Mul,
+            Op::Const(7),
+            Op::Sub,
+            Op::Store(2),
+        ];
+        assert_eq!(
+            run_at(&chain, 0),
+            (
+                6,
+                6,
+                Local(1),
+                vec![Arith(Op::Mul, 3), Arith(Op::Sub, 7)],
+                Some(2)
+            )
+        );
 
-        // Test-branch fuses only on a forward target: a backward jump is
-        // a backedge yieldpoint and must stay per-op.
+        // A leading bare binop folds the stack top in — alone (the
+        // accumulate after a call) or ahead of further steps.
+        let fold = [Op::Load(2), Op::Add, Op::Store(2), Op::Return];
+        assert_eq!(
+            run_at(&fold, 0),
+            (3, 3, FoldTop(2, Op::Add), vec![], Some(2))
+        );
+        let fold_chain = [Op::Load(2), Op::Sub, Op::Const(9), Op::Xor, Op::Store(2)];
+        assert_eq!(
+            run_at(&fold_chain, 0),
+            (5, 5, FoldTop(2, Op::Sub), vec![Arith(Op::Xor, 9)], Some(2))
+        );
+
+        // No closing store: the result stays on the stack.
+        let open = [Op::Load(1), Op::Const(4), Op::Shl, Op::Return];
+        assert_eq!(
+            run_at(&open, 0),
+            (3, 3, Local(1), vec![Arith(Op::Shl, 4)], None)
+        );
+
+        // No leading load: the accumulator is the stack top.
+        let from_top = [Op::Nop, Op::Const(2), Op::And, Op::Store(3)];
+        assert_eq!(
+            run_at(&from_top, 1),
+            (3, 4, Top, vec![Arith(Op::And, 2)], Some(3))
+        );
+
+        // Spills: one to a slot nothing later writes is kept, in order;
+        // a trailing spill leaves the value in the local and on the stack.
+        let spills = [
+            Op::Load(0),
+            Op::Const(1),
+            Op::Add,
+            Op::Store(4),
+            Op::Load(4),
+            Op::Const(2),
+            Op::Mul,
+            Op::Store(5),
+            Op::Load(5),
+            Op::Return,
+        ];
+        assert_eq!(
+            run_at(&spills, 0),
+            (
+                9,
+                9,
+                Local(0),
+                vec![Arith(Op::Add, 1), Spill(4), Arith(Op::Mul, 2), Spill(5)],
+                None
+            )
+        );
+        // `Store 4, Load 5` is not a spill: the run closes at the store.
+        let not_spill = [
+            Op::Load(0),
+            Op::Const(1),
+            Op::Add,
+            Op::Store(4),
+            Op::Load(5),
+            Op::Return,
+        ];
+        assert_eq!(run_at(&not_spill, 0).1, 4);
+
+        // Division fuses only by a non-zero constant: a zero divisor must
+        // reach the per-op arm that traps on it.
+        let div0 = [Op::Load(0), Op::Const(0), Op::Div, Op::Store(0)];
+        assert!(scan(&div0).iter().all(Option::is_none));
+        let rem0 = [Op::Load(0), Op::Const(0), Op::Rem, Op::Store(0)];
+        assert!(scan(&rem0).iter().all(Option::is_none));
+        let div2 = [Op::Load(0), Op::Const(2), Op::Div, Op::Store(0)];
+        assert_eq!(run_at(&div2, 0).3, vec![Arith(Op::Div, 2)]);
+
+        // Shorter than three ops, or no arithmetic at all: refused.
+        for short in [
+            &[Op::Const(1), Op::Add, Op::Return][..],
+            &[Op::Load(0), Op::Add, Op::Return],
+            &[Op::Load(0), Op::Store(1), Op::Load(1), Op::Store(2)],
+            &[Op::Load(0), Op::Neg, Op::Store(0)],
+        ] {
+            assert!(scan(short).iter().all(Option::is_none), "{short:?}");
+        }
+
+        // Test-branch, with and without the test, forward targets only:
+        // a backward jump is a backedge yieldpoint and stays per-op (the
+        // `Load, Const, op` ahead of it still fuses as an open run).
+        let branch_at = |code: &[Op], p: usize| {
+            let f = scan(code)[p].clone().expect("branch fuses");
+            let FusedKind::TestBranch {
+                slot,
+                test,
+                target,
+                jump_if_zero,
+            } = f.kind
+            else {
+                panic!("expected a test-branch at {p}: {:?}", f.kind)
+            };
+            (f.num_ops, f.next_pc, slot, test, target, jump_if_zero)
+        };
         let fwd = [
             Op::Load(1),
             Op::Const(3),
-            Op::And,
+            Op::CmpEq,
             Op::JumpIfZero(6),
             Op::Nop,
             Op::Nop,
             Op::Return,
         ];
-        let f = scan_fused(&fwd, &costs(&fwd))[0]
-            .as_deref()
-            .expect("forward test-branch fuses")
-            .clone();
-        assert_eq!((f.num_ops, f.next_pc), (4, 4));
-        assert!(matches!(
-            f.kind,
-            FusedKind::TestBranch {
-                slot: 1,
-                k: 3,
-                target: 6,
-                jump_if_zero: true,
-                ..
-            }
-        ));
+        assert_eq!(branch_at(&fwd, 0), (4, 4, 1, Some((Op::CmpEq, 3)), 6, true));
+        let bare = [Op::Load(6), Op::JumpIfNonZero(3), Op::Nop, Op::Return];
+        assert_eq!(branch_at(&bare, 0), (2, 2, 6, None, 3, false));
         let back = [
             Op::Nop,
             Op::Load(1),
@@ -1732,22 +2003,12 @@ mod tests {
             Op::JumpIfNonZero(0),
             Op::Return,
         ];
-        assert!(scan_fused(&back, &costs(&back))[1].is_none());
-
-        // Fold-accumulate: Load/binop/Store on the same slot.
-        let fold = [Op::Load(2), Op::Add, Op::Store(2), Op::Return];
-        let f = scan_fused(&fold, &costs(&fold))[0]
-            .as_deref()
-            .expect("fold fuses")
-            .clone();
-        assert_eq!((f.num_ops, f.next_pc, f.total_cost), (3, 3, 3));
-        assert!(matches!(
-            f.kind,
-            FusedKind::FoldAccum {
-                slot: 2,
-                op: Op::Add
-            }
-        ));
+        assert_eq!(
+            run_at(&back, 1),
+            (3, 4, Local(1), vec![Arith(Op::And, 3)], None)
+        );
+        let bare_back = [Op::Nop, Op::Load(1), Op::JumpIfZero(1), Op::Return];
+        assert!(scan(&bare_back).iter().all(Option::is_none));
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //!   method-entry checks), carrying the dynamic [`CallEdge`] and a
 //!   walkable [`StackSlice`];
 //! * [`Profiler::on_exit`] — method exits (epilogue yieldpoints; delivered
-//!   only by the [`VmFlavor::Jikes`] hosting flavor);
-//! * [`Profiler::on_backedge`] — loop backedges (Jikes flavor only).
+//!   only by the [`VmFlavor::Jikes`] hosting flavor).
+//!
+//! Entries and exits are delivered only while [`Profiler::armed`] says
+//! the profiler could act on them, so an idle sampler costs the
+//! interpreter one flag test per call.
 //!
 //! Profilers account for their own *simulated* overhead; the VM's base
 //! cycle count is profiler-independent. That separation is what lets the

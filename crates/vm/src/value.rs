@@ -31,6 +31,7 @@ pub enum Value {
 
 impl Value {
     /// Extracts the integer, if this is an [`Value::Int`].
+    #[inline]
     pub fn as_int(self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(v),
@@ -39,6 +40,7 @@ impl Value {
     }
 
     /// Extracts the reference, if this is a [`Value::Ref`].
+    #[inline]
     pub fn as_ref(self) -> Option<ObjRef> {
         match self {
             Value::Ref(r) => Some(r),
@@ -48,6 +50,7 @@ impl Value {
 
     /// Truthiness used by conditional jumps: `Int(0)` is false, everything
     /// else (including references) is true.
+    #[inline]
     pub fn is_truthy(self) -> bool {
         !matches!(self, Value::Int(0))
     }
@@ -97,6 +100,7 @@ impl Heap {
     }
 
     /// Allocates an object of `class` with `num_fields` zeroed fields.
+    #[inline]
     pub fn alloc(&mut self, class: ClassId, num_fields: u16) -> ObjRef {
         let r = ObjRef(self.objects.len() as u32);
         self.objects.push(Object {
@@ -111,11 +115,13 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if `r` was not allocated from this heap.
+    #[inline]
     pub fn class_of(&self, r: ObjRef) -> ClassId {
         self.objects[r.index()].class
     }
 
     /// Reads a field. Returns `None` when the field index is out of range.
+    #[inline]
     pub fn get_field(&self, r: ObjRef, field: u16) -> Option<Value> {
         self.objects[r.index()]
             .fields
@@ -125,6 +131,7 @@ impl Heap {
 
     /// Writes a field. Returns `false` when the field index is out of
     /// range.
+    #[inline]
     pub fn put_field(&mut self, r: ObjRef, field: u16, value: Value) -> bool {
         match self.objects[r.index()].fields.get_mut(usize::from(field)) {
             Some(slot) => {

@@ -103,6 +103,27 @@ awk -F'"median_ns": ' '
   END { if (conc == 0 || lock == 0 || lock < 1.4 * conc) exit 1 }' "$BENCH_JSON" \
   || { echo "FAIL: wal/append_concurrent is not >=1.4x faster than wal/append_single_lock in $BENCH_JSON" >&2; exit 1; }
 
+echo "==> BENCH_interp.json gates (committed interpreter-bench artifact)"
+# Two ways the interpreter's fast path has been lost before, per
+# workload: an instantiation of `run_with` outside cbs-vm running slower
+# than cbs-vm's own (a per-op helper that is not #[inline]), and the
+# inlined + optimized program — fewer instructions — taking longer than
+# the program it was made from (bytecode shapes the fusion scan misses).
+INTERP_JSON=BENCH_interp.json
+[[ -f "$INTERP_JSON" ]] \
+  || { echo "FAIL: $INTERP_JSON missing (regenerate: cargo bench -p cbs-bench --bench interp_throughput)" >&2; exit 1; }
+awk -F'"median_ns": ' '
+  function ns() { split($2, a, ","); return a[1] + 0 }
+  /"workload":/                            { workloads++; base = 0 }
+  /"config": "null_optimized"/             { base = ns() }
+  /"config": "null_optimized_downstream"/  { down = ns(); seen_down++
+                                             if (base == 0 || down > 1.05 * base) bad = 1 }
+  /"config": "null_on_inlined_program"/    { inl = ns(); seen_inl++
+                                             if (base == 0 || inl > 1.10 * base) bad = 1 }
+  END { exit (bad || workloads == 0 || seen_down != workloads || seen_inl != workloads) }' "$INTERP_JSON" \
+  || { echo "FAIL: in $INTERP_JSON, null_optimized_downstream exceeds 1.05x or" \
+            "null_on_inlined_program exceeds 1.10x null_optimized (median_ns), or a config is missing" >&2; exit 1; }
+
 if [[ "$BENCH_SMOKE" == "1" ]]; then
   echo "==> cargo bench (smoke: CBS_BENCH_SMOKE=1, one iteration per bench)"
   # Smoke mode must exercise every bench code path (profile_ingest
