@@ -1,5 +1,5 @@
 //! Profile-ingestion throughput: edge records per wall-second through
-//! the binary codec and the sharded aggregator.
+//! the binary codec and the aggregator.
 //!
 //! A synthetic 50k-edge call graph (deterministic SplitMix64 ids and
 //! integral weights, shaped like a real CBS profile: dense low method
@@ -9,27 +9,24 @@
 //! * `codec/encode` and `codec/decode` — the wire format alone;
 //! * `codec/decode_snapshot` — a pulled snapshot frame streamed back
 //!   into a graph (what every `pull` costs the client after the wire);
-//! * `aggregate/shards=N/serial` — one thread folding every decoded
-//!   frame into an aggregator with N ∈ {1, 4, 8} shards via
-//!   `ShardedAggregator::ingest`;
-//! * `aggregate/shards=N/streaming` — the server's zero-copy path:
-//!   encoded frames fold straight into the shards via
-//!   `ingest_frame_bytes` (`partition_frame` → `apply_partitioned`)
-//!   with a pooled partition scratch;
-//! * `aggregate/shards=N/threads=4` — four pusher threads splitting the
-//!   decoded frames (`ingest` again), where shard count governs lock
-//!   contention;
+//! * `aggregate/serial` — one thread folding every decoded frame into
+//!   an aggregator via `ShardedAggregator::ingest`;
+//! * `aggregate/streaming` — the server's path: encoded frames decode
+//!   into a pooled scratch and fold into the aggregate via
+//!   `ingest_frame_bytes` (`partition_frame` → `apply_partitioned`);
+//! * `aggregate/threads=4` — four pusher threads splitting the decoded
+//!   frames (`ingest` again) over the aggregate's one lock;
 //! * `pull/rebuild` — `encoded_snapshot` after `advance_epoch` just
-//!   invalidated the cache, i.e. the full lock-merge-encode cost;
+//!   invalidated the cache, i.e. the full lock-seal-copy-encode cost;
 //! * `pull/cached` — `encoded_snapshot` against a warm
 //!   generation-stamped cache (the repeated-`OP_PULL` fast path, O(1)
 //!   per request);
 //! * `plan/build` — a cold `OP_PLAN` on a cached snapshot: `build_plan`
 //!   (the 40% rule over every call site) over `merged_snapshot`, plus
 //!   `encode_plan`;
-//! * `wal/append` — the durable-store write path (4 shards, WAL append
-//!   then apply, fsync off — the async-fsync configuration whose cost
-//!   must stay within 2× of `aggregate/shards=4/streaming`);
+//! * `wal/append` — the durable-store write path (WAL append then
+//!   apply, fsync off — the async-fsync configuration whose cost must
+//!   stay within 2× of `aggregate/streaming`);
 //! * `wal/append_concurrent` — four pusher threads through one
 //!   `fsync always` store: concurrent acks share group-commit syncs;
 //! * `wal/append_single_lock` — the identical workload and store
@@ -156,71 +153,58 @@ fn main() {
         .clone();
     entries.push(json_entry("codec/decode", EDGES, &decode));
 
-    for shards in [1usize, 4, 8] {
-        let serial = group
-            .bench(&format!("aggregate/shards={shards}/serial"), || {
-                let agg = ShardedAggregator::new(AggregatorConfig::with_shards(shards));
-                for frame in &decoded {
-                    agg.ingest(frame);
-                }
-                agg.stats().records
-            })
-            .clone();
-        entries.push(json_entry(
-            &format!("aggregate/shards={shards}/serial"),
-            EDGES,
-            &serial,
-        ));
+    let serial = group
+        .bench("aggregate/serial", || {
+            let agg = ShardedAggregator::new(AggregatorConfig::default());
+            for frame in &decoded {
+                agg.ingest(frame);
+            }
+            agg.stats().records
+        })
+        .clone();
+    entries.push(json_entry("aggregate/serial", EDGES, &serial));
 
-        let streaming = group
-            .bench(&format!("aggregate/shards={shards}/streaming"), || {
-                let agg = ShardedAggregator::new(AggregatorConfig::with_shards(shards));
-                let mut scratch = IngestScratch::new();
-                for frame in &frames {
-                    agg.ingest_frame_bytes(frame, &mut scratch)
-                        .expect("own encoding ingests");
-                }
-                agg.stats().records
-            })
-            .clone();
-        entries.push(json_entry(
-            &format!("aggregate/shards={shards}/streaming"),
-            EDGES,
-            &streaming,
-        ));
+    let streaming = group
+        .bench("aggregate/streaming", || {
+            let agg = ShardedAggregator::new(AggregatorConfig::default());
+            let mut scratch = IngestScratch::new();
+            for frame in &frames {
+                agg.ingest_frame_bytes(frame, &mut scratch)
+                    .expect("own encoding ingests");
+            }
+            agg.stats().records
+        })
+        .clone();
+    entries.push(json_entry("aggregate/streaming", EDGES, &streaming));
 
-        let threaded = group
-            .bench(
-                &format!("aggregate/shards={shards}/threads={PUSHERS}"),
-                || {
-                    let agg = ShardedAggregator::new(AggregatorConfig::with_shards(shards));
-                    std::thread::scope(|scope| {
-                        let agg = &agg;
-                        for chunk in decoded.chunks(decoded.len().div_ceil(PUSHERS)) {
-                            scope.spawn(move || {
-                                for frame in chunk {
-                                    agg.ingest(frame);
-                                }
-                            });
+    let threaded = group
+        .bench(&format!("aggregate/threads={PUSHERS}"), || {
+            let agg = ShardedAggregator::new(AggregatorConfig::default());
+            std::thread::scope(|scope| {
+                let agg = &agg;
+                for chunk in decoded.chunks(decoded.len().div_ceil(PUSHERS)) {
+                    scope.spawn(move || {
+                        for frame in chunk {
+                            agg.ingest(frame);
                         }
                     });
-                    agg.stats().records
-                },
-            )
-            .clone();
-        entries.push(json_entry(
-            &format!("aggregate/shards={shards}/threads={PUSHERS}"),
-            EDGES,
-            &threaded,
-        ));
-    }
+                }
+            });
+            agg.stats().records
+        })
+        .clone();
+    entries.push(json_entry(
+        &format!("aggregate/threads={PUSHERS}"),
+        EDGES,
+        &threaded,
+    ));
 
-    // Pull-side costs against a fully loaded 8-shard aggregator:
-    // `pull/rebuild` pays the lock-merge-encode path every iteration
+    // Pull-side costs against a fully loaded aggregator:
+    // `pull/rebuild` pays the lock-seal-copy-encode path every iteration
     // (decay is 1.0, so the epoch advance changes no weight — it only
     // invalidates the cache); `pull/cached` measures the steady-state
     // hit path repeated `OP_PULL`s ride.
-    let loaded = ShardedAggregator::new(AggregatorConfig::with_shards(8));
+    let loaded = ShardedAggregator::new(AggregatorConfig::default());
     {
         let mut scratch = IngestScratch::new();
         for frame in &frames {
@@ -266,8 +250,8 @@ fn main() {
         &decode_snapshot,
     ));
 
-    // Durable-store write path: same frames, same 4-shard aggregator as
-    // aggregate/shards=4/streaming, plus a WAL append per frame with
+    // Durable-store write path: same frames, same aggregator as
+    // aggregate/streaming, plus a WAL append per frame with
     // fsync off (the async-durability configuration). Checkpointing is
     // disabled so the measurement is the steady-state append+apply cost.
     let store_config = StoreConfig {
@@ -278,7 +262,7 @@ fn main() {
     let wal_append = group
         .bench("wal/append", || {
             let dir = scratch_dir("wal-append");
-            let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4)));
+            let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
             let store = ProfileStore::open(&dir, agg, store_config.clone()).expect("open store");
             let mut scratch = IngestScratch::new();
             for frame in &frames {
@@ -308,7 +292,7 @@ fn main() {
     let concurrent = group
         .bench("wal/append_concurrent", || {
             let dir = scratch_dir("wal-conc");
-            let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4)));
+            let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
             let store = ProfileStore::open(
                 &dir,
                 agg,
@@ -348,7 +332,7 @@ fn main() {
     let single_lock = group
         .bench("wal/append_single_lock", || {
             let dir = scratch_dir("wal-lock");
-            let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4)));
+            let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
             let store = ProfileStore::open(
                 &dir,
                 agg,
@@ -390,7 +374,7 @@ fn main() {
     // to the replay itself.)
     let replay_dir = scratch_dir("recovery-replay");
     {
-        let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4)));
+        let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
         let store = ProfileStore::open(&replay_dir, agg, store_config.clone()).expect("open store");
         let mut scratch = IngestScratch::new();
         for frame in &frames {
@@ -401,7 +385,7 @@ fn main() {
     }
     let replay = group
         .bench("recovery/replay", || {
-            let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4)));
+            let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
             let store =
                 ProfileStore::open(&replay_dir, agg, store_config.clone()).expect("recovery opens");
             assert_eq!(

@@ -16,8 +16,8 @@
 //! dcgtool stats   <host:port>                    # ingestion + dedup counters
 //! dcgtool metrics <host:port>                    # telemetry text exposition
 //! dcgtool store inspect <dir>                    # durable-store summary
-//! dcgtool store compact <dir> [--shards <n>] [--decay <f64>]
-//!                       [--min-weight <f64>]     # checkpoint + truncate WAL
+//! dcgtool store compact <dir> [--decay <f64>] [--min-weight <f64>]
+//!                                                # checkpoint + truncate WAL
 //! ```
 //!
 //! `collect-all` profiles the whole suite (small inputs), sharding
@@ -535,7 +535,6 @@ fn run_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                         .ok_or_else(|| format!("{flag} requires a value").into())
                 };
                 match a.as_str() {
-                    "--shards" => agg_config.shards = value("--shards")?.parse()?,
                     "--decay" => agg_config.decay_factor = value("--decay")?.parse()?,
                     "--min-weight" => agg_config.min_weight = value("--min-weight")?.parse()?,
                     _ if dir.is_none() => dir = Some(a),
@@ -545,9 +544,10 @@ fn run_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             let dir = dir.ok_or("store compact needs a directory")?;
             // Recover the directory (replaying the WAL tail), then
             // checkpoint: the subsumed segments are deleted and the next
-            // open replays nothing. Aggregator geometry must match the
+            // open replays nothing. The decay settings must match the
             // server's so the checkpointed snapshot is the bytes the
             // server would serve.
+            agg_config.check()?;
             let aggregator = Arc::new(ShardedAggregator::new(agg_config));
             let store = ProfileStore::open(dir.as_str(), aggregator, StoreConfig::default())?;
             let r = store.recovery_report().clone();

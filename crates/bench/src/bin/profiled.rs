@@ -2,8 +2,8 @@
 //! TCP for a fleet of VMs, optionally backed by the durable store.
 //!
 //! ```text
-//! profiled [--addr <host:port>] [--shards <n>] [--decay <f64>]
-//!          [--min-weight <f64>] [--max-frame-bytes <n>] [--max-inflight <n>]
+//! profiled [--addr <host:port>] [--decay <f64>] [--min-weight <f64>]
+//!          [--max-frame-bytes <n>] [--max-inflight <n>]
 //!          [--dedup-cap <n>]
 //!          [--data-dir <dir>] [--checkpoint-every <frames>]
 //!          [--fsync always|never|<n>] [--group-commit <max-batch>[,<max-wait-us>]]
@@ -13,6 +13,11 @@
 //! one line `listening <addr>` on stdout so scripts can discover the
 //! port, then serves until killed. Push profiles with `dcgtool push`,
 //! read the merged fleet profile back with `dcgtool pull`.
+//!
+//! `--decay` (per-epoch factor in `[0, 1]`) and `--min-weight` (finite,
+//! non-negative pruning floor) are range-checked before anything is
+//! bound or recovered. `--shards <n>` is accepted and ignored: the
+//! aggregate is one graph under one lock.
 //!
 //! With `--data-dir`, every accepted push is appended to a write-ahead
 //! log before it is acknowledged and the directory is recovered on
@@ -57,7 +62,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let mut value = |flag: &str| it.next().ok_or(format!("{flag} requires a value"));
         match a.as_str() {
             "--addr" => addr = value("--addr")?,
-            "--shards" => agg_config.shards = value("--shards")?.parse()?,
+            "--shards" => {
+                value("--shards")?;
+            }
             "--decay" => agg_config.decay_factor = value("--decay")?.parse()?,
             "--min-weight" => agg_config.min_weight = value("--min-weight")?.parse()?,
             "--max-frame-bytes" => {
@@ -75,10 +82,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: profiled [--addr <host:port>] [--shards <n>] [--decay <f64>] \
-                     [--min-weight <f64>] [--max-frame-bytes <n>] [--max-inflight <n>] \
+                    "usage: profiled [--addr <host:port>] [--decay <f64>] [--min-weight <f64>] \
+                     [--max-frame-bytes <n>] [--max-inflight <n>] \
                      [--dedup-cap <n>] [--data-dir <dir>] [--checkpoint-every <frames>] \
-                     [--fsync always|never|<n>] [--group-commit <max-batch>[,<max-wait-us>]]"
+                     [--fsync always|never|<n>] [--group-commit <max-batch>[,<max-wait-us>]]\n\
+                     (--shards <n> is accepted and ignored: the aggregate is one graph)"
                 );
                 return Ok(());
             }
@@ -86,6 +94,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
+    agg_config.check()?;
     let aggregator = Arc::new(ShardedAggregator::new(agg_config));
     let mut server_config = ServerConfig {
         net: net_config,

@@ -6,6 +6,7 @@ use cbs_core::dcg::{serialize, CallEdge, DynamicCallGraph};
 use std::io::{BufRead as _, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn dcgtool(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_dcgtool"))
@@ -128,6 +129,7 @@ impl Drop for ServerGuard {
 }
 
 fn spawn_server() -> (ServerGuard, String) {
+    // `--shards` is an accepted-and-ignored spelling; it must still parse.
     let child = Command::new(env!("CARGO_BIN_EXE_profiled"))
         .args(["--addr", "127.0.0.1:0", "--shards", "4"])
         .stdout(Stdio::piped())
@@ -227,6 +229,72 @@ fn store_compact_refuses_a_directory_held_by_a_live_server() {
     assert!(
         out.status.success(),
         "compact works once the holder is gone: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// Runs `profiled` with arguments that must make it exit on its own; a
+/// daemon that starts serving instead is killed and the test fails.
+fn profiled_exit(args: &[&str]) -> std::process::Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_profiled"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("profiled spawns");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().expect("polls the child").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("profiled {args:?} kept running instead of refusing its config");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    child.wait_with_output().expect("collects output")
+}
+
+#[test]
+fn out_of_range_decay_settings_are_refused_before_the_data_dir_is_touched() {
+    // An infinite product passes the merge's `w > 0` filter and would be
+    // served, and checkpointed, as bytes no decoder accepts; a negative
+    // factor flips every weight's sign each epoch.
+    let dir = TempDir::new("badconfig");
+    let data = dir.path("store");
+    for (flag, value) in [
+        ("--decay", "inf"),
+        ("--decay", "nan"),
+        ("--decay", "2"),
+        ("--decay", "-0.5"),
+        ("--min-weight", "-1"),
+    ] {
+        let served = profiled_exit(&["--addr", "127.0.0.1:0", "--data-dir", &data, flag, value]);
+        let compacted = dcgtool(&["store", "compact", &data, flag, value]);
+        for (tool, out) in [("profiled", served), ("dcgtool", compacted)] {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{tool} accepted {flag} {value}");
+            assert!(
+                stderr.contains(flag),
+                "{tool} {flag} {value}: the error must name the flag: {stderr}"
+            );
+        }
+        assert!(
+            !Path::new(&data).exists(),
+            "{flag} {value}: refused only after the data dir was created"
+        );
+    }
+    // The range's edges are legal.
+    let out = dcgtool(&[
+        "store",
+        "compact",
+        &data,
+        "--decay",
+        "0",
+        "--min-weight",
+        "0",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
         String::from_utf8_lossy(&out.stderr)
     );
 }

@@ -15,9 +15,8 @@
 //! `gain` column.
 //!
 //! Determinism: VM cells run under [`run_cells`] (input-order results),
-//! frames are ingested serially in VM order, and the aggregator merges
-//! shards in index order, so the whole pipeline is bit-identical for any
-//! `--jobs` value.
+//! and frames are ingested serially in VM order, so the whole pipeline
+//! is bit-identical for any `--jobs` value.
 
 use super::ExperimentError;
 use crate::parallel::{run_cells, Parallelism};
@@ -192,7 +191,7 @@ pub fn fleet_with(scale: f64, jobs: Parallelism) -> Result<Fleet, ExperimentErro
     let mut rows = Vec::new();
     for (i, bench) in Benchmark::all().into_iter().enumerate() {
         let fleet = &profiles[i * FLEET_SIZE..(i + 1) * FLEET_SIZE];
-        let agg = ShardedAggregator::new(AggregatorConfig::with_shards(4));
+        let agg = ShardedAggregator::new(AggregatorConfig::default());
         let mut wire_bytes = 0;
         for vm in fleet {
             wire_bytes += stream_profile(&vm.sampled, &agg);
@@ -418,7 +417,7 @@ pub fn fleet_faults_with(
         // Fault-free reference: the same batches over a clean link.
         let clean_server = serve(
             "127.0.0.1:0",
-            Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4))),
+            Arc::new(ShardedAggregator::new(AggregatorConfig::default())),
             config,
         )
         .map_err(transport)?;
@@ -435,7 +434,7 @@ pub fn fleet_faults_with(
         // client per VM (schedules persist across its reconnects).
         let faulty_server = serve(
             "127.0.0.1:0",
-            Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4))),
+            Arc::new(ShardedAggregator::new(AggregatorConfig::default())),
             config,
         )
         .map_err(transport)?;

@@ -234,7 +234,7 @@ fn stream_over_wire(
 /// Serves one benchmark's fleet over loopback TCP and pulls the fleet
 /// plan back, checking the served bytes are stable across pulls.
 fn pull_fleet_plan(fleet: &[DynamicCallGraph]) -> Result<InlinePlan, ExperimentError> {
-    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4)));
+    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
     let server = serve("127.0.0.1:0", agg, NetConfig::default()).map_err(transport)?;
     let mut client =
         ProfileClient::connect(server.addr(), NetConfig::default()).map_err(transport)?;

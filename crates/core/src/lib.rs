@@ -19,7 +19,7 @@
 //!   the paper's three inliner policies;
 //! * [`adaptive`] — a full adaptive optimization system;
 //! * [`profiled`] — fleet-scale profile collection: a binary wire
-//!   codec, a sharded aggregation service, and its TCP server/client;
+//!   codec, a decaying aggregation service, and its TCP server/client;
 //! * [`store`] — the durable profile store: write-ahead log,
 //!   checkpoints, and bit-identical crash recovery for the server;
 //! * [`workloads`] — the 13-benchmark synthetic suite and adversarial

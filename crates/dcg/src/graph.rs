@@ -118,8 +118,8 @@ impl DynamicCallGraph {
     /// deferred: freshly interned slots go onto `self.pending` instead
     /// of being spliced into `sorted` one by one; [`seal`](Self::seal)
     /// restores the invariant once per batch (or once per *many*
-    /// batches — the profile server seals a shard only when it is about
-    /// to be read). A deferred ingest of `k` new edges costs `O(k)`
+    /// batches — the profile server seals its aggregate only when it is
+    /// about to be read). A deferred ingest of `k` new edges costs `O(k)`
     /// hash inserts now plus one `O(n + k log k)` seal later, instead
     /// of the `O(n·k)` of `k` eager vector splices.
     fn bump_deferred(&mut self, edge: CallEdge, weight: f64) {
@@ -154,14 +154,17 @@ impl DynamicCallGraph {
         if self.pending.is_empty() {
             return;
         }
-        let pending = std::mem::take(&mut self.pending);
         // Materialize packed comparison keys once (`pending` holds
         // slots in interning order, so this reads `edges` forward) —
         // sorting gathered 12-byte edges through a key closure would
-        // re-load a random slot per comparison.
-        let mut keyed: Vec<(u128, u32)> = pending
-            .iter()
-            .map(|&s| (self.edges[s as usize].sort_key(), s))
+        // re-load a random slot per comparison. Each word is the 96-bit
+        // edge key above the 32-bit slot: keys are unique per slot, so
+        // the words sort by edge, at 16 bytes an entry where a
+        // `(key, slot)` pair pads to 32 — the transient that sizes a
+        // seal's peak memory.
+        let mut keyed: Vec<u128> = std::mem::take(&mut self.pending)
+            .into_iter()
+            .map(|s| self.edges[s as usize].sort_key() << 32 | u128::from(s))
             .collect();
         keyed.sort_unstable();
         let old = &self.sorted;
@@ -175,10 +178,11 @@ impl DynamicCallGraph {
             // old slots before it is bulk-copied — `O(k log n)` gathered
             // comparisons plus one memcpy of the permutation.
             let mut i = 0;
-            for &(key, slot) in &keyed {
+            for &packed in &keyed {
+                let key = packed >> 32;
                 let run = old[i..].partition_point(|&s| edges[s as usize].sort_key() < key);
                 merged.extend_from_slice(&old[i..i + run]);
-                merged.push(slot);
+                merged.push(packed as u32);
                 i += run;
             }
             merged.extend_from_slice(&old[i..]);
@@ -186,16 +190,16 @@ impl DynamicCallGraph {
             // Comparable sizes: element-wise linear merge, `O(n + k)`.
             let (mut i, mut j) = (0, 0);
             while i < n && j < k {
-                if edges[old[i] as usize].sort_key() < keyed[j].0 {
+                if edges[old[i] as usize].sort_key() < keyed[j] >> 32 {
                     merged.push(old[i]);
                     i += 1;
                 } else {
-                    merged.push(keyed[j].1);
+                    merged.push(keyed[j] as u32);
                     j += 1;
                 }
             }
             merged.extend_from_slice(&old[i..]);
-            merged.extend(keyed[j..].iter().map(|&(_, s)| s));
+            merged.extend(keyed[j..].iter().map(|&packed| packed as u32));
         }
         self.sorted = merged;
     }
@@ -258,7 +262,7 @@ impl DynamicCallGraph {
     /// applied and point lookups ([`weight`](Self::weight)) see them,
     /// but the sorted permutation is left stale until the caller seals.
     ///
-    /// This is the aggregator's write-side fast path: a shard absorbing
+    /// This is the aggregator's write-side fast path: a graph absorbing
     /// thousands of frames between snapshot pulls pays for permutation
     /// maintenance once per *pull* instead of once per frame. Every
     /// ordered read (iteration, merge, drain, totals recomputation)
@@ -371,10 +375,11 @@ impl DynamicCallGraph {
     /// Merges every graph of `shards` into one, in iteration order.
     ///
     /// This is the deterministic reduction step of the parallel
-    /// experiment runner and of the profile server's snapshot rebuild:
-    /// shards are always passed in stable order, so the merged graph
-    /// (weights *and* total) is identical to what the serial path would
-    /// have accumulated.
+    /// experiment runner: shards are always passed in stable order, so
+    /// the merged graph (weights *and* total) is identical to what the
+    /// serial path would have accumulated. The profile server's snapshot
+    /// rebuild passes its one aggregate, for the copy with zero weights
+    /// dropped and the total re-summed in edge order.
     ///
     /// Bit-identical to folding [`merge`](Self::merge) over `shards`
     /// from an empty graph, but done as one k-way merge of the inputs'

@@ -1,82 +1,75 @@
-//! The sharded, decaying, fleet-wide profile aggregator.
+//! The decaying, fleet-wide profile aggregator.
 //!
-//! Frames from many VM instances are folded into `N` shard graphs,
-//! hash-partitioned by **caller** so every edge of a method — and hence
-//! every call site's whole receiver distribution — lives in exactly one
-//! shard. Ingestion from concurrent connections therefore contends only
-//! on the shards a frame actually touches, and the merge behind a pull
-//! only interleaves disjoint sorted runs.
+//! Frames from many VM instances are folded into **one** graph under
+//! one lock. Decoding happens outside it ([`partition_frame`]), so the
+//! lock covers only the weight adds. Finer locks would buy nothing:
+//! sequenced pushes and every durable push are serialized before they
+//! reach the aggregate (the in-memory journal's dedup mutex, the
+//! durable store's apply turnstile), and every pull reads the whole
+//! aggregate anyway (DESIGN §9.2 has the measurements). The type keeps
+//! its `ShardedAggregator` name for its callers.
 //!
 //! Freshness is a *virtual epoch clock*: [`advance_epoch`] only bumps an
-//! atomic counter; each shard applies one multiplicative decay pass per
-//! elapsed epoch lazily the next time it is locked. The catch-up is one
-//! `decay(factor)` **per epoch** rather than a single
+//! atomic counter; the aggregate applies one multiplicative decay pass
+//! per elapsed epoch lazily the next time it is locked. The catch-up is
+//! one `decay(factor)` **per epoch** rather than a single
 //! `decay(factor.powi(k))`: sequential single multiplies produce the
 //! same bit pattern no matter how the elapsed epochs are grouped across
 //! catch-ups, which is what lets a crash-recovered aggregator (whose
 //! catch-up points differ from the original run's) reproduce weights
 //! bit-for-bit.
 //!
-//! Consistency: [`merged_snapshot`] locks all shards (in index order —
-//! every multi-shard path uses that order, so there is no lock-order
-//! inversion), brings each to the current epoch, and merges in shard
-//! order. The result is a true cut: it contains exactly the frames
-//! ingested before the lock sweep completed, and two snapshots of the
-//! same ingestion history are bit-identical.
+//! Consistency: [`merged_snapshot`] locks the aggregate, brings it to
+//! the current epoch, seals it, and copies it out through
+//! [`DynamicCallGraph::merge_all`] (zero weights dropped, total
+//! re-summed in edge order). The result is a true cut: it contains
+//! exactly the frames ingested before the lock was taken, and two
+//! snapshots of the same ingestion history are bit-identical.
 //!
+//! [`partition_frame`]: ShardedAggregator::partition_frame
 //! [`advance_epoch`]: ShardedAggregator::advance_epoch
 //! [`merged_snapshot`]: ShardedAggregator::merged_snapshot
 
 use crate::codec::{CodecError, DcgCodec, DcgFrame, FrameKind};
 use crate::metrics::ProfiledMetrics;
-use cbs_bytecode::MethodId;
 use cbs_dcg::{CallEdge, DynamicCallGraph};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Reusable scratch for partitioning a frame's records into per-shard
-/// buckets.
+/// Reusable scratch holding one frame's decoded records between
+/// [`ShardedAggregator::partition_frame`] and
+/// [`ShardedAggregator::apply_partitioned`].
 ///
 /// One instance per connection (or per ingesting thread) makes the
-/// steady-state ingest path allocation-free: the bucket `Vec`s are
+/// steady-state ingest path allocation-free: the record `Vec` is
 /// cleared — not dropped — between frames, so after the first few
-/// frames their capacity plateaus and every subsequent partition only
-/// writes into retained storage.
+/// frames its capacity plateaus.
 #[derive(Debug, Default)]
 pub struct IngestScratch {
-    buckets: Vec<Vec<(CallEdge, f64)>>,
+    records: Vec<(CallEdge, f64)>,
 }
 
 impl IngestScratch {
-    /// Creates an empty scratch; buckets are sized lazily on first use.
+    /// Creates an empty scratch; it grows on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Ensures one (empty) bucket per shard, retaining capacity.
-    fn reset(&mut self, shards: usize) {
-        self.buckets.resize_with(shards, Vec::new);
-        for b in &mut self.buckets {
-            b.clear();
-        }
     }
 }
 
 /// Tuning for a [`ShardedAggregator`].
 #[derive(Debug, Clone, Copy)]
 pub struct AggregatorConfig {
-    /// Number of shards (`0` is treated as `1`).
-    pub shards: usize,
-    /// Per-epoch multiplicative decay (`1.0` disables decay).
+    /// Per-epoch multiplicative decay in `[0, 1]` (`1.0` disables
+    /// decay).
     pub decay_factor: f64,
-    /// Edges whose decayed weight falls below this are dropped.
+    /// Edges whose decayed weight falls below this (finite,
+    /// non-negative) floor are dropped.
     pub min_weight: f64,
 }
 
 impl Default for AggregatorConfig {
     fn default() -> Self {
         Self {
-            shards: 4,
             decay_factor: 1.0,
             min_weight: 0.0,
         }
@@ -84,18 +77,46 @@ impl Default for AggregatorConfig {
 }
 
 impl AggregatorConfig {
-    /// Config with `shards` shards and decay disabled.
-    pub fn with_shards(shards: usize) -> Self {
-        Self {
-            shards,
-            ..Self::default()
+    /// The default config. The shard count is accepted and ignored: the
+    /// aggregate is one graph, and this spelling survives only for
+    /// callers that still pass one.
+    pub fn with_shards(_shards: usize) -> Self {
+        Self::default()
+    }
+
+    /// Rejects a config whose weights would leave the finite, positive
+    /// range: an infinite or NaN product passes the merge's `w > 0`
+    /// filter and is then served and checkpointed as bytes no decoder
+    /// accepts, and a negative factor flips every weight's sign each
+    /// epoch. The error names the command-line flag that sets the
+    /// field.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `--decay` for a non-finite `decay_factor` or one
+    /// outside `[0, 1]`, or `--min-weight` for a non-finite or negative
+    /// `min_weight`.
+    pub fn check(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.decay_factor) {
+            return Err(format!(
+                "--decay must be a finite factor in [0, 1], got {}",
+                self.decay_factor
+            ));
         }
+        if !(self.min_weight.is_finite() && self.min_weight >= 0.0) {
+            return Err(format!(
+                "--min-weight must be finite and non-negative, got {}",
+                self.min_weight
+            ));
+        }
+        Ok(())
     }
 }
 
-/// One shard: a graph plus the epoch its decay has been applied up to.
+/// The aggregate: one graph plus the epoch its decay has been applied
+/// up to.
 #[derive(Debug, Default)]
-struct Shard {
+struct Aggregate {
     graph: DynamicCallGraph,
     epoch: u64,
 }
@@ -103,12 +124,12 @@ struct Shard {
 /// A merged snapshot (graph + its canonical encoding) stamped with the
 /// generation it was built from.
 ///
-/// The stamp is read *before* the shard sweep that builds the snapshot,
-/// while mutators bump the generation *after* applying their records —
-/// so a cached entry can only be stamped older than the data it holds,
-/// never newer. A stale stamp therefore forces at worst a redundant
-/// rebuild of identical bytes; it can never serve data older than its
-/// generation.
+/// The stamp is read *before* the aggregate is locked to build the
+/// snapshot, while mutators bump the generation *after* applying their
+/// records — so a cached entry can only be stamped older than the data
+/// it holds, never newer. A stale stamp therefore forces at worst a
+/// redundant rebuild of identical bytes; it can never serve data older
+/// than its generation.
 #[derive(Debug)]
 struct SnapshotCache {
     generation: u64,
@@ -133,24 +154,17 @@ pub struct AggregatorStats {
     pub records: u64,
     /// Current epoch.
     pub epoch: u64,
-    /// Distinct edges currently held, per shard (index order).
-    pub shard_edges: Vec<usize>,
+    /// Distinct edges currently held.
+    pub edges: usize,
 }
 
-impl AggregatorStats {
-    /// Distinct edges across all shards.
-    pub fn total_edges(&self) -> usize {
-        self.shard_edges.iter().sum()
-    }
-}
-
-/// A concurrent, sharded, epoch-decayed profile aggregator.
+/// A concurrent, epoch-decayed profile aggregator.
 ///
 /// All methods take `&self`; the type is `Sync` and is shared across
 /// server connection threads behind an `Arc`.
 #[derive(Debug)]
 pub struct ShardedAggregator {
-    shards: Vec<Mutex<Shard>>,
+    aggregate: Mutex<Aggregate>,
     epoch: AtomicU64,
     frames: AtomicU64,
     records: AtomicU64,
@@ -167,9 +181,8 @@ pub struct ShardedAggregator {
 impl ShardedAggregator {
     /// Creates an empty aggregator.
     pub fn new(config: AggregatorConfig) -> Self {
-        let n = config.shards.max(1);
         Self {
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
+            aggregate: Mutex::new(Aggregate::default()),
             epoch: AtomicU64::new(0),
             frames: AtomicU64::new(0),
             records: AtomicU64::new(0),
@@ -181,36 +194,12 @@ impl ShardedAggregator {
         }
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard an edge belongs to. Partitioning is by caller, mixed
-    /// through SplitMix64's finalizer so dense `MethodId`s spread evenly
-    /// over any shard count.
-    pub fn shard_of(&self, caller: MethodId) -> usize {
-        let mut z = u64::from(u32::from(caller)).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z % self.shards.len() as u64) as usize
-    }
-
-    /// Locks `shard` and brings its decay up to the current epoch.
-    fn locked_current(&self, shard: usize) -> MutexGuard<'_, Shard> {
+    /// Locks the aggregate and brings its decay up to the current epoch.
+    fn locked_current(&self) -> MutexGuard<'_, Aggregate> {
         let epoch = self.epoch.load(Ordering::Acquire);
-        let mut guard = self.shards[shard].lock().expect("shard lock");
-        Self::catch_up(&mut guard, epoch, self.decay_factor, self.min_weight);
-        guard
-    }
-
-    /// Applies the lazy decay catch-up to one locked shard (shared by
-    /// [`locked_current`](Self::locked_current) and
-    /// [`merged_snapshot`](Self::merged_snapshot)).
-    fn catch_up(guard: &mut Shard, epoch: u64, decay_factor: f64, min_weight: f64) {
+        let mut guard = self.aggregate.lock().expect("aggregate lock");
         if guard.epoch < epoch {
-            if decay_factor != 1.0 {
+            if self.decay_factor != 1.0 {
                 let m = ProfiledMetrics::get();
                 let before = guard.graph.num_edges();
                 // One multiply per elapsed epoch, never a pre-folded
@@ -222,7 +211,7 @@ impl ShardedAggregator {
                 // bit-identical. Pruning per pass matches eager
                 // per-epoch decay exactly.
                 for _ in guard.epoch..epoch {
-                    guard.graph.decay(decay_factor, min_weight);
+                    guard.graph.decay(self.decay_factor, self.min_weight);
                 }
                 m.agg_decay_catchups.inc();
                 m.agg_pruned_edges
@@ -230,33 +219,26 @@ impl ShardedAggregator {
             }
             guard.epoch = epoch;
         }
+        guard
     }
 
-    /// Folds a decoded frame into the shards.
+    /// Folds a decoded frame into the aggregate.
     ///
     /// Snapshot and delta frames are both *additive*: a snapshot is a
     /// VM's first flush, deltas are its subsequent growth, so the
     /// aggregate over a fleet is simply the sum of everything pushed
-    /// (then decayed by the epoch clock). The records are partitioned
-    /// into per-shard buckets in **one pass**; each bucket preserves the
-    /// input (edge-sorted) order of its shard's records, so repeated
-    /// ingestion histories stay bit-identical.
+    /// (then decayed by the epoch clock). Records apply in frame
+    /// (edge-sorted) order, so repeated ingestion histories stay
+    /// bit-identical.
     pub fn ingest(&self, frame: &DcgFrame) {
-        let mut scratch = IngestScratch::new();
-        scratch.reset(self.shards.len());
-        for &(e, w) in &frame.edges {
-            scratch.buckets[self.shard_of(e.caller)].push((e, w));
-        }
-        self.apply_partitioned(&mut scratch);
+        self.apply(&frame.edges);
     }
 
-    /// Decodes an encoded frame *streamingly* into the shards: records
-    /// fold straight into the partitioning scratch as they are decoded,
-    /// with no intermediate `Vec<(CallEdge, f64)>`.
+    /// Decodes an encoded frame and folds it into the aggregate.
     ///
-    /// All-or-nothing: the frame is fully validated before any shard is
-    /// touched, so a malformed frame applies nothing. Returns the frame
-    /// kind and the number of records applied.
+    /// All-or-nothing: the frame is fully validated before the
+    /// aggregate is touched, so a malformed frame applies nothing.
+    /// Returns the frame kind and the number of records applied.
     ///
     /// # Errors
     ///
@@ -272,16 +254,16 @@ impl ShardedAggregator {
         Ok((kind, count))
     }
 
-    /// Decodes and partitions an encoded frame into `scratch`'s
-    /// per-shard buckets without touching any shard — the validation
-    /// half of [`ingest_frame_bytes`](Self::ingest_frame_bytes).
+    /// Decodes an encoded frame into `scratch` without touching the
+    /// aggregate — the validation half of
+    /// [`ingest_frame_bytes`](Self::ingest_frame_bytes).
     ///
     /// Accepts and rejects exactly the inputs [`DcgCodec::decode`]
-    /// does, and a frame that partitions cleanly always applies. The
-    /// durable store splits its write path on this boundary: partition
+    /// does, and a frame that decodes cleanly always applies. The
+    /// durable store splits its write path on this boundary: decode
     /// *before* journaling (with concurrent appenders a bad frame can
     /// no longer be truncated back off the log, so it must prove itself
-    /// first), then fold the already-decoded buckets in under the apply
+    /// first), then fold the already-decoded records in under the apply
     /// turnstile — one decode per record instead of a validation pass
     /// plus a decode pass.
     pub fn partition_frame(
@@ -291,39 +273,32 @@ impl ShardedAggregator {
     ) -> Result<(FrameKind, usize), CodecError> {
         let iter = DcgCodec::records(bytes)?;
         let kind = iter.kind();
-        scratch.reset(self.shards.len());
-        let single = self.shards.len() == 1;
-        let mut count = 0usize;
+        scratch.records.clear();
         for rec in iter {
-            let (e, w) = rec?;
-            let shard = if single { 0 } else { self.shard_of(e.caller) };
-            scratch.buckets[shard].push((e, w));
-            count += 1;
+            scratch.records.push(rec?);
         }
-        Ok((kind, count))
+        Ok((kind, scratch.records.len()))
     }
 
-    /// Folds buckets previously filled by
-    /// [`partition_frame`](Self::partition_frame) into the shards and
-    /// does the per-frame bookkeeping. Returns the record count
-    /// applied (the partition's count: the buckets drain into the
-    /// shards exactly as filled).
-    ///
-    /// Each touched shard is locked once, in index order. Records are
-    /// applied *deferred*: weights land immediately, but the shard's
-    /// sorted permutation is left stale until the next snapshot rebuild
-    /// seals it. A shard absorbing thousands of frames between pulls
-    /// therefore pays for permutation maintenance once per pull, not
-    /// per frame.
+    /// Folds records previously decoded by
+    /// [`partition_frame`](Self::partition_frame) into the aggregate and
+    /// does the per-frame bookkeeping. Returns the record count applied
+    /// (the partition's count) and leaves `scratch` empty.
     pub fn apply_partitioned(&self, scratch: &mut IngestScratch) -> usize {
-        let count = scratch.buckets.iter().map(Vec::len).sum();
-        for (shard, bucket) in scratch.buckets.iter_mut().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut guard = self.locked_current(shard);
-            guard.graph.record_all_deferred(bucket);
-            bucket.clear();
+        let count = self.apply(&scratch.records);
+        scratch.records.clear();
+        count
+    }
+
+    /// Applies one frame's records *deferred*: weights land immediately,
+    /// but the graph's sorted permutation is left stale until the next
+    /// snapshot rebuild seals it. An aggregate absorbing thousands of
+    /// frames between pulls therefore pays for permutation maintenance
+    /// once per pull, not per frame.
+    fn apply(&self, records: &[(CallEdge, f64)]) -> usize {
+        let count = records.len();
+        if count > 0 {
+            self.locked_current().graph.record_all_deferred(records);
         }
         let m = ProfiledMetrics::get();
         self.frames.fetch_add(1, Ordering::Relaxed);
@@ -338,8 +313,9 @@ impl ShardedAggregator {
 
     /// Advances the virtual epoch clock by one, returning the new epoch.
     ///
-    /// O(1): shards decay lazily on their next lock. Invalidates the
-    /// snapshot cache (the next snapshot must re-run decay catch-up).
+    /// O(1): the aggregate decays lazily on its next lock. Invalidates
+    /// the snapshot cache (the next snapshot must re-run decay
+    /// catch-up).
     pub fn advance_epoch(&self) -> u64 {
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         self.generation.fetch_add(1, Ordering::Release);
@@ -358,21 +334,19 @@ impl ShardedAggregator {
     }
 
     /// Restores the epoch clock after recovery: sets the global epoch
-    /// **and** stamps every shard as already decayed through it, so no
+    /// **and** stamps the aggregate as already decayed through it, so no
     /// catch-up decay fires for the restored span.
     ///
     /// A checkpoint snapshot is captured post-catch-up — its weights
     /// already reflect every decay through its epoch. Re-ingesting it
     /// into a fresh aggregator (epoch 0) and then calling
     /// `restore_clock(epoch)` therefore reproduces the checkpointed
-    /// shard state exactly; decaying again would double-apply.
+    /// state exactly; decaying again would double-apply.
     ///
     /// Recovery-only: callers must be the sole owner (no concurrent
     /// ingest), as during `ProfileStore::open`.
     pub fn restore_clock(&self, epoch: u64) {
-        for shard in &self.shards {
-            shard.lock().expect("shard lock").epoch = epoch;
-        }
+        self.aggregate.lock().expect("aggregate lock").epoch = epoch;
         self.epoch.store(epoch, Ordering::Release);
         self.generation.fetch_add(1, Ordering::Release);
     }
@@ -387,38 +361,27 @@ impl ShardedAggregator {
         self.records.store(records, Ordering::Relaxed);
     }
 
-    /// Builds a merged snapshot from the live shards: all shards locked
-    /// (index order), decayed to the current epoch, sealed, and merged in
-    /// one pass over their sorted runs.
-    ///
-    /// Caller-partitioning means every edge lives in exactly one shard,
-    /// so the merge only interleaves disjoint runs; the merged graph —
-    /// including its canonically re-summed total — does not depend on
-    /// the shard count.
+    /// Builds a merged snapshot from the live aggregate: locked, decayed
+    /// to the current epoch, sealed — the read boundary where the
+    /// deferred ingest tail's permutation debt is settled at once — and
+    /// copied out through `merge_all`, which drops zero weights and
+    /// re-sums the total in edge order.
     fn rebuild_merged(&self) -> DynamicCallGraph {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let mut guards: Vec<MutexGuard<'_, Shard>> = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let mut guard = shard.lock().expect("shard lock");
-            Self::catch_up(&mut guard, epoch, self.decay_factor, self.min_weight);
-            // Seal the deferred ingest tail: this is the read boundary
-            // where the per-frame permutation debt is settled at once.
-            guard.graph.seal();
-            guards.push(guard);
-        }
-        DynamicCallGraph::merge_all(guards.iter().map(|g| &g.graph))
+        let mut guard = self.locked_current();
+        guard.graph.seal();
+        DynamicCallGraph::merge_all([&guard.graph])
     }
 
     /// The cached `(graph, encoded)` pair for the current generation,
     /// rebuilding on a cold or stale cache.
     ///
     /// The generation stamp is read under the cache lock *before* the
-    /// shard sweep; mutators bump it *after* applying. A concurrent push
-    /// can therefore make a just-built entry carry data newer than its
-    /// stamp (forcing one redundant rebuild later) but never older — a
-    /// cache hit is always at least as fresh as the generation it
-    /// matched. Holding the cache lock across the rebuild also
-    /// serializes concurrent pullers onto one rebuild instead of N.
+    /// aggregate is locked; mutators bump it *after* applying. A
+    /// concurrent push can therefore make a just-built entry carry data
+    /// newer than its stamp (forcing one redundant rebuild later) but
+    /// never older — a cache hit is always at least as fresh as the
+    /// generation it matched. Holding the cache lock across the rebuild
+    /// also serializes concurrent pullers onto one rebuild instead of N.
     fn cached_snapshot(&self) -> (Arc<DynamicCallGraph>, Arc<Vec<u8>>) {
         let m = ProfiledMetrics::get();
         let mut cache = self.cache.lock().expect("snapshot cache lock");
@@ -443,8 +406,7 @@ impl ShardedAggregator {
 
     /// A consistent fleet-wide snapshot, shared from the
     /// generation-stamped cache (rebuilt only after ingest or an epoch
-    /// advance). The graph is bit-identical to locking all shards and
-    /// merging them in shard order.
+    /// advance).
     pub fn merged_snapshot(&self) -> Arc<DynamicCallGraph> {
         self.cached_snapshot().0
     }
@@ -491,17 +453,18 @@ impl ShardedAggregator {
         encoded
     }
 
-    /// Ingestion counters and per-shard sizes.
+    /// Ingestion counters and the aggregate's size.
     pub fn stats(&self) -> AggregatorStats {
         AggregatorStats {
             frames: self.frames.load(Ordering::Relaxed),
             records: self.records.load(Ordering::Relaxed),
             epoch: self.epoch(),
-            shard_edges: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("shard lock").graph.num_edges())
-                .collect(),
+            edges: self
+                .aggregate
+                .lock()
+                .expect("aggregate lock")
+                .graph
+                .num_edges(),
         }
     }
 }
@@ -509,7 +472,7 @@ impl ShardedAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbs_bytecode::CallSiteId;
+    use cbs_bytecode::{CallSiteId, MethodId};
 
     fn e(caller: u32, site: u32, callee: u32) -> CallEdge {
         CallEdge::new(
@@ -530,57 +493,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_merge_equals_direct_merge_for_any_shard_count() {
-        let a = graph(&[(e(0, 0, 1), 3.0), (e(7, 1, 2), 1.0), (e(93, 2, 3), 4.0)]);
-        let b = graph(&[(e(0, 0, 1), 2.0), (e(41, 3, 5), 8.0)]);
-        let expected = DynamicCallGraph::merge_all([&a, &b]);
-        for shards in [1, 2, 4, 8, 13] {
-            let agg = ShardedAggregator::new(AggregatorConfig::with_shards(shards));
-            agg.ingest(&DcgCodec::decode(&DcgCodec::encode_snapshot(&a)).unwrap());
-            agg.ingest(&DcgCodec::decode(&DcgCodec::encode_snapshot(&b)).unwrap());
-            let merged = agg.merged_snapshot();
-            assert_eq!(*merged, expected, "shards={shards}");
-            assert_eq!(agg.stats().frames, 2);
-            assert_eq!(agg.stats().records, 5);
-            assert_eq!(agg.stats().total_edges(), merged.num_edges());
+    fn decaying(decay_factor: f64, min_weight: f64) -> AggregatorConfig {
+        AggregatorConfig {
+            decay_factor,
+            min_weight,
         }
     }
 
     #[test]
-    fn caller_partitioning_keeps_sites_whole() {
-        let agg = ShardedAggregator::new(AggregatorConfig::with_shards(8));
-        // Virtual site 4 in caller 2 dispatches to three receivers.
-        agg.ingest(&delta(&[
-            (e(2, 4, 10), 50.0),
-            (e(2, 4, 11), 45.0),
-            (e(2, 4, 12), 5.0),
-            (e(3, 9, 10), 100.0),
-        ]));
+    fn aggregate_equals_direct_merge() {
+        let a = graph(&[(e(0, 0, 1), 3.0), (e(7, 1, 2), 1.0), (e(93, 2, 3), 4.0)]);
+        let b = graph(&[(e(0, 0, 1), 2.0), (e(41, 3, 5), 8.0)]);
+        let expected = DynamicCallGraph::merge_all([&a, &b]);
+        let agg = ShardedAggregator::new(AggregatorConfig::default());
+        agg.ingest(&DcgCodec::decode(&DcgCodec::encode_snapshot(&a)).unwrap());
+        agg.ingest(&DcgCodec::decode(&DcgCodec::encode_snapshot(&b)).unwrap());
         let merged = agg.merged_snapshot();
-        let dist = merged.site_distribution(CallSiteId::new(4));
-        assert_eq!(dist.len(), 3);
-        assert_eq!(dist[0], (MethodId::new(10), 50.0));
-        // 40%-rule shares are exact per-site fractions.
-        let total: f64 = dist.iter().map(|(_, w)| w).sum();
-        assert!((dist[0].1 / total - 0.5).abs() < 1e-12);
-        assert_eq!(merged.outgoing_weight(MethodId::new(2)), 100.0);
-        // All of caller 2's edges share one shard.
-        let s = agg.shard_of(MethodId::new(2));
-        let shard_sizes = agg.stats().shard_edges;
-        assert!(shard_sizes[s] >= 3);
+        assert_eq!(*merged, expected);
+        assert_eq!(agg.stats().frames, 2);
+        assert_eq!(agg.stats().records, 5);
+        assert_eq!(agg.stats().edges, merged.num_edges());
     }
 
     #[test]
     fn lazy_epoch_decay_matches_eager_per_epoch_decay() {
-        let cfg = AggregatorConfig {
-            shards: 4,
-            decay_factor: 0.5,
-            min_weight: 0.0,
-        };
-        let agg = ShardedAggregator::new(cfg);
+        let agg = ShardedAggregator::new(decaying(0.5, 0.0));
         agg.ingest(&delta(&[(e(0, 0, 1), 16.0), (e(9, 1, 2), 4.0)]));
-        // Three epochs pass without the shards being touched.
+        // Three epochs pass without the aggregate being touched.
         agg.advance_epoch();
         agg.advance_epoch();
         agg.advance_epoch();
@@ -596,19 +535,15 @@ mod tests {
         assert_eq!(agg.epoch(), 3);
     }
 
-    /// Decay catch-up must be grouping-invariant at the bit level: a
-    /// shard that sleeps through k epochs and catches up once must end
-    /// with weights bit-identical to one that was brought current after
-    /// every single epoch. (A folded `powi(k)` catch-up fails this —
-    /// `(w·f)·f != w·(f·f)` in the last rounding bit — which would make
-    /// recovered state depend on pre-crash pull timing.)
+    /// Decay catch-up must be grouping-invariant at the bit level: an
+    /// aggregate that sleeps through k epochs and catches up once must
+    /// end with weights bit-identical to one that was brought current
+    /// after every single epoch. (A folded `powi(k)` catch-up fails this
+    /// — `(w·f)·f != w·(f·f)` in the last rounding bit — which would
+    /// make recovered state depend on pre-crash pull timing.)
     #[test]
     fn decay_catch_up_is_bit_invariant_across_groupings() {
-        let cfg = AggregatorConfig {
-            shards: 4,
-            decay_factor: 0.9,
-            min_weight: 0.0,
-        };
+        let cfg = decaying(0.9, 0.0);
         let records: Vec<(CallEdge, f64)> = (0..64u32)
             .map(|i| (e(i % 7, i % 3, i % 5), 0.1 + f64::from(i) / 3.0))
             .collect();
@@ -619,7 +554,7 @@ mod tests {
         for _ in 0..5 {
             lazy.advance_epoch();
             eager.advance_epoch();
-            // Forcing a snapshot brings every shard current each epoch.
+            // Forcing a snapshot brings the aggregate current each epoch.
             let _ = eager.encoded_snapshot();
         }
         assert_eq!(
@@ -634,11 +569,7 @@ mod tests {
     /// original bytes, and decay resumes identically afterwards.
     #[test]
     fn restore_clock_resumes_without_double_decay() {
-        let cfg = AggregatorConfig {
-            shards: 4,
-            decay_factor: 0.5,
-            min_weight: 0.0,
-        };
+        let cfg = decaying(0.5, 0.0);
         let original = ShardedAggregator::new(cfg);
         original.ingest(&delta(&[(e(0, 0, 1), 16.0), (e(9, 1, 2), 5.5)]));
         original.advance_epoch();
@@ -666,12 +597,7 @@ mod tests {
 
     #[test]
     fn decay_prunes_below_min_weight() {
-        let cfg = AggregatorConfig {
-            shards: 2,
-            decay_factor: 0.1,
-            min_weight: 0.5,
-        };
-        let agg = ShardedAggregator::new(cfg);
+        let agg = ShardedAggregator::new(decaying(0.1, 0.5));
         agg.ingest(&delta(&[(e(0, 0, 1), 100.0), (e(1, 1, 2), 1.0)]));
         agg.advance_epoch();
         let merged = agg.merged_snapshot();
@@ -681,8 +607,7 @@ mod tests {
 
     #[test]
     fn concurrent_ingestion_converges_to_the_same_multiset() {
-        use std::sync::Arc;
-        let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4)));
+        let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
         let frames: Vec<Vec<(CallEdge, f64)>> = (0..16u32)
             .map(|i| {
                 (0..50u32)
@@ -691,7 +616,7 @@ mod tests {
             })
             .collect();
         // Expected: same records ingested serially.
-        let serial = ShardedAggregator::new(AggregatorConfig::with_shards(4));
+        let serial = ShardedAggregator::new(AggregatorConfig::default());
         for f in &frames {
             serial.ingest(&delta(f));
         }
@@ -714,35 +639,33 @@ mod tests {
 
     #[test]
     fn streaming_ingest_is_bit_identical_to_decoded_ingest() {
-        for shards in [1, 4, 8] {
-            let mut g = DynamicCallGraph::new();
-            for i in 0..200u32 {
-                g.record(e(i % 23, i % 7, i % 11), 0.25 + f64::from(i));
-            }
-            let bytes = DcgCodec::encode_snapshot(&g);
-
-            let decoded = ShardedAggregator::new(AggregatorConfig::with_shards(shards));
-            decoded.ingest(&DcgCodec::decode(&bytes).unwrap());
-            let streamed = ShardedAggregator::new(AggregatorConfig::with_shards(shards));
-            let mut scratch = IngestScratch::new();
-            let (kind, n) = streamed.ingest_frame_bytes(&bytes, &mut scratch).unwrap();
-            assert_eq!(kind, crate::codec::FrameKind::Snapshot);
-            assert_eq!(n, g.num_edges());
-            assert_eq!(streamed.stats(), decoded.stats(), "shards={shards}");
-            let a = streamed.merged_snapshot();
-            let b = decoded.merged_snapshot();
-            assert_eq!(a, b, "shards={shards}");
-            assert_eq!(
-                DcgCodec::encode_snapshot(&a),
-                DcgCodec::encode_snapshot(&b),
-                "encodings must match byte-for-byte (shards={shards})"
-            );
+        let mut g = DynamicCallGraph::new();
+        for i in 0..200u32 {
+            g.record(e(i % 23, i % 7, i % 11), 0.25 + f64::from(i));
         }
+        let bytes = DcgCodec::encode_snapshot(&g);
+
+        let decoded = ShardedAggregator::new(AggregatorConfig::default());
+        decoded.ingest(&DcgCodec::decode(&bytes).unwrap());
+        let streamed = ShardedAggregator::new(AggregatorConfig::default());
+        let mut scratch = IngestScratch::new();
+        let (kind, n) = streamed.ingest_frame_bytes(&bytes, &mut scratch).unwrap();
+        assert_eq!(kind, crate::codec::FrameKind::Snapshot);
+        assert_eq!(n, g.num_edges());
+        assert_eq!(streamed.stats(), decoded.stats());
+        let a = streamed.merged_snapshot();
+        let b = decoded.merged_snapshot();
+        assert_eq!(a, b);
+        assert_eq!(
+            DcgCodec::encode_snapshot(&a),
+            DcgCodec::encode_snapshot(&b),
+            "encodings must match byte-for-byte"
+        );
     }
 
     #[test]
     fn bad_frame_applies_nothing() {
-        let agg = ShardedAggregator::new(AggregatorConfig::with_shards(4));
+        let agg = ShardedAggregator::new(AggregatorConfig::default());
         let mut g = DynamicCallGraph::new();
         g.record(e(1, 2, 3), 5.0);
         g.record(e(4, 5, 6), 7.0);
@@ -763,8 +686,7 @@ mod tests {
 
     #[test]
     fn snapshot_cache_hits_until_invalidated() {
-        use std::sync::Arc;
-        let agg = ShardedAggregator::new(AggregatorConfig::with_shards(4));
+        let agg = ShardedAggregator::new(AggregatorConfig::default());
         agg.ingest(&delta(&[(e(0, 0, 1), 2.0), (e(9, 1, 2), 3.0)]));
 
         let first = agg.encoded_snapshot();
@@ -797,13 +719,5 @@ mod tests {
             "advance_epoch must invalidate the cached encoding"
         );
         assert_eq!(*before_epoch, *after_epoch, "decay 1.0: same bytes rebuilt");
-    }
-
-    #[test]
-    fn zero_shards_clamps_to_one() {
-        let agg = ShardedAggregator::new(AggregatorConfig::with_shards(0));
-        assert_eq!(agg.num_shards(), 1);
-        agg.ingest(&delta(&[(e(0, 0, 1), 1.0)]));
-        assert_eq!(agg.merged_snapshot().num_edges(), 1);
     }
 }

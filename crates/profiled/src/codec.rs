@@ -298,9 +298,9 @@ fn read_weight_nonneg(r: &mut Reader<'_>) -> Result<f64, CodecError> {
 /// records into an aggregate must drain the iterator and abort on any
 /// `Err` without applying partial results.
 ///
-/// This is the server's decode-into-aggregate fast path: frames fold
-/// straight into shard buckets without materializing an intermediate
-/// record vector.
+/// This is the server's decode-into-aggregate fast path: frames decode
+/// straight into the connection's reused ingest scratch, with no
+/// per-frame allocation.
 #[derive(Debug)]
 pub struct RecordIter<'a> {
     r: Reader<'a>,

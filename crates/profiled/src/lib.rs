@@ -10,9 +10,9 @@
 //!   delta-encoded 96-bit edge keys, bit-exact weights, and two frame
 //!   kinds (full *snapshot*, incremental *delta* fed by
 //!   [`cbs_dcg::DynamicCallGraph::drain_delta`]);
-//! * [`aggregator`] — [`ShardedAggregator`], hash-partitioned by caller
-//!   across N shards with a lazily-applied exponential-decay epoch
-//!   clock and consistent, generation-cached merged snapshots;
+//! * [`aggregator`] — [`ShardedAggregator`], one graph under one lock
+//!   with a lazily-applied exponential-decay epoch clock and
+//!   consistent, generation-cached merged snapshots;
 //! * [`server`]/[`client`] — a `std::net` TCP service speaking
 //!   length-prefixed frames with per-connection timeouts, frame-size and
 //!   inflight-connection limits, and malformed-frame rejection that
@@ -55,7 +55,7 @@
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4)));
+//! let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
 //! let server = serve("127.0.0.1:0", agg, NetConfig::default())?;
 //!
 //! let mut vm_profile = DynamicCallGraph::new();

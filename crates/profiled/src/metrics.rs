@@ -70,12 +70,12 @@ pub struct ProfiledMetrics {
     pub agg_frames: Counter,
     /// Edge records folded into the aggregator.
     pub agg_records: Counter,
-    /// Lazy decay catch-ups applied to a shard.
+    /// Lazy decay catch-ups applied to the aggregate.
     pub agg_decay_catchups: Counter,
     /// Edges pruned by decay (weight fell below the floor).
     pub agg_pruned_edges: Counter,
-    /// Snapshot-cache hits: merged snapshot served without touching
-    /// any shard.
+    /// Snapshot-cache hits: merged snapshot served without locking
+    /// the aggregate.
     pub agg_cache_hits: Counter,
     /// Snapshot-cache misses: a merged snapshot was rebuilt (cold cache
     /// or stale generation).
@@ -86,7 +86,7 @@ pub struct ProfiledMetrics {
     pub agg_cache_invalidations: Counter,
     /// Scrape-time gauge: current decay epoch.
     pub agg_epoch: Gauge,
-    /// Scrape-time gauge: total live edges across shards.
+    /// Scrape-time gauge: live edges in the aggregate.
     pub agg_edges: Gauge,
 
     // -- fleet plan builder --------------------------------------------
@@ -200,7 +200,7 @@ impl ProfiledMetrics {
                 agg_records: r.counter("profiled.agg.records", "edge records folded in"),
                 agg_decay_catchups: r.counter(
                     "profiled.agg.decay_catchups",
-                    "lazy decay catch-ups applied to a shard",
+                    "lazy decay catch-ups applied to the aggregate",
                 ),
                 agg_pruned_edges: r.counter(
                     "profiled.agg.pruned_edges",
@@ -241,7 +241,7 @@ impl ProfiledMetrics {
                 agg_epoch: r.gauge("profiled.agg.epoch", "current decay epoch (scrape-time)"),
                 agg_edges: r.gauge(
                     "profiled.agg.edges",
-                    "total live edges across shards (scrape-time)",
+                    "live edges in the aggregate (scrape-time)",
                 ),
                 client_retries: r
                     .counter("profiled.client.retries", "exchanges retried after a fault"),
@@ -271,20 +271,5 @@ impl ProfiledMetrics {
                 ),
             }
         })
-    }
-
-    /// Publishes the per-shard edge-count gauges
-    /// (`profiled.agg.shard_edges.<i>`) for a scrape. Gauge handles for
-    /// shard indices are resolved per call — this is scrape-path code,
-    /// not hot-path.
-    pub fn publish_shard_edges(&self, shard_edges: &[usize]) {
-        let r = global();
-        for (i, &edges) in shard_edges.iter().enumerate() {
-            r.gauge(
-                &format!("profiled.agg.shard_edges.{i}"),
-                "live edges in one aggregator shard (scrape-time)",
-            )
-            .set(edges as i64);
-        }
     }
 }

@@ -9,7 +9,8 @@
 //! with `ST_ERR`, then the connection — never the server — is dropped).
 //!
 //! All connection threads share one [`ShardedAggregator`] behind an
-//! `Arc`, so pushes from many VMs interleave at shard granularity.
+//! `Arc`: pushes from many VMs decode in parallel on their own threads
+//! and interleave only for the weight adds under the aggregate's lock.
 //! Every state-changing op flows through a shared [`ProfileJournal`]
 //! before it is acknowledged: the default [`MemJournal`] applies
 //! straight to the aggregator, while a durable journal (`cbs-store`'s
@@ -531,14 +532,11 @@ fn serve_connection(
                 // keep working.
                 let usage = journal.dedup_usage();
                 let (dedup_clients, dedup_max_seq) = (usage.clients, usage.max_seq);
+                // `shards=` is a v1 key: one aggregate, so always 1.
                 let text = format!(
-                    "frames={}\nrecords={}\nepoch={}\nedges={}\nshards={}\n\
+                    "frames={}\nrecords={}\nepoch={}\nedges={}\nshards=1\n\
                      stats_version=2\ndedup_clients={dedup_clients}\ndedup_max_seq={dedup_max_seq}\n",
-                    s.frames,
-                    s.records,
-                    s.epoch,
-                    s.total_edges(),
-                    s.shard_edges.len(),
+                    s.frames, s.records, s.epoch, s.edges,
                 );
                 reply(&mut stream, m, &mut out, &[&[ST_OK], text.as_bytes()])?;
             }
@@ -548,8 +546,7 @@ fn serve_connection(
                 // path, so instantaneous sizes cost nothing per push.
                 let s = aggregator.stats();
                 m.agg_epoch.set(s.epoch as i64);
-                m.agg_edges.set(s.total_edges() as i64);
-                m.publish_shard_edges(&s.shard_edges);
+                m.agg_edges.set(s.edges as i64);
                 m.server_dedup_clients
                     .set(journal.dedup_usage().clients as i64);
                 let text = cbs_telemetry::global().render();
@@ -624,7 +621,7 @@ mod tests {
     /// recovered and service continues.
     #[test]
     fn push_seq_keeps_working_after_a_handler_panic_poisons_the_seq_table() {
-        let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(2)));
+        let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
         let mem = Arc::new(MemJournal::new(Arc::clone(&agg)));
         let server = serve_with(
             "127.0.0.1:0",
@@ -673,7 +670,7 @@ mod tests {
     /// working for clients still resident.
     #[test]
     fn dedup_table_is_bounded_under_client_churn() {
-        let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(2)));
+        let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
         let cap = 8usize;
         let server = serve_with(
             "127.0.0.1:0",

@@ -12,6 +12,7 @@
 
 use cbs_bytecode::{CallSiteId, MethodId};
 use cbs_dcg::{CallEdge, DynamicCallGraph};
+use cbs_inliner::{build_plan, NewLinearPolicy};
 use cbs_profiled::{
     serve, AggregatorConfig, DcgCodec, NetConfig, ProfileClient, ShardedAggregator,
 };
@@ -47,13 +48,13 @@ fn storm_frames(pushers: u32, frames_per_pusher: u32) -> Vec<Vec<Vec<u8>>> {
 
 #[test]
 fn pulls_racing_a_push_storm_always_decode_valid_snapshots() {
-    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(8)));
+    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
     let server = serve("127.0.0.1:0", Arc::clone(&agg), NetConfig::default()).expect("binds");
     let addr = server.addr();
     let frames = storm_frames(4, 24);
 
     // Serial reference: the same frames through one fresh aggregator.
-    let serial = ShardedAggregator::new(AggregatorConfig::with_shards(8));
+    let serial = ShardedAggregator::new(AggregatorConfig::default());
     for pusher in &frames {
         for bytes in pusher {
             serial.ingest(&DcgCodec::decode(bytes).unwrap());
@@ -114,7 +115,6 @@ fn pulls_racing_a_push_storm_always_decode_valid_snapshots() {
 #[test]
 fn pull_observes_every_push_and_epoch_invalidates_the_cache() {
     let agg = Arc::new(ShardedAggregator::new(AggregatorConfig {
-        shards: 4,
         decay_factor: 0.5,
         min_weight: 0.0,
     }));
@@ -159,13 +159,15 @@ fn pull_observes_every_push_and_epoch_invalidates_the_cache() {
 }
 
 #[test]
-fn cross_shard_count_snapshots_are_bit_identical() {
-    // What the daemon serves — `OP_PULL` and `OP_PLAN` bytes — must not
-    // depend on the shard count: partitioning is an implementation
-    // detail of contention, not of the aggregate. Checked at each read
-    // boundary a shard can be in: first merge, new edges deferred since
-    // the previous pull (seal, then merge), and a decay epoch that
-    // prunes edges (shard stores rebuilt, then merge).
+fn served_bytes_match_an_eagerly_built_reference() {
+    // What the daemon serves — `OP_PULL` and `OP_PLAN` bytes — must be
+    // the canonical encodings of what an eager fold holds: a plain graph
+    // fed record by record, decayed once per epoch, copied through
+    // `merge_all`. Checked at each read boundary the deferred aggregate
+    // can be in: the first pull (one seal of everything ingested), new
+    // edges recorded deferred since the previous pull (seal merges them
+    // into the sorted run), and a decay epoch that prunes some edges but
+    // not all (the store is rebuilt around the survivors).
     let frame = |range: std::ops::Range<u32>, stride: u32| {
         let mut g = DynamicCallGraph::new();
         for i in range {
@@ -176,40 +178,37 @@ fn cross_shard_count_snapshots_are_bit_identical() {
     let first = frame(0..6000, 1);
     // Mostly edges the first frame never saw, landing between its keys.
     let second = frame(6000..9000, 5);
-    let config = |shards| AggregatorConfig {
-        shards,
+    let agg = ShardedAggregator::new(AggregatorConfig {
         decay_factor: 0.5,
         min_weight: 1.0,
-    };
-    let served = |shards: usize| {
-        let agg = ShardedAggregator::new(config(shards));
-        let mut pulls = Vec::new();
-        let mut pull = |agg: &ShardedAggregator| {
-            pulls.push((
-                agg.encoded_snapshot().as_ref().clone(),
-                agg.encoded_plan().as_ref().clone(),
-            ));
-        };
-        agg.ingest(&first);
-        pull(&agg);
-        agg.ingest(&second);
-        pull(&agg);
-        let edges_before = agg.stats().total_edges();
-        agg.advance_epoch();
-        pull(&agg);
+    });
+    let mut eager = DynamicCallGraph::new();
+    let check = |eager: &DynamicCallGraph, generation: u64| {
+        let merged = DynamicCallGraph::merge_all([eager]);
+        let plan = build_plan(&merged, &NewLinearPolicy::default(), generation);
+        assert_eq!(agg.generation(), generation);
         assert!(
-            (1..edges_before).contains(&agg.stats().total_edges()),
-            "the epoch must prune some edges but not all"
+            *agg.encoded_snapshot() == DcgCodec::encode_snapshot(&merged),
+            "generation {generation}: snapshot"
         );
-        pulls
+        assert!(
+            *agg.encoded_plan() == DcgCodec::encode_plan(&plan),
+            "generation {generation}: plan"
+        );
     };
-    let reference = served(1);
-    assert!(reference.windows(2).all(|w| w[0] != w[1]));
-    for shards in [4, 8, 13] {
-        let got = served(shards);
-        for (step, (got, want)) in got.iter().zip(&reference).enumerate() {
-            assert!(got.0 == want.0, "shards={shards} pull {step}: snapshot");
-            assert!(got.1 == want.1, "shards={shards} pull {step}: plan");
+    for (f, generation) in [(&first, 1), (&second, 2)] {
+        agg.ingest(f);
+        for &(edge, w) in &f.edges {
+            eager.record(edge, w);
         }
+        check(&eager, generation);
     }
+    let edges_before = agg.stats().edges;
+    agg.advance_epoch();
+    eager.decay(0.5, 1.0);
+    check(&eager, 3);
+    assert!(
+        (1..edges_before).contains(&agg.stats().edges),
+        "the epoch must prune some edges but not all"
+    );
 }

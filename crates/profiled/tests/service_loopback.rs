@@ -22,7 +22,7 @@ fn edge(rng: &mut SmallRng) -> CallEdge {
 /// is bit-identical to the server's own merged snapshot.
 #[test]
 fn snapshot_plus_100_deltas_reconstructs_bit_identically() {
-    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4)));
+    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
     let server = serve("127.0.0.1:0", agg, NetConfig::default()).expect("binds");
     let mut client = ProfileClient::connect(server.addr(), NetConfig::default()).expect("connects");
 
@@ -70,7 +70,7 @@ fn snapshot_plus_100_deltas_reconstructs_bit_identically() {
 /// and an oversized frame arriving mid-stream.
 #[test]
 fn concurrent_vms_and_hostile_clients() {
-    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4)));
+    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
     let config = NetConfig {
         max_frame_bytes: 1 << 16,
         ..NetConfig::default()
@@ -154,7 +154,7 @@ fn concurrent_vms_and_hostile_clients() {
 fn op_plan_serves_versioned_plans_from_the_generation_keyed_cache() {
     use cbs_inliner::PlanKind;
 
-    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4)));
+    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
     let server = serve("127.0.0.1:0", Arc::clone(&agg), NetConfig::default()).expect("binds");
     let mut client = ProfileClient::connect(server.addr(), NetConfig::default()).expect("connects");
 
@@ -241,7 +241,6 @@ fn op_plan_serves_versioned_plans_from_the_generation_keyed_cache() {
 #[test]
 fn epoch_advance_decays_the_fleet_profile() {
     let agg = Arc::new(ShardedAggregator::new(AggregatorConfig {
-        shards: 2,
         decay_factor: 0.5,
         min_weight: 0.0,
     }));

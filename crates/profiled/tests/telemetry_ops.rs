@@ -32,7 +32,7 @@ fn pin(exposition: &str, name: &str, want: u64) {
 
 #[test]
 fn op_metrics_scrape_reports_exact_counters_and_is_inert() {
-    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(2)));
+    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
     let server = serve("127.0.0.1:0", agg, NetConfig::default()).expect("binds");
     let mut client = ProfileClient::connect(server.addr(), NetConfig::default()).expect("connects");
 
@@ -92,7 +92,7 @@ fn op_metrics_scrape_reports_exact_counters_and_is_inert() {
     // Inertness: the same traffic against a telemetry-disabled process
     // yields a bit-identical pulled profile.
     cbs_telemetry::global().set_enabled(false);
-    let agg2 = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(2)));
+    let agg2 = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
     let server2 = serve("127.0.0.1:0", agg2, NetConfig::default()).expect("binds");
     let mut client2 =
         ProfileClient::connect(server2.addr(), NetConfig::default()).expect("connects");

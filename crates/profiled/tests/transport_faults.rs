@@ -27,7 +27,7 @@ fn edge(rng: &mut SmallRng) -> CallEdge {
 }
 
 fn start_server(config: NetConfig) -> ServerHandle {
-    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4)));
+    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
     serve("127.0.0.1:0", agg, config).expect("binds")
 }
 

@@ -26,7 +26,6 @@ fn agg(config: AggregatorConfig) -> Arc<ShardedAggregator> {
 
 fn decaying() -> AggregatorConfig {
     AggregatorConfig {
-        shards: 4,
         decay_factor: 0.9,
         min_weight: 1e-9,
     }

@@ -5,14 +5,10 @@
 //! JVM would see (a virtual dispatch costs more than an add; an I/O
 //! operation costs orders of magnitude more), scaled to a deliberately slow
 //! virtual CPU so whole benchmarks interpret in tractable wall time.
-//!
-//! The profiling-action costs at the bottom are the quantities §4 of the
-//! paper reasons about: they determine the overhead columns of Tables 2
-//! and 3 exactly.
 
 use cbs_bytecode::Op;
 
-/// Per-instruction and per-profiling-action cycle costs.
+/// Per-instruction cycle costs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostModel {
     /// Plain stack/ALU operation.
@@ -33,21 +29,6 @@ pub struct CostModel {
     pub guard: u64,
     /// Cycles per unit of `Io(cost)`.
     pub io_unit: u64,
-
-    /// Explicit method-entry flag check (load/compare/branch), charged by
-    /// profilers that cannot overload an existing VM check (§4
-    /// "Implementation Options": three extra instructions).
-    pub entry_check: u64,
-    /// Countdown decrement + test while a sampling window is open.
-    pub countdown: u64,
-    /// Fixed cost of one call-stack sample (walk + repository update).
-    pub stack_walk_base: u64,
-    /// Additional per-frame cost of a deep stack walk.
-    pub stack_walk_frame: u64,
-    /// Servicing a timer interrupt (flag setting, scheduler entry).
-    pub timer_service: u64,
-    /// Taking (entering the runtime from) a yieldpoint.
-    pub yieldpoint_taken: u64,
 }
 
 impl Default for CostModel {
@@ -62,12 +43,6 @@ impl Default for CostModel {
             branch: 1,
             guard: 2,
             io_unit: 100,
-            entry_check: 3,
-            countdown: 4,
-            stack_walk_base: 400,
-            stack_walk_frame: 30,
-            timer_service: 200,
-            yieldpoint_taken: 40,
         }
     }
 }

@@ -64,8 +64,7 @@ for key in records frames wire_bytes; do
     || { echo "FAIL: $BENCH_JSON missing positive \"$key\"" >&2; exit 1; }
 done
 for cfg in codec/encode codec/decode codec/decode_snapshot \
-           aggregate/shards=1/serial aggregate/shards=4/serial aggregate/shards=8/serial \
-           aggregate/shards=4/streaming aggregate/shards=8/streaming \
+           aggregate/serial aggregate/streaming aggregate/threads=4 \
            pull/rebuild pull/cached plan/build wal/append wal/append_concurrent \
            wal/append_single_lock recovery/replay; do
   grep -q "\"config\": \"$cfg\"" "$BENCH_JSON" \
@@ -74,7 +73,7 @@ done
 awk '/"median_ns"/ && $0 !~ /"median_ns": [1-9][0-9]*/ { bad = 1 } END { exit bad }' "$BENCH_JSON" \
   || { echo "FAIL: non-positive median_ns in $BENCH_JSON" >&2; exit 1; }
 # Read-path acceptance bound: a cold pull of the 50k-edge aggregate is
-# one linear merge of the shards' sorted runs plus the encode. A rebuild
+# one seal and one linear copy of its sorted run plus the encode. A rebuild
 # that throws the order away (re-hash, re-sort, re-merge) lands above it.
 awk -F'"median_ns": ' '
   /"config": "pull\/rebuild"/ { split($2, a, ","); rebuild = a[1] }
@@ -83,10 +82,10 @@ awk -F'"median_ns": ' '
 # Durability acceptance bound: the WAL-on ingest path (async fsync) must
 # stay within 2x of the equivalent in-memory streaming path.
 awk -F'"median_ns": ' '
-  /"config": "aggregate\/shards=4\/streaming"/ { split($2, a, ","); mem = a[1] }
-  /"config": "wal\/append"/                    { split($2, a, ","); wal = a[1] }
+  /"config": "aggregate\/streaming"/ { split($2, a, ","); mem = a[1] }
+  /"config": "wal\/append"/          { split($2, a, ","); wal = a[1] }
   END { if (mem == 0 || wal == 0 || wal > 2 * mem) exit 1 }' "$BENCH_JSON" \
-  || { echo "FAIL: wal/append median exceeds 2x aggregate/shards=4/streaming in $BENCH_JSON" >&2; exit 1; }
+  || { echo "FAIL: wal/append median exceeds 2x aggregate/streaming in $BENCH_JSON" >&2; exit 1; }
 # Group-commit acceptance bound: four concurrent durable pushers
 # (shared group-commit syncs) must beat the single-lock
 # one-fsync-per-op convoy they replaced. The amortization ceiling is
@@ -154,7 +153,7 @@ timeout 60 "$DCGTOOL" convert "$SMOKE_DIR/a.dcg" "$SMOKE_DIR/a.dcgb"
 timeout 60 "$DCGTOOL" convert "$SMOKE_DIR/a.dcgb" "$SMOKE_DIR/a2.dcg"
 cmp "$SMOKE_DIR/a.dcg" "$SMOKE_DIR/a2.dcg" \
   || { echo "FAIL: text -> binary -> text round-trip not byte-identical" >&2; exit 1; }
-"$PROFILED" --addr 127.0.0.1:0 --shards 4 > "$SMOKE_DIR/server.out" &
+"$PROFILED" --addr 127.0.0.1:0 > "$SMOKE_DIR/server.out" &
 PROFILED_PID=$!
 for _ in $(seq 1 50); do
   grep -q '^listening ' "$SMOKE_DIR/server.out" && break
@@ -215,7 +214,7 @@ echo "==> profiled fault-injection smoke (resilient push/pull over a faulty link
 # pulled profile must still be byte-identical to the clean round-trip.
 # Injected timeouts return immediately and --backoff-ms 1 keeps the
 # retry sleeps negligible, so the whole smoke is timeout-bounded.
-"$PROFILED" --addr 127.0.0.1:0 --shards 4 > "$SMOKE_DIR/server2.out" &
+"$PROFILED" --addr 127.0.0.1:0 > "$SMOKE_DIR/server2.out" &
 PROFILED2_PID=$!
 for _ in $(seq 1 50); do
   grep -q '^listening ' "$SMOKE_DIR/server2.out" && break
@@ -244,7 +243,7 @@ wait_for_listening() {
   done
   awk '/^listening /{print $2; exit}' "$out"
 }
-"$PROFILED" --addr 127.0.0.1:0 --shards 4 --data-dir "$STORE_DIR" --fsync always \
+"$PROFILED" --addr 127.0.0.1:0 --data-dir "$STORE_DIR" --fsync always \
   > "$SMOKE_DIR/server3.out" &
 PROFILED3_PID=$!
 ADDR3="$(wait_for_listening "$SMOKE_DIR/server3.out")"
@@ -257,7 +256,7 @@ timeout 60 "$DCGTOOL" push "$ADDR3" --seed 11 --retries 8 --backoff-ms 1 "$SMOKE
 timeout 60 "$DCGTOOL" pull "$ADDR3" "$SMOKE_DIR/pre_kill.dcg"
 # The live server holds the advisory store lock: offline compaction must
 # be refused with a clear diagnostic instead of corrupting the live WAL.
-if timeout 60 "$DCGTOOL" store compact "$STORE_DIR" --shards 4 \
+if timeout 60 "$DCGTOOL" store compact "$STORE_DIR" \
     2> "$SMOKE_DIR/compact_refused.txt"; then
   echo "FAIL: store compact succeeded against a live server's data dir" >&2; exit 1
 fi
@@ -271,7 +270,7 @@ timeout 60 "$DCGTOOL" store inspect "$STORE_DIR" > "$SMOKE_DIR/inspect.txt"
 grep -q '^segment ' "$SMOKE_DIR/inspect.txt" \
   || { echo "FAIL: store inspect shows no WAL segment after the kill" >&2;
        cat "$SMOKE_DIR/inspect.txt" >&2; exit 1; }
-"$PROFILED" --addr 127.0.0.1:0 --shards 4 --data-dir "$STORE_DIR" --fsync always \
+"$PROFILED" --addr 127.0.0.1:0 --data-dir "$STORE_DIR" --fsync always \
   > "$SMOKE_DIR/server4.out" &
 PROFILED3_PID=$!
 ADDR4="$(wait_for_listening "$SMOKE_DIR/server4.out")"
@@ -288,8 +287,8 @@ wait "$PROFILED3_PID" 2>/dev/null || true
 PROFILED3_PID=""
 # Offline compaction folds the WAL into a checkpoint; a restart then
 # replays nothing yet still serves the identical profile.
-timeout 60 "$DCGTOOL" store compact "$STORE_DIR" --shards 4
-"$PROFILED" --addr 127.0.0.1:0 --shards 4 --data-dir "$STORE_DIR" --fsync always \
+timeout 60 "$DCGTOOL" store compact "$STORE_DIR"
+"$PROFILED" --addr 127.0.0.1:0 --data-dir "$STORE_DIR" --fsync always \
   > "$SMOKE_DIR/server5.out" &
 PROFILED3_PID=$!
 ADDR5="$(wait_for_listening "$SMOKE_DIR/server5.out")"
@@ -311,7 +310,7 @@ echo "==> durable-store mid-batch kill smoke (4 pushers, SIGKILL, deterministic 
 # WAL then defines the truth: two independent restarts must replay it to
 # byte-identical fleet profiles (torn tails cut, acked pushes kept).
 STORE_DIR2="$SMOKE_DIR/store2"
-"$PROFILED" --addr 127.0.0.1:0 --shards 4 --data-dir "$STORE_DIR2" \
+"$PROFILED" --addr 127.0.0.1:0 --data-dir "$STORE_DIR2" \
   --fsync always --group-commit 8,200 > "$SMOKE_DIR/server6.out" &
 PROFILED3_PID=$!
 ADDR6="$(wait_for_listening "$SMOKE_DIR/server6.out")"
@@ -331,7 +330,7 @@ wait "$PROFILED3_PID" 2>/dev/null || true
 PROFILED3_PID=""
 wait "${PUSHER_PIDS[@]}" 2>/dev/null || true
 for restart in 1 2; do
-  "$PROFILED" --addr 127.0.0.1:0 --shards 4 --data-dir "$STORE_DIR2" --fsync always \
+  "$PROFILED" --addr 127.0.0.1:0 --data-dir "$STORE_DIR2" --fsync always \
     > "$SMOKE_DIR/server_restart$restart.out" &
   PROFILED3_PID=$!
   RADDR="$(wait_for_listening "$SMOKE_DIR/server_restart$restart.out")"

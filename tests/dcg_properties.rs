@@ -188,6 +188,51 @@ fn record_order_does_not_change_the_graph() {
         assert_eq!(ascending, shuffled);
         assert_eq!(ascending, descending);
     });
+    // Deferred recording, sealed once per batch, equals eager `record`.
+    // Ids at both ends of `u32` fill every bit of the seal's packed
+    // (key, slot) word, 72 000 distinct edges push slots past 65 536,
+    // and the batch sizes steer the seal through both branches: linear
+    // into an empty permutation, linear into a comparable one, then a
+    // gallop of a few new edges into a large one.
+    run_cases("record_all_deferred_then_seal_equals_record", 1, |rng| {
+        use cbs_repro::bytecode::{CallSiteId, MethodId};
+        let ids = |low: u32, high: u32| (0..low).chain(u32::MAX - (high - 1)..=u32::MAX);
+        let mut records: Vec<(CallEdge, f64)> = Vec::new();
+        for caller in ids(20, 20) {
+            for site in ids(20, 20) {
+                for callee in ids(25, 20) {
+                    let e = CallEdge::new(
+                        MethodId::new(caller),
+                        CallSiteId::new(site),
+                        MethodId::new(callee),
+                    );
+                    records.push((e, rng.gen_f64() * 100.0 + 0.01));
+                }
+            }
+        }
+        for i in (1..records.len()).rev() {
+            records.swap(i, rng.gen_range(0..=i));
+        }
+        // Repeats of already-seen edges ride along with the new ones.
+        for at in [60_000usize, 71_000] {
+            for _ in 0..500 {
+                let again = (records[rng.gen_range(0..at)].0, rng.gen_f64() + 0.5);
+                records.insert(at, again);
+            }
+        }
+        let (a, b) = (60_000, records.len() - 40);
+        let mut eager = DynamicCallGraph::new();
+        let mut deferred = DynamicCallGraph::new();
+        for batch in [&records[..a], &records[a..b], &records[b..]] {
+            for &(e, w) in batch {
+                eager.record(e, w);
+            }
+            deferred.record_all_deferred(batch);
+            deferred.seal();
+            assert_eq!(graph_bits(&deferred), graph_bits(&eager));
+        }
+        assert_eq!(eager.num_edges(), 72_000);
+    });
 }
 
 #[test]

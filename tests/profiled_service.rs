@@ -26,7 +26,7 @@ fn vm_profile(bench: Benchmark, stride: u32, seed: u64) -> DynamicCallGraph {
 
 #[test]
 fn real_vm_profiles_round_trip_through_the_service() {
-    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4)));
+    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
     let server = serve("127.0.0.1:0", agg, NetConfig::default()).expect("binds");
 
     // Three decorrelated VMs of the same benchmark, pushed serially so
