@@ -138,7 +138,7 @@ impl AdaptiveSystem {
             hot: HotMethodSampler::new(),
             cbs: CounterBasedSampler::new(self.config.cbs.clone()),
         };
-        let exec = Vm::new(&self.program, self.config.vm.clone()).run(&mut profilers)?;
+        let exec = Vm::new(&self.program, self.config.vm.clone()).run_with(&mut profilers)?;
 
         let profile_overhead = profilers.cbs.overhead_cycles();
         // Merge this iteration's DCG into the continuous profile (the
@@ -242,6 +242,10 @@ impl cbs_vm::Profiler for IterationProfilers {
     fn on_exit(&mut self, event: &cbs_vm::CallEvent<'_>) {
         self.cbs.on_exit(event);
     }
+    /// Only CBS takes entries and exits; the hot-method sampler reads ticks.
+    fn armed(&self, thread: cbs_vm::ThreadId) -> bool {
+        self.cbs.armed(thread)
+    }
     fn on_finish(&mut self, clock: u64) {
         self.hot.on_finish(clock);
         self.cbs.on_finish(clock);
@@ -316,6 +320,68 @@ mod tests {
                 r.exec.return_values, first,
                 "recompilation changed semantics"
             );
+        }
+    }
+
+    /// `IterationProfilers::armed` spares only events neither sampler
+    /// acts on: the pair on its own and the same pair behind a forwarder
+    /// that keeps the default `armed` end bit-identical, and the gate did
+    /// spare events.
+    #[test]
+    fn armed_gating_changes_nothing_an_iteration_keeps() {
+        use cbs_vm::{CallEvent, Profiler, StackSlice, ThreadId, VmFlavor};
+        struct AlwaysArmed(IterationProfilers, u64);
+        impl Profiler for AlwaysArmed {
+            fn on_tick(&mut self, clock: u64, thread: ThreadId, stack: StackSlice<'_>) {
+                self.0.on_tick(clock, thread, stack);
+            }
+            fn on_entry(&mut self, event: &CallEvent<'_>) {
+                self.1 += u64::from(!self.0.armed(event.thread));
+                self.0.on_entry(event);
+            }
+            fn on_exit(&mut self, event: &CallEvent<'_>) {
+                self.1 += u64::from(!self.0.armed(event.thread));
+                self.0.on_exit(event);
+            }
+            fn on_finish(&mut self, clock: u64) {
+                self.0.on_finish(clock);
+            }
+        }
+        let residue = |p: &IterationProfilers| {
+            let dcg = p.cbs.dcg();
+            (
+                dcg.iter()
+                    .map(|(e, w)| (*e, w.to_bits()))
+                    .collect::<Vec<_>>(),
+                dcg.total_weight().to_bits(),
+                p.cbs.samples_taken(),
+                p.cbs.overhead_cycles(),
+                p.hot.hot_methods(1),
+            )
+        };
+        let mk = || IterationProfilers {
+            hot: HotMethodSampler::new(),
+            cbs: CounterBasedSampler::new(CbsConfig::new(3, 16)),
+        };
+        let program = hot_loop_program();
+        for flavor in [VmFlavor::Jikes, VmFlavor::J9] {
+            let config = VmConfig {
+                flavor,
+                num_threads: 2,
+                timer_hz: 2_000,
+                ..VmConfig::default()
+            };
+            let vm = Vm::new(&program, config);
+            let mut gated = mk();
+            let mut ungated = AlwaysArmed(mk(), 0);
+            assert_eq!(
+                vm.run_with(&mut gated).unwrap(),
+                vm.run_with(&mut ungated).unwrap(),
+                "{flavor:?}"
+            );
+            assert_eq!(residue(&gated), residue(&ungated.0), "{flavor:?}");
+            assert!(gated.cbs.samples_taken() > 0 && gated.hot.total() > 0);
+            assert!(ungated.1 > 0, "{flavor:?}: the gate spared events");
         }
     }
 

@@ -136,7 +136,7 @@ mod tests {
         }
         let mut ex = Exhaustive::default();
         Vm::new(program, cbs_vm::VmConfig::default())
-            .run(&mut ex)
+            .run_with(&mut ex)
             .unwrap();
         ex.dcg
     }

@@ -37,7 +37,7 @@ fn cbs_event_paths(group: &mut BenchGroup) {
     group.bench("interpret_with_idle_cbs", || {
         let mut cbs = CounterBasedSampler::new(CbsConfig::new(3, 16));
         Vm::new(&program, VmConfig::default())
-            .run(&mut cbs)
+            .run_with(&mut cbs)
             .expect("runs")
     });
     group.bench("interpret_with_grid_of_8_samplers", || {
@@ -50,7 +50,7 @@ fn cbs_event_paths(group: &mut BenchGroup) {
             }
         }
         Vm::new(&program, VmConfig::default())
-            .run(&mut multi)
+            .run_with(&mut multi)
             .expect("runs")
     });
 }
@@ -61,10 +61,10 @@ fn overlap_metric(group: &mut BenchGroup) {
     let mut cbs = CounterBasedSampler::new(CbsConfig::new(3, 16));
     // Throwaway runs to fill a sampled profile for the metric bench.
     Vm::new(&program, VmConfig::default())
-        .run(&mut ex)
+        .run_with(&mut ex)
         .expect("runs");
     Vm::new(&program, VmConfig::default())
-        .run(&mut cbs)
+        .run_with(&mut cbs)
         .expect("runs");
     let perfect = ex.take_dcg();
     let sampled = cbs.take_dcg();

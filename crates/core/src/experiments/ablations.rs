@@ -471,6 +471,7 @@ pub fn context_sensitivity_with(
         });
         let mut flat_truth = ExhaustiveProfiler::new();
         {
+            // Keeps the default `armed`: the exhaustive child needs every event.
             #[derive(Debug)]
             struct Both<'a>(&'a mut CounterBasedSampler, &'a mut ExhaustiveProfiler);
             impl cbs_vm::Profiler for Both<'_> {
@@ -498,14 +499,14 @@ pub fn context_sensitivity_with(
             }
             let mut both = Both(&mut cbs, &mut flat_truth);
             Vm::new(&program, VmConfig::default())
-                .run(&mut both)
+                .run_with(&mut both)
                 .map_err(ExperimentError::Vm)?;
         }
 
         // Pass 2 (identical deterministic execution): exhaustive contexts.
         let mut ctx_truth = ExhaustiveCctProfiler::new();
         Vm::new(&program, VmConfig::default())
-            .run(&mut ctx_truth)
+            .run_with(&mut ctx_truth)
             .map_err(ExperimentError::Vm)?;
 
         use cbs_profiler::CallGraphProfiler as _;

@@ -60,7 +60,7 @@ pub fn measure(
     for p in profilers {
         multi.attach(p);
     }
-    let exec = cbs_vm::Vm::new(program, vm_config).run(&mut multi)?;
+    let exec = cbs_vm::Vm::new(program, vm_config).run_with(&mut multi)?;
     let mut inner = multi.into_inner();
     let mut truth = inner.remove(truth_idx);
     let perfect = truth.take_dcg();

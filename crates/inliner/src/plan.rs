@@ -548,7 +548,9 @@ mod tests {
         };
         let program = build();
         let mut ex = Exhaustive::default();
-        Vm::new(&program, VmConfig::default()).run(&mut ex).unwrap();
+        Vm::new(&program, VmConfig::default())
+            .run_with(&mut ex)
+            .unwrap();
 
         let mut local = build();
         let local_report = crate::inline_program(
@@ -614,7 +616,7 @@ mod tests {
         let _ = f_sub;
         let mut p = b.build().unwrap();
         let mut ex = Exhaustive::default();
-        Vm::new(&p, VmConfig::default()).run(&mut ex).unwrap();
+        Vm::new(&p, VmConfig::default()).run_with(&mut ex).unwrap();
         let plan = build_plan(&ex.dcg, &NewLinearPolicy::default(), 2);
         let report = apply_plan(
             &mut p,

@@ -382,7 +382,9 @@ mod tests {
 
     fn profile(program: &Program) -> DynamicCallGraph {
         let mut ex = cbs_profiler_stub::Exhaustive::default();
-        Vm::new(program, VmConfig::default()).run(&mut ex).unwrap();
+        Vm::new(program, VmConfig::default())
+            .run_with(&mut ex)
+            .unwrap();
         ex.dcg
     }
 

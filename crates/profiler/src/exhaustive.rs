@@ -209,7 +209,9 @@ mod cct_tests {
         b.set_entry(main);
         let p = b.build().unwrap();
         let mut prof = ExhaustiveCctProfiler::new();
-        Vm::new(&p, VmConfig::default()).run(&mut prof).unwrap();
+        Vm::new(&p, VmConfig::default())
+            .run_with(&mut prof)
+            .unwrap();
         assert_eq!(prof.calls(), 21, "10×(f+g) + 1 direct g");
         // Contexts: main->f (10), main->f->g (10), main->g (1).
         assert_eq!(prof.cct().total_weight(), 21.0);

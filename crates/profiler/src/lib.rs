@@ -37,7 +37,7 @@
 //! let program = b.build()?;
 //!
 //! let mut cbs = CounterBasedSampler::new(CbsConfig::new(3, 16));
-//! let report = Vm::new(&program, VmConfig::default()).run(&mut cbs)?;
+//! let report = Vm::new(&program, VmConfig::default()).run_with(&mut cbs)?;
 //! assert!(cbs.samples_taken() > 0);
 //! let overhead_pct = 100.0 * cbs.overhead_cycles() as f64 / report.cycles as f64;
 //! assert!(overhead_pct < 1.0, "CBS stays under 1% overhead");

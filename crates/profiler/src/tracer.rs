@@ -132,7 +132,9 @@ mod tests {
         b.set_entry(main);
         let p = b.build().unwrap();
         let mut tracer = CallTreeTracer::new();
-        Vm::new(&p, VmConfig::default()).run(&mut tracer).unwrap();
+        Vm::new(&p, VmConfig::default())
+            .run_with(&mut tracer)
+            .unwrap();
 
         let ti = tracer.time_of(inner);
         let to = tracer.time_of(outer);

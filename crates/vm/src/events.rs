@@ -60,8 +60,7 @@ impl<'a> StackSlice<'a> {
     }
 
     /// Builds a stack view from raw frames, for testing profilers without
-    /// running a VM. Real slices are only ever produced by the
-    /// interpreter.
+    /// running a VM.
     #[doc(hidden)]
     pub fn for_testing(frames: &'a [Frame]) -> Self {
         Self { frames }

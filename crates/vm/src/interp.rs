@@ -40,7 +40,7 @@ impl Drop for FusedTally {
 
 /// A configured virtual machine, ready to run a program.
 ///
-/// `Vm` is stateless across runs: [`Vm::run`] builds all execution state
+/// `Vm` is stateless across runs: [`Vm::run_with`] builds all execution state
 /// locally, so one `Vm` can run its program repeatedly (e.g. once per
 /// profiler configuration) with identical results.
 #[derive(Debug)]
@@ -344,8 +344,8 @@ impl<'p> Vm<'p> {
 
     /// Runs the program to completion with no profiler attached.
     ///
-    /// Monomorphized over [`NullProfiler`], so the event hooks compile to
-    /// nothing.
+    /// [`Vm::run_with`] at [`NullProfiler`], instantiated inside `cbs-vm`,
+    /// so the event hooks compile to nothing.
     ///
     /// # Errors
     ///
@@ -356,32 +356,14 @@ impl<'p> Vm<'p> {
 
     /// Runs the program to completion, reporting events to `profiler`.
     ///
-    /// [`Vm::run_with`] instantiated at `dyn Profiler`, for callers that
-    /// hold a trait object. It is the same loop with the same inlined
-    /// helpers; what the `dyn` path adds is one indirect call per
-    /// *delivered* hook and per [`Profiler::armed`] re-read, and a
-    /// sampler that is disarmed most of the run (CBS, the timer sampler)
-    /// is delivered almost nothing — so there is no reason to avoid this
-    /// entry point for them. A profiler that takes every event
-    /// (exhaustive counting) does inline better through `run_with`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`VmError`] on division by zero, type mismatch, stack
-    /// overflow, out-of-range field access, unresolvable dispatch, or an
-    /// exhausted cycle budget.
-    pub fn run(&self, profiler: &mut dyn Profiler) -> Result<ExecReport, VmError> {
-        self.run_with(profiler)
-    }
-
-    /// Runs the program to completion, reporting events to `profiler`.
-    ///
-    /// This is the hot path of every experiment. It is generic over the
-    /// profiler (`?Sized`, so `P = dyn Profiler` also works) and applies
-    /// six micro-architectural optimizations relative to the reference
-    /// interpreter ([`Vm::run_reference`]), none of which change any
-    /// observable behavior — reports, event sequences and trap points are
-    /// bit-identical (pinned by `tests/dispatch_equivalence.rs`):
+    /// This is the interpreter's one run loop and the hot path of every
+    /// experiment. It is generic over the profiler; `?Sized` lets a
+    /// caller holding a trait object pass `&mut dyn Profiler`, which
+    /// costs one indirect call per *delivered* hook and per
+    /// [`Profiler::armed`] re-read. Six micro-architectural
+    /// optimizations below change no observable behavior: reports, event
+    /// sequences and trap points match an independent reference
+    /// interpreter bit for bit (`tests/dispatch_equivalence.rs`).
     ///
     /// 1. **Monomorphized dispatch** — with a concrete `P`, profiler
     ///    hooks inline; for [`NullProfiler`] they vanish entirely. The
@@ -502,8 +484,8 @@ impl<'p> Vm<'p> {
             // reattached — with the register-held pc written back — at
             // every point where the stack becomes observable (tick
             // delivery, call entry/exit, thread switch, completion), so
-            // profiler hooks see exactly the stack the reference
-            // interpreter shows.
+            // profiler hooks see the whole stack, top frame and pc
+            // included.
             let mut frame = t.frames.pop().expect("running thread has frames");
             let mut mid = frame.method();
             let mut pc = frame.pc();
@@ -815,8 +797,7 @@ impl<'p> Vm<'p> {
                         }
                         if armed && samples_exits {
                             // The exit event shows the stack with the
-                            // returning frame still on top, as the
-                            // reference interpreter does.
+                            // returning frame still on top.
                             frame.set_pc(pc);
                             t.frames.push(frame);
                             let caller = &t.frames[t.frames.len() - 2];
@@ -903,364 +884,6 @@ impl<'p> Vm<'p> {
             return_values: threads.into_iter().map(|t| t.result).collect(),
         })
     }
-
-    /// The pre-optimization interpreter, kept verbatim as a baseline.
-    ///
-    /// This is the original dyn-dispatch hot path: per-op
-    /// `program.method(mid).code()[pc]` fetch and `CostModel::op_cost`
-    /// match, per-slice `threads.iter().any(..)` liveness scan, `Option`
-    /// fuel check, and a fresh `Frame` allocation per call. It exists so
-    /// that (a) the `interp_throughput` bench can assert the optimized
-    /// path's speedup against the real pre-optimization code rather than
-    /// a guess, and (b) differential tests can pin that the optimized
-    /// interpreter is observationally identical. Not part of the public
-    /// API contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`VmError`] on the same conditions as [`Vm::run`].
-    #[doc(hidden)]
-    pub fn run_reference(&self, profiler: &mut dyn Profiler) -> Result<ExecReport, VmError> {
-        let program = self.program;
-        let cost = &self.config.cost;
-        let flavor = self.config.flavor;
-        let period = self.config.timer_period();
-        let entry = program.entry();
-        let entry_locals = program.method(entry).num_locals();
-
-        let mut heap = Heap::new();
-        let mut invocations = vec![0u64; program.num_methods()];
-        let mut threads: Vec<ThreadState> = (0..self.config.num_threads.max(1))
-            .map(|_| {
-                invocations[entry.index()] += 1;
-                ThreadState {
-                    frames: vec![Frame::new(entry, entry_locals)],
-                    done: false,
-                    result: Value::default(),
-                    pool: Vec::new(),
-                }
-            })
-            .collect();
-
-        let jitter = self.config.timer_jitter.min(period.saturating_sub(1));
-        let mut jitter_state = self.config.timer_seed | 1;
-        let mut draw_period = move || {
-            if jitter == 0 {
-                return period;
-            }
-            // xorshift64: deterministic, cheap, seeded.
-            jitter_state ^= jitter_state << 13;
-            jitter_state ^= jitter_state >> 7;
-            jitter_state ^= jitter_state << 17;
-            period - jitter + jitter_state % (2 * jitter + 1)
-        };
-
-        let mut clock: u64 = 0;
-        let mut next_tick: u64 = draw_period();
-        let mut ticks: u64 = 0;
-        let mut instructions: u64 = 0;
-        let mut calls: u64 = 0;
-        let mut cur = 0usize;
-
-        while threads.iter().any(|t| !t.done) {
-            if threads[cur].done {
-                cur = (cur + 1) % threads.len();
-                continue;
-            }
-            let tid = ThreadId(cur as u32);
-            let t = &mut threads[cur];
-            let mut pending_switch = false;
-
-            'slice: loop {
-                let (mid, pc) = {
-                    let f = t.frames.last().expect("running thread has frames");
-                    (f.method(), f.pc())
-                };
-                let op = program.method(mid).code()[pc as usize];
-
-                clock += cost.op_cost(&op);
-                instructions += 1;
-                if let Some(budget) = self.config.max_cycles {
-                    if clock > budget {
-                        return Err(VmError::OutOfFuel { budget });
-                    }
-                }
-                while next_tick <= clock {
-                    ticks += 1;
-                    profiler.on_tick(next_tick, tid, StackSlice::new(&t.frames));
-                    next_tick += draw_period();
-                    pending_switch = true;
-                }
-
-                match op {
-                    Op::Const(v) => {
-                        let f = t.frames.last_mut().expect("frame");
-                        f.push(Value::Int(v));
-                        f.set_pc(pc + 1);
-                    }
-                    Op::Load(n) => {
-                        let f = t.frames.last_mut().expect("frame");
-                        let v = f.locals()[usize::from(n)];
-                        f.push(v);
-                        f.set_pc(pc + 1);
-                    }
-                    Op::Store(n) => {
-                        let f = t.frames.last_mut().expect("frame");
-                        let v = pop_val(f, mid, pc)?;
-                        f.locals_mut()[usize::from(n)] = v;
-                        f.set_pc(pc + 1);
-                    }
-                    Op::Dup => {
-                        let f = t.frames.last_mut().expect("frame");
-                        let v = f
-                            .peek(0)
-                            .ok_or(VmError::OperandUnderflow { method: mid, pc })?;
-                        f.push(v);
-                        f.set_pc(pc + 1);
-                    }
-                    Op::Pop => {
-                        let f = t.frames.last_mut().expect("frame");
-                        pop_val(f, mid, pc)?;
-                        f.set_pc(pc + 1);
-                    }
-                    Op::Swap => {
-                        let f = t.frames.last_mut().expect("frame");
-                        let b = pop_val(f, mid, pc)?;
-                        let a = pop_val(f, mid, pc)?;
-                        f.push(b);
-                        f.push(a);
-                        f.set_pc(pc + 1);
-                    }
-                    Op::Add
-                    | Op::Sub
-                    | Op::Mul
-                    | Op::And
-                    | Op::Or
-                    | Op::Xor
-                    | Op::Shl
-                    | Op::Shr
-                    | Op::CmpLt
-                    | Op::CmpGt => {
-                        let f = t.frames.last_mut().expect("frame");
-                        let b = pop_int(f, mid, pc)?;
-                        let a = pop_int(f, mid, pc)?;
-                        let r = match op {
-                            Op::Add => a.wrapping_add(b),
-                            Op::Sub => a.wrapping_sub(b),
-                            Op::Mul => a.wrapping_mul(b),
-                            Op::And => a & b,
-                            Op::Or => a | b,
-                            Op::Xor => a ^ b,
-                            Op::Shl => a.wrapping_shl(b as u32 & 63),
-                            Op::Shr => a.wrapping_shr(b as u32 & 63),
-                            Op::CmpLt => i64::from(a < b),
-                            Op::CmpGt => i64::from(a > b),
-                            _ => unreachable!(),
-                        };
-                        f.push(Value::Int(r));
-                        f.set_pc(pc + 1);
-                    }
-                    Op::Div | Op::Rem => {
-                        let f = t.frames.last_mut().expect("frame");
-                        let b = pop_int(f, mid, pc)?;
-                        let a = pop_int(f, mid, pc)?;
-                        if b == 0 {
-                            return Err(VmError::DivisionByZero { method: mid, pc });
-                        }
-                        let r = if matches!(op, Op::Div) {
-                            a.wrapping_div(b)
-                        } else {
-                            a.wrapping_rem(b)
-                        };
-                        f.push(Value::Int(r));
-                        f.set_pc(pc + 1);
-                    }
-                    Op::Neg => {
-                        let f = t.frames.last_mut().expect("frame");
-                        let a = pop_int(f, mid, pc)?;
-                        f.push(Value::Int(a.wrapping_neg()));
-                        f.set_pc(pc + 1);
-                    }
-                    Op::CmpEq => {
-                        let f = t.frames.last_mut().expect("frame");
-                        let b = pop_val(f, mid, pc)?;
-                        let a = pop_val(f, mid, pc)?;
-                        f.push(Value::Int(i64::from(a == b)));
-                        f.set_pc(pc + 1);
-                    }
-                    Op::Jump(target) => {
-                        let backedge = target <= pc;
-                        t.frames.last_mut().expect("frame").set_pc(target);
-                        if backedge && flavor.has_backedge_yieldpoints() && pending_switch {
-                            break 'slice;
-                        }
-                    }
-                    Op::JumpIfZero(target) | Op::JumpIfNonZero(target) => {
-                        let f = t.frames.last_mut().expect("frame");
-                        let v = pop_val(f, mid, pc)?;
-                        let jump = if matches!(op, Op::JumpIfZero(_)) {
-                            !v.is_truthy()
-                        } else {
-                            v.is_truthy()
-                        };
-                        if jump {
-                            f.set_pc(target);
-                            if target <= pc && flavor.has_backedge_yieldpoints() && pending_switch {
-                                break 'slice;
-                            }
-                        } else {
-                            f.set_pc(pc + 1);
-                        }
-                    }
-                    Op::Call { site, target } => {
-                        calls += 1;
-                        invocations[target.index()] += 1;
-                        if t.frames.len() >= self.config.max_stack_depth {
-                            return Err(VmError::StackOverflow {
-                                limit: self.config.max_stack_depth,
-                            });
-                        }
-                        let caller = t.frames.last_mut().expect("frame");
-                        let callee = enter_callee(&mut t.pool, program, caller, pc, site, target)?;
-                        t.frames.push(callee);
-                        profiler.on_entry(&CallEvent {
-                            edge: CallEdge::new(mid, site, target),
-                            clock,
-                            thread: tid,
-                            stack: StackSlice::new(&t.frames),
-                        });
-                        if pending_switch {
-                            break 'slice;
-                        }
-                    }
-                    Op::CallVirtual { site, slot, arity } => {
-                        let receiver = {
-                            let f = t.frames.last().expect("frame");
-                            f.peek(usize::from(arity) - 1)
-                                .ok_or(VmError::OperandUnderflow { method: mid, pc })?
-                        };
-                        let r = receiver.as_ref().ok_or(VmError::TypeMismatch {
-                            method: mid,
-                            pc,
-                            expected: "object receiver",
-                        })?;
-                        let target = self
-                            .program
-                            .class(heap.class_of(r))
-                            .resolve(slot)
-                            .ok_or(VmError::BadVirtualDispatch { method: mid, pc })?;
-                        calls += 1;
-                        invocations[target.index()] += 1;
-                        if t.frames.len() >= self.config.max_stack_depth {
-                            return Err(VmError::StackOverflow {
-                                limit: self.config.max_stack_depth,
-                            });
-                        }
-                        let caller = t.frames.last_mut().expect("frame");
-                        let callee = enter_callee(&mut t.pool, program, caller, pc, site, target)?;
-                        t.frames.push(callee);
-                        profiler.on_entry(&CallEvent {
-                            edge: CallEdge::new(mid, site, target),
-                            clock,
-                            thread: tid,
-                            stack: StackSlice::new(&t.frames),
-                        });
-                        if pending_switch {
-                            break 'slice;
-                        }
-                    }
-                    Op::Return => {
-                        let rv = {
-                            let f = t.frames.last_mut().expect("frame");
-                            pop_val(f, mid, pc)?
-                        };
-                        if t.frames.len() == 1 {
-                            t.done = true;
-                            t.result = rv;
-                            break 'slice;
-                        }
-                        if flavor.samples_exits() {
-                            let caller = &t.frames[t.frames.len() - 2];
-                            let edge = CallEdge::new(
-                                caller.method(),
-                                caller.pending_site().expect("caller has in-flight site"),
-                                mid,
-                            );
-                            profiler.on_exit(&CallEvent {
-                                edge,
-                                clock,
-                                thread: tid,
-                                stack: StackSlice::new(&t.frames),
-                            });
-                        }
-                        t.frames.pop();
-                        let caller = t.frames.last_mut().expect("caller frame");
-                        caller.set_pending_site(None);
-                        caller.push(rv);
-                        if pending_switch {
-                            break 'slice;
-                        }
-                    }
-                    Op::GetField(n) => {
-                        let f = t.frames.last_mut().expect("frame");
-                        let r = pop_obj(f, mid, pc)?;
-                        let v = heap
-                            .get_field(r, n)
-                            .ok_or(VmError::FieldOutOfRange { method: mid, pc })?;
-                        f.push(v);
-                        f.set_pc(pc + 1);
-                    }
-                    Op::PutField(n) => {
-                        let f = t.frames.last_mut().expect("frame");
-                        let v = pop_val(f, mid, pc)?;
-                        let r = pop_obj(f, mid, pc)?;
-                        if !heap.put_field(r, n, v) {
-                            return Err(VmError::FieldOutOfRange { method: mid, pc });
-                        }
-                        f.set_pc(pc + 1);
-                    }
-                    Op::New(class) => {
-                        let num_fields = program.class(class).num_fields();
-                        let r = heap.alloc(class, num_fields);
-                        let f = t.frames.last_mut().expect("frame");
-                        f.push(Value::Ref(r));
-                        f.set_pc(pc + 1);
-                    }
-                    Op::GuardClass { class, not_taken } => {
-                        let f = t.frames.last_mut().expect("frame");
-                        let r = pop_obj(f, mid, pc)?;
-                        if heap.class_of(r) == class {
-                            f.set_pc(pc + 1);
-                        } else {
-                            f.set_pc(not_taken);
-                        }
-                    }
-                    Op::Io(_) => {
-                        // Cost was charged above; the "result" is a dummy.
-                        let f = t.frames.last_mut().expect("frame");
-                        f.push(Value::Int(0));
-                        f.set_pc(pc + 1);
-                    }
-                    Op::Nop => {
-                        t.frames.last_mut().expect("frame").set_pc(pc + 1);
-                    }
-                }
-            }
-
-            cur = (cur + 1) % threads.len();
-        }
-
-        profiler.on_finish(clock);
-        Ok(ExecReport {
-            cycles: clock,
-            seconds: self.config.cycles_to_seconds(clock),
-            instructions,
-            calls,
-            ticks,
-            invocations,
-            return_values: threads.into_iter().map(|t| t.result).collect(),
-        })
-    }
 }
 
 /// Builds the frame for a call at `pc` of `caller`: pops the callee's
@@ -1268,10 +891,8 @@ impl<'p> Vm<'p> {
 /// the in-flight site in the caller.
 ///
 /// The frame is recycled from the thread's pool when one is available
-/// (the optimized interpreter returns frames there on `Op::Return`),
-/// falling back to a fresh allocation. The reference interpreter never
-/// fills the pool, so it keeps the original allocate-per-call behavior
-/// through this same function.
+/// (the interpreter returns frames there on `Op::Return`), falling back
+/// to a fresh allocation.
 #[inline]
 fn enter_callee(
     pool: &mut Vec<Frame>,
@@ -1640,100 +1261,12 @@ mod tests {
         }
     }
 
-    /// The optimized interpreter and the preserved reference interpreter
-    /// must be observationally identical (the full differential suite
-    /// lives in `tests/dispatch_equivalence.rs`; this is the in-crate
-    /// smoke version).
-    #[test]
-    fn optimized_run_matches_reference() {
-        let mut b = ProgramBuilder::new();
-        let cls = b.add_class("C", 0);
-        let f = b
-            .function("f", cls, 1, 0, |c| {
-                c.load(0).const_(3).mul().ret();
-            })
-            .unwrap();
-        let main = b
-            .function("main", cls, 0, 1, |c| {
-                c.counted_loop(0, 5_000, |c| {
-                    c.const_(2).call(f).pop();
-                });
-                c.const_(0).ret();
-            })
-            .unwrap();
-        b.set_entry(main);
-        let p = b.build().unwrap();
-        let config = VmConfig {
-            num_threads: 2,
-            ..VmConfig::default()
-        };
-        let vm = Vm::new(&p, config);
-        let optimized = vm.run_with(&mut NullProfiler).unwrap();
-        let reference = vm.run_reference(&mut NullProfiler).unwrap();
-        assert_eq!(optimized, reference);
-    }
-
-    /// Superinstruction fusion must bail to the per-op path whenever a
-    /// timer tick or the cycle budget would land inside a fused run, and
-    /// the bail must be invisible. Shrinking the timer period to a few
-    /// cycles makes nearly every fused run fail its guard, so this pins
-    /// the fallback path against the reference interpreter.
-    #[test]
-    fn fused_runs_bail_identically_under_dense_ticks_and_budget() {
-        let mut b = ProgramBuilder::new();
-        let cls = b.add_class("C", 0);
-        let main = b
-            .function("main", cls, 0, 2, |c| {
-                // Body dominated by fusible work-run quads, looped so the
-                // fused entry pcs are hit thousands of times.
-                c.counted_loop(0, 2_000, |c| {
-                    c.load(1).const_(5).add().store(1);
-                    c.load(1).const_(3).mul().store(1);
-                    c.load(1).const_(0x55).bxor().store(1);
-                    c.load(1).const_(7).sub().store(1);
-                });
-                c.load(1).ret();
-            })
-            .unwrap();
-        b.set_entry(main);
-        let p = b.build().unwrap();
-
-        // timer_hz 500_000 -> period 20 cycles, shorter than one quad
-        // run, so the `next_tick > end_clock` guard fails constantly;
-        // the default 100 Hz config covers the guard-passes side.
-        for (timer_hz, timer_jitter) in [(500_000, 0), (100_000, 12_500), (100, 12_500)] {
-            let cfg = VmConfig {
-                timer_hz,
-                timer_jitter,
-                ..VmConfig::default()
-            };
-            let vm = Vm::new(&p, cfg);
-            let optimized = vm.run_with(&mut NullProfiler).unwrap();
-            let reference = vm.run_reference(&mut NullProfiler).unwrap();
-            assert_eq!(optimized, reference, "hz={timer_hz} jitter={timer_jitter}");
-            if timer_hz > 100 {
-                assert!(optimized.ticks > 0, "ticks must land inside fused runs");
-            }
-        }
-
-        // A budget expiring mid-run must surface the identical error from
-        // both interpreters (the fusion guard also covers OutOfFuel).
-        let cfg = VmConfig {
-            max_cycles: Some(12_345),
-            ..VmConfig::default()
-        };
-        let vm = Vm::new(&p, cfg);
-        let optimized = vm.run_with(&mut NullProfiler).unwrap_err();
-        let reference = vm.run_reference(&mut NullProfiler).unwrap_err();
-        assert_eq!(optimized, reference);
-    }
-
     /// The `Profiler::armed` contract, from the profiler's side: entries
     /// and exits arrive only while it says it is armed, and its answer is
     /// re-read after every hook — so a sampler that wants three events
     /// per tick is delivered exactly three, under both flavors and with
-    /// threads interleaving. The reference interpreter, which never asks,
-    /// shows the events were there to deliver.
+    /// threads interleaving. The same profiler behind a forwarder that
+    /// keeps the default `armed` shows the events were there to deliver.
     #[test]
     fn entries_and_exits_are_delivered_only_while_armed() {
         use crate::config::VmFlavor;
@@ -1769,6 +1302,18 @@ mod tests {
             }
             fn armed(&self, thread: ThreadId) -> bool {
                 self.wanted[thread.index()] > 0
+            }
+        }
+        struct Ungated<'a>(&'a mut ThreePerTick);
+        impl Profiler for Ungated<'_> {
+            fn on_tick(&mut self, clock: u64, thread: ThreadId, stack: StackSlice<'_>) {
+                self.0.on_tick(clock, thread, stack);
+            }
+            fn on_entry(&mut self, event: &CallEvent<'_>) {
+                self.0.on_entry(event);
+            }
+            fn on_exit(&mut self, event: &CallEvent<'_>) {
+                self.0.on_exit(event);
             }
         }
 
@@ -1814,7 +1359,7 @@ mod tests {
             );
 
             let mut ungated = ThreePerTick::default();
-            assert_eq!(vm.run_reference(&mut ungated).unwrap(), report);
+            assert_eq!(vm.run_with(&mut Ungated(&mut ungated)).unwrap(), report);
             assert_eq!(ungated.acted_on, gated.acted_on, "{flavor:?}");
             assert!(ungated.delivered_idle > 10 * ungated.acted_on);
         }

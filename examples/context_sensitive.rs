@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         context_sensitive: true,
         ..CbsConfig::new(3, 16)
     });
-    Vm::new(&program, VmConfig::default()).run(&mut cbs)?;
+    Vm::new(&program, VmConfig::default()).run_with(&mut cbs)?;
 
     let cct = cbs.cct().expect("context tree enabled");
     println!(

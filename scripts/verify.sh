@@ -367,4 +367,13 @@ grep -q '^pooled plan meets or beats the best single-VM plan: yes$' \
   "$SMOKE_DIR/fleet_optimize_render.txt" \
   || { echo "FAIL: the fleet plan lost to a single-VM plan on total cycles" >&2; exit 1; }
 
+echo "==> repro paper render pin (every table and figure, scale 1.0)"
+# EXPERIMENTS.md and the README result table quote this render, so it is
+# pinned whole. --jobs 2 renders the same bytes as --jobs 1; ~40 s on a
+# 2-core host.
+timeout 600 target/release/repro --jobs 2 all > "$SMOKE_DIR/paper_render.txt"
+cmp repro_output.txt "$SMOKE_DIR/paper_render.txt" \
+  || { echo "FAIL: repro all output drifted from repro_output.txt" \
+            "(regenerate: target/release/repro --jobs 2 all > repro_output.txt)" >&2; exit 1; }
+
 echo "OK: all gates passed"

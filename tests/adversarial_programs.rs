@@ -98,7 +98,9 @@ fn phase_shift_defeats_burst_profiling() {
 fn pc_sampler_builds_context_tree_but_misses_calls() {
     let (program, handles) = adversarial::figure1(150, 30_000).unwrap();
     let mut pc = PcSampler::new();
-    Vm::new(&program, VmConfig::default()).run(&mut pc).unwrap();
+    Vm::new(&program, VmConfig::default())
+        .run_with(&mut pc)
+        .unwrap();
     assert!(pc.samples_taken() > 0);
     assert!(pc.cct().max_depth() >= 2);
     // M dominates the stack; the short calls are nearly invisible.

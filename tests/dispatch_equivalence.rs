@@ -1,26 +1,58 @@
-//! Differential tests for the interpreter's dispatch strategies.
+//! Differential tests for the interpreter.
 //!
-//! `Vm::run_with` (monomorphized), `Vm::run` (the `&mut dyn Profiler`
-//! wrapper) and `Vm::run_reference` (the preserved pre-optimization
-//! interpreter) must be observationally indistinguishable: identical
-//! [`ExecReport`]s and identical profiler state — graphs, sample counts
-//! and simulated overhead — for every profiler mechanism, workload and
-//! VM configuration. This is what licenses the hot-path optimizations
-//! (cached code cursors, frame pooling, live-thread counter, batched DCG
-//! flushes, superinstruction fusion, `Profiler::armed` gating — the
-//! reference interpreter has none of them) to claim bit-identical output.
-//!
-//! [`ExecReport`]: cbs_vm::ExecReport
+//! `Vm::run_with` instantiated at a concrete profiler, `Vm::run_with` at
+//! `dyn Profiler`, and the independent reference interpreter in
+//! `support/oracle.rs` must be observationally indistinguishable:
+//! identical reports or traps, and identical profiler state — graphs,
+//! sample counts, simulated overhead, event streams — for every profiler
+//! mechanism, workload and VM configuration. The oracle has none of the
+//! hot-path machinery (cached code cursors, frame pooling, live-thread
+//! counter, batched DCG flushes, superinstruction fusion, `Profiler::armed`
+//! gating) and shares none of `cbs-vm`'s frames, heap, values or helpers,
+//! so agreement is what licenses that machinery to claim bit-identical
+//! output.
 
-use cbs_bytecode::{CodeBuilder, Label, MethodId, Op, ProgramBuilder};
+#[path = "support/oracle.rs"]
+mod oracle;
+
+use cbs_bytecode::{CodeBuilder, Label, MethodId, Op, ProgramBuilder, VirtualSlot};
 use cbs_prng::prop::run_cases;
 use cbs_prng::SmallRng;
 use cbs_profiler::{CbsConfig, CounterBasedSampler, ExhaustiveProfiler, TimerSampler};
 use cbs_repro::prelude::*;
-use cbs_vm::{CallEvent, ExecReport, Profiler, StackSlice, ThreadId, VmError};
+use cbs_vm::{CallEvent, ExecReport, NullProfiler, Profiler, StackSlice, ThreadId, Value, VmError};
+
+/// `report` in the oracle's terms: a `Ref` is its heap index.
+fn observed(report: &ExecReport) -> oracle::Report {
+    oracle::Report {
+        cycles: report.cycles,
+        seconds: report.seconds,
+        instructions: report.instructions,
+        calls: report.calls,
+        ticks: report.ticks,
+        invocations: report.invocations.clone(),
+        return_values: (report.return_values.iter())
+            .map(|v| match *v {
+                Value::Int(i) => oracle::Val::Int(i),
+                Value::Ref(r) => oracle::Val::Ref(r.index()),
+            })
+            .collect(),
+    }
+}
+
+/// Asserts the interpreter's report — or trap, method and pc included —
+/// is the oracle's.
+fn assert_matches_oracle(
+    fast: &Result<ExecReport, VmError>,
+    oracle: Result<oracle::Report, VmError>,
+    what: &str,
+) {
+    let fast = fast.as_ref().map(observed).map_err(VmError::clone);
+    assert_eq!(fast, oracle, "{what}: report or trap vs the oracle");
+}
 
 /// The three workloads the property sweeps (scaled down so a full
-/// dyn/generic/reference triple stays fast).
+/// generic/dyn/oracle triple stays fast).
 fn workload(idx: usize) -> Program {
     let bench = [Benchmark::Jess, Benchmark::Javac, Benchmark::Mtrt][idx % 3];
     cbs_repro::workloads::generator::build(&bench.spec(InputSize::Small).scaled(0.02))
@@ -42,37 +74,34 @@ fn draw_config(rng: &mut SmallRng) -> VmConfig {
     }
 }
 
-/// Runs `mk()`-built profilers through all three dispatch paths and
-/// asserts the reports and the profiler fingerprints coincide.
+/// Runs `mk()`-built profilers through both instantiations of the run
+/// loop and through the oracle, and asserts the reports and the profiler
+/// fingerprints coincide.
 fn assert_paths_agree<P, F>(program: &Program, config: &VmConfig, mk: impl Fn() -> P, fp: F)
 where
-    P: cbs_vm::Profiler + CallGraphProfiler,
+    P: Profiler + CallGraphProfiler,
     F: Fn(&mut P) -> (DynamicCallGraph, u64, u64),
 {
     let vm = Vm::new(program, config.clone());
 
     let mut generic = mk();
-    let generic_report: ExecReport = vm.run_with(&mut generic).expect("generic path runs");
+    let generic_report = vm.run_with(&mut generic);
+    generic_report.as_ref().expect("generic path runs");
 
     let mut dynamic = mk();
-    let dyn_report = vm.run(&mut dynamic).expect("dyn path runs");
+    let dyn_report = vm.run_with(&mut dynamic as &mut dyn Profiler);
 
     let mut reference = mk();
-    let reference_report = vm
-        .run_reference(&mut reference)
-        .expect("reference path runs");
+    let oracle_report = oracle::run(program, config, &mut reference);
 
     assert_eq!(generic_report, dyn_report, "generic vs dyn ExecReport");
-    assert_eq!(
-        generic_report, reference_report,
-        "generic vs reference ExecReport"
-    );
+    assert_matches_oracle(&generic_report, oracle_report, "generic");
 
     let g = fp(&mut generic);
     let d = fp(&mut dynamic);
     let r = fp(&mut reference);
     assert_eq!(g, d, "generic vs dyn profiler state");
-    assert_eq!(g, r, "generic vs reference profiler state");
+    assert_eq!(g, r, "generic vs oracle profiler state");
 }
 
 /// `(dcg, samples_taken, overhead_cycles)` — everything a profiler run
@@ -196,9 +225,61 @@ fn optimized_programs_agree_under_dense_ticks() {
     }
 }
 
+/// Superinstruction fusion must bail to the per-op path whenever a
+/// timer tick or the cycle budget would land inside a fused run, and the
+/// bail must be invisible. Shrinking the timer period to a few cycles
+/// makes nearly every fused run fail its guard, so this pins the
+/// fallback path against the oracle.
+#[test]
+fn fused_runs_bail_identically_under_dense_ticks_and_budget() {
+    let mut b = ProgramBuilder::new();
+    let cls = b.add_class("C", 0);
+    let main = b
+        .function("main", cls, 0, 2, |c| {
+            // Body dominated by fusible work-run quads, looped so the
+            // fused entry pcs are hit thousands of times.
+            c.counted_loop(0, 2_000, |c| {
+                c.load(1).const_(5).add().store(1);
+                c.load(1).const_(3).mul().store(1);
+                c.load(1).const_(0x55).bxor().store(1);
+                c.load(1).const_(7).sub().store(1);
+            });
+            c.load(1).ret();
+        })
+        .unwrap();
+    b.set_entry(main);
+    let p = b.build().unwrap();
+
+    // timer_hz 500_000 -> period 20 cycles, shorter than one quad run,
+    // so the `next_tick > end_clock` guard fails constantly; the default
+    // 100 Hz config covers the guard-passes side. The last config's
+    // budget expires mid-run, which the fusion guard also covers.
+    for (timer_hz, timer_jitter, max_cycles) in [
+        (500_000, 0, None),
+        (100_000, 12_500, None),
+        (100, 12_500, None),
+        (100, 12_500, Some(12_345)),
+    ] {
+        let cfg = VmConfig {
+            timer_hz,
+            timer_jitter,
+            max_cycles,
+            ..VmConfig::default()
+        };
+        let fast = Vm::new(&p, cfg.clone()).run_with(&mut NullProfiler);
+        let what = format!("hz={timer_hz} jitter={timer_jitter} budget={max_cycles:?}");
+        assert_matches_oracle(&fast, oracle::run(&p, &cfg, &mut NullProfiler), &what);
+        match (fast, max_cycles) {
+            (Ok(report), None) => assert!(timer_hz == 100 || report.ticks > 0, "{what}: ticks"),
+            (Err(e), Some(budget)) => assert_eq!(e, VmError::OutOfFuel { budget }),
+            (other, _) => panic!("{what}: {other:?}"),
+        }
+    }
+}
+
 /// Records every hook call verbatim. It keeps the default
-/// `Profiler::armed`, so the optimized interpreter owes it every event
-/// the reference interpreter delivers.
+/// `Profiler::armed`, so the run loop owes it every event the oracle
+/// delivers.
 #[derive(Debug, Default, PartialEq)]
 struct EventLog {
     events: Vec<String>,
@@ -397,13 +478,28 @@ impl CodeGen<'_, '_, '_> {
                 let leaf = self.leaf;
                 self.c.call(leaf);
             }
-            // A `Ref` in a source slot or on the stack top: the next run
-            // to read it must bail before it pops or writes anything.
-            10 if self.rng.gen_bool(0.15) => {
-                self.emit(Op::New(self.class));
-                if self.rng.gen_bool(0.5) {
-                    let d = self.slot();
-                    self.emit(Op::Store(d));
+            // Objects, now and then. A `Ref` in a source slot or on the
+            // stack top: the next run to read it must bail before it pops
+            // or writes anything. Field traffic, one index past the two
+            // fields and now and then on an `Int` included. A two-argument
+            // virtual call, the receiver deepest.
+            10 if self.rng.gen_bool(0.5) => {
+                let (new, s) = (Op::New(self.class), self.slot());
+                let receiver = [new, new, new, Op::Load(s)][self.rng.gen_range(0..4usize)];
+                let field = self.rng.gen_range(0..=2u32) as u16;
+                let k = Op::Const(self.rng.gen_range(-9i64..99));
+                let (ops, call): (&[Op], bool) = match self.rng.gen_range(0..4u32) {
+                    0 => (&[new, Op::Store(s)], false),
+                    1 => (&[receiver, Op::GetField(field)], false),
+                    2 => (&[receiver, k, Op::PutField(field)], false),
+                    _ => (&[new, Op::Load(s)], true),
+                };
+                for &op in ops {
+                    self.emit(op);
+                }
+                if call {
+                    self.c.call_virtual(VirtualSlot::new(0), 2);
+                    self.height -= 1;
                 }
             }
             // Operands for the folds above.
@@ -421,12 +517,18 @@ impl CodeGen<'_, '_, '_> {
 
 fn random_integer_program(rng: &mut SmallRng) -> Program {
     let mut b = ProgramBuilder::new();
-    let class = b.add_class("C", 0);
+    let class = b.add_class("C", 2);
     let leaf = b
         .function("leaf", class, 1, 0, |c| {
             c.load(0).const_(3).mul().const_(1).add().ret();
         })
         .expect("leaf builds");
+    let virt = b
+        .function("C.f", class, 2, 0, |c| {
+            c.load(0).get_field(1).load(1).sub().ret();
+        })
+        .expect("C.f builds");
+    b.set_vtable(class, VirtualSlot::new(0), virt);
     // The straight-line body sits in a bottom-tested loop of a few
     // trips: its closing conditional jump is a backedge — a yieldpoint
     // under the Jikes flavor — in the exact shape of a test-branch, which
@@ -477,14 +579,17 @@ fn random_integer_program(rng: &mut SmallRng) -> Program {
 /// Random straight-line integer code mixing every form of the fused
 /// templates — quads, forwarded chains, spills, folds of the stack top,
 /// runs from the stack top, test-branches with and without a test, a
-/// conditional backedge — with forward jumps landing mid-run, `Ref`s where a run expects an
-/// `Int`, divisions by a zero constant, timer periods of a few ops and
-/// `max_cycles` budgets that end inside a run. The optimized and the
-/// reference interpreter must agree on the report or the trap (and so
-/// its pc) and on every event delivered on the way there.
+/// conditional backedge — with forward jumps landing mid-run, `Ref`s
+/// where a run expects an `Int`, divisions by a zero constant, field
+/// reads and writes out of range or on an `Int`, two-argument virtual
+/// calls, timer periods of a few ops and `max_cycles` budgets that end
+/// inside a run. The run loop and the
+/// oracle must agree on the report or the trap (and so its pc) and on
+/// every event delivered on the way there; the run loop must also end
+/// the same under `NullProfiler`, which it delivers nothing.
 #[test]
 fn random_integer_code_agrees_with_the_reference() {
-    let mut tally = [0u32; 4];
+    let mut tally = [0u32; 5];
     run_cases("fused_runs_vs_reference", 300, |rng| {
         let program = random_integer_program(rng);
         let period = rng.gen_range(3..90u64);
@@ -502,14 +607,16 @@ fn random_integer_code_agrees_with_the_reference() {
             let vm = Vm::new(&program, config.clone());
             let (mut fast_log, mut reference_log) = (EventLog::default(), EventLog::default());
             let fast = vm.run_with(&mut fast_log);
-            let reference = vm.run_reference(&mut reference_log);
-            assert_eq!(fast, reference, "report or trap");
+            let reference = oracle::run(&program, config, &mut reference_log);
+            assert_matches_oracle(&fast, reference, "EventLog");
             assert_eq!(fast_log, reference_log, "event stream");
+            assert_eq!(vm.run_with(&mut NullProfiler), fast, "unprofiled");
             tally[match &fast {
                 Ok(_) => 0,
                 Err(VmError::TypeMismatch { .. }) => 1,
                 Err(VmError::DivisionByZero { .. }) => 2,
                 Err(VmError::OutOfFuel { .. }) => 3,
+                Err(VmError::FieldOutOfRange { .. }) => 4,
                 Err(other) => panic!("unexpected trap {other}"),
             }] += 1;
             fast.map_or(fast_log.last_clock, |report| report.cycles)
@@ -525,6 +632,6 @@ fn random_integer_code_agrees_with_the_reference() {
     assert!(
         tally.iter().all(|&n| n >= 20),
         "the generator must keep producing clean runs, type traps, zero \
-         divisors and exhausted budgets: {tally:?}"
+         divisors, exhausted budgets and out-of-range fields: {tally:?}"
     );
 }

@@ -106,7 +106,7 @@ fn profiling_does_not_perturb_execution() {
         }
     }
     let profiled = Vm::new(&program, VmConfig::default())
-        .run(&mut grid)
+        .run_with(&mut grid)
         .unwrap();
     assert_eq!(bare, profiled, "observers must not change the observation");
 }

@@ -20,11 +20,11 @@ fn tick_histogram_matches_exact_exclusive_time() {
             .pipe(|s| cbs_repro::workloads::generator::build(&s).unwrap());
         let mut tracer = CallTreeTracer::new();
         Vm::new(&program, VmConfig::default())
-            .run(&mut tracer)
+            .run_with(&mut tracer)
             .unwrap();
         let mut hot = HotMethodSampler::new();
         Vm::new(&program, VmConfig::default())
-            .run(&mut hot)
+            .run_with(&mut hot)
             .unwrap();
         // Compare the two distributions with the paper's overlap idea:
         // Σ min(share_ticks, share_exclusive) over methods.
@@ -78,7 +78,7 @@ fn round_robin_skip_defeats_stride_aliasing() {
             timer_jitter: 0,
             ..VmConfig::default()
         };
-        Vm::new(&program, vm_config).run(&mut cbs).unwrap();
+        Vm::new(&program, vm_config).run_with(&mut cbs).unwrap();
         let dcg = cbs.dcg().clone();
         let shares: Vec<f64> = handles
             .callees
