@@ -28,7 +28,8 @@
 //!   apply, fsync off — the async-fsync configuration whose cost must
 //!   stay within 2× of `aggregate/streaming`);
 //! * `wal/append_concurrent` — four pusher threads through one
-//!   `fsync always` store: concurrent acks share group-commit syncs;
+//!   `fsync always` store: an ack that queues behind another's sync is
+//!   covered by the next one;
 //! * `wal/append_single_lock` — the identical workload and store
 //!   configuration serialized behind one external lock, so every push
 //!   convoys and syncs a batch of one: the monolithic-lock write path
@@ -47,11 +48,10 @@ use cbs_core::inliner::{build_plan, NewLinearPolicy};
 use cbs_core::profiled::{
     AggregatorConfig, DcgCodec, DcgFrame, IngestScratch, ProfileJournal, ShardedAggregator,
 };
-use cbs_core::store::{FsyncPolicy, GroupCommitConfig, ProfileStore, StoreConfig};
+use cbs_core::store::{FsyncPolicy, ProfileStore, StoreConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 const EDGES: usize = 50_000;
 const FRAMES: usize = 64;
@@ -278,7 +278,7 @@ fn main() {
         .clone();
     entries.push(json_entry("wal/append", EDGES, &wal_append));
 
-    // Concurrent durable ingest: the group-commit gate. The records are
+    // Concurrent durable ingest: the shared-sync gate. The records are
     // re-cut into 1024 small frames (per-ack fsync dominates, as in a
     // fleet where pushes are small next to the sync), pushed by four
     // threads through one `fsync always` store. The baseline runs the
@@ -298,13 +298,6 @@ fn main() {
                 agg,
                 StoreConfig {
                     fsync: FsyncPolicy::Always,
-                    // Hold each sync open briefly for the other pushers
-                    // (`--group-commit 4,200` in profiled terms): close
-                    // the batch as soon as all four are aboard.
-                    group_commit: GroupCommitConfig {
-                        max_batch: PUSHERS as u64,
-                        max_wait: Duration::from_micros(200),
-                    },
                     checkpoint_every: 0,
                     ..StoreConfig::default()
                 },

@@ -6,7 +6,7 @@
 //!          [--max-frame-bytes <n>] [--max-inflight <n>]
 //!          [--dedup-cap <n>]
 //!          [--data-dir <dir>] [--checkpoint-every <frames>]
-//!          [--fsync always|never|<n>] [--group-commit <max-batch>[,<max-wait-us>]]
+//!          [--fsync always|never]
 //! ```
 //!
 //! Binds `--addr` (default `127.0.0.1:0`, an OS-assigned port), prints
@@ -23,19 +23,17 @@
 //! log before it is acknowledged and the directory is recovered on
 //! startup — a `recovered ...` line (printed before `listening`)
 //! reports what came back. `--fsync` picks the durability/throughput
-//! trade (`always` per-ack, `never`, or sync every `<n>` appends);
-//! `--checkpoint-every` bounds replay time by checkpointing after that
-//! many applied frames. Under `--fsync always` concurrent pushers
-//! share one fsync per batch; `--group-commit` caps how many acks one
-//! sync may cover and how long a sync leader waits for the batch to
-//! fill (default `64`, no wait).
+//! trade (`always` syncs before every ack, `never` leaves it to the
+//! OS); `--checkpoint-every` bounds replay time by checkpointing after
+//! that many applied frames. Under `--fsync always` a push that arrives
+//! while another's fsync is in flight is acknowledged by the next one.
 //!
 //! [`ShardedAggregator`]: cbs_core::profiled::ShardedAggregator
 
 use cbs_core::profiled::{
     serve_with, AggregatorConfig, NetConfig, ServerConfig, ShardedAggregator,
 };
-use cbs_core::store::{FsyncPolicy, GroupCommitConfig, ProfileStore, StoreConfig};
+use cbs_core::store::{FsyncPolicy, ProfileStore, StoreConfig};
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -77,15 +75,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 store_config.checkpoint_every = value("--checkpoint-every")?.parse()?
             }
             "--fsync" => store_config.fsync = value("--fsync")?.parse::<FsyncPolicy>()?,
-            "--group-commit" => {
-                store_config.group_commit = value("--group-commit")?.parse::<GroupCommitConfig>()?
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: profiled [--addr <host:port>] [--decay <f64>] [--min-weight <f64>] \
                      [--max-frame-bytes <n>] [--max-inflight <n>] \
                      [--dedup-cap <n>] [--data-dir <dir>] [--checkpoint-every <frames>] \
-                     [--fsync always|never|<n>] [--group-commit <max-batch>[,<max-wait-us>]]\n\
+                     [--fsync always|never]\n\
                      (--shards <n> is accepted and ignored: the aggregate is one graph)"
                 );
                 return Ok(());

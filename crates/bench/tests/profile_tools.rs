@@ -282,6 +282,21 @@ fn out_of_range_decay_settings_are_refused_before_the_data_dir_is_touched() {
             "{flag} {value}: refused only after the data dir was created"
         );
     }
+    // The WAL syncs only per ack or never: a sync cadence and a
+    // group-commit fill window are refused, not silently ignored.
+    for (flag, value) in [("--fsync", "3"), ("--group-commit", "4,200")] {
+        let out = profiled_exit(&["--addr", "127.0.0.1:0", "--data-dir", &data, flag, value]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "profiled accepted {flag} {value}");
+        assert!(
+            stderr.contains(flag),
+            "{flag} {value}: the error must name the flag: {stderr}"
+        );
+        assert!(
+            !Path::new(&data).exists(),
+            "{flag} {value}: refused only after the data dir was created"
+        );
+    }
     // The range's edges are legal.
     let out = dcgtool(&[
         "store",

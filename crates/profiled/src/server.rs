@@ -109,8 +109,8 @@ impl ServerHandle {
     /// exit on their own (their sockets carry read timeouts, so none can
     /// linger forever).
     ///
-    /// Finally flushes the journal: under a lazy fsync policy
-    /// (`--fsync never|<n>`) an orderly exit must not leave acked
+    /// Finally flushes the journal: under the lazy fsync policy
+    /// (`--fsync never`) an orderly exit must not leave acked
     /// frames in an unsynced WAL tail. Best-effort — a flush failure
     /// cannot un-ack anything, so it is not propagated.
     pub fn shutdown(mut self) {

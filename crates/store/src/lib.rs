@@ -26,8 +26,9 @@
 //!   `dcgtool store inspect`.
 //!
 //! Writes flow through a staged path — a short append critical section,
-//! a ticket-ordered apply turnstile, and a group-commit stage where
-//! concurrent [`FsyncPolicy::Always`] acks share one `sync_all` — so
+//! one sync mutex through which every WAL `sync_all` runs (a
+//! [`FsyncPolicy::Always`] ack that queued behind an in-flight sync is
+//! covered by the next one), and a ticket-ordered apply turnstile — so
 //! concurrent pushers overlap instead of convoying (see [`store`]).
 //!
 //! Scripted crash points ([`cbs_profiled::CrashSite`]) let tests kill
@@ -55,4 +56,4 @@ pub use crc::crc32;
 pub use inspect::{inspect, CheckpointInfo, SegmentInfo, StoreInspection};
 pub use lock::StoreLock;
 pub use metrics::StoreMetrics;
-pub use store::{FsyncPolicy, GroupCommitConfig, ProfileStore, RecoveryReport, StoreConfig};
+pub use store::{FsyncPolicy, ProfileStore, RecoveryReport, StoreConfig};

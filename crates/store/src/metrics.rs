@@ -1,14 +1,14 @@
 //! Static telemetry handles for the durable store, registered in the
 //! process-wide [`cbs_telemetry::global`] registry (naming scheme
 //! `store.<subsystem>.<metric>`). Counters of *applied work* are
-//! deterministic for a deterministic workload; group-commit shape
+//! deterministic for a deterministic workload; the ack-path sync shape
 //! (how many syncs, how large each batch) depends on thread timing and
 //! is registered as wall-clock.
 
 use cbs_telemetry::{global, Counter, Histogram, Stability};
 use std::sync::OnceLock;
 
-/// Group-commit batch-size buckets (appends acked per shared sync).
+/// Batch-size buckets (tickets made durable per ack-path sync).
 const BATCH_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// The store's metric handles. Obtain via [`StoreMetrics::get`].
@@ -18,9 +18,9 @@ pub struct StoreMetrics {
     pub wal_appends: Counter,
     /// WAL bytes written (framing included).
     pub wal_bytes: Counter,
-    /// Shared group-commit syncs completed.
+    /// WAL syncs on the ack path (`store.wal.group_commits`).
     pub wal_group_commits: Counter,
-    /// Appends acknowledged per shared sync.
+    /// Tickets made durable per ack-path sync.
     pub wal_batch_size: Histogram,
     /// Dirty WAL tails synced by a graceful-shutdown flush.
     pub wal_shutdown_syncs: Counter,
@@ -46,13 +46,11 @@ impl StoreMetrics {
             StoreMetrics {
                 wal_appends: r.counter("store.wal.appends", "WAL records appended"),
                 wal_bytes: r.counter("store.wal.bytes", "WAL bytes written (framing included)"),
-                wal_group_commits: r.counter(
-                    "store.wal.group_commits",
-                    "shared group-commit syncs completed",
-                ),
+                wal_group_commits: r
+                    .counter("store.wal.group_commits", "WAL syncs on the ack path"),
                 wal_batch_size: r.histogram(
                     "store.wal.batch_size",
-                    "appends acknowledged per shared sync",
+                    "tickets made durable per ack-path sync",
                     BATCH_BUCKETS,
                     Stability::Wallclock,
                 ),

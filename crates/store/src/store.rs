@@ -1,6 +1,6 @@
 //! [`ProfileStore`]: the durable [`ProfileJournal`] implementation.
 //!
-//! ## Staged write path (group commit)
+//! ## Staged write path
 //!
 //! Every accepted operation passes through three stages, so concurrent
 //! pusher connections overlap instead of convoying on one store-wide
@@ -9,11 +9,12 @@
 //! 1. **Append** — a short critical section under the append lock:
 //!    write one WAL record and take a *ticket*. The lock serializes
 //!    appends, so ticket order **is** WAL record order.
-//! 2. **Commit** — durability per [`FsyncPolicy`]. Under `Always`, a
-//!    *group commit*: the first waiter becomes the sync leader, batches
-//!    every append that landed while the previous fsync was in flight,
-//!    issues one shared `sync_all`, and wakes the followers. One disk
-//!    flush acknowledges the whole batch.
+//! 2. **Commit** — durability per [`FsyncPolicy`]. Under `Always`, the
+//!    ack takes the one sync mutex: if an earlier sync already covered
+//!    its ticket it returns at once, otherwise it runs `sync_all` on the
+//!    live segment and marks every ticket appended before that sync
+//!    durable. Acks that queued on the mutex while a sync was in flight
+//!    are covered by the next one, so batches form from overlap alone.
 //! 3. **Apply** — a ticket-ordered turnstile folds each op into the
 //!    aggregator in exactly WAL order. (f64 accumulation is not
 //!    associative: replaying the log must reproduce the aggregator
@@ -67,93 +68,41 @@ use std::fs::{self, File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Defensive wake-up interval for condvar waits: every waiter also
-/// polls the poisoned flag, so a crash can never strand a sleeper even
-/// if a notification is lost to a panicking thread.
+/// Defensive wake-up interval for the apply turnstile's condvar waits:
+/// every waiter also polls the poisoned flag, so a crash can never
+/// strand a sleeper even if a notification is lost to a panicking
+/// thread.
 const CRASH_POLL: Duration = Duration::from_millis(50);
+
+/// Largest WAL record payload accepted (a guard against a misconfigured
+/// frame limit upstream).
+const MAX_RECORD_BYTES: usize = 64 << 20;
 
 /// When the WAL file is fsynced relative to the acknowledgement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Sync before every ack: an acked operation survives power loss.
-    /// Concurrent acks share one sync via group commit.
+    /// Concurrent acks share a sync when they overlap one.
     Always,
     /// Never sync explicitly: an acked operation survives a process
     /// crash (the write reached the kernel) but not a power loss.
     Never,
-    /// Sync every `n`-th append: bounded loss window, near-`Never`
-    /// throughput.
-    EveryN(u64),
 }
 
 impl FromStr for FsyncPolicy {
     type Err = String;
 
+    /// Parses the `--fsync` value; the error names the flag.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "always" => Ok(Self::Always),
             "never" => Ok(Self::Never),
-            n => n
-                .parse::<u64>()
-                .ok()
-                .filter(|&n| n > 0)
-                .map(Self::EveryN)
-                .ok_or_else(|| format!("fsync policy must be 'always', 'never', or a count: {s}")),
+            _ => Err(format!("--fsync must be 'always' or 'never', got `{s}`")),
         }
-    }
-}
-
-/// Group-commit tuning for [`FsyncPolicy::Always`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupCommitConfig {
-    /// Most appends one shared sync may acknowledge. Batches form
-    /// naturally from whatever arrived while the previous sync was in
-    /// flight; this caps them.
-    pub max_batch: u64,
-    /// How long a sync leader may wait for the batch to fill before
-    /// syncing anyway. Zero (the default) adds no latency: the leader
-    /// syncs immediately and batching comes purely from fsync overlap.
-    pub max_wait: Duration,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        Self {
-            max_batch: 64,
-            max_wait: Duration::ZERO,
-        }
-    }
-}
-
-impl FromStr for GroupCommitConfig {
-    type Err = String;
-
-    /// Parses `<max-batch>` or `<max-batch>,<max-wait-us>`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (batch, wait) = match s.split_once(',') {
-            Some((b, w)) => (b, Some(w)),
-            None => (s, None),
-        };
-        let max_batch = batch
-            .parse::<u64>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("group-commit max-batch must be a positive count: {s}"))?;
-        let max_wait = match wait {
-            Some(w) => Duration::from_micros(
-                w.parse::<u64>()
-                    .map_err(|_| format!("group-commit max-wait-us must be a count: {s}"))?,
-            ),
-            None => Duration::ZERO,
-        };
-        Ok(Self {
-            max_batch,
-            max_wait,
-        })
     }
 }
 
@@ -162,16 +111,11 @@ impl FromStr for GroupCommitConfig {
 pub struct StoreConfig {
     /// WAL fsync policy.
     pub fsync: FsyncPolicy,
-    /// Group-commit tuning (only meaningful with [`FsyncPolicy::Always`]).
-    pub group_commit: GroupCommitConfig,
     /// Applied frames between automatic checkpoints (`0` = only
     /// explicit [`ProfileStore::checkpoint_now`] calls).
     pub checkpoint_every: u64,
     /// Dedup-table client cap (`0` = unbounded).
     pub dedup_capacity: usize,
-    /// Largest WAL record payload accepted (a guard against a
-    /// misconfigured frame limit upstream).
-    pub max_record_bytes: usize,
     /// Fault schedule carrying scripted crash points, if any.
     pub faults: Option<Arc<Mutex<FaultSchedule>>>,
 }
@@ -180,10 +124,8 @@ impl Default for StoreConfig {
     fn default() -> Self {
         Self {
             fsync: FsyncPolicy::Always,
-            group_commit: GroupCommitConfig::default(),
             checkpoint_every: 1024,
             dedup_capacity: DedupTable::DEFAULT_CAPACITY,
-            max_record_bytes: 64 << 20,
             faults: None,
         }
     }
@@ -218,7 +160,6 @@ struct AppendState {
     wal: SegmentWriter,
     dedup: DedupTable,
     frames_since_checkpoint: u64,
-    appends_since_sync: u64,
     /// Tickets issued so far; the next append takes `next_ticket + 1`.
     next_ticket: u64,
     /// The epoch the next `advance_epoch` will journal. Tracked here
@@ -233,21 +174,16 @@ struct ApplyState {
     next: u64,
 }
 
-/// Commit-stage state: durability bookkeeping and the group-commit
-/// leader slot.
+/// Commit-stage state, guarded by the sync mutex: held across every
+/// WAL sync, so at most one is ever in flight.
 #[derive(Debug)]
-struct CommitState {
-    /// Highest ticket whose WAL record is written.
-    appended: u64,
+struct SyncState {
     /// Highest ticket covered by a completed sync.
     durable: u64,
-    /// The live segment's file handle, so a leader can `sync_all`
-    /// without holding the append lock. Swapped on rotation *after* the
-    /// old segment was synced, so tickets in `(durable, appended]` are
-    /// always in this file.
+    /// The live segment's file handle, so a sync need not hold the
+    /// append lock. Swapped on rotation *after* the old segment was
+    /// synced, so tickets above `durable` are always in this file.
     file: Arc<File>,
-    /// A sync leader is in flight; late arrivals become followers.
-    leader: bool,
 }
 
 /// The durable profile journal. See the module docs.
@@ -261,14 +197,21 @@ pub struct ProfileStore {
     config: StoreConfig,
     recovery: RecoveryReport,
     /// Set by a scripted crash, a lock poisoned mid-operation, or a
-    /// failed group fsync; every later operation fails with
+    /// failed WAL sync; every later operation fails with
     /// [`JournalError::Crashed`].
     crashed: AtomicBool,
     append: Mutex<AppendState>,
+    /// Highest ticket whose WAL record is written. Stored under the
+    /// append lock after the write returns, so a sync that starts after
+    /// reading it covers every ticket up to the value read.
+    appended: AtomicU64,
+    sync: Mutex<SyncState>,
     apply: Mutex<ApplyState>,
     apply_cv: Condvar,
-    commit: Mutex<CommitState>,
-    commit_cv: Condvar,
+    /// Test-only fault seam: the next WAL sync fails as if `fsync` had
+    /// reported a writeback error.
+    #[cfg(test)]
+    pub(crate) fail_next_sync: AtomicBool,
 }
 
 impl ProfileStore {
@@ -438,19 +381,15 @@ impl ProfileStore {
                 // stale; carry the count so the next ingest can trigger
                 // an automatic checkpoint promptly.
                 frames_since_checkpoint: report.replayed_frames,
-                appends_since_sync: 0,
                 next_ticket: 0,
                 next_epoch,
             }),
+            appended: AtomicU64::new(0),
+            sync: Mutex::new(SyncState { durable: 0, file }),
             apply: Mutex::new(ApplyState { next: 1 }),
             apply_cv: Condvar::new(),
-            commit: Mutex::new(CommitState {
-                appended: 0,
-                durable: 0,
-                file,
-                leader: false,
-            }),
-            commit_cv: Condvar::new(),
+            #[cfg(test)]
+            fail_next_sync: AtomicBool::new(false),
             aggregator,
             recovery: report,
         })
@@ -485,21 +424,18 @@ impl ProfileStore {
     /// `true` when acknowledged appends are not yet covered by a sync —
     /// the window [`Self::sync_now`] (and the shutdown flush) closes.
     pub fn wal_dirty(&self) -> bool {
-        let c = self.lock_commit();
-        c.durable < c.appended
+        self.lock_sync().durable < self.appended.load(Ordering::SeqCst)
     }
 
-    /// Fsyncs the WAL tail now, regardless of policy, and resets the
-    /// [`FsyncPolicy::EveryN`] cadence (an actual sync is an actual
-    /// sync — the next `n`-window starts here).
+    /// Fsyncs the WAL tail now, regardless of policy.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Storage`] on I/O failure, [`JournalError::Crashed`]
-    /// after a scripted crash.
+    /// [`JournalError::Storage`] on I/O failure (which also poisons the
+    /// store), [`JournalError::Crashed`] after a crash.
     pub fn sync_now(&self) -> Result<(), JournalError> {
         self.check_crashed()?;
-        self.force_sync_all()
+        self.sync_through(self.appended.load(Ordering::SeqCst), false)
     }
 
     /// Takes a checkpoint now: quiesces applies, rotates the WAL,
@@ -542,8 +478,8 @@ impl ProfileStore {
         self.recover_poison(self.apply.lock())
     }
 
-    fn lock_commit(&self) -> MutexGuard<'_, CommitState> {
-        self.recover_poison(self.commit.lock())
+    fn lock_sync(&self) -> MutexGuard<'_, SyncState> {
+        self.recover_poison(self.sync.lock())
     }
 
     fn crash_fires(&self, site: CrashSite) -> Option<CrashSpec> {
@@ -559,15 +495,14 @@ impl ProfileStore {
     }
 
     /// Appends one record under the append lock: crash sites, the WAL
-    /// write, the `EveryN` cadence, and the ticket. Returns the ticket.
+    /// write, and the ticket. Returns the ticket.
     fn append_locked(&self, a: &mut AppendState, payload: &[u8]) -> Result<u64, JournalError> {
-        if payload.len() > self.config.max_record_bytes {
+        if payload.len() > MAX_RECORD_BYTES {
             return Err(JournalError::Storage(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "WAL record of {} bytes exceeds max_record_bytes {}",
-                    payload.len(),
-                    self.config.max_record_bytes
+                    "WAL record of {} bytes exceeds the {MAX_RECORD_BYTES}-byte limit",
+                    payload.len()
                 ),
             )));
         }
@@ -582,26 +517,8 @@ impl ProfileStore {
         }
         a.wal.append(payload)?;
         a.next_ticket += 1;
-        let ticket = a.next_ticket;
-        let mut synced = false;
-        if let FsyncPolicy::EveryN(n) = self.config.fsync {
-            a.appends_since_sync += 1;
-            if a.appends_since_sync >= n {
-                a.wal.sync()?;
-                a.appends_since_sync = 0;
-                synced = true;
-            }
-        }
-        let mut c = self.lock_commit();
-        c.appended = ticket;
-        if synced {
-            c.durable = c.durable.max(ticket);
-        }
-        drop(c);
-        // Wake a batch-forming leader (and, after an inline sync, any
-        // follower the sync happened to cover).
-        self.commit_cv.notify_all();
-        Ok(ticket)
+        self.appended.store(a.next_ticket, Ordering::SeqCst);
+        Ok(a.next_ticket)
     }
 
     /// Runs `f` when `ticket`'s turn in the apply turnstile comes:
@@ -650,97 +567,54 @@ impl ProfileStore {
         Ok(())
     }
 
-    /// Marks tickets through `upto` durable and wakes commit waiters.
-    fn mark_durable(&self, upto: u64) {
-        let mut c = self.lock_commit();
-        c.durable = c.durable.max(upto);
-        drop(c);
-        self.commit_cv.notify_all();
-    }
-
-    /// Fsyncs everything appended so far (briefly holding the append
-    /// lock) and resets the `EveryN` cadence.
-    fn force_sync_all(&self) -> Result<(), JournalError> {
-        let mut a = self.lock_append();
-        a.wal.sync()?;
-        a.appends_since_sync = 0;
-        let issued = a.next_ticket;
-        drop(a);
-        self.mark_durable(issued);
+    /// The WAL's one sync, behind every durability promise: `Always`
+    /// acks (`ack`, counted in the batch metrics), [`Self::sync_now`]
+    /// and the checkpoint's pre-rotation sync. Under the sync mutex it
+    /// returns at once if an earlier sync already covered `ticket`;
+    /// otherwise it fsyncs the live segment outside the append lock and
+    /// marks every ticket appended before the sync durable. Callers
+    /// queued on the mutex meanwhile find themselves covered by the
+    /// next sync, so batches form from overlap alone.
+    ///
+    /// A failed sync poisons the store before the mutex is released.
+    /// Every sync shares one open file, and Linux reports a writeback
+    /// error once per open file description: a later sync could return
+    /// `Ok` over pages the kernel already dropped.
+    fn sync_through(&self, ticket: u64, ack: bool) -> Result<(), JournalError> {
+        let mut s = self.lock_sync();
+        if s.durable >= ticket {
+            return Ok(());
+        }
+        self.check_crashed()?;
+        let target = self.appended.load(Ordering::SeqCst);
+        if let Err(e) = self.sync_file(&s.file) {
+            self.crashed.store(true, Ordering::SeqCst);
+            return Err(JournalError::Storage(e));
+        }
+        if ack {
+            let m = StoreMetrics::get();
+            m.wal_group_commits.inc();
+            m.wal_batch_size.observe(target - s.durable);
+        }
+        s.durable = target;
         Ok(())
     }
 
-    /// Blocks until `ticket` is durable, electing this thread as the
-    /// sync leader when none is in flight. The batch is everything
-    /// appended while the previous sync was in flight (this stage runs
-    /// *before* the apply turnstile, so waiting ops sit here, not
-    /// there); the leader optionally holds the sync open `max_wait`
-    /// for up to `max_batch` appends, then syncs the segment file
-    /// *outside* the append lock and wakes every follower its sync
-    /// covered — the group commit.
-    fn group_commit_wait(&self, ticket: u64) -> Result<(), JournalError> {
-        let gc = self.config.group_commit;
-        let mut c = self.lock_commit();
-        loop {
-            if c.durable >= ticket {
-                return Ok(());
-            }
-            self.check_crashed()?;
-            if c.leader {
-                // A sync is in flight; it (or the next round) covers us.
-                let (g, _) = self.recover_poison(self.commit_cv.wait_timeout(c, CRASH_POLL));
-                c = g;
-                continue;
-            }
-            c.leader = true;
-            if !gc.max_wait.is_zero() {
-                let deadline = Instant::now() + gc.max_wait;
-                while c.appended - c.durable < gc.max_batch.max(1) {
-                    let now = Instant::now();
-                    if now >= deadline || self.crashed.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let (g, _) =
-                        self.recover_poison(self.commit_cv.wait_timeout(c, deadline - now));
-                    c = g;
-                }
-            }
-            let already_durable = c.durable;
-            let target = c.appended.min(already_durable + gc.max_batch.max(1));
-            let file = Arc::clone(&c.file);
-            drop(c);
-            let synced = file.sync_all();
-            c = self.lock_commit();
-            c.leader = false;
-            match synced {
-                Ok(()) => {
-                    c.durable = c.durable.max(target);
-                    let m = StoreMetrics::get();
-                    m.wal_group_commits.inc();
-                    m.wal_batch_size.observe(target - already_durable);
-                }
-                Err(e) => {
-                    // A failed fsync may have dropped the dirty pages;
-                    // a later "successful" sync could silently lose the
-                    // batch. Poison the store instead of retrying.
-                    self.crashed.store(true, Ordering::SeqCst);
-                    drop(c);
-                    self.commit_cv.notify_all();
-                    return Err(JournalError::Storage(e));
-                }
-            }
-            drop(c);
-            self.commit_cv.notify_all();
-            c = self.lock_commit();
+    /// `sync_all`, behind the test-only fault seam.
+    fn sync_file(&self, file: &File) -> io::Result<()> {
+        #[cfg(test)]
+        if self.fail_next_sync.swap(false, Ordering::SeqCst) {
+            return Err(io::Error::other("injected WAL sync failure"));
         }
+        file.sync_all()
     }
 
     /// The durability stage of the write path, run *between* the append
     /// and the apply: the after-append crash site, then the policy's
     /// durability wait. Running it before the serialized apply is what
-    /// lets group-commit batches form — ops waiting out a sync overlap
-    /// each other here instead of draining one by one through the
-    /// turnstile first.
+    /// lets sync batches form — ops waiting out a sync overlap each
+    /// other here instead of draining one by one through the turnstile
+    /// first.
     fn commit_durable(&self, ticket: u64) -> Result<(), JournalError> {
         if self.crash_fires(CrashSite::AfterWalAppend).is_some() {
             // The operation is durable (force the sync — mid-batch this
@@ -748,16 +622,13 @@ impl ProfileStore {
             // past their durability wait may still ack, later tickets
             // are journaled but never acknowledged) and never applied
             // in this process.
-            self.force_sync_all()?;
+            self.sync_now()?;
             self.crashed.store(true, Ordering::SeqCst);
-            self.commit_cv.notify_all();
             return Err(JournalError::Crashed);
         }
         match self.config.fsync {
-            FsyncPolicy::Always => self.group_commit_wait(ticket),
-            // `EveryN` syncs inline at the append (the cadence counter
-            // lives under the append lock); `Never` never does.
-            FsyncPolicy::Never | FsyncPolicy::EveryN(_) => Ok(()),
+            FsyncPolicy::Always => self.sync_through(ticket, true),
+            FsyncPolicy::Never => Ok(()),
         }
     }
 
@@ -796,15 +667,10 @@ impl ProfileStore {
         // Rotate first: records appended after this critical section go
         // to the new segment, which is exactly the set the checkpoint
         // does not capture.
-        a.wal.sync()?;
-        a.appends_since_sync = 0;
-        self.mark_durable(a.next_ticket);
+        self.sync_through(a.next_ticket, false)?;
         let new_seq = a.wal.seq() + 1;
         a.wal = SegmentWriter::create(&self.dir, new_seq)?;
-        {
-            let mut c = self.lock_commit();
-            c.file = a.wal.file();
-        }
+        self.lock_sync().file = a.wal.file();
 
         let stats = self.aggregator.stats();
         let ckpt = Checkpoint {
@@ -906,7 +772,7 @@ impl ProfileJournal for ProfileStore {
             // between its append and its batch's sync.
             self.wait_applied_through(issued)?;
             if self.config.fsync == FsyncPolicy::Always {
-                self.group_commit_wait(issued)?;
+                self.sync_through(issued, true)?;
             }
             return Ok(SeqIngest::Duplicate);
         }

@@ -649,7 +649,7 @@ fn flipping_each_crc_byte_is_always_detected() {
 }
 
 // ---------------------------------------------------------------------
-// Staged write path: concurrent bit-identity, group commit, mid-batch
+// Staged write path: concurrent bit-identity, shared syncs, mid-batch
 // crashes, and the durable-store defect-sweep regressions.
 // ---------------------------------------------------------------------
 
@@ -742,18 +742,6 @@ fn concurrent_pushers_are_bit_identical_without_fsync() {
 }
 
 #[test]
-fn concurrent_pushers_are_bit_identical_under_every_n() {
-    concurrent_ingest_matches_wal_order(
-        "conc-everyn",
-        StoreConfig {
-            fsync: FsyncPolicy::EveryN(3),
-            ..fast_config()
-        },
-        false,
-    );
-}
-
-#[test]
 fn concurrent_pushers_are_bit_identical_under_group_commit() {
     let before = crate::StoreMetrics::get().wal_group_commits.get();
     concurrent_ingest_matches_wal_order(
@@ -767,22 +755,6 @@ fn concurrent_pushers_are_bit_identical_under_group_commit() {
     assert!(
         crate::StoreMetrics::get().wal_group_commits.get() > before,
         "durable acks must have gone through the group-commit stage"
-    );
-}
-
-#[test]
-fn concurrent_pushers_are_bit_identical_with_a_batch_fill_window() {
-    concurrent_ingest_matches_wal_order(
-        "conc-wait",
-        StoreConfig {
-            fsync: FsyncPolicy::Always,
-            group_commit: crate::GroupCommitConfig {
-                max_batch: 8,
-                max_wait: std::time::Duration::from_micros(200),
-            },
-            ..fast_config()
-        },
-        true,
     );
 }
 
@@ -879,38 +851,36 @@ fn duplicate_seq_ack_is_durable_under_group_commit() {
 }
 
 #[test]
-fn sync_cadence_resets_at_every_sync_not_just_every_n() {
-    let dir = TestDir::new("cadence");
-    let config = StoreConfig {
-        fsync: FsyncPolicy::EveryN(3),
-        ..fast_config()
-    };
-    let store = ProfileStore::open(dir.path(), agg(decaying()), config).unwrap();
-    let mut scratch = IngestScratch::new();
-    store.ingest_frame(&frame(0), &mut scratch).unwrap();
-    store.ingest_frame(&frame(1), &mut scratch).unwrap();
-    assert!(store.wal_dirty(), "two appends under every-3 stay unsynced");
-    store.checkpoint_now().unwrap();
-    assert!(!store.wal_dirty(), "a checkpoint syncs the tail");
-    store.ingest_frame(&frame(2), &mut scratch).unwrap();
-    store.ingest_frame(&frame(3), &mut scratch).unwrap();
-    assert!(store.wal_dirty());
-    // The regression: the checkpoint's sync did not reset the cadence
-    // counter, so the third append *since that sync* synced one op too
-    // early (and the loss window drifted out of phase forever after).
-    store.ingest_frame(&frame(4), &mut scratch).unwrap();
-    assert!(
-        !store.wal_dirty(),
-        "the third append since the checkpoint's sync must sync"
-    );
-    store.ingest_frame(&frame(5), &mut scratch).unwrap();
-    store.sync_now().unwrap();
-    assert!(!store.wal_dirty());
-    store.ingest_frame(&frame(6), &mut scratch).unwrap();
-    store.ingest_frame(&frame(7), &mut scratch).unwrap();
-    assert!(store.wal_dirty(), "a manual sync also restarts the count");
-    store.ingest_frame(&frame(8), &mut scratch).unwrap();
-    assert!(!store.wal_dirty());
+fn a_failed_sync_off_the_ack_path_poisons_the_store() {
+    // Every WAL sync shares one open file, and Linux reports a writeback
+    // error once per open file description: a manual or checkpoint sync
+    // that failed without poisoning would let the next ack-path sync
+    // return `Ok` over pages the kernel dropped.
+    type Sync = fn(&ProfileStore) -> Result<(), JournalError>;
+    let syncs: [(&str, Sync); 2] = [
+        ("sync-now-fails", ProfileStore::sync_now),
+        ("checkpoint-sync-fails", ProfileStore::checkpoint_now),
+    ];
+    for (name, sync) in syncs {
+        let dir = TestDir::new(name);
+        let store = ProfileStore::open(dir.path(), agg(decaying()), fast_config()).unwrap();
+        let mut scratch = IngestScratch::new();
+        store.ingest_frame(&frame(0), &mut scratch).unwrap();
+        store
+            .fail_next_sync
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(
+            matches!(sync(&store), Err(JournalError::Storage(_))),
+            "{name}: the sync error is reported"
+        );
+        assert!(
+            matches!(
+                store.ingest_frame(&frame(1), &mut scratch),
+                Err(JournalError::Crashed)
+            ),
+            "{name}: the store is poisoned"
+        );
+    }
 }
 
 #[test]
@@ -924,6 +894,9 @@ fn flush_syncs_a_dirty_tail_and_is_idempotent() {
     assert!(!store.wal_dirty());
     store.flush().unwrap(); // clean flush is a no-op
     assert!(!store.wal_dirty());
+    store.ingest_frame(&frame(1), &mut scratch).unwrap();
+    store.checkpoint_now().unwrap();
+    assert!(!store.wal_dirty(), "a checkpoint syncs the tail");
 }
 
 #[test]

@@ -160,7 +160,7 @@ pub fn encode_epoch(epoch_after: u64) -> Vec<u8> {
 
 /// An open segment being appended to.
 ///
-/// The file handle is shared (`Arc<File>`) so a group-commit leader can
+/// The file handle is shared (`Arc<File>`) so the store's WAL sync can
 /// `sync_all` the segment *without* holding the append lock that guards
 /// the writer itself; appends and syncs on the same `File` are safe to
 /// overlap (`write` and `fsync` are independent syscalls).

@@ -86,16 +86,15 @@ awk -F'"median_ns": ' '
   /"config": "wal\/append"/          { split($2, a, ","); wal = a[1] }
   END { if (mem == 0 || wal == 0 || wal > 2 * mem) exit 1 }' "$BENCH_JSON" \
   || { echo "FAIL: wal/append median exceeds 2x aggregate/streaming in $BENCH_JSON" >&2; exit 1; }
-# Group-commit acceptance bound: four concurrent durable pushers
-# (shared group-commit syncs) must beat the single-lock
-# one-fsync-per-op convoy they replaced. The amortization ceiling is
-# the storage's fsync cost relative to the per-op CPU work: on
-# seek-bound disks (fsync >=1ms) batches of four sustain >=3x, but on
-# this class of virtio-backed host an fsync is ~150us -- the same
-# order as the apply/append work it overlaps -- which compresses the
-# measured ratio to ~2x. The gate floor is set where a regression back
-# toward convoying (ratio -> 1) trips it, with margin for the host's
-# fsync-latency jitter.
+# Staged write-path acceptance bound: four concurrent durable pushers
+# must beat the same four serialized behind one external lock, where
+# every op pays its own fsync. The concurrent side wins twice: one
+# pusher's append and apply overlap another's fsync, and an ack that
+# queues on the sync mutex behind an in-flight fsync is covered by the
+# next one. On a virtio-backed host where an fsync costs about as much
+# as the per-op append and apply, the measured ratio is ~2x. The floor
+# trips on a regression back toward the convoy (ratio -> 1), with
+# margin for fsync-latency jitter.
 awk -F'"median_ns": ' '
   /"config": "wal\/append_concurrent"/  { split($2, a, ","); conc = a[1] }
   /"config": "wal\/append_single_lock"/ { split($2, a, ","); lock = a[1] }
@@ -305,16 +304,16 @@ wait "$PROFILED3_PID" 2>/dev/null || true
 PROFILED3_PID=""
 
 echo "==> durable-store mid-batch kill smoke (4 pushers, SIGKILL, deterministic recovery)"
-# Four parallel pushers drive a --fsync always --group-commit server and
-# the server dies by SIGKILL with group-commit batches in flight. The
-# WAL then defines the truth: two independent restarts must replay it to
-# byte-identical fleet profiles (torn tails cut, acked pushes kept).
+# Four parallel pushers drive a --fsync always server and the server
+# dies by SIGKILL with appends and syncs in flight. The WAL then defines
+# the truth: two independent restarts must replay it to byte-identical
+# fleet profiles (torn tails cut, acked pushes kept).
 STORE_DIR2="$SMOKE_DIR/store2"
 "$PROFILED" --addr 127.0.0.1:0 --data-dir "$STORE_DIR2" \
-  --fsync always --group-commit 8,200 > "$SMOKE_DIR/server6.out" &
+  --fsync always > "$SMOKE_DIR/server6.out" &
 PROFILED3_PID=$!
 ADDR6="$(wait_for_listening "$SMOKE_DIR/server6.out")"
-[[ -n "$ADDR6" ]] || { echo "FAIL: group-commit profiled did not report its address" >&2; exit 1; }
+[[ -n "$ADDR6" ]] || { echo "FAIL: mid-batch profiled did not report its address" >&2; exit 1; }
 PUSHER_PIDS=()
 for _ in 1 2 3 4; do
   (
