@@ -19,7 +19,8 @@ use crate::sampler::HotMethodSampler;
 use cbs_bytecode::{MethodId, Program};
 use cbs_dcg::DynamicCallGraph;
 use cbs_inliner::{
-    apply_decision, plan_round, CompileTimeModel, InlineBudget, InlinePolicy, NewLinearPolicy,
+    apply_round, plan_round, CompileTimeModel, InlineBudget, InlinePolicy, InlineReport,
+    NewLinearPolicy,
 };
 use cbs_opt::Optimizer;
 use cbs_profiler::{CallGraphProfiler, CbsConfig, CounterBasedSampler};
@@ -191,7 +192,7 @@ impl AdaptiveSystem {
             }
             OptLevel::Opt2 => {
                 // Profile-directed inlining into this method only.
-                let decisions: Vec<_> = plan_round(
+                let decisions = plan_round(
                     &self.program,
                     Some(&self.dcg),
                     &self.config.inline_policy as &dyn InlinePolicy,
@@ -201,18 +202,12 @@ impl AdaptiveSystem {
                 .into_iter()
                 .filter(|d| d.caller == method)
                 .collect();
-                let mut ds = decisions;
-                ds.sort_unstable_by_key(|d| std::cmp::Reverse(d.pc));
-                for d in ds {
-                    if let cbs_inliner::InlineKind::Guarded { .. } = d.kind {
-                        if let Some(op) = self.program.method(d.caller).code().get(d.pc as usize) {
-                            if let Some(site) = op.call_site() {
-                                self.guarded_sites.insert(site);
-                            }
-                        }
-                    }
-                    let _ = apply_decision(&mut self.program, &d);
-                }
+                apply_round(
+                    &mut self.program,
+                    decisions,
+                    &mut self.guarded_sites,
+                    &mut InlineReport::default(),
+                );
                 Optimizer::new().optimize_method(&mut self.program, method);
             }
         }

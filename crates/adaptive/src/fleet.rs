@@ -4,13 +4,12 @@
 //! locally — profile this VM, inline from this VM's call graph — the
 //! [`FleetAdaptiveController`] closes it against the *fleet*: the VM
 //! pulls a versioned [`InlinePlan`] (built server-side from the pooled
-//! profile by `cbs-profiled`) and applies it through the same
-//! plan/apply/optimize machinery the local inliner uses
-//! ([`cbs_inliner::apply_plan`], which drives
-//! `plan_round`-shaped candidate selection and `apply_decision`
-//! splicing). Size thresholds and growth budgets are re-checked here
-//! against the actual program; the plan only supplies the pooled edge
-//! weights and the 40%-rule receiver selections.
+//! profile by `cbs-profiled`) and applies it with
+//! [`cbs_inliner::apply_plan`], which runs the inliner's one round
+//! planner and rounds loop with the plan in place of a local call graph.
+//! Size thresholds and growth budgets are re-checked here against the
+//! actual program; the plan only supplies the pooled edge weights and
+//! the 40%-rule receiver selections.
 
 use crate::controller::AdaptiveConfig;
 use cbs_bytecode::Program;

@@ -525,14 +525,6 @@ impl DynamicCallGraph {
         self.recompute_total();
     }
 
-    /// Total weight flowing out of `caller`.
-    pub fn outgoing_weight(&self, caller: MethodId) -> f64 {
-        self.iter()
-            .filter(|(e, _)| e.caller == caller)
-            .map(|(_, w)| w)
-            .sum()
-    }
-
     /// Total weight flowing into `callee` (its sampled invocation
     /// frequency).
     pub fn incoming_weight(&self, callee: MethodId) -> f64 {
@@ -1016,12 +1008,11 @@ mod tests {
     }
 
     #[test]
-    fn incoming_outgoing() {
+    fn incoming_weight_sums_callers() {
         let mut g = DynamicCallGraph::new();
         g.record(e(0, 0, 1), 1.0);
         g.record(e(0, 1, 2), 2.0);
         g.record(e(2, 2, 1), 4.0);
-        assert_eq!(g.outgoing_weight(MethodId::new(0)), 3.0);
         assert_eq!(g.incoming_weight(MethodId::new(1)), 5.0);
         assert_eq!(g.incoming_weight(MethodId::new(9)), 0.0);
     }

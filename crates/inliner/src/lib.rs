@@ -14,10 +14,13 @@
 //!   40% rule), [`J9Policy`] (aggressive static heuristics with dynamic
 //!   cold-suppression);
 //! * [`inline_program`] — the plan/apply/optimize pipeline, with growth
-//!   budgets and bounded transitive rounds;
+//!   budgets and bounded transitive rounds; [`plan_round`] and
+//!   [`apply_round`] are its two steps, for callers that inline one
+//!   method at a time;
 //! * [`build_plan`] / [`apply_plan`] — fleet plans: the 40% rule runs
 //!   server-side against a *pooled* profile and ships per-site decisions
-//!   ([`InlinePlan`]) that VMs replay through the same pipeline;
+//!   ([`InlinePlan`]) that VMs replay through the same planner and
+//!   rounds loop, with the plan in place of the local call graph;
 //! * [`CompileTimeModel`] — makes the compile-time effect of inlining
 //!   decisions measurable (J9's dynamic heuristics cut compile time ~9%).
 //!
@@ -62,8 +65,8 @@ mod policy;
 mod transform;
 
 pub use compile::CompileTimeModel;
-pub use plan::{apply_plan, build_plan, plan_round_from_plan, InlinePlan, PlanEntry, PlanKind};
-pub use planner::{inline_program, plan_round, InlineReport, TRIVIAL_SIZE};
+pub use plan::{apply_plan, build_plan, InlinePlan, PlanEntry, PlanKind};
+pub use planner::{apply_round, inline_program, plan_round, InlineReport, TRIVIAL_SIZE};
 pub use policies::{J9Policy, NewLinearPolicy, OldJikesPolicy, TrivialOnlyPolicy};
 pub use policy::{DirectContext, InlineBudget, InlinePolicy, VirtualContext, VirtualTarget};
 pub use transform::{apply_decision, InlineDecision, InlineError, InlineKind};

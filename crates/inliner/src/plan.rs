@@ -9,9 +9,9 @@
 //!   pooled graph and records, per `(caller, site)`, which callees
 //!   justified inlining and with what edge weights;
 //! * [`apply_plan`] (VM side) replays the plan against the actual
-//!   program through the same plan/apply/optimize pipeline as
-//!   [`inline_program`](crate::inline_program), re-checking every size
-//!   threshold and growth budget that needs method bodies.
+//!   program through the one planner and rounds loop that
+//!   [`inline_program`](crate::inline_program) also runs, re-checking
+//!   every size threshold and growth budget that needs method bodies.
 //!
 //! Plans are deterministic: entries are sorted by `(caller, site)`, all
 //! weights come from the merged snapshot, and the builder never consults
@@ -19,13 +19,10 @@
 //! is what lets the daemon cache the encoded plan keyed on its snapshot
 //! generation counter.
 
-use crate::planner::{apply_round, guard_classes, InlineReport, TRIVIAL_SIZE};
-use crate::policy::{DirectContext, InlineBudget, InlinePolicy, VirtualContext, VirtualTarget};
-use crate::transform::{InlineDecision, InlineKind};
-use cbs_bytecode::{CallSiteId, ClassId, MethodId, Op, Program};
+use crate::planner::{run_rounds, InlineReport, ProfileSource};
+use crate::policy::{InlineBudget, InlinePolicy, VirtualContext, VirtualTarget};
+use cbs_bytecode::{CallSiteId, MethodId, Program};
 use cbs_dcg::DynamicCallGraph;
-use cbs_opt::Optimizer;
-use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// What the fleet policy decided for one call site.
@@ -196,202 +193,12 @@ pub fn build_plan(
     }
 }
 
-/// Computes one round of inlining decisions from a fleet plan instead of
-/// a local call graph.
-///
-/// Mirrors [`plan_round`](crate::plan_round): plan entries stand in for
-/// the profile (site-keyed, as site identities survive splicing), while
-/// every size threshold, guard feasibility check and growth budget runs
-/// against the actual program.
-pub fn plan_round_from_plan(
-    program: &Program,
-    plan: &InlinePlan,
-    policy: &dyn InlinePolicy,
-    budget: &InlineBudget,
-    already_guarded: &HashSet<CallSiteId>,
-) -> Vec<InlineDecision> {
-    let profiled = !plan.is_empty();
-    // Site-keyed lookup, first entry winning in (caller, site) order —
-    // the same site-only semantics plan_round gets from
-    // `site_weight`/`site_distribution`, which keeps lookups working on
-    // sites spliced into new callers by earlier rounds.
-    let mut by_site: HashMap<CallSiteId, &PlanEntry> = HashMap::new();
-    for e in &plan.entries {
-        by_site.entry(e.site).or_insert(e);
-    }
-    let site_pct = |site: CallSiteId| -> f64 {
-        match by_site.get(&site) {
-            Some(e) if plan.total_weight > 0.0 => 100.0 * e.site_weight / plan.total_weight,
-            _ => 0.0,
-        }
-    };
-
-    let mut decisions = Vec::new();
-    for caller in program.methods() {
-        let caller_size = caller.size_bytes();
-        let mut candidates: Vec<(f64, u32, InlineDecision)> = Vec::new();
-        for (pc, site, op) in caller.call_instructions() {
-            match *op {
-                Op::Call { target, .. } => {
-                    if target == caller.id() {
-                        continue; // direct recursion
-                    }
-                    let callee = program.method(target);
-                    let callee_size = callee.size_bytes();
-                    if callee_size > budget.max_inlined_body {
-                        continue;
-                    }
-                    let ctx = DirectContext {
-                        callee: target,
-                        callee_size,
-                        callee_is_trivial: callee.is_trivial(TRIVIAL_SIZE),
-                        caller_size,
-                        site_weight_pct: site_pct(site),
-                        profiled,
-                    };
-                    if policy.should_inline_direct(&ctx) {
-                        candidates.push((
-                            site_pct(site),
-                            callee_size,
-                            InlineDecision {
-                                caller: caller.id(),
-                                pc,
-                                kind: InlineKind::Direct { callee: target },
-                            },
-                        ));
-                    }
-                }
-                Op::CallVirtual { slot, .. } => {
-                    let static_targets = program.virtual_targets(slot);
-                    if static_targets.len() == 1 {
-                        // Statically monomorphic: devirtualize without a
-                        // guard under the direct rules.
-                        let target = static_targets[0];
-                        if target == caller.id() {
-                            continue;
-                        }
-                        let callee = program.method(target);
-                        let callee_size = callee.size_bytes();
-                        if callee_size > budget.max_inlined_body {
-                            continue;
-                        }
-                        let ctx = DirectContext {
-                            callee: target,
-                            callee_size,
-                            callee_is_trivial: callee.is_trivial(TRIVIAL_SIZE),
-                            caller_size,
-                            site_weight_pct: site_pct(site),
-                            profiled,
-                        };
-                        if policy.should_inline_direct(&ctx) {
-                            candidates.push((
-                                site_pct(site),
-                                callee_size,
-                                InlineDecision {
-                                    caller: caller.id(),
-                                    pc,
-                                    kind: InlineKind::Devirtualized { callee: target },
-                                },
-                            ));
-                        }
-                        continue;
-                    }
-                    if already_guarded.contains(&site) {
-                        continue;
-                    }
-                    let Some(entry) = by_site.get(&site) else {
-                        continue;
-                    };
-                    // The plan carries only the callees the fleet policy
-                    // selected; the observed weights come with them.
-                    let targets: Vec<(MethodId, f64)> = match &entry.kind {
-                        PlanKind::Direct { callee } => vec![(*callee, entry.site_weight)],
-                        PlanKind::Devirtualize { callee, weight } => vec![(*callee, *weight)],
-                        PlanKind::Guarded { targets } => targets.clone(),
-                    };
-                    let site_total: f64 = targets.iter().map(|(_, w)| *w).sum();
-                    if site_total <= 0.0 {
-                        continue;
-                    }
-                    let ctx = VirtualContext {
-                        targets: targets
-                            .iter()
-                            .map(|(m, w)| VirtualTarget {
-                                callee: *m,
-                                callee_size: program.method(*m).size_bytes(),
-                                fraction: w / site_total,
-                            })
-                            .collect(),
-                        site_weight_pct: site_pct(site),
-                        caller_size,
-                        profiled,
-                    };
-                    let chosen = policy.guarded_targets(&ctx);
-                    if chosen.is_empty() {
-                        continue;
-                    }
-                    let mut pairs: Vec<(ClassId, MethodId)> = Vec::new();
-                    for m in chosen {
-                        if m == caller.id() {
-                            continue;
-                        }
-                        let classes = guard_classes(program, slot, m);
-                        if classes.is_empty() || pairs.len() + classes.len() > budget.max_guards {
-                            continue;
-                        }
-                        pairs.extend(classes.into_iter().map(|k| (k, m)));
-                    }
-                    if pairs.is_empty()
-                        || pairs
-                            .iter()
-                            .any(|(_, m)| program.method(*m).size_bytes() > budget.max_inlined_body)
-                    {
-                        continue;
-                    }
-                    let added: u32 = pairs
-                        .iter()
-                        .map(|(_, m)| program.method(*m).size_bytes() + 8)
-                        .sum();
-                    candidates.push((
-                        site_pct(site),
-                        added,
-                        InlineDecision {
-                            caller: caller.id(),
-                            pc,
-                            kind: InlineKind::Guarded { targets: pairs },
-                        },
-                    ));
-                }
-                _ => {}
-            }
-        }
-        // Greedy admission by descending claimed hotness (pc order breaks
-        // ties deterministically). (f64 keys: sort_by with partial_cmp.)
-        #[allow(clippy::unnecessary_sort_by)]
-        candidates.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .expect("weights are finite")
-                .then(a.2.pc.cmp(&b.2.pc))
-        });
-        let mut projected = caller_size;
-        let growth_cap = caller_size.saturating_add(budget.max_caller_growth);
-        for (_, added, decision) in candidates {
-            let new_size = projected + added;
-            if new_size <= budget.max_caller_size && new_size <= growth_cap {
-                projected = new_size;
-                decisions.push(decision);
-            }
-        }
-    }
-    decisions
-}
-
 /// Runs the full plan/apply/optimize pipeline driven by a fleet plan.
 ///
 /// The counterpart of [`inline_program`](crate::inline_program) for a
-/// VM consuming pooled-profile decisions: the same bounded transitive
-/// rounds, growth budgets and post-pass optimizer, with the plan as the
-/// profile source.
+/// VM consuming pooled-profile decisions: the same planner, bounded
+/// transitive rounds, growth budgets and post-pass optimizer, with the
+/// plan as the profile source.
 pub fn apply_plan(
     program: &mut Program,
     plan: &InlinePlan,
@@ -399,33 +206,13 @@ pub fn apply_plan(
     budget: &InlineBudget,
     optimize: bool,
 ) -> InlineReport {
-    let size_before = program.total_size_bytes();
-    let mut report = InlineReport {
-        policy: policy.name(),
-        direct_inlines: 0,
-        guarded_inlines: 0,
-        devirtualized: 0,
-        rounds_run: 0,
-        size_before,
-        size_after: size_before,
-        opt_stats: None,
-    };
-
-    let mut guarded_sites: HashSet<CallSiteId> = HashSet::new();
-    for round in 1..=budget.rounds {
-        let decisions = plan_round_from_plan(program, plan, policy, budget, &guarded_sites);
-        if decisions.is_empty() {
-            break;
-        }
-        report.rounds_run = round;
-        apply_round(program, decisions, &mut guarded_sites, &mut report);
-    }
-
-    if optimize {
-        report.opt_stats = Some(Optimizer::new().optimize_program(program));
-    }
-    report.size_after = program.total_size_bytes();
-    report
+    run_rounds(
+        program,
+        &ProfileSource::plan(plan),
+        policy,
+        budget,
+        optimize,
+    )
 }
 
 #[cfg(test)]

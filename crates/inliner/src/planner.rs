@@ -7,7 +7,13 @@
 //! inlining: sites spliced in by round *n* are candidates in round *n+1*,
 //! and because call-site identities survive splicing, profile lookups keep
 //! working on transformed code.
+//!
+//! One planner and one rounds loop serve both profile sources — a VM's
+//! own call graph ([`inline_program`]) and a pulled fleet plan
+//! ([`apply_plan`](crate::apply_plan)); [`ProfileSource`] answers the
+//! three questions on which the two differ.
 
+use crate::plan::{InlinePlan, PlanEntry, PlanKind};
 use crate::policy::{DirectContext, InlineBudget, InlinePolicy, VirtualContext, VirtualTarget};
 use crate::transform::{apply_decision, InlineDecision, InlineKind};
 use cbs_bytecode::{CallSiteId, ClassId, MethodId, Op, Program, VirtualSlot};
@@ -20,7 +26,7 @@ use std::collections::{HashMap, HashSet};
 pub const TRIVIAL_SIZE: u32 = 12;
 
 /// Summary of one whole-program inlining run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InlineReport {
     /// Policy that produced the plan.
     pub policy: String,
@@ -56,13 +62,70 @@ impl InlineReport {
     }
 }
 
+/// Where a round's profile answers come from. Lookups are site-keyed:
+/// site identities survive splicing, so they keep working on sites that
+/// earlier rounds spliced into new callers.
+pub(crate) enum ProfileSource<'a> {
+    /// The VM's own call graph, or none (static heuristics only).
+    Graph(Option<&'a DynamicCallGraph>),
+    /// A fleet plan; the first entry in `(caller, site)` order answers
+    /// for its site.
+    Plan {
+        plan: &'a InlinePlan,
+        by_site: HashMap<CallSiteId, &'a PlanEntry>,
+    },
+}
+
+impl<'a> ProfileSource<'a> {
+    pub(crate) fn plan(plan: &'a InlinePlan) -> Self {
+        let mut by_site = HashMap::new();
+        for e in &plan.entries {
+            by_site.entry(e.site).or_insert(e);
+        }
+        ProfileSource::Plan { plan, by_site }
+    }
+
+    /// Whether the policy sees the input as profiled.
+    fn profiled(&self) -> bool {
+        match self {
+            ProfileSource::Graph(g) => g.is_some_and(|g| !g.is_empty()),
+            ProfileSource::Plan { plan, .. } => !plan.is_empty(),
+        }
+    }
+
+    /// The site's share of all profiled weight, in percent.
+    fn site_pct(&self, site: CallSiteId) -> f64 {
+        match self {
+            ProfileSource::Graph(Some(g)) if g.total_weight() > 0.0 => {
+                100.0 * g.site_weight(site) / g.total_weight()
+            }
+            ProfileSource::Plan { plan, by_site } if plan.total_weight > 0.0 => by_site
+                .get(&site)
+                .map_or(0.0, |e| 100.0 * e.site_weight / plan.total_weight),
+            _ => 0.0,
+        }
+    }
+
+    /// A polymorphic site's receivers with their weights: every callee
+    /// the graph observed, or only those the fleet policy selected.
+    fn receivers(&self, site: CallSiteId) -> Vec<(MethodId, f64)> {
+        match self {
+            ProfileSource::Graph(g) => g.map_or_else(Vec::new, |g| g.site_distribution(site)),
+            ProfileSource::Plan { by_site, .. } => match by_site.get(&site) {
+                None => Vec::new(),
+                Some(e) => match &e.kind {
+                    PlanKind::Direct { callee } => vec![(*callee, e.site_weight)],
+                    PlanKind::Devirtualize { callee, weight } => vec![(*callee, *weight)],
+                    PlanKind::Guarded { targets } => targets.clone(),
+                },
+            },
+        }
+    }
+}
+
 /// All classes whose vtable maps `slot` to `method` — the exact-class
 /// guards that devirtualize this target.
-pub(crate) fn guard_classes(
-    program: &Program,
-    slot: VirtualSlot,
-    method: MethodId,
-) -> Vec<ClassId> {
+fn guard_classes(program: &Program, slot: VirtualSlot, method: MethodId) -> Vec<ClassId> {
     program
         .classes()
         .iter()
@@ -71,7 +134,8 @@ pub(crate) fn guard_classes(
         .collect()
 }
 
-/// Computes one round of inlining decisions against the current program.
+/// Computes one round of inlining decisions against the current program
+/// from a local call graph.
 ///
 /// `already_guarded` lists virtual sites that received a guard chain in an
 /// earlier round; their slow-path dispatch keeps the original site id and
@@ -83,15 +147,26 @@ pub fn plan_round(
     budget: &InlineBudget,
     already_guarded: &HashSet<CallSiteId>,
 ) -> Vec<InlineDecision> {
-    let profiled = dcg.is_some_and(|g| !g.is_empty());
-    let total_weight = dcg.map(|g| g.total_weight()).unwrap_or(0.0);
-    let site_pct = |site| -> f64 {
-        match dcg {
-            Some(g) if total_weight > 0.0 => 100.0 * g.site_weight(site) / total_weight,
-            _ => 0.0,
-        }
-    };
+    round_decisions(
+        program,
+        &ProfileSource::Graph(dcg),
+        policy,
+        budget,
+        already_guarded,
+    )
+}
 
+/// The round planner. Every size threshold, guard feasibility check and
+/// growth budget runs against the actual program; `source` supplies only
+/// the profile's answers.
+fn round_decisions(
+    program: &Program,
+    source: &ProfileSource<'_>,
+    policy: &dyn InlinePolicy,
+    budget: &InlineBudget,
+    already_guarded: &HashSet<CallSiteId>,
+) -> Vec<InlineDecision> {
+    let profiled = source.profiled();
     let mut decisions = Vec::new();
     for caller in program.methods() {
         let caller_size = caller.size_bytes();
@@ -102,133 +177,99 @@ pub fn plan_round(
         // inaccuracy costs performance in a real system.
         let mut candidates: Vec<(f64, u32, InlineDecision)> = Vec::new();
         for (pc, site, op) in caller.call_instructions() {
-            match *op {
-                Op::Call { target, .. } => {
-                    if target == caller.id() {
-                        continue; // direct recursion
-                    }
-                    let callee = program.method(target);
-                    let callee_size = callee.size_bytes();
-                    if callee_size > budget.max_inlined_body {
-                        continue;
-                    }
-                    let ctx = DirectContext {
-                        callee: target,
-                        callee_size,
-                        callee_is_trivial: callee.is_trivial(TRIVIAL_SIZE),
-                        caller_size,
-                        site_weight_pct: site_pct(site),
-                        profiled,
-                    };
-                    if policy.should_inline_direct(&ctx) {
+            let site_pct = source.site_pct(site);
+            let (target, kind) = match *op {
+                Op::Call { target, .. } => (target, InlineKind::Direct { callee: target }),
+                Op::CallVirtual { slot, .. } => match program.virtual_targets(slot)[..] {
+                    // Statically monomorphic: devirtualize without a
+                    // guard under the direct rules.
+                    [target] => (target, InlineKind::Devirtualized { callee: target }),
+                    // Polymorphic: consult the observed receivers. A site
+                    // that already carries a guard chain is its own slow
+                    // path — leave it alone.
+                    _ if already_guarded.contains(&site) => continue,
+                    _ => {
+                        let receivers = source.receivers(site);
+                        let site_total: f64 = receivers.iter().map(|(_, w)| *w).sum();
+                        if site_total <= 0.0 {
+                            continue;
+                        }
+                        let ctx = VirtualContext {
+                            targets: receivers
+                                .iter()
+                                .map(|(m, w)| VirtualTarget {
+                                    callee: *m,
+                                    callee_size: program.method(*m).size_bytes(),
+                                    fraction: w / site_total,
+                                })
+                                .collect(),
+                            site_weight_pct: site_pct,
+                            caller_size,
+                            profiled,
+                        };
+                        let mut pairs: Vec<(ClassId, MethodId)> = Vec::new();
+                        for m in policy.guarded_targets(&ctx) {
+                            if m == caller.id() {
+                                continue;
+                            }
+                            let classes = guard_classes(program, slot, m);
+                            if classes.is_empty() || pairs.len() + classes.len() > budget.max_guards
+                            {
+                                continue;
+                            }
+                            pairs.extend(classes.into_iter().map(|k| (k, m)));
+                        }
+                        if pairs.is_empty()
+                            || pairs.iter().any(|(_, m)| {
+                                program.method(*m).size_bytes() > budget.max_inlined_body
+                            })
+                        {
+                            continue;
+                        }
+                        let added: u32 = pairs
+                            .iter()
+                            .map(|(_, m)| program.method(*m).size_bytes() + 8)
+                            .sum();
                         candidates.push((
-                            site_pct(site),
-                            callee_size,
+                            site_pct,
+                            added,
                             InlineDecision {
                                 caller: caller.id(),
                                 pc,
-                                kind: InlineKind::Direct { callee: target },
+                                kind: InlineKind::Guarded { targets: pairs },
                             },
                         ));
-                    }
-                }
-                Op::CallVirtual { slot, .. } => {
-                    let static_targets = program.virtual_targets(slot);
-                    if static_targets.len() == 1 {
-                        // Statically monomorphic: devirtualize without a
-                        // guard under the direct rules.
-                        let target = static_targets[0];
-                        if target == caller.id() {
-                            continue;
-                        }
-                        let callee = program.method(target);
-                        let callee_size = callee.size_bytes();
-                        if callee_size > budget.max_inlined_body {
-                            continue;
-                        }
-                        let ctx = DirectContext {
-                            callee: target,
-                            callee_size,
-                            callee_is_trivial: callee.is_trivial(TRIVIAL_SIZE),
-                            caller_size,
-                            site_weight_pct: site_pct(site),
-                            profiled,
-                        };
-                        if policy.should_inline_direct(&ctx) {
-                            candidates.push((
-                                site_pct(site),
-                                callee_size,
-                                InlineDecision {
-                                    caller: caller.id(),
-                                    pc,
-                                    kind: InlineKind::Devirtualized { callee: target },
-                                },
-                            ));
-                        }
                         continue;
                     }
-                    // Polymorphic: consult the observed receiver
-                    // distribution. A site that already carries a guard
-                    // chain is its own slow path — leave it alone.
-                    if already_guarded.contains(&site) {
-                        continue;
-                    }
-                    let Some(g) = dcg else { continue };
-                    let dist = g.site_distribution(site);
-                    let site_total: f64 = dist.iter().map(|(_, w)| *w).sum();
-                    if site_total <= 0.0 {
-                        continue;
-                    }
-                    let ctx = VirtualContext {
-                        targets: dist
-                            .iter()
-                            .map(|(m, w)| VirtualTarget {
-                                callee: *m,
-                                callee_size: program.method(*m).size_bytes(),
-                                fraction: w / site_total,
-                            })
-                            .collect(),
-                        site_weight_pct: site_pct(site),
-                        caller_size,
-                        profiled,
-                    };
-                    let chosen = policy.guarded_targets(&ctx);
-                    if chosen.is_empty() {
-                        continue;
-                    }
-                    let mut pairs: Vec<(ClassId, MethodId)> = Vec::new();
-                    for m in chosen {
-                        if m == caller.id() {
-                            continue;
-                        }
-                        let classes = guard_classes(program, slot, m);
-                        if classes.is_empty() || pairs.len() + classes.len() > budget.max_guards {
-                            continue;
-                        }
-                        pairs.extend(classes.into_iter().map(|k| (k, m)));
-                    }
-                    if pairs.is_empty()
-                        || pairs
-                            .iter()
-                            .any(|(_, m)| program.method(*m).size_bytes() > budget.max_inlined_body)
-                    {
-                        continue;
-                    }
-                    let added: u32 = pairs
-                        .iter()
-                        .map(|(_, m)| program.method(*m).size_bytes() + 8)
-                        .sum();
-                    candidates.push((
-                        site_pct(site),
-                        added,
-                        InlineDecision {
-                            caller: caller.id(),
-                            pc,
-                            kind: InlineKind::Guarded { targets: pairs },
-                        },
-                    ));
-                }
-                _ => {}
+                },
+                _ => continue,
+            };
+            if target == caller.id() {
+                continue; // direct recursion
+            }
+            let callee = program.method(target);
+            let callee_size = callee.size_bytes();
+            if callee_size > budget.max_inlined_body {
+                continue;
+            }
+            let ctx = DirectContext {
+                callee: target,
+                callee_size,
+                callee_is_trivial: callee.is_trivial(TRIVIAL_SIZE),
+                caller_size,
+                site_weight_pct: site_pct,
+                profiled,
+            };
+            if policy.should_inline_direct(&ctx) {
+                candidates.push((
+                    site_pct,
+                    callee_size,
+                    InlineDecision {
+                        caller: caller.id(),
+                        pc,
+                        kind,
+                    },
+                ));
             }
         }
         // Greedy admission by descending claimed hotness (pc order breaks
@@ -252,7 +293,8 @@ pub fn plan_round(
     decisions
 }
 
-/// Runs the full plan/apply/optimize pipeline with a policy.
+/// Runs the full plan/apply/optimize pipeline with a policy, driven by a
+/// local call graph.
 ///
 /// When `optimize` is set, the `cbs-opt` pipeline runs once after all
 /// rounds, collapsing the argument-marshalling traffic the splices
@@ -264,21 +306,32 @@ pub fn inline_program(
     budget: &InlineBudget,
     optimize: bool,
 ) -> InlineReport {
-    let size_before = program.total_size_bytes();
+    run_rounds(
+        program,
+        &ProfileSource::Graph(dcg),
+        policy,
+        budget,
+        optimize,
+    )
+}
+
+/// The rounds loop behind [`inline_program`] and
+/// [`apply_plan`](crate::apply_plan).
+pub(crate) fn run_rounds(
+    program: &mut Program,
+    source: &ProfileSource<'_>,
+    policy: &dyn InlinePolicy,
+    budget: &InlineBudget,
+    optimize: bool,
+) -> InlineReport {
     let mut report = InlineReport {
         policy: policy.name(),
-        direct_inlines: 0,
-        guarded_inlines: 0,
-        devirtualized: 0,
-        rounds_run: 0,
-        size_before,
-        size_after: size_before,
-        opt_stats: None,
+        size_before: program.total_size_bytes(),
+        ..InlineReport::default()
     };
-
     let mut guarded_sites: HashSet<CallSiteId> = HashSet::new();
     for round in 1..=budget.rounds {
-        let decisions = plan_round(program, dcg, policy, budget, &guarded_sites);
+        let decisions = round_decisions(program, source, policy, budget, &guarded_sites);
         if decisions.is_empty() {
             break;
         }
@@ -293,14 +346,15 @@ pub fn inline_program(
     report
 }
 
-/// Applies one round's worth of decisions, updating `guarded_sites` and
-/// the report counters.
+/// Applies one round's decisions, adding the sites that receive a guard
+/// chain to `guarded_sites` and counting splices into `report`.
 ///
-/// Shared by [`inline_program`] and the fleet-plan pipeline
-/// ([`apply_plan`](crate::apply_plan)): guarded sites are recorded
-/// before any splice moves them, then decisions group by caller and
-/// apply highest pc first so earlier indices stay valid.
-pub(crate) fn apply_round(
+/// Guarded sites are recorded before any splice moves them, then
+/// decisions group by caller and apply highest pc first so earlier
+/// indices stay valid. The decisions must come from one plan of the
+/// current program; one that fails to apply is a planner bug (debug
+/// builds assert).
+pub fn apply_round(
     program: &mut Program,
     decisions: Vec<InlineDecision>,
     guarded_sites: &mut HashSet<CallSiteId>,

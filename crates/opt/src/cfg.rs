@@ -2,50 +2,44 @@
 //!
 //! Basic blocks are maximal straight-line instruction runs; leaders are
 //! the entry, jump targets, and instructions following a branch or
-//! return. The CFG backs the dataflow passes (liveness-based dead-store
-//! elimination) and is exposed for analyses downstream crates may build.
+//! return. The CFG backs the liveness-based dead-store elimination.
 
 use cbs_bytecode::Op;
 
 /// Index of a basic block within a [`ControlFlowGraph`].
-pub type BlockId = usize;
+pub(crate) type BlockId = usize;
 
 /// One basic block: a half-open instruction range and its successors.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BasicBlock {
+pub(crate) struct BasicBlock {
     /// First instruction index.
-    pub start: usize,
+    pub(crate) start: usize,
     /// One past the last instruction index.
-    pub end: usize,
+    pub(crate) end: usize,
     /// Successor blocks in control-flow order (fallthrough first).
-    pub successors: Vec<BlockId>,
+    pub(crate) successors: Vec<BlockId>,
 }
 
 impl BasicBlock {
     /// Instruction indices of this block.
-    pub fn range(&self) -> std::ops::Range<usize> {
+    pub(crate) fn range(&self) -> std::ops::Range<usize> {
         self.start..self.end
     }
 }
 
 /// A method body's control-flow graph.
 #[derive(Debug, Clone)]
-pub struct ControlFlowGraph {
+pub(crate) struct ControlFlowGraph {
     blocks: Vec<BasicBlock>,
-    /// Block containing each instruction.
-    block_of: Vec<BlockId>,
 }
 
 impl ControlFlowGraph {
     /// Builds the CFG of `code`.
     ///
     /// Returns an empty graph for an empty body.
-    pub fn build(code: &[Op]) -> Self {
+    pub(crate) fn build(code: &[Op]) -> Self {
         if code.is_empty() {
-            return Self {
-                blocks: Vec::new(),
-                block_of: Vec::new(),
-            };
+            return Self { blocks: Vec::new() };
         }
         // Leaders: entry, every jump target, every instruction after a
         // control transfer.
@@ -66,6 +60,7 @@ impl ControlFlowGraph {
         }
 
         let mut blocks = Vec::new();
+        // Block containing each instruction.
         let mut block_of = vec![0usize; code.len()];
         let mut start = 0usize;
         for pc in 1..=code.len() {
@@ -84,46 +79,36 @@ impl ControlFlowGraph {
         }
 
         // Successors from each block's terminator.
-        let block_index_of_pc = |pc: usize, block_of: &[BlockId]| -> BlockId { block_of[pc] };
         for block in &mut blocks {
             let last = block.end - 1;
             let op = &code[last];
             let mut succs = Vec::new();
             if op.falls_through() && block.end < code.len() {
-                succs.push(block_index_of_pc(block.end, &block_of));
+                succs.push(block_of[block.end]);
             }
             if let Some(t) = op.jump_target() {
-                succs.push(block_index_of_pc(t as usize, &block_of));
+                succs.push(block_of[t as usize]);
             }
             succs.dedup();
             block.successors = succs;
         }
 
-        Self { blocks, block_of }
+        Self { blocks }
     }
 
     /// The basic blocks in layout order.
-    pub fn blocks(&self) -> &[BasicBlock] {
+    pub(crate) fn blocks(&self) -> &[BasicBlock] {
         &self.blocks
     }
 
     /// Number of blocks.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.blocks.len()
     }
 
     /// Returns `true` for an empty body.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.blocks.is_empty()
-    }
-
-    /// The block containing instruction `pc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pc` is out of range.
-    pub fn block_of(&self, pc: usize) -> BlockId {
-        self.block_of[pc]
     }
 }
 
@@ -176,9 +161,11 @@ mod tests {
             Op::Return,
         ];
         let cfg = ControlFlowGraph::build(&code);
-        let head = cfg.block_of(2);
-        let body = cfg.block_of(4);
-        assert!(cfg.blocks()[body].successors.contains(&head), "backedge");
+        // Blocks: entry 0..2, head 2..4, body 4..7, exit 7..9.
+        assert_eq!(cfg.len(), 4);
+        assert_eq!(cfg.blocks()[1].range(), 2..4);
+        assert_eq!(cfg.blocks()[1].successors, vec![2, 3], "head: body, exit");
+        assert_eq!(cfg.blocks()[2].successors, vec![1], "backedge");
     }
 
     #[test]

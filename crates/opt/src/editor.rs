@@ -10,7 +10,7 @@ use cbs_bytecode::Op;
 
 /// An editable view of one method body.
 #[derive(Debug)]
-pub struct CodeEditor {
+pub(crate) struct CodeEditor {
     ops: Vec<Op>,
     removed: Vec<bool>,
     is_target: Vec<bool>,
@@ -19,7 +19,7 @@ pub struct CodeEditor {
 
 impl CodeEditor {
     /// Creates an editor over a method body.
-    pub fn new(code: &[Op]) -> Self {
+    pub(crate) fn new(code: &[Op]) -> Self {
         let mut is_target = vec![false; code.len()];
         for op in code {
             if let Some(t) = op.jump_target() {
@@ -37,17 +37,12 @@ impl CodeEditor {
     }
 
     /// Number of instructions (including removed ones).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ops.len()
     }
 
-    /// Returns `true` for the empty body.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
     /// The instruction at `pc`, or `None` if it was removed.
-    pub fn op(&self, pc: usize) -> Option<&Op> {
+    pub(crate) fn op(&self, pc: usize) -> Option<&Op> {
         if *self.removed.get(pc)? {
             None
         } else {
@@ -60,12 +55,12 @@ impl CodeEditor {
     /// A rewrite that fuses `pc` with its predecessor is only safe when
     /// `pc` is *not* a target (a jumping path would otherwise skip part of
     /// the fused semantics).
-    pub fn is_target(&self, pc: usize) -> bool {
+    pub(crate) fn is_target(&self, pc: usize) -> bool {
         self.is_target.get(pc).copied().unwrap_or(false)
     }
 
     /// Marks `pc` removed. No-op if already removed.
-    pub fn remove(&mut self, pc: usize) {
+    pub(crate) fn remove(&mut self, pc: usize) {
         if !self.removed[pc] {
             self.removed[pc] = true;
             self.changed = true;
@@ -77,7 +72,7 @@ impl CodeEditor {
     /// The replacement must have the same net stack effect along every
     /// path — passes are responsible for that invariant; the pipeline
     /// re-verifies after each pass in debug builds.
-    pub fn replace(&mut self, pc: usize, op: Op) {
+    pub(crate) fn replace(&mut self, pc: usize, op: Op) {
         if self.ops[pc] != op {
             self.ops[pc] = op;
             self.changed = true;
@@ -85,14 +80,14 @@ impl CodeEditor {
     }
 
     /// Whether any edit was made.
-    pub fn changed(&self) -> bool {
+    pub(crate) fn changed(&self) -> bool {
         self.changed
     }
 
     /// Compacts the code, dropping removed instructions and remapping
     /// every jump target to the first surviving instruction at or after
     /// its old position.
-    pub fn finish(self) -> Vec<Op> {
+    pub(crate) fn finish(self) -> Vec<Op> {
         // new_index[old] = index in the compacted code of the first
         // surviving instruction with position >= old.
         let mut new_index = vec![0u32; self.ops.len() + 1];

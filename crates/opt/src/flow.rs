@@ -11,7 +11,7 @@ use cbs_bytecode::Op;
 
 /// Retargets jumps whose destination is itself an unconditional jump.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct JumpThreading;
+pub(crate) struct JumpThreading;
 
 impl JumpThreading {
     /// Follows a chain of unconditional jumps from `target`, returning
@@ -55,7 +55,7 @@ impl Pass for JumpThreading {
 
 /// Removes instructions no control-flow path can reach.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct UnreachableCodeElimination;
+pub(crate) struct UnreachableCodeElimination;
 
 impl Pass for UnreachableCodeElimination {
     fn name(&self) -> &'static str {

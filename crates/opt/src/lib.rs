@@ -4,8 +4,9 @@
 //!
 //! Inlining pays off in two ways: it removes call/dispatch overhead
 //! directly, and it enlarges the scope of downstream optimizations. This
-//! crate provides those downstream optimizations — [`ConstantFolding`],
-//! [`Peephole`], [`DeadStoreElimination`], [`NopElimination`] — run to a
+//! crate provides those downstream optimizations — constant folding,
+//! peephole simplification, jump threading, unreachable-code removal,
+//! liveness-based dead-store elimination and nop removal — run to a
 //! fixpoint by [`Optimizer`]. The argument-marshalling code the inliner
 //! splices in (`store L; load L; …`) genuinely disappears under these
 //! passes, so measured inlining speedups are computed, not asserted.
@@ -41,9 +42,4 @@ mod liveness;
 mod passes;
 mod pipeline;
 
-pub use cfg::{BasicBlock, BlockId, ControlFlowGraph};
-pub use editor::CodeEditor;
-pub use flow::{JumpThreading, UnreachableCodeElimination};
-pub use liveness::LivenessDse;
-pub use passes::{ConstantFolding, DeadStoreElimination, NopElimination, Pass, Peephole};
 pub use pipeline::{OptStats, Optimizer};

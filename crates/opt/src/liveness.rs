@@ -1,12 +1,10 @@
 //! Liveness-based dead-store elimination.
 //!
-//! The peephole-level [`DeadStoreElimination`](crate::DeadStoreElimination)
-//! only removes stores to slots that are *never* loaded anywhere in the
-//! method. This pass runs a classic backward liveness dataflow over the
-//! [`ControlFlowGraph`]: a store is dead if its slot is not live-out at
-//! that program point (every path re-stores before any load). Inlined
-//! bodies produce exactly this shape — the argument spill slots are
-//! overwritten by the next inlined call's spills.
+//! A classic backward liveness dataflow over the [`ControlFlowGraph`]: a
+//! store becomes a pop when its slot is not live-out at that program
+//! point — every path re-stores before any load, or no path loads the
+//! slot at all. Inlined bodies produce exactly this shape: the argument
+//! spill slots are overwritten by the next inlined call's spills.
 
 use crate::cfg::ControlFlowGraph;
 use crate::editor::CodeEditor;
@@ -16,7 +14,7 @@ use std::collections::HashSet;
 
 /// Liveness-driven dead-store elimination.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LivenessDse;
+pub(crate) struct LivenessDse;
 
 /// Per-block `use`/`def` sets for local slots.
 fn use_def(code: &[Op], range: std::ops::Range<usize>) -> (HashSet<u16>, HashSet<u16>) {
@@ -45,10 +43,6 @@ impl Pass for LivenessDse {
         let code: Vec<Op> = (0..editor.len())
             .filter_map(|pc| editor.op(pc).copied())
             .collect();
-        if code.len() != editor.len() {
-            // A previous pass left removals pending; run after compaction.
-            return 0;
-        }
         let cfg = ControlFlowGraph::build(&code);
         if cfg.is_empty() {
             return 0;

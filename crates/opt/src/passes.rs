@@ -8,17 +8,16 @@
 //!
 //! These are precisely the "downstream optimizations" whose scope inlining
 //! enlarges: a trivial getter inlined as `store L; load L; getfield F`
-//! collapses to a bare `getfield F` under peephole + dead-store
-//! elimination, which is where the indirect benefit of the paper's
+//! collapses to a bare `getfield F` under peephole + liveness-based
+//! dead-store elimination, which is where the indirect benefit of the paper's
 //! profile-directed inlining comes from.
 
 use crate::editor::CodeEditor;
 use cbs_bytecode::Op;
-use std::collections::HashSet;
 use std::fmt;
 
 /// A rewriting pass over one method body.
-pub trait Pass: fmt::Debug {
+pub(crate) trait Pass: fmt::Debug {
     /// Stable pass name for statistics.
     fn name(&self) -> &'static str;
 
@@ -28,7 +27,7 @@ pub trait Pass: fmt::Debug {
 
 /// Evaluates operations whose operands are constants.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ConstantFolding;
+pub(crate) struct ConstantFolding;
 
 impl ConstantFolding {
     fn fold_binop(op: &Op, a: i64, b: i64) -> Option<i64> {
@@ -121,7 +120,7 @@ impl Pass for ConstantFolding {
 
 /// Local stack-pattern simplifications.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Peephole;
+pub(crate) struct Peephole;
 
 impl Pass for Peephole {
     fn name(&self) -> &'static str {
@@ -195,38 +194,9 @@ impl Pass for Peephole {
     }
 }
 
-/// Replaces stores to locals that are never loaded with plain pops.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeadStoreElimination;
-
-impl Pass for DeadStoreElimination {
-    fn name(&self) -> &'static str {
-        "dead-store-elimination"
-    }
-
-    fn apply(&self, editor: &mut CodeEditor) -> usize {
-        let mut loaded: HashSet<u16> = HashSet::new();
-        for pc in 0..editor.len() {
-            if let Some(&Op::Load(x)) = editor.op(pc) {
-                loaded.insert(x);
-            }
-        }
-        let mut rewrites = 0;
-        for pc in 0..editor.len() {
-            if let Some(&Op::Store(x)) = editor.op(pc) {
-                if !loaded.contains(&x) {
-                    editor.replace(pc, Op::Pop);
-                    rewrites += 1;
-                }
-            }
-        }
-        rewrites
-    }
-}
-
 /// Removes `nop` padding.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NopElimination;
+pub(crate) struct NopElimination;
 
 impl Pass for NopElimination {
     fn name(&self) -> &'static str {
@@ -345,22 +315,6 @@ mod tests {
         // The conditional collapses to a pop of the condition. (The
         // const/pop pair is left for the next fixpoint iteration.)
         assert_eq!(out, vec![Op::Const(1), Op::Pop, Op::Return]);
-    }
-
-    #[test]
-    fn dead_stores_become_pops() {
-        let out = run(
-            &DeadStoreElimination,
-            vec![Op::Const(1), Op::Store(3), Op::Const(0), Op::Return],
-        );
-        assert_eq!(out, vec![Op::Const(1), Op::Pop, Op::Const(0), Op::Return]);
-    }
-
-    #[test]
-    fn live_stores_survive() {
-        let code = vec![Op::Const(1), Op::Store(3), Op::Load(3), Op::Return];
-        let out = run(&DeadStoreElimination, code.clone());
-        assert_eq!(out, code);
     }
 
     #[test]

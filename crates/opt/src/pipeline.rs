@@ -3,7 +3,7 @@
 use crate::editor::CodeEditor;
 use crate::flow::{JumpThreading, UnreachableCodeElimination};
 use crate::liveness::LivenessDse;
-use crate::passes::{ConstantFolding, DeadStoreElimination, NopElimination, Pass, Peephole};
+use crate::passes::{ConstantFolding, NopElimination, Pass, Peephole};
 use cbs_bytecode::{verify, MethodId, Program};
 use std::collections::BTreeMap;
 
@@ -29,8 +29,9 @@ impl OptStats {
 /// A fixpoint pass pipeline over method bodies.
 ///
 /// The default pipeline runs constant folding, peephole simplification,
-/// dead-store elimination and nop removal until nothing changes (bounded
-/// by an iteration cap).
+/// jump threading, unreachable-code removal, liveness-based dead-store
+/// elimination and nop removal until nothing changes (bounded by an
+/// iteration cap).
 #[derive(Debug)]
 pub struct Optimizer {
     passes: Vec<Box<dyn Pass>>,
@@ -45,7 +46,6 @@ impl Default for Optimizer {
                 Box::new(Peephole),
                 Box::new(JumpThreading),
                 Box::new(UnreachableCodeElimination),
-                Box::new(DeadStoreElimination),
                 Box::new(LivenessDse),
                 Box::new(NopElimination),
             ],

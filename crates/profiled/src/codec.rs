@@ -403,22 +403,7 @@ impl DcgCodec {
     /// summing. Non-positive and non-finite increments are skipped, per
     /// the graph's weight contract.
     pub fn encode_delta(increments: &[(CallEdge, f64)]) -> Vec<u8> {
-        let mut records: Vec<(CallEdge, f64)> = increments
-            .iter()
-            .filter(|(_, w)| w.is_finite() && *w > 0.0)
-            .copied()
-            .collect();
-        // Stable sort: duplicate edges keep their input order, so the
-        // coalescing additions below are bit-deterministic.
-        records.sort_by_key(|r| r.0);
-        records.dedup_by(|later, first| {
-            if later.0 == first.0 {
-                first.1 += later.1;
-                true
-            } else {
-                false
-            }
-        });
+        let records = cbs_dcg::coalesce_increments(increments, &[]);
         let n = records.len();
         Self::encode_records(FrameKind::Delta, records.into_iter(), n)
     }
@@ -504,29 +489,6 @@ impl DcgCodec {
             edges.push(rec?);
         }
         Ok(DcgFrame { kind, edges })
-    }
-
-    /// Validates an encoded frame without materializing it: drains the
-    /// streaming record iterator and returns the frame kind and record
-    /// count. Accepts and rejects exactly the inputs [`decode`] does —
-    /// this is the cheap pre-check the dedup path ("bad frame beats
-    /// duplicate") and the write-ahead log (journal only what will
-    /// apply) rely on.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CodecError`] [`decode`] would return for the same bytes.
-    ///
-    /// [`decode`]: Self::decode
-    pub fn validate(bytes: &[u8]) -> Result<(FrameKind, usize), CodecError> {
-        let iter = Self::records(bytes)?;
-        let kind = iter.kind();
-        let mut count = 0usize;
-        for rec in iter {
-            rec?;
-            count += 1;
-        }
-        Ok((kind, count))
     }
 
     /// Decodes a frame and requires it to be a snapshot, returning the

@@ -21,7 +21,7 @@
 //! critical section its checkpoints snapshot the graph.
 
 use crate::aggregator::{IngestScratch, ShardedAggregator};
-use crate::codec::{CodecError, DcgCodec, FrameKind};
+use crate::codec::{CodecError, FrameKind};
 use crate::dedup::DedupTable;
 use crate::metrics::ProfiledMetrics;
 use std::fmt;
@@ -239,8 +239,10 @@ impl ProfileJournal for MemJournal {
         } else {
             drop(table);
             // Bad frame beats duplicate: the retransmission is
-            // acknowledged only if it is well-formed.
-            DcgCodec::validate(bytes)?;
+            // acknowledged only if it is well-formed. It decodes into the
+            // connection scratch, as in the durable store, and is never
+            // applied.
+            self.aggregator.partition_frame(bytes, scratch)?;
             Ok(SeqIngest::Duplicate)
         }
     }
