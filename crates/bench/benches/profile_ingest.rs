@@ -17,13 +17,14 @@
 //! * `aggregate/threads=4` — four pusher threads splitting the decoded
 //!   frames (`ingest` again) over the aggregate's one lock;
 //! * `pull/rebuild` — `encoded_snapshot` after `advance_epoch` just
-//!   invalidated the cache, i.e. the full lock-seal-copy-encode cost;
+//!   invalidated the cache, i.e. the full lock-seal-encode cost;
 //! * `pull/cached` — `encoded_snapshot` against a warm
 //!   generation-stamped cache (the repeated-`OP_PULL` fast path, O(1)
 //!   per request);
-//! * `plan/build` — a cold `OP_PLAN` on a cached snapshot: `build_plan`
-//!   (the 40% rule over every call site) over `merged_snapshot`, plus
-//!   `encode_plan`;
+//! * `plan/build` — a cold `OP_PLAN`: `encoded_plan` after
+//!   `advance_epoch` just invalidated the cache, i.e. lock, seal,
+//!   `build_plan` (the 40% rule over every call site) off the live
+//!   aggregate, and `encode_plan`;
 //! * `wal/append` — the durable-store write path (WAL append then
 //!   apply, fsync off — the async-fsync configuration whose cost must
 //!   stay within 2× of `aggregate/streaming`);
@@ -44,7 +45,6 @@
 use cbs_bench::{smoke_mode, BenchGroup, BenchResult};
 use cbs_core::bytecode::{CallSiteId, MethodId};
 use cbs_core::dcg::CallEdge;
-use cbs_core::inliner::{build_plan, NewLinearPolicy};
 use cbs_core::profiled::{
     AggregatorConfig, DcgCodec, DcgFrame, IngestScratch, ProfileJournal, ShardedAggregator,
 };
@@ -200,7 +200,7 @@ fn main() {
     ));
 
     // Pull-side costs against a fully loaded aggregator:
-    // `pull/rebuild` pays the lock-seal-copy-encode path every iteration
+    // `pull/rebuild` pays the lock-seal-encode path every iteration
     // (decay is 1.0, so the epoch advance changes no weight — it only
     // invalidates the cache); `pull/cached` measures the steady-state
     // hit path repeated `OP_PULL`s ride.
@@ -213,7 +213,7 @@ fn main() {
                 .expect("own encoding ingests");
         }
     }
-    let snapshot_edges = loaded.merged_snapshot().num_edges();
+    let snapshot_edges = loaded.stats().edges;
     let rebuild = group
         .bench("pull/rebuild", || {
             loaded.advance_epoch();
@@ -225,14 +225,14 @@ fn main() {
         .bench("pull/cached", || loaded.encoded_snapshot().len())
         .clone();
     entries.push(json_entry("pull/cached", snapshot_edges, &cached));
-    // The read path's other two passes over the same aggregate: what a
-    // plan-cache miss adds on top of a cached snapshot, and what the
-    // client pays to turn the pulled bytes back into a graph.
-    let snapshot = loaded.merged_snapshot();
+    // The read path's other two passes over the same aggregate: a cold
+    // `OP_PLAN` (the same invalidate-then-read as `pull/rebuild`, on the
+    // plan cache), and what the client pays to turn the pulled bytes
+    // back into a graph.
     let plan_build = group
         .bench("plan/build", || {
-            let plan = build_plan(&snapshot, &NewLinearPolicy::default(), loaded.generation());
-            DcgCodec::encode_plan(&plan).len()
+            loaded.advance_epoch();
+            loaded.encoded_plan().len()
         })
         .clone();
     entries.push(json_entry("plan/build", snapshot_edges, &plan_build));

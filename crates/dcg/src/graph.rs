@@ -377,9 +377,7 @@ impl DynamicCallGraph {
     /// This is the deterministic reduction step of the parallel
     /// experiment runner: shards are always passed in stable order, so
     /// the merged graph (weights *and* total) is identical to what the
-    /// serial path would have accumulated. The profile server's snapshot
-    /// rebuild passes its one aggregate, for the copy with zero weights
-    /// dropped and the total re-summed in edge order.
+    /// serial path would have accumulated.
     ///
     /// Bit-identical to folding [`merge`](Self::merge) over `shards`
     /// from an empty graph, but done as one k-way merge of the inputs'
@@ -432,8 +430,14 @@ impl DynamicCallGraph {
     ///
     /// Keeps the `weight_percent` denominator consistent with the stored
     /// weights after bulk operations, so `overlap(g, g) == 100` holds for
-    /// merged graphs to within one rounding step per edge.
-    fn recompute_total(&mut self) {
+    /// merged graphs to within one rounding step per edge. The profile
+    /// server calls it at every read of its aggregate, whose running
+    /// total sums records in arrival order: the re-sum makes the total a
+    /// function of the weights alone, bit-identical to what
+    /// [`merge_all`](Self::merge_all) of the same graph would hold.
+    ///
+    /// Requires a sealed graph (debug builds assert).
+    pub fn recompute_total(&mut self) {
         debug_assert!(self.is_sealed(), "recompute_total needs the sorted order");
         // `Sum<f64>` folds from `-0.0` (the IEEE additive identity), so
         // an empty sum is `-0.0` while a fresh graph's field default is

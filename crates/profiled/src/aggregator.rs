@@ -19,20 +19,21 @@
 //! catch-up points differ from the original run's) reproduce weights
 //! bit-for-bit.
 //!
-//! Consistency: [`merged_snapshot`] locks the aggregate, brings it to
-//! the current epoch, seals it, and copies it out through
-//! [`DynamicCallGraph::merge_all`] (zero weights dropped, total
-//! re-summed in edge order). The result is a true cut: it contains
-//! exactly the frames ingested before the lock was taken, and two
-//! snapshots of the same ingestion history are bit-identical.
+//! Consistency: a read locks the aggregate, brings it to the current
+//! epoch, seals it, re-sums its total in edge order, and encodes it or
+//! builds the plan from it in place, with no copy. The result is a true
+//! cut: it contains exactly the frames ingested before the lock was
+//! taken, and two reads of the same ingestion history are bit-identical
+//! — the bytes of [`DynamicCallGraph::merge_all`] of the aggregate.
 //!
 //! [`partition_frame`]: ShardedAggregator::partition_frame
 //! [`advance_epoch`]: ShardedAggregator::advance_epoch
-//! [`merged_snapshot`]: ShardedAggregator::merged_snapshot
 
 use crate::codec::{CodecError, DcgCodec, DcgFrame, FrameKind};
 use crate::metrics::ProfiledMetrics;
 use cbs_dcg::{CallEdge, DynamicCallGraph};
+use cbs_inliner::{build_plan, NewLinearPolicy};
+use cbs_telemetry::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -85,7 +86,7 @@ impl AggregatorConfig {
     }
 
     /// Rejects a config whose weights would leave the finite, positive
-    /// range: an infinite or NaN product passes the merge's `w > 0`
+    /// range: an infinite or NaN product passes the encoder's `w > 0`
     /// filter and is then served and checkpointed as bytes no decoder
     /// accepts, and a negative factor flips every weight's sign each
     /// epoch. The error names the command-line flag that sets the
@@ -121,26 +122,17 @@ struct Aggregate {
     epoch: u64,
 }
 
-/// A merged snapshot (graph + its canonical encoding) stamped with the
-/// generation it was built from.
+/// Encoded read bytes (a snapshot or a plan) stamped with the
+/// generation they were built from.
 ///
 /// The stamp is read *before* the aggregate is locked to build the
-/// snapshot, while mutators bump the generation *after* applying their
+/// bytes, while mutators bump the generation *after* applying their
 /// records — so a cached entry can only be stamped older than the data
 /// it holds, never newer. A stale stamp therefore forces at worst a
 /// redundant rebuild of identical bytes; it can never serve data older
 /// than its generation.
 #[derive(Debug)]
-struct SnapshotCache {
-    generation: u64,
-    graph: Arc<DynamicCallGraph>,
-    encoded: Arc<Vec<u8>>,
-}
-
-/// The encoded fleet inlining plan stamped with the generation it was
-/// built from; same freshness argument as [`SnapshotCache`].
-#[derive(Debug)]
-struct PlanCache {
+struct StampedBytes {
     generation: u64,
     encoded: Arc<Vec<u8>>,
 }
@@ -168,12 +160,12 @@ pub struct ShardedAggregator {
     epoch: AtomicU64,
     frames: AtomicU64,
     records: AtomicU64,
-    /// Bumped after every state change that can alter the merged
-    /// snapshot (record-applying ingest, epoch advance). The snapshot
-    /// cache compares its stamp against this to decide hit vs rebuild.
+    /// Bumped after every state change that can alter the served
+    /// bytes (record-applying ingest, epoch advance). Both caches
+    /// compare their stamp against this to decide hit vs rebuild.
     generation: AtomicU64,
-    cache: Mutex<Option<SnapshotCache>>,
-    plan_cache: Mutex<Option<PlanCache>>,
+    cache: Mutex<Option<StampedBytes>>,
+    plan_cache: Mutex<Option<StampedBytes>>,
     decay_factor: f64,
     min_weight: f64,
 }
@@ -361,19 +353,12 @@ impl ShardedAggregator {
         self.records.store(records, Ordering::Relaxed);
     }
 
-    /// Builds a merged snapshot from the live aggregate: locked, decayed
-    /// to the current epoch, sealed — the read boundary where the
-    /// deferred ingest tail's permutation debt is settled at once — and
-    /// copied out through `merge_all`, which drops zero weights and
-    /// re-sums the total in edge order.
-    fn rebuild_merged(&self) -> DynamicCallGraph {
-        let mut guard = self.locked_current();
-        guard.graph.seal();
-        DynamicCallGraph::merge_all([&guard.graph])
-    }
-
-    /// The cached `(graph, encoded)` pair for the current generation,
-    /// rebuilding on a cold or stale cache.
+    /// The bytes `cache` holds for the current generation; on a cold or
+    /// stale cache, `build` makes them from the live aggregate, locked,
+    /// decayed to the current epoch, sealed — the read boundary where
+    /// the deferred ingest tail's permutation debt is settled at once —
+    /// and with its total re-summed in edge order, whatever order the
+    /// records arrived in.
     ///
     /// The generation stamp is read under the cache lock *before* the
     /// aggregate is locked; mutators bump it *after* applying. A
@@ -381,76 +366,81 @@ impl ShardedAggregator {
     /// newer than its stamp (forcing one redundant rebuild later) but
     /// never older — a cache hit is always at least as fresh as the
     /// generation it matched. Holding the cache lock across the rebuild
-    /// also serializes concurrent pullers onto one rebuild instead of N.
-    fn cached_snapshot(&self) -> (Arc<DynamicCallGraph>, Arc<Vec<u8>>) {
-        let m = ProfiledMetrics::get();
-        let mut cache = self.cache.lock().expect("snapshot cache lock");
+    /// also serializes concurrent readers onto one rebuild instead of N.
+    fn cached(
+        &self,
+        cache: &Mutex<Option<StampedBytes>>,
+        [hits, invalidations, misses]: [&Counter; 3],
+        build: impl FnOnce(&DynamicCallGraph, u64) -> Vec<u8>,
+    ) -> Arc<Vec<u8>> {
+        let mut cache = cache.lock().expect("cache lock");
         let generation = self.generation.load(Ordering::Acquire);
         if let Some(c) = cache.as_ref() {
             if c.generation == generation {
-                m.agg_cache_hits.inc();
-                return (Arc::clone(&c.graph), Arc::clone(&c.encoded));
-            }
-            m.agg_cache_invalidations.inc();
-        }
-        m.agg_cache_misses.inc();
-        let graph = Arc::new(self.rebuild_merged());
-        let encoded = Arc::new(DcgCodec::encode_snapshot(&graph));
-        *cache = Some(SnapshotCache {
-            generation,
-            graph: Arc::clone(&graph),
-            encoded: Arc::clone(&encoded),
-        });
-        (graph, encoded)
-    }
-
-    /// A consistent fleet-wide snapshot, shared from the
-    /// generation-stamped cache (rebuilt only after ingest or an epoch
-    /// advance).
-    pub fn merged_snapshot(&self) -> Arc<DynamicCallGraph> {
-        self.cached_snapshot().0
-    }
-
-    /// The canonical [`DcgCodec::encode_snapshot`] bytes of the merged
-    /// snapshot, shared from the cache — the server's `OP_PULL` /
-    /// `OP_PULL_CHUNK` fast path: repeated pulls of an unchanged
-    /// aggregate are O(1), re-serving the same encoded buffer.
-    pub fn encoded_snapshot(&self) -> Arc<Vec<u8>> {
-        self.cached_snapshot().1
-    }
-
-    /// The canonical [`DcgCodec::encode_plan`] bytes of the fleet
-    /// inlining plan — [`cbs_inliner::build_plan`] with the paper's
-    /// [`NewLinearPolicy`](cbs_inliner::NewLinearPolicy) run against the
-    /// merged snapshot, stamped with the snapshot generation.
-    ///
-    /// Cached under the same generation discipline as
-    /// [`encoded_snapshot`](Self::encoded_snapshot): an unchanged
-    /// aggregate serves the identical buffer (so `OP_PLAN` answers are
-    /// bit-identical), and the cache invalidates exactly when pulls do.
-    pub fn encoded_plan(&self) -> Arc<Vec<u8>> {
-        let m = ProfiledMetrics::get();
-        let mut cache = self.plan_cache.lock().expect("plan cache lock");
-        let generation = self.generation.load(Ordering::Acquire);
-        if let Some(c) = cache.as_ref() {
-            if c.generation == generation {
-                m.plan_cache_hits.inc();
+                hits.inc();
                 return Arc::clone(&c.encoded);
             }
-            m.plan_cache_invalidations.inc();
+            invalidations.inc();
         }
-        m.plan_cache_misses.inc();
-        let graph = self.merged_snapshot();
-        let plan =
-            cbs_inliner::build_plan(&graph, &cbs_inliner::NewLinearPolicy::default(), generation);
-        m.plan_builds.inc();
-        m.plan_decisions.add(plan.entries.len() as u64);
-        let encoded = Arc::new(DcgCodec::encode_plan(&plan));
-        *cache = Some(PlanCache {
+        misses.inc();
+        let mut guard = self.locked_current();
+        guard.graph.seal();
+        guard.graph.recompute_total();
+        let encoded = Arc::new(build(&guard.graph, generation));
+        drop(guard);
+        *cache = Some(StampedBytes {
             generation,
             encoded: Arc::clone(&encoded),
         });
         encoded
+    }
+
+    /// [`encoded_snapshot`](Self::encoded_snapshot) decoded: exactly the
+    /// graph a client pulls. Panics if the aggregate holds an infinite
+    /// weight (a sum that overflowed), which no decoder accepts.
+    pub fn merged_snapshot(&self) -> DynamicCallGraph {
+        DcgCodec::decode_snapshot(&self.encoded_snapshot()).expect("a served snapshot decodes")
+    }
+
+    /// The canonical [`DcgCodec::encode_snapshot`] bytes of the
+    /// aggregate, shared from the cache — the server's `OP_PULL` /
+    /// `OP_PULL_CHUNK` fast path: repeated pulls of an unchanged
+    /// aggregate are O(1), re-serving the same encoded buffer.
+    pub fn encoded_snapshot(&self) -> Arc<Vec<u8>> {
+        let m = ProfiledMetrics::get();
+        let counters = [
+            &m.agg_cache_hits,
+            &m.agg_cache_invalidations,
+            &m.agg_cache_misses,
+        ];
+        self.cached(&self.cache, counters, |graph, _| {
+            DcgCodec::encode_snapshot(graph)
+        })
+    }
+
+    /// The canonical [`DcgCodec::encode_plan`] bytes of the fleet
+    /// inlining plan — [`build_plan`] with the paper's
+    /// [`NewLinearPolicy`] run against the aggregate, stamped with its
+    /// generation.
+    ///
+    /// Cached under the same generation discipline as
+    /// [`encoded_snapshot`](Self::encoded_snapshot), in a cache of its
+    /// own: an unchanged aggregate serves the identical buffer (so
+    /// `OP_PLAN` answers are bit-identical), the cache invalidates
+    /// exactly when pulls do, and a plan miss encodes no snapshot.
+    pub fn encoded_plan(&self) -> Arc<Vec<u8>> {
+        let m = ProfiledMetrics::get();
+        let counters = [
+            &m.plan_cache_hits,
+            &m.plan_cache_invalidations,
+            &m.plan_cache_misses,
+        ];
+        self.cached(&self.plan_cache, counters, |graph, generation| {
+            let plan = build_plan(graph, &NewLinearPolicy::default(), generation);
+            m.plan_builds.inc();
+            m.plan_decisions.add(plan.entries.len() as u64);
+            DcgCodec::encode_plan(&plan)
+        })
     }
 
     /// Ingestion counters and the aggregate's size.
@@ -509,7 +499,7 @@ mod tests {
         agg.ingest(&DcgCodec::decode(&DcgCodec::encode_snapshot(&a)).unwrap());
         agg.ingest(&DcgCodec::decode(&DcgCodec::encode_snapshot(&b)).unwrap());
         let merged = agg.merged_snapshot();
-        assert_eq!(*merged, expected);
+        assert_eq!(merged, expected);
         assert_eq!(agg.stats().frames, 2);
         assert_eq!(agg.stats().records, 5);
         assert_eq!(agg.stats().edges, merged.num_edges());
@@ -695,9 +685,9 @@ mod tests {
             Arc::ptr_eq(&first, &again),
             "repeated pulls must share the cached encoding"
         );
-        let g1 = agg.merged_snapshot();
-        let g2 = agg.merged_snapshot();
-        assert!(Arc::ptr_eq(&g1, &g2));
+        // A plan pull has a cache of its own and leaves this one alone.
+        let _ = agg.encoded_plan();
+        assert!(Arc::ptr_eq(&first, &agg.encoded_snapshot()));
 
         // Ingest invalidates: the next pull re-encodes and sees new data.
         agg.ingest(&delta(&[(e(0, 0, 1), 1.0)]));

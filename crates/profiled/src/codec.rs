@@ -387,13 +387,11 @@ impl DcgCodec {
     /// Encodes a whole graph as a snapshot frame.
     ///
     /// Records are emitted in the graph's (ascending-edge) iteration
-    /// order; weights round-trip bit-exactly.
+    /// order; weights round-trip bit-exactly. Edges decayed to weight
+    /// zero, which no decoder accepts, are left out of records and count.
     pub fn encode_snapshot(graph: &DynamicCallGraph) -> Vec<u8> {
-        Self::encode_records(
-            FrameKind::Snapshot,
-            graph.iter().map(|(e, w)| (*e, w)),
-            graph.num_edges(),
-        )
+        let records = || graph.iter().filter(|&(_, w)| w > 0.0).map(|(e, w)| (*e, w));
+        Self::encode_records(FrameKind::Snapshot, records(), records().count())
     }
 
     /// Encodes weight increments (e.g. from

@@ -74,10 +74,10 @@ pub struct ProfiledMetrics {
     pub agg_decay_catchups: Counter,
     /// Edges pruned by decay (weight fell below the floor).
     pub agg_pruned_edges: Counter,
-    /// Snapshot-cache hits: merged snapshot served without locking
+    /// Snapshot-cache hits: encoded snapshot served without locking
     /// the aggregate.
     pub agg_cache_hits: Counter,
-    /// Snapshot-cache misses: a merged snapshot was rebuilt (cold cache
+    /// Snapshot-cache misses: the aggregate was re-encoded (cold cache
     /// or stale generation).
     pub agg_cache_misses: Counter,
     /// Snapshot-cache invalidations observed: a rebuild found a cached
@@ -98,7 +98,7 @@ pub struct ProfiledMetrics {
     /// Plan-cache invalidations observed: a rebuild found a cached plan
     /// whose generation stamp had been outrun.
     pub plan_cache_invalidations: Counter,
-    /// Fleet plans built from the merged snapshot.
+    /// Fleet plans built from the aggregate.
     pub plan_builds: Counter,
     /// Per-site decisions emitted across all plan builds.
     pub plan_decisions: Counter,
@@ -208,11 +208,11 @@ impl ProfiledMetrics {
                 ),
                 agg_cache_hits: r.counter(
                     "profiled.agg.cache_hits",
-                    "merged snapshots served from the generation-stamped cache",
+                    "snapshot encodings served from the generation-stamped cache",
                 ),
                 agg_cache_misses: r.counter(
                     "profiled.agg.cache_misses",
-                    "merged snapshots rebuilt on a cold or stale cache",
+                    "snapshots re-encoded on a cold or stale cache",
                 ),
                 agg_cache_invalidations: r.counter(
                     "profiled.agg.cache_invalidations",
@@ -232,7 +232,7 @@ impl ProfiledMetrics {
                 ),
                 plan_builds: r.counter(
                     "profiled.plan.builds",
-                    "fleet plans built from the merged snapshot",
+                    "fleet plans built from the aggregate",
                 ),
                 plan_decisions: r.counter(
                     "profiled.plan.decisions",

@@ -14,7 +14,8 @@ use cbs_bytecode::{CallSiteId, MethodId};
 use cbs_dcg::{CallEdge, DynamicCallGraph};
 use cbs_inliner::{build_plan, NewLinearPolicy};
 use cbs_profiled::{
-    serve, AggregatorConfig, DcgCodec, NetConfig, ProfileClient, ShardedAggregator,
+    serve, AggregatorConfig, DcgCodec, DcgFrame, FrameKind, NetConfig, ProfileClient,
+    ShardedAggregator,
 };
 use std::sync::Arc;
 
@@ -96,19 +97,44 @@ fn pulls_racing_a_push_storm_always_decode_valid_snapshots() {
                 }
             });
         }
+        // A plan puller races it too. Plans are built under the
+        // aggregate lock, between pushes: every one decodes, and their
+        // generations never go backwards.
+        scope.spawn(move || {
+            let mut c = ProfileClient::connect(addr, NetConfig::default()).expect("connects");
+            let mut last_generation = 0;
+            for _ in 0..30 {
+                let plan = c.pull_plan().expect("mid-storm plan decodes");
+                assert!(
+                    plan.generation >= last_generation,
+                    "plan went backwards: {} < {last_generation}",
+                    plan.generation
+                );
+                assert!(
+                    plan.total_weight <= total_records as f64 + 0.5,
+                    "over-counted"
+                );
+                last_generation = plan.generation;
+            }
+        });
     });
 
     // Quiesced: the final pull is bit-identical to the serial ingest.
     let mut c = ProfileClient::connect(addr, NetConfig::default()).expect("connects");
     let final_pull = c.pull().expect("final pull");
-    assert_eq!(final_pull, *expected);
+    assert_eq!(final_pull, expected);
     assert_eq!(
         DcgCodec::encode_snapshot(&final_pull),
         expected_bytes,
         "final snapshot encoding must be byte-identical to serial ingest"
     );
     // The chunked path serves the same capture.
-    assert_eq!(c.pull_chunked().expect("chunked pull").0, *expected);
+    assert_eq!(c.pull_chunked().expect("chunked pull").0, expected);
+    // And the final plan is the serial ingest's plan.
+    assert_eq!(
+        DcgCodec::encode_plan(&c.pull_plan().expect("final plan")),
+        *serial.encoded_plan()
+    );
     server.shutdown();
 }
 
@@ -168,32 +194,48 @@ fn served_bytes_match_an_eagerly_built_reference() {
     // edges recorded deferred since the previous pull (seal merges them
     // into the sorted run), and a decay epoch that prunes some edges but
     // not all (the store is rebuilt around the survivors).
-    let frame = |range: std::ops::Range<u32>, stride: u32| {
-        let mut g = DynamicCallGraph::new();
-        for i in range {
-            g.record(e(i * stride % 997, i % 13, i % 31), 0.75 + f64::from(i % 7));
-        }
-        DcgCodec::decode(&DcgCodec::encode_snapshot(&g)).unwrap()
+    //
+    // The weights are not dyadic and arrive out of edge order, so the
+    // aggregate's running total differs from the edge-ordered sum the
+    // plan's total must be: a read that skips the re-sum fails here.
+    let frame = |range: std::ops::Range<u32>, stride: u32| DcgFrame {
+        kind: FrameKind::Delta,
+        edges: range
+            .map(|i| {
+                let weight = 0.1 + f64::from(i % 7) / 3.0;
+                (e(i * stride % 997, i % 13, i % 31), weight)
+            })
+            .collect(),
     };
     let first = frame(0..6000, 1);
     // Mostly edges the first frame never saw, landing between its keys.
     let second = frame(6000..9000, 5);
     let agg = ShardedAggregator::new(AggregatorConfig {
-        decay_factor: 0.5,
+        decay_factor: 0.9,
         min_weight: 1.0,
     });
     let mut eager = DynamicCallGraph::new();
     let check = |eager: &DynamicCallGraph, generation: u64| {
         let merged = DynamicCallGraph::merge_all([eager]);
-        let plan = build_plan(&merged, &NewLinearPolicy::default(), generation);
+        let plan = DcgCodec::encode_plan(&build_plan(
+            &merged,
+            &NewLinearPolicy::default(),
+            generation,
+        ));
         assert_eq!(agg.generation(), generation);
+        // The plan is read both before and after the snapshot, so
+        // neither read can lean on the other to settle the total.
+        assert!(
+            *agg.encoded_plan() == plan,
+            "generation {generation}: plan before the snapshot"
+        );
         assert!(
             *agg.encoded_snapshot() == DcgCodec::encode_snapshot(&merged),
             "generation {generation}: snapshot"
         );
         assert!(
-            *agg.encoded_plan() == DcgCodec::encode_plan(&plan),
-            "generation {generation}: plan"
+            *agg.encoded_plan() == plan,
+            "generation {generation}: plan after the snapshot"
         );
     };
     for (f, generation) in [(&first, 1), (&second, 2)] {
@@ -205,7 +247,7 @@ fn served_bytes_match_an_eagerly_built_reference() {
     }
     let edges_before = agg.stats().edges;
     agg.advance_epoch();
-    eager.decay(0.5, 1.0);
+    eager.decay(0.9, 1.0);
     check(&eager, 3);
     assert!(
         (1..edges_before).contains(&agg.stats().edges),

@@ -257,7 +257,7 @@ fn chunked_pull_reassembles_an_oversized_snapshot_bit_identically() {
     let (pulled, pages) = client.pull_chunked().expect("chunked pull");
     assert!(pages > 1, "snapshot must have spanned multiple pages");
     let merged = server.aggregator().merged_snapshot();
-    assert_eq!(pulled, *merged);
+    assert_eq!(pulled, merged);
     for (e, w) in merged.iter() {
         assert_eq!(pulled.weight(e).to_bits(), w.to_bits(), "edge {e}");
     }
@@ -324,7 +324,7 @@ fn chunk_page_without_a_page0_capture_is_refused_cleanly() {
     let mut client = ProfileClient::connect(server.addr(), config).expect("connects");
     assert_eq!(
         client.pull_chunked().expect("chunked pull").0,
-        *server.aggregator().merged_snapshot()
+        server.aggregator().merged_snapshot()
     );
     server.shutdown();
 }

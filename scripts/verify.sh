@@ -73,8 +73,8 @@ done
 awk '/"median_ns"/ && $0 !~ /"median_ns": [1-9][0-9]*/ { bad = 1 } END { exit bad }' "$BENCH_JSON" \
   || { echo "FAIL: non-positive median_ns in $BENCH_JSON" >&2; exit 1; }
 # Read-path acceptance bound: a cold pull of the 50k-edge aggregate is
-# one seal and one linear copy of its sorted run plus the encode. A rebuild
-# that throws the order away (re-hash, re-sort, re-merge) lands above it.
+# one seal plus the encode. A rebuild that throws the order away
+# (re-hash, re-sort, re-merge) lands above it.
 awk -F'"median_ns": ' '
   /"config": "pull\/rebuild"/ { split($2, a, ","); rebuild = a[1] }
   END { if (rebuild == 0 || rebuild >= 5000000) exit 1 }' "$BENCH_JSON" \
@@ -184,7 +184,8 @@ grep -q '^m3 s0 weight=100 direct m1$' "$SMOKE_DIR/plan1.txt" \
 echo "==> profiled telemetry smoke (OP_METRICS scrape matches the traffic above)"
 # Exactly one push, one pull, and two plan pulls (one cache miss + one
 # hit) were issued against this server, so the scraped counters must
-# agree; the scrape itself is timeout-bounded.
+# agree — the plan pulls encode no snapshot, so the pull is the one
+# snapshot-cache miss; the scrape itself is timeout-bounded.
 timeout 60 "$DCGTOOL" metrics "$ADDR" > "$SMOKE_DIR/metrics.txt"
 head -n 1 "$SMOKE_DIR/metrics.txt" | grep -q '^# cbs-telemetry v1$' \
   || { echo "FAIL: metrics exposition missing its version header" >&2; exit 1; }
@@ -202,6 +203,9 @@ grep -q '^counter profiled\.plan\.builds 1$' "$SMOKE_DIR/metrics.txt" \
        cat "$SMOKE_DIR/metrics.txt" >&2; exit 1; }
 grep -q '^counter profiled\.plan\.cache_hits 1$' "$SMOKE_DIR/metrics.txt" \
   || { echo "FAIL: the second plan pull must be answered from the cache" >&2;
+       cat "$SMOKE_DIR/metrics.txt" >&2; exit 1; }
+grep -q '^counter profiled\.agg\.cache_misses 1$' "$SMOKE_DIR/metrics.txt" \
+  || { echo "FAIL: one pull and two plan pulls must encode one snapshot" >&2;
        cat "$SMOKE_DIR/metrics.txt" >&2; exit 1; }
 grep -q '^counter profiled\.server\.err_replies 0$' "$SMOKE_DIR/metrics.txt" \
   || { echo "FAIL: clean smoke produced error replies" >&2;

@@ -42,7 +42,7 @@ fn real_vm_profiles_round_trip_through_the_service() {
 
     let pulled = client.pull().expect("pull succeeds");
     let merged = server.aggregator().merged_snapshot();
-    assert_eq!(pulled, *merged, "wire round-trip is lossless");
+    assert_eq!(pulled, merged, "wire round-trip is lossless");
     for (e, w) in merged.iter() {
         assert_eq!(pulled.weight(e).to_bits(), w.to_bits(), "edge {e}");
     }
