@@ -51,6 +51,9 @@ pub struct FrameInfo {
     pub method: MethodId,
     /// Current instruction index.
     pub pc: u32,
+    /// The call site this frame called the next inner frame through;
+    /// `None` for the innermost frame.
+    pub pending_site: Option<CallSiteId>,
 }
 
 impl<'a> StackSlice<'a> {
@@ -79,6 +82,7 @@ impl<'a> StackSlice<'a> {
         Some(FrameInfo {
             method: f.method(),
             pc: f.pc(),
+            pending_site: f.pending_site(),
         })
     }
 

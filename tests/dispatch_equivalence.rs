@@ -15,12 +15,16 @@
 #[path = "support/oracle.rs"]
 mod oracle;
 
-use cbs_bytecode::{CodeBuilder, Label, MethodId, Op, ProgramBuilder, VirtualSlot};
+use cbs_bytecode::{
+    CallSiteId, Class, ClassId, CodeBuilder, Label, Method, MethodId, Op, ProgramBuilder,
+    VirtualSlot,
+};
 use cbs_prng::prop::run_cases;
 use cbs_prng::SmallRng;
 use cbs_profiler::{CbsConfig, CounterBasedSampler, ExhaustiveProfiler, TimerSampler};
 use cbs_repro::prelude::*;
 use cbs_vm::{CallEvent, ExecReport, NullProfiler, Profiler, StackSlice, ThreadId, Value, VmError};
+use std::fmt::Write;
 
 /// `report` in the oracle's terms: a `Ref` is its heap index.
 fn observed(report: &ExecReport) -> oracle::Report {
@@ -277,25 +281,40 @@ fn fused_runs_bail_identically_under_dense_ticks_and_budget() {
     }
 }
 
-/// Records every hook call verbatim. It keeps the default
-/// `Profiler::armed`, so the run loop owes it every event the oracle
-/// delivers.
+/// Records every hook call verbatim, with the whole stack it was shown:
+/// every frame's method, pc and pending call site, and the calling
+/// context the frames spell. It keeps the default `Profiler::armed`, so
+/// the run loop owes it every event the oracle delivers.
 #[derive(Debug, Default, PartialEq)]
 struct EventLog {
     events: Vec<String>,
     last_clock: u64,
 }
 
+/// `stack`, innermost frame first, then its context outermost first.
+fn whole_stack(stack: &StackSlice<'_>) -> String {
+    let mut out = String::from("frames");
+    for i in 0..stack.depth() {
+        let f = stack.frame(i).expect("within depth");
+        let site = f.pending_site.map(u32::from);
+        write!(out, " {}@{}>{site:?}", f.method, f.pc).expect("to a String");
+    }
+    out.push_str(" context");
+    for step in stack.context_steps() {
+        write!(out, " {}:{}", step.site, step.method).expect("to a String");
+    }
+    out
+}
+
 impl EventLog {
     fn call(&mut self, kind: &str, ev: &CallEvent<'_>) {
         self.last_clock = ev.clock;
         self.events.push(format!(
-            "{kind} {:?} @{} {} depth={} top={:?}",
+            "{kind} {:?} @{} {} {}",
             ev.edge,
             ev.clock,
             ev.thread,
-            ev.stack.depth(),
-            ev.stack.top()
+            whole_stack(&ev.stack)
         ));
     }
 }
@@ -303,11 +322,8 @@ impl EventLog {
 impl Profiler for EventLog {
     fn on_tick(&mut self, clock: u64, thread: ThreadId, stack: StackSlice<'_>) {
         self.last_clock = clock;
-        self.events.push(format!(
-            "tick @{clock} {thread} depth={} top={:?}",
-            stack.depth(),
-            stack.top()
-        ));
+        self.events
+            .push(format!("tick @{clock} {thread} {}", whole_stack(&stack)));
     }
     fn on_entry(&mut self, ev: &CallEvent<'_>) {
         self.call("entry", ev);
@@ -318,6 +334,228 @@ impl Profiler for EventLog {
     fn on_finish(&mut self, clock: u64) {
         self.events.push(format!("finish @{clock}"));
     }
+}
+
+/// Runs `program` through the run loop at a concrete [`EventLog`], at
+/// `dyn Profiler` and through the oracle, under both flavors with a
+/// timer period of a few ops, and asserts all three agree on the report
+/// or trap and on every event. The flavors differ only in what they
+/// deliver, so the result is the same under both; it is returned.
+fn three_ways(program: &Program, what: &str) -> Result<ExecReport, VmError> {
+    let [jikes, j9] = [VmFlavor::Jikes, VmFlavor::J9].map(|flavor| {
+        let config = VmConfig {
+            flavor,
+            timer_hz: VmConfig::default().cycles_per_second / 7,
+            timer_jitter: 0,
+            ..VmConfig::default()
+        };
+        let what = format!("{what} under {flavor:?}");
+        let vm = Vm::new(program, config.clone());
+        let (mut concrete, mut dynamic, mut reference) = (
+            EventLog::default(),
+            EventLog::default(),
+            EventLog::default(),
+        );
+        let fast = vm.run_with(&mut concrete);
+        let dyn_result = vm.run_with(&mut dynamic as &mut dyn Profiler);
+        let reference_result = oracle::run(program, &config, &mut reference);
+        assert_eq!(fast, dyn_result, "{what}: concrete vs dyn");
+        assert_matches_oracle(&fast, reference_result, &what);
+        assert_eq!(concrete, dynamic, "{what}: concrete vs dyn events");
+        assert_eq!(concrete, reference, "{what}: events vs the oracle");
+        fast
+    });
+    assert_eq!(jikes, j9, "{what}: Jikes vs J9");
+    jikes
+}
+
+/// Three ways one frame could leak into another when they share
+/// storage, each checked by the run loop at a concrete profiler, at
+/// `dyn Profiler` and by the oracle:
+///
+/// (a) a callee's non-parameter locals read zero before they are
+///     written, even where an earlier, deeper call left non-zero locals
+///     and operands;
+/// (b) a callee that pops below its own operand base — unverified code,
+///     built with `Program::from_parts` — traps `OperandUnderflow` at
+///     its own method and pc instead of reading its locals or the
+///     operands its caller holds beneath the arguments;
+/// (c) operands a caller pushed beneath a call's arguments are intact
+///     when the callee returns, whether the callee has more locals than
+///     parameters or leaves operands of its own behind.
+#[test]
+fn frames_do_not_leak_into_one_another() {
+    // (a) `dirty` and `dirtier` fill every local and leave operands
+    // under a deeper call; `reader` then sums twenty locals of which
+    // only the first is a parameter, per op and through a fused
+    // `Load s, Add` fold alike.
+    let mut b = ProgramBuilder::new();
+    let cls = b.add_class("C", 0);
+    let dirtier = b
+        .function("dirtier", cls, 2, 6, |c| {
+            for s in 2..8 {
+                c.const_(0x5A00 + i64::from(s)).store(s);
+            }
+            c.const_(-77).const_(-88).load(0).load(1).add().ret();
+        })
+        .unwrap();
+    let dirty = b
+        .function("dirty", cls, 1, 5, |c| {
+            for s in 1..6 {
+                c.load(0).const_(i64::from(s)).mul().store(s);
+            }
+            c.const_(99).const_(98).load(0).load(5).call(dirtier);
+            c.add().add().ret();
+        })
+        .unwrap();
+    let reader = b
+        .function("reader", cls, 1, 19, |c| {
+            c.load(0);
+            for s in 1..20 {
+                c.load(s).add();
+            }
+            c.ret();
+        })
+        .unwrap();
+    let main = b
+        .function("main", cls, 0, 0, |c| {
+            c.const_(3).call(dirty).pop();
+            c.const_(5).call(reader).ret();
+        })
+        .unwrap();
+    b.set_entry(main);
+    let report = three_ways(&b.build().unwrap(), "(a) fresh locals").expect("(a) runs");
+    assert_eq!(report.return_values, vec![Value::Int(5)], "(a)");
+
+    // (b) `main` holds 100 and 200 beneath the argument 7; each body of
+    // `f` (one parameter, two locals) underflows at the pc given.
+    let site = CallSiteId::new;
+    let leaf = MethodId::new(2);
+    let underflows: [(&[Op], u32); 16] = [
+        (&[Op::Pop, Op::Return], 0),
+        (&[Op::Store(1), Op::Return], 0),
+        (&[Op::Dup, Op::Return], 0),
+        (&[Op::Const(1), Op::Swap, Op::Return], 1),
+        (&[Op::Const(1), Op::Add, Op::Return], 1),
+        (&[Op::Neg, Op::Return], 0),
+        (&[Op::Const(1), Op::CmpEq, Op::Return], 1),
+        (&[Op::Return], 0),
+        (&[Op::JumpIfZero(1), Op::Return], 0),
+        // A fused fold of the stack top, and a fused run from it.
+        (&[Op::Load(0), Op::Add, Op::Store(1), Op::Return], 1),
+        (&[Op::Const(3), Op::Mul, Op::Store(1), Op::Return], 1),
+        (&[Op::GetField(0), Op::Return], 0),
+        (&[Op::Const(5), Op::PutField(0), Op::Return], 1),
+        (
+            &[
+                Op::Call {
+                    site: site(1),
+                    target: leaf,
+                },
+                Op::Return,
+            ],
+            0,
+        ),
+        (
+            &[
+                Op::CallVirtual {
+                    site: site(1),
+                    slot: VirtualSlot::new(0),
+                    arity: 1,
+                },
+                Op::Return,
+            ],
+            0,
+        ),
+        (
+            &[
+                Op::Load(0),
+                Op::Const(1),
+                Op::Add,
+                Op::Pop,
+                Op::Pop,
+                Op::Return,
+            ],
+            4,
+        ),
+    ];
+    for (body, pc) in underflows {
+        let f = MethodId::new(1);
+        let main = Method::new(
+            MethodId::new(0),
+            "main",
+            ClassId::new(0),
+            0,
+            1,
+            vec![
+                Op::Const(100),
+                Op::Const(200),
+                Op::Const(7),
+                Op::Call {
+                    site: site(0),
+                    target: f,
+                },
+                Op::Return,
+            ],
+        );
+        let methods = vec![
+            main,
+            Method::new(f, "f", ClassId::new(0), 1, 2, body.to_vec()),
+            Method::new(
+                leaf,
+                "leaf",
+                ClassId::new(0),
+                1,
+                1,
+                vec![Op::Load(0), Op::Return],
+            ),
+        ];
+        let class = Class::new(ClassId::new(0), "C", None, 1, vec![leaf]);
+        let program = Program::from_parts(vec![class], methods, MethodId::new(0), 2);
+        let what = format!("(b) underflow in {body:?}");
+        assert_eq!(
+            three_ways(&program, &what),
+            Err(VmError::OperandUnderflow { method: f, pc }),
+            "{what}"
+        );
+    }
+
+    // (c) `main` holds 11 and 22 beneath the argument 3, and `wide` (one
+    // parameter, eight locals) holds a product and 444 beneath the
+    // argument of `narrow`, whose locals are just its parameter; each
+    // callee also returns over operands of its own.
+    let mut b = ProgramBuilder::new();
+    let cls = b.add_class("C", 0);
+    let narrow = b
+        .function("narrow", cls, 1, 0, |c| {
+            c.const_(-1).const_(-2).load(0).const_(1).add().ret();
+        })
+        .unwrap();
+    let wide = b
+        .function("wide", cls, 1, 7, |c| {
+            for s in 1..8 {
+                c.const_(1000 + i64::from(s)).store(s);
+            }
+            c.load(0).const_(7).mul();
+            c.const_(444).load(0).call(narrow);
+            // [a * 7, 444, a + 1]
+            c.add().const_(1000).mul().add();
+            c.const_(-3).swap().ret();
+        })
+        .unwrap();
+    let main = b
+        .function("main", cls, 0, 1, |c| {
+            c.const_(11).const_(22).const_(3).call(wide).store(0);
+            // [11, 22]
+            c.const_(1000).mul().swap().const_(1_000_000).mul().add();
+            c.load(0).const_(1_000_000_000).mul().add().ret();
+        })
+        .unwrap();
+    b.set_entry(main);
+    let report = three_ways(&b.build().unwrap(), "(c) caller operands").expect("(c) runs");
+    // wide(3) = (444 + 4) * 1000 + 21.
+    let expected = 448_021 * 1_000_000_000 + 11_000_000 + 22_000;
+    assert_eq!(report.return_values, vec![Value::Int(expected)], "(c)");
 }
 
 /// Generator of random straight-line integer code for
