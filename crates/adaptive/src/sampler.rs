@@ -71,8 +71,8 @@ mod tests {
     fn attributes_ticks_to_top_of_stack() {
         let mut s = HotMethodSampler::new();
         let frames = vec![
-            Frame::new(MethodId::new(0), 0),
-            Frame::new(MethodId::new(3), 0),
+            Frame::new(MethodId::new(0), 0, None),
+            Frame::new(MethodId::new(3), 0, None),
         ];
         for _ in 0..5 {
             s.on_tick(0, ThreadId(0), StackSlice::for_testing(&frames));
@@ -85,8 +85,8 @@ mod tests {
     #[test]
     fn hot_methods_sorted_and_thresholded() {
         let mut s = HotMethodSampler::new();
-        let a = vec![Frame::new(MethodId::new(1), 0)];
-        let b = vec![Frame::new(MethodId::new(2), 0)];
+        let a = vec![Frame::new(MethodId::new(1), 0, None)];
+        let b = vec![Frame::new(MethodId::new(2), 0, None)];
         for _ in 0..3 {
             s.on_tick(0, ThreadId(0), StackSlice::for_testing(&a));
         }

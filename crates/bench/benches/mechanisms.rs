@@ -77,12 +77,12 @@ fn stack_walk(group: &mut BenchGroup) {
     // Measure the host cost of a context-path walk through the event
     // machinery on a deep synthetic stack.
     use cbs_core::vm::Frame;
-    let mut frames = Vec::new();
-    for i in 0..64u32 {
-        let mut f = Frame::new(cbs_core::bytecode::MethodId::new(i), 0);
-        f.set_pending_site(Some(cbs_core::bytecode::CallSiteId::new(i)));
-        frames.push(f);
-    }
+    let frames: Vec<Frame> = (0..64u32)
+        .map(|i| {
+            let site = cbs_core::bytecode::CallSiteId::new(i);
+            Frame::new(cbs_core::bytecode::MethodId::new(i), 0, Some(site))
+        })
+        .collect();
     let mut pc = PcSampler::new();
     group.bench("pc_sampler_tick_on_depth_64", || {
         pc.on_tick(0, ThreadId(0), StackSlice::for_testing(&frames));

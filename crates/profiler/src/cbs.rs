@@ -341,9 +341,10 @@ mod tests {
     use cbs_vm::{Frame, ThreadId};
 
     fn event_frames() -> Vec<Frame> {
-        let mut outer = Frame::new(MethodId::new(0), 0);
-        outer.set_pending_site(Some(CallSiteId::new(0)));
-        vec![outer, Frame::new(MethodId::new(1), 0)]
+        vec![
+            Frame::new(MethodId::new(0), 0, Some(CallSiteId::new(0))),
+            Frame::new(MethodId::new(1), 0, None),
+        ]
     }
 
     fn fire_entry(s: &mut CounterBasedSampler, frames: &[Frame], callee: u32) {

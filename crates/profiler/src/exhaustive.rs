@@ -110,7 +110,7 @@ mod tests {
     #[test]
     fn counts_every_call_exactly() {
         let mut p = ExhaustiveProfiler::new();
-        let frames = vec![Frame::new(MethodId::new(0), 0)];
+        let frames = vec![Frame::new(MethodId::new(0), 0, None)];
         for _ in 0..7 {
             p.on_entry(&ev(&frames, 1));
         }
@@ -126,7 +126,7 @@ mod tests {
         let costs = ProfilingCosts::default();
         let per_call = costs.instrument_millicycles;
         let mut p = ExhaustiveProfiler::with_mode(ExhaustiveMode::Instrumented, costs);
-        let frames = vec![Frame::new(MethodId::new(0), 0)];
+        let frames = vec![Frame::new(MethodId::new(0), 0, None)];
         for _ in 0..1000 {
             p.on_entry(&ev(&frames, 1));
         }

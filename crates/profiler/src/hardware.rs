@@ -162,7 +162,7 @@ mod tests {
             skid_probability: 0.0,
             ..HardwareConfig::default()
         });
-        let frames = vec![Frame::new(MethodId::new(0), 0)];
+        let frames = vec![Frame::new(MethodId::new(0), 0, None)];
         for i in 0..100 {
             h.on_entry(&ev(&frames, i));
         }
@@ -177,7 +177,7 @@ mod tests {
             skid_probability: 1.0,
             ..HardwareConfig::default()
         });
-        let frames = vec![Frame::new(MethodId::new(0), 0)];
+        let frames = vec![Frame::new(MethodId::new(0), 0, None)];
         h.on_entry(&ev(&frames, 1)); // countdown 1
         h.on_entry(&ev(&frames, 2)); // fires; skid -> reported as 1
         assert_eq!(h.samples_taken(), 1);
@@ -194,7 +194,7 @@ mod tests {
                 seed,
                 ..HardwareConfig::default()
             });
-            let frames = vec![Frame::new(MethodId::new(0), 0)];
+            let frames = vec![Frame::new(MethodId::new(0), 0, None)];
             for i in 0..200 {
                 h.on_entry(&ev(&frames, i % 7));
             }

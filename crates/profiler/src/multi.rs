@@ -152,7 +152,7 @@ mod tests {
         assert_eq!(m.len(), 3);
         assert!(!m.is_empty());
 
-        let frames = vec![Frame::new(MethodId::new(0), 0)];
+        let frames = vec![Frame::new(MethodId::new(0), 0, None)];
         m.on_tick(0, ThreadId(0), StackSlice::for_testing(&frames));
         let ev = CallEvent {
             edge: CallEdge::new(MethodId::new(0), CallSiteId::new(0), MethodId::new(1)),

@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn cold_methods_not_profiled() {
         let mut p = profiler(10, 5);
-        let frames = vec![Frame::new(MethodId::new(0), 0)];
+        let frames = vec![Frame::new(MethodId::new(0), 0, None)];
         for _ in 0..9 {
             p.on_entry(&ev(&frames, 0, 1));
         }
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn burst_collects_then_uninstalls() {
         let mut p = profiler(10, 5);
-        let frames = vec![Frame::new(MethodId::new(0), 0)];
+        let frames = vec![Frame::new(MethodId::new(0), 0, None)];
         for _ in 0..50 {
             p.on_entry(&ev(&frames, 0, 1));
         }
@@ -202,7 +202,7 @@ mod tests {
         // the method a thousand times. The burst profile misattributes
         // everything to m2 — the paper's "short profiling window" hazard.
         let mut p = profiler(5, 10);
-        let frames = vec![Frame::new(MethodId::new(0), 0)];
+        let frames = vec![Frame::new(MethodId::new(0), 0, None)];
         for _ in 0..15 {
             p.on_entry(&ev(&frames, 2, 1));
         }
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn per_method_states_are_independent() {
         let mut p = profiler(3, 2);
-        let frames = vec![Frame::new(MethodId::new(0), 0)];
+        let frames = vec![Frame::new(MethodId::new(0), 0, None)];
         for _ in 0..10 {
             p.on_entry(&ev(&frames, 0, 1));
         }

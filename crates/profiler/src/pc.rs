@@ -79,15 +79,13 @@ mod tests {
     use cbs_vm::Frame;
 
     fn stack(methods: &[u32]) -> Vec<Frame> {
-        let mut frames = Vec::new();
-        for (i, &m) in methods.iter().enumerate() {
-            let mut f = Frame::new(MethodId::new(m), 0);
-            if i + 1 < methods.len() {
-                f.set_pending_site(Some(CallSiteId::new(i as u32)));
-            }
-            frames.push(f);
-        }
-        frames
+        let inner = methods.len() - 1;
+        (methods.iter().enumerate())
+            .map(|(i, &m)| {
+                let site = (i < inner).then(|| CallSiteId::new(i as u32));
+                Frame::new(MethodId::new(m), 0, site)
+            })
+            .collect()
     }
 
     #[test]

@@ -114,7 +114,7 @@ mod tests {
     use cbs_vm::Frame;
 
     fn frames() -> Vec<Frame> {
-        vec![Frame::new(MethodId::new(0), 0)]
+        vec![Frame::new(MethodId::new(0), 0, None)]
     }
 
     fn ev<'a>(frames: &'a [Frame], callee: u32, thread: u32) -> CallEvent<'a> {

@@ -160,7 +160,7 @@ mod tests {
         use cbs_dcg::CallEdge;
         use cbs_vm::Frame;
         let mut t = CallTreeTracer::new();
-        let frames = vec![Frame::new(MethodId::new(0), 0)];
+        let frames = vec![Frame::new(MethodId::new(0), 0, None)];
         let ev = CallEvent {
             edge: CallEdge::new(MethodId::new(0), CallSiteId::new(0), MethodId::new(1)),
             clock: 5,

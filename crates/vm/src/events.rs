@@ -213,12 +213,7 @@ mod tests {
     use crate::frame::Frame;
 
     fn frame(method: u32, pc: u32, pending: Option<u32>) -> Frame {
-        let mut f = Frame::new(MethodId::new(method), 0);
-        f.set_pc(pc);
-        if let Some(s) = pending {
-            f.set_pending_site(Some(CallSiteId::new(s)));
-        }
-        f
+        Frame::new(MethodId::new(method), pc, pending.map(CallSiteId::new))
     }
 
     #[test]

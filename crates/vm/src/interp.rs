@@ -295,12 +295,13 @@ fn scan_fused(code: &[Op], costs: &[u64]) -> Vec<Option<Box<Fused>>> {
 
 #[derive(Debug)]
 struct ThreadState {
+    /// The call stack, outermost first; the running frame is the last.
     frames: Vec<Frame>,
+    /// The one value stack all of the thread's frames share: each
+    /// frame's locals, from its [`Frame::base`], then its operands.
+    values: Vec<Value>,
     done: bool,
     result: Value,
-    /// Retired frames recycled by calls, so the steady-state call path
-    /// performs no heap allocation (see [`enter_callee`]).
-    pool: Vec<Frame>,
 }
 
 impl<'p> Vm<'p> {
@@ -360,37 +361,42 @@ impl<'p> Vm<'p> {
     /// experiment. It is generic over the profiler; `?Sized` lets a
     /// caller holding a trait object pass `&mut dyn Profiler`, which
     /// costs one indirect call per *delivered* hook and per
-    /// [`Profiler::armed`] re-read. Six micro-architectural
-    /// optimizations below change no observable behavior: reports, event
-    /// sequences and trap points match an independent reference
-    /// interpreter bit for bit (`tests/dispatch_equivalence.rs`).
+    /// [`Profiler::armed`] re-read.
+    ///
+    /// Each thread keeps its frames' locals and operands in one value
+    /// stack. A call's arguments become the callee's first locals where
+    /// the caller pushed them, and a return truncates the stack to the
+    /// callee's locals and pushes the result, so a call copies no
+    /// argument, and allocates nothing once the stack has reached the
+    /// run's deepest point. Five micro-architectural optimizations below
+    /// change no observable behavior: reports, event sequences and trap
+    /// points match an independent reference interpreter bit for bit
+    /// (`tests/dispatch_equivalence.rs`).
     ///
     /// 1. **Monomorphized dispatch** — with a concrete `P`, profiler
     ///    hooks inline; for [`NullProfiler`] they vanish entirely. The
     ///    instantiation lives in the *caller's* crate, so every helper
     ///    this function calls per op or per call (`Frame`'s accessors,
-    ///    `Value::as_int`, `Heap::get_field`, `pop_val`, `enter_callee`,
+    ///    `Value::as_int`, `Heap::get_field`, `pop_val`, `peek`,
     ///    `apply_int`, …) is `#[inline]`: without that a downstream
     ///    `run_with(&mut NullProfiler)` is slower than
     ///    [`Vm::run_unprofiled`] on the same run (`interp_throughput`
     ///    gates the two within 5 %).
-    /// 2. **Cached code cursor, detached top frame** — the running
-    ///    thread's top frame is popped off the frame stack and held in a
-    ///    local along with its pc and the executing method's code slice
-    ///    and precomputed cost row (built once in [`Vm::new`]), so the
-    ///    per-op path performs no `Vec` accesses, no frame pc
-    ///    loads/stores, and no `CostModel::op_cost` re-match. The frame
-    ///    is reattached (pc written back) wherever the stack is
-    ///    observable: tick delivery, a delivered call entry/exit, thread
-    ///    switch.
+    /// 2. **Cached code cursor** — the running frame's method, pc and
+    ///    locals base are held in locals, along with where its operands
+    ///    start and the method's code slice and precomputed cost row
+    ///    (built once in [`Vm::new`]), so the per-op path performs no
+    ///    frame loads/stores and no `CostModel::op_cost` re-match. The
+    ///    frame itself stays on the frame stack; only its pc goes stale,
+    ///    and it is written back wherever the stack is observable: tick
+    ///    delivery, a delivered exit, a thread switch at a backedge. A
+    ///    call writes it as the caller's return address.
     /// 3. **Cheap liveness / budget checks** — a live-thread counter
     ///    replaces the per-slice `threads.iter().any(..)` scan, and an
     ///    absent `max_cycles` budget becomes `u64::MAX` so the per-op
     ///    fuel check is one always-false compare instead of an `Option`
     ///    test.
-    /// 4. **Frame pooling** — returned frames are recycled through a
-    ///    per-thread pool, so steady-state calls do not heap-allocate.
-    /// 5. **Superinstruction fusion** — two templates, detected once in
+    /// 4. **Superinstruction fusion** — two templates, detected once in
     ///    [`Vm::new`]: the integer run
     ///    `[Load src] [binop] { Const k, binop | Store d, Load d }* [Store dst]`
     ///    (the accumulator lives in a register from a local or the stack
@@ -403,11 +409,11 @@ impl<'p> Vm<'p> {
     ///    ops run through the ordinary per-op path, so every observable
     ///    event and trap falls at exactly the same cycle and pc either
     ///    way.
-    /// 6. **The overloaded check** — [`Profiler::armed`] is held in a
+    /// 5. **The overloaded check** — [`Profiler::armed`] is held in a
     ///    local and re-read only after a hook is delivered. While it is
-    ///    `false` a call builds no [`CallEvent`], reattaches no frame and
-    ///    makes no profiler call: a disarmed sampler costs a flag test,
-    ///    as the paper's Figures 3–4 have it.
+    ///    `false` a call builds no [`CallEvent`] and makes no profiler
+    ///    call: a disarmed sampler costs a flag test, as the paper's
+    ///    Figures 3–4 have it.
     ///
     /// # Errors
     ///
@@ -421,7 +427,7 @@ impl<'p> Vm<'p> {
         let max_stack_depth = self.config.max_stack_depth;
         let period = self.config.timer_period();
         let entry = program.entry();
-        let entry_locals = program.method(entry).num_locals();
+        let entry_locals = usize::from(program.method(entry).num_locals());
         let cost_rows = self.cost_rows.as_slice();
 
         let mut heap = Heap::new();
@@ -430,10 +436,10 @@ impl<'p> Vm<'p> {
             .map(|_| {
                 invocations[entry.index()] += 1;
                 ThreadState {
-                    frames: vec![Frame::new(entry, entry_locals)],
+                    frames: vec![Frame::entering(entry, 0)],
+                    values: vec![Value::default(); entry_locals],
                     done: false,
                     result: Value::default(),
-                    pool: Vec::new(),
                 }
             })
             .collect();
@@ -469,7 +475,12 @@ impl<'p> Vm<'p> {
                 continue;
             }
             let tid = ThreadId(cur as u32);
-            let t = &mut threads[cur];
+            let ThreadState {
+                frames,
+                values,
+                done,
+                result,
+            } = &mut threads[cur];
             let mut pending_switch = false;
             // The overloaded check: entry and exit events are built and
             // delivered only while the profiler is armed on this thread.
@@ -477,18 +488,19 @@ impl<'p> Vm<'p> {
             // after each hook that is delivered and nowhere else.
             let mut armed = profiler.armed(tid);
 
-            // The code cursor: the running thread's top frame is detached
-            // from the frame stack and held in a local, together with its
-            // pc and the executing method's code slice and cost row, so
-            // the per-op path touches no `Vec` at all. The frame is
-            // reattached — with the register-held pc written back — at
-            // every point where the stack becomes observable (tick
-            // delivery, call entry/exit, thread switch, completion), so
-            // profiler hooks see the whole stack, top frame and pc
-            // included.
-            let mut frame = t.frames.pop().expect("running thread has frames");
-            let mut mid = frame.method();
-            let mut pc = frame.pc();
+            // The code cursor: the running frame's method, pc and locals
+            // base, where its operands start (`floor`: a pop below it
+            // underflows), and the method's code slice, cost row and
+            // fused runs, all held in locals so the per-op path reads no
+            // frame. The frame stays on `frames`; its pc is written back
+            // at every point where the stack becomes observable (tick
+            // delivery, call entry/exit, thread switch), so profiler
+            // hooks see the whole stack, top frame and pc included.
+            let top = *frames.last().expect("running thread has frames");
+            let mut mid = top.method();
+            let mut pc = top.pc();
+            let mut base = top.base();
+            let mut floor = base + usize::from(program.method(mid).num_locals());
             let mut code = program.method(mid).code();
             let mut costs = cost_rows[mid.index()].as_slice();
             let mut fused = self.fused_rows[mid.index()].as_slice();
@@ -512,19 +524,22 @@ impl<'p> Vm<'p> {
                                 // Every operand is checked before anything
                                 // is popped or written.
                                 let start = match *head {
-                                    RunHead::Local(s) => frame.locals()[usize::from(s)].as_int(),
+                                    RunHead::Local(s) => values[base + usize::from(s)].as_int(),
                                     RunHead::FoldTop(s, op) => {
-                                        match (frame.peek(0), frame.locals()[usize::from(s)]) {
+                                        match (
+                                            peek(values, floor, 0),
+                                            values[base + usize::from(s)],
+                                        ) {
                                             (Some(Value::Int(top)), Value::Int(loc)) => {
-                                                frame.pop();
+                                                values.pop();
                                                 Some(apply_int(op, top, loc))
                                             }
                                             _ => None,
                                         }
                                     }
-                                    RunHead::Top => match frame.peek(0) {
+                                    RunHead::Top => match peek(values, floor, 0) {
                                         Some(Value::Int(top)) => {
-                                            frame.pop();
+                                            values.pop();
                                             Some(top)
                                         }
                                         _ => None,
@@ -535,16 +550,13 @@ impl<'p> Vm<'p> {
                                         match *step {
                                             RunStep::Arith(op, k) => acc = apply_int(op, acc, k),
                                             RunStep::Spill(d) => {
-                                                frame.locals_mut()[usize::from(d)] =
-                                                    Value::Int(acc);
+                                                values[base + usize::from(d)] = Value::Int(acc);
                                             }
                                         }
                                     }
                                     match *dst {
-                                        Some(d) => {
-                                            frame.locals_mut()[usize::from(d)] = Value::Int(acc);
-                                        }
-                                        None => frame.push(Value::Int(acc)),
+                                        Some(d) => values[base + usize::from(d)] = Value::Int(acc),
+                                        None => values.push(Value::Int(acc)),
                                     }
                                     f.next_pc
                                 })
@@ -554,7 +566,7 @@ impl<'p> Vm<'p> {
                                 test,
                                 target,
                                 jump_if_zero,
-                            } => frame.locals()[usize::from(*slot)].as_int().map(|loc| {
+                            } => values[base + usize::from(*slot)].as_int().map(|loc| {
                                 let v = match *test {
                                     Some((op, k)) => apply_int(op, loc, k),
                                     None => loc,
@@ -604,49 +616,46 @@ impl<'p> Vm<'p> {
                 // test `tick_counts_are_pinned_per_flavor` pins exact
                 // tick counts for a tight loop under both flavors.
                 if next_tick <= clock {
-                    frame.set_pc(pc);
-                    t.frames.push(frame);
+                    running(frames).set_pc(pc);
                     while next_tick <= clock {
                         ticks += 1;
-                        profiler.on_tick(next_tick, tid, StackSlice::new(&t.frames));
+                        profiler.on_tick(next_tick, tid, StackSlice::new(frames));
                         next_tick += draw_period();
                         pending_switch = true;
                     }
                     armed = profiler.armed(tid);
-                    frame = t.frames.pop().expect("frame reattached for tick delivery");
                 }
 
                 match op {
                     Op::Const(v) => {
-                        frame.push(Value::Int(v));
+                        values.push(Value::Int(v));
                         pc += 1;
                     }
                     Op::Load(n) => {
-                        let v = frame.locals()[usize::from(n)];
-                        frame.push(v);
+                        let v = values[base + usize::from(n)];
+                        values.push(v);
                         pc += 1;
                     }
                     Op::Store(n) => {
-                        let v = pop_val(&mut frame, mid, pc)?;
-                        frame.locals_mut()[usize::from(n)] = v;
+                        let v = pop_val(values, floor, mid, pc)?;
+                        values[base + usize::from(n)] = v;
                         pc += 1;
                     }
                     Op::Dup => {
-                        let v = frame
-                            .peek(0)
+                        let v = peek(values, floor, 0)
                             .ok_or(VmError::OperandUnderflow { method: mid, pc })?;
-                        frame.push(v);
+                        values.push(v);
                         pc += 1;
                     }
                     Op::Pop => {
-                        pop_val(&mut frame, mid, pc)?;
+                        pop_val(values, floor, mid, pc)?;
                         pc += 1;
                     }
                     Op::Swap => {
-                        let b = pop_val(&mut frame, mid, pc)?;
-                        let a = pop_val(&mut frame, mid, pc)?;
-                        frame.push(b);
-                        frame.push(a);
+                        let b = pop_val(values, floor, mid, pc)?;
+                        let a = pop_val(values, floor, mid, pc)?;
+                        values.push(b);
+                        values.push(a);
                         pc += 1;
                     }
                     Op::Add
@@ -659,8 +668,8 @@ impl<'p> Vm<'p> {
                     | Op::Shr
                     | Op::CmpLt
                     | Op::CmpGt => {
-                        let b = pop_int(&mut frame, mid, pc)?;
-                        let a = pop_int(&mut frame, mid, pc)?;
+                        let b = pop_int(values, floor, mid, pc)?;
+                        let a = pop_int(values, floor, mid, pc)?;
                         let r = match op {
                             Op::Add => a.wrapping_add(b),
                             Op::Sub => a.wrapping_sub(b),
@@ -674,12 +683,12 @@ impl<'p> Vm<'p> {
                             Op::CmpGt => i64::from(a > b),
                             _ => unreachable!(),
                         };
-                        frame.push(Value::Int(r));
+                        values.push(Value::Int(r));
                         pc += 1;
                     }
                     Op::Div | Op::Rem => {
-                        let b = pop_int(&mut frame, mid, pc)?;
-                        let a = pop_int(&mut frame, mid, pc)?;
+                        let b = pop_int(values, floor, mid, pc)?;
+                        let a = pop_int(values, floor, mid, pc)?;
                         if b == 0 {
                             return Err(VmError::DivisionByZero { method: mid, pc });
                         }
@@ -688,31 +697,30 @@ impl<'p> Vm<'p> {
                         } else {
                             a.wrapping_rem(b)
                         };
-                        frame.push(Value::Int(r));
+                        values.push(Value::Int(r));
                         pc += 1;
                     }
                     Op::Neg => {
-                        let a = pop_int(&mut frame, mid, pc)?;
-                        frame.push(Value::Int(a.wrapping_neg()));
+                        let a = pop_int(values, floor, mid, pc)?;
+                        values.push(Value::Int(a.wrapping_neg()));
                         pc += 1;
                     }
                     Op::CmpEq => {
-                        let b = pop_val(&mut frame, mid, pc)?;
-                        let a = pop_val(&mut frame, mid, pc)?;
-                        frame.push(Value::Int(i64::from(a == b)));
+                        let b = pop_val(values, floor, mid, pc)?;
+                        let a = pop_val(values, floor, mid, pc)?;
+                        values.push(Value::Int(i64::from(a == b)));
                         pc += 1;
                     }
                     Op::Jump(target) => {
                         let backedge = target <= pc;
                         pc = target;
                         if backedge && backedge_yieldpoints && pending_switch {
-                            frame.set_pc(pc);
-                            t.frames.push(frame);
+                            running(frames).set_pc(pc);
                             break 'slice;
                         }
                     }
                     Op::JumpIfZero(target) | Op::JumpIfNonZero(target) => {
-                        let v = pop_val(&mut frame, mid, pc)?;
+                        let v = pop_val(values, floor, mid, pc)?;
                         let jump = if matches!(op, Op::JumpIfZero(_)) {
                             !v.is_truthy()
                         } else {
@@ -722,8 +730,7 @@ impl<'p> Vm<'p> {
                             let backedge = target <= pc;
                             pc = target;
                             if backedge && backedge_yieldpoints && pending_switch {
-                                frame.set_pc(pc);
-                                t.frames.push(frame);
+                                running(frames).set_pc(pc);
                                 break 'slice;
                             }
                         } else {
@@ -734,8 +741,7 @@ impl<'p> Vm<'p> {
                         let (site, target) = match op {
                             Op::Call { site, target } => (site, target),
                             Op::CallVirtual { site, slot, arity } => {
-                                let receiver = frame
-                                    .peek(usize::from(arity) - 1)
+                                let receiver = peek(values, floor, usize::from(arity) - 1)
                                     .ok_or(VmError::OperandUnderflow { method: mid, pc })?;
                                 let r = receiver.as_ref().ok_or(VmError::TypeMismatch {
                                     method: mid,
@@ -752,55 +758,57 @@ impl<'p> Vm<'p> {
                         };
                         calls += 1;
                         invocations[target.index()] += 1;
-                        // The detached caller counts toward the depth.
-                        if t.frames.len() + 1 >= max_stack_depth {
+                        if frames.len() >= max_stack_depth {
                             return Err(VmError::StackOverflow {
                                 limit: max_stack_depth,
                             });
                         }
-                        let callee =
-                            enter_callee(&mut t.pool, program, &mut frame, pc, site, target)?;
-                        // The caller goes back on the stack (return address
-                        // and pending site written); the callee becomes the
-                        // detached top frame.
-                        t.frames.push(std::mem::replace(&mut frame, callee));
+                        // The arguments, the caller's top operands, stay
+                        // put as the callee's first locals; its other
+                        // locals are zeroed above them.
+                        let callee = program.method(target);
+                        base = values
+                            .len()
+                            .checked_sub(usize::from(callee.num_params()))
+                            .filter(|&args| args >= floor)
+                            .ok_or(VmError::OperandUnderflow { method: mid, pc })?;
+                        floor = base + usize::from(callee.num_locals());
+                        values.resize(floor, Value::default());
+                        let caller = running(frames);
+                        caller.set_pc(pc + 1); // return address
+                        caller.set_pending_site(Some(site));
+                        frames.push(Frame::entering(target, base));
                         if armed {
-                            t.frames.push(frame);
                             profiler.on_entry(&CallEvent {
                                 edge: CallEdge::new(mid, site, target),
                                 clock,
                                 thread: tid,
-                                stack: StackSlice::new(&t.frames),
+                                stack: StackSlice::new(frames),
                             });
                             armed = profiler.armed(tid);
-                            frame = t.frames.pop().expect("callee frame just pushed");
                         }
                         if pending_switch {
-                            t.frames.push(frame);
                             break 'slice;
                         }
                         pc = 0;
                         mid = target;
-                        code = program.method(mid).code();
+                        code = callee.code();
                         costs = cost_rows[mid.index()].as_slice();
                         fused = self.fused_rows[mid.index()].as_slice();
                     }
                     Op::Return => {
-                        let rv = pop_val(&mut frame, mid, pc)?;
-                        if t.frames.is_empty() {
-                            t.done = true;
+                        let rv = pop_val(values, floor, mid, pc)?;
+                        if frames.len() == 1 {
+                            *done = true;
                             live -= 1;
-                            t.result = rv;
-                            frame.set_pc(pc);
-                            t.frames.push(frame);
+                            *result = rv;
                             break 'slice;
                         }
                         if armed && samples_exits {
                             // The exit event shows the stack with the
                             // returning frame still on top.
-                            frame.set_pc(pc);
-                            t.frames.push(frame);
-                            let caller = &t.frames[t.frames.len() - 2];
+                            running(frames).set_pc(pc);
+                            let caller = &frames[frames.len() - 2];
                             let edge = CallEdge::new(
                                 caller.method(),
                                 caller.pending_site().expect("caller has in-flight site"),
@@ -810,36 +818,38 @@ impl<'p> Vm<'p> {
                                 edge,
                                 clock,
                                 thread: tid,
-                                stack: StackSlice::new(&t.frames),
+                                stack: StackSlice::new(frames),
                             });
                             armed = profiler.armed(tid);
-                            frame = t.frames.pop().expect("returning frame");
                         }
-                        t.pool.push(frame);
-                        let caller = t.frames.last_mut().expect("caller frame");
+                        frames.pop();
+                        values.truncate(base);
+                        values.push(rv);
+                        let caller = running(frames);
                         caller.set_pending_site(None);
-                        caller.push(rv);
-                        mid = caller.method();
                         if pending_switch {
                             break 'slice;
                         }
-                        frame = t.frames.pop().expect("caller frame");
-                        pc = frame.pc();
-                        code = program.method(mid).code();
+                        mid = caller.method();
+                        pc = caller.pc();
+                        base = caller.base();
+                        let method = program.method(mid);
+                        floor = base + usize::from(method.num_locals());
+                        code = method.code();
                         costs = cost_rows[mid.index()].as_slice();
                         fused = self.fused_rows[mid.index()].as_slice();
                     }
                     Op::GetField(n) => {
-                        let r = pop_obj(&mut frame, mid, pc)?;
+                        let r = pop_obj(values, floor, mid, pc)?;
                         let v = heap
                             .get_field(r, n)
                             .ok_or(VmError::FieldOutOfRange { method: mid, pc })?;
-                        frame.push(v);
+                        values.push(v);
                         pc += 1;
                     }
                     Op::PutField(n) => {
-                        let v = pop_val(&mut frame, mid, pc)?;
-                        let r = pop_obj(&mut frame, mid, pc)?;
+                        let v = pop_val(values, floor, mid, pc)?;
+                        let r = pop_obj(values, floor, mid, pc)?;
                         if !heap.put_field(r, n, v) {
                             return Err(VmError::FieldOutOfRange { method: mid, pc });
                         }
@@ -848,11 +858,11 @@ impl<'p> Vm<'p> {
                     Op::New(class) => {
                         let num_fields = program.class(class).num_fields();
                         let r = heap.alloc(class, num_fields);
-                        frame.push(Value::Ref(r));
+                        values.push(Value::Ref(r));
                         pc += 1;
                     }
                     Op::GuardClass { class, not_taken } => {
-                        let r = pop_obj(&mut frame, mid, pc)?;
+                        let r = pop_obj(values, floor, mid, pc)?;
                         if heap.class_of(r) == class {
                             pc += 1;
                         } else {
@@ -861,7 +871,7 @@ impl<'p> Vm<'p> {
                     }
                     Op::Io(_) => {
                         // Cost was charged above; the "result" is a dummy.
-                        frame.push(Value::Int(0));
+                        values.push(Value::Int(0));
                         pc += 1;
                     }
                     Op::Nop => {
@@ -886,46 +896,46 @@ impl<'p> Vm<'p> {
     }
 }
 
-/// Builds the frame for a call at `pc` of `caller`: pops the callee's
-/// arguments into its locals and leaves the return address (`pc + 1`) and
-/// the in-flight site in the caller.
-///
-/// The frame is recycled from the thread's pool when one is available
-/// (the interpreter returns frames there on `Op::Return`), falling back
-/// to a fresh allocation.
+/// The running frame: the last on its thread's frame stack.
 #[inline]
-fn enter_callee(
-    pool: &mut Vec<Frame>,
-    program: &Program,
-    caller: &mut Frame,
+fn running(frames: &mut [Frame]) -> &mut Frame {
+    frames.last_mut().expect("running thread has frames")
+}
+
+/// The operand `depth` below the top of the running frame's operands,
+/// which start at `floor` on the thread's value stack. `None` if there
+/// are not that many.
+#[inline]
+fn peek(values: &[Value], floor: usize, depth: usize) -> Option<Value> {
+    let i = values.len().checked_sub(depth + 1)?;
+    (i >= floor).then(|| values[i])
+}
+
+/// Pops the running frame's top operand; a pop below `floor`, where its
+/// operands start, underflows.
+#[inline]
+fn pop_val(
+    values: &mut Vec<Value>,
+    floor: usize,
+    method: MethodId,
     pc: u32,
-    site: cbs_bytecode::CallSiteId,
-    target: MethodId,
-) -> Result<Frame, VmError> {
-    let callee = program.method(target);
-    let mut frame = match pool.pop() {
-        Some(mut recycled) => {
-            recycled.reset(target, callee.num_locals());
-            recycled
-        }
-        None => Frame::new(target, callee.num_locals()),
+) -> Result<Value, VmError> {
+    let v = if values.len() > floor {
+        values.pop()
+    } else {
+        None
     };
-    for i in (0..usize::from(callee.num_params())).rev() {
-        frame.locals_mut()[i] = pop_val(caller, caller.method(), pc)?;
-    }
-    caller.set_pc(pc + 1); // return address
-    caller.set_pending_site(Some(site));
-    Ok(frame)
+    v.ok_or(VmError::OperandUnderflow { method, pc })
 }
 
 #[inline]
-fn pop_val(f: &mut Frame, method: MethodId, pc: u32) -> Result<Value, VmError> {
-    f.pop().ok_or(VmError::OperandUnderflow { method, pc })
-}
-
-#[inline]
-fn pop_int(f: &mut Frame, method: MethodId, pc: u32) -> Result<i64, VmError> {
-    pop_val(f, method, pc)?
+fn pop_int(
+    values: &mut Vec<Value>,
+    floor: usize,
+    method: MethodId,
+    pc: u32,
+) -> Result<i64, VmError> {
+    pop_val(values, floor, method, pc)?
         .as_int()
         .ok_or(VmError::TypeMismatch {
             method,
@@ -935,8 +945,13 @@ fn pop_int(f: &mut Frame, method: MethodId, pc: u32) -> Result<i64, VmError> {
 }
 
 #[inline]
-fn pop_obj(f: &mut Frame, method: MethodId, pc: u32) -> Result<crate::value::ObjRef, VmError> {
-    pop_val(f, method, pc)?
+fn pop_obj(
+    values: &mut Vec<Value>,
+    floor: usize,
+    method: MethodId,
+    pc: u32,
+) -> Result<crate::value::ObjRef, VmError> {
+    pop_val(values, floor, method, pc)?
         .as_ref()
         .ok_or(VmError::TypeMismatch {
             method,

@@ -6,11 +6,11 @@
 //! identical reports or traps, and identical profiler state — graphs,
 //! sample counts, simulated overhead, event streams — for every profiler
 //! mechanism, workload and VM configuration. The oracle has none of the
-//! hot-path machinery (cached code cursors, frame pooling, live-thread
-//! counter, batched DCG flushes, superinstruction fusion, `Profiler::armed`
-//! gating) and shares none of `cbs-vm`'s frames, heap, values or helpers,
-//! so agreement is what licenses that machinery to claim bit-identical
-//! output.
+//! hot-path machinery (cached code cursors, one value stack per thread,
+//! live-thread counter, batched DCG flushes, superinstruction fusion,
+//! `Profiler::armed` gating) and shares none of `cbs-vm`'s value stacks,
+//! heap, values or helpers, so agreement is what licenses that machinery
+//! to claim bit-identical output.
 
 #[path = "support/oracle.rs"]
 mod oracle;

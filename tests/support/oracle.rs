@@ -10,8 +10,8 @@
 //! being reproduced. It is written to be plainly right, not fast: one
 //! `while` over one `match`, a plain `Vec` per stack, no frame pool, no
 //! fusion, no cached cursor, and no `Profiler::armed` query, so every
-//! event is delivered. The `cbs_vm::Frame`s it builds hold no locals; they
-//! exist only to be shown to hooks through `StackSlice`.
+//! event is delivered. Hooks are shown `cbs_vm::Frame`s built afresh
+//! from the activations at each event, through `StackSlice::for_testing`.
 
 use cbs_bytecode::{CallSiteId, ClassId, MethodId, Op, Program};
 use cbs_dcg::CallEdge;
@@ -59,6 +59,14 @@ impl Act {
     }
 }
 
+/// The stack as hooks see it, outermost first: each activation's method
+/// and pc, and the call site the next one was entered through.
+fn shown(acts: &[Act]) -> Vec<Frame> {
+    (acts.iter().enumerate())
+        .map(|(i, a)| Frame::new(a.method, a.pc, acts.get(i + 1).and_then(|inner| inner.site)))
+        .collect()
+}
+
 /// `a <op> b` for an integer binop; `None` for a zero divisor.
 fn arith(op: Op, a: i64, b: i64) -> Option<i64> {
     Some(match op {
@@ -88,13 +96,8 @@ pub(crate) fn run(
 ) -> Result<Report, VmError> {
     let num_threads = config.num_threads.max(1) as usize;
     let entry = program.entry();
-    // Per thread, its activations and, in parallel, the stack as hooks
-    // see it: method, pc and the call site each frame called through.
-    let thread = (
-        vec![Act::new(program, entry, None)],
-        vec![Frame::new(entry, 0)],
-    );
-    let mut threads = vec![thread; num_threads];
+    // Per thread, its activations.
+    let mut threads = vec![vec![Act::new(program, entry, None)]; num_threads];
     let mut results: Vec<Option<Val>> = vec![None; num_threads];
     let mut invocations = vec![0u64; program.num_methods()];
     invocations[entry.index()] = num_threads as u64;
@@ -128,7 +131,7 @@ pub(crate) fn run(
             continue;
         }
         let tid = ThreadId(cur as u32);
-        let (acts, frames) = &mut threads[cur];
+        let acts = &mut threads[cur];
         let (mid, pc) = acts.last().map(|a| (a.method, a.pc)).expect("live");
         let op = program.method(mid).code()[pc as usize];
 
@@ -141,8 +144,7 @@ pub(crate) fn run(
         }
         while next_tick <= clock {
             ticks += 1;
-            frames.last_mut().expect("live").set_pc(pc);
-            profiler.on_tick(next_tick, tid, StackSlice::for_testing(frames));
+            profiler.on_tick(next_tick, tid, StackSlice::for_testing(&shown(acts)));
             next_tick += next_period();
             pending_switch = true;
         }
@@ -248,15 +250,11 @@ pub(crate) fn run(
                 top.stack.truncate(first);
                 top.pc = next;
                 acts.push(callee);
-                let caller = frames.last_mut().expect("live");
-                caller.set_pc(next);
-                caller.set_pending_site(Some(site));
-                frames.push(Frame::new(target, 0));
                 profiler.on_entry(&CallEvent {
                     edge: CallEdge::new(mid, site, target),
                     clock,
                     thread: tid,
-                    stack: StackSlice::for_testing(frames),
+                    stack: StackSlice::for_testing(&shown(acts)),
                 });
                 yielding = pending_switch;
                 continue;
@@ -270,18 +268,15 @@ pub(crate) fn run(
                 if jikes {
                     let caller = acts[acts.len() - 2].method;
                     let site = acts[acts.len() - 1].site.expect("callee has a site");
-                    frames.last_mut().expect("live").set_pc(pc);
                     profiler.on_exit(&CallEvent {
                         edge: CallEdge::new(caller, site, mid),
                         clock,
                         thread: tid,
-                        stack: StackSlice::for_testing(frames),
+                        stack: StackSlice::for_testing(&shown(acts)),
                     });
                 }
                 acts.pop();
                 acts.last_mut().expect("caller").stack.push(rv);
-                frames.pop();
-                frames.last_mut().expect("caller").set_pending_site(None);
                 yielding = pending_switch;
                 continue;
             }
