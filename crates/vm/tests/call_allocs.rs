@@ -26,24 +26,31 @@ fn note_allocation() {
     }
 }
 
-// SAFETY: every call forwards to `System` with the caller's arguments.
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees are this allocator's.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_allocation();
+        // SAFETY: the caller meets `alloc`'s contract for `layout`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note_allocation();
+        // SAFETY: the caller meets `alloc_zeroed`'s contract for `layout`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note_allocation();
+        // SAFETY: the caller meets `realloc`'s contract; `ptr` came from
+        // `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller meets `dealloc`'s contract; `ptr` came from
+        // `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
 }
