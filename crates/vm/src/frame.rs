@@ -8,7 +8,7 @@ use cbs_bytecode::{CallSiteId, MethodId};
 /// A thread keeps every frame's locals and operands in one value stack:
 /// a frame's locals begin at its `base` (its arguments are its first
 /// locals, left there by the caller) and its operands follow them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Frame {
     method: MethodId,
     pc: u32,

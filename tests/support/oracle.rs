@@ -8,9 +8,9 @@
 //! jittered timer and the fuel check. So a bug in the interpreter's frames,
 //! heap, values or pop helpers shows up here as a difference instead of
 //! being reproduced. It is written to be plainly right, not fast: one
-//! `while` over one `match`, a plain `Vec` per stack, no frame pool, no
-//! fusion, no cached cursor, and no `Profiler::armed` query, so every
-//! event is delivered. Hooks are shown `cbs_vm::Frame`s built afresh
+//! `while` over one `match`, a plain `Vec` per stack, no shared value
+//! stack, no fusion, no cached cursor, and no `Profiler::armed` query, so
+//! every event is delivered. Hooks are shown `cbs_vm::Frame`s built afresh
 //! from the activations at each event, through `StackSlice::for_testing`.
 
 use cbs_bytecode::{CallSiteId, ClassId, MethodId, Op, Program};
