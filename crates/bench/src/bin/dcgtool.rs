@@ -509,13 +509,19 @@ fn run_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             }
             for s in &report.segments {
                 println!(
-                    "segment {:#018x}: bytes={} frames={} seq_frames={} epochs={}{}",
+                    "segment {:#018x}: log_bytes={} reserve_bytes={} frames={} seq_frames={} \
+                     epochs={}{}",
                     s.seq,
-                    s.bytes,
+                    s.log_bytes,
+                    s.reserve_bytes,
                     s.frames,
                     s.seq_frames,
                     s.epochs,
-                    if s.corrupt { " CORRUPT-TAIL" } else { "" }
+                    if s.corrupt {
+                        format!(" CORRUPT-TAIL torn_bytes={}", s.torn_bytes)
+                    } else {
+                        String::new()
+                    }
                 );
             }
             println!(

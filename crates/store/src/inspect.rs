@@ -30,8 +30,13 @@ pub struct SegmentInfo {
     pub seq: u64,
     /// File path.
     pub path: PathBuf,
-    /// File size, bytes.
-    pub bytes: u64,
+    /// The intact log (header and records), bytes.
+    pub log_bytes: u64,
+    /// The zero-filled reserve past the log, bytes. Zero for a corrupt
+    /// segment, where what follows the log is a torn tail instead.
+    pub reserve_bytes: u64,
+    /// The torn or corrupt tail past the log, bytes (zero when clean).
+    pub torn_bytes: u64,
     /// Unsequenced frame records.
     pub frames: usize,
     /// Sequenced frame records.
@@ -84,10 +89,18 @@ pub fn inspect(dir: &Path) -> io::Result<StoreInspection> {
     let mut segments = Vec::new();
     for (seq, path) in list_segments(dir)? {
         let scan = scan_segment(&path)?;
+        let past_log = scan.file_len - scan.valid_len;
+        let (reserve_bytes, torn_bytes) = if scan.corrupt {
+            (0, past_log)
+        } else {
+            (past_log, 0)
+        };
         let mut info = SegmentInfo {
             seq,
             path,
-            bytes: scan.file_len,
+            log_bytes: scan.valid_len,
+            reserve_bytes,
+            torn_bytes,
             frames: 0,
             seq_frames: 0,
             epochs: 0,

@@ -9,7 +9,8 @@
 //!
 //! * [`wal`] — sequence-numbered segment files of length-prefixed,
 //!   CRC-32-framed records carrying the raw CBSP wire bytes of every
-//!   accepted operation, appended *before* the ack;
+//!   accepted operation, written *before* the ack into a zero-filled
+//!   reserve the segment already owns;
 //! * [`checkpoint`] — atomic snapshots (graph, epoch, counters, dedup
 //!   table) that bound replay time and let the subsumed log prefix be
 //!   deleted;

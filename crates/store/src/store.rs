@@ -36,7 +36,9 @@
 //! uninterrupted store that ingested exactly the durable prefix of
 //! operations *in WAL record order*. A torn or corrupt WAL tail is
 //! detected by CRC, truncated away, and reported; it is never an error
-//! and never half-applied.
+//! and never half-applied. The zero reserve a segment keeps past its
+//! last record is the log's clean end: recovery leaves it in place and
+//! does not report it.
 //!
 //! The data directory is guarded by an advisory lockfile
 //! ([`crate::lock::StoreLock`]): a second opener fails fast instead of
@@ -146,7 +148,8 @@ pub struct RecoveryReport {
     pub replayed_records: u64,
     /// Epoch advances re-applied from the WAL.
     pub replayed_epochs: u64,
-    /// `true` when a torn/corrupt tail was truncated away.
+    /// `true` when a torn/corrupt tail was truncated away (a clean zero
+    /// reserve past the last record is neither).
     pub truncated_tail: bool,
     /// Where the truncation happened: (segment seq, byte offset).
     pub truncated_at: Option<(u64, u64)>,
@@ -666,7 +669,9 @@ impl ProfileStore {
         self.wait_applied_through(a.next_ticket)?;
         // Rotate first: records appended after this critical section go
         // to the new segment, which is exactly the set the checkpoint
-        // does not capture.
+        // does not capture. The old segment's reserve is trimmed before
+        // its last sync, which then need not write those zeros out.
+        a.wal.trim_reserve()?;
         self.sync_through(a.next_ticket, false)?;
         let new_seq = a.wal.seq() + 1;
         a.wal = SegmentWriter::create(&self.dir, new_seq)?;

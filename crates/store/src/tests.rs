@@ -514,6 +514,7 @@ fn open_requires_a_fresh_aggregator() {
 /// Builds a store directory holding one WAL segment with `n` plain
 /// frames and no checkpoint; returns (dir, segment bytes, record
 /// boundaries as (start, end) offsets, per-prefix reference snapshots).
+/// The segment ends in a non-empty zero reserve after the last record.
 #[allow(clippy::type_complexity)]
 fn mutilation_fixture(n: u64) -> (TestDir, Vec<u8>, Vec<(u64, u64)>, Vec<Vec<u8>>) {
     let dir = TestDir::new("mutilate-src");
@@ -541,6 +542,15 @@ fn mutilation_fixture(n: u64) -> (TestDir, Vec<u8>, Vec<(u64, u64)>, Vec<Vec<u8>
             )
         })
         .collect();
+    let log_end = bounds.last().map_or(WAL_HEADER_LEN, |&(_, end)| end) as usize;
+    assert!(
+        bytes.len() >= log_end + 2 * RESERVE_EDGE,
+        "the fixture's reserve must cover both swept edges"
+    );
+    assert!(
+        bytes[log_end..].iter().all(|&b| b == 0),
+        "the reserve is zeros"
+    );
 
     let mut prefixes = Vec::new();
     for k in 0..=n {
@@ -554,6 +564,20 @@ fn mutilation_fixture(n: u64) -> (TestDir, Vec<u8>, Vec<(u64, u64)>, Vec<Vec<u8>
         prefixes.push(reference.encoded_snapshot().as_ref().clone());
     }
     (dir, bytes, bounds, prefixes)
+}
+
+/// Bytes swept at each edge of a fixture's zero reserve.
+const RESERVE_EDGE: usize = 64;
+
+/// The byte positions a mutilation sweep visits: every header and
+/// record byte, then the first and last [`RESERVE_EDGE`] bytes of the
+/// reserve. (Visiting all of a reserve's ~1 MiB of zeros would test one
+/// rule a million times.)
+fn swept_positions(bytes: &[u8], bounds: &[(u64, u64)]) -> Vec<usize> {
+    let log_end = bounds.last().map_or(WAL_HEADER_LEN, |&(_, end)| end) as usize;
+    (0..log_end + RESERVE_EDGE)
+        .chain(bytes.len() - RESERVE_EDGE..bytes.len())
+        .collect()
 }
 
 /// Opens a directory containing exactly `bytes` as segment 1 and
@@ -584,7 +608,10 @@ fn recover_mutilated(parent: &Path, name: &str, bytes: &[u8], prefixes: &[Vec<u8
 fn truncation_at_every_byte_offset_recovers_the_longest_intact_prefix() {
     let (src, bytes, bounds, prefixes) = mutilation_fixture(6);
     let work = TestDir::new("mutilate-cut");
-    for cut in 0..=bytes.len() {
+    let cuts = swept_positions(&bytes, &bounds)
+        .into_iter()
+        .chain([bytes.len()]);
+    for cut in cuts {
         let expected = bounds
             .iter()
             .take_while(|&&(_, end)| end <= cut as u64)
@@ -603,11 +630,12 @@ fn truncation_at_every_byte_offset_recovers_the_longest_intact_prefix() {
 fn flipping_any_single_byte_recovers_a_consistent_prefix() {
     let (src, bytes, bounds, prefixes) = mutilation_fixture(6);
     let work = TestDir::new("mutilate-flip");
-    for pos in 0..bytes.len() {
+    for pos in swept_positions(&bytes, &bounds) {
         let mut mutated = bytes.clone();
         mutated[pos] ^= 0xA5;
         // A flip inside record i's framing or payload cuts replay at i;
-        // a flip in the header invalidates the whole segment.
+        // a flip in the header invalidates the whole segment; a flip in
+        // the reserve cuts the log after its last record.
         let expected = if (pos as u64) < WAL_HEADER_LEN {
             0
         } else {
@@ -646,6 +674,122 @@ fn flipping_each_crc_byte_is_always_detected() {
         }
     }
     drop(src);
+}
+
+/// The recovered state of `n` plain pushes of `frame(0..n)`.
+fn pushes(n: u64) -> ReferenceState {
+    let ops: Vec<Op> = (0..n).map(|i| Op::Push(frame(i))).collect();
+    reference(decaying(), 3, &ops)
+}
+
+#[test]
+fn a_clean_reserve_is_the_end_of_the_log_not_a_torn_tail() {
+    let (src, bytes, bounds, _) = mutilation_fixture(5);
+    let log_end = bounds.last().unwrap().1;
+    let inspected = &crate::inspect(src.path()).unwrap().segments[0];
+    assert_eq!(
+        (
+            inspected.log_bytes,
+            inspected.reserve_bytes,
+            inspected.torn_bytes
+        ),
+        (log_end, bytes.len() as u64 - log_end, 0),
+        "inspect counts the reserve apart from the log"
+    );
+    assert!(!inspected.corrupt);
+    let reopened = ProfileStore::open(src.path(), agg(decaying()), fast_config()).unwrap();
+    let report = reopened.recovery_report();
+    assert_eq!(report.replayed_frames, 5);
+    assert!(!report.truncated_tail);
+    assert_eq!(report.truncated_at, None);
+    assert_eq!(
+        fs::read(src.path().join(wal::segment_file_name(1))).unwrap(),
+        bytes,
+        "recovery leaves the segment and its reserve as they were"
+    );
+    assert_store_matches(&reopened, &pushes(5));
+}
+
+#[test]
+fn a_non_zero_byte_in_the_reserve_cuts_the_log_after_its_last_record() {
+    let (src, bytes, bounds, _) = mutilation_fixture(5);
+    let log_end = bounds.last().unwrap().1;
+    let work = TestDir::new("reserve-dirty");
+    let (first, last) = (log_end as usize, bytes.len() - 1);
+    for pos in [first, (first + last) / 2, last] {
+        let dir = work.path().join(format!("dirty-{pos}"));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(wal::segment_file_name(1));
+        let mut dirty = bytes.clone();
+        dirty[pos] = 0x5A;
+        fs::write(&path, &dirty).unwrap();
+        let inspected = &crate::inspect(&dir).unwrap().segments[0];
+        assert!(inspected.corrupt, "byte {pos}");
+        assert_eq!(
+            (
+                inspected.log_bytes,
+                inspected.reserve_bytes,
+                inspected.torn_bytes
+            ),
+            (log_end, 0, bytes.len() as u64 - log_end),
+            "byte {pos}: a dirty reserve is a torn tail"
+        );
+        let store = ProfileStore::open(&dir, agg(decaying()), fast_config()).unwrap();
+        let report = store.recovery_report();
+        assert_eq!(
+            report.replayed_frames, 5,
+            "byte {pos}: every record replays"
+        );
+        assert!(report.truncated_tail, "byte {pos}");
+        assert_eq!(report.truncated_at, Some((1, log_end)), "byte {pos}");
+        assert_eq!(fs::metadata(&path).unwrap().len(), log_end, "byte {pos}");
+        assert_store_matches(&store, &pushes(5));
+    }
+    drop(src);
+}
+
+#[test]
+fn a_torn_record_inside_the_reserve_is_cut() {
+    const KEEP: usize = 5;
+    let dir = TestDir::new("reserve-torn");
+    let config = StoreConfig {
+        faults: Some(
+            FaultSchedule::scripted([])
+                .with_crash(
+                    CrashSpec::at(CrashSite::TornWalRecord)
+                        .after(3)
+                        .keeping(KEEP),
+                )
+                .shared(),
+        ),
+        ..fast_config()
+    };
+    let mut acked = 0;
+    {
+        let store = ProfileStore::open(dir.path(), agg(decaying()), config).unwrap();
+        let mut scratch = IngestScratch::new();
+        while store.ingest_frame(&frame(acked), &mut scratch).is_ok() {
+            acked += 1;
+        }
+    }
+    assert!(acked > 0, "the crash must land after an intact record");
+    let path = dir.path().join(wal::segment_file_name(1));
+    let scan = scan_segment(&path).unwrap();
+    assert!(scan.corrupt);
+    assert_eq!(scan.records.len() as u64, acked);
+    let bytes = fs::read(&path).unwrap();
+    let torn_end = (scan.valid_len + RECORD_OVERHEAD) as usize + KEEP;
+    assert!(
+        bytes.len() > torn_end && bytes[torn_end..].iter().all(|&b| b == 0),
+        "the torn record's bytes landed inside the reserve"
+    );
+
+    let reopened = ProfileStore::open(dir.path(), agg(decaying()), fast_config()).unwrap();
+    let report = reopened.recovery_report();
+    assert!(report.truncated_tail);
+    assert_eq!(report.truncated_at, Some((1, scan.valid_len)));
+    assert_eq!(fs::metadata(&path).unwrap().len(), scan.valid_len);
+    assert_store_matches(&reopened, &pushes(acked));
 }
 
 // ---------------------------------------------------------------------
@@ -982,6 +1126,10 @@ fn checkpoint_survives_a_failed_segment_deletion_and_retries() {
     );
     assert!(dir.path().join("checkpoint.cbsc").exists());
     assert!(victim.exists(), "the undeletable entry is still there");
+    assert!(
+        fs::metadata(&parked).unwrap().len() < wal::RESERVE_CHUNK,
+        "the rotation trimmed the old segment's reserve"
+    );
 
     // The store keeps serving, and once the obstruction clears the
     // next checkpoint's GC retries the deletion and wins.

@@ -17,17 +17,28 @@
 //! for frames, the raw CBSP wire bytes exactly as the client sent them,
 //! so replay feeds the same codec path as live ingest.
 //!
+//! After the last record comes a zero-filled *reserve*. When an append
+//! would run past it, the writer first zero-fills [`RESERVE_CHUNK`]
+//! more bytes, then writes the record in place. The fsync behind each
+//! ack therefore flushes data into blocks the file already owns; only
+//! the first sync after an extension also commits a new size and new
+//! extents.
+//!
 //! ## Torn-write discipline
 //!
 //! A crash can leave the last record half-written. [`scan_segment`]
-//! accepts the longest prefix of intact records and reports everything
-//! after the first bad length, bad CRC, or short read as corruption;
-//! recovery truncates the file back to that prefix. Corruption is never
-//! an error from the scan itself — only unreadable files are.
+//! accepts the longest prefix of intact records. An all-zero remainder
+//! at a record boundary is the log's clean end (a record's length
+//! prefix is never 0), so the reserve is neither corruption nor log.
+//! Anything else after the prefix — a bad length, a bad CRC, a short
+//! read, or a non-zero byte in the reserve — is reported as corruption,
+//! and recovery truncates the file back to that prefix. Corruption is
+//! never an error from the scan itself — only unreadable files are.
 
 use crate::crc::crc32;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -48,6 +59,14 @@ pub const REC_SEQ_FRAME: u8 = 2;
 /// Payload tag: an epoch advance (body = the epoch *after* the advance,
 /// u64 LE).
 pub const REC_EPOCH: u8 = 3;
+
+/// Zero-filled bytes a [`SegmentWriter`] adds to its reserve at a time.
+pub const RESERVE_CHUNK: u64 = 1 << 20;
+
+/// The source of every reserve fill, written out repeatedly. It is
+/// smaller than a chunk because a static's bytes count towards the
+/// process's resident size once the kernel has read them.
+static ZEROS: [u8; 64 << 10] = [0; 64 << 10];
 
 /// Hard ceiling a scan will believe for one record's length; anything
 /// larger is treated as corruption (a torn or garbage length prefix).
@@ -169,13 +188,17 @@ pub struct SegmentWriter {
     file: Arc<File>,
     path: PathBuf,
     seq: u64,
+    /// End of the log: where the next record goes.
     len: u64,
+    /// End of the file: the log plus its zero reserve.
+    reserved: u64,
 }
 
 impl SegmentWriter {
     /// Creates segment `seq` in `dir` (failing if it already exists),
     /// writes its header, and syncs the directory so the new name is
-    /// durable.
+    /// durable. The reserve is left for the first append to fill, so
+    /// creating a segment costs no more than the header.
     ///
     /// # Errors
     ///
@@ -198,6 +221,7 @@ impl SegmentWriter {
             path,
             seq,
             len: WAL_HEADER_LEN,
+            reserved: WAL_HEADER_LEN,
         })
     }
 
@@ -212,7 +236,7 @@ impl SegmentWriter {
         self.seq
     }
 
-    /// Bytes written so far (header included).
+    /// Log bytes written so far (header included, reserve excluded).
     pub fn len(&self) -> u64 {
         self.len
     }
@@ -236,12 +260,7 @@ impl SegmentWriter {
     /// on success.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
         let offset = self.len;
-        let mut framed = Vec::with_capacity(RECORD_OVERHEAD as usize + payload.len());
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc32(payload).to_le_bytes());
-        framed.extend_from_slice(payload);
-        (&*self.file).write_all(&framed)?;
-        self.len += framed.len() as u64;
+        self.write_record(payload, payload.len())?;
         Ok(offset)
     }
 
@@ -255,14 +274,42 @@ impl SegmentWriter {
     ///
     /// Propagates write failures.
     pub fn append_torn(&mut self, payload: &[u8], keep: usize) -> io::Result<()> {
-        let keep = keep.min(payload.len());
+        self.write_record(payload, keep.min(payload.len()))?;
+        self.file.sync_all()
+    }
+
+    /// Frames `payload` and writes the framing plus its first `keep`
+    /// bytes in place at the end of the log, zero-filling more reserve
+    /// first when the record would run past it.
+    fn write_record(&mut self, payload: &[u8], keep: usize) -> io::Result<()> {
         let mut framed = Vec::with_capacity(RECORD_OVERHEAD as usize + keep);
         framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         framed.extend_from_slice(&crc32(payload).to_le_bytes());
         framed.extend_from_slice(&payload[..keep]);
-        (&*self.file).write_all(&framed)?;
-        self.len += framed.len() as u64;
-        self.file.sync_all()
+        let end = self.len + framed.len() as u64;
+        while self.reserved < end {
+            for at in (0..RESERVE_CHUNK).step_by(ZEROS.len()) {
+                self.file.write_all_at(&ZEROS, self.reserved + at)?;
+            }
+            self.reserved += RESERVE_CHUNK;
+        }
+        self.file.write_all_at(&framed, self.len)?;
+        self.len = end;
+        Ok(())
+    }
+
+    /// Cuts the file back to the end of its log, dropping the zero
+    /// reserve. For a segment that takes no more appends: the kernel
+    /// discards the reserve's unwritten pages instead of flushing them
+    /// in the next sync.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the truncation failure.
+    pub(crate) fn trim_reserve(&mut self) -> io::Result<()> {
+        self.file.set_len(self.len)?;
+        self.reserved = self.len;
+        Ok(())
     }
 
     /// Fsyncs the segment file.
@@ -293,14 +340,15 @@ pub struct SegmentScan {
     pub path: PathBuf,
     /// The longest prefix of intact records.
     pub records: Vec<WalRecord>,
-    /// Offset one past the last intact record — the length a recovery
-    /// truncation restores the file to. Zero when the header itself is
-    /// bad (the whole file is garbage).
+    /// Offset one past the last intact record: the end of the intact
+    /// log, zero reserve excluded, and the length a recovery truncation
+    /// restores a corrupt file to. Zero when the header itself is bad
+    /// (the whole file is garbage).
     pub valid_len: u64,
-    /// `true` when anything after the intact prefix was found: a torn
+    /// `true` when anything but zeros follows the intact prefix: a torn
     /// or corrupt record, trailing garbage, or a bad header.
     pub corrupt: bool,
-    /// The file's actual length.
+    /// The file's actual length, reserve included.
     pub file_len: u64,
 }
 
@@ -346,6 +394,12 @@ pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
     let mut corrupt = false;
     while pos < bytes.len() {
         let rest = &bytes[pos..];
+        // A record's length prefix is never 0, so this stops within a
+        // record's first four bytes and reads the whole remainder only
+        // at the reserve.
+        if rest.iter().all(|&b| b == 0) {
+            break; // the zero reserve: the log's clean end
+        }
         if rest.len() < RECORD_OVERHEAD as usize {
             corrupt = true; // torn framing
             break;
@@ -375,12 +429,7 @@ pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
     Ok(SegmentScan {
         seq,
         path: path.to_path_buf(),
-        valid_len: if records.is_empty() && corrupt && pos == WAL_HEADER_LEN as usize {
-            // Header intact, first record bad: keep the header.
-            WAL_HEADER_LEN
-        } else {
-            pos as u64
-        },
+        valid_len: pos as u64,
         records,
         corrupt,
         file_len,
@@ -448,6 +497,96 @@ mod tests {
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.valid_len, cut_at);
         assert!(scan.file_len > cut_at);
+    }
+
+    #[test]
+    fn the_first_append_fills_the_reserve_and_a_scan_ends_cleanly_there() {
+        let dir = TestDir::new("wal-reserve");
+        let mut w = SegmentWriter::create(dir.path(), 0).unwrap();
+        let file_len = |w: &SegmentWriter| fs::metadata(w.path()).unwrap().len();
+        assert_eq!(
+            file_len(&w),
+            WAL_HEADER_LEN,
+            "create writes only the header"
+        );
+        w.append(&encode_epoch(1)).unwrap();
+        w.append(&encode_epoch(2)).unwrap();
+        assert_eq!(file_len(&w), WAL_HEADER_LEN + RESERVE_CHUNK);
+
+        let scan = scan_segment(w.path()).unwrap();
+        assert!(!scan.corrupt, "the zero reserve is the log's clean end");
+        assert_eq!(scan.records.len(), 2);
+        assert_eq!(scan.valid_len, w.len());
+        assert_eq!(scan.file_len, WAL_HEADER_LEN + RESERVE_CHUNK);
+    }
+
+    #[test]
+    fn trimming_the_reserve_leaves_the_log_and_a_later_append_refills_it() {
+        let dir = TestDir::new("wal-trim");
+        let mut w = SegmentWriter::create(dir.path(), 0).unwrap();
+        w.append(&encode_epoch(1)).unwrap();
+        w.trim_reserve().unwrap();
+        assert_eq!(fs::metadata(w.path()).unwrap().len(), w.len());
+        w.append(&encode_epoch(2)).unwrap();
+        let scan = scan_segment(w.path()).unwrap();
+        assert!(!scan.corrupt);
+        assert_eq!(scan.records.len(), 2);
+        assert!(scan.file_len > scan.valid_len, "the append refilled it");
+    }
+
+    #[test]
+    fn a_reserve_shorter_than_the_record_framing_is_a_clean_end() {
+        let dir = TestDir::new("wal-short-reserve");
+        let mut w = SegmentWriter::create(dir.path(), 0).unwrap();
+        w.append(&encode_epoch(1)).unwrap();
+        let log_end = w.len();
+        for zeros in 0..RECORD_OVERHEAD {
+            let file = OpenOptions::new().write(true).open(w.path()).unwrap();
+            file.set_len(log_end + zeros).unwrap();
+            let scan = scan_segment(w.path()).unwrap();
+            assert!(!scan.corrupt, "{zeros} zero bytes past the log");
+            assert_eq!(scan.records.len(), 1);
+            assert_eq!(scan.valid_len, log_end);
+        }
+    }
+
+    #[test]
+    fn records_crossing_or_outgrowing_a_chunk_scan_back_intact() {
+        let dir = TestDir::new("wal-chunks");
+        let mut w = SegmentWriter::create(dir.path(), 0).unwrap();
+        let chunk = RESERVE_CHUNK as usize;
+        // The first record stops 10 bytes short of the first chunk's
+        // end, so the second straddles it; the third outgrows two
+        // whole chunks.
+        let first_len = chunk - RECORD_OVERHEAD as usize - 10;
+        let payloads = [
+            vec![0xA1; first_len],
+            vec![0xB2; 100],
+            vec![0xC3; 2 * chunk + 5],
+        ];
+        let offsets: Vec<u64> = payloads.iter().map(|p| w.append(p).unwrap()).collect();
+        let first_chunk_end = WAL_HEADER_LEN + RESERVE_CHUNK;
+        assert!(offsets[1] < first_chunk_end && offsets[2] > first_chunk_end);
+        assert_eq!(
+            fs::metadata(w.path()).unwrap().len(),
+            WAL_HEADER_LEN + 4 * RESERVE_CHUNK,
+            "whole chunks, as many as the log needs"
+        );
+
+        let scan = scan_segment(w.path()).unwrap();
+        assert!(!scan.corrupt);
+        assert_eq!(scan.valid_len, w.len());
+        let scanned: Vec<(u64, &[u8])> = scan
+            .records
+            .iter()
+            .map(|r| (r.offset, r.payload.as_slice()))
+            .collect();
+        let written: Vec<(u64, &[u8])> = offsets
+            .iter()
+            .zip(&payloads)
+            .map(|(&o, p)| (o, p.as_slice()))
+            .collect();
+        assert_eq!(scanned, written);
     }
 
     #[test]

@@ -282,6 +282,11 @@ ADDR4="$(wait_for_listening "$SMOKE_DIR/server4.out")"
 grep -Eq '^recovered frames=[1-9]' "$SMOKE_DIR/server4.out" \
   || { echo "FAIL: restart after SIGKILL replayed no frames" >&2;
        cat "$SMOKE_DIR/server4.out" >&2; exit 1; }
+# Every push completed before the kill, so the segment ends in its zero
+# reserve, which is the log's clean end and not a torn tail.
+grep -q '^recovered .* truncated_tail=false$' "$SMOKE_DIR/server4.out" \
+  || { echo "FAIL: restart after a clean kill reported a torn WAL tail" >&2;
+       cat "$SMOKE_DIR/server4.out" >&2; exit 1; }
 timeout 60 "$DCGTOOL" pull "$ADDR4" "$SMOKE_DIR/post_kill.dcg"
 cmp "$SMOKE_DIR/pre_kill.dcg" "$SMOKE_DIR/post_kill.dcg" \
   || { echo "FAIL: recovered fleet profile differs from the pre-kill pull" >&2; exit 1; }
