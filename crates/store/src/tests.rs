@@ -542,7 +542,7 @@ fn mutilation_fixture(n: u64) -> (TestDir, Vec<u8>, Vec<(u64, u64)>, Vec<Vec<u8>
             )
         })
         .collect();
-    let log_end = bounds.last().map_or(WAL_HEADER_LEN, |&(_, end)| end) as usize;
+    let log_end = log_end(&bounds) as usize;
     assert!(
         bytes.len() >= log_end + 2 * RESERVE_EDGE,
         "the fixture's reserve must cover both swept edges"
@@ -566,6 +566,11 @@ fn mutilation_fixture(n: u64) -> (TestDir, Vec<u8>, Vec<(u64, u64)>, Vec<Vec<u8>
     (dir, bytes, bounds, prefixes)
 }
 
+/// The end of a fixture's log: where its zero reserve starts.
+fn log_end(bounds: &[(u64, u64)]) -> u64 {
+    bounds.last().map_or(WAL_HEADER_LEN, |&(_, end)| end)
+}
+
 /// Bytes swept at each edge of a fixture's zero reserve.
 const RESERVE_EDGE: usize = 64;
 
@@ -574,8 +579,7 @@ const RESERVE_EDGE: usize = 64;
 /// reserve. (Visiting all of a reserve's ~1 MiB of zeros would test one
 /// rule a million times.)
 fn swept_positions(bytes: &[u8], bounds: &[(u64, u64)]) -> Vec<usize> {
-    let log_end = bounds.last().map_or(WAL_HEADER_LEN, |&(_, end)| end) as usize;
-    (0..log_end + RESERVE_EDGE)
+    (0..log_end(bounds) as usize + RESERVE_EDGE)
         .chain(bytes.len() - RESERVE_EDGE..bytes.len())
         .collect()
 }
@@ -685,7 +689,7 @@ fn pushes(n: u64) -> ReferenceState {
 #[test]
 fn a_clean_reserve_is_the_end_of_the_log_not_a_torn_tail() {
     let (src, bytes, bounds, _) = mutilation_fixture(5);
-    let log_end = bounds.last().unwrap().1;
+    let log_end = log_end(&bounds);
     let inspected = &crate::inspect(src.path()).unwrap().segments[0];
     assert_eq!(
         (
@@ -713,7 +717,7 @@ fn a_clean_reserve_is_the_end_of_the_log_not_a_torn_tail() {
 #[test]
 fn a_non_zero_byte_in_the_reserve_cuts_the_log_after_its_last_record() {
     let (src, bytes, bounds, _) = mutilation_fixture(5);
-    let log_end = bounds.last().unwrap().1;
+    let log_end = log_end(&bounds);
     let work = TestDir::new("reserve-dirty");
     let (first, last) = (log_end as usize, bytes.len() - 1);
     for pos in [first, (first + last) / 2, last] {
