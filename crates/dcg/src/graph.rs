@@ -40,6 +40,21 @@ use std::collections::HashMap;
 /// of a parallel experiment, which is what keeps the sharded experiment
 /// runner's output bit-identical to the serial path.
 ///
+/// # Lazy index
+///
+/// A graph built by strictly ascending [`record`]s — a decoded snapshot,
+/// the output of [`merge_all`] — is read in order and rarely written, so
+/// it never hashes: the index is built on the first write that needs it.
+/// The invariant is that the index either covers every slot, or is empty
+/// while the slots are in strictly ascending edge order, in which case
+/// `sorted` is the identity permutation and nothing is pending. An
+/// unindexed graph answers [`weight`] by binary search over its slots.
+/// Slots, weights, totals and iteration order are the same either way,
+/// so the index is invisible in every output bit.
+///
+/// [`record`]: Self::record
+/// [`merge_all`]: Self::merge_all
+/// [`weight`]: Self::weight
 /// [`record_sample`]: Self::record_sample
 /// [`iter`]: Self::iter
 /// [`merge`]: Self::merge
@@ -47,10 +62,11 @@ use std::collections::HashMap;
 /// [`seal`]: Self::seal
 #[derive(Debug, Clone, Default)]
 pub struct DynamicCallGraph {
-    /// Edge → dense slot. Keyed by a fast deterministic hasher: the map
-    /// is a pure index whose iteration order is never observed (all
-    /// walks go through `sorted`), so swapping SipHash out cannot
-    /// change any output bit.
+    /// Edge → dense slot, covering every slot or empty (see the lazy
+    /// index above). Keyed by a fast deterministic hasher: the map is a
+    /// pure index whose iteration order is never observed (all walks go
+    /// through `sorted`), so swapping SipHash out cannot change any
+    /// output bit.
     index: HashMap<CallEdge, u32, EdgeHashBuilder>,
     /// Slot → edge, in first-observation order.
     edges: Vec<CallEdge>,
@@ -76,10 +92,10 @@ impl DynamicCallGraph {
 
     /// Creates an empty graph with room for `edges` distinct edges, so
     /// a producer that knows its size up front (a decoder, a merge)
-    /// fills the store without rehashing or regrowing.
+    /// fills the store without regrowing. The index is sized when it is
+    /// built.
     pub fn with_capacity(edges: usize) -> Self {
         Self {
-            index: HashMap::with_capacity_and_hasher(edges, EdgeHashBuilder),
             edges: Vec::with_capacity(edges),
             weights: Vec::with_capacity(edges),
             sorted: Vec::with_capacity(edges),
@@ -87,16 +103,43 @@ impl DynamicCallGraph {
         }
     }
 
+    /// Whether the index covers the slots (see the lazy index above).
+    /// An empty graph counts as unindexed.
+    fn is_indexed(&self) -> bool {
+        !self.index.is_empty()
+    }
+
+    /// Builds the index over every slot if it is not built yet. Every
+    /// write other than an ascending append goes through here first.
+    fn ensure_index(&mut self) {
+        if !self.is_indexed() {
+            let slots = self.edges.iter().enumerate();
+            self.index
+                .extend(slots.map(|(slot, &edge)| (edge, slot as u32)));
+        }
+    }
+
     /// Adds `weight` to `edge`'s slot, interning a new slot if needed.
     /// Does not touch `total`; callers keep it consistent.
     fn bump(&mut self, edge: CallEdge, weight: f64) {
+        if !self.is_indexed() {
+            // Producers that already walk edges in ascending order
+            // (decoders, `merge_all`) append without hashing.
+            if self.edges.last().is_none_or(|&last| last < edge) {
+                self.sorted.push(self.edges.len() as u32);
+                self.edges.push(edge);
+                self.weights.push(weight);
+                return;
+            }
+            self.ensure_index();
+        }
         match self.index.entry(edge) {
             Entry::Occupied(slot) => self.weights[*slot.get() as usize] += weight,
             Entry::Vacant(v) => {
                 let slot = self.edges.len() as u32;
                 v.insert(slot);
-                // Producers that already walk edges in ascending order
-                // (decoders, merges) only ever append to the permutation.
+                // A new edge above every held one appends to the
+                // permutation; anything else is spliced in.
                 let append = self
                     .sorted
                     .last()
@@ -122,7 +165,15 @@ impl DynamicCallGraph {
     /// about to be read). A deferred ingest of `k` new edges costs `O(k)`
     /// hash inserts now plus one `O(n + k log k)` seal later, instead
     /// of the `O(n·k)` of `k` eager vector splices.
+    ///
+    /// Requires an indexed (or empty) graph: callers run
+    /// [`ensure_index`](Self::ensure_index) once before their loop.
     fn bump_deferred(&mut self, edge: CallEdge, weight: f64) {
+        debug_assert_eq!(
+            self.index.len(),
+            self.edges.len(),
+            "bump_deferred on an unindexed graph"
+        );
         match self.index.entry(edge) {
             Entry::Occupied(slot) => self.weights[*slot.get() as usize] += weight,
             Entry::Vacant(v) => {
@@ -232,6 +283,7 @@ impl DynamicCallGraph {
     /// floating-point total — depends only on the multiset of edges, not
     /// on how the batch was split.
     pub fn record_batch(&mut self, edges: &[CallEdge]) {
+        self.ensure_index();
         for &edge in edges {
             self.bump_deferred(edge, 1.0);
         }
@@ -268,6 +320,7 @@ impl DynamicCallGraph {
     /// ordered read (iteration, merge, drain, totals recomputation)
     /// requires a sealed graph — debug builds assert it.
     pub fn record_all_deferred(&mut self, records: &[(CallEdge, f64)]) {
+        self.ensure_index();
         for &(edge, weight) in records {
             if weight <= 0.0 || !weight.is_finite() {
                 continue;
@@ -279,9 +332,16 @@ impl DynamicCallGraph {
 
     /// Absolute weight of `edge` (0 if absent).
     pub fn weight(&self, edge: &CallEdge) -> f64 {
-        self.index
-            .get(edge)
-            .map_or(0.0, |&slot| self.weights[slot as usize])
+        if self.is_indexed() {
+            self.index
+                .get(edge)
+                .map_or(0.0, |&slot| self.weights[slot as usize])
+        } else {
+            // Unindexed slots are in ascending edge order.
+            self.edges
+                .binary_search(edge)
+                .map_or(0.0, |slot| self.weights[slot])
+        }
     }
 
     /// `edge`'s share of the total weight, in **percent** (0–100).
@@ -359,6 +419,7 @@ impl DynamicCallGraph {
     /// samples) merging is exactly commutative and associative.
     pub fn merge(&mut self, other: &DynamicCallGraph) {
         debug_assert!(other.is_sealed(), "merge source must be sealed");
+        self.ensure_index();
         for (&e, w) in other
             .sorted
             .iter()
@@ -501,29 +562,24 @@ impl DynamicCallGraph {
             *w *= factor;
         }
         if self.weights.iter().any(|w| *w < min_weight) {
-            // Rare path: rebuild the store around the surviving edges,
+            // Rare path: compact the store around the surviving edges,
             // preserving first-observation order. Flushed marks travel
-            // with their edge through the slot reshuffle.
-            let survivors: Vec<(CallEdge, f64, f64)> = self
-                .edges
-                .iter()
-                .zip(&self.weights)
-                .enumerate()
-                .filter(|(_, (_, &w))| w >= min_weight)
-                .map(|(slot, (&e, &w))| (e, w, self.flushed.get(slot).copied().unwrap_or(0.0)))
+            // with their edge; the index and permutation are rebuilt.
+            let survivors: Vec<usize> = (0..self.edges.len())
+                .filter(|&slot| self.weights[slot] >= min_weight)
                 .collect();
-            let had_flushed = !self.flushed.is_empty();
-            self.index.clear();
-            self.edges.clear();
-            self.weights.clear();
-            self.sorted.clear();
-            self.flushed.clear();
-            for (e, w, f) in survivors {
-                self.bump_deferred(e, w);
-                if had_flushed {
-                    self.flushed.push(f);
-                }
+            self.edges = survivors.iter().map(|&slot| self.edges[slot]).collect();
+            self.weights = survivors.iter().map(|&slot| self.weights[slot]).collect();
+            if !self.flushed.is_empty() {
+                self.flushed = survivors
+                    .iter()
+                    .map(|&slot| self.flushed.get(slot).copied().unwrap_or(0.0))
+                    .collect();
             }
+            self.index.clear();
+            self.sorted.clear();
+            self.pending = (0..self.edges.len() as u32).collect();
+            self.ensure_index();
             self.seal();
         }
         self.recompute_total();
@@ -1043,5 +1099,207 @@ mod tests {
         let mut g2 = DynamicCallGraph::new();
         g2.extend(g.iter().map(|(e, w)| (*e, w)));
         assert_eq!(g2.total_weight(), 5.0);
+    }
+
+    /// The lazy-index invariant: the index covers every slot, or it is
+    /// empty while the slots ascend strictly, `sorted` is the identity
+    /// and nothing is pending.
+    fn assert_index_invariant(g: &DynamicCallGraph, what: &str) {
+        if g.is_indexed() {
+            assert_eq!(g.index.len(), g.edges.len(), "{what}: index size");
+            for (slot, edge) in g.edges.iter().enumerate() {
+                assert_eq!(g.index[edge], slot as u32, "{what}: index of {edge:?}");
+            }
+        } else {
+            assert!(
+                g.edges.windows(2).all(|p| p[0] < p[1]),
+                "{what}: ascending slots"
+            );
+            assert_eq!(g.sorted.len(), g.edges.len(), "{what}: permutation size");
+            assert!(
+                g.sorted.iter().enumerate().all(|(i, &s)| s as usize == i),
+                "{what}: identity permutation"
+            );
+            assert!(g.pending.is_empty(), "{what}: nothing pending");
+        }
+    }
+
+    /// Everything a reader of `a` and `b` can observe, bit for bit:
+    /// point lookups of every held edge and of `probes`, iteration,
+    /// totals, sites, the weight ranking and `==`.
+    fn assert_same(a: &DynamicCallGraph, b: &DynamicCallGraph, probes: &[CallEdge], what: &str) {
+        assert_index_invariant(a, what);
+        assert_index_invariant(b, what);
+        assert_eq!(a, b, "{what}");
+        assert_eq!(a.num_edges(), b.num_edges(), "{what}");
+        assert_eq!(
+            a.total_weight().to_bits(),
+            b.total_weight().to_bits(),
+            "{what}: total"
+        );
+        let bits = |v: Vec<(CallEdge, f64)>| -> Vec<(CallEdge, u64)> {
+            v.into_iter().map(|(e, w)| (e, w.to_bits())).collect()
+        };
+        let held: Vec<(CallEdge, f64)> = a.iter().map(|(e, w)| (*e, w)).collect();
+        assert_eq!(
+            bits(held.clone()),
+            bits(b.iter().map(|(e, w)| (*e, w)).collect()),
+            "{what}: iter"
+        );
+        for edge in held.iter().map(|&(e, _)| e).chain(probes.iter().copied()) {
+            assert_eq!(
+                a.weight(&edge).to_bits(),
+                b.weight(&edge).to_bits(),
+                "{what}: weight of {edge:?}"
+            );
+            assert_eq!(
+                a.weight_percent(&edge).to_bits(),
+                b.weight_percent(&edge).to_bits(),
+                "{what}: weight_percent of {edge:?}"
+            );
+        }
+        assert_eq!(a.sites(), b.sites(), "{what}: sites");
+        assert_eq!(
+            bits(a.edges_by_weight()),
+            bits(b.edges_by_weight()),
+            "{what}: edges_by_weight"
+        );
+    }
+
+    #[test]
+    fn unindexed_graph_reads_and_first_writes_match_an_indexed_one() {
+        use cbs_prng::{prop::run_cases, SmallRng};
+        // Callers 1..=60, so caller 0 sorts below every held edge and
+        // caller 80 above; quarter-step weights keep every sum exact, so
+        // totals agree whatever order they were added in.
+        fn random_edge(rng: &mut SmallRng) -> CallEdge {
+            e(
+                rng.gen_range(1..=60u32),
+                rng.gen_range(0..8u32),
+                rng.gen_range(0..60u32),
+            )
+        }
+        fn random_weight(rng: &mut SmallRng) -> f64 {
+            f64::from(rng.gen_range(1..400u32)) * 0.25
+        }
+        run_cases("lazy_index_matches_indexed", 48, |rng| {
+            let mut records: Vec<(CallEdge, f64)> = (0..rng.gen_range(1..300usize))
+                .map(|_| (random_edge(rng), random_weight(rng)))
+                .collect();
+            records.sort_by_key(|r| r.0);
+            records.dedup_by_key(|r| r.0);
+            let (first, last) = (records[0].0, records[records.len() - 1].0);
+
+            let mut lazy = DynamicCallGraph::with_capacity(records.len());
+            for &(edge, w) in &records {
+                lazy.record(edge, w);
+            }
+            assert!(!lazy.is_indexed(), "ascending records build no index");
+            let mut shuffled = records.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            let mut indexed = DynamicCallGraph::new();
+            indexed.record_all(&shuffled);
+            assert!(indexed.is_indexed());
+
+            let mut probes: Vec<CallEdge> = (0..20).map(|_| random_edge(rng)).collect();
+            probes.extend([e(0, 0, 0), e(0, 7, 59), e(80, 0, 0), e(u32::MAX, 0, 0)]);
+            assert_same(&lazy, &indexed, &probes, "before any write");
+
+            let mut other = DynamicCallGraph::new();
+            for _ in 0..rng.gen_range(0..100usize) {
+                other.record(random_edge(rng), random_weight(rng));
+            }
+            let batch: Vec<CallEdge> = vec![e(0, 0, 1), last, random_edge(rng), first, e(80, 1, 1)];
+            let deferred: Vec<(CallEdge, f64)> = (0..30)
+                .map(|_| (random_edge(rng), random_weight(rng)))
+                .chain([(e(0, 2, 2), 1.5), (last, 0.25), (e(80, 2, 2), 2.0)])
+                .collect();
+            // Halving then pruning below this drops at least the
+            // lightest edge, so the rebuild path always runs.
+            let lightest = records.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
+            let prune_below = lightest * 0.5 + random_weight(rng) * 0.25;
+
+            type Write<'a> = Box<dyn Fn(&mut DynamicCallGraph) + 'a>;
+            // (what, write, whether the written graph may stay unindexed)
+            let writes: Vec<(&str, Write<'_>, bool)> = vec![
+                (
+                    "ascending record",
+                    Box::new(|g| g.record(e(80, 0, 0), 1.25)),
+                    true,
+                ),
+                (
+                    "non-ascending new record",
+                    Box::new(|g| g.record(e(0, 3, 7), 2.0)),
+                    false,
+                ),
+                (
+                    "non-ascending held record",
+                    Box::new(move |g| g.record(first, 0.5)),
+                    false,
+                ),
+                (
+                    "repeat of the last edge",
+                    Box::new(move |g| g.record(last, 0.75)),
+                    false,
+                ),
+                ("record_batch", Box::new(|g| g.record_batch(&batch)), false),
+                (
+                    "record_all_deferred + seal",
+                    Box::new(|g| {
+                        g.record_all_deferred(&deferred);
+                        g.seal();
+                    }),
+                    false,
+                ),
+                ("merge into it", Box::new(|g| g.merge(&other)), false),
+                (
+                    "decay without pruning",
+                    Box::new(|g| g.decay(0.5, 0.0)),
+                    true,
+                ),
+                (
+                    "decay with pruning",
+                    Box::new(move |g| g.decay(0.5, prune_below)),
+                    false,
+                ),
+            ];
+            for (what, write, may_stay_lazy) in &writes {
+                let (mut a, mut b) = (lazy.clone(), indexed.clone());
+                write(&mut a);
+                write(&mut b);
+                if !may_stay_lazy && !a.is_empty() {
+                    assert!(a.is_indexed(), "{what} builds the index");
+                }
+                assert_same(&a, &b, &probes, what);
+                // And the next write sees the same store either way.
+                a.record(e(0, 1, 1), 1.0);
+                b.record(e(0, 1, 1), 1.0);
+                assert_same(&a, &b, &probes, &format!("{what}, then a record"));
+            }
+
+            let (mut into_a, mut into_b) = (other.clone(), other.clone());
+            into_a.merge(&lazy);
+            into_b.merge(&indexed);
+            assert_same(&into_a, &into_b, &probes, "merge from it");
+
+            let (mut a, mut b) = (lazy.clone(), indexed.clone());
+            let (da, db) = (a.drain_delta(), b.drain_delta());
+            let bits = |d: &[(CallEdge, f64)]| -> Vec<(CallEdge, u64)> {
+                d.iter().map(|&(e, w)| (e, w.to_bits())).collect()
+            };
+            assert_eq!(bits(&da), bits(&db), "drain_delta");
+            assert!(!a.is_indexed(), "a drain builds no index");
+            assert_same(&a, &b, &probes, "drain_delta");
+            a.record(first, 1.0);
+            b.record(first, 1.0);
+            assert_eq!(
+                bits(&a.drain_delta()),
+                bits(&b.drain_delta()),
+                "second drain_delta"
+            );
+            assert_same(&a, &b, &probes, "second drain_delta");
+        });
     }
 }

@@ -34,11 +34,9 @@ mod graph;
 mod hash;
 mod overlap;
 pub mod serialize;
-mod static_graph;
 pub mod stats;
 
 pub use cct::{overlap_cct, CallingContextTree, CctNodeId, ContextStep};
 pub use edge::CallEdge;
 pub use graph::{coalesce_increments, DynamicCallGraph};
 pub use overlap::{accuracy, overlap};
-pub use static_graph::StaticCallGraph;

@@ -236,8 +236,12 @@ impl<'a> Reader<'a> {
 
 /// Weights that compress to a varint: non-negative integers below 2⁶²
 /// whose `f64` representation is exact.
+///
+/// In that range `w as u64` truncates toward zero, so the round trip
+/// `m as f64 == w` holds exactly when `w` is integral; no `fract()` is
+/// needed (on x86-64 without SSE4.1 it is a libm call per record).
 fn integral_weight(w: f64) -> Option<u64> {
-    if w >= 0.0 && w < (1u64 << 62) as f64 && w.fract() == 0.0 {
+    if w >= 0.0 && w < (1u64 << 62) as f64 {
         let m = w as u64;
         if m as f64 == w {
             return Some(m);
@@ -755,6 +759,70 @@ mod tests {
                 "weight {w} must round-trip bit-exactly"
             );
         }
+    }
+
+    #[test]
+    fn integral_weight_matches_the_fract_check() {
+        fn with_fract(w: f64) -> Option<u64> {
+            if w >= 0.0 && w < (1u64 << 62) as f64 && w.fract() == 0.0 {
+                let m = w as u64;
+                if m as f64 == w {
+                    return Some(m);
+                }
+            }
+            None
+        }
+        let two_62 = (1u64 << 62) as f64;
+        let two_53 = (1u64 << 53) as f64;
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            1e-300,
+            two_53 - 1.0,
+            two_53,
+            two_53 + 2.0,
+            f64::from_bits(two_62.to_bits() - 1),
+            two_62,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut rng = cbs_prng::SmallRng::seed_from_u64(0x1D7E_6A15);
+        let random = (0..10_000).map(|_| f64::from_bits(rng.next_u64()));
+        for w in edges.into_iter().chain(random) {
+            assert_eq!(
+                integral_weight(w),
+                with_fract(w),
+                "weight {w:e} ({:#x})",
+                w.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_round_trip_of_10k_edges_answers_point_lookups() {
+        let mut rng = cbs_prng::SmallRng::seed_from_u64(10_000);
+        let mut g = DynamicCallGraph::new();
+        while g.num_edges() < 10_000 {
+            let edge = e(
+                rng.gen_range(0..500u32),
+                rng.gen_range(0..40u32),
+                rng.gen_range(0..500u32),
+            );
+            // Quarter steps: half the weights take the raw-bits tag, and
+            // every sum stays exact, so the record-order total matches
+            // the decoder's edge-order one.
+            g.record(edge, f64::from(rng.gen_range(1..400u32)) * 0.25);
+        }
+        let back = DcgCodec::decode_snapshot(&DcgCodec::encode_snapshot(&g)).unwrap();
+        assert_eq!(back, g);
+        assert_eq!(back.total_weight().to_bits(), g.total_weight().to_bits());
+        for (edge, w) in g.iter() {
+            assert_eq!(back.weight(edge).to_bits(), w.to_bits());
+        }
+        assert_eq!(back.weight(&e(u32::MAX, 0, 0)), 0.0);
+        assert_eq!(back.weight(&e(0, 99, 0)), 0.0);
     }
 
     #[test]

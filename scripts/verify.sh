@@ -79,6 +79,15 @@ awk -F'"median_ns": ' '
   /"config": "pull\/rebuild"/ { split($2, a, ","); rebuild = a[1] }
   END { if (rebuild == 0 || rebuild >= 5000000) exit 1 }' "$BENCH_JSON" \
   || { echo "FAIL: pull/rebuild median is not below 5000000 ns in $BENCH_JSON" >&2; exit 1; }
+# Client-decode acceptance bound: both configs decode the same 50k
+# records. A pulled snapshot appends to a graph that builds no hash
+# index, so it stays within 1.5x of decoding into a plain Vec; a decode
+# that hashes every edge again lands above it (1.75x when it did).
+awk -F'"median_ns": ' '
+  /"config": "codec\/decode"/          { split($2, a, ","); plain = a[1] }
+  /"config": "codec\/decode_snapshot"/ { split($2, a, ","); snap = a[1] }
+  END { if (plain == 0 || snap == 0 || snap > 1.5 * plain) exit 1 }' "$BENCH_JSON" \
+  || { echo "FAIL: codec/decode_snapshot median exceeds 1.5x codec/decode in $BENCH_JSON" >&2; exit 1; }
 # Durability acceptance bound: the WAL-on ingest path (async fsync) must
 # stay within 2x of the equivalent in-memory streaming path.
 awk -F'"median_ns": ' '

@@ -1,9 +1,14 @@
 //! §2 invariants across the whole stack: every dynamic call graph any
 //! profiler collects must be a subgraph of the complete static call
-//! graph, and profiles must survive serialization.
+//! graph (the oracle in `support/static_graph.rs`), and profiles must
+//! survive serialization.
 
-use cbs_repro::dcg::{serialize, StaticCallGraph};
+#[path = "support/static_graph.rs"]
+mod static_graph;
+
+use cbs_repro::dcg::serialize;
 use cbs_repro::prelude::*;
+use static_graph::StaticCallGraph;
 
 #[test]
 fn every_profiler_respects_the_static_call_graph() {

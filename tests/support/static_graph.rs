@@ -1,21 +1,20 @@
-//! The complete static call graph (§2).
+//! The complete static call graph (§2): the oracle `dcg_invariants`
+//! holds every profiler's dynamic call graph to.
 //!
 //! "A dynamic call graph … contains only those edges that are observed at
 //! runtime; therefore the edges of a DCG are a subgraph of the complete
 //! static call graph." This module builds that complete graph from a
 //! program — direct edges from `call` instructions, and one edge per
 //! statically possible target of each `callvirt` slot — and checks the
-//! containment invariant, which the test suite asserts for every profiler
-//! on every workload.
+//! containment invariant.
 
-use crate::edge::CallEdge;
-use crate::graph::DynamicCallGraph;
 use cbs_bytecode::{Op, Program};
+use cbs_dcg::{CallEdge, DynamicCallGraph};
 use std::collections::HashSet;
 
 /// The complete static call graph of a program.
-#[derive(Debug, Clone, Default)]
-pub struct StaticCallGraph {
+#[derive(Debug)]
+pub(crate) struct StaticCallGraph {
     edges: HashSet<CallEdge>,
 }
 
@@ -23,7 +22,7 @@ impl StaticCallGraph {
     /// Builds the static call graph: every `call` contributes its edge,
     /// every `callvirt` contributes one edge per class implementing its
     /// slot.
-    pub fn build(program: &Program) -> Self {
+    pub(crate) fn build(program: &Program) -> Self {
         let mut edges = HashSet::new();
         for method in program.methods() {
             for (_, site, op) in method.call_instructions() {
@@ -44,28 +43,28 @@ impl StaticCallGraph {
     }
 
     /// Whether the static graph admits `edge`.
-    pub fn contains(&self, edge: &CallEdge) -> bool {
+    pub(crate) fn contains(&self, edge: &CallEdge) -> bool {
         self.edges.contains(edge)
     }
 
     /// Number of static edges.
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.edges.len()
     }
 
     /// Returns `true` for a program with no call instructions.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.edges.is_empty()
     }
 
     /// Checks §2's containment invariant, returning the first offending
     /// dynamic edge if any.
-    pub fn violation<'a>(&self, dcg: &'a DynamicCallGraph) -> Option<&'a CallEdge> {
+    pub(crate) fn violation<'a>(&self, dcg: &'a DynamicCallGraph) -> Option<&'a CallEdge> {
         dcg.iter().map(|(e, _)| e).find(|e| !self.contains(e))
     }
 
     /// Fraction of static edges the dynamic graph observed (coverage).
-    pub fn coverage(&self, dcg: &DynamicCallGraph) -> f64 {
+    pub(crate) fn coverage(&self, dcg: &DynamicCallGraph) -> f64 {
         if self.edges.is_empty() {
             return 0.0;
         }
@@ -74,7 +73,6 @@ impl StaticCallGraph {
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
     use cbs_bytecode::{CallSiteId, MethodId, ProgramBuilder, VirtualSlot};
