@@ -64,8 +64,6 @@ pub struct FaultCounts {
     pub resets: usize,
     /// [`Fault::Busy`] injections.
     pub busies: usize,
-    /// Scripted crash points fired ([`CrashSpec`] consumed).
-    pub crashes: usize,
 }
 
 impl FaultCounts {
@@ -80,80 +78,14 @@ impl FaultCounts {
     }
 }
 
-/// A point in the durable store's write path where a scripted crash can
-/// fire (see `cbs-store`). Each site models a distinct torn state a real
-/// power loss could leave behind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashSite {
-    /// Before the WAL append: the operation leaves no trace at all.
-    BeforeWalAppend,
-    /// After the WAL append (and sync) but before the `ST_OK`: the
-    /// operation is durable but the client never saw the ack.
-    AfterWalAppend,
-    /// After the WAL append but before the aggregator apply: the record
-    /// is journaled (durable per policy) yet was never applied in the
-    /// crashed process — recovery must replay it. This is the gap the
-    /// staged (append / apply / commit) write path opens up.
-    BeforeApply,
-    /// After the checkpoint's temp file is written but before the atomic
-    /// rename: recovery must fall back to the previous checkpoint and
-    /// replay the whole WAL.
-    MidCheckpoint,
-    /// The WAL record is written torn — only a prefix of its bytes
-    /// reaches the disk — and the process dies. Recovery must detect
-    /// the bad CRC and truncate.
-    TornWalRecord,
-}
-
-/// A one-shot scripted crash: fires at the `skip`+1-th occurrence of
-/// `site`, then is consumed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashSpec {
-    /// Where in the write path to crash.
-    pub site: CrashSite,
-    /// Matching events to let pass before firing (0 = first).
-    pub skip: usize,
-    /// For [`CrashSite::TornWalRecord`]: how many bytes of the record
-    /// body reach the disk. Ignored at other sites.
-    pub torn_keep: usize,
-}
-
-impl CrashSpec {
-    /// A crash at the first occurrence of `site`.
-    pub fn at(site: CrashSite) -> Self {
-        Self {
-            site,
-            skip: 0,
-            torn_keep: 0,
-        }
-    }
-
-    /// Lets `skip` matching events pass before firing.
-    #[must_use]
-    pub fn after(mut self, skip: usize) -> Self {
-        self.skip = skip;
-        self
-    }
-
-    /// Sets the torn-record prefix length (only meaningful with
-    /// [`CrashSite::TornWalRecord`]).
-    #[must_use]
-    pub fn keeping(mut self, torn_keep: usize) -> Self {
-        self.torn_keep = torn_keep;
-        self
-    }
-}
-
 /// A deterministic supply of [`Fault`] decisions: an explicit scripted
-/// prefix, then seeded random draws at a configured rate. May also
-/// carry one scripted [`CrashSpec`] for the durable store's write path.
+/// prefix, then seeded random draws at a configured rate.
 #[derive(Debug)]
 pub struct FaultSchedule {
     script: VecDeque<Fault>,
     rng: SmallRng,
     rate: f64,
     counts: FaultCounts,
-    crash: Option<CrashSpec>,
 }
 
 impl FaultSchedule {
@@ -164,7 +96,6 @@ impl FaultSchedule {
             rng: SmallRng::seed_from_u64(0),
             rate: 0.0,
             counts: FaultCounts::default(),
-            crash: None,
         }
     }
 
@@ -177,7 +108,6 @@ impl FaultSchedule {
             rng: SmallRng::seed_from_u64(seed),
             rate: rate.clamp(0.0, 1.0),
             counts: FaultCounts::default(),
-            crash: None,
         }
     }
 
@@ -189,31 +119,6 @@ impl FaultSchedule {
         front.append(&mut self.script);
         self.script = front;
         self
-    }
-
-    /// Arms one scripted crash point (replacing any previous one).
-    #[must_use]
-    pub fn with_crash(mut self, spec: CrashSpec) -> Self {
-        self.crash = Some(spec);
-        self
-    }
-
-    /// Called by the durable store at each crash site it passes:
-    /// returns `Some(spec)` exactly when the armed crash fires (its
-    /// `skip` countdown reaching zero consumes the spec and counts a
-    /// crash); `None` otherwise.
-    pub fn crash_fires(&mut self, site: CrashSite) -> Option<CrashSpec> {
-        let spec = self.crash.as_mut()?;
-        if spec.site != site {
-            return None;
-        }
-        if spec.skip > 0 {
-            spec.skip -= 1;
-            return None;
-        }
-        let fired = self.crash.take();
-        self.counts.crashes += 1;
-        fired
     }
 
     /// Wraps the schedule for sharing across reconnections.
@@ -594,25 +499,6 @@ mod tests {
         assert_eq!(c.total(), 400);
         let rate = c.faulted() as f64 / c.total() as f64;
         assert!((0.15..0.40).contains(&rate), "observed fault rate {rate}");
-    }
-
-    #[test]
-    fn scripted_crash_fires_once_after_its_skip_countdown() {
-        let mut s = FaultSchedule::scripted([])
-            .with_crash(CrashSpec::at(CrashSite::AfterWalAppend).after(2).keeping(5));
-        // Non-matching sites never consume the spec.
-        assert_eq!(s.crash_fires(CrashSite::BeforeWalAppend), None);
-        assert_eq!(s.crash_fires(CrashSite::MidCheckpoint), None);
-        // Two matching events pass, the third fires.
-        assert_eq!(s.crash_fires(CrashSite::AfterWalAppend), None);
-        assert_eq!(s.crash_fires(CrashSite::AfterWalAppend), None);
-        let fired = s.crash_fires(CrashSite::AfterWalAppend).unwrap();
-        assert_eq!(fired.site, CrashSite::AfterWalAppend);
-        assert_eq!(fired.torn_keep, 5);
-        // Consumed: never fires again.
-        assert_eq!(s.crash_fires(CrashSite::AfterWalAppend), None);
-        assert_eq!(s.counts().crashes, 1);
-        assert_eq!(s.counts().faulted(), 0, "crashes are not transport faults");
     }
 
     #[test]

@@ -36,10 +36,11 @@ pub enum JournalError {
     /// The journal's backing storage failed; nothing was applied (the
     /// client may retry once the storage recovers).
     Storage(std::io::Error),
-    /// A scripted crash point fired (or a previous one left the store
-    /// poisoned); the store refuses all further operations until
-    /// reopened.
-    Crashed,
+    /// The store is poisoned: an earlier WAL sync failed, a lock was
+    /// poisoned by a panic, or an apply diverged from its journaled
+    /// record, so the disk state is unknown. The store refuses every
+    /// operation until it is reopened, and reopening recovers from disk.
+    Poisoned,
 }
 
 impl fmt::Display for JournalError {
@@ -47,7 +48,7 @@ impl fmt::Display for JournalError {
         match self {
             JournalError::Frame(e) => write!(f, "bad frame: {e}"),
             JournalError::Storage(e) => write!(f, "journal storage: {e}"),
-            JournalError::Crashed => write!(f, "journal crashed (store must be reopened)"),
+            JournalError::Poisoned => write!(f, "journal poisoned (store must be reopened)"),
         }
     }
 }
@@ -57,7 +58,7 @@ impl std::error::Error for JournalError {
         match self {
             JournalError::Frame(e) => Some(e),
             JournalError::Storage(e) => Some(e),
-            JournalError::Crashed => None,
+            JournalError::Poisoned => None,
         }
     }
 }
@@ -113,7 +114,7 @@ pub trait ProfileJournal: Send + Sync + fmt::Debug {
     /// # Errors
     ///
     /// [`JournalError::Frame`] for invalid payloads (nothing applied),
-    /// [`JournalError::Storage`] / [`JournalError::Crashed`] for
+    /// [`JournalError::Storage`] / [`JournalError::Poisoned`] for
     /// journal failures (nothing applied).
     fn ingest_frame(
         &self,
@@ -143,7 +144,7 @@ pub trait ProfileJournal: Send + Sync + fmt::Debug {
     ///
     /// # Errors
     ///
-    /// [`JournalError::Storage`] / [`JournalError::Crashed`]; the epoch
+    /// [`JournalError::Storage`] / [`JournalError::Poisoned`]; the epoch
     /// is not advanced on error.
     fn advance_epoch(&self) -> Result<u64, JournalError>;
 
@@ -158,7 +159,7 @@ pub trait ProfileJournal: Send + Sync + fmt::Debug {
     ///
     /// # Errors
     ///
-    /// [`JournalError::Storage`] / [`JournalError::Crashed`] when the
+    /// [`JournalError::Storage`] / [`JournalError::Poisoned`] when the
     /// backend cannot sync.
     fn flush(&self) -> Result<(), JournalError> {
         Ok(())

@@ -35,9 +35,9 @@
 //! * [`faults`] — [`FaultStream`]/[`FaultSchedule`], a deterministic
 //!   in-process fault proxy (drops, delays, truncations, resets, busy
 //!   refusals on a seeded schedule) used by the tests and the
-//!   `repro -- fleet --faults` experiment; it also carries the
-//!   scripted crash points ([`CrashSite`]/[`CrashSpec`]) the durable
-//!   store (`cbs-store`) honours in its write path.
+//!   `repro -- fleet --faults` experiment. It injects transport
+//!   faults only: the durable store's crash tests write the disk state
+//!   a crash leaves instead of hooking its write path.
 //!
 //! The server's write path is abstracted behind [`ProfileJournal`]
 //! ([`journal`]): the default [`MemJournal`] applies straight to the
@@ -90,7 +90,7 @@ pub use aggregator::{AggregatorConfig, AggregatorStats, IngestScratch, ShardedAg
 pub use client::{ClientError, ProfileClient, PushOutcome};
 pub use codec::{CodecError, DcgCodec, DcgFrame, FrameKind};
 pub use dedup::{DedupEntry, DedupTable};
-pub use faults::{CrashSite, CrashSpec, Fault, FaultCounts, FaultSchedule, FaultStream};
+pub use faults::{Fault, FaultCounts, FaultSchedule, FaultStream};
 pub use journal::{DedupUsage, JournalError, MemJournal, ProfileJournal, SeqIngest};
 pub use metrics::ProfiledMetrics;
 pub use resilient::{backoff_for_attempt, ResilientClient, RetryPolicy, TransportStats};

@@ -57,7 +57,6 @@ mod multi;
 mod patching;
 mod pc;
 mod timer;
-mod tracer;
 mod traits;
 
 pub use cbs::{CbsConfig, CounterBasedSampler, SkipPolicy};
@@ -69,5 +68,4 @@ pub use multi::MultiProfiler;
 pub use patching::{CodePatchingProfiler, PatchingConfig};
 pub use pc::PcSampler;
 pub use timer::TimerSampler;
-pub use tracer::{CallTreeTracer, MethodTime};
 pub use traits::CallGraphProfiler;

@@ -163,9 +163,9 @@ impl Checkpoint {
     }
 
     /// Writes the checkpoint to the temp name and fsyncs it — the
-    /// prepare half of the atomic install. The store calls this and
-    /// [`commit_temp`](Self::commit_temp) separately so the mid-checkpoint crash site can
-    /// fire between them.
+    /// prepare half of [`store`](Self::store). A crash before the rename
+    /// leaves the temp file orphaned; recovery removes it and keeps the
+    /// checkpoint it would have replaced.
     ///
     /// # Errors
     ///
@@ -182,25 +182,16 @@ impl Checkpoint {
         Ok(tmp)
     }
 
-    /// Atomically renames a prepared temp checkpoint into place and
-    /// fsyncs the directory.
+    /// Installs the checkpoint atomically: [`write_temp`](Self::write_temp),
+    /// then rename the temp into place and fsync the directory.
     ///
     /// # Errors
     ///
-    /// Propagates rename/sync failures.
-    pub fn commit_temp(dir: &Path, tmp: &Path) -> io::Result<()> {
-        fs::rename(tmp, dir.join(CKPT_FILE))?;
-        sync_dir(dir)
-    }
-
-    /// Convenience: prepare and commit in one call.
-    ///
-    /// # Errors
-    ///
-    /// As [`write_temp`](Self::write_temp) / [`commit_temp`](Self::commit_temp).
+    /// Propagates write, rename and sync failures.
     pub fn store(&self, dir: &Path) -> io::Result<()> {
         let tmp = self.write_temp(dir)?;
-        Self::commit_temp(dir, &tmp)
+        fs::rename(&tmp, dir.join(CKPT_FILE))?;
+        sync_dir(dir)
     }
 }
 

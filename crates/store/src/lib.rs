@@ -32,9 +32,12 @@
 //! covered by the next one), and a ticket-ordered apply turnstile — so
 //! concurrent pushers overlap instead of convoying (see [`store`]).
 //!
-//! Scripted crash points ([`cbs_profiled::CrashSite`]) let tests kill
-//! the store before/after a WAL append, mid-checkpoint, or with a torn
-//! final record, then assert the recovery invariant byte-for-byte.
+//! The write path carries no crash hooks. A crash's only lasting effect
+//! is the data directory it leaves — the WAL cut at or inside a record,
+//! or a checkpoint temp file never renamed — so the tests write those
+//! states directly, reopen them, and assert the recovery invariant
+//! byte-for-byte. A failed WAL sync poisons the store until it is
+//! reopened.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

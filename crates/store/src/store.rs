@@ -45,15 +45,19 @@
 //! corrupting the WAL, and a dead holder's lock is swept automatically
 //! so crash recovery is never blocked.
 //!
-//! ## Crash injection
+//! ## Poisoning
 //!
-//! For tests, a [`FaultSchedule`] armed with a [`CrashSpec`] makes the
-//! store simulate a power loss at a scripted [`CrashSite`]: the write
-//! path performs exactly the disk writes that would have landed, sets a
-//! poisoned flag, and fails every later operation with
-//! [`JournalError::Crashed`] until the directory is reopened. In-flight
-//! concurrent operations may still complete (their records are on disk,
-//! exactly like a real crash that lands mid-batch).
+//! A failed WAL sync, a store lock poisoned by a panic, or an apply that
+//! diverges from its journaled record leaves the disk state unknown. The
+//! store then sets a poisoned flag and fails every later operation with
+//! [`JournalError::Poisoned`] until the directory is reopened; waiters
+//! in the apply turnstile poll the flag, so none is stranded. Operations
+//! already past their own checks may still complete.
+//!
+//! The write path has no crash hooks. A crash only leaves a data
+//! directory for recovery to read — the WAL cut at or inside a record,
+//! or a checkpoint temp file never renamed — so the tests write those
+//! states directly and reopen them.
 
 use crate::checkpoint::{Checkpoint, CKPT_TMP_FILE};
 use crate::lock::StoreLock;
@@ -63,8 +67,8 @@ use crate::wal::{
     SegmentWriter, WalOp, RECORD_OVERHEAD, WAL_HEADER_LEN,
 };
 use cbs_profiled::{
-    CodecError, CrashSite, CrashSpec, DedupEntry, DedupTable, DedupUsage, FaultSchedule, FrameKind,
-    IngestScratch, JournalError, ProfileJournal, SeqIngest, ShardedAggregator,
+    CodecError, DedupEntry, DedupTable, DedupUsage, FrameKind, IngestScratch, JournalError,
+    ProfileJournal, SeqIngest, ShardedAggregator,
 };
 use std::fs::{self, File, OpenOptions};
 use std::io;
@@ -75,10 +79,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Defensive wake-up interval for the apply turnstile's condvar waits:
-/// every waiter also polls the poisoned flag, so a crash can never
-/// strand a sleeper even if a notification is lost to a panicking
+/// every waiter also polls the poisoned flag, so a poisoned store can
+/// never strand a sleeper even if a notification is lost to a panicking
 /// thread.
-const CRASH_POLL: Duration = Duration::from_millis(50);
+const POISON_POLL: Duration = Duration::from_millis(50);
 
 /// Largest WAL record payload accepted (a guard against a misconfigured
 /// frame limit upstream).
@@ -118,8 +122,6 @@ pub struct StoreConfig {
     pub checkpoint_every: u64,
     /// Dedup-table client cap (`0` = unbounded).
     pub dedup_capacity: usize,
-    /// Fault schedule carrying scripted crash points, if any.
-    pub faults: Option<Arc<Mutex<FaultSchedule>>>,
 }
 
 impl Default for StoreConfig {
@@ -128,7 +130,6 @@ impl Default for StoreConfig {
             fsync: FsyncPolicy::Always,
             checkpoint_every: 1024,
             dedup_capacity: DedupTable::DEFAULT_CAPACITY,
-            faults: None,
         }
     }
 }
@@ -199,10 +200,10 @@ pub struct ProfileStore {
     aggregator: Arc<ShardedAggregator>,
     config: StoreConfig,
     recovery: RecoveryReport,
-    /// Set by a scripted crash, a lock poisoned mid-operation, or a
-    /// failed WAL sync; every later operation fails with
-    /// [`JournalError::Crashed`].
-    crashed: AtomicBool,
+    /// Set by a failed WAL sync, a lock poisoned mid-operation, or an
+    /// apply that diverged from its record; every later operation fails
+    /// with [`JournalError::Poisoned`].
+    poisoned: AtomicBool,
     append: Mutex<AppendState>,
     /// Highest ticket whose WAL record is written. Stored under the
     /// append lock after the write returns, so a sync that starts after
@@ -376,7 +377,7 @@ impl ProfileStore {
             dir,
             _lock: lock,
             config,
-            crashed: AtomicBool::new(false),
+            poisoned: AtomicBool::new(false),
             append: Mutex::new(AppendState {
                 wal,
                 dedup,
@@ -435,9 +436,9 @@ impl ProfileStore {
     /// # Errors
     ///
     /// [`JournalError::Storage`] on I/O failure (which also poisons the
-    /// store), [`JournalError::Crashed`] after a crash.
+    /// store), [`JournalError::Poisoned`] once the store is poisoned.
     pub fn sync_now(&self) -> Result<(), JournalError> {
-        self.check_crashed()?;
+        self.check_poisoned()?;
         self.sync_through(self.appended.load(Ordering::SeqCst), false)
     }
 
@@ -447,17 +448,17 @@ impl ProfileStore {
     ///
     /// # Errors
     ///
-    /// [`JournalError::Storage`] on I/O failure, [`JournalError::Crashed`]
-    /// after a scripted crash.
+    /// [`JournalError::Storage`] on I/O failure, [`JournalError::Poisoned`]
+    /// once the store is poisoned.
     pub fn checkpoint_now(&self) -> Result<(), JournalError> {
         let mut a = self.lock_append();
-        self.check_crashed()?;
+        self.check_poisoned()?;
         self.checkpoint_locked(&mut a)
     }
 
-    fn check_crashed(&self) -> Result<(), JournalError> {
-        if self.crashed.load(Ordering::SeqCst) {
-            Err(JournalError::Crashed)
+    fn check_poisoned(&self) -> Result<(), JournalError> {
+        if self.poisoned.load(Ordering::SeqCst) {
+            Err(JournalError::Poisoned)
         } else {
             Ok(())
         }
@@ -468,7 +469,7 @@ impl ProfileStore {
     /// guess.
     fn recover_poison<T>(&self, result: Result<T, PoisonError<T>>) -> T {
         result.unwrap_or_else(|e| {
-            self.crashed.store(true, Ordering::SeqCst);
+            self.poisoned.store(true, Ordering::SeqCst);
             e.into_inner()
         })
     }
@@ -485,20 +486,8 @@ impl ProfileStore {
         self.recover_poison(self.sync.lock())
     }
 
-    fn crash_fires(&self, site: CrashSite) -> Option<CrashSpec> {
-        let faults = self.config.faults.as_ref()?;
-        // A panicking *holder* of the schedule poisons the mutex, but
-        // the schedule itself is a plain value — recover it instead of
-        // propagating the panic into every later journal call.
-        let mut guard = faults.lock().unwrap_or_else(|e| {
-            StoreMetrics::get().fault_lock_recovered.inc();
-            e.into_inner()
-        });
-        guard.crash_fires(site)
-    }
-
-    /// Appends one record under the append lock: crash sites, the WAL
-    /// write, and the ticket. Returns the ticket.
+    /// Appends one record under the append lock: the size check, the
+    /// WAL write, and the ticket. Returns the ticket.
     fn append_locked(&self, a: &mut AppendState, payload: &[u8]) -> Result<u64, JournalError> {
         if payload.len() > MAX_RECORD_BYTES {
             return Err(JournalError::Storage(io::Error::new(
@@ -508,15 +497,6 @@ impl ProfileStore {
                     payload.len()
                 ),
             )));
-        }
-        if self.crash_fires(CrashSite::BeforeWalAppend).is_some() {
-            self.crashed.store(true, Ordering::SeqCst);
-            return Err(JournalError::Crashed);
-        }
-        if let Some(spec) = self.crash_fires(CrashSite::TornWalRecord) {
-            a.wal.append_torn(payload, spec.torn_keep)?;
-            self.crashed.store(true, Ordering::SeqCst);
-            return Err(JournalError::Crashed);
         }
         a.wal.append(payload)?;
         a.next_ticket += 1;
@@ -531,21 +511,7 @@ impl ProfileStore {
         ticket: u64,
         f: impl FnOnce() -> Result<T, CodecError>,
     ) -> Result<T, JournalError> {
-        let mut g = self.lock_apply();
-        while g.next != ticket {
-            self.check_crashed()?;
-            let (g2, _) = self.recover_poison(self.apply_cv.wait_timeout(g, CRASH_POLL));
-            g = g2;
-        }
-        if self.crash_fires(CrashSite::BeforeApply).is_some() {
-            // The record is journaled (and durable per policy) but the
-            // process dies before applying it: recovery must replay it.
-            // Advance the turnstile so in-flight neighbours drain.
-            g.next = ticket + 1;
-            self.crashed.store(true, Ordering::SeqCst);
-            self.apply_cv.notify_all();
-            return Err(JournalError::Crashed);
-        }
+        let mut g = self.wait_turn(ticket)?;
         let result = f();
         g.next = ticket + 1;
         self.apply_cv.notify_all();
@@ -554,20 +520,28 @@ impl ProfileStore {
             // Unreachable while validate and apply accept identical
             // inputs; if they ever disagree the aggregator may have
             // diverged from the WAL — poison rather than guess.
-            self.crashed.store(true, Ordering::SeqCst);
+            self.poisoned.store(true, Ordering::SeqCst);
             e.into()
         })
     }
 
     /// Waits until every ticket up to and including `upto` has applied.
     fn wait_applied_through(&self, upto: u64) -> Result<(), JournalError> {
+        self.wait_turn(upto + 1).map(drop)
+    }
+
+    /// The apply turnstile's one wait: blocks until every ticket below
+    /// `ticket` has applied, then returns the turnstile's guard. It
+    /// polls the poisoned flag, so a ticket that will never apply (its
+    /// op failed after the append) cannot strand the waiter.
+    fn wait_turn(&self, ticket: u64) -> Result<MutexGuard<'_, ApplyState>, JournalError> {
         let mut g = self.lock_apply();
-        while g.next <= upto {
-            self.check_crashed()?;
-            let (g2, _) = self.recover_poison(self.apply_cv.wait_timeout(g, CRASH_POLL));
+        while g.next < ticket {
+            self.check_poisoned()?;
+            let (g2, _) = self.recover_poison(self.apply_cv.wait_timeout(g, POISON_POLL));
             g = g2;
         }
-        Ok(())
+        Ok(g)
     }
 
     /// The WAL's one sync, behind every durability promise: `Always`
@@ -588,15 +562,15 @@ impl ProfileStore {
         if s.durable >= ticket {
             return Ok(());
         }
-        self.check_crashed()?;
+        self.check_poisoned()?;
         let target = self.appended.load(Ordering::SeqCst);
         if let Err(e) = self.sync_file(&s.file) {
-            self.crashed.store(true, Ordering::SeqCst);
+            self.poisoned.store(true, Ordering::SeqCst);
             return Err(JournalError::Storage(e));
         }
         if ack {
             let m = StoreMetrics::get();
-            m.wal_group_commits.inc();
+            m.wal_ack_syncs.inc();
             m.wal_batch_size.observe(target - s.durable);
         }
         s.durable = target;
@@ -613,22 +587,11 @@ impl ProfileStore {
     }
 
     /// The durability stage of the write path, run *between* the append
-    /// and the apply: the after-append crash site, then the policy's
-    /// durability wait. Running it before the serialized apply is what
-    /// lets sync batches form — ops waiting out a sync overlap each
-    /// other here instead of draining one by one through the turnstile
-    /// first.
+    /// and the apply: the policy's durability wait. Running it before
+    /// the serialized apply is what lets sync batches form — ops waiting
+    /// out a sync overlap each other here instead of draining one by one
+    /// through the turnstile first.
     fn commit_durable(&self, ticket: u64) -> Result<(), JournalError> {
-        if self.crash_fires(CrashSite::AfterWalAppend).is_some() {
-            // The operation is durable (force the sync — mid-batch this
-            // also covers every in-flight neighbour; neighbours already
-            // past their durability wait may still ack, later tickets
-            // are journaled but never acknowledged) and never applied
-            // in this process.
-            self.sync_now()?;
-            self.crashed.store(true, Ordering::SeqCst);
-            return Err(JournalError::Crashed);
-        }
         match self.config.fsync {
             FsyncPolicy::Always => self.sync_through(ticket, true),
             FsyncPolicy::Never => Ok(()),
@@ -653,7 +616,7 @@ impl ProfileStore {
     /// to it).
     fn maybe_auto_checkpoint(&self) -> Result<(), JournalError> {
         let mut a = self.lock_append();
-        self.check_crashed()?;
+        self.check_poisoned()?;
         if self.config.checkpoint_every > 0
             && a.frames_since_checkpoint >= self.config.checkpoint_every
         {
@@ -687,14 +650,7 @@ impl ProfileStore {
             dedup: a.dedup.entries(),
             snapshot: self.aggregator.encoded_snapshot().as_ref().clone(),
         };
-        let tmp = ckpt.write_temp(&self.dir)?;
-        if self.crash_fires(CrashSite::MidCheckpoint).is_some() {
-            // The temp file is on disk but was never installed; recovery
-            // discards it and falls back to the previous checkpoint.
-            self.crashed.store(true, Ordering::SeqCst);
-            return Err(JournalError::Crashed);
-        }
-        Checkpoint::commit_temp(&self.dir, &tmp)?;
+        ckpt.store(&self.dir)?;
         // The checkpoint is installed; from here on nothing can fail
         // it. Deleting subsumed segments is garbage collection — a
         // failure leaves stale segments recovery already knows to skip,
@@ -711,8 +667,8 @@ impl ProfileStore {
             Err(_) => gc_errors += 1,
         }
         if wal::sync_dir(&self.dir).is_err() {
-            // Only the deletions' durability is at stake (commit_temp
-            // synced the rename); stale segments are harmless.
+            // Only the deletions' durability is at stake (`store` synced
+            // the rename); stale segments are harmless.
             gc_errors += 1;
         }
         if gc_errors > 0 {
@@ -730,7 +686,7 @@ impl ProfileJournal for ProfileStore {
         bytes: &[u8],
         scratch: &mut IngestScratch,
     ) -> Result<(FrameKind, usize), JournalError> {
-        self.check_crashed()?;
+        self.check_poisoned()?;
         // Partition before journaling: with concurrent appenders a bad
         // frame can no longer be truncated back off the log, so it must
         // prove itself before it is written — and the decoded buckets
@@ -740,7 +696,7 @@ impl ProfileJournal for ProfileStore {
         let payload = encode_frame(bytes);
         let (ticket, checkpoint_due) = {
             let mut a = self.lock_append();
-            self.check_crashed()?;
+            self.check_poisoned()?;
             let ticket = self.append_locked(&mut a, &payload)?;
             a.frames_since_checkpoint += 1;
             let due = self.config.checkpoint_every > 0
@@ -761,12 +717,12 @@ impl ProfileJournal for ProfileStore {
         bytes: &[u8],
         scratch: &mut IngestScratch,
     ) -> Result<SeqIngest, JournalError> {
-        self.check_crashed()?;
+        self.check_poisoned()?;
         // Bad frame beats duplicate, as in the in-memory journal. The
         // partition doubles as the apply stage's decoded input.
         let (kind, _) = self.aggregator.partition_frame(bytes, scratch)?;
         let mut a = self.lock_append();
-        self.check_crashed()?;
+        self.check_poisoned()?;
         let last = a.dedup.last_seq(client_id).unwrap_or(0);
         if seq <= last {
             let issued = a.next_ticket;
@@ -800,9 +756,9 @@ impl ProfileJournal for ProfileStore {
     }
 
     fn advance_epoch(&self) -> Result<u64, JournalError> {
-        self.check_crashed()?;
+        self.check_poisoned()?;
         let mut a = self.lock_append();
-        self.check_crashed()?;
+        self.check_poisoned()?;
         // The append lock serializes epoch tickets, and `next_epoch`
         // counts the advances already journaled (applied or not), so
         // the post-advance epoch is knowable at append time.

@@ -177,6 +177,15 @@ pub fn encode_epoch(epoch_after: u64) -> Vec<u8> {
     payload
 }
 
+/// Frames one record: length prefix, CRC, payload.
+pub(crate) fn encode_record(payload: &[u8]) -> Vec<u8> {
+    let mut framed = Vec::with_capacity(RECORD_OVERHEAD as usize + payload.len());
+    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    framed.extend_from_slice(&crc32(payload).to_le_bytes());
+    framed.extend_from_slice(payload);
+    framed
+}
+
 /// An open segment being appended to.
 ///
 /// The file handle is shared (`Arc<File>`) so the store's WAL sync can
@@ -251,51 +260,28 @@ impl SegmentWriter {
         &self.path
     }
 
-    /// Appends one record, returning the offset the record starts at.
-    /// Does **not** sync; that is the fsync policy's call.
+    /// Appends one record in place at the end of the log, zero-filling
+    /// more reserve first when the record would run past it. Returns
+    /// the offset the record starts at. Does **not** sync; that is the
+    /// fsync policy's call.
     ///
     /// # Errors
     ///
     /// Propagates write failures; the segment length is only advanced
     /// on success.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
+        let framed = encode_record(payload);
         let offset = self.len;
-        self.write_record(payload, payload.len())?;
-        Ok(offset)
-    }
-
-    /// Appends a deliberately torn record: the framing and only the
-    /// first `keep` payload bytes reach the file, simulating a power
-    /// loss mid-write (the [`cbs_profiled::CrashSite::TornWalRecord`] crash
-    /// site). The write is synced so the torn state is what a restart
-    /// observes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
-    pub fn append_torn(&mut self, payload: &[u8], keep: usize) -> io::Result<()> {
-        self.write_record(payload, keep.min(payload.len()))?;
-        self.file.sync_all()
-    }
-
-    /// Frames `payload` and writes the framing plus its first `keep`
-    /// bytes in place at the end of the log, zero-filling more reserve
-    /// first when the record would run past it.
-    fn write_record(&mut self, payload: &[u8], keep: usize) -> io::Result<()> {
-        let mut framed = Vec::with_capacity(RECORD_OVERHEAD as usize + keep);
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc32(payload).to_le_bytes());
-        framed.extend_from_slice(&payload[..keep]);
-        let end = self.len + framed.len() as u64;
+        let end = offset + framed.len() as u64;
         while self.reserved < end {
             for at in (0..RESERVE_CHUNK).step_by(ZEROS.len()) {
                 self.file.write_all_at(&ZEROS, self.reserved + at)?;
             }
             self.reserved += RESERVE_CHUNK;
         }
-        self.file.write_all_at(&framed, self.len)?;
+        self.file.write_all_at(&framed, offset)?;
         self.len = end;
-        Ok(())
+        Ok(offset)
     }
 
     /// Cuts the file back to the end of its log, dropping the zero
@@ -490,7 +476,12 @@ mod tests {
         let mut w = SegmentWriter::create(dir.path(), 0).unwrap();
         w.append(&encode_frame(b"whole")).unwrap();
         let cut_at = w.len();
-        w.append_torn(&encode_frame(b"torn-record"), 3).unwrap();
+        // A power loss mid-write: the framing and 3 payload bytes land in
+        // the reserve.
+        let record = encode_record(&encode_frame(b"torn-record"));
+        w.file()
+            .write_all_at(&record[..RECORD_OVERHEAD as usize + 3], cut_at)
+            .unwrap();
 
         let scan = scan_segment(w.path()).unwrap();
         assert!(scan.corrupt);

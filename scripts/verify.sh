@@ -325,7 +325,9 @@ echo "==> durable-store mid-batch kill smoke (4 pushers, SIGKILL, deterministic 
 # Four parallel pushers drive a --fsync always server and the server
 # dies by SIGKILL with appends and syncs in flight. The WAL then defines
 # the truth: two independent restarts must replay it to byte-identical
-# fleet profiles (torn tails cut, acked pushes kept).
+# fleet profiles (torn tails cut, acked pushes kept). Each pusher logs
+# its acked pushes; a plain push is one frame, so the first restart must
+# replay at least as many frames as were acked.
 STORE_DIR2="$SMOKE_DIR/store2"
 "$PROFILED" --addr 127.0.0.1:0 --data-dir "$STORE_DIR2" \
   --fsync always > "$SMOKE_DIR/server6.out" &
@@ -333,10 +335,11 @@ PROFILED3_PID=$!
 ADDR6="$(wait_for_listening "$SMOKE_DIR/server6.out")"
 [[ -n "$ADDR6" ]] || { echo "FAIL: mid-batch profiled did not report its address" >&2; exit 1; }
 PUSHER_PIDS=()
-for _ in 1 2 3 4; do
+for pusher in 1 2 3 4; do
   (
     for _ in $(seq 1 50); do
       timeout 10 "$DCGTOOL" push "$ADDR6" "$SMOKE_DIR/a.dcgb" >/dev/null 2>&1 || exit 0
+      echo acked >> "$SMOKE_DIR/acks$pusher.log"
     done
   ) &
   PUSHER_PIDS+=($!)
@@ -355,6 +358,13 @@ for restart in 1 2; do
   grep -Eq '^recovered frames=[1-9]' "$SMOKE_DIR/server_restart$restart.out" \
     || { echo "FAIL: restart $restart replayed no frames after the mid-batch kill" >&2;
          cat "$SMOKE_DIR/server_restart$restart.out" >&2; exit 1; }
+  if [[ $restart == 1 ]]; then
+    ACKED="$(cat "$SMOKE_DIR"/acks*.log 2>/dev/null | wc -l)"
+    RECOVERED="$(awk -F'[= ]' '/^recovered /{print $3; exit}' "$SMOKE_DIR/server_restart1.out")"
+    (( RECOVERED >= ACKED )) \
+      || { echo "FAIL: restart replayed $RECOVERED frames but the pushers logged $ACKED acks" >&2;
+           exit 1; }
+  fi
   timeout 60 "$DCGTOOL" pull "$RADDR" "$SMOKE_DIR/mid_batch_pull$restart.dcg"
   kill "$PROFILED3_PID" 2>/dev/null || true
   wait "$PROFILED3_PID" 2>/dev/null || true

@@ -2,8 +2,11 @@
 //! metric: exclusive time; wrong metric: call frequency), and the
 //! randomized initial skip defends CBS against the §4 adversary.
 
+#[path = "support/call_tree_tracer.rs"]
+mod call_tree_tracer;
+
+use call_tree_tracer::CallTreeTracer;
 use cbs_repro::prelude::*;
-use cbs_repro::profiler::CallTreeTracer;
 use cbs_repro::workloads::adversarial;
 
 /// The timer tick histogram over methods must converge to the exact

@@ -1,13 +1,13 @@
-//! Exact per-method time attribution from entry/exit events.
+//! Exact per-method time attribution from entry/exit events: the oracle
+//! `sampling_properties` holds the timer's tick histogram to.
 //!
 //! The tracer pairs every method entry with its exit and charges the
 //! elapsed virtual cycles to the method — *exclusive* time (cycles while
 //! the method itself was on top) and *inclusive* time (callees included).
 //!
-//! Besides being a practical VM tool, it closes an argument from §3.3:
-//! timer-based sampling **is** a faithful estimator of where *time* goes
-//! (the tick histogram converges to the exact exclusive-time
-//! distribution — asserted by integration tests) even though it is a
+//! It closes an argument from §3.3: timer-based sampling **is** a
+//! faithful estimator of where *time* goes (the tick histogram converges
+//! to the exact exclusive-time distribution) even though it is a
 //! *biased* estimator of call frequency. Same trigger, right metric vs
 //! wrong metric.
 //!
@@ -20,13 +20,13 @@ use std::collections::HashMap;
 
 /// Per-method time totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MethodTime {
+pub(crate) struct MethodTime {
     /// Cycles with this method on top of the stack.
-    pub exclusive: u64,
+    pub(crate) exclusive: u64,
     /// Cycles between entry and exit (callees included).
-    pub inclusive: u64,
+    pub(crate) inclusive: u64,
     /// Completed invocations.
-    pub invocations: u64,
+    pub(crate) invocations: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -39,32 +39,32 @@ struct OpenFrame {
 
 /// The call-tree tracer.
 #[derive(Debug, Default)]
-pub struct CallTreeTracer {
+pub(crate) struct CallTreeTracer {
     stacks: HashMap<ThreadId, Vec<OpenFrame>>,
     times: HashMap<MethodId, MethodTime>,
 }
 
 impl CallTreeTracer {
     /// Creates an empty tracer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Time totals for one method (zeroes if never completed).
-    pub fn time_of(&self, method: MethodId) -> MethodTime {
+    pub(crate) fn time_of(&self, method: MethodId) -> MethodTime {
         self.times.get(&method).copied().unwrap_or_default()
     }
 
     /// All recorded methods with their totals, hottest (by exclusive
     /// time) first.
-    pub fn by_exclusive(&self) -> Vec<(MethodId, MethodTime)> {
+    pub(crate) fn by_exclusive(&self) -> Vec<(MethodId, MethodTime)> {
         let mut v: Vec<(MethodId, MethodTime)> = self.times.iter().map(|(m, t)| (*m, *t)).collect();
         v.sort_unstable_by(|a, b| b.1.exclusive.cmp(&a.1.exclusive).then(a.0.cmp(&b.0)));
         v
     }
 
     /// Total exclusive cycles across completed invocations.
-    pub fn total_exclusive(&self) -> u64 {
+    pub(crate) fn total_exclusive(&self) -> u64 {
         self.times.values().map(|t| t.exclusive).sum()
     }
 }
@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn unbalanced_exit_is_ignored() {
         // Defensive: an exit with no tracked entry must not panic.
-        use cbs_bytecode::{CallSiteId, MethodId};
+        use cbs_bytecode::CallSiteId;
         use cbs_dcg::CallEdge;
         use cbs_vm::Frame;
         let mut t = CallTreeTracer::new();
