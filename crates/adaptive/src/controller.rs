@@ -85,6 +85,8 @@ pub struct AdaptiveSystem {
     guarded_sites: HashSet<cbs_bytecode::CallSiteId>,
     iterations_run: usize,
     total_compile_cycles: f64,
+    /// The pass pipeline every recompilation runs.
+    optimizer: Optimizer,
 }
 
 impl AdaptiveSystem {
@@ -100,6 +102,7 @@ impl AdaptiveSystem {
             guarded_sites: HashSet::new(),
             iterations_run: 0,
             total_compile_cycles: 0.0,
+            optimizer: Optimizer::new(),
         }
     }
 
@@ -188,7 +191,7 @@ impl AdaptiveSystem {
         match level {
             OptLevel::Baseline => {}
             OptLevel::Opt1 => {
-                Optimizer::new().optimize_method(&mut self.program, method);
+                self.optimizer.optimize_method(&mut self.program, method);
             }
             OptLevel::Opt2 => {
                 // Profile-directed inlining into this method only.
@@ -208,7 +211,7 @@ impl AdaptiveSystem {
                     &mut self.guarded_sites,
                     &mut InlineReport::default(),
                 );
-                Optimizer::new().optimize_method(&mut self.program, method);
+                self.optimizer.optimize_method(&mut self.program, method);
             }
         }
         self.config

@@ -6,7 +6,7 @@
 //! simulated branch cycles.
 
 use crate::editor::CodeEditor;
-use crate::passes::Pass;
+use crate::passes::{Pass, Scratch};
 use cbs_bytecode::Op;
 
 /// Retargets jumps whose destination is itself an unconditional jump.
@@ -17,9 +17,9 @@ impl JumpThreading {
     /// Follows a chain of unconditional jumps from `target`, returning
     /// the final destination. Bounded by the code length so cycles
     /// (`jump @self`) terminate.
-    fn resolve(code_at: impl Fn(usize) -> Option<Op>, mut target: u32, len: usize) -> u32 {
-        for _ in 0..len {
-            match code_at(target as usize) {
+    fn resolve(code: &[Option<Op>], mut target: u32) -> u32 {
+        for _ in 0..code.len() {
+            match code.get(target as usize).copied().flatten() {
                 Some(Op::Jump(next)) if next != target => target = next,
                 _ => break,
             }
@@ -33,16 +33,18 @@ impl Pass for JumpThreading {
         "jump-threading"
     }
 
-    fn apply(&self, editor: &mut CodeEditor) -> usize {
+    fn apply(&self, editor: &mut CodeEditor, scratch: &mut Scratch) -> usize {
         let len = editor.len();
-        let snapshot: Vec<Option<Op>> = (0..len).map(|pc| editor.op(pc).copied()).collect();
+        let snapshot = &mut scratch.snapshot;
+        snapshot.clear();
+        snapshot.extend((0..len).map(|pc| editor.op(pc).copied()));
         let mut rewrites = 0;
         for pc in 0..len {
-            let Some(op) = editor.op(pc).copied() else {
+            let Some(op) = snapshot[pc] else {
                 continue;
             };
             if let Some(t) = op.jump_target() {
-                let resolved = Self::resolve(|i| snapshot.get(i).copied().flatten(), t, len);
+                let resolved = Self::resolve(snapshot, t);
                 if resolved != t {
                     editor.replace(pc, op.with_jump_target(resolved));
                     rewrites += 1;
@@ -62,32 +64,17 @@ impl Pass for UnreachableCodeElimination {
         "unreachable-code-elimination"
     }
 
-    fn apply(&self, editor: &mut CodeEditor) -> usize {
-        let len = editor.len();
-        if len == 0 {
-            return 0;
-        }
-        let mut reachable = vec![false; len];
-        let mut worklist = vec![0u32];
-        while let Some(pc) = worklist.pop() {
-            let idx = pc as usize;
-            if idx >= len || reachable[idx] {
-                continue;
-            }
-            reachable[idx] = true;
-            let Some(op) = editor.op(idx) else { continue };
-            if op.falls_through() {
-                worklist.push(pc + 1);
-            }
-            if let Some(t) = op.jump_target() {
-                worklist.push(t);
-            }
-        }
+    fn apply(&self, editor: &mut CodeEditor, scratch: &mut Scratch) -> usize {
+        // Every instruction but a block's last falls through, so a block
+        // is reachable exactly when its first instruction is.
+        scratch.cfg.refresh(editor);
         let mut rewrites = 0;
-        for (pc, seen) in reachable.iter().enumerate() {
-            if !seen && editor.op(pc).is_some() {
-                editor.remove(pc);
-                rewrites += 1;
+        for range in scratch.cfg.unreachable() {
+            for pc in range {
+                if editor.op(pc).is_some() {
+                    editor.remove(pc);
+                    rewrites += 1;
+                }
             }
         }
         rewrites
@@ -100,7 +87,7 @@ mod tests {
 
     fn run(pass: &dyn Pass, code: Vec<Op>) -> Vec<Op> {
         let mut e = CodeEditor::new(&code);
-        pass.apply(&mut e);
+        pass.apply(&mut e, &mut Scratch::default());
         e.finish()
     }
 
@@ -145,6 +132,40 @@ mod tests {
         let code = vec![Op::Jump(0)];
         let out = run(&JumpThreading, code.clone());
         assert_eq!(out, code);
+    }
+
+    #[test]
+    fn jump_cycles_resolve_against_the_code_as_found() {
+        // 0 -> 1 -> 2 -> 1: every chain ends in the 1 <-> 2 cycle, and
+        // each walk stops after three steps of the original code.
+        let mut e = CodeEditor::new(&[Op::Jump(1), Op::Jump(2), Op::Jump(1)]);
+        assert_eq!(JumpThreading.apply(&mut e, &mut Scratch::default()), 3);
+        assert_eq!(e.finish(), vec![Op::Jump(2), Op::Jump(1), Op::Jump(2)]);
+    }
+
+    #[test]
+    fn chains_through_threaded_jumps_end_in_the_same_place() {
+        // 0: jump @2 ; 1: jz @0 ; 2: jump @3 ; 3: jump @4 ; 4: return
+        let out = run(
+            &JumpThreading,
+            vec![
+                Op::Jump(2),
+                Op::JumpIfZero(0),
+                Op::Jump(3),
+                Op::Jump(4),
+                Op::Return,
+            ],
+        );
+        assert_eq!(
+            out,
+            vec![
+                Op::Jump(4),
+                Op::JumpIfZero(4),
+                Op::Jump(4),
+                Op::Jump(4),
+                Op::Return,
+            ]
+        );
     }
 
     #[test]

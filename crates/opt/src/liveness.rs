@@ -5,33 +5,57 @@
 //! point — every path re-stores before any load, or no path loads the
 //! slot at all. Inlined bodies produce exactly this shape: the argument
 //! spill slots are overwritten by the next inlined call's spills.
+//!
+//! Live sets are `u64`-word bitsets over the stored local slots, held in
+//! buffers reused from run to run.
 
-use crate::cfg::ControlFlowGraph;
+use crate::cfg::{self, ControlFlowGraph};
 use crate::editor::CodeEditor;
-use crate::passes::Pass;
+use crate::passes::{Pass, Scratch};
 use cbs_bytecode::Op;
-use std::collections::HashSet;
 
 /// Liveness-driven dead-store elimination.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LivenessDse;
 
-/// Per-block `use`/`def` sets for local slots.
-fn use_def(code: &[Op], range: std::ops::Range<usize>) -> (HashSet<u16>, HashSet<u16>) {
-    let mut uses = HashSet::new();
-    let mut defs = HashSet::new();
-    for op in &code[range] {
-        match *op {
-            Op::Load(x) if !defs.contains(&x) => {
-                uses.insert(x);
+/// Per-block live-in and live-out sets, `words` per block.
+#[derive(Debug, Default)]
+pub(crate) struct Liveness {
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
+    live: Vec<u64>,
+}
+
+impl Liveness {
+    /// Solves the backward fixpoint over `cfg`:
+    /// live_in = use ∪ (live_out − def); live_out = ∪ successors' live_in.
+    fn solve(&mut self, cfg: &ControlFlowGraph) {
+        let w = cfg.words();
+        let n = cfg.blocks().len();
+        self.live_in.clear();
+        self.live_in.resize(n * w, 0);
+        self.live_out.clear();
+        self.live_out.resize(n * w, 0);
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (i, block) in cfg.blocks().iter().enumerate().rev() {
+                let (uses, defs) = (cfg.uses(i), cfg.defs(i));
+                for k in 0..w {
+                    let out = block
+                        .successors()
+                        .iter()
+                        .fold(0, |out, &s| out | self.live_in[s as usize * w + k]);
+                    let inp = uses[k] | (out & !defs[k]);
+                    if inp != self.live_in[i * w + k] || out != self.live_out[i * w + k] {
+                        self.live_in[i * w + k] = inp;
+                        self.live_out[i * w + k] = out;
+                        changed = true;
+                    }
+                }
             }
-            Op::Store(x) => {
-                defs.insert(x);
-            }
-            _ => {}
         }
     }
-    (uses, defs)
 }
 
 impl Pass for LivenessDse {
@@ -39,63 +63,34 @@ impl Pass for LivenessDse {
         "liveness-dse"
     }
 
-    fn apply(&self, editor: &mut CodeEditor) -> usize {
-        let code: Vec<Op> = (0..editor.len())
-            .filter_map(|pc| editor.op(pc).copied())
-            .collect();
-        let cfg = ControlFlowGraph::build(&code);
-        if cfg.is_empty() {
+    fn apply(&self, editor: &mut CodeEditor, scratch: &mut Scratch) -> usize {
+        let Scratch { cfg, liveness, .. } = scratch;
+        cfg.refresh(editor);
+        let w = cfg.words();
+        if w == 0 {
             return 0;
         }
-
-        let n = cfg.len();
-        let sets: Vec<(HashSet<u16>, HashSet<u16>)> = cfg
-            .blocks()
-            .iter()
-            .map(|b| use_def(&code, b.range()))
-            .collect();
-
-        // Backward fixpoint: live_in = use ∪ (live_out − def);
-        // live_out = ∪ successors' live_in.
-        let mut live_in: Vec<HashSet<u16>> = vec![HashSet::new(); n];
-        let mut live_out: Vec<HashSet<u16>> = vec![HashSet::new(); n];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in (0..n).rev() {
-                let mut out = HashSet::new();
-                for &s in &cfg.blocks()[i].successors {
-                    out.extend(live_in[s].iter().copied());
-                }
-                let (uses, defs) = &sets[i];
-                let mut inp: HashSet<u16> = uses.clone();
-                inp.extend(out.difference(defs).copied());
-                if inp != live_in[i] || out != live_out[i] {
-                    live_in[i] = inp;
-                    live_out[i] = out;
-                    changed = true;
-                }
-            }
-        }
+        liveness.solve(cfg);
 
         // Walk each block backwards tracking liveness per instruction;
-        // a store to a non-live slot becomes a pop.
+        // a store to a non-live slot becomes a pop. Positions are the
+        // editor's own, removed instructions included.
         let mut rewrites = 0;
         for (i, block) in cfg.blocks().iter().enumerate() {
-            let mut live = live_out[i].clone();
+            let live = &mut liveness.live;
+            live.clear();
+            live.extend_from_slice(&liveness.live_out[i * w..][..w]);
             for pc in block.range().rev() {
-                match code[pc] {
-                    Op::Store(x) => {
-                        if live.contains(&x) {
-                            live.remove(&x);
+                match editor.op(pc) {
+                    Some(&Op::Store(x)) => {
+                        if cfg::contains(live, x) {
+                            cfg::remove(live, x);
                         } else {
                             editor.replace(pc, Op::Pop);
                             rewrites += 1;
                         }
                     }
-                    Op::Load(x) => {
-                        live.insert(x);
-                    }
+                    Some(&Op::Load(x)) if usize::from(x) < w * 64 => cfg::insert(live, x),
                     _ => {}
                 }
             }
@@ -110,7 +105,7 @@ mod tests {
 
     fn run(code: Vec<Op>) -> Vec<Op> {
         let mut e = CodeEditor::new(&code);
-        LivenessDse.apply(&mut e);
+        LivenessDse.apply(&mut e, &mut Scratch::default());
         e.finish()
     }
 
@@ -132,18 +127,8 @@ mod tests {
 
     #[test]
     fn store_live_across_branch_survives() {
-        // store 0 at pc1 is read on one arm only — still live.
+        // store 0 at pc1 is read on the else arm only — still live.
         let code = vec![
-            Op::Const(1),
-            Op::Store(0),
-            Op::Const(0),
-            Op::JumpIfZero(5),
-            Op::Return, // (arm A: returns the const... simplified)
-            Op::Load(0),
-            Op::Return,
-        ];
-        // Fix stack depths: arm A needs a value. Use a simpler shape:
-        let code2 = vec![
             Op::Const(1),
             Op::Store(0),
             Op::Const(7),
@@ -153,9 +138,8 @@ mod tests {
             Op::Load(0),
             Op::Return,
         ];
-        let _ = code;
-        let out = run(code2.clone());
-        assert_eq!(out, code2, "store read on the else arm must survive");
+        let out = run(code.clone());
+        assert_eq!(out, code, "store read on the else arm must survive");
     }
 
     #[test]
@@ -212,5 +196,146 @@ mod tests {
         let code = vec![Op::Const(1), Op::Store(3), Op::Const(0), Op::Return];
         let out = run(code);
         assert_eq!(out[1], Op::Pop);
+    }
+
+    #[test]
+    fn addresses_the_editors_positions_with_removals_pending() {
+        // 0: const 1 ; 1: nop (removed) ; 2: store 0 (dead) ; 3: const 2 ;
+        // 4: store 0 ; 5: load 0 ; 6: return
+        let code = vec![
+            Op::Const(1),
+            Op::Nop,
+            Op::Store(0),
+            Op::Const(2),
+            Op::Store(0),
+            Op::Load(0),
+            Op::Return,
+        ];
+        let mut e = CodeEditor::new(&code);
+        e.remove(1);
+        assert_eq!(LivenessDse.apply(&mut e, &mut Scratch::default()), 1);
+        assert_eq!(e.op(2), Some(&Op::Pop), "the dead store, not its neighbour");
+        assert_eq!(e.op(1), None, "the removal stays pending");
+        assert_eq!(
+            e.finish(),
+            vec![
+                Op::Const(1),
+                Op::Pop,
+                Op::Const(2),
+                Op::Store(0),
+                Op::Load(0),
+                Op::Return,
+            ]
+        );
+    }
+
+    /// A slot next to `s` in the neighbouring bitset word where there is
+    /// one, so a word-indexing slip shows.
+    fn neighbour(s: u16) -> u16 {
+        if s % 64 == 63 {
+            s + 1
+        } else {
+            s - 1
+        }
+    }
+
+    /// A three-trip loop over counter slot 0 whose body reads `s` before
+    /// re-storing it, and stores `neighbour(s)` without ever reading it.
+    fn loop_reading_slot(s: u16) -> Vec<Op> {
+        vec![
+            Op::Const(0),
+            Op::Store(s),
+            Op::Const(3),
+            Op::Store(0),
+            // head: (4)
+            Op::Load(0),
+            Op::JumpIfZero(17),
+            Op::Load(s), // reads the previous trip's store
+            Op::Pop,
+            Op::Const(5),
+            Op::Store(s), // live only through the backedge
+            Op::Const(9),
+            Op::Store(neighbour(s)), // never read
+            Op::Load(0),
+            Op::Const(1),
+            Op::Sub,
+            Op::Store(0),
+            Op::Jump(4),
+            // exit: (17)
+            Op::Const(0),
+            Op::Return,
+        ]
+    }
+
+    #[test]
+    fn word_boundary_slots_across_a_loop_backedge() {
+        for s in [63, 64, 65, 127, 128] {
+            let mut code = loop_reading_slot(s);
+            let out = run(code.clone());
+            assert_eq!(out[1], Op::Store(s), "slot {s}: read on the first trip");
+            assert_eq!(out[9], Op::Store(s), "slot {s}: live through the backedge");
+            assert_eq!(out[11], Op::Pop, "slot {}: never read", neighbour(s));
+            assert_eq!(out[15], Op::Store(0), "the counter");
+            // Without the read, both stores of `s` are dead.
+            code[6] = Op::Const(0);
+            let out = run(code);
+            assert_eq!(out[1], Op::Pop, "slot {s}: dead without the read");
+            assert_eq!(out[9], Op::Pop, "slot {s}: dead without the read");
+        }
+    }
+
+    #[test]
+    fn word_boundary_slots_across_a_two_armed_branch() {
+        for s in [63, 64, 65, 127, 128] {
+            let other = neighbour(s);
+            // Both arms store `s`; only the else arm reads `other`.
+            let code = vec![
+                Op::Const(1),
+                Op::Store(s), // dead: both arms overwrite
+                Op::Const(2),
+                Op::Store(other), // live: the else arm reads it
+                Op::Const(7),
+                Op::JumpIfZero(10),
+                Op::Const(3),
+                Op::Store(s),
+                Op::Load(s),
+                Op::Return,
+                // else: (10)
+                Op::Const(4),
+                Op::Store(s),
+                Op::Load(other),
+                Op::Pop,
+                Op::Load(s),
+                Op::Return,
+            ];
+            let out = run(code);
+            assert_eq!(out[1], Op::Pop, "slot {s}: dead on both arms");
+            assert_eq!(out[3], Op::Store(other), "slot {other}: read on one arm");
+            assert_eq!(out[7], Op::Store(s));
+            assert_eq!(out[11], Op::Store(s));
+        }
+    }
+
+    #[test]
+    fn more_than_128_locals() {
+        // The shape inlining leaves: each spliced callee spills its
+        // argument to a fresh slot, reads it back, and never again.
+        let mut code = Vec::new();
+        for s in 0..200u16 {
+            code.extend([Op::Const(i64::from(s)), Op::Store(s)]);
+            if s % 3 == 0 {
+                code.extend([Op::Load(s), Op::Pop]);
+            }
+        }
+        // Slot 150 is stored again at the end and returned.
+        code.extend([Op::Const(0), Op::Store(150), Op::Load(150), Op::Return]);
+        let out = run(code.clone());
+        let mut at = 0;
+        for s in 0..200u16 {
+            let expect = if s % 3 == 0 { Op::Store(s) } else { Op::Pop };
+            assert_eq!(out[at + 1], expect, "slot {s}");
+            at += if s % 3 == 0 { 4 } else { 2 };
+        }
+        assert_eq!(out[at + 1], Op::Store(150));
     }
 }

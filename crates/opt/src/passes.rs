@@ -12,17 +12,37 @@
 //! dead-store elimination, which is where the indirect benefit of the paper's
 //! profile-directed inlining comes from.
 
+use crate::cfg::ControlFlowGraph;
 use crate::editor::CodeEditor;
+use crate::liveness::Liveness;
 use cbs_bytecode::Op;
 use std::fmt;
 
 /// A rewriting pass over one method body.
-pub(crate) trait Pass: fmt::Debug {
+///
+/// A pass must be a deterministic function of the editor's state: the
+/// pipeline skips a pass that left the current code version unchanged.
+/// Passes are `Send + Sync` so that whatever holds an
+/// [`Optimizer`](crate::Optimizer) can cross threads.
+pub(crate) trait Pass: fmt::Debug + Send + Sync {
     /// Stable pass name for statistics.
     fn name(&self) -> &'static str;
 
     /// Applies the pass, returning the number of rewrites performed.
-    fn apply(&self, editor: &mut CodeEditor) -> usize;
+    fn apply(&self, editor: &mut CodeEditor, scratch: &mut Scratch) -> usize;
+}
+
+/// Analysis buffers the passes share over one editor, kept from run to
+/// run so that no pass allocates once they have grown.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// The editor's CFG, rebuilt when its version moves.
+    pub(crate) cfg: ControlFlowGraph,
+    /// Live sets for dead-store elimination.
+    pub(crate) liveness: Liveness,
+    /// The code as jump threading found it, which every chain resolves
+    /// against.
+    pub(crate) snapshot: Vec<Option<Op>>,
 }
 
 /// Evaluates operations whose operands are constants.
@@ -55,10 +75,15 @@ impl Pass for ConstantFolding {
         "constant-folding"
     }
 
-    fn apply(&self, editor: &mut CodeEditor) -> usize {
+    fn apply(&self, editor: &mut CodeEditor, _scratch: &mut Scratch) -> usize {
         let mut rewrites = 0;
         let mut pc = 0;
         while pc < editor.len() {
+            // Every rewrite starts at a constant.
+            if !matches!(editor.op(pc), Some(Op::Const(_))) {
+                pc += 1;
+                continue;
+            }
             // [const a, const b, binop] => [const (a op b)]
             if pc + 2 < editor.len() && !editor.is_target(pc + 1) && !editor.is_target(pc + 2) {
                 if let (Some(&Op::Const(a)), Some(&Op::Const(b)), Some(op)) =
@@ -127,7 +152,7 @@ impl Pass for Peephole {
         "peephole"
     }
 
-    fn apply(&self, editor: &mut CodeEditor) -> usize {
+    fn apply(&self, editor: &mut CodeEditor, _scratch: &mut Scratch) -> usize {
         let mut rewrites = 0;
         let mut pc = 0;
         while pc < editor.len() {
@@ -203,7 +228,7 @@ impl Pass for NopElimination {
         "nop-elimination"
     }
 
-    fn apply(&self, editor: &mut CodeEditor) -> usize {
+    fn apply(&self, editor: &mut CodeEditor, _scratch: &mut Scratch) -> usize {
         let mut rewrites = 0;
         for pc in 0..editor.len() {
             if let Some(Op::Nop) = editor.op(pc) {
@@ -221,7 +246,7 @@ mod tests {
 
     fn run(pass: &dyn Pass, code: Vec<Op>) -> Vec<Op> {
         let mut e = CodeEditor::new(&code);
-        pass.apply(&mut e);
+        pass.apply(&mut e, &mut Scratch::default());
         e.finish()
     }
 

@@ -3,7 +3,7 @@
 use crate::editor::CodeEditor;
 use crate::flow::{JumpThreading, UnreachableCodeElimination};
 use crate::liveness::LivenessDse;
-use crate::passes::{ConstantFolding, NopElimination, Pass, Peephole};
+use crate::passes::{ConstantFolding, NopElimination, Pass, Peephole, Scratch};
 use cbs_bytecode::{verify, MethodId, Program};
 use std::collections::BTreeMap;
 
@@ -32,6 +32,12 @@ impl OptStats {
 /// jump threading, unreachable-code removal, liveness-based dead-store
 /// elimination and nop removal until nothing changes (bounded by an
 /// iteration cap).
+///
+/// One editor carries a method through every pass and iteration. Passes
+/// are deterministic functions of the code, so a pass that left the
+/// current code version unchanged is skipped until some other pass
+/// moves it; the result, iteration count and per-pass rewrite counts are
+/// those of running every pass every time.
 #[derive(Debug)]
 pub struct Optimizer {
     passes: Vec<Box<dyn Pass>>,
@@ -54,6 +60,15 @@ impl Default for Optimizer {
     }
 }
 
+/// Buffers one optimizer run reuses from method to method.
+#[derive(Debug, Default)]
+struct Workspace {
+    editor: CodeEditor,
+    scratch: Scratch,
+    /// Per pass: the code version its last run left unchanged.
+    clean_at: Vec<Option<u64>>,
+}
+
 impl Optimizer {
     /// Creates the default pipeline.
     pub fn new() -> Self {
@@ -67,35 +82,57 @@ impl Optimizer {
     /// Panics if a pass produced unverifiable code — that is a bug in the
     /// pass, never in the input.
     pub fn optimize_method(&self, program: &mut Program, id: MethodId) -> OptStats {
+        self.optimize_in(&mut Workspace::default(), program, id)
+    }
+
+    /// Optimizes every method of the program.
+    pub fn optimize_program(&self, program: &mut Program) -> OptStats {
+        let mut stats = OptStats::default();
+        let mut ws = Workspace::default();
+        for i in 0..program.num_methods() {
+            let s = self.optimize_in(&mut ws, program, MethodId::new(i as u32));
+            stats.merge(&s);
+        }
+        stats
+    }
+
+    fn optimize_in(&self, ws: &mut Workspace, program: &mut Program, id: MethodId) -> OptStats {
+        let Workspace {
+            editor,
+            scratch,
+            clean_at,
+        } = ws;
+        editor.load(program.method(id).code());
+        let loaded = editor.version();
+        clean_at.clear();
+        clean_at.resize(self.passes.len(), None);
         let mut stats = OptStats::default();
         for iteration in 1..=self.max_iterations {
             stats.iterations = iteration;
             let mut changed = false;
-            for pass in &self.passes {
-                let mut editor = CodeEditor::new(program.method(id).code());
-                let n = pass.apply(&mut editor);
-                if editor.changed() {
+            for (pass, clean) in self.passes.iter().zip(clean_at.iter_mut()) {
+                let version = editor.version();
+                if *clean == Some(version) {
+                    continue;
+                }
+                let n = pass.apply(editor, scratch);
+                if editor.version() != version {
                     changed = true;
                     *stats.rewrites_by_pass.entry(pass.name()).or_insert(0) += n;
-                    program.replace_method(id, editor.finish());
+                    editor.compact();
+                } else {
+                    *clean = Some(version);
                 }
             }
             if !changed {
                 break;
             }
         }
+        if editor.version() != loaded {
+            program.replace_method(id, editor.code().to_vec());
+        }
         if let Err(e) = verify::verify_method(program, id) {
             panic!("optimizer produced unverifiable code for {id}: {e}");
-        }
-        stats
-    }
-
-    /// Optimizes every method of the program.
-    pub fn optimize_program(&self, program: &mut Program) -> OptStats {
-        let mut stats = OptStats::default();
-        for i in 0..program.num_methods() {
-            let s = self.optimize_method(program, MethodId::new(i as u32));
-            stats.merge(&s);
         }
         stats
     }
@@ -104,7 +141,8 @@ impl Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbs_bytecode::{Op, ProgramBuilder};
+    use cbs_bytecode::{CodeBuilder, Op, ProgramBuilder};
+    use cbs_prng::{prop::run_cases, SmallRng};
 
     fn total_rewrites(stats: &OptStats) -> usize {
         stats.rewrites_by_pass.values().sum()
@@ -191,6 +229,103 @@ mod tests {
         let stats = Optimizer::new().optimize_program(&mut p);
         assert_eq!(p.method(f).code(), &[Op::Const(3), Op::Return]);
         assert!(total_rewrites(&stats) >= 3);
+    }
+
+    #[test]
+    fn optimizer_can_be_shared_across_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Optimizer>();
+    }
+
+    /// The pipeline as it runs without shared state: a fresh editor for
+    /// every pass of every iteration, and every pass run every time.
+    fn reference(opt: &Optimizer, code: &[Op]) -> (Vec<Op>, OptStats) {
+        let mut code = code.to_vec();
+        let mut stats = OptStats::default();
+        for iteration in 1..=opt.max_iterations {
+            stats.iterations = iteration;
+            let mut changed = false;
+            for pass in &opt.passes {
+                let mut editor = CodeEditor::new(&code);
+                let before = editor.version();
+                let n = pass.apply(&mut editor, &mut Scratch::default());
+                if editor.version() != before {
+                    changed = true;
+                    *stats.rewrites_by_pass.entry(pass.name()).or_insert(0) += n;
+                    code = editor.finish();
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        (code, stats)
+    }
+
+    /// Slots straddling the first two bitset word boundaries.
+    const SLOTS: [u16; 6] = [0, 1, 63, 64, 65, 127];
+
+    /// A random body of stack-neutral statements. Every statement
+    /// boundary has an empty stack and a label, so jumps between
+    /// boundaries, backwards or forwards, keep the body verifiable; the
+    /// mix gives every pass something to do.
+    fn random_body(rng: &mut SmallRng, c: &mut CodeBuilder<'_>) {
+        let n = rng.gen_range(1..28usize);
+        let labels: Vec<_> = (0..=n).map(|_| c.label()).collect();
+        let binops = [Op::Add, Op::Sub, Op::Mul, Op::Div, Op::Xor, Op::CmpLt];
+        for &label in &labels[..n] {
+            c.bind(label);
+            let mut slot = || SLOTS[rng.gen_range(0..SLOTS.len())];
+            let (s, t) = (slot(), slot());
+            let target = labels[rng.gen_range(0..=n)];
+            let k = rng.gen_range(-1..3i64);
+            let binop = binops[rng.gen_range(0..binops.len())];
+            match rng.gen_range(0..11u32) {
+                0 => c.const_(k).store(s),
+                1 => c.load(s).pop(),
+                2 => c.load(s).load(t).emit(binop).store(s),
+                3 => c.const_(k).const_(2).emit(binop).store(t),
+                4 => c.nop(),
+                5 => c.const_(k).jump_if_zero(target),
+                6 => c.load(s).jump_if_non_zero(target),
+                7 => c.jump(target),
+                8 => c.const_(k).store(s).load(s).store(t),
+                9 => c.load(s).store(s),
+                _ => c.load(t).ret(),
+            };
+        }
+        c.bind(labels[n]);
+        c.load(0).ret();
+    }
+
+    #[test]
+    fn one_editor_with_clean_pass_skipping_matches_the_reference() {
+        run_cases("pipeline_matches_reference", 512, |rng| {
+            let mut b = ProgramBuilder::new();
+            let cls = b.add_class("C", 0);
+            let methods: Vec<_> = (0..3)
+                .map(|i| {
+                    b.function(format!("m{i}"), cls, 0, 128, |c| random_body(rng, c))
+                        .unwrap()
+                })
+                .collect();
+            b.set_entry(methods[0]);
+            let original = b.build().unwrap();
+            let opt = Optimizer::new();
+
+            let mut whole = original.clone();
+            let program_stats = opt.optimize_program(&mut whole);
+            let mut merged = OptStats::default();
+            for &m in &methods {
+                let (code, stats) = reference(&opt, original.method(m).code());
+                let mut alone = original.clone();
+                assert_eq!(opt.optimize_method(&mut alone, m), stats);
+                assert_eq!(alone.method(m).code(), code.as_slice());
+                assert_eq!(whole.method(m).code(), code.as_slice());
+                merged.merge(&stats);
+            }
+            assert_eq!(program_stats, merged);
+        });
     }
 
     #[test]
