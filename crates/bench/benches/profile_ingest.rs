@@ -25,6 +25,9 @@
 //!   `advance_epoch` just invalidated the cache, i.e. lock, seal,
 //!   `build_plan` (the 40% rule over every call site) off the live
 //!   aggregate, and `encode_plan`;
+//! * `codec/encode_snapshot` and `codec/decode_plan` — the codec's
+//!   halves of the read path alone: encoding the settled aggregate (as
+//!   a pull decodes it) and decoding its served plan;
 //! * `wal/append` — the durable-store write path (WAL append then
 //!   apply, fsync off — the async-fsync configuration whose cost must
 //!   stay within 2× of `aggregate/streaming`);
@@ -236,6 +239,31 @@ fn main() {
         })
         .clone();
     entries.push(json_entry("plan/build", snapshot_edges, &plan_build));
+    let settled = loaded.merged_snapshot();
+    let encode_snapshot = group
+        .bench("codec/encode_snapshot", || {
+            DcgCodec::encode_snapshot(&settled).len()
+        })
+        .clone();
+    entries.push(json_entry(
+        "codec/encode_snapshot",
+        snapshot_edges,
+        &encode_snapshot,
+    ));
+    let plan = loaded.encoded_plan();
+    let decode_plan = group
+        .bench("codec/decode_plan", || {
+            DcgCodec::decode_plan(&plan)
+                .expect("own encoding decodes")
+                .entries
+                .len()
+        })
+        .clone();
+    entries.push(json_entry(
+        "codec/decode_plan",
+        snapshot_edges,
+        &decode_plan,
+    ));
     let encoded = loaded.encoded_snapshot();
     let decode_snapshot = group
         .bench("codec/decode_snapshot", || {

@@ -40,10 +40,18 @@ use std::collections::HashMap;
 /// of a parallel experiment, which is what keeps the sharded experiment
 /// runner's output bit-identical to the serial path.
 ///
+/// Slots start in first-observation order, so a walk of the
+/// permutation gathers. A long-lived graph that is read often — the
+/// profile server's aggregate — calls [`settle`] at each read: it lays
+/// the slots out in edge order in place, so `sorted` is the identity and
+/// a read walks memory front to back. No output depends on where a slot
+/// lives, so the layout is invisible in every output bit.
+///
 /// # Lazy index
 ///
-/// A graph built by strictly ascending [`record`]s — a decoded snapshot,
-/// the output of [`merge_all`] — is read in order and rarely written, so
+/// A graph built in edge order — a decoded snapshot
+/// ([`from_ascending`]), the output of [`merge_all`] — is read in order
+/// and rarely written, so
 /// it never hashes: the index is built on the first write that needs it.
 /// The invariant is that the index either covers every slot, or is empty
 /// while the slots are in strictly ascending edge order, in which case
@@ -52,7 +60,7 @@ use std::collections::HashMap;
 /// Slots, weights, totals and iteration order are the same either way,
 /// so the index is invisible in every output bit.
 ///
-/// [`record`]: Self::record
+/// [`from_ascending`]: Self::from_ascending
 /// [`merge_all`]: Self::merge_all
 /// [`weight`]: Self::weight
 /// [`record_sample`]: Self::record_sample
@@ -60,6 +68,7 @@ use std::collections::HashMap;
 /// [`merge`]: Self::merge
 /// [`record_all_deferred`]: Self::record_all_deferred
 /// [`seal`]: Self::seal
+/// [`settle`]: Self::settle
 #[derive(Debug, Clone, Default)]
 pub struct DynamicCallGraph {
     /// Edge → dense slot, covering every slot or empty (see the lazy
@@ -68,7 +77,8 @@ pub struct DynamicCallGraph {
     /// through `sorted`), so swapping SipHash out cannot change any
     /// output bit.
     index: HashMap<CallEdge, u32, EdgeHashBuilder>,
-    /// Slot → edge, in first-observation order.
+    /// Slot → edge, in first-observation order until [`settle`]
+    /// (Self::settle) lays the slots out in edge order.
     edges: Vec<CallEdge>,
     /// Slot → accumulated weight (parallel to `edges`).
     weights: Vec<f64>,
@@ -91,7 +101,7 @@ impl DynamicCallGraph {
     }
 
     /// Creates an empty graph with room for `edges` distinct edges, so
-    /// a producer that knows its size up front (a decoder, a merge)
+    /// a producer that knows its size up front (a merge)
     /// fills the store without regrowing. The index is sized when it is
     /// built.
     pub fn with_capacity(edges: usize) -> Self {
@@ -99,6 +109,43 @@ impl DynamicCallGraph {
             edges: Vec::with_capacity(edges),
             weights: Vec::with_capacity(edges),
             sorted: Vec::with_capacity(edges),
+            ..Self::default()
+        }
+    }
+
+    /// Builds a graph from strictly ascending edges and their positive,
+    /// finite weights (a decoded snapshot) by moving the vectors in as
+    /// the slots: no index, `sorted` the identity. The total is summed
+    /// in edge order from `+0.0`, exactly as [`record`](Self::record)ing
+    /// the pairs one by one would, so the graph equals that one bit for
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// If the lengths differ, the edges do not ascend strictly, or a
+    /// weight is not positive and finite. The checks ride the pass that
+    /// sums the total.
+    pub fn from_ascending(edges: Vec<CallEdge>, weights: Vec<f64>) -> Self {
+        assert_eq!(edges.len(), weights.len(), "one weight per edge");
+        let mut total = 0.0;
+        let mut valid = true;
+        // Below every 96-bit key.
+        let mut prev = -1i128;
+        for (edge, &w) in edges.iter().zip(&weights) {
+            let key = edge.sort_key() as i128;
+            valid &= (key > prev) & w.is_finite() & (w > 0.0);
+            prev = key;
+            total += w;
+        }
+        assert!(
+            valid,
+            "from_ascending needs strictly ascending edges and positive, finite weights"
+        );
+        Self {
+            sorted: (0..edges.len() as u32).collect(),
+            edges,
+            weights,
+            total,
             ..Self::default()
         }
     }
@@ -189,7 +236,7 @@ impl DynamicCallGraph {
     /// Returns `true` when the sorted-at-boundary invariant currently
     /// holds (no deferred slots outstanding). Reads that walk the
     /// sorted permutation require a sealed graph.
-    pub fn is_sealed(&self) -> bool {
+    fn is_sealed(&self) -> bool {
         self.pending.is_empty()
     }
 
@@ -253,6 +300,90 @@ impl DynamicCallGraph {
             merged.extend(keyed[j..].iter().map(|&packed| packed as u32));
         }
         self.sorted = merged;
+    }
+
+    /// The read boundary of a long-lived, often-written graph (the
+    /// profile server's aggregate): [`seal`](Self::seal)s it, lays its
+    /// slots out in ascending edge order in place, and re-sums its total
+    /// in that order, so the total is a function of the weights alone,
+    /// bit-identical to what [`merge_all`](Self::merge_all) of the graph
+    /// would hold.
+    ///
+    /// The layout moves `edges`, weights and flushed marks along the
+    /// cycles of the sorted permutation and rewrites the index's slot
+    /// values through one `u32` of scratch per edge; `sorted` ends as
+    /// the identity. When the slots are already in order (no new edge
+    /// since the last call) it only reads the permutation. A read after
+    /// it walks memory front to back. Slots are never observed, so every
+    /// output is what it would be without the layout.
+    pub fn settle(&mut self) {
+        self.seal();
+        self.lay_out();
+        self.recompute_total();
+    }
+
+    /// Permutes the slots of a sealed graph into edge order (see
+    /// [`settle`](Self::settle)). Returns whether any slot moved.
+    fn lay_out(&mut self) -> bool {
+        debug_assert!(self.is_sealed(), "lay_out needs the sorted order");
+        if self
+            .sorted
+            .iter()
+            .enumerate()
+            .all(|(i, &s)| s as usize == i)
+        {
+            return false;
+        }
+        if self.is_indexed() {
+            let mut new_slot = vec![0u32; self.sorted.len()];
+            for (new, &old) in self.sorted.iter().enumerate() {
+                new_slot[old as usize] = new as u32;
+            }
+            for slot in self.index.values_mut() {
+                *slot = new_slot[*slot as usize];
+            }
+        }
+        let with_flushed = !self.flushed.is_empty();
+        if with_flushed {
+            // Drains and decay read a missing mark as 0.
+            self.flushed.resize(self.weights.len(), 0.0);
+        }
+        // Slot `i` takes what sits in slot `sorted[i]`: walk each cycle
+        // from its first slot, moving one slot's contents into the hole
+        // the previous move left, and close the cycle with the saved
+        // first slot. `sorted[i] = i` marks slot `i` done.
+        for start in 0..self.sorted.len() {
+            if self.sorted[start] as usize == start {
+                continue;
+            }
+            let edge = self.edges[start];
+            let weight = self.weights[start];
+            let flushed = if with_flushed {
+                self.flushed[start]
+            } else {
+                0.0
+            };
+            let mut hole = start;
+            loop {
+                let from = self.sorted[hole] as usize;
+                self.sorted[hole] = hole as u32;
+                if from == start {
+                    self.edges[hole] = edge;
+                    self.weights[hole] = weight;
+                    if with_flushed {
+                        self.flushed[hole] = flushed;
+                    }
+                    break;
+                }
+                self.edges[hole] = self.edges[from];
+                self.weights[hole] = self.weights[from];
+                if with_flushed {
+                    self.flushed[hole] = self.flushed[from];
+                }
+                hole = from;
+            }
+        }
+        true
     }
 
     /// Records `weight` additional observations of `edge`.
@@ -491,14 +622,12 @@ impl DynamicCallGraph {
     ///
     /// Keeps the `weight_percent` denominator consistent with the stored
     /// weights after bulk operations, so `overlap(g, g) == 100` holds for
-    /// merged graphs to within one rounding step per edge. The profile
-    /// server calls it at every read of its aggregate, whose running
-    /// total sums records in arrival order: the re-sum makes the total a
-    /// function of the weights alone, bit-identical to what
-    /// [`merge_all`](Self::merge_all) of the same graph would hold.
+    /// merged graphs to within one rounding step per edge, and makes the
+    /// running total of an aggregate that summed records in arrival
+    /// order a function of the weights alone ([`settle`](Self::settle)).
     ///
     /// Requires a sealed graph (debug builds assert).
-    pub fn recompute_total(&mut self) {
+    fn recompute_total(&mut self) {
         debug_assert!(self.is_sealed(), "recompute_total needs the sorted order");
         // `Sum<f64>` folds from `-0.0` (the IEEE additive identity), so
         // an empty sum is `-0.0` while a fresh graph's field default is
@@ -1164,6 +1293,169 @@ mod tests {
             bits(b.edges_by_weight()),
             "{what}: edges_by_weight"
         );
+    }
+
+    /// Random histories run on two graphs, one settled at random points
+    /// and one never laid out: every read agrees bit for bit, and a
+    /// settle of slots already in order moves and reallocates nothing.
+    #[test]
+    fn settled_layout_is_invisible_to_every_read() {
+        use cbs_prng::{prop::run_cases, SmallRng};
+        fn random_edge(rng: &mut SmallRng) -> CallEdge {
+            e(
+                rng.gen_range(0..40u32),
+                rng.gen_range(0..6u32),
+                rng.gen_range(0..40u32),
+            )
+        }
+        let bits = |d: &[(CallEdge, f64)]| -> Vec<(CallEdge, u64)> {
+            d.iter().map(|&(e, w)| (e, w.to_bits())).collect()
+        };
+        run_cases("settled_layout_is_invisible", 64, |rng| {
+            let (mut laid, mut reference) = (DynamicCallGraph::new(), DynamicCallGraph::new());
+            let mut seen: Vec<CallEdge> = Vec::new();
+            for step in 0..rng.gen_range(1..40usize) {
+                match rng.gen_range(0..6u32) {
+                    // Deferred records, new edges and held ones, with
+                    // fractional weights so arrival order shows in totals.
+                    0 | 1 => {
+                        let records: Vec<(CallEdge, f64)> = (0..rng.gen_range(0..50usize))
+                            .map(|_| {
+                                let edge = match seen.len() {
+                                    n if n > 0 && rng.gen_bool(0.5) => seen[rng.gen_range(0..n)],
+                                    _ => random_edge(rng),
+                                };
+                                seen.push(edge);
+                                (edge, f64::from(rng.gen_range(1..1000u32)) * 0.1)
+                            })
+                            .collect();
+                        laid.record_all_deferred(&records);
+                        reference.record_all_deferred(&records);
+                    }
+                    2 => {
+                        laid.settle();
+                        assert!(!laid.lay_out(), "step {step}: settled slots are in order");
+                        reference.seal();
+                        reference.recompute_total();
+                    }
+                    3 => {
+                        let (factor, floor) = (0.5, f64::from(rng.gen_range(0..30u32)));
+                        laid.decay(factor, floor);
+                        reference.decay(factor, floor);
+                    }
+                    4 => {
+                        let (a, b) = (laid.drain_delta(), reference.drain_delta());
+                        assert_eq!(bits(&a), bits(&b), "step {step}: drain_delta");
+                    }
+                    _ => {
+                        for _ in 0..10 {
+                            let edge = random_edge(rng);
+                            assert_eq!(
+                                laid.weight(&edge).to_bits(),
+                                reference.weight(&edge).to_bits(),
+                                "step {step}: weight of {edge:?}"
+                            );
+                        }
+                    }
+                }
+                assert_index_invariant(&laid, "laid out");
+                for edge in &seen {
+                    assert_eq!(
+                        laid.weight(edge).to_bits(),
+                        reference.weight(edge).to_bits(),
+                        "step {step}: weight of {edge:?}"
+                    );
+                }
+                assert_eq!(
+                    laid.total_weight().to_bits(),
+                    reference.total_weight().to_bits(),
+                    "step {step}: total"
+                );
+                if laid.is_sealed() && reference.is_sealed() {
+                    let held = |g: &DynamicCallGraph| -> Vec<(CallEdge, u64)> {
+                        g.iter().map(|(e, w)| (*e, w.to_bits())).collect()
+                    };
+                    assert_eq!(held(&laid), held(&reference), "step {step}: iter");
+                }
+            }
+            laid.settle();
+            reference.seal();
+            reference.recompute_total();
+            assert_same(&laid, &reference, &seen, "end of history");
+
+            // Already in order: nothing moves, nothing reallocates.
+            let before = laid.clone();
+            let buffers = |g: &DynamicCallGraph| {
+                (
+                    g.edges.as_ptr(),
+                    g.weights.as_ptr(),
+                    g.sorted.as_ptr(),
+                    g.flushed.as_ptr(),
+                    g.flushed.len(),
+                    g.index.capacity(),
+                )
+            };
+            let at = buffers(&laid);
+            assert!(!laid.lay_out(), "in-order slots move nothing");
+            laid.settle();
+            assert_eq!(buffers(&laid), at, "no buffer reallocated");
+            assert_eq!(laid.edges, before.edges);
+            assert_eq!(bits_of(&laid.weights), bits_of(&before.weights));
+            assert_eq!(laid.sorted, before.sorted);
+            assert_eq!(bits_of(&laid.flushed), bits_of(&before.flushed));
+            assert_eq!(laid.index, before.index);
+        });
+    }
+
+    fn bits_of(weights: &[f64]) -> Vec<u64> {
+        weights.iter().map(|w| w.to_bits()).collect()
+    }
+
+    #[test]
+    fn from_ascending_equals_recording_and_refuses_what_record_would_not_append() {
+        let edges = vec![e(0, 0, 1), e(0, 1, 0), e(3, 0, 0), e(u32::MAX, 0, 0)];
+        let weights = vec![0.1, 2.0, 1.0 / 3.0, 1e300];
+        let built = DynamicCallGraph::from_ascending(edges.clone(), weights.clone());
+        let mut recorded = DynamicCallGraph::new();
+        for (&edge, &w) in edges.iter().zip(&weights) {
+            recorded.record(edge, w);
+        }
+        assert_same(&built, &recorded, &[e(1, 0, 0)], "from_ascending");
+        assert!(!built.is_indexed());
+        let refused = [
+            (vec![e(0, 0, 1), e(0, 0, 1)], vec![1.0, 1.0]),
+            (vec![e(2, 0, 0), e(1, 0, 0)], vec![1.0, 1.0]),
+            (vec![e(0, 0, 1)], vec![0.0]),
+            (vec![e(0, 0, 1)], vec![-1.0]),
+            (vec![e(0, 0, 1)], vec![f64::NAN]),
+            (vec![e(0, 0, 1)], vec![f64::INFINITY]),
+            (vec![e(0, 0, 1)], vec![]),
+        ];
+        for (edges, weights) in refused {
+            let what = format!("{edges:?} {weights:?}");
+            let result =
+                std::panic::catch_unwind(|| DynamicCallGraph::from_ascending(edges, weights));
+            assert!(result.is_err(), "{what} must be refused");
+        }
+    }
+
+    /// A layout that moves slots keeps every flushed mark with its edge,
+    /// including a graph drained before its newest edges arrived.
+    #[test]
+    fn settle_moves_flushed_marks_with_their_edges() {
+        let mut laid = DynamicCallGraph::new();
+        laid.record_all(&[(e(5, 0, 0), 4.0), (e(1, 0, 0), 2.0)]);
+        let _ = laid.drain_delta();
+        laid.record_all(&[(e(3, 0, 0), 1.0), (e(1, 0, 0), 1.5), (e(0, 0, 0), 7.0)]);
+        let mut reference = laid.clone();
+        laid.settle();
+        assert_eq!(
+            laid.edges,
+            vec![e(0, 0, 0), e(1, 0, 0), e(3, 0, 0), e(5, 0, 0)]
+        );
+        assert_eq!(laid.flushed, vec![0.0, 2.0, 0.0, 4.0]);
+        assert_index_invariant(&laid, "laid out");
+        assert_eq!(laid.drain_delta(), reference.drain_delta());
     }
 
     #[test]

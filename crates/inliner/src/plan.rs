@@ -131,43 +131,61 @@ pub fn build_plan(
     // call site is one contiguous run, runs arrive in `(caller, site)`
     // order and each run's callees are ascending and distinct.
     let mut edges = graph.iter().filter(|&(_, w)| w > 0.0).peekable();
-    let mut dist: Vec<(MethodId, f64)> = Vec::new();
+    // One site's callees as order keys: the weight's bits inverted above
+    // the callee id. Weights are positive, so their bits order as their
+    // values, and callees are distinct within a site, so ascending keys
+    // are heaviest first, ties by ascending callee — a total order, the
+    // one order a stable sort by that comparison gives.
+    let mut dist: Vec<u128> = Vec::new();
+    let target = |key: u128| {
+        (
+            MethodId::new(key as u32),
+            f64::from_bits(!((key >> 32) as u64)),
+        )
+    };
+    // One context for every site: its target buffer is refilled, never
+    // reallocated once it has grown to the widest site.
+    let mut ctx = VirtualContext {
+        targets: Vec::new(),
+        site_weight_pct: 0.0,
+        caller_size: 0,
+        profiled: true,
+    };
     while let Some(&(first, _)) = edges.peek() {
         let (caller, site) = (first.caller, first.site);
         dist.clear();
         while let Some((e, w)) = edges.next_if(|(e, _)| e.caller == caller && e.site == site) {
-            dist.push((e.callee, w));
+            dist.push(u128::from(!w.to_bits()) << 32 | u128::from(u32::from(e.callee)));
         }
-        // Summed in callee order, before the weight sort below.
-        let site_weight: f64 = dist.iter().map(|(_, w)| w).sum();
-        dist.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("weights are finite")
-                .then(a.0.cmp(&b.0))
-        });
+        // Summed in callee order, before the sort below.
+        let site_weight: f64 = dist.iter().map(|&key| target(key).1).sum();
+        dist.sort_unstable();
         let kind = if dist.len() == 1 {
-            PlanKind::Direct { callee: dist[0].0 }
+            PlanKind::Direct {
+                callee: target(dist[0]).0,
+            }
         } else {
-            let ctx = VirtualContext {
-                targets: dist
-                    .iter()
-                    .map(|(m, w)| VirtualTarget {
-                        callee: *m,
-                        callee_size: 0, // no program on the server
-                        fraction: w / site_weight,
-                    })
-                    .collect(),
-                site_weight_pct: if total_weight > 0.0 {
-                    100.0 * site_weight / total_weight
-                } else {
-                    0.0
-                },
-                caller_size: 0,
-                profiled: true,
+            ctx.targets.clear();
+            ctx.targets.extend(dist.iter().map(|&key| {
+                let (callee, w) = target(key);
+                VirtualTarget {
+                    callee,
+                    callee_size: 0, // no program on the server
+                    fraction: w / site_weight,
+                }
+            }));
+            ctx.site_weight_pct = if total_weight > 0.0 {
+                100.0 * site_weight / total_weight
+            } else {
+                0.0
             };
             let chosen = policy.guarded_targets(&ctx);
-            let weight_of =
-                |m: MethodId| dist.iter().find(|(c, _)| *c == m).map_or(0.0, |(_, w)| *w);
+            let weight_of = |m: MethodId| {
+                dist.iter()
+                    .map(|&key| target(key))
+                    .find(|&(c, _)| c == m)
+                    .map_or(0.0, |(_, w)| w)
+            };
             match chosen.len() {
                 0 => continue,
                 1 => PlanKind::Devirtualize {

@@ -20,8 +20,9 @@
 //! bit-for-bit.
 //!
 //! Consistency: a read locks the aggregate, brings it to the current
-//! epoch, seals it, re-sums its total in edge order, and encodes it or
-//! builds the plan from it in place, with no copy. The result is a true
+//! epoch, seals it, lays its slots out in edge order, re-sums its total
+//! in that order, and encodes it or builds the plan from it in place,
+//! with no copy. The result is a true
 //! cut: it contains exactly the frames ingested before the lock was
 //! taken, and two reads of the same ingestion history are bit-identical
 //! — the bytes of [`DynamicCallGraph::merge_all`] of the aggregate.
@@ -266,9 +267,7 @@ impl ShardedAggregator {
         let iter = DcgCodec::records(bytes)?;
         let kind = iter.kind();
         scratch.records.clear();
-        for rec in iter {
-            scratch.records.push(rec?);
-        }
+        iter.for_each_record(|edge, weight| scratch.records.push((edge, weight)))?;
         Ok((kind, scratch.records.len()))
     }
 
@@ -355,10 +354,12 @@ impl ShardedAggregator {
 
     /// The bytes `cache` holds for the current generation; on a cold or
     /// stale cache, `build` makes them from the live aggregate, locked,
-    /// decayed to the current epoch, sealed — the read boundary where
-    /// the deferred ingest tail's permutation debt is settled at once —
-    /// and with its total re-summed in edge order, whatever order the
-    /// records arrived in.
+    /// decayed to the current epoch and settled
+    /// ([`DynamicCallGraph::settle`]): sealed — the read boundary where
+    /// the deferred ingest tail's permutation debt is paid at once —
+    /// with its slots laid out in edge order, so the encode or plan
+    /// build walks memory front to back, and with its total re-summed
+    /// in edge order, whatever order the records arrived in.
     ///
     /// The generation stamp is read under the cache lock *before* the
     /// aggregate is locked; mutators bump it *after* applying. A
@@ -384,8 +385,7 @@ impl ShardedAggregator {
         }
         misses.inc();
         let mut guard = self.locked_current();
-        guard.graph.seal();
-        guard.graph.recompute_total();
+        guard.graph.settle();
         let encoded = Arc::new(build(&guard.graph, generation));
         drop(guard);
         *cache = Some(StampedBytes {

@@ -40,6 +40,27 @@
 //! distinct [`CodecError`]s — a server can reject any malformed frame
 //! without trusting the sender.
 //!
+//! ## One decoder
+//!
+//! Every decode runs on one varint reader. Where eight or more bytes
+//! remain, it checks the bounds once, reads the eight bytes as one
+//! little-endian word, finds the value's last byte as the first clear
+//! continuation bit and packs up to eight 7-bit groups (56 bits) without
+//! a branch per byte. A longer value (a key step that crosses callers
+//! is ten or eleven bytes) continues from its ninth byte, and a value in
+//! the last seven bytes of the input from its first, one bounds-checked
+//! byte at a time into a `u128`; that tail also enforces the 15-byte
+//! cap. Records are read by one function, which [`RecordIter`]'s
+//! `next` calls for a caller that wants one `Result` per record, and
+//! which a crate-private loop calls with the cursor's state in locals
+//! for [`DcgCodec::decode`], [`DcgCodec::decode_snapshot`] (filling the
+//! graph's edge and weight vectors, which become its slots) and the
+//! server's `partition_frame`. `tests/decoder_differential.rs` holds all
+//! four entry points and [`DcgCodec::decode_plan`] to a frozen copy of
+//! the byte-at-a-time decoder this one replaced, bit for bit and error
+//! for error. The encoder writes a varint eight groups at a time, as
+//! 8-byte stores.
+//!
 //! ## Plan frames (`CBSI`)
 //!
 //! The fleet daemon also serves *inlining plans* — the output of
@@ -178,20 +199,46 @@ fn edge_of(key: u128) -> Result<CallEdge, CodecError> {
     ))
 }
 
-/// Appends a LEB128 varint.
-fn put_varint(out: &mut Vec<u8>, mut v: u128) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
+/// The LEB128 continuation bit of every byte of a word.
+const CONTINUATION: u64 = 0x8080_8080_8080_8080;
+
+/// Packs the 7-bit groups held in a word's eight bytes (little-endian,
+/// continuation bits ignored) into one 56-bit value.
+fn pack_groups(word: u64) -> u64 {
+    let x = word & !CONTINUATION;
+    let x = ((x & 0x7f00_7f00_7f00_7f00) >> 1) | (x & 0x007f_007f_007f_007f);
+    let x = ((x & 0x3fff_0000_3fff_0000) >> 2) | (x & 0x0000_3fff_0000_3fff);
+    ((x & 0x0fff_ffff_0000_0000) >> 4) | (x & 0x0000_0000_0fff_ffff)
 }
 
-/// Cursor over an encoded frame.
+/// The inverse of [`pack_groups`]: spreads a value below 2⁵⁶ into one
+/// 7-bit group per byte.
+fn spread_groups(v: u64) -> u64 {
+    let x = ((v & 0x00ff_ffff_f000_0000) << 4) | (v & 0x0000_0000_0fff_ffff);
+    let x = ((x & 0x0fff_c000_0fff_c000) << 2) | (x & 0x0000_3fff_0000_3fff);
+    ((x & 0x3f80_3f80_3f80_3f80) << 1) | (x & 0x007f_007f_007f_007f)
+}
+
+/// Appends a LEB128 varint, eight groups to a word: every full 56 bits
+/// are one 8-byte store with all continuation bits set, and the last
+/// (below 2⁵⁶) one 8-byte store of which its length is kept.
+fn put_varint(out: &mut Vec<u8>, mut v: u128) {
+    const LOW_56: u128 = (1 << 56) - 1;
+    while v > LOW_56 {
+        let groups = spread_groups((v & LOW_56) as u64);
+        out.extend_from_slice(&(groups | CONTINUATION).to_le_bytes());
+        v >>= 56;
+    }
+    let v = v as u64;
+    let len = (70 - (v | 1).leading_zeros()) / 7;
+    let continued = CONTINUATION & ((1u64 << (8 * (len - 1))) - 1);
+    let at = out.len();
+    out.extend_from_slice(&(spread_groups(v) | continued).to_le_bytes());
+    out.truncate(at + len as usize);
+}
+
+/// Cursor over an encoded frame: the one reader every decode path
+/// runs on.
 #[derive(Debug)]
 struct Reader<'a> {
     buf: &'a [u8],
@@ -199,22 +246,54 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
-        let slice = self.buf.get(self.pos..end).ok_or(CodecError::Truncated)?;
-        self.pos = end;
-        Ok(slice)
+    fn take<const N: usize>(&mut self) -> Result<&'a [u8; N], CodecError> {
+        let bytes = self.buf[self.pos..]
+            .first_chunk::<N>()
+            .ok_or(CodecError::Truncated)?;
+        self.pos += N;
+        Ok(bytes)
     }
 
     fn byte(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        let b = *self.buf.get(self.pos).ok_or(CodecError::Truncated)?;
+        self.pos += 1;
+        Ok(b)
     }
 
+    /// One LEB128 varint. With 8 or more bytes left, the bounds are
+    /// checked once: the next eight bytes are read as one word, whose
+    /// first clear continuation bit ends a value of up to 56 bits, packed
+    /// without a branch per byte. A longer value goes on from its ninth
+    /// byte, and one near the end of the input from its first, byte by
+    /// byte in `u128` through [`varint_tail`](Self::varint_tail).
+    #[inline]
     fn varint(&mut self) -> Result<u128, CodecError> {
-        let mut v: u128 = 0;
-        let mut shift = 0u32;
+        let pos = self.pos;
+        let Some(bytes) = self.buf[pos..].first_chunk::<8>() else {
+            return self.varint_tail(pos, 0, 0);
+        };
+        let word = u64::from_le_bytes(*bytes);
+        let ends = !word & CONTINUATION;
+        if ends == 0 {
+            return self.varint_tail(pos + 8, u128::from(pack_groups(word)), 56);
+        }
+        // Bit 7 of the value's last byte.
+        let last = ends.trailing_zeros();
+        self.pos = pos + (last / 8 + 1) as usize;
+        Ok(u128::from(pack_groups(word & (u64::MAX >> (63 - last)))))
+    }
+
+    /// Continues a varint at `pos` with `v` holding its first `shift`
+    /// bits, one bounds-checked byte at a time.
+    fn varint_tail(
+        &mut self,
+        mut pos: usize,
+        mut v: u128,
+        mut shift: u32,
+    ) -> Result<u128, CodecError> {
         loop {
-            let b = self.byte()?;
+            let b = *self.buf.get(pos).ok_or(CodecError::Truncated)?;
+            pos += 1;
             // Nothing on the wire is wider than a 96-bit key (15 LEB128
             // groups reach 105 bits — comfortably inside u128, so the
             // accumulate below cannot overflow before this cap fires).
@@ -223,6 +302,7 @@ impl<'a> Reader<'a> {
             }
             v |= u128::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
+                self.pos = pos;
                 return Ok(v);
             }
             shift += 7;
@@ -266,8 +346,7 @@ fn read_weight_raw(r: &mut Reader<'_>) -> Result<f64, CodecError> {
         let m = u64::try_from(tag >> 1).map_err(|_| CodecError::BadWeight)?;
         Ok(m as f64)
     } else if tag == 1 {
-        let bytes: [u8; 8] = r.take(8)?.try_into().expect("take(8) returns 8 bytes");
-        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
+        Ok(f64::from_bits(u64::from_le_bytes(*r.take::<8>()?)))
     } else {
         Err(CodecError::BadWeight)
     }
@@ -302,9 +381,9 @@ fn read_weight_nonneg(r: &mut Reader<'_>) -> Result<f64, CodecError> {
 /// records into an aggregate must drain the iterator and abort on any
 /// `Err` without applying partial results.
 ///
-/// This is the server's decode-into-aggregate fast path: frames decode
-/// straight into the connection's reused ingest scratch, with no
-/// per-frame allocation.
+/// The crate's own decoders (and the server's decode into the
+/// connection's reused ingest scratch) drive the same per-record read
+/// through a loop that yields no `Option<Result<..>>` per record.
 #[derive(Debug)]
 pub struct RecordIter<'a> {
     r: Reader<'a>,
@@ -330,22 +409,47 @@ impl RecordIter<'_> {
         self.remaining == 0
     }
 
-    fn read_record(&mut self) -> Result<(CallEdge, f64), CodecError> {
-        let step = self.r.varint()?;
-        let key = match self.prev {
-            None => step,
-            Some(p) => {
-                if step == 0 {
-                    return Err(CodecError::UnsortedKeys);
-                }
-                p.checked_add(step).ok_or(CodecError::KeyOverflow)?
-            }
-        };
-        self.prev = Some(key);
-        let edge = edge_of(key)?;
-        let weight = read_weight(&mut self.r)?;
-        Ok((edge, weight))
+    /// Feeds every remaining record to `sink` in order, then checks for
+    /// trailing bytes, stopping at the first error: the loop
+    /// [`DcgCodec::decode`], [`DcgCodec::decode_snapshot`] and the
+    /// server's `partition_frame` run. It reads records exactly as
+    /// [`next`](Iterator::next) does, without an `Option<Result<..>>`
+    /// per record.
+    pub(crate) fn for_each_record(
+        self,
+        mut sink: impl FnMut(CallEdge, f64),
+    ) -> Result<(), CodecError> {
+        // The cursor's state lives in locals here, not behind `&mut self`.
+        let (mut r, mut prev) = (self.r, self.prev);
+        for _ in 0..self.remaining {
+            let (edge, weight) = read_record(&mut r, &mut prev)?;
+            sink(edge, weight);
+        }
+        if !r.done() {
+            return Err(CodecError::TrailingBytes);
+        }
+        Ok(())
     }
+}
+
+/// Reads one record: its key step from `prev` (the previous record's
+/// key, `None` before the first), then its weight.
+#[inline]
+fn read_record(r: &mut Reader<'_>, prev: &mut Option<u128>) -> Result<(CallEdge, f64), CodecError> {
+    let step = r.varint()?;
+    let key = match *prev {
+        None => step,
+        Some(p) => {
+            if step == 0 {
+                return Err(CodecError::UnsortedKeys);
+            }
+            p.checked_add(step).ok_or(CodecError::KeyOverflow)?
+        }
+    };
+    *prev = Some(key);
+    let edge = edge_of(key)?;
+    let weight = read_weight(r)?;
+    Ok((edge, weight))
 }
 
 impl Iterator for RecordIter<'_> {
@@ -363,7 +467,7 @@ impl Iterator for RecordIter<'_> {
             return None;
         }
         self.remaining -= 1;
-        let rec = self.read_record();
+        let rec = read_record(&mut self.r, &mut self.prev);
         if rec.is_err() {
             self.fused = true;
         }
@@ -393,9 +497,10 @@ impl DcgCodec {
     /// Records are emitted in the graph's (ascending-edge) iteration
     /// order; weights round-trip bit-exactly. Edges decayed to weight
     /// zero, which no decoder accepts, are left out of records and count.
+    /// One pass over the graph.
     pub fn encode_snapshot(graph: &DynamicCallGraph) -> Vec<u8> {
-        let records = || graph.iter().filter(|&(_, w)| w > 0.0).map(|(e, w)| (*e, w));
-        Self::encode_records(FrameKind::Snapshot, records(), records().count())
+        let records = graph.iter().filter(|&(_, w)| w > 0.0).map(|(e, w)| (*e, w));
+        Self::encode_records(FrameKind::Snapshot, records, graph.num_edges())
     }
 
     /// Encodes weight increments (e.g. from
@@ -403,24 +508,41 @@ impl DcgCodec {
     ///
     /// Records are sorted by edge; duplicate edges are coalesced by
     /// summing. Non-positive and non-finite increments are skipped, per
-    /// the graph's weight contract.
+    /// the graph's weight contract. Increments that already ascend
+    /// strictly with positive, finite weights — what `drain_delta` and
+    /// [`cbs_dcg::coalesce_increments`] return — are encoded as they
+    /// are, with no copy.
     pub fn encode_delta(increments: &[(CallEdge, f64)]) -> Vec<u8> {
+        let canonical = increments.windows(2).all(|p| p[0].0 < p[1].0)
+            && increments.iter().all(|(_, w)| w.is_finite() && *w > 0.0);
+        if canonical {
+            return Self::encode_records(
+                FrameKind::Delta,
+                increments.iter().copied(),
+                increments.len(),
+            );
+        }
         let records = cbs_dcg::coalesce_increments(increments, &[]);
         let n = records.len();
         Self::encode_records(FrameKind::Delta, records.into_iter(), n)
     }
 
+    /// Encodes at most `max_count` records in one pass: the header's
+    /// count is written for `max_count` and patched if fewer came.
     fn encode_records(
         kind: FrameKind,
         records: impl Iterator<Item = (CallEdge, f64)>,
-        count: usize,
+        max_count: usize,
     ) -> Vec<u8> {
         // ~3 bytes/record for dense ids and small integral weights.
-        let mut out = Vec::with_capacity(8 + count * 8);
+        let mut out = Vec::with_capacity(8 + max_count * 8);
         out.extend_from_slice(&MAGIC);
         out.push(VERSION);
         out.push(kind.to_byte());
-        put_varint(&mut out, count as u128);
+        let count_at = out.len();
+        put_varint(&mut out, max_count as u128);
+        let count_end = out.len();
+        let mut count = 0usize;
         let mut prev: Option<u128> = None;
         for (e, w) in records {
             let key = key_of(&e);
@@ -434,6 +556,12 @@ impl DcgCodec {
             prev = Some(key);
             put_varint(&mut out, step);
             put_weight(&mut out, w);
+            count += 1;
+        }
+        if count != max_count {
+            let mut varint = Vec::new();
+            put_varint(&mut varint, count as u128);
+            out.splice(count_at..count_end, varint);
         }
         out
     }
@@ -453,7 +581,7 @@ impl DcgCodec {
     /// surface as `Err` items from the returned iterator.
     pub fn records(bytes: &[u8]) -> Result<RecordIter<'_>, CodecError> {
         let mut r = Reader { buf: bytes, pos: 0 };
-        if r.take(4)? != MAGIC {
+        if *r.take::<4>()? != MAGIC {
             return Err(CodecError::BadMagic);
         }
         let version = r.byte()?;
@@ -487,9 +615,7 @@ impl DcgCodec {
         let iter = Self::records(bytes)?;
         let kind = iter.kind();
         let mut edges = Vec::with_capacity(iter.len());
-        for rec in iter {
-            edges.push(rec?);
-        }
+        iter.for_each_record(|edge, weight| edges.push((edge, weight)))?;
         Ok(DcgFrame { kind, edges })
     }
 
@@ -497,9 +623,11 @@ impl DcgCodec {
     /// reconstructed graph.
     ///
     /// The kind is checked from the header, before any record is
-    /// decoded; records then stream straight into a graph sized from
-    /// the header count. The codec has already proved the keys strictly
-    /// ascending, so every record appends.
+    /// decoded; records then fill the graph's edge and weight vectors,
+    /// sized from the header count, in one pass. The decoder has proved
+    /// the keys strictly ascending and every weight positive and finite,
+    /// so the vectors become the graph's slots as they are
+    /// ([`DynamicCallGraph::from_ascending`]).
     ///
     /// # Errors
     ///
@@ -510,12 +638,13 @@ impl DcgCodec {
         if iter.kind() != FrameKind::Snapshot {
             return Err(CodecError::BadKind(iter.kind().to_byte()));
         }
-        let mut graph = DynamicCallGraph::with_capacity(iter.len());
-        for rec in iter {
-            let (edge, weight) = rec?;
-            graph.record(edge, weight);
-        }
-        Ok(graph)
+        let mut edges = Vec::with_capacity(iter.len());
+        let mut weights = Vec::with_capacity(iter.len());
+        iter.for_each_record(|edge, weight| {
+            edges.push(edge);
+            weights.push(weight);
+        })?;
+        Ok(DynamicCallGraph::from_ascending(edges, weights))
     }
 
     /// Encodes a fleet inlining plan as a `CBSI` frame.
@@ -580,7 +709,7 @@ impl DcgCodec {
     /// The [`CodecError`] describing the first malformed byte sequence.
     pub fn decode_plan(bytes: &[u8]) -> Result<InlinePlan, CodecError> {
         let mut r = Reader { buf: bytes, pos: 0 };
-        if r.take(4)? != PLAN_MAGIC {
+        if *r.take::<4>()? != PLAN_MAGIC {
             return Err(CodecError::BadMagic);
         }
         let version = r.byte()?;
@@ -797,6 +926,125 @@ mod tests {
                 "weight {w:e} ({:#x})",
                 w.to_bits()
             );
+        }
+    }
+
+    /// The LEB128 writer before the one-word store.
+    fn put_varint_bytewise(out: &mut Vec<u8>, mut v: u128) {
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(byte);
+                return;
+            }
+            out.push(byte | 0x80);
+        }
+    }
+
+    #[test]
+    fn word_varint_writer_matches_the_bytewise_one() {
+        let mut rng = cbs_prng::SmallRng::seed_from_u64(0x001E_B128);
+        let edges = (0..128).flat_map(|k| {
+            let p = 1u128 << k;
+            [p - 1, p, p + 1]
+        });
+        let random = (0..10_000).map(|_| {
+            let v = u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+            v >> rng.gen_range(0..128u32)
+        });
+        for v in edges.chain([u128::MAX]).chain(random) {
+            let (mut word, mut bytewise) = (vec![0xaa], vec![0xaa]);
+            put_varint(&mut word, v);
+            put_varint_bytewise(&mut bytewise, v);
+            assert_eq!(word, bytewise, "{v:#x}");
+            if v >> 105 == 0 {
+                let mut r = Reader { buf: &word, pos: 1 };
+                assert_eq!(r.varint(), Ok(v), "{v:#x} reads back");
+                assert!(r.done());
+            }
+        }
+    }
+
+    /// Random increments: unsorted, canonical (ascending, distinct,
+    /// positive and finite — the one-pass path), ascending with a repeat,
+    /// or canonical but for one weight the contract drops. Every input
+    /// encodes to the bytes of its coalesced form.
+    #[test]
+    fn encode_delta_matches_the_coalescing_path_on_every_input() {
+        cbs_prng::prop::run_cases("encode_delta_one_pass", 256, |rng| {
+            let mut incs: Vec<(CallEdge, f64)> = (0..rng.gen_range(0..60usize))
+                .map(|_| {
+                    let edge = e(
+                        rng.gen_range(0..6u32),
+                        rng.gen_range(0..4u32),
+                        rng.gen_range(0..=u32::MAX) >> rng.gen_range(0..32u32),
+                    );
+                    let w = match rng.gen_range(0..12u32) {
+                        0 => 0.0,
+                        1 => -1.0,
+                        2 => f64::NAN,
+                        3 => f64::INFINITY,
+                        4 => rng.gen_f64() + f64::MIN_POSITIVE,
+                        _ => f64::from(rng.gen_range(1..5000u32)),
+                    };
+                    (edge, w)
+                })
+                .collect();
+            match rng.gen_range(0..4u32) {
+                0 => {}
+                1 => incs = cbs_dcg::coalesce_increments(&incs, &[]),
+                // Ascending but with repeats: the one-pass path must
+                // refuse it.
+                2 => {
+                    incs.retain(|(_, w)| w.is_finite() && *w > 0.0);
+                    incs.sort_by_key(|r| r.0);
+                    if let Some(&first) = incs.first() {
+                        incs.insert(0, first);
+                    }
+                }
+                // Canonical but for one weight the contract drops.
+                _ => {
+                    incs = cbs_dcg::coalesce_increments(&incs, &[]);
+                    if !incs.is_empty() {
+                        let i = rng.gen_range(0..incs.len());
+                        incs[i].1 = [0.0, -2.0, f64::NAN, f64::INFINITY][i % 4];
+                    }
+                }
+            }
+            let coalesced = cbs_dcg::coalesce_increments(&incs, &[]);
+            let want = DcgCodec::encode_records(
+                FrameKind::Delta,
+                coalesced.iter().copied(),
+                coalesced.len(),
+            );
+            let bytes = DcgCodec::encode_delta(&incs);
+            assert_eq!(bytes, want, "{incs:?}");
+            let frame = DcgCodec::decode(&bytes).expect("own encoding decodes");
+            assert_eq!(frame.edges.len(), coalesced.len());
+        });
+    }
+
+    /// Zero-weight edges leave the header count short of the edge count;
+    /// when the count then needs fewer varint bytes the frame shifts, and
+    /// the bytes are those of the graph without those edges.
+    #[test]
+    fn snapshot_count_is_patched_when_zero_weights_drop_out() {
+        for (edges, zeroed) in [(130u32, 5u32), (128, 1), (200, 0), (16_384, 2)] {
+            let mut g = DynamicCallGraph::new();
+            for i in 0..edges {
+                // 5e-324 halves to zero; 1.0 halves to 0.5.
+                g.record(e(i, 0, 1), if i < zeroed { 5e-324 } else { 1.0 });
+            }
+            g.decay(0.5, 0.0);
+            let bytes = DcgCodec::encode_snapshot(&g);
+            assert_eq!(
+                bytes,
+                DcgCodec::encode_snapshot(&DynamicCallGraph::merge_all([&g])),
+                "{edges} edges, {zeroed} at zero"
+            );
+            let back = DcgCodec::decode_snapshot(&bytes).expect("own encoding decodes");
+            assert_eq!(back.num_edges(), (edges - zeroed) as usize);
         }
     }
 

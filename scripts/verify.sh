@@ -64,6 +64,7 @@ for key in records frames wire_bytes; do
     || { echo "FAIL: $BENCH_JSON missing positive \"$key\"" >&2; exit 1; }
 done
 for cfg in codec/encode codec/decode codec/decode_snapshot \
+           codec/encode_snapshot codec/decode_plan \
            aggregate/serial aggregate/streaming aggregate/threads=4 \
            pull/rebuild pull/cached plan/build wal/append wal/append_concurrent \
            wal/append_single_lock recovery/replay; do
