@@ -13,10 +13,11 @@
 //! * [`OptLevel`] — the baseline/O1/O2 recompilation ladder;
 //! * [`AdaptiveSystem`] — run → sample → promote → recompile iterations,
 //!   where O2 applies profile-directed inlining using the continuously
-//!   collected (and decayed) CBS call graph;
-//! * [`FleetAdaptiveController`] — the fleet mode: the VM applies a
-//!   pulled, versioned fleet inlining plan (built from the pooled
-//!   profile by the `cbs-profiled` daemon) instead of its local DCG.
+//!   collected (and decayed) CBS call graph.
+//!
+//! A VM that inlines from a pulled fleet plan instead of its local DCG
+//! needs no controller: it calls `cbs_inliner::apply_plan` and runs the
+//! result, as the `fleet-optimize` experiment in `cbs-core` does.
 //!
 //! ## Example
 //!
@@ -41,11 +42,9 @@
 #![warn(missing_debug_implementations)]
 
 mod controller;
-mod fleet;
 mod levels;
 mod sampler;
 
 pub use controller::{AdaptiveConfig, AdaptiveSystem, IterationReport};
-pub use fleet::FleetAdaptiveController;
 pub use levels::OptLevel;
 pub use sampler::HotMethodSampler;

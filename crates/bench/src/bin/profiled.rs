@@ -31,7 +31,7 @@
 //! [`ShardedAggregator`]: cbs_core::profiled::ShardedAggregator
 
 use cbs_core::profiled::{
-    serve_with, AggregatorConfig, NetConfig, ServerConfig, ShardedAggregator,
+    serve_with, AggregatorConfig, MemJournal, NetConfig, ProfileJournal, ShardedAggregator,
 };
 use cbs_core::store::{FsyncPolicy, ProfileStore, StoreConfig};
 use std::io::Write as _;
@@ -91,26 +91,27 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     agg_config.check()?;
     let aggregator = Arc::new(ShardedAggregator::new(agg_config));
-    let mut server_config = ServerConfig {
-        net: net_config,
-        dedup_capacity: store_config.dedup_capacity,
-        journal: None,
+    let journal: Arc<dyn ProfileJournal> = match data_dir {
+        Some(dir) => {
+            let store = ProfileStore::open(dir.as_str(), Arc::clone(&aggregator), store_config)?;
+            let r = store.recovery_report();
+            println!(
+                "recovered frames={} records={} epochs={} checkpoint_epoch={} truncated_tail={}",
+                r.replayed_frames,
+                r.replayed_records,
+                r.replayed_epochs,
+                r.checkpoint_epoch
+                    .map_or_else(|| "none".to_owned(), |e| e.to_string()),
+                r.truncated_tail,
+            );
+            Arc::new(store)
+        }
+        None => Arc::new(MemJournal::with_capacity(
+            Arc::clone(&aggregator),
+            store_config.dedup_capacity,
+        )),
     };
-    if let Some(dir) = data_dir {
-        let store = ProfileStore::open(dir.as_str(), Arc::clone(&aggregator), store_config)?;
-        let r = store.recovery_report();
-        println!(
-            "recovered frames={} records={} epochs={} checkpoint_epoch={} truncated_tail={}",
-            r.replayed_frames,
-            r.replayed_records,
-            r.replayed_epochs,
-            r.checkpoint_epoch
-                .map_or_else(|| "none".to_owned(), |e| e.to_string()),
-            r.truncated_tail,
-        );
-        server_config.journal = Some(Arc::new(store));
-    }
-    let server = serve_with(addr.as_str(), aggregator, server_config)?;
+    let server = serve_with(addr.as_str(), aggregator, net_config, journal)?;
     println!("listening {}", server.addr());
     std::io::stdout().flush()?;
     // Serve until killed: the accept loop runs on its own thread, so

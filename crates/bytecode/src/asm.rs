@@ -40,6 +40,7 @@
 
 use crate::builder::{BuildError, Label, ProgramBuilder};
 use crate::ids::{ClassId, MethodId, VirtualSlot};
+use crate::op::Op;
 use crate::program::Program;
 use std::collections::HashMap;
 use std::error::Error;
@@ -274,79 +275,22 @@ fn assemble_body(
                     .copied()
                     .ok_or_else(|| err(line_no, format!("unknown label `{name}`")))
             };
+            let class_of = |name: &str| -> Result<ClassId, AsmError> {
+                classes
+                    .get(name)
+                    .copied()
+                    .ok_or_else(|| err(line_no, format!("unknown class `{name}`")))
+            };
             let result: Result<(), AsmError> = (|| {
                 match op {
-                    "const" => {
-                        c.const_(parse_num(arg(1)?, line_no)?);
-                    }
-                    "load" => {
-                        c.load(parse_num(arg(1)?, line_no)?);
-                    }
-                    "store" => {
-                        c.store(parse_num(arg(1)?, line_no)?);
-                    }
-                    "dup" => {
-                        c.dup();
-                    }
-                    "pop" => {
-                        c.pop();
-                    }
-                    "swap" => {
-                        c.swap();
-                    }
-                    "add" => {
-                        c.add();
-                    }
-                    "sub" => {
-                        c.sub();
-                    }
-                    "mul" => {
-                        c.mul();
-                    }
-                    "div" => {
-                        c.div();
-                    }
-                    "rem" => {
-                        c.rem();
-                    }
-                    "neg" => {
-                        c.neg();
-                    }
-                    "and" => {
-                        c.band();
-                    }
-                    "or" => {
-                        c.bor();
-                    }
-                    "xor" => {
-                        c.bxor();
-                    }
-                    "shl" => {
-                        c.shl();
-                    }
-                    "shr" => {
-                        c.shr();
-                    }
-                    "cmpeq" => {
-                        c.cmp_eq();
-                    }
-                    "cmplt" => {
-                        c.cmp_lt();
-                    }
-                    "cmpgt" => {
-                        c.cmp_gt();
-                    }
                     "jump" => {
-                        let l = label_of(arg(1)?)?;
-                        c.jump(l);
+                        c.jump(label_of(arg(1)?)?);
                     }
                     "jz" => {
-                        let l = label_of(arg(1)?)?;
-                        c.jump_if_zero(l);
+                        c.jump_if_zero(label_of(arg(1)?)?);
                     }
                     "jnz" => {
-                        let l = label_of(arg(1)?)?;
-                        c.jump_if_non_zero(l);
+                        c.jump_if_non_zero(label_of(arg(1)?)?);
                     }
                     "call" => {
                         let name = arg(1)?;
@@ -360,37 +304,19 @@ fn assemble_body(
                         let arity: u16 = parse_num(arg(2)?, line_no)?;
                         c.call_virtual(VirtualSlot::new(slot), arity);
                     }
-                    "ret" => {
-                        c.ret();
-                    }
-                    "getfield" => {
-                        c.get_field(parse_num(arg(1)?, line_no)?);
-                    }
-                    "putfield" => {
-                        c.put_field(parse_num(arg(1)?, line_no)?);
-                    }
                     "new" => {
-                        let name = arg(1)?;
-                        let cls = *classes
-                            .get(name)
-                            .ok_or_else(|| err(line_no, format!("unknown class `{name}`")))?;
-                        c.new_object(cls);
+                        c.new_object(class_of(arg(1)?)?);
                     }
                     "guard" => {
-                        let name = arg(1)?;
-                        let cls = *classes
-                            .get(name)
-                            .ok_or_else(|| err(line_no, format!("unknown class `{name}`")))?;
-                        let l = label_of(arg(2)?)?;
-                        c.guard_class(cls, l);
+                        let cls = class_of(arg(1)?)?;
+                        c.guard_class(cls, label_of(arg(2)?)?);
                     }
-                    "io" => {
-                        c.io(parse_num(arg(1)?, line_no)?);
-                    }
-                    "nop" => {
-                        c.nop();
-                    }
-                    other => return Err(err(line_no, format!("unknown instruction `{other}`"))),
+                    plain => match Op::parse_plain(plain, t.get(1).copied()) {
+                        Some(parsed) => {
+                            c.emit(parsed.map_err(|message| err(line_no, message))?);
+                        }
+                        None => return Err(err(line_no, format!("unknown instruction `{plain}`"))),
+                    },
                 }
                 Ok(())
             })();
@@ -589,54 +515,24 @@ pub fn disassemble(program: &Program) -> String {
             method.num_locals() - method.num_params(),
         );
         // Label every jump target.
-        let targets: HashSet<u32> = method
-            .code()
-            .iter()
-            .filter_map(crate::op::Op::jump_target)
-            .collect();
+        let targets: HashSet<u32> = method.code().iter().filter_map(Op::jump_target).collect();
         for (pc, op) in method.code().iter().enumerate() {
             if targets.contains(&(pc as u32)) {
                 let _ = writeln!(out, "L{pc}:");
             }
             let line = match *op {
-                crate::op::Op::Jump(t) => format!("jump L{t}"),
-                crate::op::Op::JumpIfZero(t) => format!("jz L{t}"),
-                crate::op::Op::JumpIfNonZero(t) => format!("jnz L{t}"),
-                crate::op::Op::Call { target, .. } => {
-                    format!("call {}", program.method(target).name())
-                }
-                crate::op::Op::CallVirtual { slot, arity, .. } => {
+                Op::Jump(t) => format!("jump L{t}"),
+                Op::JumpIfZero(t) => format!("jz L{t}"),
+                Op::JumpIfNonZero(t) => format!("jnz L{t}"),
+                Op::Call { target, .. } => format!("call {}", program.method(target).name()),
+                Op::CallVirtual { slot, arity, .. } => {
                     format!("callvirt {} {}", slot.index(), arity)
                 }
-                crate::op::Op::New(c) => format!("new {}", program.class(c).name()),
-                crate::op::Op::GuardClass { class, not_taken } => {
+                Op::New(c) => format!("new {}", program.class(c).name()),
+                Op::GuardClass { class, not_taken } => {
                     format!("guard {} L{not_taken}", program.class(class).name())
                 }
-                crate::op::Op::Const(v) => format!("const {v}"),
-                crate::op::Op::Load(n) => format!("load {n}"),
-                crate::op::Op::Store(n) => format!("store {n}"),
-                crate::op::Op::GetField(n) => format!("getfield {n}"),
-                crate::op::Op::PutField(n) => format!("putfield {n}"),
-                crate::op::Op::Io(n) => format!("io {n}"),
-                crate::op::Op::Dup => "dup".to_owned(),
-                crate::op::Op::Pop => "pop".to_owned(),
-                crate::op::Op::Swap => "swap".to_owned(),
-                crate::op::Op::Add => "add".to_owned(),
-                crate::op::Op::Sub => "sub".to_owned(),
-                crate::op::Op::Mul => "mul".to_owned(),
-                crate::op::Op::Div => "div".to_owned(),
-                crate::op::Op::Rem => "rem".to_owned(),
-                crate::op::Op::Neg => "neg".to_owned(),
-                crate::op::Op::And => "and".to_owned(),
-                crate::op::Op::Or => "or".to_owned(),
-                crate::op::Op::Xor => "xor".to_owned(),
-                crate::op::Op::Shl => "shl".to_owned(),
-                crate::op::Op::Shr => "shr".to_owned(),
-                crate::op::Op::CmpEq => "cmpeq".to_owned(),
-                crate::op::Op::CmpLt => "cmplt".to_owned(),
-                crate::op::Op::CmpGt => "cmpgt".to_owned(),
-                crate::op::Op::Return => "ret".to_owned(),
-                crate::op::Op::Nop => "nop".to_owned(),
+                plain => plain.to_string(),
             };
             let _ = writeln!(out, "    {line}");
         }

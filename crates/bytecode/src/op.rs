@@ -183,21 +183,51 @@ impl Op {
         !matches!(self, Op::Jump(_) | Op::Return)
     }
 
-    /// Net operand-stack effect (pushes minus pops), given callee arity
+    /// Evaluates `a <op> b` for an integer binop: the one definition of
+    /// each binop's result, which the interpreter, its fused runs and
+    /// constant folding all call.
+    ///
+    /// Arithmetic wraps, shift amounts are taken modulo 64, `Shr` is
+    /// arithmetic and a comparison yields 1 or 0. Returns `None` when
+    /// `self` is not a binop, or is `Div` or `Rem` with `b == 0`.
+    #[inline]
+    pub fn eval_int(self, a: i64, b: i64) -> Option<i64> {
+        Some(match self {
+            Op::Add => a.wrapping_add(b),
+            Op::Sub => a.wrapping_sub(b),
+            Op::Mul => a.wrapping_mul(b),
+            Op::Div if b != 0 => a.wrapping_div(b),
+            Op::Rem if b != 0 => a.wrapping_rem(b),
+            Op::And => a & b,
+            Op::Or => a | b,
+            Op::Xor => a ^ b,
+            Op::Shl => a.wrapping_shl(b as u32 & 63),
+            Op::Shr => a.wrapping_shr(b as u32 & 63),
+            Op::CmpEq => i64::from(a == b),
+            Op::CmpLt => i64::from(a < b),
+            Op::CmpGt => i64::from(a > b),
+            _ => return None,
+        })
+    }
+
+    /// The operand-stack signature `(pops, pushes)`, given callee arity
     /// resolution via `arity_of` for direct calls.
     ///
     /// Virtual calls carry their arity inline so `arity_of` is consulted
     /// only for [`Op::Call`].
-    pub fn stack_effect<F: Fn(MethodId) -> u16>(&self, arity_of: F) -> i32 {
-        match self {
-            Op::Const(_) | Op::Load(_) | Op::New(_) | Op::Dup | Op::Io(_) => 1,
+    pub fn stack_signature<F: Fn(MethodId) -> u16>(&self, arity_of: F) -> (u32, u32) {
+        match *self {
+            Op::Nop | Op::Jump(_) => (0, 0),
+            Op::Const(_) | Op::Load(_) | Op::New(_) | Op::Io(_) => (0, 1),
             Op::Store(_)
             | Op::Pop
             | Op::Return
             | Op::JumpIfZero(_)
             | Op::JumpIfNonZero(_)
-            | Op::GuardClass { .. } => -1,
-            Op::Swap | Op::Nop | Op::Jump(_) | Op::Neg | Op::GetField(_) => 0,
+            | Op::GuardClass { .. } => (1, 0),
+            Op::Neg | Op::GetField(_) => (1, 1),
+            Op::Dup => (1, 2),
+            Op::PutField(_) => (2, 0),
             Op::Add
             | Op::Sub
             | Op::Mul
@@ -210,11 +240,18 @@ impl Op {
             | Op::Shr
             | Op::CmpEq
             | Op::CmpLt
-            | Op::CmpGt => -1,
-            Op::PutField(_) => -2,
-            Op::Call { target, .. } => 1 - i32::from(arity_of(*target)),
-            Op::CallVirtual { arity, .. } => 1 - i32::from(*arity),
+            | Op::CmpGt => (2, 1),
+            Op::Swap => (2, 2),
+            Op::Call { target, .. } => (u32::from(arity_of(target)), 1),
+            Op::CallVirtual { arity, .. } => (u32::from(arity), 1),
         }
+    }
+
+    /// Net operand-stack effect (pushes minus pops) of
+    /// [`stack_signature`](Self::stack_signature).
+    pub fn stack_effect<F: Fn(MethodId) -> u16>(&self, arity_of: F) -> i32 {
+        let (pops, pushes) = self.stack_signature(arity_of);
+        pushes as i32 - pops as i32
     }
 
     /// Modeled encoded size of this instruction in bytes.
@@ -252,45 +289,123 @@ impl Op {
     }
 }
 
+/// Every opcode's spelling in the text form, against a template of it
+/// whose operands are zero. [`Display`](fmt::Display) spells every op
+/// through it, and the assembler parses every op without a symbolic
+/// operand (a label, a method or class name, `callvirt`'s slot and
+/// arity) through [`Op::parse_plain`], so a listing line of such an op
+/// is valid assembly.
+const MNEMONICS: [(&str, Op); 32] = [
+    ("const", Op::Const(0)),
+    ("load", Op::Load(0)),
+    ("store", Op::Store(0)),
+    ("dup", Op::Dup),
+    ("pop", Op::Pop),
+    ("swap", Op::Swap),
+    ("add", Op::Add),
+    ("sub", Op::Sub),
+    ("mul", Op::Mul),
+    ("div", Op::Div),
+    ("rem", Op::Rem),
+    ("neg", Op::Neg),
+    ("and", Op::And),
+    ("or", Op::Or),
+    ("xor", Op::Xor),
+    ("shl", Op::Shl),
+    ("shr", Op::Shr),
+    ("cmpeq", Op::CmpEq),
+    ("cmplt", Op::CmpLt),
+    ("cmpgt", Op::CmpGt),
+    ("jump", Op::Jump(0)),
+    ("jz", Op::JumpIfZero(0)),
+    ("jnz", Op::JumpIfNonZero(0)),
+    (
+        "call",
+        Op::Call {
+            site: CallSiteId::new(0),
+            target: MethodId::new(0),
+        },
+    ),
+    (
+        "callvirt",
+        Op::CallVirtual {
+            site: CallSiteId::new(0),
+            slot: VirtualSlot::new(0),
+            arity: 0,
+        },
+    ),
+    ("ret", Op::Return),
+    ("getfield", Op::GetField(0)),
+    ("putfield", Op::PutField(0)),
+    ("new", Op::New(ClassId::new(0))),
+    (
+        "guard",
+        Op::GuardClass {
+            class: ClassId::new(0),
+            not_taken: 0,
+        },
+    ),
+    ("io", Op::Io(0)),
+    ("nop", Op::Nop),
+];
+
+impl Op {
+    /// This op's spelling in the text form.
+    fn mnemonic(&self) -> &'static str {
+        let kind = std::mem::discriminant(self);
+        MNEMONICS
+            .iter()
+            .find(|(_, template)| std::mem::discriminant(template) == kind)
+            .map(|&(name, _)| name)
+            .expect("MNEMONICS spells every opcode")
+    }
+
+    /// Parses `mnemonic [operand]`, the text form of an op without a
+    /// symbolic operand. `None` when `mnemonic` names no such op; the
+    /// error message otherwise names a missing or malformed operand.
+    pub(crate) fn parse_plain(mnemonic: &str, operand: Option<&str>) -> Option<Result<Op, String>> {
+        fn num<T: std::str::FromStr>(mnemonic: &str, operand: Option<&str>) -> Result<T, String> {
+            let text = operand.ok_or_else(|| format!("`{mnemonic}` needs an operand"))?;
+            text.parse()
+                .map_err(|_| format!("`{text}` is not a valid number"))
+        }
+        let &(_, template) = MNEMONICS.iter().find(|(name, _)| *name == mnemonic)?;
+        Some(match template {
+            Op::Const(_) => num(mnemonic, operand).map(Op::Const),
+            Op::Load(_) => num(mnemonic, operand).map(Op::Load),
+            Op::Store(_) => num(mnemonic, operand).map(Op::Store),
+            Op::GetField(_) => num(mnemonic, operand).map(Op::GetField),
+            Op::PutField(_) => num(mnemonic, operand).map(Op::PutField),
+            Op::Io(_) => num(mnemonic, operand).map(Op::Io),
+            Op::Jump(_)
+            | Op::JumpIfZero(_)
+            | Op::JumpIfNonZero(_)
+            | Op::Call { .. }
+            | Op::CallVirtual { .. }
+            | Op::New(_)
+            | Op::GuardClass { .. } => return None,
+            plain => Ok(plain),
+        })
+    }
+}
+
 impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Op::Const(v) => write!(f, "const {v}"),
-            Op::Load(n) => write!(f, "load {n}"),
-            Op::Store(n) => write!(f, "store {n}"),
-            Op::Dup => write!(f, "dup"),
-            Op::Pop => write!(f, "pop"),
-            Op::Swap => write!(f, "swap"),
-            Op::Add => write!(f, "add"),
-            Op::Sub => write!(f, "sub"),
-            Op::Mul => write!(f, "mul"),
-            Op::Div => write!(f, "div"),
-            Op::Rem => write!(f, "rem"),
-            Op::Neg => write!(f, "neg"),
-            Op::And => write!(f, "and"),
-            Op::Or => write!(f, "or"),
-            Op::Xor => write!(f, "xor"),
-            Op::Shl => write!(f, "shl"),
-            Op::Shr => write!(f, "shr"),
-            Op::CmpEq => write!(f, "cmpeq"),
-            Op::CmpLt => write!(f, "cmplt"),
-            Op::CmpGt => write!(f, "cmpgt"),
-            Op::Jump(t) => write!(f, "jump @{t}"),
-            Op::JumpIfZero(t) => write!(f, "jz @{t}"),
-            Op::JumpIfNonZero(t) => write!(f, "jnz @{t}"),
-            Op::Call { site, target } => write!(f, "call {target} [{site}]"),
-            Op::CallVirtual { site, slot, arity } => {
-                write!(f, "callvirt {slot}/{arity} [{site}]")
+        let name = self.mnemonic();
+        match *self {
+            Op::Const(v) => write!(f, "{name} {v}"),
+            Op::Load(n) | Op::Store(n) | Op::GetField(n) | Op::PutField(n) => {
+                write!(f, "{name} {n}")
             }
-            Op::Return => write!(f, "return"),
-            Op::GetField(n) => write!(f, "getfield {n}"),
-            Op::PutField(n) => write!(f, "putfield {n}"),
-            Op::New(c) => write!(f, "new {c}"),
+            Op::Io(cost) => write!(f, "{name} {cost}"),
+            Op::Jump(t) | Op::JumpIfZero(t) | Op::JumpIfNonZero(t) => write!(f, "{name} @{t}"),
+            Op::Call { site, target } => write!(f, "{name} {target} [{site}]"),
+            Op::CallVirtual { site, slot, arity } => write!(f, "{name} {slot}/{arity} [{site}]"),
+            Op::New(c) => write!(f, "{name} {c}"),
             Op::GuardClass { class, not_taken } => {
-                write!(f, "guard {class} else @{not_taken}")
+                write!(f, "{name} {class} else @{not_taken}")
             }
-            Op::Io(cost) => write!(f, "io {cost}"),
-            Op::Nop => write!(f, "nop"),
+            _ => f.write_str(name),
         }
     }
 }
@@ -391,6 +506,39 @@ mod tests {
         for op in ops {
             assert!(op.encoded_size() >= 1, "{op} has zero size");
         }
+    }
+
+    #[test]
+    fn every_plain_op_parses_back_from_its_text_form() {
+        let operands = [
+            Op::Const(i64::MIN),
+            Op::Load(3),
+            Op::Store(u16::MAX),
+            Op::GetField(1),
+            Op::PutField(2),
+            Op::Io(9),
+        ];
+        let mut symbolic = 0;
+        for op in MNEMONICS.map(|(_, op)| op).into_iter().chain(operands) {
+            let text = op.to_string();
+            let mut tokens = text.split_whitespace();
+            match Op::parse_plain(tokens.next().unwrap(), tokens.next()) {
+                Some(parsed) => assert_eq!(parsed, Ok(op), "{text}"),
+                None => symbolic += 1,
+            }
+        }
+        // jump, jz, jnz, call, callvirt, new, guard.
+        assert_eq!(symbolic, 7);
+        assert_eq!(Op::Return.to_string(), "ret");
+        assert_eq!(
+            Op::parse_plain("load", Some("70000")),
+            Some(Err("`70000` is not a valid number".to_owned()))
+        );
+        assert_eq!(
+            Op::parse_plain("const", None),
+            Some(Err("`const` needs an operand".to_owned()))
+        );
+        assert_eq!(Op::parse_plain("return", None), None);
     }
 
     #[test]

@@ -243,11 +243,11 @@ pub fn verify_method(program: &Program, id: MethodId) -> Result<(), VerifyError>
             None => depth_at[pc as usize] = Some(depth),
         }
         let op = &code[pc as usize];
-        let pops = pops_of(op, arity_of);
+        let (pops, pushes) = op.stack_signature(arity_of);
         if depth < pops {
             return Err(VerifyError::StackUnderflow { method: id, pc });
         }
-        let next_depth = (depth as i64 + i64::from(op.stack_effect(arity_of))) as u32;
+        let next_depth = depth - pops + pushes;
         if op.falls_through() {
             if pc + 1 >= len {
                 return Err(VerifyError::FallsOffEnd { method: id });
@@ -259,38 +259,6 @@ pub fn verify_method(program: &Program, id: MethodId) -> Result<(), VerifyError>
         }
     }
     Ok(())
-}
-
-fn pops_of<F: Fn(MethodId) -> u16>(op: &Op, arity_of: F) -> u32 {
-    match *op {
-        Op::Const(_) | Op::Load(_) | Op::New(_) | Op::Nop | Op::Jump(_) | Op::Io(_) => 0,
-        Op::Store(_)
-        | Op::Pop
-        | Op::Return
-        | Op::JumpIfZero(_)
-        | Op::JumpIfNonZero(_)
-        | Op::Neg
-        | Op::Dup
-        | Op::GetField(_)
-        | Op::GuardClass { .. } => 1,
-        Op::Swap
-        | Op::Add
-        | Op::Sub
-        | Op::Mul
-        | Op::Div
-        | Op::Rem
-        | Op::And
-        | Op::Or
-        | Op::Xor
-        | Op::Shl
-        | Op::Shr
-        | Op::CmpEq
-        | Op::CmpLt
-        | Op::CmpGt
-        | Op::PutField(_) => 2,
-        Op::Call { target, .. } => u32::from(arity_of(target)),
-        Op::CallVirtual { arity, .. } => u32::from(arity),
-    }
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! delta frame each, over real loopback TCP — into the `cbs-profiled`
 //! daemon; a client then pulls the daemon's versioned fleet inlining
 //! plan (`OP_PLAN`, built server-side with [`cbs_inliner::build_plan`]
-//! from the merged snapshot) and a [`FleetAdaptiveController`] applies
-//! it to a fresh copy of the benchmark. The fleet-transformed program's
+//! from the merged snapshot) and [`cbs_inliner::apply_plan`] applies it
+//! to a fresh copy of the benchmark. The fleet-transformed program's
 //! cycle count is compared against (a) the untransformed baseline and
 //! (b) the *best* of the `K` programs transformed from each VM's own
 //! single-VM plan.
@@ -31,10 +31,9 @@ use super::fleet::{transport, FLEET_SIZE, STRIDES};
 use super::ExperimentError;
 use crate::parallel::{run_cells, Parallelism};
 use crate::render::{f2, TextTable};
-use cbs_adaptive::{AdaptiveConfig, FleetAdaptiveController};
 use cbs_bytecode::Program;
 use cbs_dcg::DynamicCallGraph;
-use cbs_inliner::{build_plan, InlinePlan, NewLinearPolicy};
+use cbs_inliner::{apply_plan, build_plan, InlineBudget, InlinePlan, NewLinearPolicy};
 use cbs_profiled::{serve, AggregatorConfig, NetConfig, ProfileClient, ShardedAggregator};
 use cbs_profiler::{CallGraphProfiler, CbsConfig, CounterBasedSampler};
 use cbs_vm::{Value, Vm, VmConfig};
@@ -261,22 +260,24 @@ struct RunOutcome {
     inlines: usize,
 }
 
-/// Takes a fresh copy of `program`, optionally applies `plan` through a
-/// [`FleetAdaptiveController`], and runs it unprofiled.
+/// Takes a fresh copy of `program`, optionally applies `plan` under the
+/// default inlining policy and budget, and runs it unprofiled.
 fn transformed_run(
     program: &Program,
     plan: Option<&InlinePlan>,
 ) -> Result<RunOutcome, ExperimentError> {
-    let mut ctl = FleetAdaptiveController::new(program.clone(), AdaptiveConfig::default());
-    let mut inlines = 0;
-    if let Some(plan) = plan {
-        ctl.apply_fleet_plan(plan);
-        inlines = ctl
-            .last_report()
-            .map(cbs_inliner::InlineReport::total_inlines)
-            .unwrap_or(0);
-    }
-    let exec = ctl.run()?;
+    let mut program = program.clone();
+    let inlines = plan.map_or(0, |plan| {
+        apply_plan(
+            &mut program,
+            plan,
+            &NewLinearPolicy::default(),
+            &InlineBudget::default(),
+            true,
+        )
+        .total_inlines()
+    });
+    let exec = Vm::new(&program, VmConfig::default()).run_unprofiled()?;
     Ok(RunOutcome {
         cycles: exec.cycles,
         return_values: exec.return_values,

@@ -49,27 +49,6 @@ pub(crate) struct Scratch {
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ConstantFolding;
 
-impl ConstantFolding {
-    fn fold_binop(op: &Op, a: i64, b: i64) -> Option<i64> {
-        Some(match op {
-            Op::Add => a.wrapping_add(b),
-            Op::Sub => a.wrapping_sub(b),
-            Op::Mul => a.wrapping_mul(b),
-            Op::Div if b != 0 => a.wrapping_div(b),
-            Op::Rem if b != 0 => a.wrapping_rem(b),
-            Op::And => a & b,
-            Op::Or => a | b,
-            Op::Xor => a ^ b,
-            Op::Shl => a.wrapping_shl(b as u32 & 63),
-            Op::Shr => a.wrapping_shr(b as u32 & 63),
-            Op::CmpEq => i64::from(a == b),
-            Op::CmpLt => i64::from(a < b),
-            Op::CmpGt => i64::from(a > b),
-            _ => return None,
-        })
-    }
-}
-
 impl Pass for ConstantFolding {
     fn name(&self) -> &'static str {
         "constant-folding"
@@ -89,7 +68,7 @@ impl Pass for ConstantFolding {
                 if let (Some(&Op::Const(a)), Some(&Op::Const(b)), Some(op)) =
                     (editor.op(pc), editor.op(pc + 1), editor.op(pc + 2))
                 {
-                    if let Some(v) = Self::fold_binop(op, a, b) {
+                    if let Some(v) = op.eval_int(a, b) {
                         editor.replace(pc, Op::Const(v));
                         editor.remove(pc + 1);
                         editor.remove(pc + 2);

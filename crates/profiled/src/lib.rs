@@ -94,5 +94,5 @@ pub use faults::{Fault, FaultCounts, FaultSchedule, FaultStream};
 pub use journal::{DedupUsage, JournalError, MemJournal, ProfileJournal, SeqIngest};
 pub use metrics::ProfiledMetrics;
 pub use resilient::{backoff_for_attempt, ResilientClient, RetryPolicy, TransportStats};
-pub use server::{serve, serve_with, ServerConfig, ServerHandle};
+pub use server::{serve, serve_with, ServerHandle};
 pub use wire::NetConfig;

@@ -14,7 +14,7 @@
 //! Every state-changing op flows through a shared [`ProfileJournal`]
 //! before it is acknowledged: the default [`MemJournal`] applies
 //! straight to the aggregator, while a durable journal (`cbs-store`'s
-//! `ProfileStore`, wired in via [`ServerConfig::journal`]) appends to a
+//! `ProfileStore`, passed to [`serve_with`]) appends to a
 //! write-ahead log first so a restart loses nothing it acked. The
 //! journal also owns the bounded per-client sequence table backing the
 //! exactly-once `OP_PUSH_SEQ` op: retries of a maybe-delivered frame
@@ -28,7 +28,6 @@
 //! dropped.
 
 use crate::aggregator::{IngestScratch, ShardedAggregator};
-use crate::dedup::DedupTable;
 use crate::journal::{JournalError, MemJournal, ProfileJournal, SeqIngest};
 use crate::metrics::ProfiledMetrics;
 use crate::wire::{
@@ -41,31 +40,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Tuning for [`serve_with`] beyond the transport knobs.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Transport limits and timeouts.
-    pub net: NetConfig,
-    /// Client cap of the `OP_PUSH_SEQ` dedup table (`0` = unbounded).
-    /// Ignored when [`journal`](Self::journal) is supplied — a journal
-    /// brings its own table.
-    pub dedup_capacity: usize,
-    /// The write path. `None` serves purely in memory via
-    /// [`MemJournal`]; supply a durable journal (e.g. `cbs-store`'s
-    /// `ProfileStore`) to journal every accepted op before it is acked.
-    pub journal: Option<Arc<dyn ProfileJournal>>,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            net: NetConfig::default(),
-            dedup_capacity: DedupTable::DEFAULT_CAPACITY,
-            journal: None,
-        }
-    }
-}
 
 /// A running profile server; dropping the handle leaves the server
 /// running detached, [`shutdown`](Self::shutdown) stops it.
@@ -127,7 +101,8 @@ impl ServerHandle {
 }
 
 /// Binds `addr` (e.g. `"127.0.0.1:0"` for an OS-assigned port) and
-/// serves `aggregator` on a background accept thread.
+/// serves `aggregator` in memory, through a [`MemJournal`] with the
+/// default dedup cap, on a background accept thread.
 ///
 /// # Errors
 ///
@@ -137,18 +112,14 @@ pub fn serve(
     aggregator: Arc<ShardedAggregator>,
     config: NetConfig,
 ) -> io::Result<ServerHandle> {
-    serve_with(
-        addr,
-        aggregator,
-        ServerConfig {
-            net: config,
-            ..ServerConfig::default()
-        },
-    )
+    let journal = Arc::new(MemJournal::new(Arc::clone(&aggregator)));
+    serve_with(addr, aggregator, config, journal)
 }
 
-/// [`serve`] with the full [`ServerConfig`]: a custom dedup cap and an
-/// optional durable journal in front of the aggregator.
+/// [`serve`] through the caller's `journal`, which must apply to
+/// `aggregator`: a [`MemJournal`] with its own dedup cap, or a durable
+/// journal (e.g. `cbs-store`'s `ProfileStore`) that logs every accepted
+/// op before it is acked.
 ///
 /// # Errors
 ///
@@ -156,19 +127,12 @@ pub fn serve(
 pub fn serve_with(
     addr: impl ToSocketAddrs,
     aggregator: Arc<ShardedAggregator>,
-    config: ServerConfig,
+    net: NetConfig,
+    journal: Arc<dyn ProfileJournal>,
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let journal: Arc<dyn ProfileJournal> = match config.journal {
-        Some(j) => j,
-        None => Arc::new(MemJournal::with_capacity(
-            Arc::clone(&aggregator),
-            config.dedup_capacity,
-        )),
-    };
-    let net = config.net;
     let accept_thread = {
         let aggregator = Arc::clone(&aggregator);
         let stop = Arc::clone(&stop);
@@ -626,10 +590,8 @@ mod tests {
         let server = serve_with(
             "127.0.0.1:0",
             agg,
-            ServerConfig {
-                journal: Some(Arc::clone(&mem) as Arc<dyn ProfileJournal>),
-                ..ServerConfig::default()
-            },
+            NetConfig::default(),
+            Arc::clone(&mem) as Arc<dyn ProfileJournal>,
         )
         .expect("binds");
         // Script the handler panic: grab the shared table the way a
@@ -672,15 +634,8 @@ mod tests {
     fn dedup_table_is_bounded_under_client_churn() {
         let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
         let cap = 8usize;
-        let server = serve_with(
-            "127.0.0.1:0",
-            agg,
-            ServerConfig {
-                dedup_capacity: cap,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("binds");
+        let journal = Arc::new(MemJournal::with_capacity(Arc::clone(&agg), cap));
+        let server = serve_with("127.0.0.1:0", agg, NetConfig::default(), journal).expect("binds");
         let edge = cbs_dcg::CallEdge::new(
             cbs_bytecode::MethodId::new(1),
             cbs_bytecode::CallSiteId::new(0),

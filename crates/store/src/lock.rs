@@ -6,78 +6,72 @@
 //! corrupts the store. [`StoreLock::acquire`] makes the second opener
 //! fail fast with a clear error instead.
 //!
-//! The lock is a `store.lock` file created with `create_new` (the
-//! atomic part) holding the owner's pid. Staleness matters more than
-//! strictness here: the crash-recovery story is "SIGKILL the daemon,
-//! reopen the directory", so a lock whose owner is gone must never
-//! block recovery. A pre-existing lock is honoured only while
-//! `/proc/<pid>` exists; otherwise it is swept and the acquire retried.
-//! This is advisory — it guards against operator accidents, not against
-//! hostile processes ignoring the protocol.
+//! The lock is the kernel's advisory lock ([`File::try_lock`]) on a
+//! `store.lock` file, held for as long as the store keeps the file
+//! open. The kernel drops it when that descriptor closes, the holder's
+//! death included, so a SIGKILLed daemon never blocks recovery and no
+//! liveness probe of a recorded pid is needed. The file records the
+//! holder's pid only so that a refusal can name it. It is never
+//! deleted: were a locked file unlinked, a third opener could create
+//! and lock a new inode beside the live holder. This is advisory — it
+//! guards against operator accidents, not against hostile processes
+//! ignoring the protocol.
 
-use std::fs::{self, OpenOptions};
-use std::io::{self, Write};
+use std::fs::{File, OpenOptions, TryLockError};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// The lock file's name inside the data directory.
 pub const LOCK_FILE: &str = "store.lock";
 
-/// Bound on create/sweep races before giving up: each retry means the
-/// previous holder died (or vanished) mid-acquire, so more than a
-/// handful indicates something pathological.
-const MAX_ATTEMPTS: usize = 16;
-
-/// A held data-directory lock; dropping it releases (deletes) the file.
+/// A held data-directory lock; dropping it closes the file, which
+/// releases the lock.
 #[derive(Debug)]
 pub struct StoreLock {
     path: PathBuf,
+    _file: File,
 }
 
 impl StoreLock {
-    /// Acquires the advisory lock in `dir`, sweeping a stale lock whose
-    /// owning process no longer exists.
+    /// Acquires the advisory lock in `dir` and records this process's
+    /// pid in the lock file.
     ///
     /// # Errors
     ///
-    /// `AddrInUse` with the holder's pid when another live process owns
-    /// the directory; otherwise propagates I/O failures.
+    /// `AddrInUse` with the holder's recorded pid when another open
+    /// file holds the lock; otherwise propagates I/O failures.
     pub fn acquire(dir: &Path) -> io::Result<Self> {
         let path = dir.join(LOCK_FILE);
-        for _ in 0..MAX_ATTEMPTS {
-            match OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut file) => {
-                    file.write_all(format!("{}\n", std::process::id()).as_bytes())?;
-                    file.sync_all()?;
-                    return Ok(Self { path });
-                }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    match holder_pid(&path)? {
-                        Some(pid) if pid_alive(pid) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::AddrInUse,
-                                format!(
-                                    "store directory {} is locked by running process {pid} \
-                                     (close it first; a dead holder's lock is removed \
-                                     automatically)",
-                                    dir.display()
-                                ),
-                            ));
-                        }
-                        // Holder dead, lock vanished between the create
-                        // and the read, or unreadable garbage: sweep it
-                        // and retry the atomic create.
-                        _ => {
-                            let _ = fs::remove_file(&path);
-                        }
-                    }
-                }
-                Err(e) => return Err(e),
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => {
+                let mut recorded = String::new();
+                file.read_to_string(&mut recorded)?;
+                let holder = recorded
+                    .trim()
+                    .parse::<u32>()
+                    .map_or_else(|_| "(pid not yet recorded)".to_owned(), |p| p.to_string());
+                return Err(io::Error::new(
+                    io::ErrorKind::AddrInUse,
+                    format!(
+                        "store directory {} is locked by running process {holder} \
+                         (close it first; a dead holder's lock is released automatically)",
+                        dir.display()
+                    ),
+                ));
             }
+            Err(TryLockError::Error(e)) => return Err(e),
         }
-        Err(io::Error::other(format!(
-            "could not acquire {} after {MAX_ATTEMPTS} attempts (lock churn)",
-            path.display()
-        )))
+        file.set_len(0)?;
+        file.write_all(format!("{}\n", std::process::id()).as_bytes())?;
+        file.sync_all()?;
+        Ok(Self { path, _file: file })
     }
 
     /// The lock file's path.
@@ -86,44 +80,11 @@ impl StoreLock {
     }
 }
 
-impl Drop for StoreLock {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-/// Reads the pid recorded in an existing lock file. `Ok(None)` when the
-/// file vanished (the holder released it) or holds garbage.
-fn holder_pid(path: &Path) -> io::Result<Option<u32>> {
-    match fs::read_to_string(path) {
-        Ok(s) => Ok(s.trim().parse::<u32>().ok()),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// Whether `pid` names a live process. Our own pid is always "alive"
-/// (a second open from the same process must still be refused).
-fn pid_alive(pid: u32) -> bool {
-    if pid == std::process::id() {
-        return true;
-    }
-    #[cfg(target_os = "linux")]
-    {
-        Path::new(&format!("/proc/{pid}")).exists()
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        // No portable liveness probe without a libc dependency: treat
-        // the lock as stale so a crashed holder never wedges recovery.
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_dir::TestDir;
+    use std::fs;
 
     #[test]
     fn second_acquire_is_refused_while_held() {
@@ -132,29 +93,30 @@ mod tests {
         let err = StoreLock::acquire(dir.path()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::AddrInUse);
         assert!(
-            err.to_string().contains("locked by running process"),
+            err.to_string()
+                .contains(&format!("locked by running process {}", std::process::id())),
             "refusal must name the holder: {err}"
         );
+        let path = lock.path().to_owned();
         drop(lock);
+        assert!(path.exists(), "release keeps the file: only the lock goes");
         // Released: acquirable again.
         StoreLock::acquire(dir.path()).unwrap();
     }
 
+    /// A lock file nobody holds is free, whatever it records: the pid
+    /// of a live process that is not the holder (pid 1, which a
+    /// restart after SIGKILL meets when the daemon's pid was reused),
+    /// a pid no process has, or garbage.
     #[test]
-    fn stale_lock_of_a_dead_process_is_swept() {
-        let dir = TestDir::new("lock-stale");
-        // Pid 0 is the idle/swapper pseudo-process; /proc/0 never exists,
-        // so this models a SIGKILLed holder.
-        fs::write(dir.path().join(LOCK_FILE), "0\n").unwrap();
-        let lock = StoreLock::acquire(dir.path()).unwrap();
-        let recorded = fs::read_to_string(lock.path()).unwrap();
-        assert_eq!(recorded.trim(), std::process::id().to_string());
-    }
-
-    #[test]
-    fn garbage_lock_content_is_swept() {
-        let dir = TestDir::new("lock-garbage");
-        fs::write(dir.path().join(LOCK_FILE), "not a pid").unwrap();
-        StoreLock::acquire(dir.path()).unwrap();
+    fn a_lock_file_without_a_holder_is_acquired() {
+        for recorded in ["1\n", "0\n", "not a pid"] {
+            let dir = TestDir::new("lock-unheld");
+            fs::write(dir.path().join(LOCK_FILE), recorded).unwrap();
+            let lock = StoreLock::acquire(dir.path())
+                .unwrap_or_else(|e| panic!("lock file recording {recorded:?}: {e}"));
+            let now = fs::read_to_string(lock.path()).unwrap();
+            assert_eq!(now.trim(), std::process::id().to_string());
+        }
     }
 }

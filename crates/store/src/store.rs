@@ -40,10 +40,10 @@
 //! last record is the log's clean end: recovery leaves it in place and
 //! does not report it.
 //!
-//! The data directory is guarded by an advisory lockfile
-//! ([`crate::lock::StoreLock`]): a second opener fails fast instead of
-//! corrupting the WAL, and a dead holder's lock is swept automatically
-//! so crash recovery is never blocked.
+//! The data directory is guarded by the kernel's advisory lock on a
+//! `store.lock` file ([`crate::lock::StoreLock`]): a second opener
+//! fails fast instead of corrupting the WAL, and the kernel releases a
+//! dead holder's lock, so crash recovery is never blocked.
 //!
 //! ## Poisoning
 //!
@@ -195,7 +195,7 @@ struct SyncState {
 pub struct ProfileStore {
     dir: PathBuf,
     /// Advisory data-directory lock; held for the store's lifetime and
-    /// released (deleted) on drop.
+    /// released when the store drops.
     _lock: StoreLock,
     aggregator: Arc<ShardedAggregator>,
     config: StoreConfig,

@@ -1064,10 +1064,8 @@ fn graceful_server_shutdown_syncs_the_lazy_wal_tail() {
     let server = cbs_profiled::serve_with(
         "127.0.0.1:0",
         aggregator,
-        cbs_profiled::ServerConfig {
-            journal: Some(Arc::clone(&store) as Arc<dyn ProfileJournal>),
-            ..cbs_profiled::ServerConfig::default()
-        },
+        cbs_profiled::NetConfig::default(),
+        Arc::clone(&store) as Arc<dyn ProfileJournal>,
     )
     .unwrap();
     let mut client =

@@ -153,25 +153,12 @@ fn fusible_int_binop(op: Op) -> bool {
     )
 }
 
-/// Evaluates `a <op> b` exactly as the corresponding per-op arm does.
+/// [`Op::eval_int`] for an op [`scan_fused`] admitted: a binop, and a
+/// `Div`/`Rem` only by a non-zero constant, so there is always a result.
 #[inline]
-fn apply_int(op: Op, a: i64, b: i64) -> i64 {
-    match op {
-        Op::Add => a.wrapping_add(b),
-        Op::Sub => a.wrapping_sub(b),
-        Op::Mul => a.wrapping_mul(b),
-        Op::And => a & b,
-        Op::Or => a | b,
-        Op::Xor => a ^ b,
-        Op::Shl => a.wrapping_shl(b as u32 & 63),
-        Op::Shr => a.wrapping_shr(b as u32 & 63),
-        Op::CmpLt => i64::from(a < b),
-        Op::CmpGt => i64::from(a > b),
-        Op::CmpEq => i64::from(a == b),
-        Op::Div => a.wrapping_div(b),
-        Op::Rem => a.wrapping_rem(b),
-        _ => unreachable!("scan_fused only admits int binops"),
-    }
+fn fused_eval(op: Op, a: i64, b: i64) -> i64 {
+    op.eval_int(a, b)
+        .unwrap_or_else(|| unreachable!("scan_fused admits only binops that cannot trap"))
 }
 
 /// Matches the [`FusedKind::IntRun`] grammar at `p`. `steps` is the scan's
@@ -378,7 +365,7 @@ impl<'p> Vm<'p> {
     ///    instantiation lives in the *caller's* crate, so every helper
     ///    this function calls per op or per call (`Frame`'s accessors,
     ///    `Value::as_int`, `Heap::get_field`, `pop_val`, `peek`,
-    ///    `apply_int`, …) is `#[inline]`: without that a downstream
+    ///    `Op::eval_int`, …) is `#[inline]`: without that a downstream
     ///    `run_with(&mut NullProfiler)` is slower than
     ///    [`Vm::run_unprofiled`] on the same run (`interp_throughput`
     ///    gates the two within 5 %).
@@ -532,7 +519,7 @@ impl<'p> Vm<'p> {
                                         ) {
                                             (Some(Value::Int(top)), Value::Int(loc)) => {
                                                 values.pop();
-                                                Some(apply_int(op, top, loc))
+                                                Some(fused_eval(op, top, loc))
                                             }
                                             _ => None,
                                         }
@@ -548,7 +535,7 @@ impl<'p> Vm<'p> {
                                 start.map(|mut acc| {
                                     for step in steps.iter() {
                                         match *step {
-                                            RunStep::Arith(op, k) => acc = apply_int(op, acc, k),
+                                            RunStep::Arith(op, k) => acc = fused_eval(op, acc, k),
                                             RunStep::Spill(d) => {
                                                 values[base + usize::from(d)] = Value::Int(acc);
                                             }
@@ -568,7 +555,7 @@ impl<'p> Vm<'p> {
                                 jump_if_zero,
                             } => values[base + usize::from(*slot)].as_int().map(|loc| {
                                 let v = match *test {
-                                    Some((op, k)) => apply_int(op, loc, k),
+                                    Some((op, k)) => fused_eval(op, loc, k),
                                     None => loc,
                                 };
                                 if (v == 0) == *jump_if_zero {
@@ -661,6 +648,8 @@ impl<'p> Vm<'p> {
                     Op::Add
                     | Op::Sub
                     | Op::Mul
+                    | Op::Div
+                    | Op::Rem
                     | Op::And
                     | Op::Or
                     | Op::Xor
@@ -670,33 +659,10 @@ impl<'p> Vm<'p> {
                     | Op::CmpGt => {
                         let b = pop_int(values, floor, mid, pc)?;
                         let a = pop_int(values, floor, mid, pc)?;
-                        let r = match op {
-                            Op::Add => a.wrapping_add(b),
-                            Op::Sub => a.wrapping_sub(b),
-                            Op::Mul => a.wrapping_mul(b),
-                            Op::And => a & b,
-                            Op::Or => a | b,
-                            Op::Xor => a ^ b,
-                            Op::Shl => a.wrapping_shl(b as u32 & 63),
-                            Op::Shr => a.wrapping_shr(b as u32 & 63),
-                            Op::CmpLt => i64::from(a < b),
-                            Op::CmpGt => i64::from(a > b),
-                            _ => unreachable!(),
-                        };
-                        values.push(Value::Int(r));
-                        pc += 1;
-                    }
-                    Op::Div | Op::Rem => {
-                        let b = pop_int(values, floor, mid, pc)?;
-                        let a = pop_int(values, floor, mid, pc)?;
-                        if b == 0 {
-                            return Err(VmError::DivisionByZero { method: mid, pc });
-                        }
-                        let r = if matches!(op, Op::Div) {
-                            a.wrapping_div(b)
-                        } else {
-                            a.wrapping_rem(b)
-                        };
+                        // A binop has no result only for a zero divisor.
+                        let r = op
+                            .eval_int(a, b)
+                            .ok_or(VmError::DivisionByZero { method: mid, pc })?;
                         values.push(Value::Int(r));
                         pc += 1;
                     }

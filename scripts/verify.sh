@@ -39,6 +39,16 @@ cargo build --offline --locked --release
 echo "==> cargo build --release --workspace (bench/profiled binaries for the smokes)"
 cargo build --offline --locked --release --workspace
 
+echo "==> examples build and run"
+# Nothing else executes examples/; assemble_and_profile drives the text
+# form end to end. About 1.5 s in total on a 2-core host.
+cargo build --offline --locked --release --examples
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  timeout 60 "target/release/examples/$name" > /dev/null \
+    || { echo "FAIL: example $name exited non-zero" >&2; exit 1; }
+done
+
 echo "==> cargo test -q (tier-1)"
 cargo test --offline --locked -q
 

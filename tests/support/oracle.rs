@@ -68,7 +68,7 @@ fn shown(acts: &[Act]) -> Vec<Frame> {
 }
 
 /// `a <op> b` for an integer binop; `None` for a zero divisor.
-fn arith(op: Op, a: i64, b: i64) -> Option<i64> {
+pub(crate) fn arith(op: Op, a: i64, b: i64) -> Option<i64> {
     Some(match op {
         Op::Add => a.wrapping_add(b),
         Op::Sub => a.wrapping_sub(b),
