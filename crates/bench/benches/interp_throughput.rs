@@ -11,13 +11,21 @@
 //! inside it), which is slower whenever a per-op helper is not
 //! `#[inline]`; `null_on_inlined_program` runs the workload after inline +
 //! optimize from its own CBS(3,16) profile, which executes fewer
-//! instructions and must not take longer. Emits `BENCH_interp.json` at the
-//! repo root, where `scripts/verify.sh` gates both ratios — except under
+//! instructions and must not take longer.
+//!
+//! Those two ratios are gated, so their three configs are timed
+//! interleaved — each iteration runs all three back to back, in an order
+//! rotated every iteration — and each ratio is the median of its
+//! per-iteration ratios: host drift over the bench then lands on both
+//! sides of every ratio instead of on whichever config ran in a slower
+//! stretch. Emits `BENCH_interp.json` at the repo root, where
+//! `scripts/verify.sh` gates both median ratios — except under
 //! `CBS_BENCH_SMOKE`, where timings are noise.
 
 use cbs_bench::{smoke_mode, BenchGroup, BenchResult};
 use cbs_core::prelude::*;
 use cbs_core::vm::NullProfiler;
+use std::hint::black_box;
 
 /// Simulated cycles per wall-second at the median iteration time.
 fn rate(cycles: u64, r: &BenchResult) -> f64 {
@@ -50,29 +58,6 @@ fn bench_workload(label: &str, benchmark: Benchmark) -> String {
     );
     let cycles = report.cycles;
 
-    let mut group = BenchGroup::new(&format!("interp_throughput/{label}"), 15);
-
-    let optimized = group
-        .bench("null_optimized", || vm.run_unprofiled().expect("runs"))
-        .clone();
-    let downstream = group
-        .bench("null_optimized_downstream", || {
-            vm.run_with(&mut NullProfiler).expect("runs")
-        })
-        .clone();
-    let cbs = group
-        .bench("cbs_optimized", || {
-            let mut p = CounterBasedSampler::new(CbsConfig::new(3, 16));
-            vm.run_with(&mut p).expect("runs")
-        })
-        .clone();
-    let exhaustive = group
-        .bench("exhaustive_optimized", || {
-            let mut p = ExhaustiveProfiler::new();
-            vm.run_with(&mut p).expect("runs")
-        })
-        .clone();
-
     // The program this system produces from the workload: inlined and
     // optimized from its own profile. Its rate is quoted against the
     // *original* cycle count, so it reads as the same work done faster.
@@ -87,20 +72,49 @@ fn bench_workload(label: &str, benchmark: Benchmark) -> String {
         true,
     );
     let inlined_vm = Vm::new(&inlined_program, VmConfig::default());
-    let inlined = group
-        .bench("null_on_inlined_program", || {
-            inlined_vm.run_unprofiled().expect("runs")
+
+    let mut group = BenchGroup::new(&format!("interp_throughput/{label}"), 61);
+    let gated = group.bench_interleaved(&mut [
+        ("null_optimized", &mut || {
+            black_box(vm.run_unprofiled().expect("runs"));
+        }),
+        ("null_optimized_downstream", &mut || {
+            black_box(vm.run_with(&mut NullProfiler).expect("runs"));
+        }),
+        ("null_on_inlined_program", &mut || {
+            black_box(inlined_vm.run_unprofiled().expect("runs"));
+        }),
+    ]);
+    let [optimized, downstream, inlined] = <[BenchResult; 3]>::try_from(gated).expect("three");
+    let cbs = group
+        .bench("cbs_optimized", || {
+            let mut p = CounterBasedSampler::new(CbsConfig::new(3, 16));
+            vm.run_with(&mut p).expect("runs")
+        })
+        .clone();
+    let exhaustive = group
+        .bench("exhaustive_optimized", || {
+            let mut p = ExhaustiveProfiler::new();
+            vm.run_with(&mut p).expect("runs")
         })
         .clone();
 
+    let ratio = |name: &str, r: &BenchResult| {
+        format!(
+            "      {{ \"ratio\": \"{name}/null_optimized\", \"median\": {:.4} }}",
+            r.median_ratio(&optimized)
+        )
+    };
     format!(
         "  {{\n    \"workload\": \"{label}/small scaled 0.02\",\n    \"simulated_cycles\": {cycles},\n    \
-         \"configs\": [\n{},\n{},\n{},\n{},\n{}\n    ]\n  }}",
+         \"configs\": [\n{},\n{},\n{},\n{},\n{}\n    ],\n    \"median_ratios\": [\n{},\n{}\n    ]\n  }}",
         json_entry("null_optimized", cycles, &optimized),
         json_entry("null_optimized_downstream", cycles, &downstream),
         json_entry("null_on_inlined_program", cycles, &inlined),
         json_entry("cbs_optimized", cycles, &cbs),
         json_entry("exhaustive_optimized", cycles, &exhaustive),
+        ratio("null_optimized_downstream", &downstream),
+        ratio("null_on_inlined_program", &inlined),
     )
 }
 

@@ -45,6 +45,26 @@ impl BenchResult {
         v.get(v.len() / 2).copied().unwrap_or_default()
     }
 
+    /// Median over iterations of this bench's time divided by `base`'s
+    /// (lower middle for even counts). For benches timed by
+    /// [`BenchGroup::bench_interleaved`], iteration `i` of each ran back
+    /// to back, so host drift between iterations cancels in each ratio.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two ran different numbers of iterations.
+    pub fn median_ratio(&self, base: &BenchResult) -> f64 {
+        assert_eq!(self.times.len(), base.times.len(), "paired iterations");
+        let mut ratios: Vec<f64> = self
+            .times
+            .iter()
+            .zip(&base.times)
+            .map(|(t, b)| t.as_secs_f64() / b.as_secs_f64())
+            .collect();
+        ratios.sort_unstable_by(f64::total_cmp);
+        ratios.get(ratios.len() / 2).copied().unwrap_or(f64::NAN)
+    }
+
     /// Mean iteration time.
     pub fn mean(&self) -> Duration {
         if self.times.is_empty() {
@@ -117,10 +137,51 @@ impl BenchGroup {
             std::hint::black_box(f());
             times.push(start.elapsed());
         }
-        let result = BenchResult {
+        self.record(BenchResult {
             name: format!("{}/{name}", self.name),
             times,
-        };
+        })
+    }
+
+    /// Times several benches interleaved: every iteration runs each once,
+    /// starting one further along the list each time, so all of them see
+    /// the same host conditions and no one always runs first. Returns
+    /// their results in the order given; iteration `i` of each is paired
+    /// for [`BenchResult::median_ratio`].
+    pub fn bench_interleaved(
+        &mut self,
+        benches: &mut [(&str, &mut dyn FnMut())],
+    ) -> Vec<BenchResult> {
+        let n = benches.len();
+        for _ in 0..self.warmup {
+            for (_, f) in benches.iter_mut() {
+                f();
+            }
+        }
+        let mut times = vec![Vec::with_capacity(self.iters as usize); n];
+        for iter in 0..self.iters as usize {
+            for k in 0..n {
+                let b = (iter + k) % n;
+                let start = Instant::now();
+                (benches[b].1)();
+                times[b].push(start.elapsed());
+            }
+        }
+        benches
+            .iter()
+            .zip(times)
+            .map(|((name, _), times)| {
+                self.record(BenchResult {
+                    name: format!("{}/{name}", self.name),
+                    times,
+                })
+                .clone()
+            })
+            .collect()
+    }
+
+    /// Prints `result`'s summary line and keeps it.
+    fn record(&mut self, result: BenchResult) -> &BenchResult {
         eprintln!(
             "{:<48} min {:>10}  median {:>10}  mean {:>10}",
             result.name,
@@ -161,6 +222,32 @@ mod tests {
         assert_eq!(r.times.len(), 3);
         assert!(r.min() <= r.median() && r.median() <= r.times.iter().copied().max().unwrap());
         assert!(g.result("missing").is_none());
+    }
+
+    #[test]
+    fn interleaved_benches_rotate_and_pair_their_iterations() {
+        let mut g = BenchGroup::new("unit", 4).warmup(1);
+        let order = std::cell::RefCell::new(Vec::new());
+        let (mut a, mut b, mut c) = (
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+            || order.borrow_mut().push('c'),
+        );
+        let r = g.bench_interleaved(&mut [("a", &mut a), ("b", &mut b), ("c", &mut c)]);
+        let order: String = order.into_inner().into_iter().collect();
+        // One warmup round, then each iteration starts one further on.
+        assert_eq!(order, "abcabcbcacababc");
+        assert_eq!(r.len(), 3);
+        assert!(r.iter().all(|r| r.times.len() == 4));
+        assert_eq!(r[1].name, "unit/b");
+        assert!(g.result("c").is_some());
+
+        let ms = |v: &[u64]| BenchResult {
+            name: String::new(),
+            times: v.iter().map(|&m| Duration::from_millis(m)).collect(),
+        };
+        // Per-iteration ratios 2, 0.5, 1.5: the drift in the base cancels.
+        assert_eq!(ms(&[20, 20, 90]).median_ratio(&ms(&[10, 40, 60])), 1.5);
     }
 
     #[test]

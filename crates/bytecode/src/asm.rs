@@ -264,6 +264,15 @@ fn assemble_body(
             }
             let t: Vec<&str> = text.split_whitespace().collect();
             let op = t[0];
+            if let Some((n, extra)) = Op::text_operands(op).and_then(|n| Some((n, *t.get(n + 1)?)))
+            {
+                let s = if n == 1 { "" } else { "s" };
+                failed.get_or_insert(err(
+                    line_no,
+                    format!("`{op}` takes {n} operand{s}, found extra `{extra}`"),
+                ));
+                return;
+            }
             let arg = |i: usize| -> Result<&str, AsmError> {
                 t.get(i)
                     .copied()
@@ -440,6 +449,28 @@ entry main
         let src = "class C fields=0\nmethod m class=C params=0 locals=0 {\n  jump nowhere\n  ret\n}\nentry m\n";
         let e = assemble(src).unwrap_err();
         assert!(e.message.contains("nowhere"));
+    }
+
+    #[test]
+    fn trailing_operands_are_rejected() {
+        for (body, extra) in [
+            ("const 1 2", "2"),
+            ("const 1\n  const 2\n  add 5", "5"),
+            ("load 0 9", "9"),
+            ("new C\n  callvirt 0 1 x", "x"),
+            ("new C\n  guard C out extra\nout:\n  const 0", "extra"),
+        ] {
+            let src = format!(
+                "class C fields=0\nmethod m class=C params=0 locals=1 {{\n  {body}\n  ret\n}}\nentry m\n"
+            );
+            let e = assemble(&src).unwrap_err();
+            let line = 2 + body.lines().position(|l| l.contains(extra)).unwrap() + 1;
+            assert_eq!(e.line, line, "{body}: {e}");
+            assert!(
+                e.message.contains(&format!("extra `{extra}`")),
+                "{body}: {e}"
+            );
+        }
     }
 
     #[test]

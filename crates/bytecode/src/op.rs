@@ -360,6 +360,27 @@ impl Op {
             .expect("MNEMONICS spells every opcode")
     }
 
+    /// How many operand tokens follow `mnemonic` in the text form.
+    /// `None` when `mnemonic` names no op.
+    pub(crate) fn text_operands(mnemonic: &str) -> Option<usize> {
+        let &(_, template) = MNEMONICS.iter().find(|(name, _)| *name == mnemonic)?;
+        Some(match template {
+            Op::CallVirtual { .. } | Op::GuardClass { .. } => 2,
+            Op::Const(_)
+            | Op::Load(_)
+            | Op::Store(_)
+            | Op::GetField(_)
+            | Op::PutField(_)
+            | Op::Io(_)
+            | Op::Jump(_)
+            | Op::JumpIfZero(_)
+            | Op::JumpIfNonZero(_)
+            | Op::Call { .. }
+            | Op::New(_) => 1,
+            _ => 0,
+        })
+    }
+
     /// Parses `mnemonic [operand]`, the text form of an op without a
     /// symbolic operand. `None` when `mnemonic` names no such op; the
     /// error message otherwise names a missing or malformed operand.

@@ -14,20 +14,27 @@
 //! asserted by the tier-1 tests and visible in the rendered table's
 //! `gain` column.
 //!
-//! Determinism: VM cells run under [`run_cells`] (input-order results),
-//! and frames are ingested serially in VM order, so the whole pipeline
-//! is bit-identical for any `--jobs` value.
+//! The `K` VMs of one benchmark are replicas observing a single
+//! interpretation ([`observe_replicas`]): each keeps its own timer, and
+//! its profile is the one a VM of its own would have collected.
+//!
+//! Determinism: benchmark cells run under [`run_cells`] (input-order
+//! results), and frames are ingested serially in VM order, so the whole
+//! pipeline is bit-identical for any `--jobs` value.
 
 use super::ExperimentError;
 use crate::parallel::{run_cells, Parallelism};
 use crate::render::{f2, TextTable};
-use cbs_dcg::{overlap, CallEdge, DynamicCallGraph};
+use cbs_bytecode::Program;
+use cbs_dcg::{accuracy, overlap, CallEdge, DynamicCallGraph};
 use cbs_profiled::{
     serve, AggregatorConfig, DcgCodec, Fault, FaultCounts, FaultSchedule, NetConfig, ProfileClient,
     ResilientClient, RetryPolicy, ShardedAggregator,
 };
-use cbs_profiler::{CbsConfig, CounterBasedSampler};
-use cbs_vm::VmConfig;
+use cbs_profiler::{CallGraphProfiler, CbsConfig, CounterBasedSampler, ExhaustiveProfiler};
+use cbs_vm::{
+    CallEvent, ExecReport, Profiler, StackSlice, ThreadId, TickSchedule, Vm, VmConfig, VmError,
+};
 use cbs_workloads::{Benchmark, InputSize};
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,6 +45,116 @@ pub(super) const STRIDES: [u32; 4] = [3, 5, 7, 11];
 
 /// Number of simulated VMs per benchmark.
 pub const FLEET_SIZE: usize = STRIDES.len();
+
+/// The configuration of fleet VM `replica`: `base` with the replica's
+/// own timer seed, which decorrelates the replicas' timer phases.
+pub(super) fn replica_config(base: &VmConfig, replica: usize) -> VmConfig {
+    VmConfig {
+        timer_seed: 0xF1EE7 + replica as u64,
+        ..base.clone()
+    }
+}
+
+/// Runs `program` once under `vm_config` and returns its report and one
+/// counter-based sampler per entry of `configs`. Sampler `r` ends in the
+/// state a run of its own under [`replica_config`]`(vm_config, r)`
+/// leaves it in: the same graph, samples, overhead and calling context
+/// tree. `truth`, when given, counts every call of the run.
+///
+/// This is exact because the run has one thread. A tick then requests a
+/// switch back to the thread it interrupted, so the executed instruction
+/// stream, and every event's clock, is the same under any timer. Each
+/// sampler therefore replays its own [`TickSchedule`] against the
+/// observed events: before an event at clock `c` it takes every tick due
+/// at or before `c`, as a run of its own would have delivered them, and
+/// it is handed the event only while it is armed. Its `on_tick` reads
+/// only the thread, so the stack it is shown with a replayed tick does
+/// not matter.
+///
+/// # Panics
+///
+/// Panics if `vm_config` runs more than one thread: there a tick's
+/// switch interleaves the threads differently under each timer.
+pub(super) fn observe_replicas(
+    program: &Program,
+    vm_config: &VmConfig,
+    configs: impl IntoIterator<Item = CbsConfig>,
+    truth: Option<&mut ExhaustiveProfiler>,
+) -> Result<(ExecReport, Vec<CounterBasedSampler>), VmError> {
+    assert!(
+        vm_config.num_threads <= 1,
+        "fleet replicas observe one interpretation only on a single thread"
+    );
+    let mut observer = Replicas {
+        replicas: configs
+            .into_iter()
+            .enumerate()
+            .map(|(r, config)| {
+                let timer = TickSchedule::new(&replica_config(vm_config, r));
+                (CounterBasedSampler::new(config), timer)
+            })
+            .collect(),
+        truth,
+    };
+    let exec = Vm::new(program, vm_config.clone()).run_with(&mut observer)?;
+    let samplers = observer.replicas.into_iter().map(|(cbs, _)| cbs).collect();
+    Ok((exec, samplers))
+}
+
+/// The profiler [`observe_replicas`] attaches: every sampler with its
+/// own timer, plus the optional ground truth. It keeps the default
+/// `armed`, so it sees every entry and exit.
+struct Replicas<'t> {
+    replicas: Vec<(CounterBasedSampler, TickSchedule)>,
+    truth: Option<&'t mut ExhaustiveProfiler>,
+}
+
+impl Replicas<'_> {
+    /// Hands `event` to each sampler armed for it, after the ticks its
+    /// timer has due by then.
+    fn deliver(
+        &mut self,
+        event: &CallEvent<'_>,
+        hook: impl Fn(&mut CounterBasedSampler, &CallEvent<'_>),
+    ) {
+        for (cbs, timer) in &mut self.replicas {
+            while timer.deadline() <= event.clock {
+                cbs.on_tick(timer.advance(), event.thread, event.stack);
+            }
+            if cbs.armed(event.thread) {
+                hook(cbs, event);
+            }
+        }
+    }
+}
+
+impl Profiler for Replicas<'_> {
+    fn on_entry(&mut self, event: &CallEvent<'_>) {
+        if let Some(truth) = self.truth.as_deref_mut() {
+            truth.on_entry(event);
+        }
+        self.deliver(event, CounterBasedSampler::on_entry);
+    }
+
+    fn on_exit(&mut self, event: &CallEvent<'_>) {
+        if let Some(truth) = self.truth.as_deref_mut() {
+            truth.on_exit(event);
+        }
+        self.deliver(event, CounterBasedSampler::on_exit);
+    }
+
+    fn on_finish(&mut self, clock: u64) {
+        if let Some(truth) = self.truth.as_deref_mut() {
+            truth.on_finish(clock);
+        }
+        for (cbs, timer) in &mut self.replicas {
+            while timer.deadline() <= clock {
+                cbs.on_tick(timer.advance(), ThreadId(0), StackSlice::default());
+            }
+            cbs.on_finish(clock);
+        }
+    }
+}
 
 /// One benchmark's fleet-aggregation outcome.
 #[derive(Debug, Clone)]
@@ -118,31 +235,43 @@ impl Fleet {
     }
 }
 
-/// One VM's contribution: its sampled profile and its ground truth.
+/// One VM's contribution: its sampled profile and its overlap with the
+/// run's ground truth.
 struct VmProfile {
     sampled: DynamicCallGraph,
-    perfect: DynamicCallGraph,
     single_overlap: f64,
 }
 
-/// Runs one VM replica of `bench` with a replica-specific stride and
-/// timer seed.
-fn run_replica(bench: Benchmark, replica: usize, scale: f64) -> Result<VmProfile, ExperimentError> {
+/// One benchmark's fleet: every VM's profile, and the union of their
+/// (identical) perfect profiles the merged profile is scored against.
+struct BenchFleet {
+    vms: Vec<VmProfile>,
+    union: DynamicCallGraph,
+}
+
+/// Runs `bench` once, observed by its [`FLEET_SIZE`] VM replicas, each
+/// with its own stride and timer seed.
+fn run_fleet(bench: Benchmark, scale: f64) -> Result<BenchFleet, ExperimentError> {
     let spec = bench.spec(InputSize::Small).scaled(scale);
     let program = cbs_workloads::generator::build(&spec)?;
-    let vm_config = VmConfig {
-        // Decorrelate the replicas' timer phases; execution (and thus
-        // the perfect profile) is unaffected.
-        timer_seed: 0xF1EE7 + replica as u64,
-        ..VmConfig::default()
-    };
-    let cbs = CounterBasedSampler::new(CbsConfig::new(STRIDES[replica % STRIDES.len()], 16));
-    let m = crate::measure::measure(&program, vm_config, vec![Box::new(cbs)])?;
-    let outcome = &m.outcomes[0];
-    Ok(VmProfile {
-        sampled: outcome.dcg.clone(),
-        perfect: m.perfect,
-        single_overlap: outcome.accuracy,
+    let configs = STRIDES.map(|stride| CbsConfig::new(stride, 16));
+    let mut truth = ExhaustiveProfiler::new();
+    let (_, replicas) =
+        observe_replicas(&program, &VmConfig::default(), configs, Some(&mut truth))?;
+    let perfect = truth.take_dcg();
+    let vms = replicas
+        .into_iter()
+        .map(|mut cbs| {
+            let sampled = cbs.take_dcg();
+            VmProfile {
+                single_overlap: accuracy(&sampled, &perfect),
+                sampled,
+            }
+        })
+        .collect();
+    Ok(BenchFleet {
+        vms,
+        union: DynamicCallGraph::merge_all(std::iter::repeat_n(&perfect, FLEET_SIZE)),
     })
 }
 
@@ -180,31 +309,26 @@ fn stream_profile(graph: &DynamicCallGraph, agg: &ShardedAggregator) -> usize {
 ///
 /// Propagates generation or VM failures.
 pub fn fleet_with(scale: f64, jobs: Parallelism) -> Result<Fleet, ExperimentError> {
-    let cells: Vec<(Benchmark, usize)> = Benchmark::all()
-        .into_iter()
-        .flat_map(|b| (0..FLEET_SIZE).map(move |r| (b, r)))
-        .collect();
-    let profiles = run_cells(cells, jobs, |(bench, replica)| {
-        run_replica(bench, replica, scale)
+    let fleets = run_cells(Benchmark::all().to_vec(), jobs, |bench| {
+        run_fleet(bench, scale)
     })?;
 
     let mut rows = Vec::new();
-    for (i, bench) in Benchmark::all().into_iter().enumerate() {
-        let fleet = &profiles[i * FLEET_SIZE..(i + 1) * FLEET_SIZE];
+    for (bench, fleet) in Benchmark::all().into_iter().zip(&fleets) {
         let agg = ShardedAggregator::new(AggregatorConfig::default());
         let mut wire_bytes = 0;
-        for vm in fleet {
+        for vm in &fleet.vms {
             wire_bytes += stream_profile(&vm.sampled, &agg);
         }
         let merged = agg.merged_snapshot();
-        let union = DynamicCallGraph::merge_all(fleet.iter().map(|vm| &vm.perfect));
+        let vms = fleet.vms.len();
         rows.push(FleetRow {
             benchmark: bench,
-            vms: fleet.len(),
+            vms,
             merged_edges: merged.num_edges(),
             wire_bytes,
-            mean_single: fleet.iter().map(|vm| vm.single_overlap).sum::<f64>() / fleet.len() as f64,
-            fleet: overlap(&merged, &union),
+            mean_single: fleet.vms.iter().map(|vm| vm.single_overlap).sum::<f64>() / vms as f64,
+            fleet: overlap(&merged, &fleet.union),
         });
     }
     let n = rows.len() as f64;
@@ -396,20 +520,16 @@ pub fn fleet_faults_with(
         ..push_policy
     };
 
-    let cells: Vec<(Benchmark, usize)> = Benchmark::all()
-        .into_iter()
-        .flat_map(|b| (0..FLEET_SIZE).map(move |r| (b, r)))
-        .collect();
-    let profiles = run_cells(cells, jobs, |(bench, replica)| {
-        run_replica(bench, replica, scale)
+    let fleets = run_cells(Benchmark::all().to_vec(), jobs, |bench| {
+        run_fleet(bench, scale)
     })?;
 
     let mut rows = Vec::new();
     let mut counts = FaultCounts::default();
     let mut all_bit_identical = true;
-    for (i, bench) in Benchmark::all().into_iter().enumerate() {
-        let fleet_vms = &profiles[i * FLEET_SIZE..(i + 1) * FLEET_SIZE];
-        let batches: Vec<Vec<Vec<(CallEdge, f64)>>> = fleet_vms
+    for (i, (bench, fleet)) in Benchmark::all().into_iter().zip(&fleets).enumerate() {
+        let batches: Vec<Vec<Vec<(CallEdge, f64)>>> = fleet
+            .vms
             .iter()
             .map(|vm| delta_batches(&vm.sampled))
             .collect();
@@ -511,10 +631,9 @@ pub fn fleet_faults_with(
 
         let bit_identical = bits_identical(&faulty_pulled, &clean_pulled);
         all_bit_identical &= bit_identical;
-        let union = DynamicCallGraph::merge_all(fleet_vms.iter().map(|vm| &vm.perfect));
         rows.push(FleetFaultsRow {
             benchmark: bench,
-            vms: fleet_vms.len(),
+            vms: fleet.vms.len(),
             merged_edges: faulty_pulled.num_edges(),
             exchanges: bench_counts.total(),
             faulted: bench_counts.faulted(),
@@ -522,7 +641,7 @@ pub fn fleet_faults_with(
             reconnects,
             duplicates,
             pull_pages,
-            fleet: overlap(&faulty_pulled, &union),
+            fleet: overlap(&faulty_pulled, &fleet.union),
             bit_identical,
         });
     }
@@ -536,6 +655,140 @@ pub fn fleet_faults_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbs_dcg::{CctNodeId, ContextStep};
+    use cbs_profiler::SkipPolicy;
+    use cbs_vm::VmFlavor;
+
+    /// Everything a sampler keeps of a run: its graph (weight bits
+    /// included), samples, simulated overhead, and calling context tree.
+    type Residue = (
+        Vec<(CallEdge, u64)>,
+        u64,
+        u64,
+        u64,
+        Option<Vec<(CctNodeId, ContextStep, u64)>>,
+    );
+
+    fn residue(mut cbs: CounterBasedSampler) -> Residue {
+        let cct = cbs.cct().map(|t| {
+            t.iter()
+                .map(|(id, step, w)| (id, step, w.to_bits()))
+                .collect()
+        });
+        let (samples, overhead) = (cbs.samples_taken(), cbs.overhead_cycles());
+        let dcg = cbs.take_dcg();
+        let edges = dcg.iter().map(|(e, w)| (*e, w.to_bits())).collect();
+        (edges, dcg.total_weight().to_bits(), samples, overhead, cct)
+    }
+
+    /// Every replica of the shared run ends exactly as a sampler alone
+    /// in a run under that replica's configuration: over the 13
+    /// programs, both flavors, both fleets' sampler configurations, and
+    /// the sampler options that change what a window does (random
+    /// skips, context trees, an explicit entry check), the latter under
+    /// a timer dense enough that ticks fall between most events.
+    #[test]
+    fn every_replica_equals_its_own_run() {
+        let option_configs = [
+            CbsConfig {
+                skip_policy: SkipPolicy::Random { seed: 0x5EED },
+                ..CbsConfig::new(3, 16)
+            },
+            CbsConfig {
+                context_sensitive: true,
+                ..CbsConfig::new(5, 4)
+            },
+            CbsConfig {
+                explicit_entry_check: true,
+                ..CbsConfig::new(7, 2)
+            },
+            CbsConfig {
+                skip_policy: SkipPolicy::Random { seed: 11 },
+                context_sensitive: true,
+                explicit_entry_check: true,
+                ..CbsConfig::new(11, 16)
+            },
+        ];
+        // Beside the 13 programs, one whose last call is followed by a
+        // tail several timer periods long: ticks after the last event
+        // still open windows, and so still cost overhead.
+        let tail = {
+            let mut b = cbs_bytecode::ProgramBuilder::new();
+            let cls = b.add_class("C", 0);
+            let f = b
+                .function("f", cls, 1, 0, |c| {
+                    c.load(0).const_(3).mul().ret();
+                })
+                .unwrap();
+            let main = b
+                .function("main", cls, 0, 1, |c| {
+                    c.counted_loop(0, 50_000, |c| {
+                        c.const_(2).call(f).pop();
+                    });
+                    c.io(3_000).pop().const_(0).ret();
+                })
+                .unwrap();
+            b.set_entry(main);
+            b.build().unwrap()
+        };
+        let programs = Benchmark::all().map(|bench| {
+            let spec = bench.spec(InputSize::Small).scaled(0.01);
+            (
+                bench.name(),
+                cbs_workloads::generator::build(&spec).unwrap(),
+            )
+        });
+        for (bench, program) in programs.into_iter().chain([("tail", tail)]) {
+            for flavor in [VmFlavor::Jikes, VmFlavor::J9] {
+                let fleet_vm = VmConfig::with_flavor(flavor);
+                let dense_vm = VmConfig {
+                    timer_hz: 4_000,
+                    timer_jitter: 300,
+                    ..fleet_vm.clone()
+                };
+                let cases = [
+                    (&fleet_vm, STRIDES.map(|s| CbsConfig::new(s, 16)).to_vec()),
+                    (&fleet_vm, STRIDES.map(|s| CbsConfig::new(s, 2)).to_vec()),
+                    (&dense_vm, option_configs.to_vec()),
+                ];
+                for (vm_config, configs) in cases {
+                    let (exec, replicas) =
+                        observe_replicas(&program, vm_config, configs.clone(), None).unwrap();
+                    let base = Vm::new(&program, vm_config.clone())
+                        .run_unprofiled()
+                        .unwrap();
+                    assert_eq!(exec, base, "{bench} {flavor:?}: the observed run");
+                    let mut sampled = 0;
+                    for (r, (shared, config)) in replicas.into_iter().zip(configs).enumerate() {
+                        let what = format!("{bench} {flavor:?} replica {r} {config:?}");
+                        let mut alone = CounterBasedSampler::new(config);
+                        Vm::new(&program, replica_config(vm_config, r))
+                            .run_with(&mut alone)
+                            .unwrap();
+                        sampled += alone.samples_taken();
+                        assert_eq!(residue(shared), residue(alone), "{what}");
+                    }
+                    assert!(sampled > 0, "{bench} {flavor:?}: no replica sampled");
+                }
+            }
+        }
+    }
+
+    /// With two threads a tick's switch interleaves them differently
+    /// under each replica's timer, so one run cannot stand for all.
+    #[test]
+    #[should_panic(expected = "single thread")]
+    fn replicas_refuse_a_multi_threaded_run() {
+        let program = cbs_workloads::generator::build(
+            &Benchmark::Compress.spec(InputSize::Small).scaled(0.01),
+        )
+        .unwrap();
+        let vm_config = VmConfig {
+            num_threads: 2,
+            ..VmConfig::default()
+        };
+        let _ = observe_replicas(&program, &vm_config, [CbsConfig::default()], None);
+    }
 
     #[test]
     fn pooled_profiles_meet_or_beat_single_vms() {

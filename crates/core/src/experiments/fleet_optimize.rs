@@ -21,13 +21,18 @@
 //! single-VM plan's — asserted by the tier-1 tests and visible in the
 //! rendered table's two speedup columns.
 //!
-//! Determinism: each benchmark's VM cells and transformed runs go through
+//! The `K` VMs are replicas observing one interpretation of the
+//! untransformed program ([`observe_replicas`]), and that run is also the
+//! baseline: its cycles and return values are what every transformed
+//! program is held to.
+//!
+//! Determinism: each benchmark's transformed runs go through
 //! [`run_cells`] (input-order results), profiles are streamed serially in
 //! VM order, plan building is deterministic per snapshot generation, and
 //! the simulated clock is exact — the render is bit-identical for any
 //! `--jobs` value.
 
-use super::fleet::{transport, FLEET_SIZE, STRIDES};
+use super::fleet::{observe_replicas, transport, FLEET_SIZE, STRIDES};
 use super::ExperimentError;
 use crate::parallel::{run_cells, Parallelism};
 use crate::render::{f2, TextTable};
@@ -35,7 +40,7 @@ use cbs_bytecode::Program;
 use cbs_dcg::DynamicCallGraph;
 use cbs_inliner::{apply_plan, build_plan, InlineBudget, InlinePlan, NewLinearPolicy};
 use cbs_profiled::{serve, AggregatorConfig, NetConfig, ProfileClient, ShardedAggregator};
-use cbs_profiler::{CallGraphProfiler, CbsConfig, CounterBasedSampler};
+use cbs_profiler::{CallGraphProfiler, CbsConfig};
 use cbs_vm::{Value, Vm, VmConfig};
 use cbs_workloads::{Benchmark, InputSize};
 use std::sync::Arc;
@@ -191,27 +196,6 @@ impl FleetOptimize {
     }
 }
 
-/// Runs one VM replica of `program` under sparse CBS (a
-/// replica-specific stride and timer seed, [`SPARSE_SAMPLES_PER_WINDOW`]
-/// samples per window) and returns its sampled call graph.
-fn run_sparse_replica(
-    program: &Program,
-    replica: usize,
-) -> Result<DynamicCallGraph, ExperimentError> {
-    let vm_config = VmConfig {
-        // Decorrelate the replicas' timer phases; execution is
-        // unaffected.
-        timer_seed: 0xF1EE7 + replica as u64,
-        ..VmConfig::default()
-    };
-    let mut cbs = CounterBasedSampler::new(CbsConfig::new(
-        STRIDES[replica % STRIDES.len()],
-        SPARSE_SAMPLES_PER_WINDOW,
-    ));
-    Vm::new(program, vm_config).run_with(&mut cbs)?;
-    Ok(cbs.take_dcg())
-}
-
 /// Streams one VM's sampled profile over the wire the way a
 /// periodically-flushing VM would: the first half of its edges as a
 /// snapshot frame, the remainder as one delta frame.
@@ -253,30 +237,25 @@ fn pull_fleet_plan(fleet: &[DynamicCallGraph]) -> Result<InlinePlan, ExperimentE
     Ok(plan)
 }
 
-/// One transformed (or baseline) execution of a benchmark.
+/// One transformed execution of a benchmark.
 struct RunOutcome {
     cycles: u64,
     return_values: Vec<Value>,
     inlines: usize,
 }
 
-/// Takes a fresh copy of `program`, optionally applies `plan` under the
-/// default inlining policy and budget, and runs it unprofiled.
-fn transformed_run(
-    program: &Program,
-    plan: Option<&InlinePlan>,
-) -> Result<RunOutcome, ExperimentError> {
+/// Takes a fresh copy of `program`, applies `plan` under the default
+/// inlining policy and budget, and runs it unprofiled.
+fn transformed_run(program: &Program, plan: &InlinePlan) -> Result<RunOutcome, ExperimentError> {
     let mut program = program.clone();
-    let inlines = plan.map_or(0, |plan| {
-        apply_plan(
-            &mut program,
-            plan,
-            &NewLinearPolicy::default(),
-            &InlineBudget::default(),
-            true,
-        )
-        .total_inlines()
-    });
+    let inlines = apply_plan(
+        &mut program,
+        plan,
+        &NewLinearPolicy::default(),
+        &InlineBudget::default(),
+        true,
+    )
+    .total_inlines();
     let exec = Vm::new(&program, VmConfig::default()).run_unprofiled()?;
     Ok(RunOutcome {
         cycles: exec.cycles,
@@ -285,7 +264,7 @@ fn transformed_run(
     })
 }
 
-/// Runs the fleet-exploitation experiment, VM replicas and transformed
+/// Runs the fleet-exploitation experiment, each benchmark's transformed
 /// runs sharded across `jobs` worker threads. Output is bit-identical
 /// for any `jobs` value — see the module docs.
 ///
@@ -304,10 +283,14 @@ pub fn fleet_optimize_with(
         // benchmark's is built.
         let program = cbs_workloads::generator::build(&bench.spec(InputSize::Small).scaled(scale))?;
 
-        // Collect: the benchmark's VM replicas, in parallel.
-        let fleet = run_cells((0..FLEET_SIZE).collect(), jobs, |replica| {
-            run_sparse_replica(&program, replica)
-        })?;
+        // Collect: one run of the untransformed program, the baseline,
+        // observed by the benchmark's VM replicas under sparse CBS (a
+        // replica-specific stride and timer seed,
+        // SPARSE_SAMPLES_PER_WINDOW samples per window).
+        let configs = STRIDES.map(|stride| CbsConfig::new(stride, SPARSE_SAMPLES_PER_WINDOW));
+        let (base, replicas) = observe_replicas(&program, &VmConfig::default(), configs, None)?;
+        let fleet: Vec<DynamicCallGraph> =
+            replicas.into_iter().map(|mut cbs| cbs.take_dcg()).collect();
 
         // Stream the fleet's profiles through the live service
         // (serially, in VM order) and pull the served plan; build each
@@ -318,14 +301,11 @@ pub fn fleet_optimize_with(
         let single_plans: Vec<InlinePlan> =
             fleet.iter().map(|vm| build_plan(vm, &policy, 0)).collect();
 
-        // Exploit: baseline, fleet plan and the K single-VM plans, in
+        // Exploit: the fleet plan and the K single-VM plans, in
         // parallel (input order keeps results deterministic).
-        let variants: Vec<Option<&InlinePlan>> = [None, Some(&fleet_plan)]
-            .into_iter()
-            .chain(single_plans.iter().map(Some))
-            .collect();
-        let outcomes = run_cells(variants, jobs, |plan| transformed_run(&program, plan))?;
-        let (base, fleet_run, singles) = (&outcomes[0], &outcomes[1], &outcomes[2..]);
+        let plans: Vec<&InlinePlan> = std::iter::once(&fleet_plan).chain(&single_plans).collect();
+        let outcomes = run_cells(plans, jobs, |plan| transformed_run(&program, plan))?;
+        let (fleet_run, singles) = (&outcomes[0], &outcomes[1..]);
         rows.push(FleetOptimizeRow {
             benchmark: bench,
             vms: FLEET_SIZE,
@@ -339,7 +319,7 @@ pub fn fleet_optimize_with(
                 .min()
                 .unwrap_or(base.cycles),
             fleet_cycles: fleet_run.cycles,
-            results_preserved: outcomes[1..]
+            results_preserved: outcomes
                 .iter()
                 .all(|o| o.return_values == base.return_values),
         });

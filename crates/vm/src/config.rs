@@ -118,6 +118,68 @@ impl VmConfig {
     }
 }
 
+/// The virtual timer: the clocks at which a configuration's ticks fall
+/// due, in order.
+///
+/// The interpreter fires a tick once the clock has reached
+/// [`deadline`](Self::deadline) and then [`advance`](Self::advance)s. The
+/// sequence depends on the configuration alone, never on the program, so
+/// a profiler can hold its own copy of any configuration's timer and
+/// replay it against the clocks of the events it observes.
+#[derive(Debug, Clone)]
+pub struct TickSchedule {
+    period: u64,
+    jitter: u64,
+    state: u64,
+    next: u64,
+}
+
+impl TickSchedule {
+    /// The timer of a run under `config`, before its first tick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `timer_hz` is zero.
+    pub fn new(config: &VmConfig) -> Self {
+        let period = config.timer_period();
+        let mut schedule = Self {
+            period,
+            jitter: config.timer_jitter.min(period - 1),
+            state: config.timer_seed | 1,
+            next: 0,
+        };
+        schedule.next = schedule.draw_period();
+        schedule
+    }
+
+    /// The clock at which the next tick falls due.
+    #[inline]
+    pub fn deadline(&self) -> u64 {
+        self.next
+    }
+
+    /// Fires the due tick: returns its deadline and draws the next one.
+    #[inline]
+    pub fn advance(&mut self) -> u64 {
+        let due = self.next;
+        self.next += self.draw_period();
+        due
+    }
+
+    /// One period from `[period - jitter, period + jitter]`.
+    #[inline]
+    fn draw_period(&mut self) -> u64 {
+        if self.jitter == 0 {
+            return self.period;
+        }
+        // xorshift64: deterministic, cheap, seeded.
+        self.state ^= self.state << 13;
+        self.state ^= self.state >> 7;
+        self.state ^= self.state << 17;
+        self.period - self.jitter + self.state % (2 * self.jitter + 1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,6 +207,35 @@ mod tests {
             ..VmConfig::default()
         };
         let _ = c.timer_period();
+    }
+
+    #[test]
+    fn tick_periods_stay_within_the_clamped_jitter() {
+        for (timer_jitter, lo, hi) in [(0, 100_000, 100_000), (12_500, 87_500, 112_500)] {
+            let mut timer = TickSchedule::new(&VmConfig {
+                timer_jitter,
+                ..VmConfig::default()
+            });
+            let mut last = 0;
+            for _ in 0..1_000 {
+                let due = timer.advance();
+                assert!((lo..=hi).contains(&(due - last)), "period {}", due - last);
+                last = due;
+            }
+        }
+        // A jitter of a whole period or more is clamped, so every
+        // period stays at least one cycle and deadlines strictly rise.
+        let mut timer = TickSchedule::new(&VmConfig {
+            timer_hz: 5_000_000,
+            timer_jitter: 50,
+            ..VmConfig::default()
+        });
+        let mut last = 0;
+        for _ in 0..1_000 {
+            let due = timer.advance();
+            assert!((1..=3).contains(&(due - last)), "period {}", due - last);
+            last = due;
+        }
     }
 
     #[test]

@@ -39,7 +39,8 @@ pub const ROOT_SITE: CallSiteId = CallSiteId(u32::MAX);
 ///
 /// Walking the stack is how a sample is taken; the *simulated* cost of the
 /// walk is charged by the profiler via its cost model, not by this type.
-#[derive(Debug, Clone, Copy)]
+/// The default is the empty stack of a thread that has finished.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StackSlice<'a> {
     frames: &'a [Frame],
 }

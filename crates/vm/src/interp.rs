@@ -8,7 +8,7 @@
 //! happens at the next yieldpoint (call, return or backedge) — mirroring
 //! how Jikes RVM's thread scheduler interacts with its yieldpoints.
 
-use crate::config::VmConfig;
+use crate::config::{TickSchedule, VmConfig};
 use crate::error::VmError;
 use crate::events::{CallEvent, NullProfiler, Profiler, StackSlice, ThreadId};
 use crate::frame::Frame;
@@ -61,7 +61,7 @@ pub struct Vm<'p> {
 
 /// A superinstruction: a straight-line run of ops that [`Vm::run_with`]
 /// executes as one dispatch when no timer tick or fuel boundary can land
-/// inside it (`next_tick > clock + total_cost` and
+/// inside it (`timer.deadline() > clock + total_cost` and
 /// `clock + total_cost <= budget`). Under that guard the run contains no
 /// profiler-observable point — no tick, no trap, no call/return/backedge
 /// yieldpoint — so collapsing it changes nothing a profiler or the
@@ -412,7 +412,6 @@ impl<'p> Vm<'p> {
         let samples_exits = self.config.flavor.samples_exits();
         let backedge_yieldpoints = self.config.flavor.has_backedge_yieldpoints();
         let max_stack_depth = self.config.max_stack_depth;
-        let period = self.config.timer_period();
         let entry = program.entry();
         let entry_locals = usize::from(program.method(entry).num_locals());
         let cost_rows = self.cost_rows.as_slice();
@@ -431,21 +430,8 @@ impl<'p> Vm<'p> {
             })
             .collect();
 
-        let jitter = self.config.timer_jitter.min(period.saturating_sub(1));
-        let mut jitter_state = self.config.timer_seed | 1;
-        let mut draw_period = move || {
-            if jitter == 0 {
-                return period;
-            }
-            // xorshift64: deterministic, cheap, seeded.
-            jitter_state ^= jitter_state << 13;
-            jitter_state ^= jitter_state >> 7;
-            jitter_state ^= jitter_state << 17;
-            period - jitter + jitter_state % (2 * jitter + 1)
-        };
-
+        let mut timer = TickSchedule::new(&self.config);
         let mut clock: u64 = 0;
-        let mut next_tick: u64 = draw_period();
         let mut ticks: u64 = 0;
         let mut instructions: u64 = 0;
         let mut calls: u64 = 0;
@@ -500,7 +486,7 @@ impl<'p> Vm<'p> {
                 // interpret the same ops one at a time.
                 if let Some(f) = fused[pc as usize].as_deref() {
                     let end_clock = clock + f.total_cost;
-                    if next_tick <= end_clock || end_clock > budget {
+                    if timer.deadline() <= end_clock || end_clock > budget {
                         // A tick or fuel boundary lands inside the run:
                         // bail to per-op execution so the boundary is
                         // observed at its exact cycle.
@@ -602,12 +588,11 @@ impl<'p> Vm<'p> {
                 // fires, in order, at the same boundary. The regression
                 // test `tick_counts_are_pinned_per_flavor` pins exact
                 // tick counts for a tight loop under both flavors.
-                if next_tick <= clock {
+                if timer.deadline() <= clock {
                     running(frames).set_pc(pc);
-                    while next_tick <= clock {
+                    while timer.deadline() <= clock {
                         ticks += 1;
-                        profiler.on_tick(next_tick, tid, StackSlice::new(frames));
-                        next_tick += draw_period();
+                        profiler.on_tick(timer.advance(), tid, StackSlice::new(frames));
                         pending_switch = true;
                     }
                     armed = profiler.armed(tid);
@@ -1239,6 +1224,65 @@ mod tests {
             let r = vm.run_unprofiled().unwrap();
             assert_eq!(r.ticks, r.cycles / vm.config().timer_period());
             assert_eq!(r.ticks, 16, "pinned exact-period tick count");
+        }
+    }
+
+    /// The clocks `run_with` hands to `on_tick` are the deadlines of the
+    /// configuration's [`TickSchedule`], in order, with none skipped: a
+    /// profiler holding its own copy of a schedule replays exactly the
+    /// ticks a run under that configuration would deliver.
+    #[test]
+    fn ticks_fire_at_the_schedule_deadlines() {
+        use crate::config::VmFlavor;
+        #[derive(Default)]
+        struct TickClocks(Vec<u64>);
+        impl Profiler for TickClocks {
+            fn on_tick(&mut self, clock: u64, _thread: ThreadId, _stack: StackSlice<'_>) {
+                self.0.push(clock);
+            }
+        }
+
+        let mut b = ProgramBuilder::new();
+        let cls = b.add_class("C", 0);
+        let f = b
+            .function("f", cls, 1, 0, |c| {
+                c.load(0).const_(3).mul().ret();
+            })
+            .unwrap();
+        let main = b
+            .function("main", cls, 0, 1, |c| {
+                c.counted_loop(0, 2_000, |c| {
+                    c.const_(2).call(f).pop().io(100).pop();
+                });
+                // One op spanning several periods: every deadline it
+                // passes fires at the same boundary, in order.
+                c.io(3_000).pop();
+                c.const_(0).ret();
+            })
+            .unwrap();
+        b.set_entry(main);
+        let p = b.build().unwrap();
+        for flavor in [VmFlavor::Jikes, VmFlavor::J9] {
+            for timer_jitter in [0, VmConfig::default().timer_jitter] {
+                for timer_seed in [VmConfig::default().timer_seed, 0xF1EE7] {
+                    let config = VmConfig {
+                        flavor,
+                        timer_jitter,
+                        timer_seed,
+                        ..VmConfig::default()
+                    };
+                    let mut seen = TickClocks::default();
+                    let report = Vm::new(&p, config.clone()).run_with(&mut seen).unwrap();
+                    let mut timer = TickSchedule::new(&config);
+                    let due: Vec<u64> = seen.0.iter().map(|_| timer.advance()).collect();
+                    let what = format!("{flavor:?} jitter={timer_jitter} seed={timer_seed:#x}");
+                    assert!(seen.0.len() > 100, "{what}: {} ticks", seen.0.len());
+                    assert_eq!(seen.0, due, "{what}");
+                    assert_eq!(report.ticks, due.len() as u64, "{what}");
+                    // The run ends before the next deadline.
+                    assert!(timer.deadline() > report.cycles, "{what}");
+                }
+            }
         }
     }
 

@@ -62,7 +62,7 @@ pub mod metrics;
 mod report;
 mod value;
 
-pub use config::{VmConfig, VmFlavor};
+pub use config::{TickSchedule, VmConfig, VmFlavor};
 pub use cost::CostModel;
 pub use error::VmError;
 pub use events::{CallEvent, FrameInfo, NullProfiler, Profiler, StackSlice, ThreadId, ROOT_SITE};
