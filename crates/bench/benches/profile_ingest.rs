@@ -42,6 +42,15 @@
 //! * `recovery/replay` — `ProfileStore::open` replaying the 64-frame
 //!   WAL into a fresh aggregator.
 //!
+//! `scripts/verify.sh` gates three ratios of these configs:
+//! `codec/decode_snapshot` over `codec/decode`, `wal/append` over
+//! `aggregate/streaming`, and `wal/append_single_lock` over
+//! `wal/append_concurrent`. The two configs of each ratio are timed
+//! interleaved — every iteration runs both back to back, in an order
+//! that alternates — and the artifact commits the median of the
+//! per-iteration ratios under `median_ratios`, so host drift between
+//! the two configs does not land in the ratio.
+//!
 //! Emits `BENCH_ingest.json` at the repo root (skipped in smoke mode,
 //! like every other bench artifact).
 
@@ -52,9 +61,10 @@ use cbs_core::profiled::{
     AggregatorConfig, DcgCodec, DcgFrame, IngestScratch, ProfileJournal, ShardedAggregator,
 };
 use cbs_core::store::{FsyncPolicy, ProfileStore, StoreConfig};
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const EDGES: usize = 50_000;
 const FRAMES: usize = 64;
@@ -116,6 +126,90 @@ fn json_entry(name: &str, records: usize, r: &BenchResult) -> String {
     )
 }
 
+/// The median per-iteration ratio of two configs timed interleaved.
+fn ratio_entry(numerator: &str, r: &BenchResult, denominator: &str, base: &BenchResult) -> String {
+    format!(
+        "    {{ \"numerator\": \"{numerator}\", \"denominator\": \"{denominator}\", \
+         \"median\": {:.4} }}",
+        r.median_ratio(base)
+    )
+}
+
+/// Times two configs interleaved; returns their results in order.
+fn pair<'a>(
+    group: &mut BenchGroup,
+    a: (&'a str, &'a mut dyn FnMut()),
+    b: (&'a str, &'a mut dyn FnMut()),
+) -> (BenchResult, BenchResult) {
+    let [a, b] =
+        <[BenchResult; 2]>::try_from(group.bench_interleaved(&mut [a, b])).expect("two results");
+    (a, b)
+}
+
+/// Pushes `frames` through a fresh store in a scratch directory with
+/// fsync off and no checkpoints: WAL append then apply, per frame.
+fn wal_append(frames: &[Vec<u8>]) -> u64 {
+    let dir = scratch_dir("wal-append");
+    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
+    let store = ProfileStore::open(&dir, agg, lazy_store()).expect("open store");
+    let mut scratch = IngestScratch::new();
+    for frame in frames {
+        store
+            .ingest_frame(frame, &mut scratch)
+            .expect("own encoding ingests");
+    }
+    let records = store.aggregator().stats().records;
+    drop(store);
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    records
+}
+
+/// The store configuration of `wal/append` and `recovery/replay`: fsync
+/// off (the async-durability configuration) and checkpoints disabled,
+/// so the measurement is the steady-state append and apply.
+fn lazy_store() -> StoreConfig {
+    StoreConfig {
+        fsync: FsyncPolicy::Never,
+        checkpoint_every: 0,
+        ..StoreConfig::default()
+    }
+}
+
+/// Pushes `frames` from [`PUSHERS`] threads through one `fsync always`
+/// store. With `one_at_a_time`, every push holds one external lock, so
+/// each reaches the committer alone and syncs a batch of one.
+fn durable_pushers(frames: &[Vec<u8>], one_at_a_time: bool) -> u64 {
+    let dir = scratch_dir(if one_at_a_time {
+        "wal-lock"
+    } else {
+        "wal-conc"
+    });
+    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
+    let config = StoreConfig {
+        fsync: FsyncPolicy::Always,
+        checkpoint_every: 0,
+        ..StoreConfig::default()
+    };
+    let store = ProfileStore::open(&dir, agg, config).expect("open store");
+    let big_lock = Mutex::new(());
+    std::thread::scope(|scope| {
+        for chunk in frames.chunks(frames.len().div_ceil(PUSHERS)) {
+            let (store, big_lock) = (&store, &big_lock);
+            scope.spawn(move || {
+                let mut scratch = IngestScratch::new();
+                for frame in chunk {
+                    let _guard = one_at_a_time.then(|| big_lock.lock().expect("no poison"));
+                    store.ingest_frame(frame, &mut scratch).expect("ingests");
+                }
+            });
+        }
+    });
+    let records = store.aggregator().stats().records;
+    drop(store);
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    records
+}
+
 fn main() {
     let records = synthetic_records();
     let frames: Vec<Vec<u8>> = records
@@ -135,6 +229,7 @@ fn main() {
 
     let mut group = BenchGroup::new("profile_ingest", 20);
     let mut entries = Vec::new();
+    let mut ratios = Vec::new();
 
     let encode = group
         .bench("codec/encode", || {
@@ -146,15 +241,45 @@ fn main() {
         })
         .clone();
     entries.push(json_entry("codec/encode", EDGES, &encode));
-    let decode = group
-        .bench("codec/decode", || {
-            frames
-                .iter()
-                .map(|f| DcgCodec::decode(f).expect("valid").edges.len())
-                .sum::<usize>()
-        })
-        .clone();
+
+    // A fully loaded aggregator for the read path, and its snapshot as a
+    // client pulls it.
+    let loaded = ShardedAggregator::new(AggregatorConfig::default());
+    {
+        let mut scratch = IngestScratch::new();
+        for frame in &frames {
+            loaded
+                .ingest_frame_bytes(frame, &mut scratch)
+                .expect("own encoding ingests");
+        }
+    }
+    let snapshot_edges = loaded.stats().edges;
+    let encoded = loaded.encoded_snapshot();
+
+    // Gated: a pulled snapshot decodes into a graph within 1.5x of
+    // decoding the same records into plain frames.
+    let (decode, decode_snapshot) = pair(
+        &mut group,
+        ("codec/decode", &mut || {
+            for f in &frames {
+                black_box(DcgCodec::decode(f).expect("valid").edges.len());
+            }
+        }),
+        ("codec/decode_snapshot", &mut || {
+            black_box(
+                DcgCodec::decode_snapshot(&encoded)
+                    .expect("own encoding decodes")
+                    .num_edges(),
+            );
+        }),
+    );
     entries.push(json_entry("codec/decode", EDGES, &decode));
+    ratios.push(ratio_entry(
+        "codec/decode_snapshot",
+        &decode_snapshot,
+        "codec/decode",
+        &decode,
+    ));
 
     let serial = group
         .bench("aggregate/serial", || {
@@ -167,18 +292,30 @@ fn main() {
         .clone();
     entries.push(json_entry("aggregate/serial", EDGES, &serial));
 
-    let streaming = group
-        .bench("aggregate/streaming", || {
+    // Gated: the durable write path (WAL append then apply, fsync off)
+    // within 2x of the same frames through the in-memory streaming path.
+    let (streaming, wal_append) = pair(
+        &mut group,
+        ("aggregate/streaming", &mut || {
             let agg = ShardedAggregator::new(AggregatorConfig::default());
             let mut scratch = IngestScratch::new();
             for frame in &frames {
                 agg.ingest_frame_bytes(frame, &mut scratch)
                     .expect("own encoding ingests");
             }
-            agg.stats().records
-        })
-        .clone();
+            black_box(agg.stats().records);
+        }),
+        ("wal/append", &mut || {
+            black_box(wal_append(&frames));
+        }),
+    );
     entries.push(json_entry("aggregate/streaming", EDGES, &streaming));
+    ratios.push(ratio_entry(
+        "wal/append",
+        &wal_append,
+        "aggregate/streaming",
+        &streaming,
+    ));
 
     let threaded = group
         .bench(&format!("aggregate/threads={PUSHERS}"), || {
@@ -202,21 +339,11 @@ fn main() {
         &threaded,
     ));
 
-    // Pull-side costs against a fully loaded aggregator:
-    // `pull/rebuild` pays the lock-seal-encode path every iteration
-    // (decay is 1.0, so the epoch advance changes no weight — it only
-    // invalidates the cache); `pull/cached` measures the steady-state
-    // hit path repeated `OP_PULL`s ride.
-    let loaded = ShardedAggregator::new(AggregatorConfig::default());
-    {
-        let mut scratch = IngestScratch::new();
-        for frame in &frames {
-            loaded
-                .ingest_frame_bytes(frame, &mut scratch)
-                .expect("own encoding ingests");
-        }
-    }
-    let snapshot_edges = loaded.stats().edges;
+    // Pull-side costs against the loaded aggregator: `pull/rebuild`
+    // pays the lock-seal-encode path every iteration (decay is 1.0, so
+    // the epoch advance changes no weight — it only invalidates the
+    // cache); `pull/cached` measures the steady-state hit path repeated
+    // `OP_PULL`s ride.
     let rebuild = group
         .bench("pull/rebuild", || {
             loaded.advance_epoch();
@@ -228,10 +355,9 @@ fn main() {
         .bench("pull/cached", || loaded.encoded_snapshot().len())
         .clone();
     entries.push(json_entry("pull/cached", snapshot_edges, &cached));
-    // The read path's other two passes over the same aggregate: a cold
+    // The read path's other passes over the same aggregate: a cold
     // `OP_PLAN` (the same invalidate-then-read as `pull/rebuild`, on the
-    // plan cache), and what the client pays to turn the pulled bytes
-    // back into a graph.
+    // plan cache), and the codec's halves alone.
     let plan_build = group
         .bench("plan/build", || {
             loaded.advance_epoch();
@@ -264,130 +390,41 @@ fn main() {
         snapshot_edges,
         &decode_plan,
     ));
-    let encoded = loaded.encoded_snapshot();
-    let decode_snapshot = group
-        .bench("codec/decode_snapshot", || {
-            DcgCodec::decode_snapshot(&encoded)
-                .expect("own encoding decodes")
-                .num_edges()
-        })
-        .clone();
     entries.push(json_entry(
         "codec/decode_snapshot",
         snapshot_edges,
         &decode_snapshot,
     ));
-
-    // Durable-store write path: same frames, same aggregator as
-    // aggregate/streaming, plus a WAL append per frame with
-    // fsync off (the async-durability configuration). Checkpointing is
-    // disabled so the measurement is the steady-state append+apply cost.
-    let store_config = StoreConfig {
-        fsync: FsyncPolicy::Never,
-        checkpoint_every: 0,
-        ..StoreConfig::default()
-    };
-    let wal_append = group
-        .bench("wal/append", || {
-            let dir = scratch_dir("wal-append");
-            let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
-            let store = ProfileStore::open(&dir, agg, store_config.clone()).expect("open store");
-            let mut scratch = IngestScratch::new();
-            for frame in &frames {
-                store
-                    .ingest_frame(frame, &mut scratch)
-                    .expect("own encoding ingests");
-            }
-            let records = store.aggregator().stats().records;
-            drop(store);
-            std::fs::remove_dir_all(&dir).expect("remove scratch dir");
-            records
-        })
-        .clone();
     entries.push(json_entry("wal/append", EDGES, &wal_append));
 
-    // Concurrent durable ingest: the shared-sync gate. The records are
-    // re-cut into 1024 small frames (per-ack fsync dominates, as in a
-    // fleet where pushes are small next to the sync), pushed by four
-    // threads through one `fsync always` store. The baseline runs the
-    // identical workload and store configuration serialized behind one
-    // external lock, so every push convoys and syncs alone — the
-    // monolithic-lock write path this store replaced.
+    // Gated: concurrent durable ingest beats the same pushes serialized.
+    // The records are re-cut into 1024 small frames (per-ack fsync
+    // dominates, as in a fleet where pushes are small next to the sync)
+    // and pushed by four threads through one `fsync always` store. The
+    // baseline serializes the identical workload behind one external
+    // lock, so every push convoys and syncs alone — the monolithic-lock
+    // write path this store replaced.
     let durable_frames: Vec<Vec<u8>> = records
         .chunks(records.len().div_ceil(16 * FRAMES))
         .map(DcgCodec::encode_delta)
         .collect();
-    let concurrent = group
-        .bench("wal/append_concurrent", || {
-            let dir = scratch_dir("wal-conc");
-            let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
-            let store = ProfileStore::open(
-                &dir,
-                agg,
-                StoreConfig {
-                    fsync: FsyncPolicy::Always,
-                    checkpoint_every: 0,
-                    ..StoreConfig::default()
-                },
-            )
-            .expect("open store");
-            std::thread::scope(|scope| {
-                let store = &store;
-                for chunk in durable_frames.chunks(durable_frames.len().div_ceil(PUSHERS)) {
-                    scope.spawn(move || {
-                        let mut scratch = IngestScratch::new();
-                        for frame in chunk {
-                            store.ingest_frame(frame, &mut scratch).expect("ingests");
-                        }
-                    });
-                }
-            });
-            let records = store.aggregator().stats().records;
-            drop(store);
-            std::fs::remove_dir_all(&dir).expect("remove scratch dir");
-            records
-        })
-        .clone();
+    let (concurrent, single_lock) = pair(
+        &mut group,
+        ("wal/append_concurrent", &mut || {
+            black_box(durable_pushers(&durable_frames, false));
+        }),
+        ("wal/append_single_lock", &mut || {
+            black_box(durable_pushers(&durable_frames, true));
+        }),
+    );
     entries.push(json_entry("wal/append_concurrent", EDGES, &concurrent));
-
-    let single_lock = group
-        .bench("wal/append_single_lock", || {
-            let dir = scratch_dir("wal-lock");
-            let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
-            let store = ProfileStore::open(
-                &dir,
-                agg,
-                StoreConfig {
-                    fsync: FsyncPolicy::Always,
-                    checkpoint_every: 0,
-                    ..StoreConfig::default()
-                },
-            )
-            .expect("open store");
-            let big_lock = std::sync::Mutex::new(());
-            std::thread::scope(|scope| {
-                let store = &store;
-                let big_lock = &big_lock;
-                for chunk in durable_frames.chunks(durable_frames.len().div_ceil(PUSHERS)) {
-                    scope.spawn(move || {
-                        let mut scratch = IngestScratch::new();
-                        for frame in chunk {
-                            // The external lock serializes the whole
-                            // op, so each push reaches the committer
-                            // alone and syncs a batch of one.
-                            let _guard = big_lock.lock().expect("no poison");
-                            store.ingest_frame(frame, &mut scratch).expect("ingests");
-                        }
-                    });
-                }
-            });
-            let records = store.aggregator().stats().records;
-            drop(store);
-            std::fs::remove_dir_all(&dir).expect("remove scratch dir");
-            records
-        })
-        .clone();
     entries.push(json_entry("wal/append_single_lock", EDGES, &single_lock));
+    ratios.push(ratio_entry(
+        "wal/append_single_lock",
+        &single_lock,
+        "wal/append_concurrent",
+        &concurrent,
+    ));
 
     // Recovery: open a directory whose WAL already holds every frame
     // and replay it into a fresh aggregator. (Each open leaves one
@@ -396,7 +433,7 @@ fn main() {
     let replay_dir = scratch_dir("recovery-replay");
     {
         let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
-        let store = ProfileStore::open(&replay_dir, agg, store_config.clone()).expect("open store");
+        let store = ProfileStore::open(&replay_dir, agg, lazy_store()).expect("open store");
         let mut scratch = IngestScratch::new();
         for frame in &frames {
             store
@@ -407,8 +444,7 @@ fn main() {
     let replay = group
         .bench("recovery/replay", || {
             let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
-            let store =
-                ProfileStore::open(&replay_dir, agg, store_config.clone()).expect("recovery opens");
+            let store = ProfileStore::open(&replay_dir, agg, lazy_store()).expect("recovery opens");
             assert_eq!(
                 store.recovery_report().replayed_frames,
                 FRAMES as u64,
@@ -426,8 +462,9 @@ fn main() {
     }
     let json = format!(
         "{{\n  \"bench\": \"profile_ingest\",\n  \"records\": {EDGES},\n  \"frames\": {FRAMES},\n  \
-         \"wire_bytes\": {wire_bytes},\n  \"configs\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
+         \"wire_bytes\": {wire_bytes},\n  \"configs\": [\n{}\n  ],\n  \"median_ratios\": [\n{}\n  ]\n}}\n",
+        entries.join(",\n"),
+        ratios.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
     std::fs::write(path, json).expect("write BENCH_ingest.json");

@@ -22,7 +22,9 @@
 //! With `--data-dir`, every accepted push is appended to a write-ahead
 //! log before it is acknowledged and the directory is recovered on
 //! startup — a `recovered ...` line (printed before `listening`)
-//! reports what came back. `--fsync` picks the durability/throughput
+//! reports what came back, ending with the WAL bytes replayed
+//! (`wal_bytes=`) and the wall time opening the store took
+//! (`replay_ms=`). `--fsync` picks the durability/throughput
 //! trade (`always` syncs before every ack, `never` leaves it to the
 //! OS); `--checkpoint-every` bounds replay time by checkpointing after
 //! that many applied frames. Under `--fsync always` a push that arrives
@@ -37,6 +39,7 @@ use cbs_core::store::{FsyncPolicy, ProfileStore, StoreConfig};
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn main() -> ExitCode {
     match run() {
@@ -93,16 +96,20 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let aggregator = Arc::new(ShardedAggregator::new(agg_config));
     let journal: Arc<dyn ProfileJournal> = match data_dir {
         Some(dir) => {
+            let opened = Instant::now();
             let store = ProfileStore::open(dir.as_str(), Arc::clone(&aggregator), store_config)?;
+            let replay_ms = opened.elapsed().as_secs_f64() * 1e3;
             let r = store.recovery_report();
             println!(
-                "recovered frames={} records={} epochs={} checkpoint_epoch={} truncated_tail={}",
+                "recovered frames={} records={} epochs={} checkpoint_epoch={} truncated_tail={} \
+                 wal_bytes={} replay_ms={replay_ms:.1}",
                 r.replayed_frames,
                 r.replayed_records,
                 r.replayed_epochs,
                 r.checkpoint_epoch
                     .map_or_else(|| "none".to_owned(), |e| e.to_string()),
                 r.truncated_tail,
+                r.replayed_wal_bytes,
             );
             Arc::new(store)
         }

@@ -108,7 +108,7 @@ pub fn inspect(dir: &Path) -> io::Result<StoreInspection> {
             corrupt: scan.corrupt,
         };
         for record in &scan.records {
-            match decode_op(&record.payload) {
+            match decode_op(scan.payload(record)) {
                 Some(WalOp::Frame(_)) => info.frames += 1,
                 Some(WalOp::SeqFrame { .. }) => info.seq_frames += 1,
                 Some(WalOp::Epoch(_)) => info.epochs += 1,

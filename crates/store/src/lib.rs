@@ -15,8 +15,10 @@
 //!   table) that bound replay time and let the subsumed log prefix be
 //!   deleted;
 //! * [`store`] — [`ProfileStore::open`] recovery: load the checkpoint,
-//!   replay the WAL tail through the very same
-//!   `ShardedAggregator::ingest_frame_bytes` path live ingest uses, and
+//!   replay the WAL tail through the same decode
+//!   (`ShardedAggregator::partition_frame`) and apply
+//!   (`apply_partitioned`) live ingest uses — the decode on a reader
+//!   thread, the apply in WAL order on the opening thread — and
 //!   truncate — never half-apply — a torn tail. The recovered server's
 //!   encoded snapshot, decay epoch, and dedup table are byte-identical
 //!   to an uninterrupted server that ingested exactly the durable
@@ -47,6 +49,7 @@ pub mod crc;
 pub mod inspect;
 pub mod lock;
 pub mod metrics;
+mod replay;
 pub mod store;
 pub mod wal;
 

@@ -32,6 +32,9 @@ pub struct StoreMetrics {
     pub checkpoint_gc_errors: Counter,
     /// Frames re-applied from the WAL during recovery.
     pub recovery_replayed_frames: Counter,
+    /// WAL log bytes recovery replayed: headers and intact records up
+    /// to the cut, zero reserves excluded.
+    pub recovery_wal_bytes: Counter,
     /// Recoveries that truncated a torn or corrupt WAL tail.
     pub recovery_truncated_tail: Counter,
 }
@@ -64,6 +67,10 @@ impl StoreMetrics {
                 recovery_replayed_frames: r.counter(
                     "store.recovery.replayed_frames",
                     "frames re-applied from the WAL during recovery",
+                ),
+                recovery_wal_bytes: r.counter(
+                    "store.recovery.wal_bytes",
+                    "WAL log bytes replayed during recovery",
                 ),
                 recovery_truncated_tail: r.counter(
                     "store.recovery.truncated_tail",

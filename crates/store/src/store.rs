@@ -36,9 +36,11 @@
 //! uninterrupted store that ingested exactly the durable prefix of
 //! operations *in WAL record order*. A torn or corrupt WAL tail is
 //! detected by CRC, truncated away, and reported; it is never an error
-//! and never half-applied. The zero reserve a segment keeps past its
-//! last record is the log's clean end: recovery leaves it in place and
-//! does not report it.
+//! and never half-applied. The replay runs in two stages on two
+//! threads — scan and decode ahead, apply in WAL order — and its
+//! outcome depends on the WAL alone (`replay.rs`). The zero reserve a
+//! segment keeps past its last record is the log's clean end: recovery
+//! leaves it in place and does not report it.
 //!
 //! The data directory is guarded by the kernel's advisory lock on a
 //! `store.lock` file ([`crate::lock::StoreLock`]): a second opener
@@ -62,9 +64,10 @@
 use crate::checkpoint::{Checkpoint, CKPT_TMP_FILE};
 use crate::lock::StoreLock;
 use crate::metrics::StoreMetrics;
+use crate::replay::replay;
 use crate::wal::{
-    self, decode_op, encode_epoch, encode_frame, encode_seq_frame, list_segments, scan_segment,
-    SegmentWriter, WalOp, RECORD_OVERHEAD, WAL_HEADER_LEN,
+    self, encode_epoch, encode_frame, encode_seq_frame, list_segments, SegmentWriter,
+    RECORD_OVERHEAD, WAL_HEADER_LEN,
 };
 use cbs_profiled::{
     CodecError, DedupEntry, DedupTable, DedupUsage, FrameKind, IngestScratch, JournalError,
@@ -149,6 +152,9 @@ pub struct RecoveryReport {
     pub replayed_records: u64,
     /// Epoch advances re-applied from the WAL.
     pub replayed_epochs: u64,
+    /// WAL log bytes replayed: segment headers and intact records, up
+    /// to the cut when there is one; zero reserves are not counted.
+    pub replayed_wal_bytes: u64,
     /// `true` when a torn/corrupt tail was truncated away (a clean zero
     /// reserve past the last record is neither).
     pub truncated_tail: bool,
@@ -287,67 +293,14 @@ impl ProfileStore {
             }
         }
 
-        let mut cut: Option<(usize, u64, PathBuf)> = None; // (live idx, offset, path)
-        'segments: for (idx, (_seq, path)) in live.iter().enumerate() {
-            report.segments_scanned += 1;
-            let scan = scan_segment(path)?;
-            for record in &scan.records {
-                let applied = match decode_op(&record.payload) {
-                    Some(WalOp::Frame(frame)) => {
-                        Some(aggregator.ingest_frame_bytes(frame, &mut scratch))
-                    }
-                    Some(WalOp::SeqFrame { client, seq, frame }) => {
-                        // The writer only journals applied sequences, so
-                        // a replayed pair is always new relative to the
-                        // restored table; the guard is pure defense.
-                        if dedup.last_seq(client).is_none_or(|last| seq > last) {
-                            let applied = aggregator.ingest_frame_bytes(frame, &mut scratch);
-                            if applied.is_ok() {
-                                dedup.record(client, seq);
-                            }
-                            Some(applied)
-                        } else {
-                            None
-                        }
-                    }
-                    Some(WalOp::Epoch(_)) => {
-                        aggregator.advance_epoch();
-                        report.replayed_epochs += 1;
-                        None
-                    }
-                    None => {
-                        // CRC-intact but undecodable: corruption. Cut
-                        // here.
-                        cut = Some((idx, record.offset, path.clone()));
-                        break 'segments;
-                    }
-                };
-                match applied {
-                    Some(Ok((_, records))) => {
-                        report.replayed_frames += 1;
-                        report.replayed_records += records as u64;
-                    }
-                    Some(Err(_)) => {
-                        // Same policy as an undecodable payload.
-                        cut = Some((idx, record.offset, path.clone()));
-                        break 'segments;
-                    }
-                    None => {}
-                }
-            }
-            if scan.corrupt {
-                cut = Some((idx, scan.valid_len, path.clone()));
-                break 'segments;
-            }
-        }
-
-        if let Some((idx, offset, path)) = cut {
-            let seq = live[idx].0;
+        let cut = replay(&live, &aggregator, &mut dedup, &mut report)?;
+        if let Some((idx, offset)) = cut {
+            let (seq, path) = &live[idx];
             if offset < WAL_HEADER_LEN {
                 // Even the header is gone; nothing in the file is real.
-                fs::remove_file(&path)?;
+                fs::remove_file(path)?;
             } else {
-                let f = OpenOptions::new().write(true).open(&path)?;
+                let f = OpenOptions::new().write(true).open(path)?;
                 f.set_len(offset)?;
                 f.sync_all()?;
             }
@@ -358,7 +311,7 @@ impl ProfileStore {
             }
             wal::sync_dir(&dir)?;
             report.truncated_tail = true;
-            report.truncated_at = Some((seq, offset));
+            report.truncated_at = Some((*seq, offset));
             StoreMetrics::get().recovery_truncated_tail.inc();
         }
 
@@ -366,9 +319,9 @@ impl ProfileStore {
             base_frames + report.replayed_frames,
             base_records + report.replayed_records,
         );
-        StoreMetrics::get()
-            .recovery_replayed_frames
-            .add(report.replayed_frames);
+        let m = StoreMetrics::get();
+        m.recovery_replayed_frames.add(report.replayed_frames);
+        m.recovery_wal_bytes.add(report.replayed_wal_bytes);
 
         let wal = SegmentWriter::create(&dir, max_seq_seen + 1)?;
         let file = wal.file();

@@ -373,15 +373,7 @@ fn journaled(name: &str, ops: &[Op]) -> (TestDir, Vec<u8>, Vec<(u64, u64)>) {
 
 /// Each scanned record's (start, end) offsets.
 fn record_bounds(scan: &SegmentScan) -> Vec<(u64, u64)> {
-    scan.records
-        .iter()
-        .map(|r| {
-            (
-                r.offset,
-                r.offset + RECORD_OVERHEAD + r.payload.len() as u64,
-            )
-        })
-        .collect()
+    scan.records.iter().map(|r| (r.offset, r.end())).collect()
 }
 
 /// Every state a crash can leave in the log, written directly: the WAL
@@ -761,7 +753,7 @@ fn wal_op_order(dir: &Path) -> Vec<Op> {
         let scan = scan_segment(&path).unwrap();
         assert!(!scan.corrupt, "no torn records expected in {path:?}");
         for record in &scan.records {
-            match wal::decode_op(&record.payload).expect("every record decodes") {
+            match wal::decode_op(scan.payload(record)).expect("every record decodes") {
                 wal::WalOp::Frame(f) => ops.push(Op::Push(f.to_vec())),
                 wal::WalOp::SeqFrame { client, seq, frame } => ops.push(Op::PushSeq {
                     client,
@@ -1135,4 +1127,225 @@ fn second_opener_is_refused_while_the_store_is_live() {
     drop(store);
     // Releasing the lock makes the directory usable again.
     ProfileStore::open(dir.path(), agg(decaying()), fast_config()).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Two-stage replay: a reader thread scans and decodes ahead while the
+// opening thread applies, so these pin the cases where the reader has
+// run past the record that decides the outcome.
+// ---------------------------------------------------------------------
+
+/// `n` mixed ops in the pattern of [`mixed_ops`]: every sequenced push
+/// is new for its client.
+fn long_mixed_ops(n: u64) -> Vec<Op> {
+    (0..n)
+        .map(|i| match i % 4 {
+            0 => Op::Push(frame(i)),
+            3 => Op::Epoch,
+            _ => Op::PushSeq {
+                client: i % 5,
+                seq: i / 4 + 1,
+                frame: frame(i),
+            },
+        })
+        .collect()
+}
+
+/// Writes `sessions` through a store, reopening it before each one, so
+/// each session's ops land in a segment of their own (1, 2, ...).
+fn multi_segment(name: &str, sessions: &[&[Op]]) -> TestDir {
+    let dir = TestDir::new(name);
+    for ops in sessions {
+        let store = ProfileStore::open(dir.path(), agg(decaying()), fast_config()).unwrap();
+        for op in *ops {
+            apply_to_store(&store, op).unwrap();
+        }
+    }
+    let segments: Vec<u64> = list_segments(dir.path())
+        .unwrap()
+        .into_iter()
+        .map(|(seq, _)| seq)
+        .collect();
+    assert_eq!(segments, (1..=sessions.len() as u64).collect::<Vec<_>>());
+    dir
+}
+
+/// The report a recovery that cuts segment `seq` at `offset` after
+/// replaying `prefix` (of one segment, no checkpoint) must return.
+fn cut_report(seq: u64, offset: u64, prefix: &[Op], reference: &ReferenceState) -> RecoveryReport {
+    RecoveryReport {
+        checkpoint_epoch: None,
+        segments_scanned: seq as usize,
+        stale_segments_removed: 0,
+        replayed_frames: reference.frames,
+        replayed_records: reference.records,
+        replayed_epochs: prefix.iter().filter(|op| matches!(op, Op::Epoch)).count() as u64,
+        replayed_wal_bytes: offset,
+        truncated_tail: true,
+        truncated_at: Some((seq, offset)),
+    }
+}
+
+#[test]
+fn a_bad_record_in_an_early_segment_cuts_there_after_later_segments_were_read() {
+    const PER_SEGMENT: usize = 12;
+    let ops = long_mixed_ops(3 * PER_SEGMENT as u64);
+    let sessions: Vec<&[Op]> = ops.chunks(PER_SEGMENT).collect();
+    // Record 9 of segment 1 is a sequenced push (ops 1, 2, 5, 6, 9 and
+    // 10 are). Three ways to spoil it, each one payload byte: the
+    // frame's first byte with the CRC fixed up (the reader decodes on
+    // into segments 2 and 3 and the applier cuts behind it), the tag
+    // with the CRC fixed up, and the frame's first byte alone (a CRC
+    // mismatch, where the scan stops).
+    const VICTIM: usize = 9;
+    assert!(matches!(ops[VICTIM], Op::PushSeq { .. }));
+    for (name, at, fix_crc) in [
+        ("undecodable-frame", 17, true),
+        ("unknown-tag", 0, true),
+        ("crc-mismatch", 17, false),
+    ] {
+        let dir = multi_segment(name, &sessions);
+        let path = dir.path().join(wal::segment_file_name(1));
+        let scan = scan_segment(&path).unwrap();
+        let victim = scan.records[VICTIM];
+        let mut payload = scan.payload(&victim).to_vec();
+        payload[at] ^= 0xEE;
+        let file = fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.write_all_at(&payload, victim.offset + RECORD_OVERHEAD)
+            .unwrap();
+        if fix_crc {
+            let crc = crate::crc::crc32(&payload);
+            file.write_all_at(&crc.to_le_bytes(), victim.offset + 4)
+                .unwrap();
+        }
+        let prefix = &ops[..VICTIM];
+        let reference = reference(decaying(), 3, prefix);
+        let store = ProfileStore::open(dir.path(), agg(decaying()), fast_config()).unwrap();
+        assert_eq!(
+            store.recovery_report(),
+            &cut_report(1, victim.offset, prefix, &reference),
+            "{name}"
+        );
+        assert_store_matches(&store, &reference);
+        assert_eq!(fs::metadata(&path).unwrap().len(), victim.offset, "{name}");
+        let left: Vec<u64> = list_segments(dir.path())
+            .unwrap()
+            .into_iter()
+            .map(|(seq, _)| seq)
+            .collect();
+        assert_eq!(left, [1, 4], "{name}: segments 2 and 3 are gone");
+    }
+}
+
+#[test]
+fn every_clean_segment_replays_and_counts_its_log_bytes() {
+    let ops = long_mixed_ops(30);
+    let sessions: Vec<&[Op]> = ops.chunks(10).collect();
+    let dir = multi_segment("multi-clean", &sessions);
+    let log_bytes: u64 = list_segments(dir.path())
+        .unwrap()
+        .iter()
+        .map(|(_, path)| scan_segment(path).unwrap().valid_len)
+        .sum();
+    let store = ProfileStore::open(dir.path(), agg(decaying()), fast_config()).unwrap();
+    let report = store.recovery_report();
+    assert_eq!(report.segments_scanned, 3);
+    assert_eq!(report.replayed_wal_bytes, log_bytes);
+    assert!(!report.truncated_tail);
+    assert_store_matches(&store, &reference(decaying(), 3, &ops));
+}
+
+#[test]
+fn a_duplicate_sequenced_record_that_does_not_decode_is_skipped_not_cut() {
+    let dir = TestDir::new("dup-undecodable");
+    {
+        let mut w = SegmentWriter::create(dir.path(), 1).unwrap();
+        w.append(&wal::encode_seq_frame(1, 1, &frame(0))).unwrap();
+        // Client 1 already applied seq 1: the dedup guard skips this
+        // record before its frame is judged.
+        w.append(&wal::encode_seq_frame(1, 1, b"not a CBSP frame"))
+            .unwrap();
+        w.append(&wal::encode_seq_frame(1, 2, &frame(1))).unwrap();
+        w.append(&wal::encode_frame(&frame(2))).unwrap();
+        // A new sequence whose frame does not decode is a cut.
+        w.append(&wal::encode_seq_frame(1, 3, b"not a CBSP frame"))
+            .unwrap();
+        w.append(&wal::encode_frame(&frame(3))).unwrap();
+        w.sync().unwrap();
+    }
+    let path = dir.path().join(wal::segment_file_name(1));
+    let cut_at = scan_segment(&path).unwrap().records[4].offset;
+    let store = ProfileStore::open(dir.path(), agg(decaying()), fast_config()).unwrap();
+    let replayed = [
+        Op::PushSeq {
+            client: 1,
+            seq: 1,
+            frame: frame(0),
+        },
+        Op::PushSeq {
+            client: 1,
+            seq: 2,
+            frame: frame(1),
+        },
+        Op::Push(frame(2)),
+    ];
+    let reference = reference(decaying(), 3, &replayed);
+    assert_eq!(
+        store.recovery_report(),
+        &cut_report(1, cut_at, &replayed, &reference)
+    );
+    assert_store_matches(&store, &reference);
+}
+
+#[test]
+fn an_unreadable_segment_fails_open_with_its_scan_error() {
+    let ops = long_mixed_ops(8);
+    let dir = multi_segment("unreadable", &[&ops]);
+    // A directory where segment 2 should be: listed by name, unreadable
+    // as a file, and reached only after segment 1's records were sent.
+    let path = dir.path().join(wal::segment_file_name(2));
+    fs::create_dir(&path).unwrap();
+    let want = scan_segment(&path).unwrap_err();
+    let got = ProfileStore::open(dir.path(), agg(decaying()), fast_config()).unwrap_err();
+    assert_eq!(
+        (got.kind(), got.to_string()),
+        (want.kind(), want.to_string())
+    );
+    // Nothing was cut or removed, and the directory is not left locked.
+    assert_eq!(list_segments(dir.path()).unwrap().len(), 2);
+    fs::remove_dir(&path).unwrap();
+    let store = ProfileStore::open(dir.path(), agg(decaying()), fast_config()).unwrap();
+    assert!(!store.recovery_report().truncated_tail);
+    assert_store_matches(&store, &reference(decaying(), 3, &ops));
+}
+
+#[test]
+fn a_segment_whose_header_names_another_sequence_is_cut_whole() {
+    let ops = long_mixed_ops(24);
+    let sessions: Vec<&[Op]> = ops.chunks(8).collect();
+    let dir = multi_segment("misnamed", &sessions);
+    // Segment 2's header claims sequence 7.
+    let path = dir.path().join(wal::segment_file_name(2));
+    fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .write_all_at(&7u64.to_le_bytes(), 5)
+        .unwrap();
+    let segment_1 = scan_segment(&dir.path().join(wal::segment_file_name(1)))
+        .unwrap()
+        .valid_len;
+    let store = ProfileStore::open(dir.path(), agg(decaying()), fast_config()).unwrap();
+    let prefix = &ops[..8];
+    let reference = reference(decaying(), 3, prefix);
+    let mut want = cut_report(2, 0, prefix, &reference);
+    want.replayed_wal_bytes = segment_1;
+    assert_eq!(store.recovery_report(), &want);
+    assert_store_matches(&store, &reference);
+    let left: Vec<u64> = list_segments(dir.path())
+        .unwrap()
+        .into_iter()
+        .map(|(seq, _)| seq)
+        .collect();
+    assert_eq!(left, [1, 4], "the misnamed segment and the one after it");
 }

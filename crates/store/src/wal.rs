@@ -17,6 +17,11 @@
 //! for frames, the raw CBSP wire bytes exactly as the client sent them,
 //! so replay feeds the same codec path as live ingest.
 //!
+//! A [`SegmentWriter`] frames each record into one buffer it keeps
+//! across appends, so an append allocates nothing once the buffer has
+//! grown to the largest record. The CRC is [`crate::crc`]'s
+//! slicing-by-16 CRC-32.
+//!
 //! After the last record comes a zero-filled *reserve*. When an append
 //! would run past it, the writer first zero-fills [`RESERVE_CHUNK`]
 //! more bytes, then writes the record in place. The fsync behind each
@@ -34,10 +39,16 @@
 //! read, or a non-zero byte in the reserve — is reported as corruption,
 //! and recovery truncates the file back to that prefix. Corruption is
 //! never an error from the scan itself — only unreadable files are.
+//!
+//! A scan reads the file once and keeps the bytes: each [`WalRecord`]
+//! is an offset and a length into them, and [`SegmentScan::payload`]
+//! borrows a record's payload from the buffer. No payload is copied,
+//! so scanning a segment costs one segment of memory, not two.
 
 use crate::crc::crc32;
+use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -177,12 +188,21 @@ pub fn encode_epoch(epoch_after: u64) -> Vec<u8> {
     payload
 }
 
-/// Frames one record: length prefix, CRC, payload.
+/// Frames one record into `out`, replacing its contents: length
+/// prefix, CRC, payload.
+fn frame_record(payload: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    out.reserve(RECORD_OVERHEAD as usize + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Frames one record into a new buffer.
+#[cfg(test)]
 pub(crate) fn encode_record(payload: &[u8]) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(RECORD_OVERHEAD as usize + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&crc32(payload).to_le_bytes());
-    framed.extend_from_slice(payload);
+    let mut framed = Vec::new();
+    frame_record(payload, &mut framed);
     framed
 }
 
@@ -192,7 +212,6 @@ pub(crate) fn encode_record(payload: &[u8]) -> Vec<u8> {
 /// `sync_all` the segment *without* holding the append lock that guards
 /// the writer itself; appends and syncs on the same `File` are safe to
 /// overlap (`write` and `fsync` are independent syscalls).
-#[derive(Debug)]
 pub struct SegmentWriter {
     file: Arc<File>,
     path: PathBuf,
@@ -201,6 +220,20 @@ pub struct SegmentWriter {
     len: u64,
     /// End of the file: the log plus its zero reserve.
     reserved: u64,
+    /// The framed record being written, kept across appends so framing
+    /// one allocates nothing once it has grown to the largest record.
+    framed: Vec<u8>,
+}
+
+impl fmt::Debug for SegmentWriter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SegmentWriter")
+            .field("path", &self.path)
+            .field("seq", &self.seq)
+            .field("len", &self.len)
+            .field("reserved", &self.reserved)
+            .finish_non_exhaustive()
+    }
 }
 
 impl SegmentWriter {
@@ -231,6 +264,7 @@ impl SegmentWriter {
             seq,
             len: WAL_HEADER_LEN,
             reserved: WAL_HEADER_LEN,
+            framed: Vec::new(),
         })
     }
 
@@ -261,25 +295,26 @@ impl SegmentWriter {
     }
 
     /// Appends one record in place at the end of the log, zero-filling
-    /// more reserve first when the record would run past it. Returns
-    /// the offset the record starts at. Does **not** sync; that is the
-    /// fsync policy's call.
+    /// more reserve first when the record would run past it. The record
+    /// is framed into the writer's own reused buffer. Returns the offset
+    /// the record starts at. Does **not** sync; that is the fsync
+    /// policy's call.
     ///
     /// # Errors
     ///
     /// Propagates write failures; the segment length is only advanced
     /// on success.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
-        let framed = encode_record(payload);
+        frame_record(payload, &mut self.framed);
         let offset = self.len;
-        let end = offset + framed.len() as u64;
+        let end = offset + self.framed.len() as u64;
         while self.reserved < end {
             for at in (0..RESERVE_CHUNK).step_by(ZEROS.len()) {
                 self.file.write_all_at(&ZEROS, self.reserved + at)?;
             }
             self.reserved += RESERVE_CHUNK;
         }
-        self.file.write_all_at(&framed, offset)?;
+        self.file.write_all_at(&self.framed, offset)?;
         self.len = end;
         Ok(offset)
     }
@@ -308,17 +343,24 @@ impl SegmentWriter {
     }
 }
 
-/// One intact record found by a scan.
-#[derive(Debug, Clone, PartialEq)]
+/// One intact record found by a scan: where it lies in the segment.
+/// Its payload stays in the scan's buffer ([`SegmentScan::payload`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalRecord {
     /// Byte offset of the record's length prefix within the segment.
     pub offset: u64,
-    /// The record payload (tag + body).
-    pub payload: Vec<u8>,
+    /// Payload length (tag + body), bytes.
+    pub len: u32,
+}
+
+impl WalRecord {
+    /// Offset one past the record's last payload byte.
+    pub fn end(&self) -> u64 {
+        self.offset + RECORD_OVERHEAD + u64::from(self.len)
+    }
 }
 
 /// The result of scanning one segment.
-#[derive(Debug)]
 pub struct SegmentScan {
     /// Sequence number (from the file name).
     pub seq: u64,
@@ -336,15 +378,45 @@ pub struct SegmentScan {
     pub corrupt: bool,
     /// The file's actual length, reserve included.
     pub file_len: u64,
+    /// The whole file as read; every record's payload is a range of it.
+    bytes: Vec<u8>,
+}
+
+impl SegmentScan {
+    /// `record`'s payload (tag + body), borrowed from the scanned bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `record` lies outside the scanned file, i.e. did not
+    /// come from this scan.
+    pub fn payload(&self, record: &WalRecord) -> &[u8] {
+        &self.bytes[(record.offset + RECORD_OVERHEAD) as usize..record.end() as usize]
+    }
+}
+
+impl fmt::Debug for SegmentScan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SegmentScan")
+            .field("seq", &self.seq)
+            .field("path", &self.path)
+            .field("records", &self.records.len())
+            .field("valid_len", &self.valid_len)
+            .field("corrupt", &self.corrupt)
+            .field("file_len", &self.file_len)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Scans a segment, accepting the longest intact prefix of records.
-/// Corruption is reported, not returned as an error.
+/// Corruption is reported, not returned as an error. The file is read
+/// once into the scan's buffer, and records are ranges of it: no
+/// payload is copied.
 ///
 /// # Errors
 ///
-/// Only for unreadable files or a file-name/seq mismatch with its own
-/// header (which indicates tampering rather than a torn write).
+/// Only for unreadable files or a path whose file name is not a
+/// segment name. A header naming another sequence than the file name
+/// is corruption (the whole file, `valid_len` 0), not an error.
 pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
     let seq = path
         .file_name()
@@ -356,8 +428,7 @@ pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
                 format!("not a WAL segment name: {}", path.display()),
             )
         })?;
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
+    let bytes = fs::read(path)?;
     let file_len = bytes.len() as u64;
 
     let header_ok = bytes.len() >= WAL_HEADER_LEN as usize
@@ -372,6 +443,7 @@ pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
             valid_len: 0,
             corrupt: true,
             file_len,
+            bytes,
         });
     }
 
@@ -408,7 +480,7 @@ pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
         }
         records.push(WalRecord {
             offset: pos as u64,
-            payload: payload.to_vec(),
+            len,
         });
         pos += end;
     }
@@ -419,6 +491,7 @@ pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
         records,
         corrupt,
         file_len,
+        bytes,
     })
 }
 
@@ -464,10 +537,13 @@ mod tests {
         assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.records[0].offset, a);
         assert_eq!(
-            decode_op(&scan.records[0].payload),
+            decode_op(scan.payload(&scan.records[0])),
             Some(WalOp::Frame(b"frame-a"))
         );
-        assert_eq!(decode_op(&scan.records[1].payload), Some(WalOp::Epoch(7)));
+        assert_eq!(
+            decode_op(scan.payload(&scan.records[1])),
+            Some(WalOp::Epoch(7))
+        );
     }
 
     #[test]
@@ -570,7 +646,7 @@ mod tests {
         let scanned: Vec<(u64, &[u8])> = scan
             .records
             .iter()
-            .map(|r| (r.offset, r.payload.as_slice()))
+            .map(|r| (r.offset, scan.payload(r)))
             .collect();
         let written: Vec<(u64, &[u8])> = offsets
             .iter()

@@ -86,40 +86,56 @@ awk '/"median_ns"/ && $0 !~ /"median_ns": [1-9][0-9]*/ { bad = 1 } END { exit ba
 # Read-path acceptance bound: a cold pull of the 50k-edge aggregate is
 # one seal plus the encode. A rebuild that throws the order away
 # (re-hash, re-sort, re-merge) lands above it.
+# Sees: a multiple of today's cost (about 1-2 ms, so 3x or more).
+# Cannot see: smaller regressions; and, being an absolute time, it is
+# the one ingest gate that host speed moves (1.5-2x between sessions).
 awk -F'"median_ns": ' '
   /"config": "pull\/rebuild"/ { split($2, a, ","); rebuild = a[1] }
   END { if (rebuild == 0 || rebuild >= 5000000) exit 1 }' "$BENCH_JSON" \
   || { echo "FAIL: pull/rebuild median is not below 5000000 ns in $BENCH_JSON" >&2; exit 1; }
+# The three ratio gates read `median_ratios`. The bench times the two
+# configs of each ratio interleaved and commits the median of their
+# per-iteration ratios, so host drift between the configs does not land
+# in the ratio. The bounds are the ones these gates had when each config
+# was timed in a block of its own.
+ingest_ratio() {
+  awk -F'"median": ' -v num="$1" -v den="$2" '
+    index($0, "\"numerator\": \"" num "\", \"denominator\": \"" den "\"") {
+      split($2, a, " "); r = a[1] + 0; seen++ }
+    END { if (seen != 1 || r <= 0) exit 1; print r }' "$BENCH_JSON"
+}
 # Client-decode acceptance bound: both configs decode the same 50k
 # records. A pulled snapshot appends to a graph that builds no hash
-# index, so it stays within 1.5x of decoding into a plain Vec; a decode
-# that hashes every edge again lands above it (1.75x when it did).
-awk -F'"median_ns": ' '
-  /"config": "codec\/decode"/          { split($2, a, ","); plain = a[1] }
-  /"config": "codec\/decode_snapshot"/ { split($2, a, ","); snap = a[1] }
-  END { if (plain == 0 || snap == 0 || snap > 1.5 * plain) exit 1 }' "$BENCH_JSON" \
-  || { echo "FAIL: codec/decode_snapshot median exceeds 1.5x codec/decode in $BENCH_JSON" >&2; exit 1; }
+# index, so it stays within 1.5x of decoding into a plain Vec.
+# Sees: a snapshot decode that hashes every edge again (1.75x when it
+# did). Cannot see: a slowdown both decoders share (the record reader),
+# or one that adds less than the headroom (the ratio reads about 1.0).
+R=$(ingest_ratio codec/decode_snapshot codec/decode) \
+  && awk -v r="$R" 'BEGIN { exit !(r <= 1.5) }' \
+  || { echo "FAIL: codec/decode_snapshot exceeds 1.5x codec/decode (median per-iteration ratio) in $BENCH_JSON" >&2; exit 1; }
 # Durability acceptance bound: the WAL-on ingest path (async fsync) must
 # stay within 2x of the equivalent in-memory streaming path.
-awk -F'"median_ns": ' '
-  /"config": "aggregate\/streaming"/ { split($2, a, ","); mem = a[1] }
-  /"config": "wal\/append"/          { split($2, a, ","); wal = a[1] }
-  END { if (mem == 0 || wal == 0 || wal > 2 * mem) exit 1 }' "$BENCH_JSON" \
-  || { echo "FAIL: wal/append median exceeds 2x aggregate/streaming in $BENCH_JSON" >&2; exit 1; }
+# Sees: a sync or a comparable syscall added per append (an extra
+# `sync_all` per append trips it). Cannot see: the decode and apply both
+# paths share, anything under `--fsync always` (this config does not
+# sync), or recovery.
+R=$(ingest_ratio wal/append aggregate/streaming) \
+  && awk -v r="$R" 'BEGIN { exit !(r <= 2) }' \
+  || { echo "FAIL: wal/append exceeds 2x aggregate/streaming (median per-iteration ratio) in $BENCH_JSON" >&2; exit 1; }
 # Staged write-path acceptance bound: four concurrent durable pushers
 # must beat the same four serialized behind one external lock, where
 # every op pays its own fsync. The concurrent side wins twice: one
 # pusher's append and apply overlap another's fsync, and an ack that
 # queues on the sync mutex behind an in-flight fsync is covered by the
-# next one. On a virtio-backed host where an fsync costs about as much
-# as the per-op append and apply, the measured ratio is ~2x. The floor
-# trips on a regression back toward the convoy (ratio -> 1), with
-# margin for fsync-latency jitter.
-awk -F'"median_ns": ' '
-  /"config": "wal\/append_concurrent"/  { split($2, a, ","); conc = a[1] }
-  /"config": "wal\/append_single_lock"/ { split($2, a, ","); lock = a[1] }
-  END { if (conc == 0 || lock == 0 || lock < 1.4 * conc) exit 1 }' "$BENCH_JSON" \
-  || { echo "FAIL: wal/append_concurrent is not >=1.4x faster than wal/append_single_lock in $BENCH_JSON" >&2; exit 1; }
+# next one. The floor trips on a regression back toward the convoy
+# (ratio -> 1), with margin for fsync-latency jitter.
+# Sees: the WAL sync held under the append lock (convoy: ratio -> 1).
+# Cannot see: per-op costs both sides pay. It assumes an fsync costs
+# about as much as an op's append and apply; on a disk where fsync is
+# nearly free the ratio falls toward 1 with no regression at all.
+R=$(ingest_ratio wal/append_single_lock wal/append_concurrent) \
+  && awk -v r="$R" 'BEGIN { exit !(r >= 1.4) }' \
+  || { echo "FAIL: wal/append_single_lock is not >=1.4x wal/append_concurrent (median per-iteration ratio) in $BENCH_JSON" >&2; exit 1; }
 
 echo "==> BENCH_interp.json gates (committed interpreter-bench artifact)"
 # Two ways the interpreter's fast path has been lost before, per
@@ -130,6 +146,14 @@ echo "==> BENCH_interp.json gates (committed interpreter-bench artifact)"
 # The bench times the three configs interleaved and commits each ratio
 # as the median of its per-iteration ratios, so host drift between
 # configs does not land in the ratio.
+# The downstream gate (1.05x) sees every per-op hint lost at once:
+# stripping all 20 `#[inline]`s in `crates/vm/src/{interp,value,frame}.rs`
+# read 1.08-1.15x. It cannot see one lost `#[inline]` on a small
+# helper: rustc inlines small leaf functions across crates on its own
+# (0.94-0.99x with `pop_val`'s hint removed).
+# The inlined-program gate (1.10x) sees bytecode shapes the fusion scan
+# misses, which make the program with fewer instructions the slower
+# one. It cannot see a slowdown both programs share, such as dispatch.
 INTERP_JSON=BENCH_interp.json
 [[ -f "$INTERP_JSON" ]] \
   || { echo "FAIL: $INTERP_JSON missing (regenerate: cargo bench -p cbs-bench --bench interp_throughput)" >&2; exit 1; }
@@ -306,8 +330,10 @@ grep -Eq '^recovered frames=[1-9]' "$SMOKE_DIR/server4.out" \
   || { echo "FAIL: restart after SIGKILL replayed no frames" >&2;
        cat "$SMOKE_DIR/server4.out" >&2; exit 1; }
 # Every push completed before the kill, so the segment ends in its zero
-# reserve, which is the log's clean end and not a torn tail.
-grep -q '^recovered .* truncated_tail=false$' "$SMOKE_DIR/server4.out" \
+# reserve, which is the log's clean end and not a torn tail. The line
+# ends with the replayed WAL bytes and the time opening the store took.
+grep -Eq '^recovered .* truncated_tail=false wal_bytes=[1-9][0-9]* replay_ms=[0-9]+\.[0-9]$' \
+    "$SMOKE_DIR/server4.out" \
   || { echo "FAIL: restart after a clean kill reported a torn WAL tail" >&2;
        cat "$SMOKE_DIR/server4.out" >&2; exit 1; }
 timeout 60 "$DCGTOOL" pull "$ADDR4" "$SMOKE_DIR/post_kill.dcg"
