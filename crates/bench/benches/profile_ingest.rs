@@ -39,8 +39,9 @@
 //!   convoys and syncs a batch of one: the monolithic-lock write path
 //!   this store replaced, the baseline the concurrent configuration
 //!   must beat (gated in `scripts/verify.sh`);
-//! * `recovery/replay` — `ProfileStore::open` replaying the 64-frame
-//!   WAL into a fresh aggregator.
+//! * `recovery/replay` — `ProfileStore::open` replaying a WAL of 32
+//!   passes over the 64 frames (~16 MB) into a fresh aggregator, the
+//!   same directory every iteration.
 //!
 //! `scripts/verify.sh` gates three ratios of these configs:
 //! `codec/decode_snapshot` over `codec/decode`, `wal/append` over
@@ -69,6 +70,8 @@ use std::sync::{Arc, Mutex};
 const EDGES: usize = 50_000;
 const FRAMES: usize = 64;
 const PUSHERS: usize = 4;
+/// Passes over the frames the `recovery/replay` WAL holds (~16 MB).
+const REPLAY_ROUNDS: usize = 32;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -426,34 +429,64 @@ fn main() {
         &concurrent,
     ));
 
-    // Recovery: open a directory whose WAL already holds every frame
-    // and replay it into a fresh aggregator. (Each open leaves one
-    // empty segment behind; scanning those headers is negligible next
-    // to the replay itself.)
+    // Recovery: every iteration opens the same directory, whose WAL
+    // holds `REPLAY_ROUNDS` passes over every frame, and replays it into
+    // a fresh aggregator. An open also starts a segment for the store's
+    // own appends; the untimed setup deletes it, so each open lists the
+    // same segments and the WAL is large enough that replay, not open's
+    // fixed costs (lock, segment create, fsyncs), dominates.
     let replay_dir = scratch_dir("recovery-replay");
     {
         let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
         let store = ProfileStore::open(&replay_dir, agg, lazy_store()).expect("open store");
         let mut scratch = IngestScratch::new();
-        for frame in &frames {
+        for frame in frames.iter().cycle().take(REPLAY_ROUNDS * FRAMES) {
             store
                 .ingest_frame(frame, &mut scratch)
                 .expect("own encoding ingests");
         }
     }
+    let wal_files = |dir: &PathBuf| -> Vec<(std::ffi::OsString, u64)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("list the replay dir")
+            .map(|entry| {
+                let entry = entry.expect("a directory entry");
+                (entry.file_name(), entry.metadata().expect("stat").len())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let pristine = wal_files(&replay_dir);
+    let restore = || {
+        for (name, _) in wal_files(&replay_dir) {
+            if !pristine.iter().any(|(kept, _)| *kept == name) {
+                std::fs::remove_file(replay_dir.join(name)).expect("remove a new segment");
+            }
+        }
+        assert_eq!(
+            wal_files(&replay_dir),
+            pristine,
+            "every open sees one directory"
+        );
+    };
     let replay = group
-        .bench("recovery/replay", || {
+        .bench_with_setup("recovery/replay", restore, |()| {
             let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::default()));
             let store = ProfileStore::open(&replay_dir, agg, lazy_store()).expect("recovery opens");
             assert_eq!(
                 store.recovery_report().replayed_frames,
-                FRAMES as u64,
+                (REPLAY_ROUNDS * FRAMES) as u64,
                 "every frame replays"
             );
-            store.aggregator().stats().records
+            store
         })
         .clone();
-    entries.push(json_entry("recovery/replay", EDGES, &replay));
+    entries.push(json_entry(
+        "recovery/replay",
+        REPLAY_ROUNDS * EDGES,
+        &replay,
+    ));
     std::fs::remove_dir_all(&replay_dir).expect("remove scratch dir");
 
     if smoke_mode() {

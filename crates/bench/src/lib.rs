@@ -143,6 +143,35 @@ impl BenchGroup {
         })
     }
 
+    /// Times `f` on a fresh input from `setup` each iteration, printing a
+    /// summary line, and records the result. Only `f` is timed: neither
+    /// `setup` nor dropping what `f` returns is, so a bench can restore
+    /// the state each iteration starts from (a directory an open
+    /// rewrites) and release what it built outside the measurement.
+    pub fn bench_with_setup<I, R>(
+        &mut self,
+        name: &str,
+        mut setup: impl FnMut() -> I,
+        mut f: impl FnMut(I) -> R,
+    ) -> &BenchResult {
+        for _ in 0..self.warmup {
+            let input = setup();
+            std::hint::black_box(f(input));
+        }
+        let mut times = Vec::with_capacity(self.iters as usize);
+        for _ in 0..self.iters {
+            let input = setup();
+            let start = Instant::now();
+            let out = std::hint::black_box(f(input));
+            times.push(start.elapsed());
+            drop(out);
+        }
+        self.record(BenchResult {
+            name: format!("{}/{name}", self.name),
+            times,
+        })
+    }
+
     /// Times several benches interleaved: every iteration runs each once,
     /// starting one further along the list each time, so all of them see
     /// the same host conditions and no one always runs first. Returns
@@ -222,6 +251,33 @@ mod tests {
         assert_eq!(r.times.len(), 3);
         assert!(r.min() <= r.median() && r.median() <= r.times.iter().copied().max().unwrap());
         assert!(g.result("missing").is_none());
+    }
+
+    #[test]
+    fn setup_runs_before_every_iteration_untimed() {
+        let mut group = BenchGroup::new("t", 3).warmup(1);
+        let (mut setups, mut runs) = (0, 0);
+        let r = group
+            .bench_with_setup(
+                "s",
+                || {
+                    setups += 1;
+                    std::thread::sleep(Duration::from_millis(20));
+                    setups
+                },
+                |n| {
+                    runs += 1;
+                    n
+                },
+            )
+            .clone();
+        let iterations = r.times.len() + 1;
+        assert_eq!(
+            (setups, runs),
+            (iterations, iterations),
+            "one setup per run, warmup included"
+        );
+        assert!(r.median() < Duration::from_millis(20), "setup is not timed");
     }
 
     #[test]

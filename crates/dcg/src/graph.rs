@@ -5,6 +5,20 @@ use crate::hash::EdgeHashBuilder;
 use cbs_bytecode::{CallSiteId, MethodId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::OnceLock;
+
+/// The edge count from which [`DynamicCallGraph::read_halves`] reads a
+/// graph as two halves on two cores. Below it, a thread's start and
+/// join cost more than half the read saves (DESIGN §9.2 has the
+/// measured crossover).
+pub const SPLIT_READ_MIN_EDGES: usize = 16_384;
+
+/// The host's core count, read once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// A dynamic call graph: observed call edges with sample weights.
 ///
@@ -507,13 +521,77 @@ impl DynamicCallGraph {
     /// [`record_all_deferred`](Self::record_all_deferred) and its
     /// [`seal`](Self::seal); debug builds assert).
     pub fn iter(&self) -> impl Iterator<Item = (&CallEdge, f64)> + '_ {
+        self.iter_range(0..self.sorted.len())
+    }
+
+    /// Iterates over positions `range` of the ascending edge order: the
+    /// slice of [`iter`](Self::iter) a [`read_halves`](Self::read_halves)
+    /// half reads.
+    ///
+    /// # Panics
+    ///
+    /// If `range` reaches past the last edge.
+    pub fn iter_range(&self, range: Range<usize>) -> impl Iterator<Item = (&CallEdge, f64)> + '_ {
         debug_assert!(
             self.is_sealed(),
             "ordered read of an unsealed graph: call seal() after record_all_deferred()"
         );
-        self.sorted
+        self.sorted[range]
             .iter()
             .map(move |&s| (&self.edges[s as usize], self.weights[s as usize]))
+    }
+
+    /// Where [`read_halves`](Self::read_halves) cuts the ascending edge
+    /// order, or `None` when it reads the graph as one range: below
+    /// [`SPLIT_READ_MIN_EDGES`], on a one-core host, or when one
+    /// `(caller, site)` holds every edge.
+    ///
+    /// The cut is the first call-site boundary at or after the middle,
+    /// else the last one before it, so every `(caller, site)` run lies
+    /// whole in one half and a per-site read (a plan's site
+    /// distribution) needs nothing from the other.
+    pub fn read_cut(&self) -> Option<usize> {
+        let n = self.sorted.len();
+        if n < SPLIT_READ_MIN_EDGES || cores() < 2 {
+            return None;
+        }
+        let site = |pos: usize| {
+            let e = &self.edges[self.sorted[pos] as usize];
+            (e.caller, e.site)
+        };
+        // A boundary at `p` starts a new site: `p - 1` and `p` differ.
+        let mid = n / 2;
+        (mid..n)
+            .find(|&p| site(p) != site(p - 1))
+            .or_else(|| (1..mid).rev().find(|&p| site(p) != site(p - 1)))
+    }
+
+    /// Reads the ascending edge order in halves cut at
+    /// [`read_cut`](Self::read_cut): `head` reads the first range on the
+    /// calling thread while `tail` reads the rest on a second one. A
+    /// graph `read_cut` does not split is one range, read by `head`
+    /// alone, with no thread started. The caller joins the halves in
+    /// order, so a read that splits produces what one pass would.
+    ///
+    /// Requires a sealed graph, like [`iter`](Self::iter). A panic in
+    /// `tail` resumes on the calling thread.
+    pub fn read_halves<A, B: Send>(
+        &self,
+        head: impl FnOnce(Range<usize>) -> A,
+        tail: impl FnOnce(Range<usize>) -> B + Send,
+    ) -> (A, Option<B>) {
+        let n = self.sorted.len();
+        let Some(cut) = self.read_cut() else {
+            return (head(0..n), None);
+        };
+        std::thread::scope(|scope| {
+            let tail = scope.spawn(move || tail(cut..n));
+            let head = head(0..cut);
+            let tail = tail
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (head, Some(tail))
+        })
     }
 
     /// All edges sorted by descending weight (ties broken by edge order,
@@ -829,6 +907,35 @@ mod tests {
             CallSiteId::new(site),
             MethodId::new(callee),
         )
+    }
+
+    #[test]
+    fn read_halves_cover_the_order_once_and_cut_between_sites() {
+        // Sites of 1–7 callees, inserted out of order.
+        let mut g = DynamicCallGraph::new();
+        for i in (0..SPLIT_READ_MIN_EDGES as u32 + 333).rev() {
+            g.record(e(i / 100, (i / 7) % 9, i % 7), f64::from(1 + i % 5));
+        }
+        let whole: Vec<(CallEdge, f64)> = g.iter().map(|(e, w)| (*e, w)).collect();
+        let collect = |range: Range<usize>| -> Vec<(CallEdge, f64)> {
+            g.iter_range(range).map(|(e, w)| (*e, w)).collect()
+        };
+        let (mut head, tail) = g.read_halves(collect, collect);
+        assert_eq!(tail.is_some(), g.read_cut().is_some());
+        if let Some(tail) = tail {
+            let (last, first) = (head.last().unwrap().0, tail[0].0);
+            assert_ne!((last.caller, last.site), (first.caller, first.site));
+            head.extend(tail);
+        }
+        assert_eq!(head, whole, "the halves are the order, once");
+
+        let mut one_site = DynamicCallGraph::new();
+        for i in 0..SPLIT_READ_MIN_EDGES as u32 {
+            one_site.record(e(3, 1, i), 1.0);
+        }
+        assert_eq!(one_site.read_cut(), None, "one site has no boundary");
+        let small: DynamicCallGraph = [(e(0, 0, 1), 1.0), (e(1, 0, 1), 2.0)].into_iter().collect();
+        assert_eq!(small.read_cut(), None, "below the threshold");
     }
 
     #[test]

@@ -38,5 +38,5 @@ pub mod stats;
 
 pub use cct::{overlap_cct, CallingContextTree, CctNodeId, ContextStep};
 pub use edge::CallEdge;
-pub use graph::{coalesce_increments, DynamicCallGraph};
+pub use graph::{coalesce_increments, DynamicCallGraph, SPLIT_READ_MIN_EDGES};
 pub use overlap::{accuracy, overlap};

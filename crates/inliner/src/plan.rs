@@ -24,6 +24,7 @@ use crate::policy::{InlineBudget, InlinePolicy, VirtualContext, VirtualTarget};
 use cbs_bytecode::{CallSiteId, MethodId, Program};
 use cbs_dcg::DynamicCallGraph;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// What the fleet policy decided for one call site.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,17 +121,41 @@ impl InlinePlan {
 /// re-runs the policy with real sizes. Sites whose pooled weight is not
 /// positive, and polymorphic sites where the policy selects no target,
 /// are omitted.
+///
+/// The sites are planned in the halves
+/// [`DynamicCallGraph::read_halves`] cuts, on two cores for a large
+/// graph. The cut falls between call sites, so each half plans whole
+/// sites, and its entries, concatenated in order, are the ones one pass
+/// makes.
 pub fn build_plan(
     graph: &DynamicCallGraph,
     policy: &dyn InlinePolicy,
     generation: u64,
 ) -> InlinePlan {
     let total_weight = graph.total_weight();
+    let plan = |range| plan_sites(graph, range, policy, total_weight);
+    let (mut entries, tail) = graph.read_halves(plan, plan);
+    entries.extend(tail.into_iter().flatten());
+    InlinePlan {
+        generation,
+        total_weight,
+        entries,
+    }
+}
+
+/// The plan entries of the call sites at positions `range` of the
+/// graph's ascending edge order, which must hold whole sites.
+fn plan_sites(
+    graph: &DynamicCallGraph,
+    range: Range<usize>,
+    policy: &dyn InlinePolicy,
+    total_weight: f64,
+) -> Vec<PlanEntry> {
     let mut entries = Vec::new();
-    // `graph.iter()` is ascending in `(caller, site, callee)`, so every
+    // `iter_range` is ascending in `(caller, site, callee)`, so every
     // call site is one contiguous run, runs arrive in `(caller, site)`
     // order and each run's callees are ascending and distinct.
-    let mut edges = graph.iter().filter(|&(_, w)| w > 0.0).peekable();
+    let mut edges = graph.iter_range(range).filter(|&(_, w)| w > 0.0).peekable();
     // One site's callees as order keys: the weight's bits inverted above
     // the callee id. Weights are positive, so their bits order as their
     // values, and callees are distinct within a site, so ascending keys
@@ -204,11 +229,7 @@ pub fn build_plan(
             kind,
         });
     }
-    InlinePlan {
-        generation,
-        total_weight,
-        entries,
-    }
+    entries
 }
 
 /// Runs the full plan/apply/optimize pipeline driven by a fleet plan.

@@ -51,7 +51,10 @@ pub struct VirtualContext {
 
 /// An inlining policy: the per-site decision logic that distinguishes the
 /// paper's inliners.
-pub trait InlinePolicy: fmt::Debug {
+///
+/// `Sync`, so that [`build_plan`](crate::build_plan) can consult one
+/// policy from the two threads that plan a large graph's halves.
+pub trait InlinePolicy: fmt::Debug + Sync {
     /// Policy name for reports.
     fn name(&self) -> String;
 

@@ -21,8 +21,13 @@
 //!
 //! Consistency: a read locks the aggregate, brings it to the current
 //! epoch, seals it, lays its slots out in edge order, re-sums its total
-//! in that order, and encodes it or builds the plan from it in place,
-//! with no copy. The result is a true
+//! in that order, and encodes it or builds the plan from it without
+//! copying the aggregate. A large aggregate is encoded or planned as
+//! two halves on two cores, cut between call sites
+//! ([`DynamicCallGraph::read_halves`]) and joined into the bytes one
+//! pass writes. The settle stays on one core: its total is an
+//! edge-ordered `f64` sum, and summing halves would change its bits.
+//! The result is a true
 //! cut: it contains exactly the frames ingested before the lock was
 //! taken, and two reads of the same ingestion history are bit-identical
 //! — the bytes of [`DynamicCallGraph::merge_all`] of the aggregate.

@@ -26,8 +26,8 @@
 use crate::codec::{CodecError, DcgCodec};
 use crate::metrics::ProfiledMetrics;
 use crate::wire::{
-    read_msg, write_msg, NetConfig, OP_EPOCH, OP_METRICS, OP_PLAN, OP_PULL, OP_PULL_CHUNK, OP_PUSH,
-    OP_PUSH_SEQ, OP_STATS, ST_OK,
+    read_msg_into, write_msg, NetConfig, OP_EPOCH, OP_METRICS, OP_PLAN, OP_PULL, OP_PULL_CHUNK,
+    OP_PUSH, OP_PUSH_SEQ, OP_STATS, ST_OK,
 };
 use cbs_dcg::{CallEdge, DynamicCallGraph};
 use cbs_inliner::InlinePlan;
@@ -35,7 +35,6 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::ops::Deref;
 
 /// A failure of one client exchange.
 #[derive(Debug)]
@@ -89,19 +88,6 @@ impl From<CodecError> for ClientError {
     }
 }
 
-/// An `ST_OK` reply, kept in the buffer it was read into and viewed
-/// past its status byte — a pulled snapshot is not copied a second time
-/// just to drop that byte.
-struct OkReply(Vec<u8>);
-
-impl Deref for OkReply {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.0[1..]
-    }
-}
-
 /// Outcome of an exactly-once [`push_seq`](ProfileClient::push_seq).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushOutcome {
@@ -121,6 +107,10 @@ pub struct ProfileClient<S: Read + Write = TcpStream> {
     stream: S,
     max_frame_bytes: usize,
     poisoned: bool,
+    /// The last reply, status byte first: every exchange reads into
+    /// this one buffer, which keeps its capacity, so a pull no larger
+    /// than an earlier one allocates nothing.
+    reply: Vec<u8>,
 }
 
 impl ProfileClient<TcpStream> {
@@ -147,6 +137,7 @@ impl<S: Read + Write> ProfileClient<S> {
             stream,
             max_frame_bytes: config.max_frame_bytes,
             poisoned: false,
+            reply: Vec::new(),
         }
     }
 
@@ -163,7 +154,15 @@ impl<S: Read + Write> ProfileClient<S> {
         ProfiledMetrics::get().client_poisoned.inc();
     }
 
-    fn exchange(&mut self, op: u8, body: &[&[u8]]) -> Result<OkReply, ClientError> {
+    /// Sends one request and reads its reply into the client's reply
+    /// buffer, returning the `ST_OK` payload (the reply past its status
+    /// byte), which stays valid until the next exchange.
+    ///
+    /// The buffer is cleared before every read, so a payload never
+    /// carries bytes of an earlier reply, whether that exchange
+    /// succeeded, was refused or failed mid-read.
+    fn exchange(&mut self, op: u8, body: &[&[u8]]) -> Result<&[u8], ClientError> {
+        self.reply.clear();
         if self.poisoned {
             return Err(ClientError::Poisoned);
         }
@@ -176,26 +175,27 @@ impl<S: Read + Write> ProfileClient<S> {
             self.poison();
             return Err(e.into());
         }
-        let reply = match read_msg(&mut self.stream, self.max_frame_bytes) {
-            Ok(r) => r,
+        match read_msg_into(&mut self.stream, self.max_frame_bytes, &mut self.reply) {
+            Ok(Some(_)) => {}
+            Ok(None) => {
+                self.poison();
+                return Err(ClientError::Protocol(
+                    "server closed before replying".into(),
+                ));
+            }
             Err(e) => {
                 // Timeout, reset, truncation, oversized reply: the reply
                 // to *this* request may still arrive later, so reusing
                 // the stream would misattribute it to the next request.
+                self.reply.clear();
                 self.poison();
                 return Err(e.into());
             }
-        };
-        let Some(reply) = reply else {
-            self.poison();
-            return Err(ClientError::Protocol(
-                "server closed before replying".into(),
-            ));
-        };
-        match reply.split_first() {
-            Some((&ST_OK, _)) => Ok(OkReply(reply)),
-            Some((_, payload)) => Err(ClientError::Server(
-                String::from_utf8_lossy(payload).into_owned(),
+        }
+        match self.reply.first().copied() {
+            Some(ST_OK) => Ok(&self.reply[1..]),
+            Some(_) => Err(ClientError::Server(
+                String::from_utf8_lossy(&self.reply[1..]).into_owned(),
             )),
             None => {
                 self.poison();
@@ -239,14 +239,15 @@ impl<S: Read + Write> ProfileClient<S> {
             OP_PUSH_SEQ,
             &[&client_id.to_be_bytes(), &seq.to_be_bytes(), frame_bytes],
         )?;
-        match &*payload {
+        let outcome = match payload {
             b"applied" => Ok(PushOutcome::Applied),
             b"duplicate" => Ok(PushOutcome::Duplicate),
-            other => Err(self.poison_protocol(format!(
+            other => Err(format!(
                 "unknown push-seq acknowledgement {:?}",
                 String::from_utf8_lossy(other)
-            ))),
-        }
+            )),
+        };
+        outcome.map_err(|msg| self.poison_protocol(msg))
     }
 
     /// Pushes a whole graph as a snapshot frame (a VM's first flush).
@@ -280,7 +281,7 @@ impl<S: Read + Write> ProfileClient<S> {
     /// reply.
     pub fn pull(&mut self) -> Result<DynamicCallGraph, ClientError> {
         let payload = self.exchange(OP_PULL, &[])?;
-        Ok(DcgCodec::decode_snapshot(&payload)?)
+        Ok(DcgCodec::decode_snapshot(payload)?)
     }
 
     /// Pulls the fleet inlining plan — [`cbs_inliner::build_plan`] run
@@ -294,7 +295,7 @@ impl<S: Read + Write> ProfileClient<S> {
     /// reply.
     pub fn pull_plan(&mut self) -> Result<InlinePlan, ClientError> {
         let payload = self.exchange(OP_PLAN, &[])?;
-        Ok(DcgCodec::decode_plan(&payload)?)
+        Ok(DcgCodec::decode_plan(payload)?)
     }
 
     /// Pulls the fleet-wide merged snapshot via paged `OP_PULL_CHUNK`
@@ -314,11 +315,12 @@ impl<S: Read + Write> ProfileClient<S> {
         let mut total: u32 = 1;
         while page < total {
             let payload = self.exchange(OP_PULL_CHUNK, &[&page.to_be_bytes()])?;
-            if payload.len() < 8 {
+            let Some((header, chunk)) = payload.split_first_chunk::<8>() else {
                 return Err(self.poison_protocol("chunk reply shorter than its header"));
-            }
-            let got_total = u32::from_be_bytes(payload[0..4].try_into().expect("4 bytes"));
-            let got_page = u32::from_be_bytes(payload[4..8].try_into().expect("4 bytes"));
+            };
+            let got_total = u32::from_be_bytes(header[0..4].try_into().expect("4 bytes"));
+            let got_page = u32::from_be_bytes(header[4..8].try_into().expect("4 bytes"));
+            let chunk_len = chunk.len();
             if got_page != page {
                 return Err(
                     self.poison_protocol(format!("asked for page {page}, got page {got_page}"))
@@ -333,7 +335,7 @@ impl<S: Read + Write> ProfileClient<S> {
                 // `total` such chunks hold the whole frame. Only a hint:
                 // a size the allocator refuses is left to grow page by
                 // page as the chunks actually arrive.
-                if let Some(whole) = (total as usize).checked_mul(payload.len() - 8) {
+                if let Some(whole) = (total as usize).checked_mul(chunk_len) {
                     let _ = frame.try_reserve_exact(whole);
                 }
             } else if got_total != total {
@@ -341,7 +343,8 @@ impl<S: Read + Write> ProfileClient<S> {
                     "total pages changed mid-pull ({total} -> {got_total})"
                 )));
             }
-            frame.extend_from_slice(&payload[8..]);
+            // The chunk: the reply past its status byte and page header.
+            frame.extend_from_slice(&self.reply[1 + 8..]);
             page += 1;
         }
         Ok((DcgCodec::decode_snapshot(&frame)?, total))
@@ -355,7 +358,7 @@ impl<S: Read + Write> ProfileClient<S> {
     /// reply.
     pub fn advance_epoch(&mut self) -> Result<u64, ClientError> {
         let payload = self.exchange(OP_EPOCH, &[])?;
-        String::from_utf8_lossy(&payload)
+        String::from_utf8_lossy(payload)
             .trim()
             .parse()
             .map_err(|_| ClientError::Protocol("non-numeric epoch reply".into()))
@@ -368,7 +371,7 @@ impl<S: Read + Write> ProfileClient<S> {
     /// Transport failures or a server-side rejection.
     pub fn stats_text(&mut self) -> Result<String, ClientError> {
         let payload = self.exchange(OP_STATS, &[])?;
-        Ok(String::from_utf8_lossy(&payload).into_owned())
+        Ok(String::from_utf8_lossy(payload).into_owned())
     }
 
     /// Fetches the server's telemetry exposition (the versioned
@@ -380,6 +383,76 @@ impl<S: Read + Write> ProfileClient<S> {
     /// server answering `unknown op`).
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
         let payload = self.exchange(OP_METRICS, &[])?;
-        Ok(String::from_utf8_lossy(&payload).into_owned())
+        Ok(String::from_utf8_lossy(payload).into_owned())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::ST_ERR;
+    use std::io::Cursor;
+
+    /// A stream that answers from a script of reply bytes and swallows
+    /// every request.
+    struct Scripted(Cursor<Vec<u8>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.0.read(buf)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn reply(script: &mut Vec<u8>, status: u8, payload: &[u8]) {
+        write_msg(script, &[&[status], payload]).expect("writes to a Vec");
+    }
+
+    #[test]
+    fn a_reply_never_shows_an_earlier_payload() {
+        let long = vec![b'x'; 4096];
+        let mut script = Vec::new();
+        reply(&mut script, ST_OK, &long);
+        reply(&mut script, ST_ERR, b"no");
+        reply(&mut script, ST_OK, b"7");
+        reply(&mut script, ST_OK, b"");
+        // A reply that promises 64 bytes and ends after 5.
+        script.extend_from_slice(&64u32.to_be_bytes());
+        script.extend_from_slice(&[ST_OK, b'y', b'y', b'y', b'y']);
+        let mut client =
+            ProfileClient::from_stream(Scripted(Cursor::new(script)), NetConfig::default());
+
+        assert_eq!(client.stats_text().unwrap().len(), long.len());
+        match client.stats_text() {
+            Err(ClientError::Server(msg)) => assert_eq!(msg, "no"),
+            other => panic!("expected the refusal, got {other:?}"),
+        }
+        assert_eq!(
+            client.advance_epoch().unwrap(),
+            7,
+            "a refusal leaves nothing behind"
+        );
+        assert_eq!(
+            client.stats_text().unwrap(),
+            "",
+            "an empty payload is empty"
+        );
+        assert!(matches!(client.stats_text(), Err(ClientError::Io(_))));
+        assert!(client.is_poisoned());
+        assert!(
+            client.reply.is_empty(),
+            "a failed read keeps none of its bytes"
+        );
+        assert!(matches!(client.metrics_text(), Err(ClientError::Poisoned)));
+        assert!(client.reply.is_empty());
     }
 }

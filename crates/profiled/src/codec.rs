@@ -187,6 +187,79 @@ fn key_of(e: &CallEdge) -> u128 {
         | u128::from(u32::from(e.callee))
 }
 
+/// A frame's header, its record count written for `max_count`
+/// records ([`patch_count`] corrects it if fewer come). The buffer has
+/// room for `max_count` records of ~8 bytes.
+fn frame_header(kind: FrameKind, max_count: usize) -> Vec<u8> {
+    // ~3 bytes/record for dense ids and small integral weights.
+    let mut out = Vec::with_capacity(8 + max_count * 8);
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.push(kind.to_byte());
+    put_varint(&mut out, max_count as u128);
+    out
+}
+
+/// Rewrites the record count of a frame whose header
+/// [`frame_header`] wrote for `max_count` records when `count` came.
+fn patch_count(mut out: Vec<u8>, count: usize, max_count: usize) -> Vec<u8> {
+    if count != max_count {
+        let count_at = MAGIC.len() + 2;
+        let mut max = Vec::new();
+        put_varint(&mut max, max_count as u128);
+        let mut varint = Vec::new();
+        put_varint(&mut varint, count as u128);
+        out.splice(count_at..count_at + max.len(), varint);
+    }
+    out
+}
+
+/// The keys and length of a run of records [`put_records`] wrote.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// The run's first key, `None` for an empty run.
+    first: Option<u128>,
+    /// The run's last key, `None` for an empty run.
+    last: Option<u128>,
+    /// Records written.
+    count: usize,
+}
+
+/// Writes records, whose keys must ascend strictly, as key steps and
+/// weights. With `lead`, the first record's step is its key (a frame's
+/// first record); without, it is left out, for a caller that writes it
+/// once it knows the key before the run.
+fn put_records(
+    out: &mut Vec<u8>,
+    records: impl Iterator<Item = (CallEdge, f64)>,
+    lead: bool,
+) -> Run {
+    let mut run = Run {
+        first: None,
+        last: None,
+        count: 0,
+    };
+    for (e, w) in records {
+        let key = key_of(&e);
+        match run.last {
+            None => {
+                run.first = Some(key);
+                if lead {
+                    put_varint(out, key);
+                }
+            }
+            Some(p) => {
+                debug_assert!(key > p, "records must be in ascending edge order");
+                put_varint(out, key - p);
+            }
+        }
+        run.last = Some(key);
+        put_weight(out, w);
+        run.count += 1;
+    }
+    run
+}
+
 /// Unpacks a wire key (must fit in 96 bits).
 fn edge_of(key: u128) -> Result<CallEdge, CodecError> {
     if key >> 96 != 0 {
@@ -497,10 +570,40 @@ impl DcgCodec {
     /// Records are emitted in the graph's (ascending-edge) iteration
     /// order; weights round-trip bit-exactly. Edges decayed to weight
     /// zero, which no decoder accepts, are left out of records and count.
-    /// One pass over the graph.
+    ///
+    /// One pass over the graph, in the halves
+    /// [`DynamicCallGraph::read_halves`] cuts: the first is written
+    /// straight into the frame while the second, on another core, is
+    /// written to a buffer of its own with its first key step left out.
+    /// The join writes that step from the first half's last *emitted*
+    /// key (the frame's first key is absolute, a step from 0) and
+    /// appends the buffer, so the frame is byte for byte the one a
+    /// single pass writes.
     pub fn encode_snapshot(graph: &DynamicCallGraph) -> Vec<u8> {
-        let records = graph.iter().filter(|&(_, w)| w > 0.0).map(|(e, w)| (*e, w));
-        Self::encode_records(FrameKind::Snapshot, records, graph.num_edges())
+        let positive = |range| {
+            graph
+                .iter_range(range)
+                .filter(|&(_, w)| w > 0.0)
+                .map(|(e, w)| (*e, w))
+        };
+        let max_count = graph.num_edges();
+        let mut out = frame_header(FrameKind::Snapshot, max_count);
+        let (head, tail) = graph.read_halves(
+            |range| put_records(&mut out, positive(range), true),
+            |range| {
+                let mut body = Vec::with_capacity(range.len() * 8);
+                (put_records(&mut body, positive(range), false), body)
+            },
+        );
+        let mut count = head.count;
+        if let Some((run, body)) = tail {
+            if let Some(first) = run.first {
+                put_varint(&mut out, first - head.last.unwrap_or(0));
+                out.extend_from_slice(&body);
+                count += run.count;
+            }
+        }
+        patch_count(out, count, max_count)
     }
 
     /// Encodes weight increments (e.g. from
@@ -527,42 +630,15 @@ impl DcgCodec {
         Self::encode_records(FrameKind::Delta, records.into_iter(), n)
     }
 
-    /// Encodes at most `max_count` records in one pass: the header's
-    /// count is written for `max_count` and patched if fewer came.
+    /// Encodes `count` records, which must ascend strictly.
     fn encode_records(
         kind: FrameKind,
         records: impl Iterator<Item = (CallEdge, f64)>,
-        max_count: usize,
+        count: usize,
     ) -> Vec<u8> {
-        // ~3 bytes/record for dense ids and small integral weights.
-        let mut out = Vec::with_capacity(8 + max_count * 8);
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(kind.to_byte());
-        let count_at = out.len();
-        put_varint(&mut out, max_count as u128);
-        let count_end = out.len();
-        let mut count = 0usize;
-        let mut prev: Option<u128> = None;
-        for (e, w) in records {
-            let key = key_of(&e);
-            let step = match prev {
-                None => key,
-                Some(p) => {
-                    debug_assert!(key > p, "records must be in ascending edge order");
-                    key - p
-                }
-            };
-            prev = Some(key);
-            put_varint(&mut out, step);
-            put_weight(&mut out, w);
-            count += 1;
-        }
-        if count != max_count {
-            let mut varint = Vec::new();
-            put_varint(&mut varint, count as u128);
-            out.splice(count_at..count_end, varint);
-        }
+        let mut out = frame_header(kind, count);
+        let run = put_records(&mut out, records, true);
+        debug_assert_eq!(run.count, count, "the header count is the record count");
         out
     }
 

@@ -25,6 +25,7 @@ use cbs_profiled::DedupEntry;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Checkpoint file magic.
 pub const CKPT_MAGIC: [u8; 4] = *b"CBSC";
@@ -50,8 +51,10 @@ pub struct Checkpoint {
     pub wal_seq: u64,
     /// The dedup table's entries, sorted by client id.
     pub dedup: Vec<DedupEntry>,
-    /// The encoded CBSP snapshot of the merged graph.
-    pub snapshot: Vec<u8>,
+    /// The encoded CBSP snapshot of the merged graph: when written by
+    /// the store, the aggregator's cached snapshot itself, shared rather
+    /// than copied.
+    pub snapshot: Arc<Vec<u8>>,
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -132,7 +135,7 @@ impl Checkpoint {
         if body.len() - pos != snapshot_len {
             return Err(bad("checkpoint snapshot length mismatch"));
         }
-        let snapshot = body[pos..].to_vec();
+        let snapshot = Arc::new(body[pos..].to_vec());
         Ok(Self {
             epoch,
             frames,
@@ -219,7 +222,7 @@ mod tests {
                     touch: 76,
                 },
             ],
-            snapshot: b"CBSP-pretend-snapshot".to_vec(),
+            snapshot: Arc::new(b"CBSP-pretend-snapshot".to_vec()),
         }
     }
 

@@ -601,7 +601,7 @@ impl ProfileStore {
             next_touch: a.dedup.next_touch(),
             wal_seq: new_seq,
             dedup: a.dedup.entries(),
-            snapshot: self.aggregator.encoded_snapshot().as_ref().clone(),
+            snapshot: self.aggregator.encoded_snapshot(),
         };
         ckpt.store(&self.dir)?;
         // The checkpoint is installed; from here on nothing can fail

@@ -474,7 +474,7 @@ fn an_orphaned_checkpoint_temp_is_dropped_and_the_wal_replays() {
             next_touch: all.dedup_next_touch,
             wal_seq: live_seq + 1,
             dedup: all.dedup_entries.clone(),
-            snapshot: all.snapshot.clone(),
+            snapshot: Arc::new(all.snapshot.clone()),
         }
         .write_temp(dir.path())
         .unwrap();
