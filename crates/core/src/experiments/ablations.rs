@@ -1,7 +1,7 @@
 //! Ablations and secondary claims from the paper's text.
 
 use super::ExperimentError;
-use crate::measure::measure;
+use crate::measure::{measure, measure_multi};
 use crate::parallel::{run_cells, Parallelism};
 use crate::render::{f1, TextTable};
 use cbs_inliner::{inline_program, InlineBudget, NewLinearPolicy, OldJikesPolicy};
@@ -9,7 +9,7 @@ use cbs_profiler::{
     CbsConfig, CodePatchingProfiler, CounterBasedSampler, ExhaustiveMode, ExhaustiveProfiler,
     PatchingConfig, ProfilingCosts, TimerSampler,
 };
-use cbs_vm::{Vm, VmConfig};
+use cbs_vm::{TickSchedule, Vm, VmConfig};
 use cbs_workloads::{Benchmark, InputSize};
 
 /// A generic named (benchmark, values...) row.
@@ -321,26 +321,29 @@ impl FrequencySweep {
 /// Propagates generation or VM failures.
 pub fn frequency_sweep() -> Result<FrequencySweep, ExperimentError> {
     use cbs_workloads::adversarial;
+    const TIMER_HZ: [u64; 3] = [100, 400, 1600];
     let (program, _) = adversarial::figure1(200, 100_000)?;
-    let mut timer_rows = Vec::new();
-    for hz in [100, 400, 1600] {
-        let config = VmConfig {
-            timer_hz: hz,
-            timer_jitter: (10_000_000 / hz) / 8,
-            ..VmConfig::default()
-        };
-        let m = measure(&program, config, vec![Box::new(TimerSampler::new())])?;
-        timer_rows.push((hz, m.outcomes[0].overhead_pct, m.outcomes[0].accuracy));
-    }
-    let m = measure(
-        &program,
-        VmConfig::default(),
-        vec![Box::new(CounterBasedSampler::new(CbsConfig::new(3, 16)))],
-    )?;
-    let cbs_row = (m.outcomes[0].overhead_pct, m.outcomes[0].accuracy);
+    // One interpretation: CBS on the VM's stock timer, and each timer row
+    // replaying the timer of a VM of its own at that row's frequency.
+    let m = measure_multi(&program, VmConfig::default(), |sweep| {
+        sweep.attach(Box::new(CounterBasedSampler::new(CbsConfig::new(3, 16))));
+        for hz in TIMER_HZ {
+            let config = VmConfig {
+                timer_hz: hz,
+                timer_jitter: (10_000_000 / hz) / 8,
+                ..VmConfig::default()
+            };
+            sweep.attach_with_timer(Box::new(TimerSampler::new()), TickSchedule::new(&config));
+        }
+    })?;
+    let (cbs, timers) = m.outcomes.split_first().expect("CBS is attached first");
     Ok(FrequencySweep {
-        timer_rows,
-        cbs_row,
+        timer_rows: TIMER_HZ
+            .into_iter()
+            .zip(timers)
+            .map(|(hz, o)| (hz, o.overhead_pct, o.accuracy))
+            .collect(),
+        cbs_row: (cbs.overhead_pct, cbs.accuracy),
     })
 }
 

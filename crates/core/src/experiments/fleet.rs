@@ -15,26 +15,24 @@
 //! `gain` column.
 //!
 //! The `K` VMs of one benchmark are replicas observing a single
-//! interpretation ([`observe_replicas`]): each keeps its own timer, and
-//! its profile is the one a VM of its own would have collected.
+//! interpretation ([`attach_replicas`]): each replays its own timer, and its
+//! profile is the one a VM of its own would have collected.
 //!
 //! Determinism: benchmark cells run under [`run_cells`] (input-order
 //! results), and frames are ingested serially in VM order, so the whole
 //! pipeline is bit-identical for any `--jobs` value.
 
 use super::ExperimentError;
+use crate::measure::{measure_multi, ProfilerOutcome};
 use crate::parallel::{run_cells, Parallelism};
 use crate::render::{f2, TextTable};
-use cbs_bytecode::Program;
-use cbs_dcg::{accuracy, overlap, CallEdge, DynamicCallGraph};
+use cbs_dcg::{overlap, CallEdge, DynamicCallGraph};
 use cbs_profiled::{
     serve, AggregatorConfig, DcgCodec, Fault, FaultCounts, FaultSchedule, NetConfig, ProfileClient,
     ResilientClient, RetryPolicy, ShardedAggregator,
 };
-use cbs_profiler::{CallGraphProfiler, CbsConfig, CounterBasedSampler, ExhaustiveProfiler};
-use cbs_vm::{
-    CallEvent, ExecReport, Profiler, StackSlice, ThreadId, TickSchedule, Vm, VmConfig, VmError,
-};
+use cbs_profiler::{CallGraphProfiler, CbsConfig, CounterBasedSampler, MultiProfiler};
+use cbs_vm::{TickSchedule, VmConfig};
 use cbs_workloads::{Benchmark, InputSize};
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,104 +53,16 @@ pub(super) fn replica_config(base: &VmConfig, replica: usize) -> VmConfig {
     }
 }
 
-/// Runs `program` once under `vm_config` and returns its report and one
-/// counter-based sampler per entry of `configs`. Sampler `r` ends in the
-/// state a run of its own under [`replica_config`]`(vm_config, r)`
-/// leaves it in: the same graph, samples, overhead and calling context
-/// tree. `truth`, when given, counts every call of the run.
-///
-/// This is exact because the run has one thread. A tick then requests a
-/// switch back to the thread it interrupted, so the executed instruction
-/// stream, and every event's clock, is the same under any timer. Each
-/// sampler therefore replays its own [`TickSchedule`] against the
-/// observed events: before an event at clock `c` it takes every tick due
-/// at or before `c`, as a run of its own would have delivered them, and
-/// it is handed the event only while it is armed. Its `on_tick` reads
-/// only the thread, so the stack it is shown with a replayed tick does
-/// not matter.
-///
-/// # Panics
-///
-/// Panics if `vm_config` runs more than one thread: there a tick's
-/// switch interleaves the threads differently under each timer.
-pub(super) fn observe_replicas(
-    program: &Program,
+/// Attaches the fleet's VM replicas to `observer`: `samplers[r]` replays
+/// the timer of [`replica_config`]`(vm_config, r)`, so it ends as a VM of
+/// its own under that configuration would (see [`MultiProfiler`]).
+pub(super) fn attach_replicas<P: ?Sized + CallGraphProfiler>(
+    observer: &mut MultiProfiler<P>,
     vm_config: &VmConfig,
-    configs: impl IntoIterator<Item = CbsConfig>,
-    truth: Option<&mut ExhaustiveProfiler>,
-) -> Result<(ExecReport, Vec<CounterBasedSampler>), VmError> {
-    assert!(
-        vm_config.num_threads <= 1,
-        "fleet replicas observe one interpretation only on a single thread"
-    );
-    let mut observer = Replicas {
-        replicas: configs
-            .into_iter()
-            .enumerate()
-            .map(|(r, config)| {
-                let timer = TickSchedule::new(&replica_config(vm_config, r));
-                (CounterBasedSampler::new(config), timer)
-            })
-            .collect(),
-        truth,
-    };
-    let exec = Vm::new(program, vm_config.clone()).run_with(&mut observer)?;
-    let samplers = observer.replicas.into_iter().map(|(cbs, _)| cbs).collect();
-    Ok((exec, samplers))
-}
-
-/// The profiler [`observe_replicas`] attaches: every sampler with its
-/// own timer, plus the optional ground truth. It keeps the default
-/// `armed`, so it sees every entry and exit.
-struct Replicas<'t> {
-    replicas: Vec<(CounterBasedSampler, TickSchedule)>,
-    truth: Option<&'t mut ExhaustiveProfiler>,
-}
-
-impl Replicas<'_> {
-    /// Hands `event` to each sampler armed for it, after the ticks its
-    /// timer has due by then.
-    fn deliver(
-        &mut self,
-        event: &CallEvent<'_>,
-        hook: impl Fn(&mut CounterBasedSampler, &CallEvent<'_>),
-    ) {
-        for (cbs, timer) in &mut self.replicas {
-            while timer.deadline() <= event.clock {
-                cbs.on_tick(timer.advance(), event.thread, event.stack);
-            }
-            if cbs.armed(event.thread) {
-                hook(cbs, event);
-            }
-        }
-    }
-}
-
-impl Profiler for Replicas<'_> {
-    fn on_entry(&mut self, event: &CallEvent<'_>) {
-        if let Some(truth) = self.truth.as_deref_mut() {
-            truth.on_entry(event);
-        }
-        self.deliver(event, CounterBasedSampler::on_entry);
-    }
-
-    fn on_exit(&mut self, event: &CallEvent<'_>) {
-        if let Some(truth) = self.truth.as_deref_mut() {
-            truth.on_exit(event);
-        }
-        self.deliver(event, CounterBasedSampler::on_exit);
-    }
-
-    fn on_finish(&mut self, clock: u64) {
-        if let Some(truth) = self.truth.as_deref_mut() {
-            truth.on_finish(clock);
-        }
-        for (cbs, timer) in &mut self.replicas {
-            while timer.deadline() <= clock {
-                cbs.on_tick(timer.advance(), ThreadId(0), StackSlice::default());
-            }
-            cbs.on_finish(clock);
-        }
+    samplers: impl IntoIterator<Item = Box<P>>,
+) {
+    for (r, sampler) in samplers.into_iter().enumerate() {
+        observer.attach_with_timer(sampler, TickSchedule::new(&replica_config(vm_config, r)));
     }
 }
 
@@ -235,17 +145,11 @@ impl Fleet {
     }
 }
 
-/// One VM's contribution: its sampled profile and its overlap with the
-/// run's ground truth.
-struct VmProfile {
-    sampled: DynamicCallGraph,
-    single_overlap: f64,
-}
-
-/// One benchmark's fleet: every VM's profile, and the union of their
-/// (identical) perfect profiles the merged profile is scored against.
+/// One benchmark's fleet: every VM's profile and overlap with the run's
+/// ground truth, and the union of their (identical) perfect profiles the
+/// merged profile is scored against.
 struct BenchFleet {
-    vms: Vec<VmProfile>,
+    vms: Vec<ProfilerOutcome>,
     union: DynamicCallGraph,
 }
 
@@ -254,24 +158,16 @@ struct BenchFleet {
 fn run_fleet(bench: Benchmark, scale: f64) -> Result<BenchFleet, ExperimentError> {
     let spec = bench.spec(InputSize::Small).scaled(scale);
     let program = cbs_workloads::generator::build(&spec)?;
-    let configs = STRIDES.map(|stride| CbsConfig::new(stride, 16));
-    let mut truth = ExhaustiveProfiler::new();
-    let (_, replicas) =
-        observe_replicas(&program, &VmConfig::default(), configs, Some(&mut truth))?;
-    let perfect = truth.take_dcg();
-    let vms = replicas
-        .into_iter()
-        .map(|mut cbs| {
-            let sampled = cbs.take_dcg();
-            VmProfile {
-                single_overlap: accuracy(&sampled, &perfect),
-                sampled,
-            }
-        })
-        .collect();
+    let vm_config = VmConfig::default();
+    let samplers = STRIDES.map(|stride| -> Box<dyn CallGraphProfiler> {
+        Box::new(CounterBasedSampler::new(CbsConfig::new(stride, 16)))
+    });
+    let m = measure_multi(&program, vm_config.clone(), |observer| {
+        attach_replicas(observer, &vm_config, samplers);
+    })?;
     Ok(BenchFleet {
-        vms,
-        union: DynamicCallGraph::merge_all(std::iter::repeat_n(&perfect, FLEET_SIZE)),
+        vms: m.outcomes,
+        union: DynamicCallGraph::merge_all(std::iter::repeat_n(&m.perfect, FLEET_SIZE)),
     })
 }
 
@@ -318,7 +214,7 @@ pub fn fleet_with(scale: f64, jobs: Parallelism) -> Result<Fleet, ExperimentErro
         let agg = ShardedAggregator::new(AggregatorConfig::default());
         let mut wire_bytes = 0;
         for vm in &fleet.vms {
-            wire_bytes += stream_profile(&vm.sampled, &agg);
+            wire_bytes += stream_profile(&vm.dcg, &agg);
         }
         let merged = agg.merged_snapshot();
         let vms = fleet.vms.len();
@@ -327,7 +223,7 @@ pub fn fleet_with(scale: f64, jobs: Parallelism) -> Result<Fleet, ExperimentErro
             vms,
             merged_edges: merged.num_edges(),
             wire_bytes,
-            mean_single: fleet.vms.iter().map(|vm| vm.single_overlap).sum::<f64>() / vms as f64,
+            mean_single: fleet.vms.iter().map(|vm| vm.accuracy).sum::<f64>() / vms as f64,
             fleet: overlap(&merged, &fleet.union),
         });
     }
@@ -528,11 +424,8 @@ pub fn fleet_faults_with(
     let mut counts = FaultCounts::default();
     let mut all_bit_identical = true;
     for (i, (bench, fleet)) in Benchmark::all().into_iter().zip(&fleets).enumerate() {
-        let batches: Vec<Vec<Vec<(CallEdge, f64)>>> = fleet
-            .vms
-            .iter()
-            .map(|vm| delta_batches(&vm.sampled))
-            .collect();
+        let batches: Vec<Vec<Vec<(CallEdge, f64)>>> =
+            fleet.vms.iter().map(|vm| delta_batches(&vm.dcg)).collect();
 
         // Fault-free reference: the same batches over a clean link.
         let clean_server = serve(
@@ -656,8 +549,36 @@ pub fn fleet_faults_with(
 mod tests {
     use super::*;
     use cbs_dcg::{CctNodeId, ContextStep};
-    use cbs_profiler::SkipPolicy;
-    use cbs_vm::VmFlavor;
+    use cbs_profiler::{SkipPolicy, TimerSampler};
+    use cbs_vm::{Vm, VmFlavor};
+
+    /// A sampler whose calling context tree, if it keeps one, is part of
+    /// what it keeps of a run.
+    trait Replica: CallGraphProfiler {
+        fn cct_bits(&self) -> Option<Vec<(CctNodeId, ContextStep, u64)>> {
+            None
+        }
+    }
+
+    impl Replica for TimerSampler {}
+
+    impl Replica for CounterBasedSampler {
+        fn cct_bits(&self) -> Option<Vec<(CctNodeId, ContextStep, u64)>> {
+            self.cct().map(|t| {
+                t.iter()
+                    .map(|(id, step, w)| (id, step, w.to_bits()))
+                    .collect()
+            })
+        }
+    }
+
+    /// `Some(config)` is a counter-based sampler, `None` the timer one.
+    fn sampler(config: Option<CbsConfig>) -> Box<dyn Replica> {
+        match config {
+            Some(config) => Box::new(CounterBasedSampler::new(config)),
+            None => Box::new(TimerSampler::new()),
+        }
+    }
 
     /// Everything a sampler keeps of a run: its graph (weight bits
     /// included), samples, simulated overhead, and calling context tree.
@@ -669,24 +590,21 @@ mod tests {
         Option<Vec<(CctNodeId, ContextStep, u64)>>,
     );
 
-    fn residue(mut cbs: CounterBasedSampler) -> Residue {
-        let cct = cbs.cct().map(|t| {
-            t.iter()
-                .map(|(id, step, w)| (id, step, w.to_bits()))
-                .collect()
-        });
-        let (samples, overhead) = (cbs.samples_taken(), cbs.overhead_cycles());
-        let dcg = cbs.take_dcg();
+    fn residue(p: &mut dyn Replica) -> Residue {
+        let cct = p.cct_bits();
+        let (samples, overhead) = (p.samples_taken(), p.overhead_cycles());
+        let dcg = p.take_dcg();
         let edges = dcg.iter().map(|(e, w)| (*e, w.to_bits())).collect();
         (edges, dcg.total_weight().to_bits(), samples, overhead, cct)
     }
 
     /// Every replica of the shared run ends exactly as a sampler alone
     /// in a run under that replica's configuration: over the 13
-    /// programs, both flavors, both fleets' sampler configurations, and
-    /// the sampler options that change what a window does (random
-    /// skips, context trees, an explicit entry check), the latter under
-    /// a timer dense enough that ticks fall between most events.
+    /// programs, both flavors, both fleets' sampler configurations plus a
+    /// timer sampler, and the sampler options that change what a window
+    /// does (random skips, context trees, an explicit entry check), the
+    /// latter under a timer dense enough that ticks fall between most
+    /// events.
     #[test]
     fn every_replica_equals_its_own_run() {
         let option_configs = [
@@ -738,6 +656,9 @@ mod tests {
                 cbs_workloads::generator::build(&spec).unwrap(),
             )
         });
+        let with_timer = |configs: Vec<CbsConfig>| -> Vec<Option<CbsConfig>> {
+            configs.into_iter().map(Some).chain([None]).collect()
+        };
         for (bench, program) in programs.into_iter().chain([("tail", tail)]) {
             for flavor in [VmFlavor::Jikes, VmFlavor::J9] {
                 let fleet_vm = VmConfig::with_flavor(flavor);
@@ -752,21 +673,30 @@ mod tests {
                     (&dense_vm, option_configs.to_vec()),
                 ];
                 for (vm_config, configs) in cases {
-                    let (exec, replicas) =
-                        observe_replicas(&program, vm_config, configs.clone(), None).unwrap();
+                    let samplers = with_timer(configs);
+                    let mut observer = MultiProfiler::new();
+                    attach_replicas(
+                        &mut observer,
+                        vm_config,
+                        samplers.iter().cloned().map(sampler),
+                    );
+                    let exec = Vm::new(&program, vm_config.clone())
+                        .run_with(&mut observer)
+                        .unwrap();
                     let base = Vm::new(&program, vm_config.clone())
                         .run_unprofiled()
                         .unwrap();
                     assert_eq!(exec, base, "{bench} {flavor:?}: the observed run");
                     let mut sampled = 0;
-                    for (r, (shared, config)) in replicas.into_iter().zip(configs).enumerate() {
+                    let shared = observer.into_inner();
+                    for (r, (mut shared, config)) in shared.into_iter().zip(samplers).enumerate() {
                         let what = format!("{bench} {flavor:?} replica {r} {config:?}");
-                        let mut alone = CounterBasedSampler::new(config);
+                        let mut alone = sampler(config);
                         Vm::new(&program, replica_config(vm_config, r))
-                            .run_with(&mut alone)
+                            .run_with(alone.as_mut())
                             .unwrap();
                         sampled += alone.samples_taken();
-                        assert_eq!(residue(shared), residue(alone), "{what}");
+                        assert_eq!(residue(shared.as_mut()), residue(alone.as_mut()), "{what}");
                     }
                     assert!(sampled > 0, "{bench} {flavor:?}: no replica sampled");
                 }
@@ -787,7 +717,10 @@ mod tests {
             num_threads: 2,
             ..VmConfig::default()
         };
-        let _ = observe_replicas(&program, &vm_config, [CbsConfig::default()], None);
+        let sampler = Box::new(CounterBasedSampler::new(CbsConfig::default()));
+        let mut observer = MultiProfiler::new();
+        attach_replicas(&mut observer, &vm_config, [sampler]);
+        let _ = Vm::new(&program, vm_config).run_with(&mut observer);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! rendered table's two speedup columns.
 //!
 //! The `K` VMs are replicas observing one interpretation of the
-//! untransformed program ([`observe_replicas`]), and that run is also the
+//! untransformed program ([`attach_replicas`]), and that run is also the
 //! baseline: its cycles and return values are what every transformed
 //! program is held to.
 //!
@@ -32,7 +32,7 @@
 //! the simulated clock is exact — the render is bit-identical for any
 //! `--jobs` value.
 
-use super::fleet::{observe_replicas, transport, FLEET_SIZE, STRIDES};
+use super::fleet::{attach_replicas, transport, FLEET_SIZE, STRIDES};
 use super::ExperimentError;
 use crate::parallel::{run_cells, Parallelism};
 use crate::render::{f2, TextTable};
@@ -40,7 +40,7 @@ use cbs_bytecode::Program;
 use cbs_dcg::DynamicCallGraph;
 use cbs_inliner::{apply_plan, build_plan, InlineBudget, InlinePlan, NewLinearPolicy};
 use cbs_profiled::{serve, AggregatorConfig, NetConfig, ProfileClient, ShardedAggregator};
-use cbs_profiler::{CallGraphProfiler, CbsConfig};
+use cbs_profiler::{CallGraphProfiler, CbsConfig, CounterBasedSampler, MultiProfiler};
 use cbs_vm::{Value, Vm, VmConfig};
 use cbs_workloads::{Benchmark, InputSize};
 use std::sync::Arc;
@@ -287,10 +287,20 @@ pub fn fleet_optimize_with(
         // observed by the benchmark's VM replicas under sparse CBS (a
         // replica-specific stride and timer seed,
         // SPARSE_SAMPLES_PER_WINDOW samples per window).
-        let configs = STRIDES.map(|stride| CbsConfig::new(stride, SPARSE_SAMPLES_PER_WINDOW));
-        let (base, replicas) = observe_replicas(&program, &VmConfig::default(), configs, None)?;
-        let fleet: Vec<DynamicCallGraph> =
-            replicas.into_iter().map(|mut cbs| cbs.take_dcg()).collect();
+        let samplers = STRIDES.map(|stride| {
+            Box::new(CounterBasedSampler::new(CbsConfig::new(
+                stride,
+                SPARSE_SAMPLES_PER_WINDOW,
+            )))
+        });
+        let mut observer = MultiProfiler::new();
+        attach_replicas(&mut observer, &VmConfig::default(), samplers);
+        let base = Vm::new(&program, VmConfig::default()).run_with(&mut observer)?;
+        let fleet: Vec<DynamicCallGraph> = observer
+            .into_inner()
+            .into_iter()
+            .map(|mut cbs| cbs.take_dcg())
+            .collect();
 
         // Stream the fleet's profiles through the live service
         // (serially, in VM order) and pull the served plan; build each

@@ -4,7 +4,7 @@ use super::ExperimentError;
 use crate::measure::measure;
 use crate::parallel::{run_cells, Parallelism};
 use crate::render::TextTable;
-use cbs_profiler::{CbsConfig, CounterBasedSampler, MultiProfiler, SkipPolicy};
+use cbs_profiler::{CallGraphProfiler, CbsConfig, CounterBasedSampler, SkipPolicy};
 use cbs_vm::{VmConfig, VmFlavor};
 use cbs_workloads::{Benchmark, InputSize};
 
@@ -138,11 +138,10 @@ impl Table2 {
 /// Reproduces Table 2: runs the CBS configuration grid against every
 /// benchmark and averages overhead/accuracy per cell.
 ///
-/// The (benchmark × grid-chunk) cells are sharded across
-/// `options.jobs` worker threads — each cell interprets its own `Vm`
-/// with its shard of the sampler grid attached. Because attached
-/// profilers never interact (see [`MultiProfiler::into_shards`]) and
-/// the reduction folds results in stable benchmark order, the table is
+/// The (benchmark, input) runs are sharded across `options.jobs` worker
+/// threads — each interprets its own `Vm` with the whole sampler grid
+/// attached. Because attached profilers never interact and the reduction
+/// folds results in stable benchmark order, the table is
 /// **bit-identical** for every `jobs` value.
 ///
 /// # Errors
@@ -154,52 +153,40 @@ pub fn table2(options: &Table2Options) -> Result<Table2, ExperimentError> {
         .iter()
         .flat_map(|&n| options.strides.iter().map(move |&s| (s, n)))
         .collect();
-    let chunks = options.jobs.get().min(grid.len()).max(1);
 
-    // One cell per (benchmark, contiguous grid chunk), benchmark-major.
-    let mut cells: Vec<(Benchmark, InputSize, usize, MultiProfiler)> = Vec::new();
-    for &(bench, size) in &options.benchmarks {
-        let mut full = MultiProfiler::new();
-        for &(stride, samples) in &grid {
-            full.attach(Box::new(CounterBasedSampler::new(CbsConfig {
-                stride,
-                samples_per_tick: samples,
-                skip_policy: SkipPolicy::RoundRobin,
-                ..CbsConfig::default()
-            })));
-        }
-        let mut offset = 0;
-        for shard in full.into_shards(chunks) {
-            let len = shard.len();
-            cells.push((bench, size, offset, shard));
-            offset += len;
-        }
-    }
-
-    let results = run_cells(cells, options.jobs, |(bench, size, offset, shard)| {
+    let results = run_cells(options.benchmarks.clone(), options.jobs, |(bench, size)| {
         let spec = bench.spec(size).scaled(options.scale);
         let program = cbs_workloads::generator::build(&spec)?;
-        let m = measure(
-            &program,
-            VmConfig::with_flavor(options.flavor),
-            shard.into_inner(),
-        )?;
+        let samplers = grid
+            .iter()
+            .map(
+                |&(stride, samples_per_tick)| -> Box<dyn CallGraphProfiler> {
+                    Box::new(CounterBasedSampler::new(CbsConfig {
+                        stride,
+                        samples_per_tick,
+                        skip_policy: SkipPolicy::RoundRobin,
+                        ..CbsConfig::default()
+                    }))
+                },
+            )
+            .collect();
+        let m = measure(&program, VmConfig::with_flavor(options.flavor), samplers)?;
         let scores: Vec<(f64, f64)> = m
             .outcomes
             .iter()
             .map(|o| (o.overhead_pct, o.accuracy))
             .collect();
-        Ok::<_, ExperimentError>((offset, scores))
+        Ok::<_, ExperimentError>(scores)
     })?;
 
-    // Fold per-cell scores into per-grid-index sums. Results arrive in
-    // cell (benchmark-major) order, so each grid index accumulates its
-    // benchmarks in the same sequence regardless of `jobs`.
+    // Fold per-run scores into per-grid-index sums. Results arrive in
+    // benchmark order, so each grid index accumulates its benchmarks in
+    // the same sequence regardless of `jobs`.
     let mut sums = vec![(0.0f64, 0.0f64); grid.len()];
-    for (offset, scores) in results {
-        for (j, (oh, acc)) in scores.into_iter().enumerate() {
-            sums[offset + j].0 += oh;
-            sums[offset + j].1 += acc;
+    for scores in results {
+        for (sum, (oh, acc)) in sums.iter_mut().zip(scores) {
+            sum.0 += oh;
+            sum.1 += acc;
         }
     }
 

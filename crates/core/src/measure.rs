@@ -55,15 +55,33 @@ pub fn measure(
     vm_config: VmConfig,
     profilers: Vec<Box<dyn CallGraphProfiler>>,
 ) -> Result<Measurement, VmError> {
-    let mut multi = MultiProfiler::new();
-    let truth_idx = multi.attach(Box::new(ExhaustiveProfiler::new()));
-    for p in profilers {
-        multi.attach(p);
-    }
+    measure_multi(program, vm_config, |multi| {
+        for p in profilers {
+            multi.attach(p);
+        }
+    })
+}
+
+/// [`measure`] over the profilers `attach` adds to the fan-out after the
+/// ground truth; they may replay timers of their own
+/// ([`MultiProfiler::attach_with_timer`]).
+///
+/// # Errors
+///
+/// Propagates any [`VmError`] trap from the program.
+pub(crate) fn measure_multi(
+    program: &Program,
+    vm_config: VmConfig,
+    attach: impl FnOnce(&mut MultiProfiler),
+) -> Result<Measurement, VmError> {
+    // The truth goes first: it is always armed, so the fan-out's `armed`
+    // answers at its first profiler.
+    let mut multi: MultiProfiler = MultiProfiler::new();
+    multi.attach(Box::new(ExhaustiveProfiler::new()));
+    attach(&mut multi);
     let exec = cbs_vm::Vm::new(program, vm_config).run_with(&mut multi)?;
     let mut inner = multi.into_inner();
-    let mut truth = inner.remove(truth_idx);
-    let perfect = truth.take_dcg();
+    let perfect = inner.remove(0).take_dcg();
 
     let outcomes = inner
         .iter_mut()

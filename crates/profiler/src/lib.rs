@@ -11,7 +11,7 @@
 //! | [`PcSampler`] | §3.3 | Whaley-style asynchronous stack observation |
 //! | [`ExhaustiveProfiler`] | §3.1 | Perfect counts (ground truth), or costed "PIC counter" instrumentation |
 //! | [`CodePatchingProfiler`] | §3.2 | Suganuma-style warmup-then-burst listeners |
-//! | [`MultiProfiler`] | harness | Attach a whole configuration grid to one run |
+//! | [`MultiProfiler`] | §4, harness | The one fan-out: a whole configuration grid on one run, each profiler on the VM's timer or replaying its own |
 //!
 //! All profilers implement [`CallGraphProfiler`]: they accumulate a
 //! [`DynamicCallGraph`](cbs_dcg::DynamicCallGraph) and account for their

@@ -70,6 +70,11 @@ impl CallGraphProfiler for PcSampler {
     fn samples_taken(&self) -> u64 {
         self.samples
     }
+
+    /// The tick *is* the sample: it walks the interrupted stack.
+    fn tick_reads_stack(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

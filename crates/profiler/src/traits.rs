@@ -7,11 +7,8 @@ use cbs_vm::Profiler;
 /// [`DynamicCallGraph`] and accounts for its own simulated overhead.
 ///
 /// This trait is object-safe so heterogeneous profiler sets can be
-/// attached to one run through
-/// [`MultiProfiler`](crate::MultiProfiler). `Send` is a supertrait so
-/// boxed profiler shards can move onto the parallel experiment runner's
-/// worker threads.
-pub trait CallGraphProfiler: Profiler + Send {
+/// attached to one run through [`MultiProfiler`](crate::MultiProfiler).
+pub trait CallGraphProfiler: Profiler {
     /// Short, stable mechanism name (e.g. `"cbs(3,16)"`) for reports.
     fn name(&self) -> String;
 
@@ -27,6 +24,15 @@ pub trait CallGraphProfiler: Profiler + Send {
     /// Number of call-stack samples taken (0 for exhaustive mechanisms,
     /// which count rather than sample).
     fn samples_taken(&self) -> u64;
+
+    /// Whether `on_tick` reads the stack it is shown. A profiler whose
+    /// tick reads only the thread can replay a timer of its own against
+    /// another run's events
+    /// ([`MultiProfiler::attach_with_timer`](crate::MultiProfiler::attach_with_timer));
+    /// one that reads the stack at the tick cannot.
+    fn tick_reads_stack(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

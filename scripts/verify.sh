@@ -435,9 +435,9 @@ grep -q '^pooled plan meets or beats the best single-VM plan: yes$' \
   || { echo "FAIL: the fleet plan lost to a single-VM plan on total cycles" >&2; exit 1; }
 
 echo "==> repro fleet pins at --jobs 2 (parallel renders match the committed artifacts)"
-# Each benchmark's fleet is one observed run, so replicas are no longer
-# separate parallel cells; the full-scale renders must still not depend
-# on the job count.
+# Each benchmark's fleet is one run observed by one MultiProfiler, whose
+# replicas each replay a timer of their own; the full-scale renders must
+# still not depend on the job count.
 timeout 300 target/release/repro --jobs 2 fleet > "$SMOKE_DIR/fleet_render_j2.txt"
 cmp repro_fleet_output.txt "$SMOKE_DIR/fleet_render_j2.txt" \
   || { echo "FAIL: repro --jobs 2 fleet output differs from repro_fleet_output.txt" >&2; exit 1; }
