@@ -16,7 +16,8 @@
 //!
 //! The dedup table lives *inside* the journal because sequenced ingest
 //! must hold one lock across check-apply-record (a retry racing a
-//! half-applied original must observe the pair atomically), and a
+//! half-applied original must observe the pair atomically; the frame is
+//! decoded before that lock is taken), and a
 //! durable journal must additionally capture the table in the same
 //! critical section its checkpoints snapshot the graph.
 
@@ -26,6 +27,7 @@ use crate::dedup::DedupTable;
 use crate::metrics::ProfiledMetrics;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// Why a journaled operation was not applied.
 #[derive(Debug)]
@@ -227,25 +229,28 @@ impl ProfileJournal for MemJournal {
         bytes: &[u8],
         scratch: &mut IngestScratch,
     ) -> Result<SeqIngest, JournalError> {
-        // Hold the table lock across check-apply-record: a retry of the
-        // same batch arriving on a fresh connection while a zombie
-        // thread is mid-apply must observe apply+record atomically, or
-        // it could double-count the frame.
+        // Decode first, into the connection's own scratch and outside
+        // the lock, as the durable store does: a bad frame errors before
+        // any lock is taken, whatever its seq ("bad frame beats
+        // duplicate"), and a handler waiting for the lock no longer
+        // sleeps through another connection's decode.
+        let (kind, records) = self.aggregator.partition_frame(bytes, scratch)?;
+        let wait = Instant::now();
         let mut table = self.lock_dedup();
-        let last = table.last_seq(client_id).unwrap_or(0);
-        if seq > last {
-            let (kind, records) = self.aggregator.ingest_frame_bytes(bytes, scratch)?;
-            table.record(client_id, seq);
-            Ok(SeqIngest::Applied { kind, records })
-        } else {
-            drop(table);
-            // Bad frame beats duplicate: the retransmission is
-            // acknowledged only if it is well-formed. It decodes into the
-            // connection scratch, as in the durable store, and is never
-            // applied.
-            self.aggregator.partition_frame(bytes, scratch)?;
-            Ok(SeqIngest::Duplicate)
+        ProfiledMetrics::get()
+            .server_dedup_lock_wait_us
+            .observe(wait.elapsed().as_micros() as u64);
+        // Check, apply and record under this one lock hold: a retry of
+        // the same batch arriving on a fresh connection while a zombie
+        // thread is mid-apply must observe apply+record atomically, or
+        // it could double-count the frame. A duplicate was decoded but
+        // is never applied.
+        if seq <= table.last_seq(client_id).unwrap_or(0) {
+            return Ok(SeqIngest::Duplicate);
         }
+        self.aggregator.apply_partitioned(scratch);
+        table.record(client_id, seq);
+        Ok(SeqIngest::Applied { kind, records })
     }
 
     fn advance_epoch(&self) -> Result<u64, JournalError> {

@@ -7,14 +7,21 @@
 //!
 //! Naming convention: `profiled.<subsystem>.<metric>`. Counters and
 //! size histograms are deterministic for a deterministic workload
-//! (event sums commute across threads); only the handler-latency
-//! histogram is wall-clock-dependent and tagged
+//! (event sums commute across threads); only the handler-latency and
+//! dedup-lock-wait histograms are wall-clock-dependent and tagged
 //! [`Stability::Wallclock`].
 
 use cbs_telemetry::{
     global, Counter, Gauge, Histogram, Stability, LATENCY_BUCKETS_US, SIZE_BUCKETS,
 };
 use std::sync::OnceLock;
+
+/// Dedup-lock wait buckets (microseconds), 1 µs … 100 ms: an
+/// uncontended lock lands in the first bucket, a convoy behind another
+/// connection's apply in the hundreds.
+const LOCK_WAIT_BUCKETS_US: &[u64] = &[
+    1, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 10_000, 100_000,
+];
 
 /// The profile-service metric handles (see the module docs for the
 /// naming scheme). Obtain via [`ProfiledMetrics::get`].
@@ -62,6 +69,9 @@ pub struct ProfiledMetrics {
     /// Per-request handler latency, microseconds (wall-clock; excluded
     /// from deterministic renders).
     pub server_handler_latency_us: Histogram,
+    /// Per-`OP_PUSH_SEQ` wait for `MemJournal`'s dedup lock,
+    /// microseconds (wall-clock; excluded from deterministic renders).
+    pub server_dedup_lock_wait_us: Histogram,
     /// Scrape-time gauge: entries in the `OP_PUSH_SEQ` dedup table.
     pub server_dedup_clients: Gauge,
 
@@ -190,6 +200,12 @@ impl ProfiledMetrics {
                     "profiled.server.handler_latency_us",
                     "per-request handler latency (µs)",
                     LATENCY_BUCKETS_US,
+                    Stability::Wallclock,
+                ),
+                server_dedup_lock_wait_us: r.histogram(
+                    "profiled.server.dedup_lock_wait_us",
+                    "per-push wait for the in-memory journal's dedup lock (µs)",
+                    LOCK_WAIT_BUCKETS_US,
                     Stability::Wallclock,
                 ),
                 server_dedup_clients: r.gauge(

@@ -147,8 +147,31 @@ pub fn read_msg_into(
             format!("message of {len} bytes exceeds the {max_frame_bytes}-byte frame limit"),
         ));
     }
+    // Every read asks for the whole remainder, as `read_exact` does.
+    // Reading into spare capacity instead (`take(len).read_to_end`)
+    // skips this zero-fill but starts at 8 KiB reads that double, so
+    // its read sizes follow arrival timing; it measured slower on
+    // loopback at 60 KB and 0.9 MB.
     buf.resize(len, 0);
-    r.read_exact(buf)?;
+    let mut got = 0;
+    while got < len {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                buf.truncate(got);
+                return Err(e);
+            }
+        }
+    }
+    if got != len {
+        buf.truncate(got);
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("message truncated after {got} of {len} bytes"),
+        ));
+    }
     Ok(Some(len))
 }
 
@@ -203,6 +226,23 @@ mod tests {
         assert_eq!(pooled.capacity(), cap, "buffer capacity is retained");
         assert_eq!(read_msg_into(&mut cur, 1024, &mut pooled).unwrap(), None);
         assert!(pooled.is_empty(), "clean EOF leaves the buffer empty");
+    }
+
+    #[test]
+    fn read_msg_into_reports_a_truncated_body_as_unexpected_eof() {
+        let mut wire = Vec::new();
+        write_msg(&mut wire, &[b"a message cut short"]).unwrap();
+        let mut pooled = b"stale bytes from an earlier message".to_vec();
+        for cut in 4..wire.len() {
+            let err = read_msg_into(&mut Cursor::new(&wire[..cut]), 1024, &mut pooled)
+                .expect_err("a short body must error");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+            assert_eq!(pooled, &wire[4..cut], "cut at {cut}: only the body read");
+        }
+        // The same buffer still reads a whole message afterwards.
+        let got = read_msg_into(&mut Cursor::new(&wire), 1024, &mut pooled).unwrap();
+        assert_eq!(got, Some(wire.len() - 4));
+        assert_eq!(pooled, b"a message cut short");
     }
 
     #[test]

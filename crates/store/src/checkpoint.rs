@@ -19,7 +19,7 @@
 //! (a corrupt checkpoint is an explicit open error — unlike a torn WAL
 //! tail it cannot be safely truncated away).
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_continue};
 use crate::wal::sync_dir;
 use cbs_profiled::DedupEntry;
 use std::fs::{self, File, OpenOptions};
@@ -62,27 +62,38 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 impl Checkpoint {
-    /// Serializes the checkpoint (CRC trailer included).
+    /// Serializes the checkpoint (CRC trailer included): the bytes
+    /// [`write_temp`](Self::write_temp) puts on disk.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.dedup.len() * 24 + self.snapshot.len());
-        out.extend_from_slice(&CKPT_MAGIC);
-        out.push(CKPT_VERSION);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.frames.to_le_bytes());
-        out.extend_from_slice(&self.records.to_le_bytes());
-        out.extend_from_slice(&self.next_touch.to_le_bytes());
-        out.extend_from_slice(&self.wal_seq.to_le_bytes());
-        out.extend_from_slice(&(self.dedup.len() as u64).to_le_bytes());
-        for e in &self.dedup {
-            out.extend_from_slice(&e.client.to_le_bytes());
-            out.extend_from_slice(&e.seq.to_le_bytes());
-            out.extend_from_slice(&e.touch.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.snapshot.len() as u64).to_le_bytes());
+        let (head, trailer) = self.head_and_trailer();
+        let mut out = Vec::with_capacity(head.len() + self.snapshot.len() + trailer.len());
+        out.extend_from_slice(&head);
         out.extend_from_slice(&self.snapshot);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        out.extend_from_slice(&trailer);
         out
+    }
+
+    /// The file is `head | snapshot | trailer`: everything before the
+    /// snapshot, then the CRC-32 of head and snapshot. The CRC is carried
+    /// across the two pieces, so the snapshot is never copied.
+    fn head_and_trailer(&self) -> (Vec<u8>, [u8; 4]) {
+        let mut head = Vec::with_capacity(64 + self.dedup.len() * 24);
+        head.extend_from_slice(&CKPT_MAGIC);
+        head.push(CKPT_VERSION);
+        head.extend_from_slice(&self.epoch.to_le_bytes());
+        head.extend_from_slice(&self.frames.to_le_bytes());
+        head.extend_from_slice(&self.records.to_le_bytes());
+        head.extend_from_slice(&self.next_touch.to_le_bytes());
+        head.extend_from_slice(&self.wal_seq.to_le_bytes());
+        head.extend_from_slice(&(self.dedup.len() as u64).to_le_bytes());
+        for e in &self.dedup {
+            head.extend_from_slice(&e.client.to_le_bytes());
+            head.extend_from_slice(&e.seq.to_le_bytes());
+            head.extend_from_slice(&e.touch.to_le_bytes());
+        }
+        head.extend_from_slice(&(self.snapshot.len() as u64).to_le_bytes());
+        let crc = crc32_continue(crc32(&head), &self.snapshot);
+        (head, crc.to_le_bytes())
     }
 
     /// Deserializes and CRC-checks a checkpoint.
@@ -180,7 +191,10 @@ impl Checkpoint {
             .create(true)
             .truncate(true)
             .open(&tmp)?;
-        f.write_all(&self.encode())?;
+        let (head, trailer) = self.head_and_trailer();
+        f.write_all(&head)?;
+        f.write_all(&self.snapshot)?;
+        f.write_all(&trailer)?;
         f.sync_all()?;
         Ok(tmp)
     }
@@ -230,6 +244,21 @@ mod tests {
     fn encode_decode_round_trips() {
         let c = sample();
         assert_eq!(Checkpoint::decode(&c.encode()).unwrap(), c);
+    }
+
+    #[test]
+    fn the_file_holds_exactly_the_encoded_bytes() {
+        let dir = TestDir::new("ckpt-file-bytes");
+        let mut c = sample();
+        for dedup in [0, 2] {
+            c.dedup.truncate(dedup);
+            for snapshot in [Vec::new(), b"CBSP".to_vec(), vec![0xA5; 70_000]] {
+                c.snapshot = Arc::new(snapshot);
+                let tmp = c.write_temp(dir.path()).unwrap();
+                assert_eq!(fs::read(&tmp).unwrap(), c.encode());
+                assert_eq!(Checkpoint::decode(&c.encode()).unwrap(), c);
+            }
+        }
     }
 
     #[test]

@@ -55,8 +55,15 @@ static TABLES: [[u32; 256]; SLICES] = make_tables();
 
 /// The CRC-32 of `bytes` (zlib-compatible).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_continue(0, bytes)
+}
+
+/// The CRC-32 of `a ++ bytes`, given `prev = crc32(a)`: a checksum
+/// carried across pieces written one after another, without joining
+/// them. `crc32_continue(0, bytes)` is `crc32(bytes)`.
+pub(crate) fn crc32_continue(prev: u32, bytes: &[u8]) -> u32 {
     let t = &TABLES;
-    let mut crc = !0u32;
+    let mut crc = !prev;
     let mut blocks = bytes.chunks_exact(SLICES);
     for block in &mut blocks {
         let word = |at: usize| u32::from_le_bytes(block[at..at + 4].try_into().expect("4 bytes"));
@@ -175,6 +182,21 @@ mod tests {
         assert_eq!(crc32(&full), reference_crc32(&full), "256 KiB");
         let zeros = vec![0u8; 256 << 10];
         assert_eq!(crc32(&zeros), reference_crc32(&zeros), "256 KiB of zeros");
+    }
+
+    #[test]
+    fn a_continued_crc_equals_the_crc_of_the_concatenation() {
+        let buf = noise(3 * 64 + 40, 0xC0DE);
+        let want = reference_crc32(&buf);
+        for split in 0..buf.len() {
+            let (a, b) = buf.split_at(split);
+            assert_eq!(crc32_continue(crc32(a), b), want, "split at {split}");
+        }
+        // Three pieces, including empty ones, as the checkpoint writes.
+        for (i, j) in [(0, 0), (5, 5), (17, 200), (64, 232), (232, 232)] {
+            let crc = crc32_continue(crc32_continue(crc32(&buf[..i]), &buf[i..j]), &buf[j..]);
+            assert_eq!(crc, want, "pieces at {i}, {j}");
+        }
     }
 
     #[test]
