@@ -17,14 +17,16 @@
 //! * `aggregate/threads=4` — four pusher threads splitting the decoded
 //!   frames (`ingest` again) over the aggregate's one lock;
 //! * `pull/rebuild` — `encoded_snapshot` after `advance_epoch` just
-//!   invalidated the cache, i.e. the full lock-seal-encode cost;
+//!   invalidated the cache, i.e. the lock-encode cost (nothing was
+//!   applied, so the settled aggregate is not settled again);
 //! * `pull/cached` — `encoded_snapshot` against a warm
 //!   generation-stamped cache (the repeated-`OP_PULL` fast path, O(1)
 //!   per request);
 //! * `plan/build` — a cold `OP_PLAN`: `encoded_plan` after
-//!   `advance_epoch` just invalidated the cache, i.e. lock, seal,
+//!   `advance_epoch` just invalidated the cache, i.e. lock,
 //!   `build_plan` (the 40% rule over every call site) off the live
-//!   aggregate, and `encode_plan`;
+//!   aggregate, and `encode_plan`; timed interleaved with
+//!   `pull/rebuild`;
 //! * `codec/encode_snapshot` and `codec/decode_plan` — the codec's
 //!   halves of the read path alone: encoding the settled aggregate (as
 //!   a pull decodes it) and decoding its served plan;
@@ -43,10 +45,11 @@
 //!   passes over the 64 frames (~16 MB) into a fresh aggregator, the
 //!   same directory every iteration.
 //!
-//! `scripts/verify.sh` gates three ratios of these configs:
+//! `scripts/verify.sh` gates four ratios of these configs:
 //! `codec/decode_snapshot` over `codec/decode`, `wal/append` over
-//! `aggregate/streaming`, and `wal/append_single_lock` over
-//! `wal/append_concurrent`. The two configs of each ratio are timed
+//! `aggregate/streaming`, `plan/build` over `pull/rebuild`, and
+//! `wal/append_single_lock` over `wal/append_concurrent`. The two
+//! configs of each ratio are timed
 //! interleaved — every iteration runs both back to back, in an order
 //! that alternates — and the artifact commits the median of the
 //! per-iteration ratios under `median_ratios`, so host drift between
@@ -72,6 +75,9 @@ const FRAMES: usize = 64;
 const PUSHERS: usize = 4;
 /// Passes over the frames the `recovery/replay` WAL holds (~16 MB).
 const REPLAY_ROUNDS: usize = 32;
+/// Iterations of the interleaved `pull/rebuild` and `plan/build` pair:
+/// at 20, the median ratio of one build spread by ±0.2 between runs.
+const READ_PAIR_ITERS: u32 = 201;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -343,31 +349,40 @@ fn main() {
     ));
 
     // Pull-side costs against the loaded aggregator: `pull/rebuild`
-    // pays the lock-seal-encode path every iteration (decay is 1.0, so
-    // the epoch advance changes no weight — it only invalidates the
-    // cache); `pull/cached` measures the steady-state hit path repeated
-    // `OP_PULL`s ride.
-    let rebuild = group
-        .bench("pull/rebuild", || {
+    // pays the lock-encode path every iteration (decay is 1.0, so the
+    // epoch advance changes no weight — it only invalidates the cache,
+    // and the settled aggregate is not settled again); `plan/build` is
+    // the same invalidate-then-read on the plan cache. The two are timed
+    // interleaved, in a group of their own with `READ_PAIR_ITERS`
+    // iterations (each is about a millisecond), and their ratio is
+    // gated: both walk the same settled graph, so what the plan adds is
+    // its per-site work.
+    let (rebuild, plan_build) = pair(
+        &mut BenchGroup::new("profile_ingest", READ_PAIR_ITERS),
+        ("pull/rebuild", &mut || {
             loaded.advance_epoch();
-            loaded.encoded_snapshot().len()
-        })
-        .clone();
+            black_box(loaded.encoded_snapshot().len());
+        }),
+        ("plan/build", &mut || {
+            loaded.advance_epoch();
+            black_box(loaded.encoded_plan().len());
+        }),
+    );
     entries.push(json_entry("pull/rebuild", snapshot_edges, &rebuild));
+    ratios.push(ratio_entry(
+        "plan/build",
+        &plan_build,
+        "pull/rebuild",
+        &rebuild,
+    ));
+    // `pull/cached` measures the steady-state hit path repeated
+    // `OP_PULL`s ride.
     let cached = group
         .bench("pull/cached", || loaded.encoded_snapshot().len())
         .clone();
     entries.push(json_entry("pull/cached", snapshot_edges, &cached));
-    // The read path's other passes over the same aggregate: a cold
-    // `OP_PLAN` (the same invalidate-then-read as `pull/rebuild`, on the
-    // plan cache), and the codec's halves alone.
-    let plan_build = group
-        .bench("plan/build", || {
-            loaded.advance_epoch();
-            loaded.encoded_plan().len()
-        })
-        .clone();
     entries.push(json_entry("plan/build", snapshot_edges, &plan_build));
+    // The codec's halves of the read path alone.
     let settled = loaded.merged_snapshot();
     let encode_snapshot = group
         .bench("codec/encode_snapshot", || {

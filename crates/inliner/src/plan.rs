@@ -145,6 +145,14 @@ pub fn build_plan(
 
 /// The plan entries of the call sites at positions `range` of the
 /// graph's ascending edge order, which must hold whole sites.
+///
+/// A polymorphic site's receivers are shown to the policy heaviest
+/// first, but only those whose fraction is not below its
+/// [`guard_floor`](InlinePolicy::guard_floor): fractions fall along the
+/// heaviest-first order, so they are that order's prefix, and the policy
+/// picks from the prefix what it would pick from the whole list. Only
+/// the prefix is sorted — under the 40% rule, at most two receivers of
+/// a site.
 fn plan_sites(
     graph: &DynamicCallGraph,
     range: Range<usize>,
@@ -152,24 +160,22 @@ fn plan_sites(
     total_weight: f64,
 ) -> Vec<PlanEntry> {
     let mut entries = Vec::new();
+    let floor = policy.guard_floor();
     // `iter_range` is ascending in `(caller, site, callee)`, so every
     // call site is one contiguous run, runs arrive in `(caller, site)`
     // order and each run's callees are ascending and distinct.
     let mut edges = graph.iter_range(range).filter(|&(_, w)| w > 0.0).peekable();
-    // One site's callees as order keys: the weight's bits inverted above
-    // the callee id. Weights are positive, so their bits order as their
-    // values, and callees are distinct within a site, so ascending keys
-    // are heaviest first, ties by ascending callee — a total order, the
-    // one order a stable sort by that comparison gives.
-    let mut dist: Vec<u128> = Vec::new();
-    let target = |key: u128| {
-        (
-            MethodId::new(key as u32),
-            f64::from_bits(!((key >> 32) as u64)),
-        )
-    };
+    // One site's receivers, in callee order.
+    let mut receivers: Vec<(MethodId, f64)> = Vec::new();
+    // The receivers the policy can pick, with their fractions, keyed by
+    // the weight's bits inverted above the callee id. Weights are
+    // positive, so their bits order as their values, and callees are
+    // distinct within a site, so ascending keys are heaviest first, ties
+    // by ascending callee — a total order, the one order a stable sort
+    // by that comparison gives.
+    let mut candidates: Vec<(u128, f64)> = Vec::new();
     // One context for every site: its target buffer is refilled, never
-    // reallocated once it has grown to the widest site.
+    // reallocated once it has grown to the widest candidate list.
     let mut ctx = VirtualContext {
         targets: Vec::new(),
         site_weight_pct: 0.0,
@@ -178,27 +184,33 @@ fn plan_sites(
     };
     while let Some(&(first, _)) = edges.peek() {
         let (caller, site) = (first.caller, first.site);
-        dist.clear();
+        receivers.clear();
         while let Some((e, w)) = edges.next_if(|(e, _)| e.caller == caller && e.site == site) {
-            dist.push(u128::from(!w.to_bits()) << 32 | u128::from(u32::from(e.callee)));
+            receivers.push((e.callee, w));
         }
-        // Summed in callee order, before the sort below.
-        let site_weight: f64 = dist.iter().map(|&key| target(key).1).sum();
-        dist.sort_unstable();
-        let kind = if dist.len() == 1 {
-            PlanKind::Direct {
-                callee: target(dist[0]).0,
-            }
+        // Summed in callee order.
+        let site_weight: f64 = receivers.iter().map(|&(_, w)| w).sum();
+        let kind = if let [(callee, _)] = receivers[..] {
+            PlanKind::Direct { callee }
         } else {
-            ctx.targets.clear();
-            ctx.targets.extend(dist.iter().map(|&key| {
-                let (callee, w) = target(key);
-                VirtualTarget {
-                    callee,
-                    callee_size: 0, // no program on the server
-                    fraction: w / site_weight,
-                }
+            candidates.clear();
+            candidates.extend(receivers.iter().filter_map(|&(callee, w)| {
+                let fraction = w / site_weight;
+                // An infinite weight's NaN fraction is shown, as the
+                // full list showed it.
+                (fraction >= floor || fraction.is_nan()).then(|| {
+                    let key = u128::from(!w.to_bits()) << 32 | u128::from(u32::from(callee));
+                    (key, fraction)
+                })
             }));
+            candidates.sort_unstable_by_key(|&(key, _)| key);
+            ctx.targets.clear();
+            ctx.targets
+                .extend(candidates.iter().map(|&(key, fraction)| VirtualTarget {
+                    callee: MethodId::new(key as u32),
+                    callee_size: 0, // no program on the server
+                    fraction,
+                }));
             ctx.site_weight_pct = if total_weight > 0.0 {
                 100.0 * site_weight / total_weight
             } else {
@@ -206,10 +218,9 @@ fn plan_sites(
             };
             let chosen = policy.guarded_targets(&ctx);
             let weight_of = |m: MethodId| {
-                dist.iter()
-                    .map(|&key| target(key))
-                    .find(|&(c, _)| c == m)
-                    .map_or(0.0, |(_, w)| w)
+                receivers
+                    .binary_search_by_key(&m, |&(c, _)| c)
+                    .map_or(0.0, |i| receivers[i].1)
             };
             match chosen.len() {
                 0 => continue,

@@ -34,6 +34,10 @@ impl InlinePolicy for TrivialOnlyPolicy {
     fn guarded_targets(&self, _ctx: &VirtualContext) -> Vec<MethodId> {
         Vec::new()
     }
+
+    fn guard_floor(&self) -> f64 {
+        f64::INFINITY
+    }
 }
 
 /// The old Jikes RVM profile-directed inliner: a sharp hot/cold cliff.
@@ -84,6 +88,10 @@ impl InlinePolicy for OldJikesPolicy {
             .filter(|t| t.fraction >= self.mono_fraction && t.callee_size <= self.hot_size)
             .map(|t| vec![t.callee])
             .unwrap_or_default()
+    }
+
+    fn guard_floor(&self) -> f64 {
+        self.mono_fraction
     }
 }
 
@@ -147,6 +155,10 @@ impl InlinePolicy for NewLinearPolicy {
             .take(self.max_guards)
             .map(|t| t.callee)
             .collect()
+    }
+
+    fn guard_floor(&self) -> f64 {
+        self.guard_fraction
     }
 }
 
@@ -252,12 +264,18 @@ impl InlinePolicy for J9Policy {
             .map(|t| t.callee)
             .collect()
     }
+
+    fn guard_floor(&self) -> f64 {
+        self.guard_fraction
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::VirtualTarget;
+    use cbs_prng::prop::run_cases;
+    use cbs_prng::SmallRng;
 
     fn direct(size: u32, pct: f64, profiled: bool) -> DirectContext {
         DirectContext {
@@ -388,5 +406,87 @@ mod tests {
     fn j9_dynamic_without_profile_falls_back_to_static() {
         let p = J9Policy::default();
         assert!(p.should_inline_direct(&direct(80, 0.0, false)));
+    }
+
+    /// One of the four policies with random fields: floors at 0, at or
+    /// above 1 and between, guard limits 0–3, thresholds that let sites
+    /// through and ones that do not.
+    fn random_policy(rng: &mut SmallRng) -> Box<dyn InlinePolicy> {
+        let fraction = |rng: &mut SmallRng| match rng.gen_range(0..4u32) {
+            0 => 0.0,
+            1 => 1.0 + f64::from(rng.gen_range(0..2u32)) * 0.5,
+            2 => 0.4,
+            _ => rng.gen_f64(),
+        };
+        let size = |rng: &mut SmallRng| rng.gen_range(0..120u32);
+        let pct = |rng: &mut SmallRng| f64::from(rng.gen_range(0..40u32)) / 10.0;
+        match rng.gen_range(0..4u32) {
+            0 => Box::new(TrivialOnlyPolicy),
+            1 => Box::new(OldJikesPolicy {
+                hot_edge_pct: pct(rng),
+                static_size: size(rng),
+                hot_size: size(rng),
+                mono_fraction: fraction(rng),
+            }),
+            2 => Box::new(NewLinearPolicy {
+                base_size: size(rng),
+                bytes_per_pct: f64::from(rng.gen_range(0..80u32)),
+                max_size: size(rng),
+                guard_fraction: fraction(rng),
+                max_guards: rng.gen_range(0..4usize),
+            }),
+            _ => Box::new(J9Policy {
+                static_size: size(rng),
+                dynamic: rng.gen_range(0..4u32) != 0,
+                cold_pct: pct(rng) / 4.0,
+                hot_pct: pct(rng),
+                hot_boost: 1.0 + rng.gen_f64(),
+                guard_fraction: fraction(rng),
+                max_guards: rng.gen_range(0..4usize),
+            }),
+        }
+    }
+
+    /// The contract a fleet plan relies on: a policy shown only the
+    /// targets at or above its `guard_floor` picks what it picks from
+    /// the whole heaviest-first list.
+    #[test]
+    fn every_policy_picks_the_same_from_its_guard_floor_prefix() {
+        run_cases("guard_floor_prefix", 2000, |rng| {
+            let policy = random_policy(rng);
+            // Small integral weights: equal weights, and fractions
+            // exactly at 0.4 or 0.5, come up often.
+            let n = rng.gen_range(0..7u32);
+            let mut weights: Vec<(u32, f64)> = (0..n)
+                .map(|m| (m, f64::from(rng.gen_range(1..6u32))))
+                .collect();
+            weights.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            let total: f64 = weights.iter().map(|&(_, w)| w).sum();
+            let targets: Vec<(u32, f64, u32)> = weights
+                .iter()
+                .map(|&(m, w)| (m, w / total, rng.gen_range(0..150u32)))
+                .collect();
+            let full = virt(
+                &targets,
+                f64::from(rng.gen_range(0..50u32)) / 10.0,
+                rng.gen_bool(0.9),
+            );
+            let floor = policy.guard_floor();
+            let mut prefix = full.clone();
+            prefix.targets.retain(|t| t.fraction >= floor);
+            let callees = |ctx: &VirtualContext| -> Vec<MethodId> {
+                ctx.targets.iter().map(|t| t.callee).collect()
+            };
+            assert_eq!(
+                callees(&prefix)[..],
+                callees(&full)[..prefix.targets.len()],
+                "{policy:?}: the kept targets are not a prefix"
+            );
+            assert_eq!(
+                policy.guarded_targets(&full),
+                policy.guarded_targets(&prefix),
+                "{policy:?} on {targets:?}"
+            );
+        });
     }
 }

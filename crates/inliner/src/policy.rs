@@ -64,6 +64,20 @@ pub trait InlinePolicy: fmt::Debug + Sync {
     /// Which targets of a polymorphic virtual site to guard-inline, in
     /// guard order. Empty means leave the dispatch alone.
     fn guarded_targets(&self, ctx: &VirtualContext) -> Vec<MethodId>;
+
+    /// The least receiver fraction [`guarded_targets`] can pick: every
+    /// target it returns has `fraction >= guard_floor()`, and the
+    /// targets below the floor never change its answer.
+    ///
+    /// A fleet plan ([`build_plan`](crate::build_plan)) shows the policy
+    /// only a site's receivers at or above this floor, still heaviest
+    /// first — the prefix of the full list it would otherwise sort. The
+    /// default, 0, shows every receiver.
+    ///
+    /// [`guarded_targets`]: Self::guarded_targets
+    fn guard_floor(&self) -> f64 {
+        0.0
+    }
 }
 
 /// Global limits every planner run respects, independent of policy.

@@ -120,12 +120,14 @@ impl AggregatorConfig {
     }
 }
 
-/// The aggregate: one graph plus the epoch its decay has been applied
-/// up to.
+/// The aggregate: one graph, the epoch its decay has been applied up
+/// to, and whether it is settled: nothing applied or decayed since its
+/// last [`DynamicCallGraph::settle`].
 #[derive(Debug, Default)]
 struct Aggregate {
     graph: DynamicCallGraph,
     epoch: u64,
+    settled: bool,
 }
 
 /// Encoded read bytes (a snapshot or a plan) stamped with the
@@ -211,6 +213,7 @@ impl ShardedAggregator {
                 for _ in guard.epoch..epoch {
                     guard.graph.decay(self.decay_factor, self.min_weight);
                 }
+                guard.settled = false;
                 m.agg_decay_catchups.inc();
                 m.agg_pruned_edges
                     .add(before.saturating_sub(guard.graph.num_edges()) as u64);
@@ -294,7 +297,9 @@ impl ShardedAggregator {
     fn apply(&self, records: &[(CallEdge, f64)]) -> usize {
         let count = records.len();
         if count > 0 {
-            self.locked_current().graph.record_all_deferred(records);
+            let mut guard = self.locked_current();
+            guard.graph.record_all_deferred(records);
+            guard.settled = false;
         }
         let m = ProfiledMetrics::get();
         self.frames.fetch_add(1, Ordering::Relaxed);
@@ -364,7 +369,10 @@ impl ShardedAggregator {
     /// the deferred ingest tail's permutation debt is paid at once —
     /// with its slots laid out in edge order, so the encode or plan
     /// build walks memory front to back, and with its total re-summed
-    /// in edge order, whatever order the records arrived in.
+    /// in edge order, whatever order the records arrived in. A graph
+    /// nothing has touched since its last settle is not settled again:
+    /// a pull right after a plan of the same data, or a plan right after
+    /// its pull, skips the permutation scan and the re-sum.
     ///
     /// The generation stamp is read under the cache lock *before* the
     /// aggregate is locked; mutators bump it *after* applying. A
@@ -390,7 +398,10 @@ impl ShardedAggregator {
         }
         misses.inc();
         let mut guard = self.locked_current();
-        guard.graph.settle();
+        if !guard.settled {
+            guard.graph.settle();
+            guard.settled = true;
+        }
         let encoded = Arc::new(build(&guard.graph, generation));
         drop(guard);
         *cache = Some(StampedBytes {
@@ -677,6 +688,57 @@ mod tests {
             0,
             "failed ingest must not bump generation"
         );
+    }
+
+    /// Reads that skip a settle (a pull right after a plan of the same
+    /// data, a plan right after its pull) serve the bytes a fresh
+    /// aggregate fed the same pushes and epochs serves, and every push
+    /// or decayed epoch in between is settled into them.
+    #[test]
+    fn interleaved_reads_serve_what_a_fresh_aggregate_serves() {
+        let cfg = decaying(0.5, 0.3);
+        let live = ShardedAggregator::new(cfg);
+        let mut history: Vec<Option<Vec<(CallEdge, f64)>>> = Vec::new();
+        for step in 0..24u32 {
+            if step % 5 == 4 {
+                live.advance_epoch();
+                history.push(None);
+            } else {
+                // Fresh edges land behind the sealed ones, so the graph
+                // needs a new layout; repeated ones only change weights.
+                let records: Vec<(CallEdge, f64)> = (0..6u32)
+                    .map(|i| {
+                        let k = step * 6 + i;
+                        (e(k % 5, k % 3, (k * 7) % 11), 0.25 + f64::from(k % 4))
+                    })
+                    .collect();
+                live.ingest(&delta(&records));
+                history.push(Some(records));
+            }
+            // Alternate which read comes first, and read twice.
+            let (snapshot, plan) = if step % 2 == 0 {
+                let plan = live.encoded_plan();
+                (live.encoded_snapshot(), plan)
+            } else {
+                (live.encoded_snapshot(), live.encoded_plan())
+            };
+            let fresh = ShardedAggregator::new(cfg);
+            for h in &history {
+                match h {
+                    Some(records) => fresh.ingest(&delta(records)),
+                    None => {
+                        fresh.advance_epoch();
+                    }
+                }
+            }
+            assert_eq!(
+                *snapshot,
+                *fresh.encoded_snapshot(),
+                "step {step}: snapshot"
+            );
+            assert_eq!(*plan, *fresh.encoded_plan(), "step {step}: plan");
+            assert_eq!(*live.encoded_plan(), *plan, "step {step}: plan re-read");
+        }
     }
 
     #[test]

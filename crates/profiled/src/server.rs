@@ -34,7 +34,7 @@ use crate::wire::{
     read_msg_into, write_msg, NetConfig, CHUNK_REPLY_OVERHEAD, OP_EPOCH, OP_METRICS, OP_PLAN,
     OP_PULL, OP_PULL_CHUNK, OP_PUSH, OP_PUSH_SEQ, OP_STATS, ST_ERR, ST_OK,
 };
-use std::io::{self, Write as _};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -243,31 +243,16 @@ fn drain_refuse(listener: &TcpListener, config: NetConfig) {
 /// frame sizes land in the bytes-out histogram and `ST_ERR` replies in
 /// the error counter before the bytes hit the socket.
 ///
-/// The frame — length prefix and all parts — is assembled into the
-/// pooled `out` buffer and hits the socket in **one** `write_all`, so a
-/// reply costs one syscall instead of one per part plus a flush, and
-/// steady-state serving reuses the buffer's capacity instead of
-/// allocating per reply.
-fn reply(
-    stream: &mut TcpStream,
-    metrics: &ProfiledMetrics,
-    out: &mut Vec<u8>,
-    parts: &[&[u8]],
-) -> io::Result<()> {
+/// The length prefix and the parts go to the socket in one vectored
+/// write ([`write_msg`]): a cached snapshot or plan is written from its
+/// shared buffer, not copied into a per-connection one first.
+fn reply(stream: &mut TcpStream, metrics: &ProfiledMetrics, parts: &[&[u8]]) -> io::Result<()> {
     let len: usize = parts.iter().map(|p| p.len()).sum();
     metrics.server_frame_bytes_out.observe(len as u64);
     if parts.first().and_then(|p| p.first()) == Some(&ST_ERR) {
         metrics.server_err_replies.inc();
     }
-    let len32 = u32::try_from(len)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "message exceeds u32 length"))?;
-    out.clear();
-    out.reserve(4 + len);
-    out.extend_from_slice(&len32.to_be_bytes());
-    for p in parts {
-        out.extend_from_slice(p);
-    }
-    stream.write_all(out)
+    write_msg(stream, parts)
 }
 
 /// Answers a failed journaled op: codec failures count as bad frames,
@@ -276,13 +261,12 @@ fn reply(
 fn reply_journal_err(
     stream: &mut TcpStream,
     m: &ProfiledMetrics,
-    out: &mut Vec<u8>,
     e: &JournalError,
 ) -> io::Result<()> {
     if matches!(e, JournalError::Frame(_)) {
         m.server_bad_frames.inc();
     }
-    reply(stream, m, out, &[&[ST_ERR], e.to_string().as_bytes()])
+    reply(stream, m, &[&[ST_ERR], e.to_string().as_bytes()])
 }
 
 /// Serves one connection until EOF, timeout, or a fatal protocol error.
@@ -290,10 +274,11 @@ fn reply_journal_err(
 /// clients always learn why they were dropped; errors never propagate
 /// past the connection.
 ///
-/// The request buffer, reply buffer, and ingest-partition scratch are
-/// pooled per connection: once their capacities plateau at the
-/// connection's working sizes, steady-state request handling performs
-/// no per-frame allocation.
+/// The request buffer and ingest-partition scratch are pooled per
+/// connection: once their capacities plateau at the connection's
+/// working sizes, steady-state request handling performs no per-frame
+/// allocation. Replies are written from where their bytes lie, so the
+/// connection holds no reply buffer.
 fn serve_connection(
     mut stream: TcpStream,
     aggregator: &ShardedAggregator,
@@ -314,7 +299,6 @@ fn serve_connection(
     // prior-generation capture.
     let mut chunk_capture: Option<Arc<Vec<u8>>> = None;
     let mut read_buf: Vec<u8> = Vec::new();
-    let mut out: Vec<u8> = Vec::new();
     let mut scratch = IngestScratch::new();
     loop {
         match read_msg_into(&mut stream, config.max_frame_bytes, &mut read_buf) {
@@ -323,12 +307,7 @@ fn serve_connection(
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Oversized frame: the unread payload makes the stream
                 // unframeable, so answer and drop the connection.
-                let _ = reply(
-                    &mut stream,
-                    m,
-                    &mut out,
-                    &[&[ST_ERR], e.to_string().as_bytes()],
-                );
+                let _ = reply(&mut stream, m, &[&[ST_ERR], e.to_string().as_bytes()]);
                 return Ok(());
             }
             Err(e) => return Err(e), // timeout / reset: just drop
@@ -338,7 +317,7 @@ fn serve_connection(
         let (op, body) = match read_buf.split_first() {
             Some(x) => x,
             None => {
-                let _ = reply(&mut stream, m, &mut out, &[&[ST_ERR], b"empty request"]);
+                let _ = reply(&mut stream, m, &[&[ST_ERR], b"empty request"]);
                 return Ok(());
             }
         };
@@ -350,11 +329,11 @@ fn serve_connection(
                 // ST_OK goes out; a malformed frame applies nothing.
                 match journal.ingest_frame(body, &mut scratch) {
                     Ok(_) => {
-                        reply(&mut stream, m, &mut out, &[&[ST_OK]])?;
+                        reply(&mut stream, m, &[&[ST_OK]])?;
                     }
                     Err(e) => {
                         // Reject the op, keep serving: framing is intact.
-                        reply_journal_err(&mut stream, m, &mut out, &e)?;
+                        reply_journal_err(&mut stream, m, &e)?;
                     }
                 }
             }
@@ -364,7 +343,6 @@ fn serve_connection(
                     reply(
                         &mut stream,
                         m,
-                        &mut out,
                         &[&[ST_ERR], b"push-seq needs a client id and a sequence"],
                     )?;
                     continue;
@@ -377,14 +355,14 @@ fn serve_connection(
                 // the pair atomically.
                 match journal.ingest_sequenced(client_id, seq, frame, &mut scratch) {
                     Ok(SeqIngest::Applied { .. }) => {
-                        reply(&mut stream, m, &mut out, &[&[ST_OK], b"applied"])?;
+                        reply(&mut stream, m, &[&[ST_OK], b"applied"])?;
                     }
                     Ok(SeqIngest::Duplicate) => {
                         m.server_dedup_hits.inc();
-                        reply(&mut stream, m, &mut out, &[&[ST_OK], b"duplicate"])?;
+                        reply(&mut stream, m, &[&[ST_OK], b"duplicate"])?;
                     }
                     Err(e) => {
-                        reply_journal_err(&mut stream, m, &mut out, &e)?;
+                        reply_journal_err(&mut stream, m, &e)?;
                     }
                 }
             }
@@ -397,11 +375,10 @@ fn serve_connection(
                     reply(
                         &mut stream,
                         m,
-                        &mut out,
                         &[&[ST_ERR], b"merged snapshot exceeds the frame limit"],
                     )?;
                 } else {
-                    reply(&mut stream, m, &mut out, &[&[ST_OK], snapshot.as_slice()])?;
+                    reply(&mut stream, m, &[&[ST_OK], snapshot.as_slice()])?;
                 }
             }
             OP_PLAN => {
@@ -413,11 +390,10 @@ fn serve_connection(
                     reply(
                         &mut stream,
                         m,
-                        &mut out,
                         &[&[ST_ERR], b"fleet plan exceeds the frame limit"],
                     )?;
                 } else {
-                    reply(&mut stream, m, &mut out, &[&[ST_OK], plan.as_slice()])?;
+                    reply(&mut stream, m, &[&[ST_OK], plan.as_slice()])?;
                 }
             }
             OP_PULL_CHUNK => {
@@ -426,7 +402,6 @@ fn serve_connection(
                     reply(
                         &mut stream,
                         m,
-                        &mut out,
                         &[&[ST_ERR], b"chunk request needs a 4-byte page index"],
                     )?;
                     continue;
@@ -439,7 +414,6 @@ fn serve_connection(
                     reply(
                         &mut stream,
                         m,
-                        &mut out,
                         &[
                             &[ST_ERR],
                             format!(
@@ -459,7 +433,6 @@ fn serve_connection(
                     reply(
                         &mut stream,
                         m,
-                        &mut out,
                         &[
                             &[ST_ERR],
                             format!("page {page} out of range (total {total})").as_bytes(),
@@ -471,7 +444,6 @@ fn serve_connection(
                     reply(
                         &mut stream,
                         m,
-                        &mut out,
                         &[
                             &[ST_OK],
                             &(total as u32).to_be_bytes(),
@@ -502,7 +474,7 @@ fn serve_connection(
                      stats_version=2\ndedup_clients={dedup_clients}\ndedup_max_seq={dedup_max_seq}\n",
                     s.frames, s.records, s.epoch, s.edges,
                 );
-                reply(&mut stream, m, &mut out, &[&[ST_OK], text.as_bytes()])?;
+                reply(&mut stream, m, &[&[ST_OK], text.as_bytes()])?;
             }
             OP_METRICS => {
                 m.server_op_metrics.inc();
@@ -514,25 +486,19 @@ fn serve_connection(
                 m.server_dedup_clients
                     .set(journal.dedup_usage().clients as i64);
                 let text = cbs_telemetry::global().render();
-                reply(&mut stream, m, &mut out, &[&[ST_OK], text.as_bytes()])?;
+                reply(&mut stream, m, &[&[ST_OK], text.as_bytes()])?;
             }
             OP_EPOCH => {
                 m.server_op_epoch.inc();
                 match journal.advance_epoch() {
-                    Ok(epoch) => reply(
-                        &mut stream,
-                        m,
-                        &mut out,
-                        &[&[ST_OK], epoch.to_string().as_bytes()],
-                    )?,
-                    Err(e) => reply_journal_err(&mut stream, m, &mut out, &e)?,
+                    Ok(epoch) => reply(&mut stream, m, &[&[ST_OK], epoch.to_string().as_bytes()])?,
+                    Err(e) => reply_journal_err(&mut stream, m, &e)?,
                 }
             }
             other => {
                 let _ = reply(
                     &mut stream,
                     m,
-                    &mut out,
                     &[&[ST_ERR], format!("unknown op {other}").as_bytes()],
                 );
                 return Ok(());

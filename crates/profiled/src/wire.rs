@@ -37,7 +37,7 @@
 //! malformed messages are surfaced as errors the server answers with
 //! `ST_ERR` and a connection close — never a crash.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Push one codec frame (body: the frame bytes).
 pub const OP_PUSH: u8 = 1;
@@ -178,6 +178,11 @@ pub fn read_msg_into(
 /// Writes one length-prefixed message built from `parts` (concatenated),
 /// flushing afterwards.
 ///
+/// The length prefix and the parts go out as one vectored write — one
+/// `writev` for a socket that takes the whole message — and the parts
+/// are never copied: a cached megabyte reply is written from where it
+/// lies. A short write resumes where it stopped.
+///
 /// # Errors
 ///
 /// I/O failures, and a combined length above `u32::MAX`.
@@ -185,9 +190,19 @@ pub fn write_msg(w: &mut impl Write, parts: &[&[u8]]) -> io::Result<()> {
     let len: usize = parts.iter().map(|p| p.len()).sum();
     let len32 = u32::try_from(len)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "message exceeds u32 length"))?;
-    w.write_all(&len32.to_be_bytes())?;
-    for p in parts {
-        w.write_all(p)?;
+    let head = len32.to_be_bytes();
+    let mut slices: Vec<IoSlice<'_>> = std::iter::once(&head[..])
+        .chain(parts.iter().copied())
+        .map(IoSlice::new)
+        .collect();
+    let mut bufs = &mut slices[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     w.flush()
 }
@@ -243,6 +258,53 @@ mod tests {
         let got = read_msg_into(&mut Cursor::new(&wire), 1024, &mut pooled).unwrap();
         assert_eq!(got, Some(wire.len() - 4));
         assert_eq!(pooled, b"a message cut short");
+    }
+
+    /// Takes at most `step` bytes a call (zero makes every write short),
+    /// and is interrupted once before its first byte.
+    struct Trickle {
+        wire: Vec<u8>,
+        step: usize,
+        interrupted: bool,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.step);
+            self.wire.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_resume_where_they_stopped() {
+        let parts: [&[u8]; 5] = [&[ST_OK], b"", b"payload", b"", b"tail"];
+        let mut whole = Vec::new();
+        write_msg(&mut whole, &parts).unwrap();
+        assert_eq!(&whole[..4], &12u32.to_be_bytes());
+        for step in [1, 2, 3, 5, 64] {
+            let mut w = Trickle {
+                wire: Vec::new(),
+                step,
+                interrupted: false,
+            };
+            write_msg(&mut w, &parts).unwrap();
+            assert_eq!(w.wire, whole, "step {step}");
+        }
+        let mut stuck = Trickle {
+            wire: Vec::new(),
+            step: 0,
+            interrupted: true,
+        };
+        let err = write_msg(&mut stuck, &parts).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

@@ -7,11 +7,18 @@
 //! `oracle` below is the serial encoder and plan builder as they were
 //! before the split, kept verbatim apart from the paths and visibility
 //! a separate test crate needs, and with a byte-at-a-time LEB128 writer
-//! (the same bytes as the codec's word-at-a-time one).
+//! (the same bytes as the codec's word-at-a-time one). Its plan builder
+//! sorts every site's whole receiver list and shows it all to the
+//! policy, so it also holds `build_plan`'s guard-floor candidate
+//! selection to the full sort, under all four policies.
 
 use cbs_bytecode::{CallSiteId, MethodId};
 use cbs_dcg::{CallEdge, DynamicCallGraph, SPLIT_READ_MIN_EDGES};
-use cbs_inliner::{build_plan, InlinePlan, InlinePolicy, NewLinearPolicy};
+use cbs_inliner::{
+    build_plan, InlinePlan, InlinePolicy, J9Policy, NewLinearPolicy, OldJikesPolicy,
+    TrivialOnlyPolicy,
+};
+use cbs_prng::prop::case_seed;
 use cbs_prng::SmallRng;
 use cbs_profiled::{AggregatorConfig, DcgCodec, DcgFrame, FrameKind, ShardedAggregator};
 
@@ -196,9 +203,57 @@ fn splits(g: &DynamicCallGraph) -> bool {
         && std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2
 }
 
+/// A guard fraction at 0, at or above 1, exactly 0.4 or 0.5, or
+/// anywhere between.
+fn random_fraction(rng: &mut SmallRng) -> f64 {
+    match rng.gen_range(0..5u32) {
+        0 => 0.0,
+        1 => 1.0 + f64::from(rng.gen_range(0..3u32)) * 0.25,
+        2 => 0.4,
+        3 => 0.5,
+        _ => rng.gen_f64(),
+    }
+}
+
+/// Every policy at its defaults, J9 without its dynamic heuristics, and
+/// random variants of the three that guard. The random ones take hot
+/// and cold limits at or near 0, so that the small sites of a large
+/// graph reach their guard rules.
+fn policies(rng: &mut SmallRng) -> Vec<Box<dyn InlinePolicy>> {
+    let mut out: Vec<Box<dyn InlinePolicy>> = vec![
+        Box::new(NewLinearPolicy::default()),
+        Box::new(OldJikesPolicy::default()),
+        Box::new(J9Policy::default()),
+        Box::new(J9Policy::static_only()),
+        Box::new(TrivialOnlyPolicy),
+    ];
+    for _ in 0..2 {
+        out.push(Box::new(NewLinearPolicy {
+            guard_fraction: random_fraction(rng),
+            max_guards: rng.gen_range(0..4usize),
+            ..NewLinearPolicy::default()
+        }));
+        out.push(Box::new(OldJikesPolicy {
+            hot_edge_pct: f64::from(rng.gen_range(0..2u32)) * 1e-4,
+            mono_fraction: random_fraction(rng),
+            ..OldJikesPolicy::default()
+        }));
+        out.push(Box::new(J9Policy {
+            dynamic: true,
+            cold_pct: 0.0,
+            hot_pct: f64::from(rng.gen_range(0..2u32)) * 1e-4,
+            guard_fraction: random_fraction(rng),
+            max_guards: rng.gen_range(0..4usize),
+            ..J9Policy::default()
+        }));
+    }
+    out
+}
+
 /// Holds every read of `edges` to the serial oracle: the snapshot, its
-/// re-encode, the plan, and the aggregator's served snapshot and plan
-/// after the same records and one decay epoch.
+/// re-encode, the plan under every policy of [`policies`], and the
+/// aggregator's served snapshot and plan after the same records and one
+/// decay epoch.
 fn check(label: &str, edges: &[(CallEdge, f64)]) {
     let g = decayed(edges);
     let policy = NewLinearPolicy::default();
@@ -214,13 +269,18 @@ fn check(label: &str, edges: &[(CallEdge, f64)]) {
     );
     assert!(reencoded == snapshot, "{label}: re-encode differs");
 
-    let plan = build_plan(&g, &policy, 7);
-    let want_plan = oracle::build_plan(&g, &policy, 7);
-    assert!(plan == want_plan, "{label}: plan differs from one pass");
-    assert!(
-        DcgCodec::encode_plan(&plan) == DcgCodec::encode_plan(&want_plan),
-        "{label}: plan bytes differ"
-    );
+    for policy in policies(&mut SmallRng::seed_from_u64(case_seed(label, 0))) {
+        let plan = build_plan(&g, policy.as_ref(), 7);
+        let want_plan = oracle::build_plan(&g, policy.as_ref(), 7);
+        assert!(
+            plan == want_plan,
+            "{label}: plan under {policy:?} differs from one pass"
+        );
+        assert!(
+            DcgCodec::encode_plan(&plan) == DcgCodec::encode_plan(&want_plan),
+            "{label}: plan bytes under {policy:?} differ"
+        );
+    }
 
     let agg = ShardedAggregator::new(AggregatorConfig {
         decay_factor: 0.5,
@@ -430,6 +490,44 @@ fn a_caller_change_at_the_cut_writes_a_ten_byte_step() {
     // step, and one byte per weight (1.0).
     let bytes = DcgCodec::encode_snapshot(&g);
     assert_eq!(bytes.len(), 4 + 2 + 3 + 10 + (n - 2) * 5 + 10 + n);
+}
+
+/// Sites whose receivers tie: every site's receivers hold one weight
+/// (ties broken by callee), or split it so that fractions land exactly
+/// on the 0.4 and 0.5 floors or on 0.9.
+fn tied_sites(n: usize) -> Vec<(CallEdge, f64)> {
+    const SHAPES: [&[f64]; 8] = [
+        &[6.0],
+        &[4.0, 4.0],
+        &[2.0, 2.0, 2.0],
+        &[2.0, 2.0, 2.0, 2.0, 2.0],
+        &[4.0, 4.0, 2.0],
+        &[2.0, 4.0, 4.0],
+        &[18.0, 2.0],
+        &[2.0, 18.0],
+    ];
+    let mut out = Vec::with_capacity(n);
+    let mut site = 0u32;
+    while out.len() < n {
+        let shape = SHAPES[site as usize % SHAPES.len()];
+        for (callee, &w) in (3u32..).step_by(5).zip(shape) {
+            if out.len() < n {
+                out.push((
+                    edge(site / 64, site % 64, callee),
+                    w * f64::from(1 + site % 3),
+                ));
+            }
+        }
+        site += 1;
+    }
+    out
+}
+
+#[test]
+fn tied_receivers_plan_as_the_full_sort_under_every_policy() {
+    for n in [40, SPLIT_READ_MIN_EDGES + 17] {
+        check(&format!("tied sites, n = {n}"), &tied_sites(n));
+    }
 }
 
 #[test]
