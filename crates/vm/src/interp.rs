@@ -9,6 +9,7 @@
 //! how Jikes RVM's thread scheduler interacts with its yieldpoints.
 
 use crate::config::{TickSchedule, VmConfig};
+use crate::decode::{Decoded, Head, Shape};
 use crate::error::VmError;
 use crate::events::{CallEvent, NullProfiler, Profiler, StackSlice, ThreadId};
 use crate::frame::Frame;
@@ -47,237 +48,9 @@ impl Drop for FusedTally {
 pub struct Vm<'p> {
     program: &'p Program,
     config: VmConfig,
-    /// Per-method instruction cost rows, precomputed once at
-    /// construction: `cost_rows[m][pc]` is the charge for executing
-    /// `methods[m].code()[pc]`, so the hot path reads a table instead of
-    /// re-matching [`CostModel::op_cost`](crate::CostModel::op_cost) on
-    /// every instruction.
-    cost_rows: Vec<Vec<u64>>,
-    /// Per-method superinstruction tables: `fused_rows[m][pc]` is the
-    /// fused run starting at that pc, if the code matches one of the
-    /// [`FusedKind`] templates. See [`scan_fused`].
-    fused_rows: Vec<Vec<Option<Box<Fused>>>>,
-}
-
-/// A superinstruction: a straight-line run of ops that [`Vm::run_with`]
-/// executes as one dispatch when no timer tick or fuel boundary can land
-/// inside it (`timer.deadline() > clock + total_cost` and
-/// `clock + total_cost <= budget`). Under that guard the run contains no
-/// profiler-observable point — no tick, no trap, no call/return/backedge
-/// yieldpoint — so collapsing it changes nothing a profiler or the
-/// [`ExecReport`] can see: the clock advances by the same total, the
-/// instruction count by the same number of ops, and the frame ends in the
-/// same state the per-op path leaves. If the guard fails (or an operand
-/// is not an `Int`, where the per-op path could trap), the interpreter
-/// falls back to per-op execution of the very same ops.
-#[derive(Debug, Clone)]
-struct Fused {
-    /// Sum of the constituent ops' costs.
-    total_cost: u64,
-    /// Number of constituent ops (for the `instructions` counter).
-    num_ops: u64,
-    /// pc after the run (fall-through pc for [`FusedKind::TestBranch`]).
-    next_pc: u32,
-    kind: FusedKind,
-}
-
-#[derive(Debug, Clone)]
-enum FusedKind {
-    /// A straight-line integer computation held in a register:
-    ///
-    /// ```text
-    /// [Load src] [binop] { Const k, binop | Store d, Load d }* [Store dst]
-    /// ```
-    ///
-    /// at least three ops and one arithmetic step long. The generator's
-    /// `Load s, Const k, op, Store s` quads, the `Load s, op, Store s`
-    /// accumulate emitted after every call, and the
-    /// `Load s, (Const k, op)+, Store d` chains `cbs-opt`'s store/load
-    /// forwarding rewrites them into are all instances.
-    IntRun {
-        /// Where the accumulator starts.
-        head: RunHead,
-        steps: Box<[RunStep]>,
-        /// `Store dst` closes the run; without it the result is pushed.
-        dst: Option<u16>,
-    },
-    /// `Load s, [Const k, <op>], JumpIfZero/NonZero(target)` with a
-    /// *forward* target — a guard branch, or (without the test) the
-    /// loop-exit check of an inlined counted loop. Forward jumps are not
-    /// backedges, so the per-op path fires no yieldpoint here either.
-    TestBranch {
-        slot: u16,
-        test: Option<(Op, i64)>,
-        target: u32,
-        jump_if_zero: bool,
-    },
-}
-
-/// How an [`FusedKind::IntRun`] obtains its accumulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunHead {
-    /// `Load s`: the local.
-    Local(u16),
-    /// `Load s, <binop>`: the operand-stack top folded with the local
-    /// (`top <op> local`), popping the top.
-    FoldTop(u16, Op),
-    /// No leading `Load`: the operand-stack top, popped.
-    Top,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunStep {
-    /// `Const k, <binop>`: `acc = acc <op> k`.
-    Arith(Op, i64),
-    /// `Store d, Load d`: a spill — the local is written, the
-    /// accumulator stays in its register. Spills a later step of the same
-    /// run overwrites are dropped by [`scan_fused`].
-    Spill(u16),
-}
-
-/// Integer binops whose fused evaluation cannot trap and exactly matches
-/// the per-op arms when both operands are `Int`.
-fn fusible_int_binop(op: Op) -> bool {
-    matches!(
-        op,
-        Op::Add
-            | Op::Sub
-            | Op::Mul
-            | Op::And
-            | Op::Or
-            | Op::Xor
-            | Op::Shl
-            | Op::Shr
-            | Op::CmpLt
-            | Op::CmpGt
-    )
-}
-
-/// [`Op::eval_int`] for an op [`scan_fused`] admitted: a binop, and a
-/// `Div`/`Rem` only by a non-zero constant, so there is always a result.
-#[inline]
-fn fused_eval(op: Op, a: i64, b: i64) -> i64 {
-    op.eval_int(a, b)
-        .unwrap_or_else(|| unreachable!("scan_fused admits only binops that cannot trap"))
-}
-
-/// Matches the [`FusedKind::IntRun`] grammar at `p`. `steps` is the scan's
-/// scratch buffer, so a run costs one exact-size allocation.
-fn scan_int_run(code: &[Op], costs: &[u64], p: usize, steps: &mut Vec<RunStep>) -> Option<Fused> {
-    let mut q = p;
-    let mut arith_steps = 0usize;
-    let head = match code[q] {
-        Op::Load(s) => {
-            q += 1;
-            match code.get(q) {
-                Some(&op) if fusible_int_binop(op) => {
-                    q += 1;
-                    arith_steps += 1;
-                    RunHead::FoldTop(s, op)
-                }
-                _ => RunHead::Local(s),
-            }
-        }
-        _ => RunHead::Top,
-    };
-    steps.clear();
-    while let (Some(&a), Some(&b)) = (code.get(q), code.get(q + 1)) {
-        match (a, b) {
-            // Div/Rem by a non-zero constant cannot trap either.
-            (Op::Const(k), op)
-                if fusible_int_binop(op) || (matches!(op, Op::Div | Op::Rem) && k != 0) =>
-            {
-                steps.push(RunStep::Arith(op, k));
-                arith_steps += 1;
-            }
-            // Only the last write to a local survives the run: nothing
-            // inside it reads a spilled slot back except the `Load` the
-            // spill absorbs.
-            (Op::Store(d), Op::Load(e)) if d == e => {
-                steps.retain(|&s| s != RunStep::Spill(d));
-                steps.push(RunStep::Spill(d));
-            }
-            _ => break,
-        }
-        q += 2;
-    }
-    let dst = match code.get(q) {
-        Some(&Op::Store(d)) => {
-            q += 1;
-            Some(d)
-        }
-        _ => None,
-    };
-    if arith_steps == 0 || q - p < 3 {
-        return None;
-    }
-    if let Some(d) = dst {
-        steps.retain(|&s| s != RunStep::Spill(d));
-    }
-    Some(Fused {
-        total_cost: costs[p..q].iter().sum(),
-        num_ops: (q - p) as u64,
-        next_pc: q as u32,
-        kind: FusedKind::IntRun {
-            head,
-            steps: steps.as_slice().into(),
-            dst,
-        },
-    })
-}
-
-/// Matches the [`FusedKind::TestBranch`] template at `p`.
-fn scan_test_branch(code: &[Op], costs: &[u64], p: usize) -> Option<Fused> {
-    let Op::Load(slot) = code[p] else {
-        return None;
-    };
-    let (test, jump_pc) = match (code.get(p + 1), code.get(p + 2)) {
-        (Some(&Op::Const(k)), Some(&op)) if fusible_int_binop(op) || op == Op::CmpEq => {
-            (Some((op, k)), p + 3)
-        }
-        _ => (None, p + 1),
-    };
-    let (target, jump_if_zero) = match code.get(jump_pc) {
-        Some(&Op::JumpIfZero(t)) => (t, true),
-        Some(&Op::JumpIfNonZero(t)) => (t, false),
-        _ => return None,
-    };
-    // A backward target is a backedge yieldpoint and must stay per-op.
-    (target as usize > jump_pc).then(|| Fused {
-        total_cost: costs[p..=jump_pc].iter().sum(),
-        num_ops: (jump_pc + 1 - p) as u64,
-        next_pc: jump_pc as u32 + 1,
-        kind: FusedKind::TestBranch {
-            slot,
-            test,
-            target,
-            jump_if_zero,
-        },
-    })
-}
-
-/// Builds the superinstruction table for one method: a maximal-munch
-/// linear scan for the [`FusedKind`] templates. Runs are recorded only at
-/// their first pc; a jump that lands inside a run simply executes per-op
-/// from there (correct, just not fused).
-fn scan_fused(code: &[Op], costs: &[u64]) -> Vec<Option<Box<Fused>>> {
-    let mut out: Vec<Option<Box<Fused>>> = vec![None; code.len()];
-    let mut steps = Vec::new();
-    let mut p = 0usize;
-    while p < code.len() {
-        // The branch first: it also swallows the jump an integer run
-        // over the same `Load, Const, op` would leave to the per-op path.
-        match scan_test_branch(code, costs, p).or_else(|| scan_int_run(code, costs, p, &mut steps))
-        {
-            Some(f) => {
-                let next = f.next_pc as usize;
-                out[p] = Some(Box::new(f));
-                p = next;
-            }
-            None => p += 1,
-        }
-    }
-    out
+    /// The program decoded once, at construction, under `config.cost`:
+    /// the flat tables the run loop reads. See [`Decoded`].
+    decoded: Decoded<'p>,
 }
 
 #[derive(Debug)]
@@ -300,23 +73,10 @@ impl<'p> Vm<'p> {
     ///
     /// [`ProgramBuilder::build`]: cbs_bytecode::ProgramBuilder::build
     pub fn new(program: &'p Program, config: VmConfig) -> Self {
-        let cost = &config.cost;
-        let cost_rows: Vec<Vec<u64>> = program
-            .methods()
-            .iter()
-            .map(|m| m.code().iter().map(|op| cost.op_cost(op)).collect())
-            .collect();
-        let fused_rows = program
-            .methods()
-            .iter()
-            .zip(&cost_rows)
-            .map(|(m, costs)| scan_fused(m.code(), costs))
-            .collect();
         Self {
             program,
+            decoded: Decoded::new(program, &config.cost),
             config,
-            cost_rows,
-            fused_rows,
         }
     }
 
@@ -369,33 +129,45 @@ impl<'p> Vm<'p> {
     ///    `run_with(&mut NullProfiler)` is slower than
     ///    [`Vm::run_unprofiled`] on the same run (`interp_throughput`
     ///    gates the two within 5 %).
-    /// 2. **Cached code cursor** — the running frame's method, pc and
-    ///    locals base are held in locals, along with where its operands
-    ///    start and the method's code slice and precomputed cost row
-    ///    (built once in [`Vm::new`]), so the per-op path performs no
-    ///    frame loads/stores and no `CostModel::op_cost` re-match. The
-    ///    frame itself stays on the frame stack; only its pc goes stale,
-    ///    and it is written back wherever the stack is observable: tick
-    ///    delivery, a delivered exit, a thread switch at a backedge. A
-    ///    call writes it as the caller's return address.
+    /// 2. **One record per method** — [`Vm::new`] decodes the program
+    ///    once into flat tables, and a call or return loads the callee's
+    ///    or caller's one record: its code slice (the program's own),
+    ///    where its slots start, and its parameter and local counts. The
+    ///    running frame's method, pc and locals base, where its operands
+    ///    start, its code and its slots are held in locals, so the
+    ///    per-op path performs no frame loads/stores. One 8-byte slot
+    ///    per op holds its charge and its fused run, so one load answers
+    ///    both; a charge too large for the slot's `u32` is an escape
+    ///    value, and [`CostModel::op_cost`](crate::CostModel::op_cost)
+    ///    supplies it exactly. The frame itself stays on the frame stack;
+    ///    only its pc goes stale, and it is written back wherever the
+    ///    stack is observable: tick delivery, a delivered exit, a thread
+    ///    switch at a backedge. A call writes it as the caller's return
+    ///    address.
     /// 3. **Cheap liveness / budget checks** — a live-thread counter
-    ///    replaces the per-slice `threads.iter().any(..)` scan, and an
-    ///    absent `max_cycles` budget becomes `u64::MAX` so the per-op
-    ///    fuel check is one always-false compare instead of an `Option`
-    ///    test.
-    /// 4. **Superinstruction fusion** — two templates, detected once in
+    ///    replaces the per-slice `threads.iter().any(..)` scan, and the
+    ///    per-op path and the fused guard compare the clock with one
+    ///    horizon, the earlier of the next tick's deadline and the first
+    ///    cycle past the budget (an absent `max_cycles` is `u64::MAX`).
+    ///    Only past the horizon does the loop look at which it was.
+    /// 4. **Superinstruction fusion** — two templates, found once in
     ///    [`Vm::new`]: the integer run
     ///    `[Load src] [binop] { Const k, binop | Store d, Load d }* [Store dst]`
     ///    (the accumulator lives in a register from a local or the stack
     ///    top to a local or the stack top; it covers the generator's
     ///    `Load, Const, op, Store` quads and the longer chains `cbs-opt`
     ///    forwards them into alike) and the forward test-branch
-    ///    `Load s, [Const k, op], JumpIf*`. A run executes as a single
-    ///    dispatch whenever no timer tick or fuel boundary can land
-    ///    inside it and every operand is an `Int`; otherwise the same
-    ///    ops run through the ordinary per-op path, so every observable
-    ///    event and trap falls at exactly the same cycle and pc either
-    ///    way.
+    ///    `Load s, [Const k, op], JumpIf*`. The runs are lowered into one
+    ///    contiguous table of 32-byte records and their steps into one
+    ///    step table, each step carrying its operation (`Add(k)`,
+    ///    `Xor(k)`, …, `Spill(d)`), so a step is one `match`; adjacent
+    ///    steps (`Xor`s, then `Add`, `Sub`, `Mul` and `Shl`) are folded
+    ///    into one `(acc ^ x) * m + c`, exact in wrapping arithmetic. A
+    ///    run executes as a single dispatch whenever no timer tick or
+    ///    fuel boundary can land inside it and every operand is an `Int`;
+    ///    otherwise the same ops run through the ordinary per-op path, so
+    ///    every observable event and trap falls at exactly the same cycle
+    ///    and pc either way.
     /// 5. **The overloaded check** — [`Profiler::armed`] is held in a
     ///    local and re-read only after a hook is delivered. While it is
     ///    `false` a call builds no [`CallEvent`] and makes no profiler
@@ -412,9 +184,12 @@ impl<'p> Vm<'p> {
         let samples_exits = self.config.flavor.samples_exits();
         let backedge_yieldpoints = self.config.flavor.has_backedge_yieldpoints();
         let max_stack_depth = self.config.max_stack_depth;
+        let cost_model = &self.config.cost;
+        let decoded = &self.decoded;
+        let entries = decoded.entries.as_slice();
+        let runs = decoded.runs.as_slice();
         let entry = program.entry();
-        let entry_locals = usize::from(program.method(entry).num_locals());
-        let cost_rows = self.cost_rows.as_slice();
+        let entry_locals = usize::from(entries[entry.index()].num_locals);
 
         let mut heap = Heap::new();
         let mut invocations = vec![0u64; program.num_methods()];
@@ -436,9 +211,13 @@ impl<'p> Vm<'p> {
         let mut instructions: u64 = 0;
         let mut calls: u64 = 0;
         let mut cur = 0usize;
-        // An absent budget becomes an unreachable one, keeping the per-op
-        // fuel check branchless in spirit: one compare, always false.
+        // An absent budget becomes an unreachable one. The per-op path
+        // and the fused guard compare the clock with one horizon: the
+        // earlier of the next tick's deadline and the first cycle past
+        // the budget.
         let budget = self.config.max_cycles.unwrap_or(u64::MAX);
+        let past_budget = budget.saturating_add(1);
+        let mut horizon = timer.deadline().min(past_budget);
         let mut live = threads.len();
         let mut fused_tally = FusedTally::default();
 
@@ -463,20 +242,20 @@ impl<'p> Vm<'p> {
 
             // The code cursor: the running frame's method, pc and locals
             // base, where its operands start (`floor`: a pop below it
-            // underflows), and the method's code slice, cost row and
-            // fused runs, all held in locals so the per-op path reads no
-            // frame. The frame stays on `frames`; its pc is written back
-            // at every point where the stack becomes observable (tick
-            // delivery, call entry/exit, thread switch), so profiler
-            // hooks see the whole stack, top frame and pc included.
+            // underflows), and the method's code and slots, all held in
+            // locals so the per-op path reads no frame. The frame stays
+            // on `frames`; its pc is written back at every point where
+            // the stack becomes observable (tick delivery, call
+            // entry/exit, thread switch), so profiler hooks see the whole
+            // stack, top frame and pc included.
             let top = *frames.last().expect("running thread has frames");
             let mut mid = top.method();
             let mut pc = top.pc();
             let mut base = top.base();
-            let mut floor = base + usize::from(program.method(mid).num_locals());
-            let mut code = program.method(mid).code();
-            let mut costs = cost_rows[mid.index()].as_slice();
-            let mut fused = self.fused_rows[mid.index()].as_slice();
+            let method = &entries[mid.index()];
+            let mut floor = base + usize::from(method.num_locals);
+            let mut code = method.code;
+            let mut slots = decoded.slots(method);
 
             'slice: loop {
                 // Superinstruction fast path: execute a whole fused run in
@@ -484,33 +263,36 @@ impl<'p> Vm<'p> {
                 // inside it and the operands are `Int`s (so the per-op
                 // path could not trap). Otherwise fall through and
                 // interpret the same ops one at a time.
-                if let Some(f) = fused[pc as usize].as_deref() {
-                    let end_clock = clock + f.total_cost;
-                    if timer.deadline() <= end_clock || end_clock > budget {
+                let slot = slots[pc as usize];
+                if slot.fused != 0 {
+                    let run = &runs[slot.fused as usize];
+                    let end_clock = clock + run.total_cost;
+                    if end_clock >= horizon {
                         // A tick or fuel boundary lands inside the run:
                         // bail to per-op execution so the boundary is
                         // observed at its exact cycle.
                         fused_tally.bails += 1;
                     } else {
-                        let next = match &f.kind {
-                            FusedKind::IntRun { head, steps, dst } => {
+                        let steps = decoded.steps(run.steps);
+                        let next = match run.shape {
+                            Shape::Int { head, dst } => {
                                 // Every operand is checked before anything
                                 // is popped or written.
-                                let start = match *head {
-                                    RunHead::Local(s) => values[base + usize::from(s)].as_int(),
-                                    RunHead::FoldTop(s, op) => {
+                                let start = match head {
+                                    Head::Local(s) => values[base + usize::from(s)].as_int(),
+                                    Head::Fold(s, op) => {
                                         match (
                                             peek(values, floor, 0),
                                             values[base + usize::from(s)],
                                         ) {
                                             (Some(Value::Int(top)), Value::Int(loc)) => {
                                                 values.pop();
-                                                Some(fused_eval(op, top, loc))
+                                                Some(op.eval(top, loc))
                                             }
                                             _ => None,
                                         }
                                     }
-                                    RunHead::Top => match peek(values, floor, 0) {
+                                    Head::Top => match peek(values, floor, 0) {
                                         Some(Value::Int(top)) => {
                                             values.pop();
                                             Some(top)
@@ -519,42 +301,36 @@ impl<'p> Vm<'p> {
                                     },
                                 };
                                 start.map(|mut acc| {
-                                    for step in steps.iter() {
-                                        match *step {
-                                            RunStep::Arith(op, k) => acc = fused_eval(op, acc, k),
-                                            RunStep::Spill(d) => {
-                                                values[base + usize::from(d)] = Value::Int(acc);
-                                            }
-                                        }
+                                    for step in steps {
+                                        acc = step.apply(acc, values, base);
                                     }
-                                    match *dst {
+                                    match dst {
                                         Some(d) => values[base + usize::from(d)] = Value::Int(acc),
                                         None => values.push(Value::Int(acc)),
                                     }
-                                    f.next_pc
+                                    run.next_pc
                                 })
                             }
-                            FusedKind::TestBranch {
+                            Shape::Branch {
                                 slot,
-                                test,
-                                target,
                                 jump_if_zero,
-                            } => values[base + usize::from(*slot)].as_int().map(|loc| {
-                                let v = match *test {
-                                    Some((op, k)) => fused_eval(op, loc, k),
-                                    None => loc,
-                                };
-                                if (v == 0) == *jump_if_zero {
-                                    *target
+                                target,
+                            } => values[base + usize::from(slot)].as_int().map(|loc| {
+                                let mut v = loc;
+                                for step in steps {
+                                    v = step.apply(v, values, base);
+                                }
+                                if (v == 0) == jump_if_zero {
+                                    target
                                 } else {
-                                    f.next_pc
+                                    run.next_pc
                                 }
                             }),
                         };
                         if let Some(next_pc) = next {
                             fused_tally.runs += 1;
                             clock = end_clock;
-                            instructions += f.num_ops;
+                            instructions += u64::from(run.next_pc - pc);
                             pc = next_pc;
                             continue;
                         }
@@ -566,11 +342,8 @@ impl<'p> Vm<'p> {
 
                 let op = code[pc as usize];
 
-                clock += costs[pc as usize];
+                clock += slot.charge(&op, cost_model);
                 instructions += 1;
-                if clock > budget {
-                    return Err(VmError::OutOfFuel { budget });
-                }
                 // ── Tick-at-yieldpoint semantics ────────────────────────
                 // The virtual timer is checked once per instruction,
                 // *after* the instruction's cost is charged and *before*
@@ -587,15 +360,22 @@ impl<'p> Vm<'p> {
                 // spans several timer periods, every elapsed deadline
                 // fires, in order, at the same boundary. The regression
                 // test `tick_counts_are_pinned_per_flavor` pins exact
-                // tick counts for a tight loop under both flavors.
-                if timer.deadline() <= clock {
-                    running(frames).set_pc(pc);
-                    while timer.deadline() <= clock {
-                        ticks += 1;
-                        profiler.on_tick(timer.advance(), tid, StackSlice::new(frames));
-                        pending_switch = true;
+                // tick counts for a tight loop under both flavors. The
+                // fuel and timer checks share one compare with `horizon`.
+                if clock >= horizon {
+                    if clock > budget {
+                        return Err(VmError::OutOfFuel { budget });
                     }
-                    armed = profiler.armed(tid);
+                    if timer.deadline() <= clock {
+                        running(frames).set_pc(pc);
+                        while timer.deadline() <= clock {
+                            ticks += 1;
+                            profiler.on_tick(timer.advance(), tid, StackSlice::new(frames));
+                            pending_switch = true;
+                        }
+                        armed = profiler.armed(tid);
+                        horizon = timer.deadline().min(past_budget);
+                    }
                 }
 
                 match op {
@@ -717,13 +497,13 @@ impl<'p> Vm<'p> {
                         // The arguments, the caller's top operands, stay
                         // put as the callee's first locals; its other
                         // locals are zeroed above them.
-                        let callee = program.method(target);
+                        let callee = &entries[target.index()];
                         base = values
                             .len()
-                            .checked_sub(usize::from(callee.num_params()))
+                            .checked_sub(usize::from(callee.num_params))
                             .filter(|&args| args >= floor)
                             .ok_or(VmError::OperandUnderflow { method: mid, pc })?;
-                        floor = base + usize::from(callee.num_locals());
+                        floor = base + usize::from(callee.num_locals);
                         values.resize(floor, Value::default());
                         let caller = running(frames);
                         caller.set_pc(pc + 1); // return address
@@ -743,9 +523,8 @@ impl<'p> Vm<'p> {
                         }
                         pc = 0;
                         mid = target;
-                        code = callee.code();
-                        costs = cost_rows[mid.index()].as_slice();
-                        fused = self.fused_rows[mid.index()].as_slice();
+                        code = callee.code;
+                        slots = decoded.slots(callee);
                     }
                     Op::Return => {
                         let rv = pop_val(values, floor, mid, pc)?;
@@ -784,11 +563,10 @@ impl<'p> Vm<'p> {
                         mid = caller.method();
                         pc = caller.pc();
                         base = caller.base();
-                        let method = program.method(mid);
-                        floor = base + usize::from(method.num_locals());
-                        code = method.code();
-                        costs = cost_rows[mid.index()].as_slice();
-                        fused = self.fused_rows[mid.index()].as_slice();
+                        let method = &entries[mid.index()];
+                        floor = base + usize::from(method.num_locals);
+                        code = method.code;
+                        slots = decoded.slots(method);
                     }
                     Op::GetField(n) => {
                         let r = pop_obj(values, floor, mid, pc)?;
@@ -1388,197 +1166,6 @@ mod tests {
             assert_eq!(ungated.acted_on, gated.acted_on, "{flavor:?}");
             assert!(ungated.delivered_idle > 10 * ungated.acted_on);
         }
-    }
-
-    /// Pins the two templates `scan_fused` recognizes: the integer-run
-    /// grammar with each optional part present and absent, spill
-    /// elision, and everything the guard's soundness rests on being
-    /// refused at scan time (division by a zero constant, backward
-    /// branches, runs shorter than three ops).
-    #[test]
-    fn scan_fused_pins_the_run_grammar() {
-        use RunHead::{FoldTop, Local, Top};
-        use RunStep::{Arith, Spill};
-        // One cycle per op, so `total_cost == num_ops`.
-        let scan = |code: &[Op]| scan_fused(code, &vec![1u64; code.len()]);
-        let run_at = |code: &[Op], p: usize| {
-            let f = scan(code)[p].clone().expect("run fuses");
-            assert_eq!(f.total_cost, f.num_ops);
-            let FusedKind::IntRun { head, steps, dst } = f.kind else {
-                panic!("expected an integer run at {p}: {:?}", f.kind)
-            };
-            (f.num_ops, f.next_pc, head, steps.into_vec(), dst)
-        };
-
-        // The generator's quads on one slot: one maximal run, recorded
-        // at its first pc only; the interior `Store 0, Load 0` is a spill
-        // the closing `Store 0` overwrites, so it is dropped.
-        let quads = [
-            Op::Load(0),
-            Op::Const(5),
-            Op::Add,
-            Op::Store(0),
-            Op::Load(0),
-            Op::Const(1),
-            Op::Xor,
-            Op::Store(0),
-            Op::Return,
-        ];
-        assert_eq!(
-            run_at(&quads, 0),
-            (
-                8,
-                8,
-                Local(0),
-                vec![Arith(Op::Add, 5), Arith(Op::Xor, 1)],
-                Some(0)
-            )
-        );
-        assert!(scan(&quads)[1..].iter().all(Option::is_none), "interiors");
-
-        // The optimizer's forwarded chain into another slot.
-        let chain = [
-            Op::Load(1),
-            Op::Const(3),
-            Op::Mul,
-            Op::Const(7),
-            Op::Sub,
-            Op::Store(2),
-        ];
-        assert_eq!(
-            run_at(&chain, 0),
-            (
-                6,
-                6,
-                Local(1),
-                vec![Arith(Op::Mul, 3), Arith(Op::Sub, 7)],
-                Some(2)
-            )
-        );
-
-        // A leading bare binop folds the stack top in — alone (the
-        // accumulate after a call) or ahead of further steps.
-        let fold = [Op::Load(2), Op::Add, Op::Store(2), Op::Return];
-        assert_eq!(
-            run_at(&fold, 0),
-            (3, 3, FoldTop(2, Op::Add), vec![], Some(2))
-        );
-        let fold_chain = [Op::Load(2), Op::Sub, Op::Const(9), Op::Xor, Op::Store(2)];
-        assert_eq!(
-            run_at(&fold_chain, 0),
-            (5, 5, FoldTop(2, Op::Sub), vec![Arith(Op::Xor, 9)], Some(2))
-        );
-
-        // No closing store: the result stays on the stack.
-        let open = [Op::Load(1), Op::Const(4), Op::Shl, Op::Return];
-        assert_eq!(
-            run_at(&open, 0),
-            (3, 3, Local(1), vec![Arith(Op::Shl, 4)], None)
-        );
-
-        // No leading load: the accumulator is the stack top.
-        let from_top = [Op::Nop, Op::Const(2), Op::And, Op::Store(3)];
-        assert_eq!(
-            run_at(&from_top, 1),
-            (3, 4, Top, vec![Arith(Op::And, 2)], Some(3))
-        );
-
-        // Spills: one to a slot nothing later writes is kept, in order;
-        // a trailing spill leaves the value in the local and on the stack.
-        let spills = [
-            Op::Load(0),
-            Op::Const(1),
-            Op::Add,
-            Op::Store(4),
-            Op::Load(4),
-            Op::Const(2),
-            Op::Mul,
-            Op::Store(5),
-            Op::Load(5),
-            Op::Return,
-        ];
-        assert_eq!(
-            run_at(&spills, 0),
-            (
-                9,
-                9,
-                Local(0),
-                vec![Arith(Op::Add, 1), Spill(4), Arith(Op::Mul, 2), Spill(5)],
-                None
-            )
-        );
-        // `Store 4, Load 5` is not a spill: the run closes at the store.
-        let not_spill = [
-            Op::Load(0),
-            Op::Const(1),
-            Op::Add,
-            Op::Store(4),
-            Op::Load(5),
-            Op::Return,
-        ];
-        assert_eq!(run_at(&not_spill, 0).1, 4);
-
-        // Division fuses only by a non-zero constant: a zero divisor must
-        // reach the per-op arm that traps on it.
-        let div0 = [Op::Load(0), Op::Const(0), Op::Div, Op::Store(0)];
-        assert!(scan(&div0).iter().all(Option::is_none));
-        let rem0 = [Op::Load(0), Op::Const(0), Op::Rem, Op::Store(0)];
-        assert!(scan(&rem0).iter().all(Option::is_none));
-        let div2 = [Op::Load(0), Op::Const(2), Op::Div, Op::Store(0)];
-        assert_eq!(run_at(&div2, 0).3, vec![Arith(Op::Div, 2)]);
-
-        // Shorter than three ops, or no arithmetic at all: refused.
-        for short in [
-            &[Op::Const(1), Op::Add, Op::Return][..],
-            &[Op::Load(0), Op::Add, Op::Return],
-            &[Op::Load(0), Op::Store(1), Op::Load(1), Op::Store(2)],
-            &[Op::Load(0), Op::Neg, Op::Store(0)],
-        ] {
-            assert!(scan(short).iter().all(Option::is_none), "{short:?}");
-        }
-
-        // Test-branch, with and without the test, forward targets only:
-        // a backward jump is a backedge yieldpoint and stays per-op (the
-        // `Load, Const, op` ahead of it still fuses as an open run).
-        let branch_at = |code: &[Op], p: usize| {
-            let f = scan(code)[p].clone().expect("branch fuses");
-            let FusedKind::TestBranch {
-                slot,
-                test,
-                target,
-                jump_if_zero,
-            } = f.kind
-            else {
-                panic!("expected a test-branch at {p}: {:?}", f.kind)
-            };
-            (f.num_ops, f.next_pc, slot, test, target, jump_if_zero)
-        };
-        let fwd = [
-            Op::Load(1),
-            Op::Const(3),
-            Op::CmpEq,
-            Op::JumpIfZero(6),
-            Op::Nop,
-            Op::Nop,
-            Op::Return,
-        ];
-        assert_eq!(branch_at(&fwd, 0), (4, 4, 1, Some((Op::CmpEq, 3)), 6, true));
-        let bare = [Op::Load(6), Op::JumpIfNonZero(3), Op::Nop, Op::Return];
-        assert_eq!(branch_at(&bare, 0), (2, 2, 6, None, 3, false));
-        let back = [
-            Op::Nop,
-            Op::Load(1),
-            Op::Const(3),
-            Op::And,
-            Op::JumpIfNonZero(0),
-            Op::Return,
-        ];
-        assert_eq!(
-            run_at(&back, 1),
-            (3, 4, Local(1), vec![Arith(Op::And, 3)], None)
-        );
-        let bare_back = [Op::Nop, Op::Load(1), Op::JumpIfZero(1), Op::Return];
-        assert!(scan(&bare_back).iter().all(Option::is_none));
     }
 
     #[test]

@@ -54,6 +54,7 @@
 
 mod config;
 mod cost;
+mod decode;
 mod error;
 mod events;
 mod frame;

@@ -22,24 +22,45 @@ for arg in "$@"; do
   esac
 done
 
-echo "==> cargo fmt --check"
+# Each stage's wall seconds, printed in one closing line so the next
+# slow stage names itself. `stage` announces a stage and closes the one
+# before it.
+STAGE_NAMES=()
+STAGE_SECS=()
+STAGE_NAME=""
+STAGE_START=""
+now() { date +%s.%N; }
+close_stage() {
+  if [[ -n "$STAGE_NAME" ]]; then
+    STAGE_NAMES+=("$STAGE_NAME")
+    STAGE_SECS+=("$(awk -v a="$STAGE_START" -v b="$(now)" 'BEGIN { printf "%.1f", b - a }')")
+  fi
+}
+stage() {
+  close_stage
+  STAGE_NAME="$1"
+  STAGE_START="$(now)"
+  echo "==> $1"
+}
+
+stage "cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings -W unreachable-pub"
+stage "cargo clippy --workspace --all-targets -- -D warnings -W unreachable-pub"
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings -W unreachable-pub
 
-echo "==> SIZE.json is current (regenerate: scripts/size.sh)"
+stage "SIZE.json is current (regenerate: scripts/size.sh)"
 # The ledger may grow; it may not go stale.
 scripts/size.sh /dev/stdout | cmp SIZE.json - \
   || { echo "FAIL: SIZE.json is stale (run scripts/size.sh and commit it)" >&2; exit 1; }
 
-echo "==> cargo build --release (tier-1)"
+stage "cargo build --release (tier-1)"
 cargo build --offline --locked --release
 
-echo "==> cargo build --release --workspace (bench/profiled binaries for the smokes)"
+stage "cargo build --release --workspace (bench/profiled binaries for the smokes)"
 cargo build --offline --locked --release --workspace
 
-echo "==> examples build and run"
+stage "examples build and run"
 # Nothing else executes examples/; assemble_and_profile drives the text
 # form end to end. About 1.5 s in total on a 2-core host.
 cargo build --offline --locked --release --examples
@@ -49,13 +70,13 @@ for example in examples/*.rs; do
     || { echo "FAIL: example $name exited non-zero" >&2; exit 1; }
 done
 
-echo "==> cargo test -q (tier-1)"
+stage "cargo test -q (tier-1)"
 cargo test --offline --locked -q
 
-echo "==> cargo test -q --workspace (member-crate unit tests)"
+stage "cargo test -q --workspace (member-crate unit tests)"
 cargo test --offline --locked -q --workspace
 
-echo "==> benchmark/ builds against this tree, and its smoke passes"
+stage "benchmark/ builds against this tree, and its smoke passes"
 # benchmark/ is a workspace of its own that imports the crates' public
 # names; without this stage a PR can delete one of them and stay green.
 # The smoke checks schema + correctness on all five workloads, no
@@ -63,7 +84,7 @@ echo "==> benchmark/ builds against this tree, and its smoke passes"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke > /dev/null
 
-echo "==> BENCH_ingest.json schema check (committed ingest-bench artifact)"
+stage "BENCH_ingest.json schema check (committed ingest-bench artifact)"
 BENCH_JSON=BENCH_ingest.json
 [[ -f "$BENCH_JSON" ]] \
   || { echo "FAIL: $BENCH_JSON missing (regenerate: cargo bench -p cbs-bench --bench profile_ingest)" >&2; exit 1; }
@@ -148,7 +169,7 @@ R=$(ingest_ratio wal/append_single_lock wal/append_concurrent) \
   && awk -v r="$R" 'BEGIN { exit !(r >= 1.4) }' \
   || { echo "FAIL: wal/append_single_lock is not >=1.4x wal/append_concurrent (median per-iteration ratio) in $BENCH_JSON" >&2; exit 1; }
 
-echo "==> BENCH_interp.json gates (committed interpreter-bench artifact)"
+stage "BENCH_interp.json gates (committed interpreter-bench artifact)"
 # Two ways the interpreter's fast path has been lost before, per
 # workload: an instantiation of `run_with` outside cbs-vm running slower
 # than cbs-vm's own (a per-op helper that is not #[inline]), and the
@@ -181,7 +202,7 @@ awk -F'"median": ' '
             "or a ratio is missing" >&2; exit 1; }
 
 if [[ "$BENCH_SMOKE" == "1" ]]; then
-  echo "==> cargo bench (smoke: CBS_BENCH_SMOKE=1, one iteration per bench)"
+  stage "cargo bench (smoke: CBS_BENCH_SMOKE=1, one iteration per bench)"
   # Smoke mode must exercise every bench code path (profile_ingest
   # included) without rewriting committed artifacts.
   BENCH_SUM_BEFORE="$(cksum "$BENCH_JSON")"
@@ -191,7 +212,7 @@ if [[ "$BENCH_SMOKE" == "1" ]]; then
     || { echo "FAIL: bench smoke rewrote $BENCH_JSON (smoke runs must not emit artifacts)" >&2; exit 1; }
 fi
 
-echo "==> profiled loopback smoke (server + dcgtool push/pull/convert)"
+stage "profiled loopback smoke (server + dcgtool push/pull/convert)"
 SMOKE_DIR="$(mktemp -d)"
 PROFILED_PID=""
 PROFILED2_PID=""
@@ -223,7 +244,7 @@ timeout 60 "$DCGTOOL" pull "$ADDR" "$SMOKE_DIR/merged.dcg"
 cmp "$SMOKE_DIR/a.dcg" "$SMOKE_DIR/merged.dcg" \
   || { echo "FAIL: pulled fleet profile differs from the single pushed snapshot" >&2; exit 1; }
 
-echo "==> plan-serving smoke (OP_PLAN: deterministic, cached, byte-identical pulls)"
+stage "plan-serving smoke (OP_PLAN: deterministic, cached, byte-identical pulls)"
 # The aggregate is unchanged between the two pulls, so the daemon must
 # answer both from the generation-keyed plan cache with identical bytes.
 timeout 60 "$DCGTOOL" plan "$ADDR" > "$SMOKE_DIR/plan1.txt"
@@ -239,7 +260,7 @@ grep -q '^m3 s0 weight=100 direct m1$' "$SMOKE_DIR/plan1.txt" \
   || { echo "FAIL: served plan lacks the known-hot direct entry" >&2;
        cat "$SMOKE_DIR/plan1.txt" >&2; exit 1; }
 
-echo "==> profiled telemetry smoke (OP_METRICS scrape matches the traffic above)"
+stage "profiled telemetry smoke (OP_METRICS scrape matches the traffic above)"
 # Exactly one push, one pull, and two plan pulls (one cache miss + one
 # hit) were issued against this server, so the scraped counters must
 # agree — the plan pulls encode no snapshot, so the pull is the one
@@ -269,7 +290,7 @@ grep -q '^counter profiled\.server\.err_replies 0$' "$SMOKE_DIR/metrics.txt" \
   || { echo "FAIL: clean smoke produced error replies" >&2;
        cat "$SMOKE_DIR/metrics.txt" >&2; exit 1; }
 
-echo "==> profiled fault-injection smoke (resilient push/pull over a faulty link)"
+stage "profiled fault-injection smoke (resilient push/pull over a faulty link)"
 # A fresh server, and a client whose every exchange runs through the
 # deterministic fault injector (seeded schedule, ~30% fault rate): the
 # pulled profile must still be byte-identical to the clean round-trip.
@@ -289,7 +310,7 @@ timeout 60 "$DCGTOOL" pull "$ADDR2" --retries 8 --backoff-ms 1 "$SMOKE_DIR/merge
 cmp "$SMOKE_DIR/a.dcg" "$SMOKE_DIR/merged_faulty.dcg" \
   || { echo "FAIL: profile pulled over the faulty transport differs from the clean one" >&2; exit 1; }
 
-echo "==> durable-store crash-recovery smoke (SIGKILL, restart, bit-identical pull)"
+stage "durable-store crash-recovery smoke (SIGKILL, restart, bit-identical pull)"
 # A store-backed server (--fsync always: every ack is durable) absorbs a
 # plain push and a sequenced exactly-once push, then dies by SIGKILL. A
 # restart on the same --data-dir must replay the WAL and serve a fleet
@@ -372,7 +393,7 @@ kill "$PROFILED3_PID" 2>/dev/null || true
 wait "$PROFILED3_PID" 2>/dev/null || true
 PROFILED3_PID=""
 
-echo "==> durable-store mid-batch kill smoke (4 pushers, SIGKILL, deterministic recovery)"
+stage "durable-store mid-batch kill smoke (4 pushers, SIGKILL, deterministic recovery)"
 # Four parallel pushers drive a --fsync always server and the server
 # dies by SIGKILL with appends and syncs in flight. The WAL then defines
 # the truth: two independent restarts must replay it to byte-identical
@@ -424,7 +445,7 @@ done
 cmp "$SMOKE_DIR/mid_batch_pull1.dcg" "$SMOKE_DIR/mid_batch_pull2.dcg" \
   || { echo "FAIL: two recoveries of the same mid-batch WAL served different profiles" >&2; exit 1; }
 
-echo "==> repro fleet render pin (deterministic output matches the committed artifact)"
+stage "repro fleet render pin (deterministic output matches the committed artifact)"
 # The fleet table and its telemetry counters are fully deterministic, so
 # the committed render must never drift from what the binary produces.
 timeout 300 target/release/repro fleet > "$SMOKE_DIR/fleet_render.txt"
@@ -432,7 +453,7 @@ cmp repro_fleet_output.txt "$SMOKE_DIR/fleet_render.txt" \
   || { echo "FAIL: repro fleet output drifted from repro_fleet_output.txt" \
             "(regenerate: target/release/repro fleet > repro_fleet_output.txt)" >&2; exit 1; }
 
-echo "==> repro fleet-optimize render pin (served plans, deterministic output)"
+stage "repro fleet-optimize render pin (served plans, deterministic output)"
 # The exploitation loop — profiles streamed to a live daemon, OP_PLAN
 # pulled and applied — is deterministic end to end, so this render is
 # pinned too (and its footer asserts the fleet plan met or beat the
@@ -445,7 +466,7 @@ grep -q '^pooled plan meets or beats the best single-VM plan: yes$' \
   "$SMOKE_DIR/fleet_optimize_render.txt" \
   || { echo "FAIL: the fleet plan lost to a single-VM plan on total cycles" >&2; exit 1; }
 
-echo "==> repro fleet pins at --jobs 2 (parallel renders match the committed artifacts)"
+stage "repro fleet pins at --jobs 2 (parallel renders match the committed artifacts)"
 # Each benchmark's fleet is one run observed by one MultiProfiler, whose
 # replicas each replay a timer of their own; the full-scale renders must
 # still not depend on the job count.
@@ -456,7 +477,7 @@ timeout 300 target/release/repro --jobs 2 fleet-optimize > "$SMOKE_DIR/fleet_opt
 cmp repro_fleet_optimize_output.txt "$SMOKE_DIR/fleet_optimize_render_j2.txt" \
   || { echo "FAIL: repro --jobs 2 fleet-optimize output differs from repro_fleet_optimize_output.txt" >&2; exit 1; }
 
-echo "==> repro paper render pin (every table and figure, scale 1.0)"
+stage "repro paper render pin (every table and figure, scale 1.0)"
 # EXPERIMENTS.md and the README result table quote this render, so it is
 # pinned whole. --jobs 2 renders the same bytes as --jobs 1; ~40 s on a
 # 2-core host.
@@ -465,4 +486,10 @@ cmp repro_output.txt "$SMOKE_DIR/paper_render.txt" \
   || { echo "FAIL: repro all output drifted from repro_output.txt" \
             "(regenerate: target/release/repro --jobs 2 all > repro_output.txt)" >&2; exit 1; }
 
+close_stage
+SUMMARY=""
+for i in "${!STAGE_NAMES[@]}"; do
+  SUMMARY+="${SUMMARY:+; }${STAGE_NAMES[$i]%% (*}: ${STAGE_SECS[$i]}s"
+done
+echo "stage wall seconds: $SUMMARY"
 echo "OK: all gates passed"

@@ -23,7 +23,9 @@ use cbs_prng::prop::run_cases;
 use cbs_prng::SmallRng;
 use cbs_profiler::{CbsConfig, CounterBasedSampler, ExhaustiveProfiler, TimerSampler};
 use cbs_repro::prelude::*;
-use cbs_vm::{CallEvent, ExecReport, NullProfiler, Profiler, StackSlice, ThreadId, Value, VmError};
+use cbs_vm::{
+    CallEvent, CostModel, ExecReport, NullProfiler, Profiler, StackSlice, ThreadId, Value, VmError,
+};
 use std::fmt::Write;
 
 /// `report` in the oracle's terms: a `Ref` is its heap index.
@@ -572,6 +574,8 @@ struct CodeGen<'a, 'b, 'r> {
     pending: Vec<(Label, u32)>,
     leaf: MethodId,
     class: cbs_bytecode::ClassId,
+    /// The `Io` operands a block may draw; with none, no block is an `Io`.
+    io: &'a [u32],
 }
 
 /// Local slots of the generated method.
@@ -651,6 +655,13 @@ impl CodeGen<'_, '_, '_> {
     }
 
     fn block(&mut self) {
+        // Drawn only when there is an `Io` to emit, so code without one
+        // is the same for a seed either way.
+        if !self.io.is_empty() && self.rng.gen_bool(0.1) {
+            let units = self.io[self.rng.gen_range(0..self.io.len())];
+            self.emit(Op::Io(units));
+            return;
+        }
         match self.rng.gen_range(0..12u32) {
             // The generator's quad, usually several on one slot.
             0 | 1 => {
@@ -754,6 +765,12 @@ impl CodeGen<'_, '_, '_> {
 }
 
 fn random_integer_program(rng: &mut SmallRng) -> Program {
+    random_program(rng, &[])
+}
+
+/// [`random_integer_program`], with blocks that are an `Io` of one of
+/// `io`'s operands.
+fn random_program(rng: &mut SmallRng, io: &[u32]) -> Program {
     let mut b = ProgramBuilder::new();
     let class = b.add_class("C", 2);
     let leaf = b
@@ -787,6 +804,7 @@ fn random_integer_program(rng: &mut SmallRng) -> Program {
                 pending: Vec::new(),
                 leaf,
                 class,
+                io,
             };
             for _ in 0..g.rng.gen_range(10..60u32) {
                 g.block();
@@ -871,5 +889,111 @@ fn random_integer_code_agrees_with_the_reference() {
         tally.iter().all(|&n| n >= 20),
         "the generator must keep producing clean runs, type traps, zero \
          divisors, exhausted budgets and out-of-range fields: {tally:?}"
+    );
+}
+
+/// A cost model other than the default, every charge drawn. With `huge`,
+/// `call` or `field` (or both), or `simple` or `branch` (so a fused run's
+/// total too), charges 2^33 cycles, past what a `u32` holds, and
+/// `io_unit` is the default 100, so an `Io(u32::MAX)` charges about
+/// 4.3e11.
+fn draw_cost_model(rng: &mut SmallRng, huge: bool) -> CostModel {
+    let mut small = || rng.gen_range(0..=40u64);
+    let mut model = CostModel {
+        simple: small(),
+        field: small(),
+        alloc: small(),
+        call: small(),
+        virtual_dispatch: small(),
+        ret: small(),
+        branch: small(),
+        guard: small(),
+        io_unit: small(),
+    };
+    if huge {
+        const BIG: u64 = 1 << 33;
+        match rng.gen_range(0..5u32) {
+            0 => model.call = BIG,
+            1 => model.field = BIG,
+            2 => (model.call, model.field) = (BIG, BIG),
+            3 => model.simple = BIG,
+            _ => model.branch = BIG,
+        }
+        model.io_unit = CostModel::default().io_unit;
+    }
+    model
+}
+
+/// Random programs under random cost models, against the oracle: the
+/// decoded per-op charges, the fused runs' totals and the charges too
+/// large for a compact slot must all be what `CostModel::op_cost` says,
+/// at every tick, trap and budget. Each case runs under both flavors,
+/// with a timer period of a few ops and `max_cycles` budgets drawn from
+/// what the run gets through. Half the cases charge an op 2^33 cycles
+/// or more (`call`, `field`, `simple` or `branch`, and `Io(u32::MAX)` at
+/// the default `io_unit`); their timer period is drawn at that scale, so
+/// ticks land inside and between the large charges.
+#[test]
+fn random_cost_models_agree_with_the_reference() {
+    let mut tally = [0u32; 5];
+    let mut past_u32 = 0u32;
+    run_cases("cost_models_vs_reference", 100, |rng| {
+        let huge = rng.gen_bool(0.5);
+        let io: &[u32] = if huge {
+            &[1, 7, u32::MAX]
+        } else {
+            &[0, 1, 7, 40]
+        };
+        let program = random_program(rng, io);
+        let cost = draw_cost_model(rng, huge);
+        let period = if huge {
+            rng.gen_range((1u64 << 30)..(1 << 35))
+        } else {
+            rng.gen_range(3..90u64)
+        };
+        for flavor in [VmFlavor::Jikes, VmFlavor::J9] {
+            let mut config = VmConfig {
+                flavor,
+                cost: cost.clone(),
+                num_threads: rng.gen_range(1..=3u32),
+                cycles_per_second: period,
+                timer_hz: 1,
+                timer_jitter: [0, period / 3][rng.gen_range(0..2usize)],
+                timer_seed: rng.next_u64(),
+                ..VmConfig::default()
+            };
+            let mut compare = |config: &VmConfig| {
+                let what = format!("{cost:?} under {flavor:?}");
+                let vm = Vm::new(&program, config.clone());
+                let (mut fast_log, mut reference_log) = (EventLog::default(), EventLog::default());
+                let fast = vm.run_with(&mut fast_log);
+                let reference = oracle::run(&program, config, &mut reference_log);
+                assert_matches_oracle(&fast, reference, &what);
+                assert_eq!(fast_log, reference_log, "{what}: event stream");
+                assert_eq!(vm.run_with(&mut NullProfiler), fast, "{what}: unprofiled");
+                tally[match &fast {
+                    Ok(_) => 0,
+                    Err(VmError::TypeMismatch { .. }) => 1,
+                    Err(VmError::DivisionByZero { .. }) => 2,
+                    Err(VmError::OutOfFuel { .. }) => 3,
+                    Err(VmError::FieldOutOfRange { .. }) => 4,
+                    Err(other) => panic!("{what}: unexpected trap {other}"),
+                }] += 1;
+                let reached = fast.map_or(fast_log.last_clock, |report| report.cycles);
+                past_u32 += u32::from(reached > u64::from(u32::MAX));
+                reached
+            };
+            let reached = compare(&config);
+            for _ in 0..2 {
+                config.max_cycles = Some(rng.gen_range(1..=reached.max(1)));
+                compare(&config);
+            }
+        }
+    });
+    assert!(
+        tally.iter().all(|&n| n >= 8) && past_u32 >= 100,
+        "the generator must keep producing clean runs, type traps, zero \
+         divisors, exhausted budgets and out-of-range fields, and runs \
+         past u32::MAX cycles: {tally:?}, {past_u32} past u32::MAX"
     );
 }
