@@ -78,6 +78,10 @@ const REPLAY_ROUNDS: usize = 32;
 /// Iterations of the interleaved `pull/rebuild` and `plan/build` pair:
 /// at 20, the median ratio of one build spread by ±0.2 between runs.
 const READ_PAIR_ITERS: u32 = 201;
+/// Iterations of the interleaved `codec/encode_served_mix`,
+/// `codec/decode_served_mix` and `codec/decode_short_steps` (each about
+/// a millisecond).
+const SERVED_MIX_ITERS: u32 = 401;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -112,6 +116,56 @@ fn synthetic_records() -> Vec<(CallEdge, f64)> {
             )
         })
         .collect()
+}
+
+/// 50 000 distinct edges in ascending order, with integral weights
+/// whose tags take one or two bytes, as an aggregate's do. With
+/// `cold_tail`, their key steps have the mix of the snapshot
+/// `serve-mixed` serves (its 200 000-edge universe: seven eighths of the
+/// callers in a hot core of 512, the rest over 100 000, 16 sites, 4 096
+/// callees) at a quarter of its size — a hot core of 128 callers and a
+/// cold tail over 25 000: about 42% of the steps are 1 byte, 42% 2
+/// bytes, 5% 5 bytes (a new site) and 11% 10 bytes (a new caller).
+/// Without, every caller is in the hot core and a tenth of a percent of
+/// the steps are 10 bytes.
+fn served_mix_records(cold_tail: bool) -> Vec<(CallEdge, f64)> {
+    let mut state = 0x5E_27ED;
+    let mut edges = std::collections::BTreeSet::new();
+    while edges.len() < EDGES {
+        let r = splitmix(&mut state);
+        let caller = if r % 8 < 7 || !cold_tail {
+            (r >> 3) % 128
+        } else {
+            (r >> 3) % 25_000
+        } as u32;
+        edges.insert(CallEdge::new(
+            MethodId::new(caller),
+            CallSiteId::new(((r >> 24) % 16) as u32),
+            MethodId::new(((r >> 32) % 4096) as u32),
+        ));
+    }
+    edges
+        .into_iter()
+        .map(|e| (e, (1 + splitmix(&mut state) % 4000) as f64))
+        .collect()
+}
+
+/// The share of key steps of each LEB128 length (index = bytes) in
+/// ascending `records`, counting the first key as a step from zero.
+fn step_mix(records: &[(CallEdge, f64)]) -> [f64; 16] {
+    let key = |e: &CallEdge| {
+        (u128::from(u32::from(e.caller)) << 64)
+            | (u128::from(u32::from(e.site)) << 32)
+            | u128::from(u32::from(e.callee))
+    };
+    let mut counts = [0usize; 16];
+    let mut prev = 0;
+    for (e, _) in records {
+        let step: u128 = key(e) - prev;
+        prev = key(e);
+        counts[(128 - (step | 1).leading_zeros()).div_ceil(7) as usize] += 1;
+    }
+    counts.map(|c| c as f64 / records.len() as f64)
 }
 
 /// A unique scratch directory per call (the workspace has no tempfile
@@ -288,6 +342,71 @@ fn main() {
         &decode_snapshot,
         "codec/decode",
         &decode,
+    ));
+
+    // Gated: the record reader every decode shares. Records with the
+    // served snapshot's key-step mix, cut into 64 ascending runs, are
+    // encoded and decoded, and decoded again with the cold tail's
+    // callers folded into the hot core, which leaves the steps within a
+    // caller and takes out the ten-byte ones. The three are timed
+    // interleaved; `verify.sh` gates the decode over the encode, which
+    // shares none of the reader, and the served mix over the short
+    // steps, which differ only in how many records the reader's
+    // ten-byte path reads.
+    let served = served_mix_records(true);
+    let short = served_mix_records(false);
+    let (mix, short_mix) = (step_mix(&served), step_mix(&short));
+    eprintln!(
+        "profile_ingest: key steps of 1/2/5/10 bytes: served mix {:.3}/{:.3}/{:.3}/{:.3}, \
+         short steps {:.3}/{:.3}/{:.3}/{:.3}",
+        mix[1], mix[2], mix[5], mix[10], short_mix[1], short_mix[2], short_mix[5], short_mix[10]
+    );
+    assert!(
+        (0.35..0.5).contains(&mix[1])
+            && (0.35..0.5).contains(&mix[2])
+            && (0.03..0.07).contains(&mix[5])
+            && (0.08..0.15).contains(&mix[10])
+            && short_mix[10] < 0.01,
+        "the served-mix records keep the served snapshot's key-step mix: {mix:?}, {short_mix:?}"
+    );
+    let run = EDGES.div_ceil(FRAMES);
+    let frames_of = |records: &[(CallEdge, f64)]| -> Vec<Vec<u8>> {
+        records.chunks(run).map(DcgCodec::encode_delta).collect()
+    };
+    let (served_frames, short_frames) = (frames_of(&served), frames_of(&short));
+    let decode_all = |frames: &[Vec<u8>]| {
+        for f in frames {
+            black_box(DcgCodec::decode(f).expect("valid").edges.len());
+        }
+    };
+    let [encode_served, decode_served, decode_short] = <[BenchResult; 3]>::try_from(
+        BenchGroup::new("profile_ingest", SERVED_MIX_ITERS).bench_interleaved(&mut [
+            ("codec/encode_served_mix", &mut || {
+                black_box(frames_of(&served).len());
+            }),
+            ("codec/decode_served_mix", &mut || {
+                decode_all(&served_frames)
+            }),
+            ("codec/decode_short_steps", &mut || {
+                decode_all(&short_frames)
+            }),
+        ]),
+    )
+    .expect("three results");
+    entries.push(json_entry("codec/encode_served_mix", EDGES, &encode_served));
+    entries.push(json_entry("codec/decode_served_mix", EDGES, &decode_served));
+    entries.push(json_entry("codec/decode_short_steps", EDGES, &decode_short));
+    ratios.push(ratio_entry(
+        "codec/decode_served_mix",
+        &decode_served,
+        "codec/encode_served_mix",
+        &encode_served,
+    ));
+    ratios.push(ratio_entry(
+        "codec/decode_served_mix",
+        &decode_served,
+        "codec/decode_short_steps",
+        &decode_short,
     ));
 
     let serial = group

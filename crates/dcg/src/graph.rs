@@ -64,7 +64,7 @@ fn cores() -> usize {
 /// # Lazy index
 ///
 /// A graph built in edge order — a decoded snapshot
-/// ([`from_ascending`]), the output of [`merge_all`] — is read in order
+/// ([`append_ascending`]), the output of [`merge_all`] — is read in order
 /// and rarely written, so
 /// it never hashes: the index is built on the first write that needs it.
 /// The invariant is that the index either covers every slot, or is empty
@@ -74,7 +74,7 @@ fn cores() -> usize {
 /// Slots, weights, totals and iteration order are the same either way,
 /// so the index is invisible in every output bit.
 ///
-/// [`from_ascending`]: Self::from_ascending
+/// [`append_ascending`]: Self::append_ascending
 /// [`merge_all`]: Self::merge_all
 /// [`weight`]: Self::weight
 /// [`record_sample`]: Self::record_sample
@@ -127,41 +127,37 @@ impl DynamicCallGraph {
         }
     }
 
-    /// Builds a graph from strictly ascending edges and their positive,
-    /// finite weights (a decoded snapshot) by moving the vectors in as
-    /// the slots: no index, `sorted` the identity. The total is summed
-    /// in edge order from `+0.0`, exactly as [`record`](Self::record)ing
-    /// the pairs one by one would, so the graph equals that one bit for
-    /// bit.
+    /// Appends `edge` with `weight` above every edge the graph holds:
+    /// the pair becomes the next slot, `sorted` stays the identity and
+    /// the total adds `weight`, with no hashing. A graph built this way
+    /// from [`new`](Self::new) or [`with_capacity`](Self::with_capacity)
+    /// (a decoded snapshot) sums its total in edge order from `+0.0`,
+    /// exactly as [`record`](Self::record)ing the pairs one by one
+    /// would, so it equals that graph bit for bit.
     ///
     /// # Panics
     ///
-    /// If the lengths differ, the edges do not ascend strictly, or a
-    /// weight is not positive and finite. The checks ride the pass that
-    /// sums the total.
-    pub fn from_ascending(edges: Vec<CallEdge>, weights: Vec<f64>) -> Self {
-        assert_eq!(edges.len(), weights.len(), "one weight per edge");
-        let mut total = 0.0;
-        let mut valid = true;
-        // Below every 96-bit key.
-        let mut prev = -1i128;
-        for (edge, &w) in edges.iter().zip(&weights) {
-            let key = edge.sort_key() as i128;
-            valid &= (key > prev) & w.is_finite() & (w > 0.0);
-            prev = key;
-            total += w;
-        }
+    /// If the graph is indexed (it was written out of order), `edge` is
+    /// not above every held edge, or `weight` is not positive and
+    /// finite. The checks ride the append, one branch for all three.
+    #[inline]
+    pub fn append_ascending(&mut self, edge: CallEdge, weight: f64) {
+        let above = self
+            .edges
+            .last()
+            .is_none_or(|last| last.sort_key() < edge.sort_key());
+        // The positive finite doubles are the bit patterns from the
+        // least subnormal, 1, to the greatest finite, one below +inf.
+        let positive_finite = weight.to_bits().wrapping_sub(1) < f64::INFINITY.to_bits() - 1;
         assert!(
-            valid,
-            "from_ascending needs strictly ascending edges and positive, finite weights"
+            above & positive_finite & !self.is_indexed(),
+            "append_ascending needs an unindexed graph, an edge above every held one \
+             and a positive, finite weight"
         );
-        Self {
-            sorted: (0..edges.len() as u32).collect(),
-            edges,
-            weights,
-            total,
-            ..Self::default()
-        }
+        self.sorted.push(self.edges.len() as u32);
+        self.edges.push(edge);
+        self.weights.push(weight);
+        self.total += weight;
     }
 
     /// Whether the index covers the slots (see the lazy index above).
@@ -1519,29 +1515,34 @@ mod tests {
     }
 
     #[test]
-    fn from_ascending_equals_recording_and_refuses_what_record_would_not_append() {
-        let edges = vec![e(0, 0, 1), e(0, 1, 0), e(3, 0, 0), e(u32::MAX, 0, 0)];
-        let weights = vec![0.1, 2.0, 1.0 / 3.0, 1e300];
-        let built = DynamicCallGraph::from_ascending(edges.clone(), weights.clone());
+    fn append_ascending_equals_recording_and_refuses_what_record_would_not_append() {
+        let edges = [e(0, 0, 1), e(0, 1, 0), e(3, 0, 0), e(u32::MAX, 0, 0)];
+        let weights = [0.1, 2.0, 1.0 / 3.0, 1e300];
+        let mut built = DynamicCallGraph::with_capacity(edges.len());
         let mut recorded = DynamicCallGraph::new();
         for (&edge, &w) in edges.iter().zip(&weights) {
+            built.append_ascending(edge, w);
             recorded.record(edge, w);
         }
-        assert_same(&built, &recorded, &[e(1, 0, 0)], "from_ascending");
+        assert_same(&built, &recorded, &[e(1, 0, 0)], "append_ascending");
         assert!(!built.is_indexed());
+        let mut indexed = DynamicCallGraph::new();
+        indexed.record(e(2, 0, 0), 1.0);
+        indexed.record(e(1, 0, 0), 1.0);
+        assert!(indexed.is_indexed());
         let refused = [
-            (vec![e(0, 0, 1), e(0, 0, 1)], vec![1.0, 1.0]),
-            (vec![e(2, 0, 0), e(1, 0, 0)], vec![1.0, 1.0]),
-            (vec![e(0, 0, 1)], vec![0.0]),
-            (vec![e(0, 0, 1)], vec![-1.0]),
-            (vec![e(0, 0, 1)], vec![f64::NAN]),
-            (vec![e(0, 0, 1)], vec![f64::INFINITY]),
-            (vec![e(0, 0, 1)], vec![]),
+            (built.clone(), e(u32::MAX, 0, 0), 1.0),
+            (built.clone(), e(1, 0, 0), 1.0),
+            (built.clone(), e(u32::MAX, 0, 1), 0.0),
+            (DynamicCallGraph::new(), e(0, 0, 1), -0.0),
+            (DynamicCallGraph::new(), e(0, 0, 1), -1.0),
+            (DynamicCallGraph::new(), e(0, 0, 1), f64::NAN),
+            (DynamicCallGraph::new(), e(0, 0, 1), f64::INFINITY),
+            (indexed, e(3, 0, 0), 1.0),
         ];
-        for (edges, weights) in refused {
-            let what = format!("{edges:?} {weights:?}");
-            let result =
-                std::panic::catch_unwind(|| DynamicCallGraph::from_ascending(edges, weights));
+        for (mut graph, edge, w) in refused {
+            let what = format!("{edge:?} {w:?} after {} edges", graph.num_edges());
+            let result = std::panic::catch_unwind(move || graph.append_ascending(edge, w));
             assert!(result.is_err(), "{what} must be refused");
         }
     }

@@ -46,20 +46,28 @@
 //! remain, it checks the bounds once, reads the eight bytes as one
 //! little-endian word, finds the value's last byte as the first clear
 //! continuation bit and packs up to eight 7-bit groups (56 bits) without
-//! a branch per byte. A longer value (a key step that crosses callers
-//! is ten or eleven bytes) continues from its ninth byte, and a value in
-//! the last seven bytes of the input from its first, one bounds-checked
-//! byte at a time into a `u128`; that tail also enforces the 15-byte
-//! cap. Records are read by one function, which [`RecordIter`]'s
-//! `next` calls for a caller that wants one `Result` per record, and
-//! which a crate-private loop calls with the cursor's state in locals
-//! for [`DcgCodec::decode`], [`DcgCodec::decode_snapshot`] (filling the
-//! graph's edge and weight vectors, which become its slots) and the
-//! server's `partition_frame`. `tests/decoder_differential.rs` holds all
-//! four entry points and [`DcgCodec::decode_plan`] to a frozen copy of
-//! the byte-at-a-time decoder this one replaced, bit for bit and error
-//! for error. The encoder writes a varint eight groups at a time, as
-//! 8-byte stores.
+//! a branch per byte. A record's key step and weight tag are read as a
+//! pair: one word holds both when the step stays within a caller, and
+//! two words hold a ten-byte step that crosses callers with its tag; the
+//! second value's end is the next clear continuation bit. Any other
+//! value continues from its ninth byte, and one in the last bytes of the
+//! input from its first, one bounds-checked byte at a time into a
+//! `u128`; that tail also enforces the 15-byte cap. An even weight tag
+//! holds an integer, finite and positive exactly when it is not zero,
+//! so only a raw `f64` weight is classified as a float.
+//!
+//! Records are read by one function, which [`RecordIter`]'s `next`
+//! calls for a caller that wants one `Result` per record, and which a
+//! crate-private loop calls with the cursor's state in locals for
+//! [`DcgCodec::decode`], [`DcgCodec::decode_snapshot`] (appending each
+//! record to the graph, which checks and sums it as it appends: one
+//! pass) and the server's `partition_frame`.
+//! `tests/decoder_differential.rs` holds all four entry points and
+//! [`DcgCodec::decode_plan`] to a frozen copy of the byte-at-a-time
+//! decoder, and `tests/one_pass_decode_differential.rs` to a frozen copy
+//! of the two-pass decoder this one replaced, bit for bit and error for
+//! error. The encoder writes a varint eight groups at a time, as 8-byte
+//! stores.
 //!
 //! ## Plan frames (`CBSI`)
 //!
@@ -292,6 +300,23 @@ fn spread_groups(v: u64) -> u64 {
     ((x & 0x3f80_3f80_3f80_3f80) << 1) | (x & 0x007f_007f_007f_007f)
 }
 
+/// Two varints that end in one little-endian `word`, whose clear
+/// continuation bits are `ends`: the groups up to the first end, those
+/// from there to the second, and the bytes both take. `None` if the
+/// word ends fewer than two values.
+#[inline(always)]
+fn split_pair(word: u64, ends: u64) -> Option<(u64, u64, usize)> {
+    let second = ends & ends.wrapping_sub(1);
+    if second == 0 {
+        return None;
+    }
+    // Bit 7 of each value's last byte; the first is at most bit 55.
+    let (first, last) = (ends.trailing_zeros(), second.trailing_zeros());
+    let a = pack_groups(word & (u64::MAX >> (63 - first)));
+    let b = pack_groups((word & (u64::MAX >> (63 - last))) >> (first + 1));
+    Some((a, b, (last / 8 + 1) as usize))
+}
+
 /// Appends a LEB128 varint, eight groups to a word: every full 56 bits
 /// are one 8-byte store with all continuation bits set, and the last
 /// (below 2⁵⁶) one 8-byte store of which its length is kept.
@@ -312,7 +337,7 @@ fn put_varint(out: &mut Vec<u8>, mut v: u128) {
 
 /// Cursor over an encoded frame: the one reader every decode path
 /// runs on.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -339,7 +364,7 @@ impl<'a> Reader<'a> {
     /// without a branch per byte. A longer value goes on from its ninth
     /// byte, and one near the end of the input from its first, byte by
     /// byte in `u128` through [`varint_tail`](Self::varint_tail).
-    #[inline]
+    #[inline(always)]
     fn varint(&mut self) -> Result<u128, CodecError> {
         let pos = self.pos;
         let Some(bytes) = self.buf[pos..].first_chunk::<8>() else {
@@ -382,6 +407,35 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// The next two varints — a record's key step and weight tag, or a
+    /// guard's callee and weight tag — read together when the second
+    /// ends in the word where the first does: either the next eight
+    /// bytes hold both (a step within a caller), or they hold the
+    /// first's first eight groups and the eight after them hold the rest
+    /// of it and all of the second (a ten-byte step that crosses
+    /// callers). The second value ends at the first clear continuation
+    /// bit after the first's. `None`, with nothing read, for any other
+    /// shape or when fewer bytes are left than the shape reads.
+    #[inline(always)]
+    fn pair(&mut self) -> Option<(u128, u64)> {
+        let pos = self.pos;
+        let word = u64::from_le_bytes(*self.buf[pos..].first_chunk::<8>()?);
+        let ends = !word & CONTINUATION;
+        if ends != 0 {
+            let (a, b, len) = split_pair(word, ends)?;
+            self.pos = pos + len;
+            return Some((u128::from(a), b));
+        }
+        // The first value ends in the next word's first seven bytes, its
+        // 9th to 15th: one that ends in the 8th leaves the second no room,
+        // so a 16th group, past the cap, is left to the one-at-a-time
+        // path to report.
+        let next = u64::from_le_bytes(*self.buf[pos + 8..].first_chunk::<8>()?);
+        let (high, b, len) = split_pair(next, !next & CONTINUATION)?;
+        self.pos = pos + 8 + len;
+        Some((u128::from(pack_groups(word)) | u128::from(high) << 56, b))
+    }
+
     fn done(&self) -> bool {
         self.pos == self.buf.len()
     }
@@ -413,34 +467,41 @@ fn put_weight(out: &mut Vec<u8>, w: f64) {
     }
 }
 
-fn read_weight_raw(r: &mut Reader<'_>) -> Result<f64, CodecError> {
-    let tag = r.varint()?;
+/// The weight a read `tag` opens (the raw `f64` after it, if any),
+/// positive and finite, or zero as well with `allow_zero`. An even tag
+/// holds an integer, which is finite and is positive exactly when it is
+/// not zero, so only a raw weight is classified as a float.
+#[inline(always)]
+fn weight_of_tag(r: &mut Reader<'_>, tag: u128, allow_zero: bool) -> Result<f64, CodecError> {
     if tag & 1 == 0 {
         let m = u64::try_from(tag >> 1).map_err(|_| CodecError::BadWeight)?;
+        if m == 0 && !allow_zero {
+            return Err(CodecError::BadWeight);
+        }
         Ok(m as f64)
     } else if tag == 1 {
-        Ok(f64::from_bits(u64::from_le_bytes(*r.take::<8>()?)))
+        let w = f64::from_bits(u64::from_le_bytes(*r.take::<8>()?));
+        if !w.is_finite() || w < 0.0 || (w == 0.0 && !allow_zero) {
+            return Err(CodecError::BadWeight);
+        }
+        Ok(w)
     } else {
         Err(CodecError::BadWeight)
     }
 }
 
+/// A positive, finite weight.
+#[inline]
 fn read_weight(r: &mut Reader<'_>) -> Result<f64, CodecError> {
-    let w = read_weight_raw(r)?;
-    if !w.is_finite() || w <= 0.0 {
-        return Err(CodecError::BadWeight);
-    }
-    Ok(w)
+    let tag = r.varint()?;
+    weight_of_tag(r, tag, false)
 }
 
 /// Like [`read_weight`] but admits zero — used only for a plan's total
 /// weight, which is legitimately 0 for an empty aggregate.
 fn read_weight_nonneg(r: &mut Reader<'_>) -> Result<f64, CodecError> {
-    let w = read_weight_raw(r)?;
-    if !w.is_finite() || w < 0.0 {
-        return Err(CodecError::BadWeight);
-    }
-    Ok(w)
+    let tag = r.varint()?;
+    weight_of_tag(r, tag, true)
 }
 
 /// A streaming cursor over one encoded frame's records, created by
@@ -506,10 +567,39 @@ impl RecordIter<'_> {
 }
 
 /// Reads one record: its key step from `prev` (the previous record's
-/// key, `None` before the first), then its weight.
-#[inline]
+/// key, `None` before the first), then its weight. The step and weight
+/// tag are read as a [`Reader::pair`] when they fit; either way the key
+/// is checked before the weight, so the errors come in the order the
+/// bytes do.
+#[inline(always)]
 fn read_record(r: &mut Reader<'_>, prev: &mut Option<u128>) -> Result<(CallEdge, f64), CodecError> {
-    let step = r.varint()?;
+    if let Some((step, tag)) = r.pair() {
+        let edge = next_edge(prev, step)?;
+        return Ok((edge, weight_of_tag(r, u128::from(tag), false)?));
+    }
+    // The long path reads a copy of the cursor, so the cursor does not
+    // escape to memory for the short path's sake.
+    let (mut long, mut long_prev) = (*r, *prev);
+    let record = read_long_record(&mut long, &mut long_prev);
+    (*r, *prev) = (long, long_prev);
+    record
+}
+
+/// [`read_record`] for a record whose step and tag are not a
+/// [`Reader::pair`]: each is read on its own.
+#[inline(never)]
+fn read_long_record(
+    r: &mut Reader<'_>,
+    prev: &mut Option<u128>,
+) -> Result<(CallEdge, f64), CodecError> {
+    let edge = next_edge(prev, r.varint()?)?;
+    Ok((edge, read_weight(r)?))
+}
+
+/// The edge `step` above `prev` (or at `step`, for a frame's first
+/// record), which becomes the new `prev`.
+#[inline]
+fn next_edge(prev: &mut Option<u128>, step: u128) -> Result<CallEdge, CodecError> {
     let key = match *prev {
         None => step,
         Some(p) => {
@@ -520,9 +610,7 @@ fn read_record(r: &mut Reader<'_>, prev: &mut Option<u128>) -> Result<(CallEdge,
         }
     };
     *prev = Some(key);
-    let edge = edge_of(key)?;
-    let weight = read_weight(r)?;
-    Ok((edge, weight))
+    edge_of(key)
 }
 
 impl Iterator for RecordIter<'_> {
@@ -699,11 +787,10 @@ impl DcgCodec {
     /// reconstructed graph.
     ///
     /// The kind is checked from the header, before any record is
-    /// decoded; records then fill the graph's edge and weight vectors,
-    /// sized from the header count, in one pass. The decoder has proved
-    /// the keys strictly ascending and every weight positive and finite,
-    /// so the vectors become the graph's slots as they are
-    /// ([`DynamicCallGraph::from_ascending`]).
+    /// decoded; each record is then appended to a graph sized from the
+    /// header count ([`DynamicCallGraph::append_ascending`]), which
+    /// checks its own order and weight and adds to the total as it
+    /// appends: one pass over the records, none over the graph.
     ///
     /// # Errors
     ///
@@ -714,13 +801,9 @@ impl DcgCodec {
         if iter.kind() != FrameKind::Snapshot {
             return Err(CodecError::BadKind(iter.kind().to_byte()));
         }
-        let mut edges = Vec::with_capacity(iter.len());
-        let mut weights = Vec::with_capacity(iter.len());
-        iter.for_each_record(|edge, weight| {
-            edges.push(edge);
-            weights.push(weight);
-        })?;
-        Ok(DynamicCallGraph::from_ascending(edges, weights))
+        let mut graph = DynamicCallGraph::with_capacity(iter.len());
+        iter.for_each_record(|edge, weight| graph.append_ascending(edge, weight))?;
+        Ok(graph)
     }
 
     /// Encodes a fleet inlining plan as a `CBSI` frame.
@@ -806,10 +889,24 @@ impl DcgCodec {
         let read_id = |r: &mut Reader<'_>| -> Result<u32, CodecError> {
             u32::try_from(r.varint()?).map_err(|_| CodecError::KeyOverflow)
         };
+        // A guard target is a callee id and its weight, read as a
+        // `Reader::pair` when they are one; the id is checked first.
+        let read_target = |r: &mut Reader<'_>| -> Result<(MethodId, f64), CodecError> {
+            if let Some((id, tag)) = r.pair() {
+                let id = u32::try_from(id).map_err(|_| CodecError::KeyOverflow)?;
+                return Ok((MethodId::new(id), weight_of_tag(r, u128::from(tag), false)?));
+            }
+            let id = read_id(r)?;
+            Ok((MethodId::new(id), read_weight(r)?))
+        };
         let mut entries = Vec::with_capacity(count);
         let mut prev: Option<u64> = None;
         for _ in 0..count {
-            let step = r.varint()?;
+            // The key step and site weight, as a record's.
+            let (step, tag) = match r.pair() {
+                Some((step, tag)) => (step, Some(u128::from(tag))),
+                None => (r.varint()?, None),
+            };
             let key = match prev {
                 None => u64::try_from(step).map_err(|_| CodecError::KeyOverflow)?,
                 Some(p) => {
@@ -823,15 +920,18 @@ impl DcgCodec {
             prev = Some(key);
             let caller = MethodId::new((key >> 32) as u32);
             let site = CallSiteId::new(key as u32);
-            let site_weight = read_weight(&mut r)?;
+            let site_weight = match tag {
+                Some(tag) => weight_of_tag(&mut r, tag, false)?,
+                None => read_weight(&mut r)?,
+            };
             let kind = match r.byte()? {
                 PLAN_KIND_DIRECT => PlanKind::Direct {
                     callee: MethodId::new(read_id(&mut r)?),
                 },
-                PLAN_KIND_DEVIRTUALIZE => PlanKind::Devirtualize {
-                    callee: MethodId::new(read_id(&mut r)?),
-                    weight: read_weight(&mut r)?,
-                },
+                PLAN_KIND_DEVIRTUALIZE => {
+                    let (callee, weight) = read_target(&mut r)?;
+                    PlanKind::Devirtualize { callee, weight }
+                }
                 PLAN_KIND_GUARDED => {
                     let n = usize::try_from(r.varint()?).map_err(|_| CodecError::VarintOverflow)?;
                     // A guard target is ≥ 2 bytes.
@@ -840,9 +940,7 @@ impl DcgCodec {
                     }
                     let mut targets = Vec::with_capacity(n);
                     for _ in 0..n {
-                        let m = MethodId::new(read_id(&mut r)?);
-                        let w = read_weight(&mut r)?;
-                        targets.push((m, w));
+                        targets.push(read_target(&mut r)?);
                     }
                     PlanKind::Guarded { targets }
                 }

@@ -96,6 +96,7 @@ for key in records frames wire_bytes; do
 done
 for cfg in codec/encode codec/decode codec/decode_snapshot \
            codec/encode_snapshot codec/decode_plan \
+           codec/encode_served_mix codec/decode_served_mix codec/decode_short_steps \
            aggregate/serial aggregate/streaming aggregate/threads=4 \
            pull/rebuild pull/cached plan/build wal/append wal/append_concurrent \
            wal/append_single_lock recovery/replay; do
@@ -114,7 +115,7 @@ awk -F'"median_ns": ' '
   /"config": "pull\/rebuild"/ { split($2, a, ","); rebuild = a[1] }
   END { if (rebuild == 0 || rebuild >= 5000000) exit 1 }' "$BENCH_JSON" \
   || { echo "FAIL: pull/rebuild median is not below 5000000 ns in $BENCH_JSON" >&2; exit 1; }
-# The four ratio gates read `median_ratios`. The bench times the two
+# The six ratio gates read `median_ratios`. The bench times the two
 # configs of each ratio interleaved and commits the median of their
 # per-iteration ratios, so host drift between the configs does not land
 # in the ratio. The bounds are the ones these gates had when each config
@@ -129,11 +130,34 @@ ingest_ratio() {
 # records. A pulled snapshot appends to a graph that builds no hash
 # index, so it stays within 1.5x of decoding into a plain Vec.
 # Sees: a snapshot decode that hashes every edge again (1.75x when it
-# did). Cannot see: a slowdown both decoders share (the record reader),
-# or one that adds less than the headroom (the ratio reads about 1.0).
+# did). Cannot see: a slowdown both decoders share (the record reader;
+# the next two gates see some of it), or one that adds less than the
+# headroom (the ratio reads about 0.8).
 R=$(ingest_ratio codec/decode_snapshot codec/decode) \
   && awk -v r="$R" 'BEGIN { exit !(r <= 1.5) }' \
   || { echo "FAIL: codec/decode_snapshot exceeds 1.5x codec/decode (median per-iteration ratio) in $BENCH_JSON" >&2; exit 1; }
+# Record-reader acceptance bounds. 50k records with the key-step mix of
+# the snapshot serve-mixed serves (11% of the steps are ten bytes, a new
+# caller) are decoded interleaved with their encode, which shares none
+# of the reader, and with a decode of the same records with every
+# caller in the hot core (0.3% ten-byte steps).
+# served/short sees: ten-byte steps sent down the one-at-a-time path
+# again (1.039-1.053 in 14 runs of the bench with that mutant; the
+# change read 1.014-1.018 over 12 regenerations). Cannot see: a
+# slowdown that costs short and long steps alike, such as an integral
+# weight classified as a float again (1.013-1.016 with that mutant: it
+# costs under 2% of a decode).
+# decode/encode sees: a decode that costs about 1.4x what it does now,
+# relative to the encoder (the change read 0.68-0.78 over 12
+# regenerations). Cannot see: the reader's fast paths lost one by one,
+# nor the two-pass decoder this one replaced (0.80-0.87 over 8 runs):
+# decoding 64 small frames into Vecs costs about the same either way.
+R=$(ingest_ratio codec/decode_served_mix codec/encode_served_mix) \
+  && awk -v r="$R" 'BEGIN { exit !(r <= 1.1) }' \
+  || { echo "FAIL: codec/decode_served_mix exceeds 1.1x codec/encode_served_mix (median per-iteration ratio) in $BENCH_JSON" >&2; exit 1; }
+R=$(ingest_ratio codec/decode_served_mix codec/decode_short_steps) \
+  && awk -v r="$R" 'BEGIN { exit !(r <= 1.03) }' \
+  || { echo "FAIL: codec/decode_served_mix exceeds 1.03x codec/decode_short_steps (median per-iteration ratio) in $BENCH_JSON" >&2; exit 1; }
 # Plan-build acceptance bound: a cold plan of the 50k-edge aggregate
 # costs at most 1.4x a cold pull of it. Both walk the same settled
 # graph in two halves; the plan shows each polymorphic site's policy
