@@ -15,16 +15,55 @@
 //! `--jobs` shards each experiment's cells across worker threads; the
 //! rendered artifacts are byte-identical for every value (serial
 //! reduction order is preserved — see `cbs_core::parallel`).
+//! `table1`, `table2a`, `table2b`, `table3` and `shapes` render from one
+//! pass over the suite however many of them are asked for
+//! (`cbs_core::experiments::suite_renders`).
 
 use cbs_core::experiments::{
     context_sensitivity_with, exhaustive_overhead_with, figure1_demo, figure5_with,
     fleet_faults_with, fleet_optimize_with, fleet_with, frequency_sweep, hardware_vs_cbs_with,
-    inline_depth_ablation_with, inliner_ablation_with, patching_vs_cbs_with, table1_with, table2,
-    table3_with, workload_shapes_with, Table2Options,
+    inline_depth_ablation_with, inliner_ablation_with, patching_vs_cbs_with, suite_renders,
+    SuiteExperiment,
 };
 use cbs_core::parallel::Parallelism;
 use cbs_core::vm::VmFlavor;
 use std::process::ExitCode;
+
+/// Every artifact, in the order `all` prints them; `all` stops before
+/// the fleet artifacts.
+const ARTIFACTS: [&str; 17] = [
+    "table1",
+    "table2a",
+    "table2b",
+    "table3",
+    "figure1",
+    "figure5-jikes",
+    "figure5-j9",
+    "inliner-ablation",
+    "exhaustive-overhead",
+    "patching",
+    "frequency-sweep",
+    "hardware",
+    "context",
+    "inline-depth",
+    "shapes",
+    "fleet",
+    "fleet-optimize",
+];
+/// How many of [`ARTIFACTS`] `all` renders: every one but the fleet's.
+const IN_ALL: usize = 15;
+
+/// The experiment an artifact names, if the suite pass renders it.
+fn suite_experiment(artifact: &str) -> Option<SuiteExperiment> {
+    Some(match artifact {
+        "table1" => SuiteExperiment::Table1,
+        "table2a" => SuiteExperiment::Table2A,
+        "table2b" => SuiteExperiment::Table2B,
+        "table3" => SuiteExperiment::Table3,
+        "shapes" => SuiteExperiment::Shapes,
+        _ => return None,
+    })
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,8 +71,8 @@ fn main() -> ExitCode {
     let mut jobs = Parallelism::SERIAL;
     let mut faults = false;
     let mut seed = 0xCB5u64;
-    let mut artifacts: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
+    let mut artifacts: Vec<&str> = Vec::new();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--faults" => faults = true,
@@ -65,162 +104,98 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: repro [--scale <f64>] [--jobs <n|auto>] [--faults] [--seed <u64>] \
-                     [table1|table2a|table2b|\
-                     table3|figure1|figure5-jikes|figure5-j9|inliner-ablation|\
-                     exhaustive-overhead|patching|frequency-sweep|hardware|context|\
-                     inline-depth|shapes|fleet|fleet-optimize|all]\n\
+                     [{}|all]\n\
                      --faults (fleet only): stream profiles through a deterministic \
-                     fault-injecting transport seeded by --seed"
+                     fault-injecting transport seeded by --seed",
+                    ARTIFACTS.join("|")
                 );
                 return ExitCode::SUCCESS;
             }
-            other => artifacts.push(other.to_owned()),
+            "all" => artifacts.extend(&ARTIFACTS[..IN_ALL]),
+            other if ARTIFACTS.contains(&other) => artifacts.push(other),
+            other => {
+                eprintln!("{other}: unknown artifact `{other}`");
+                return ExitCode::FAILURE;
+            }
         }
     }
     if artifacts.is_empty() {
-        artifacts.push("all".to_owned());
+        artifacts.extend(&ARTIFACTS[..IN_ALL]);
     }
 
-    for a in &artifacts {
-        if let Err(e) = run(a, scale, jobs, faults, seed) {
-            eprintln!("{a}: {e}");
+    // One pass over the suite renders every suite artifact asked for.
+    let suite: Vec<SuiteExperiment> = artifacts
+        .iter()
+        .filter_map(|a| suite_experiment(a))
+        .collect();
+    let mut suite_texts = match suite_renders(scale, jobs, &suite) {
+        Ok(texts) => texts.into_iter(),
+        Err(e) => {
+            eprintln!("suite: {e}");
             return ExitCode::FAILURE;
+        }
+    };
+    for a in artifacts {
+        let text = match suite_experiment(a) {
+            Some(_) => Ok(suite_texts.next().expect("one render per suite artifact")),
+            None => run(a, scale, jobs, faults, seed),
+        };
+        match text {
+            Ok(text) => println!("{text}"),
+            Err(e) => {
+                eprintln!("{a}: {e}");
+                return ExitCode::FAILURE;
+            }
         }
     }
     ExitCode::SUCCESS
 }
 
+/// Renders one artifact the suite pass does not.
 fn run(
     artifact: &str,
     scale: f64,
     jobs: Parallelism,
     faults: bool,
     seed: u64,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let known = [
-        "all",
-        "table1",
-        "table2a",
-        "table2b",
-        "table3",
-        "figure1",
-        "figure5-jikes",
-        "figure5-j9",
-        "inliner-ablation",
-        "exhaustive-overhead",
-        "patching",
-        "frequency-sweep",
-        "hardware",
-        "context",
-        "inline-depth",
-        "shapes",
-        "fleet",
-        "fleet-optimize",
-    ];
-    if !known.contains(&artifact) {
-        return Err(format!("unknown artifact `{artifact}`").into());
-    }
-    let all = artifact == "all";
-    if all || artifact == "table1" {
-        println!("{}", table1_with(scale, jobs)?.render());
-    }
-    if all || artifact == "table2a" {
-        let opts = Table2Options {
-            scale,
-            flavor: VmFlavor::Jikes,
-            jobs,
-            ..Table2Options::default()
-        };
-        println!("{}", table2(&opts)?.render());
-    }
-    if all || artifact == "table2b" {
-        let opts = Table2Options {
-            scale,
-            flavor: VmFlavor::J9,
-            jobs,
-            ..Table2Options::default()
-        };
-        println!("{}", table2(&opts)?.render());
-    }
-    if all || artifact == "table3" {
-        println!("{}", table3_with(scale, None, jobs)?.render());
-    }
-    if all || artifact == "figure1" {
-        println!("{}", figure1_demo(200, 100_000)?.render());
-    }
-    if all || artifact == "figure5-jikes" {
-        println!(
-            "{}",
-            figure5_with(VmFlavor::Jikes, scale, None, jobs)?.render()
-        );
-    }
-    if all || artifact == "figure5-j9" {
-        println!(
-            "{}",
-            figure5_with(VmFlavor::J9, scale, None, jobs)?.render()
-        );
-    }
-    if all || artifact == "inliner-ablation" {
-        println!("{}", inliner_ablation_with(scale, None, jobs)?.render());
-    }
-    if all || artifact == "exhaustive-overhead" {
-        println!("{}", exhaustive_overhead_with(scale, None, jobs)?.render());
-    }
-    if all || artifact == "patching" {
-        println!("{}", patching_vs_cbs_with(scale, None, jobs)?.render());
-    }
-    if all || artifact == "frequency-sweep" {
-        println!("{}", frequency_sweep()?.render());
-    }
-    if all || artifact == "hardware" {
-        println!("{}", hardware_vs_cbs_with(scale, None, jobs)?.render());
-    }
-    if all || artifact == "context" {
-        println!("{}", context_sensitivity_with(scale, None, jobs)?.render());
-    }
-    if all || artifact == "inline-depth" {
-        println!(
-            "{}",
-            inline_depth_ablation_with(scale, None, jobs)?.render()
-        );
-    }
-    if all || artifact == "shapes" {
-        println!("{}", workload_shapes_with(scale, jobs)?.render());
-    }
-    // Not part of `all`: the fleet experiment postdates the pinned
-    // repro_output.txt and is requested explicitly.
-    if artifact == "fleet" {
-        // The metrics block is printed *next to* the experiment render,
-        // never inside it: the render stays bit-identical with telemetry
-        // on or off, and across job counts.
-        let telemetry_base = cbs_core::telemetry::global().snapshot();
-        if faults {
-            println!("{}", fleet_faults_with(scale, jobs, seed)?.render());
-        } else {
-            println!("{}", fleet_with(scale, jobs)?.render());
+) -> Result<String, Box<dyn std::error::Error>> {
+    Ok(match artifact {
+        "figure1" => figure1_demo(200, 100_000)?.render(),
+        "figure5-jikes" => figure5_with(VmFlavor::Jikes, scale, None, jobs)?.render(),
+        "figure5-j9" => figure5_with(VmFlavor::J9, scale, None, jobs)?.render(),
+        "inliner-ablation" => inliner_ablation_with(scale, None, jobs)?.render(),
+        "exhaustive-overhead" => exhaustive_overhead_with(scale, None, jobs)?.render(),
+        "patching" => patching_vs_cbs_with(scale, None, jobs)?.render(),
+        "frequency-sweep" => frequency_sweep()?.render(),
+        "hardware" => hardware_vs_cbs_with(scale, None, jobs)?.render(),
+        "context" => context_sensitivity_with(scale, None, jobs)?.render(),
+        "inline-depth" => inline_depth_ablation_with(scale, None, jobs)?.render(),
+        // Not part of `all`: the fleet artifacts postdate the pinned
+        // repro_output.txt and are requested explicitly. Each prints its
+        // deterministic telemetry *next to* the render, never inside it:
+        // the render stays bit-identical with telemetry on or off, and
+        // across job counts.
+        "fleet" | "fleet-optimize" => {
+            let telemetry_base = cbs_core::telemetry::global().snapshot();
+            let render = match artifact {
+                "fleet" if faults => fleet_faults_with(scale, jobs, seed)?.render(),
+                "fleet" => fleet_with(scale, jobs)?.render(),
+                _ => fleet_optimize_with(scale, jobs)?.render(),
+            };
+            // Deterministic counters only: wall-clock histograms and
+            // scrape-time gauges are excluded, so this block is identical
+            // across reruns (counters are additive, hence jobs-invariant).
+            let delta = cbs_core::telemetry::global()
+                .delta_since(&telemetry_base)
+                .deterministic()
+                .without_gauges()
+                .nonzero();
+            let telemetry = delta.render();
+            format!(
+                "{render}\n== {artifact} telemetry (deterministic counters) ==\n{}",
+                telemetry.strip_suffix('\n').unwrap_or(&telemetry)
+            )
         }
-        // Deterministic counters only: wall-clock histograms and
-        // scrape-time gauges are excluded, so this block is identical
-        // across reruns (counters are additive, hence jobs-invariant).
-        let delta = cbs_core::telemetry::global()
-            .delta_since(&telemetry_base)
-            .deterministic()
-            .without_gauges()
-            .nonzero();
-        println!("== fleet telemetry (deterministic counters) ==");
-        print!("{}", delta.render());
-    }
-    // Not part of `all` for the same reason as `fleet`.
-    if artifact == "fleet-optimize" {
-        let telemetry_base = cbs_core::telemetry::global().snapshot();
-        println!("{}", fleet_optimize_with(scale, jobs)?.render());
-        let delta = cbs_core::telemetry::global()
-            .delta_since(&telemetry_base)
-            .deterministic()
-            .without_gauges()
-            .nonzero();
-        println!("== fleet-optimize telemetry (deterministic counters) ==");
-        print!("{}", delta.render());
-    }
-    Ok(())
+        _ => unreachable!("`{artifact}` is a suite artifact"),
+    })
 }

@@ -19,12 +19,14 @@
 //! | §3.2 burst-profiling hazard | [`patching_vs_cbs_with`] |
 //! | Fleet aggregation (beyond the paper) | [`fleet_with`] |
 //! | Fleet exploitation (beyond the paper) | [`fleet_optimize_with`] |
+//! | Tables 1–3 and the workload shapes from one pass over the suite | [`suite_renders`] |
 
 mod ablations;
 mod figure1;
 mod figure5;
 mod fleet;
 mod fleet_optimize;
+mod suite;
 mod table1;
 mod table2;
 mod table3;
@@ -41,6 +43,7 @@ pub use fleet::{
     fleet_faults_with, fleet_with, Fleet, FleetFaults, FleetFaultsRow, FleetRow, FLEET_SIZE,
 };
 pub use fleet_optimize::{fleet_optimize_with, FleetOptimize, FleetOptimizeRow};
+pub use suite::{suite_renders, SuiteExperiment};
 pub use table1::{table1_with, workload_shapes_with, Table1, Table1Row, WorkloadShapes};
 pub use table2::{table2, Table2, Table2Cell, Table2Options};
 pub use table3::{table3_with, Table3, Table3Row};

@@ -1,9 +1,10 @@
 //! Table 1: benchmark characteristics.
 
+use super::suite::{observe, size_major, Declaration, Seen};
 use super::ExperimentError;
-use crate::parallel::{run_cells, Parallelism};
+use crate::parallel::Parallelism;
 use crate::render::{f1, f2, TextTable};
-use cbs_vm::{Vm, VmConfig};
+use cbs_vm::VmFlavor;
 use cbs_workloads::{Benchmark, InputSize};
 
 /// One row of Table 1.
@@ -58,69 +59,35 @@ impl Table1 {
     }
 }
 
-/// Reproduces Table 1 by building and running every benchmark at both
-/// input sizes, the runs sharded across `jobs` worker threads. Rows
-/// come back in suite order, so the table is identical to a serial run.
+/// Reproduces Table 1 by running every benchmark at both input sizes
+/// once, the runs sharded across `jobs` worker threads. Rows come back
+/// in suite order, so the table is identical to a serial run.
 ///
 /// # Errors
 ///
 /// Propagates generation or VM failures.
 pub fn table1_with(scale: f64, jobs: Parallelism) -> Result<Table1, ExperimentError> {
-    let cells: Vec<(InputSize, Benchmark)> = InputSize::both()
-        .into_iter()
-        .flat_map(|size| Benchmark::all().into_iter().map(move |b| (size, b)))
-        .collect();
-    let rows = run_cells(cells, jobs, |(size, bench)| {
-        let spec = bench.spec(size).scaled(scale);
-        let program = cbs_workloads::generator::build(&spec)?;
-        let vm = Vm::new(&program, VmConfig::default());
-        let exec = vm.run_unprofiled()?;
-        Ok::<_, ExperimentError>(Table1Row {
-            benchmark: bench,
-            size,
-            seconds: exec.seconds,
-            methods_executed: exec.methods_executed(),
-            size_kb: exec.executed_bytecode_bytes(&program) as f64 / 1024.0,
-            dynamic_calls: exec.calls,
-        })
-    })?;
-    Ok(Table1 { rows })
+    Ok(fold(observe(scale, jobs, &[declare()])?.remove(0)))
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// Table 1 reads each program's execution under Jikes, small inputs
+/// first.
+pub(super) fn declare() -> Declaration {
+    let programs = size_major(&Benchmark::all());
+    Declaration::new(programs, &[VmFlavor::Jikes], |_| vec![])
+}
 
-    #[test]
-    fn table1_small_scale_has_all_rows() {
-        let t = table1_with(0.01, Parallelism::SERIAL).unwrap();
-        assert_eq!(t.rows.len(), 26);
-        for r in &t.rows {
-            assert!(r.seconds > 0.0, "{}", r.benchmark);
-            assert!(r.methods_executed > 0);
-            assert!(r.size_kb > 0.0);
-        }
-        let text = t.render();
-        assert!(text.contains("compress"));
-        assert!(text.contains("soot"));
-    }
-
-    #[test]
-    fn most_methods_execute() {
-        // The generator is built so the driver reaches every method; at
-        // small scales a few ultra-cold tiers may not fire, but the large
-        // majority must.
-        let t = table1_with(0.01, Parallelism::SERIAL).unwrap();
-        for r in t.rows.iter().filter(|r| r.size == InputSize::Small) {
-            let expected = r.benchmark.spec(InputSize::Small).num_methods as f64;
-            assert!(
-                r.methods_executed as f64 >= 0.9 * expected,
-                "{}: executed {} of {expected}",
-                r.benchmark,
-                r.methods_executed
-            );
-        }
-    }
+pub(super) fn fold(seen: Vec<Seen>) -> Table1 {
+    let row = |s: Seen| Table1Row {
+        benchmark: s.run.0,
+        size: s.run.1,
+        seconds: s.exec.seconds,
+        methods_executed: s.exec.methods_executed(),
+        size_kb: s.bytecode_bytes as f64 / 1024.0,
+        dynamic_calls: s.exec.calls,
+    };
+    let rows = seen.into_iter().map(row).collect();
+    Table1 { rows }
 }
 
 /// Profile-shape characterization of every benchmark's true DCG.
@@ -170,53 +137,26 @@ pub fn workload_shapes_with(
     scale: f64,
     jobs: Parallelism,
 ) -> Result<WorkloadShapes, ExperimentError> {
-    let rows = run_cells(Benchmark::all().to_vec(), jobs, |bench| {
-        let spec = bench.spec(InputSize::Small).scaled(scale);
-        let program = cbs_workloads::generator::build(&spec)?;
-        let m = crate::measure::measure(&program, VmConfig::default(), vec![])?;
-        let s = cbs_dcg::stats::shape(&m.perfect);
-        Ok::<_, ExperimentError>((
-            bench,
+    let mut seen = observe(scale, jobs, &[declare_shapes()])?;
+    Ok(fold_shapes(seen.remove(0)))
+}
+
+/// The shapes read the truth of each small-input program under Jikes.
+pub(super) fn declare_shapes() -> Declaration {
+    let small = Benchmark::all().map(|b| (b, InputSize::Small));
+    Declaration::new(small, &[VmFlavor::Jikes], |_| vec![])
+}
+
+pub(super) fn fold_shapes(seen: Vec<Seen>) -> WorkloadShapes {
+    let row = |Seen { run, shape: s, .. }| {
+        (
+            run.0,
             s.edges,
             s.top_decile_share,
             s.edges_for_90pct,
             s.gini,
-        ))
-    })?;
-    Ok(WorkloadShapes { rows })
-}
-
-#[cfg(test)]
-mod shape_tests {
-    use super::*;
-
-    #[test]
-    fn shapes_distinguish_concentrated_from_flat() {
-        let shapes = workload_shapes_with(0.05, Parallelism::SERIAL).unwrap();
-        assert_eq!(shapes.rows.len(), 13);
-        let find = |b: Benchmark| {
-            shapes
-                .rows
-                .iter()
-                .find(|(x, ..)| *x == b)
-                .expect("benchmark present")
-        };
-        let compress = find(Benchmark::Compress);
-        let kawa = find(Benchmark::Kawa);
-        // compress: a small, fairly even DCG (a handful of kernels doing
-        // everything); kawa: an order of magnitude more edges whose long
-        // cold tail makes the weight distribution far more unequal.
-        assert!(compress.1 < kawa.1 / 2, "edge counts: {shapes:?}");
-        assert!(
-            kawa.4 > compress.4 + 0.1,
-            "kawa's cold tail should raise its gini: {shapes:?}"
-        );
-        // The largest suites have the most edges.
-        let max_edges = shapes.rows.iter().map(|r| r.1).max().unwrap();
-        assert!(
-            max_edges == kawa.1 || max_edges == find(Benchmark::Daikon).1,
-            "kawa/daikon have the largest DCGs"
-        );
-        assert!(shapes.render().contains("gini"));
-    }
+        )
+    };
+    let rows = seen.into_iter().map(row).collect();
+    WorkloadShapes { rows }
 }

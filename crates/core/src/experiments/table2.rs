@@ -1,11 +1,11 @@
 //! Table 2: overhead and accuracy over the Stride × Samples grid.
 
+use super::suite::{observe, Declaration, Seen};
 use super::ExperimentError;
-use crate::measure::measure;
-use crate::parallel::{run_cells, Parallelism};
+use crate::parallel::Parallelism;
 use crate::render::TextTable;
 use cbs_profiler::{CallGraphProfiler, CbsConfig, CounterBasedSampler, SkipPolicy};
-use cbs_vm::{VmConfig, VmFlavor};
+use cbs_vm::VmFlavor;
 use cbs_workloads::{Benchmark, InputSize};
 
 /// Grid configuration for [`table2`].
@@ -148,43 +148,42 @@ impl Table2 {
 ///
 /// Propagates generation or VM failures.
 pub fn table2(options: &Table2Options) -> Result<Table2, ExperimentError> {
-    let grid: Vec<(u32, u32)> = options
-        .samples
-        .iter()
-        .flat_map(|&n| options.strides.iter().map(move |&s| (s, n)))
-        .collect();
+    let mut seen = observe(options.scale, options.jobs, &[declare(options)])?;
+    Ok(fold(options, seen.remove(0)))
+}
 
-    let results = run_cells(options.benchmarks.clone(), options.jobs, |(bench, size)| {
-        let spec = bench.spec(size).scaled(options.scale);
-        let program = cbs_workloads::generator::build(&spec)?;
-        let samplers = grid
-            .iter()
-            .map(
-                |&(stride, samples_per_tick)| -> Box<dyn CallGraphProfiler> {
-                    Box::new(CounterBasedSampler::new(CbsConfig {
-                        stride,
-                        samples_per_tick,
-                        skip_policy: SkipPolicy::RoundRobin,
-                        ..CbsConfig::default()
-                    }))
-                },
-            )
-            .collect();
-        let m = measure(&program, VmConfig::with_flavor(options.flavor), samplers)?;
-        let scores: Vec<(f64, f64)> = m
-            .outcomes
-            .iter()
-            .map(|o| (o.overhead_pct, o.accuracy))
-            .collect();
-        Ok::<_, ExperimentError>(scores)
-    })?;
+/// The grid's `(stride, samples)` configurations, row-major.
+fn grid(options: &Table2Options) -> Vec<(u32, u32)> {
+    let row = |&n| options.strides.iter().map(move |&s| (s, n));
+    options.samples.iter().flat_map(row).collect()
+}
 
-    // Fold per-run scores into per-grid-index sums. Results arrive in
-    // benchmark order, so each grid index accumulates its benchmarks in
-    // the same sequence regardless of `jobs`.
+/// Table 2 attaches the whole grid to each benchmark's run under the
+/// options' flavor.
+pub(super) fn declare(options: &Table2Options) -> Declaration {
+    let grid = grid(options);
+    let sampler = |&(stride, samples_per_tick): &(u32, u32)| -> Box<dyn CallGraphProfiler> {
+        Box::new(CounterBasedSampler::new(CbsConfig {
+            stride,
+            samples_per_tick,
+            skip_policy: SkipPolicy::RoundRobin,
+            ..CbsConfig::default()
+        }))
+    };
+    let programs = options.benchmarks.iter().copied();
+    Declaration::new(programs, &[options.flavor], move |_| {
+        grid.iter().map(sampler).collect()
+    })
+}
+
+/// Folds per-run scores into per-grid-index sums. Runs arrive in
+/// benchmark order, so each grid index accumulates its benchmarks in
+/// the same sequence regardless of `jobs`.
+pub(super) fn fold(options: &Table2Options, seen: Vec<Seen>) -> Table2 {
+    let grid = grid(options);
     let mut sums = vec![(0.0f64, 0.0f64); grid.len()];
-    for scores in results {
-        for (sum, (oh, acc)) in sums.iter_mut().zip(scores) {
+    for s in seen {
+        for (sum, (oh, acc)) in sums.iter_mut().zip(s.scores) {
             sum.0 += oh;
             sum.1 += acc;
         }
@@ -201,75 +200,10 @@ pub fn table2(options: &Table2Options) -> Result<Table2, ExperimentError> {
             accuracy: acc / n,
         })
         .collect();
-    Ok(Table2 {
+    Table2 {
         flavor: options.flavor,
         strides: options.strides.clone(),
         samples: options.samples.clone(),
         cells,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_grid_shows_the_paper_trends() {
-        let t = table2(&Table2Options::quick(VmFlavor::Jikes, 0.05)).unwrap();
-        assert_eq!(t.cells.len(), 9);
-        let base = t.cell(1, 1).unwrap();
-        let tuned = t.cell(3, 16).unwrap();
-        let heavy = t.cell(1, 256).unwrap();
-        // Accuracy improves as either parameter grows.
-        assert!(
-            tuned.accuracy > base.accuracy,
-            "tuned {} vs base {}",
-            tuned.accuracy,
-            base.accuracy
-        );
-        // Overhead grows with samples per tick.
-        assert!(heavy.overhead_pct > base.overhead_pct);
-        // The render contains the cell separator format.
-        assert!(t.render().contains('/'));
-    }
-
-    #[test]
-    fn best_under_picks_the_most_accurate_cell_below_the_cap() {
-        let t = table2(&Table2Options::quick(VmFlavor::Jikes, 0.05)).unwrap();
-        let best = t.best_under(0.5).expect("some cell fits");
-        assert!(best.overhead_pct < 0.5);
-        // Nothing under the cap beats it.
-        for c in &t.cells {
-            if c.overhead_pct < 0.5 {
-                assert!(c.accuracy <= best.accuracy);
-            }
-        }
-        assert!(t.best_under(0.0).is_none());
-    }
-
-    #[test]
-    fn jobs_do_not_change_the_table() {
-        let serial = table2(&Table2Options::quick(VmFlavor::Jikes, 0.03)).unwrap();
-        let sharded =
-            table2(&Table2Options::quick(VmFlavor::Jikes, 0.03).with_jobs(Parallelism::jobs(3)))
-                .unwrap();
-        assert_eq!(
-            serial.render(),
-            sharded.render(),
-            "parallel grid must render byte-identically"
-        );
-        for (a, b) in serial.cells.iter().zip(&sharded.cells) {
-            assert_eq!(a.overhead_pct.to_bits(), b.overhead_pct.to_bits());
-            assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
-        }
-    }
-
-    #[test]
-    fn j9_flavor_also_runs() {
-        let mut opts = Table2Options::quick(VmFlavor::J9, 0.03);
-        opts.benchmarks.truncate(1);
-        let t = table2(&opts).unwrap();
-        assert_eq!(t.flavor, VmFlavor::J9);
-        assert!(t.cells.iter().all(|c| (0.0..=100.0).contains(&c.accuracy)));
     }
 }

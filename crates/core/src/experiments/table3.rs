@@ -1,11 +1,11 @@
 //! Table 3: per-benchmark overhead and accuracy breakdown.
 
+use super::suite::{observe, size_major, Declaration, Seen};
 use super::ExperimentError;
-use crate::measure::measure;
-use crate::parallel::{run_cells, Parallelism};
+use crate::parallel::Parallelism;
 use crate::render::{f1, f2, TextTable};
 use cbs_profiler::{CallGraphProfiler, CbsConfig, CounterBasedSampler, TimerSampler};
-use cbs_vm::{VmConfig, VmFlavor};
+use cbs_vm::VmFlavor;
 use cbs_workloads::{Benchmark, InputSize};
 
 /// The Jikes CBS configuration Table 3 uses.
@@ -39,26 +39,22 @@ pub struct Table3 {
     pub rows: Vec<Table3Row>,
 }
 
+impl Table3Row {
+    /// The four `(overhead%, accuracy)` pairs, flattened in column order.
+    fn values(&self) -> [f64; 8] {
+        let [a, b, c, d] = [self.jikes_base, self.jikes_cbs, self.j9_base, self.j9_cbs];
+        [a.0, a.1, b.0, b.1, c.0, c.1, d.0, d.1]
+    }
+}
+
 impl Table3 {
     fn averages(&self, filter: impl Fn(&Table3Row) -> bool) -> [f64; 8] {
         let rows: Vec<&Table3Row> = self.rows.iter().filter(|r| filter(r)).collect();
         let n = rows.len().max(1) as f64;
         let mut sums = [0.0; 8];
         for r in rows {
-            for (i, v) in [
-                r.jikes_base.0,
-                r.jikes_base.1,
-                r.jikes_cbs.0,
-                r.jikes_cbs.1,
-                r.j9_base.0,
-                r.j9_base.1,
-                r.j9_cbs.0,
-                r.j9_cbs.1,
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                sums[i] += v;
+            for (sum, v) in sums.iter_mut().zip(r.values()) {
+                *sum += v;
             }
         }
         sums.map(|s| s / n)
@@ -80,65 +76,28 @@ impl Table3 {
                 "J9CBS acc",
             ],
         );
-        let emit_avg = |t: &mut TextTable, label: &str, a: [f64; 8]| {
-            t.row([
-                label.to_owned(),
-                f2(a[0]),
-                f1(a[1]),
-                f2(a[2]),
-                f1(a[3]),
-                f2(a[4]),
-                f1(a[5]),
-                f2(a[6]),
-                f1(a[7]),
-            ]);
+        // Overheads to two places, accuracies to one.
+        let mut emit = |label: String, values: [f64; 8]| {
+            let cells = values.chunks(2).flat_map(|p| [f2(p[0]), f1(p[1])]);
+            t.row(std::iter::once(label).chain(cells));
         };
         for size in InputSize::both() {
             for r in self.rows.iter().filter(|r| r.size == size) {
-                t.row([
+                emit(
                     format!("{}-{}", r.benchmark.name(), r.size.label()),
-                    f2(r.jikes_base.0),
-                    f1(r.jikes_base.1),
-                    f2(r.jikes_cbs.0),
-                    f1(r.jikes_cbs.1),
-                    f2(r.j9_base.0),
-                    f1(r.j9_base.1),
-                    f2(r.j9_cbs.0),
-                    f1(r.j9_cbs.1),
-                ]);
+                    r.values(),
+                );
             }
             let label = format!("Average {}", size.label());
-            emit_avg(&mut t, &label, self.averages(|r| r.size == size));
+            emit(label, self.averages(|r| r.size == size));
         }
-        emit_avg(&mut t, "Average All", self.averages(|_| true));
+        emit("Average All".to_owned(), self.averages(|_| true));
         t.to_string()
     }
 }
 
-/// `(overhead%, accuracy)` for the base profiler and the CBS profiler.
-type PairResult = ((f64, f64), (f64, f64));
-
-fn profile_pair(
-    program: &cbs_bytecode::Program,
-    flavor: VmFlavor,
-    base: Box<dyn CallGraphProfiler>,
-    cbs: (u32, u32),
-) -> Result<PairResult, ExperimentError> {
-    let m = measure(
-        program,
-        VmConfig::with_flavor(flavor),
-        vec![
-            base,
-            Box::new(CounterBasedSampler::new(CbsConfig::new(cbs.0, cbs.1))),
-        ],
-    )?;
-    let b = &m.outcomes[0];
-    let c = &m.outcomes[1];
-    Ok(((b.overhead_pct, b.accuracy), (c.overhead_pct, c.accuracy)))
-}
-
 /// Reproduces Table 3 over the given benchmarks (defaults to the full
-/// suite when `benchmarks` is `None`), the rows sharded across `jobs`
+/// suite when `benchmarks` is `None`), the runs sharded across `jobs`
 /// worker threads. Rows come back in suite order, so the table is
 /// identical to a serial run.
 ///
@@ -151,89 +110,35 @@ pub fn table3_with(
     jobs: Parallelism,
 ) -> Result<Table3, ExperimentError> {
     let all = Benchmark::all();
-    let benchmarks = benchmarks.unwrap_or(&all);
-    let cells: Vec<(InputSize, Benchmark)> = InputSize::both()
-        .into_iter()
-        .flat_map(|size| benchmarks.iter().map(move |&b| (size, b)))
-        .collect();
-    let rows = run_cells(cells, jobs, |(size, bench)| {
-        let spec = bench.spec(size).scaled(scale);
-        let program = cbs_workloads::generator::build(&spec)?;
-        let (jikes_base, jikes_cbs) = profile_pair(
-            &program,
-            VmFlavor::Jikes,
-            Box::new(TimerSampler::new()),
-            JIKES_CONFIG,
-        )?;
-        // J9 has no timer-based call graph profiler; CBS(1,1) is the
-        // base, as in the paper.
-        let (j9_base, j9_cbs) = profile_pair(
-            &program,
-            VmFlavor::J9,
-            Box::new(CounterBasedSampler::new(CbsConfig::new(1, 1))),
-            J9_CONFIG,
-        )?;
-        Ok::<_, ExperimentError>(Table3Row {
-            benchmark: bench,
-            size,
-            jikes_base,
-            jikes_cbs,
-            j9_base,
-            j9_cbs,
-        })
-    })?;
-    Ok(Table3 { rows })
+    let declaration = declare(benchmarks.unwrap_or(&all));
+    Ok(fold(observe(scale, jobs, &[declaration])?.remove(0)))
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// Table 3 runs each program under Jikes and then J9, small inputs
+/// first, with a base profiler and the flavor's chosen CBS.
+pub(super) fn declare(benchmarks: &[Benchmark]) -> Declaration {
+    let cbs = |(stride, samples): (u32, u32)| -> Box<dyn CallGraphProfiler> {
+        Box::new(CounterBasedSampler::new(CbsConfig::new(stride, samples)))
+    };
+    let (programs, flavors) = (size_major(benchmarks), [VmFlavor::Jikes, VmFlavor::J9]);
+    Declaration::new(programs, &flavors, move |flavor| match flavor {
+        VmFlavor::Jikes => vec![Box::new(TimerSampler::new()), cbs(JIKES_CONFIG)],
+        // J9 has no timer-based call graph profiler; CBS(1,1) is the
+        // base, as in the paper.
+        VmFlavor::J9 => vec![cbs((1, 1)), cbs(J9_CONFIG)],
+    })
+}
 
-    /// Average accuracies over one input size:
-    /// `[jikes_base, jikes_cbs, j9_base, j9_cbs]`.
-    fn accuracy_averages(t: &Table3, size: InputSize) -> [f64; 4] {
-        let a = t.averages(|r| r.size == size);
-        [a[1], a[3], a[5], a[7]]
-    }
-
-    #[test]
-    fn cbs_beats_base_on_average() {
-        let t = table3_with(
-            0.05,
-            Some(&[Benchmark::Jess, Benchmark::Javac]),
-            Parallelism::SERIAL,
-        )
-        .unwrap();
-        assert_eq!(t.rows.len(), 4);
-        let small = accuracy_averages(&t, InputSize::Small);
-        assert!(
-            small[1] > small[0],
-            "Jikes CBS {} must beat base {}",
-            small[1],
-            small[0]
-        );
-        assert!(
-            small[3] > small[2],
-            "J9 CBS {} must beat base {}",
-            small[3],
-            small[2]
-        );
-        // Overheads stay low for the chosen configurations.
-        for r in &t.rows {
-            assert!(r.jikes_cbs.0 < 2.0, "{:?}", r);
-            assert!(r.j9_cbs.0 < 2.0, "{:?}", r);
-        }
-        assert!(t.render().contains("Average All"));
-    }
-
-    #[test]
-    fn large_inputs_converge_further() {
-        let t = table3_with(0.05, Some(&[Benchmark::Jess]), Parallelism::SERIAL).unwrap();
-        let small = accuracy_averages(&t, InputSize::Small);
-        let large = accuracy_averages(&t, InputSize::Large);
-        assert!(
-            large[1] >= small[1] * 0.9,
-            "large-input CBS accuracy should not collapse: {large:?} vs {small:?}"
-        );
-    }
+/// Pairs each program's Jikes and J9 scores into its row.
+pub(super) fn fold(seen: Vec<Seen>) -> Table3 {
+    let row = |pair: &[Seen]| Table3Row {
+        benchmark: pair[0].run.0,
+        size: pair[0].run.1,
+        jikes_base: pair[0].scores[0],
+        jikes_cbs: pair[0].scores[1],
+        j9_base: pair[1].scores[0],
+        j9_cbs: pair[1].scores[1],
+    };
+    let rows = seen.chunks_exact(2).map(row).collect();
+    Table3 { rows }
 }
