@@ -29,9 +29,8 @@ use cbs_core::parallel::Parallelism;
 use cbs_core::vm::VmFlavor;
 use std::process::ExitCode;
 
-/// Every artifact, in the order `all` prints them; `all` stops before
-/// the fleet artifacts.
-const ARTIFACTS: [&str; 17] = [
+/// The artifacts `all` renders, in the order it prints them.
+const ALL: [&str; 15] = [
     "table1",
     "table2a",
     "table2b",
@@ -47,11 +46,9 @@ const ARTIFACTS: [&str; 17] = [
     "context",
     "inline-depth",
     "shapes",
-    "fleet",
-    "fleet-optimize",
 ];
-/// How many of [`ARTIFACTS`] `all` renders: every one but the fleet's.
-const IN_ALL: usize = 15;
+/// The artifacts rendered only when named.
+const FLEET: [&str; 2] = ["fleet", "fleet-optimize"];
 
 /// The experiment an artifact names, if the suite pass renders it.
 fn suite_experiment(artifact: &str) -> Option<SuiteExperiment> {
@@ -107,12 +104,12 @@ fn main() -> ExitCode {
                      [{}|all]\n\
                      --faults (fleet only): stream profiles through a deterministic \
                      fault-injecting transport seeded by --seed",
-                    ARTIFACTS.join("|")
+                    [&ALL[..], &FLEET].concat().join("|")
                 );
                 return ExitCode::SUCCESS;
             }
-            "all" => artifacts.extend(&ARTIFACTS[..IN_ALL]),
-            other if ARTIFACTS.contains(&other) => artifacts.push(other),
+            "all" => artifacts.extend(ALL),
+            other if ALL.contains(&other) || FLEET.contains(&other) => artifacts.push(other),
             other => {
                 eprintln!("{other}: unknown artifact `{other}`");
                 return ExitCode::FAILURE;
@@ -120,24 +117,23 @@ fn main() -> ExitCode {
         }
     }
     if artifacts.is_empty() {
-        artifacts.extend(&ARTIFACTS[..IN_ALL]);
+        artifacts.extend(ALL);
     }
 
-    // One pass over the suite renders every suite artifact asked for.
+    // One pass over the suite renders every suite artifact asked for,
+    // when the first of them is reached.
     let suite: Vec<SuiteExperiment> = artifacts
         .iter()
         .filter_map(|a| suite_experiment(a))
         .collect();
-    let mut suite_texts = match suite_renders(scale, jobs, &suite) {
-        Ok(texts) => texts.into_iter(),
-        Err(e) => {
-            eprintln!("suite: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut suite_texts = None;
     for a in artifacts {
         let text = match suite_experiment(a) {
-            Some(_) => Ok(suite_texts.next().expect("one render per suite artifact")),
+            Some(_) => suite_texts
+                .get_or_insert_with(|| suite_renders(scale, jobs, &suite).map(Vec::into_iter))
+                .as_mut()
+                .map(|texts| texts.next().expect("one render per suite artifact"))
+                .map_err(|e| e.to_string().into()),
             None => run(a, scale, jobs, faults, seed),
         };
         match text {

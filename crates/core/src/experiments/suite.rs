@@ -10,12 +10,12 @@
 //! it saw in its own order: a shared pass renders what each experiment
 //! renders alone.
 
-use super::{table1, table2, table3, ExperimentError, Table2Options};
+use super::{table1, table2, table3, ExperimentError, Table1Row, Table2Options};
 use crate::measure::measure_multi;
 use crate::parallel::{run_cells, Parallelism};
 use cbs_dcg::stats::{self, ProfileShape};
 use cbs_profiler::CallGraphProfiler;
-use cbs_vm::{ExecReport, VmConfig, VmFlavor};
+use cbs_vm::{VmConfig, VmFlavor};
 use cbs_workloads::{Benchmark, InputSize};
 
 /// The experiments one suite pass serves, each over the full suite at
@@ -104,10 +104,8 @@ pub(crate) fn size_major(benchmarks: &[Benchmark]) -> Vec<(Benchmark, InputSize)
 /// What a declaration sees of one of its runs.
 #[derive(Debug, Clone)]
 pub(crate) struct Seen {
-    pub(crate) run: Run,
-    pub(crate) exec: ExecReport,
-    /// Bytes of bytecode in the methods the run executed.
-    pub(crate) bytecode_bytes: u64,
+    /// The run's characteristics, as Table 1 lists them.
+    pub(crate) row: Table1Row,
     /// The shape of the exhaustive truth.
     pub(crate) shape: ProfileShape,
     /// `(overhead %, accuracy)` of the declaration's profilers, in order.
@@ -122,57 +120,58 @@ pub(crate) fn observe(
     jobs: Parallelism,
     declarations: &[Declaration],
 ) -> Result<Vec<Vec<Seen>>, ExperimentError> {
-    // Each program once, with the flavors it runs under, in the order
-    // first asked.
-    let mut programs: Vec<(Benchmark, InputSize, Vec<VmFlavor>)> = Vec::new();
-    for &(bench, size, flavor) in declarations.iter().flat_map(|d| &d.runs) {
-        match programs.iter_mut().find(|p| (p.0, p.1) == (bench, size)) {
-            None => programs.push((bench, size, vec![flavor])),
-            Some(p) if !p.2.contains(&flavor) => p.2.push(flavor),
+    // Each program once, with its runs, in the order first asked.
+    let mut programs: Vec<Vec<Run>> = Vec::new();
+    for &run in declarations.iter().flat_map(|d| &d.runs) {
+        match programs
+            .iter_mut()
+            .find(|p| (p[0].0, p[0].1) == (run.0, run.1))
+        {
+            None => programs.push(vec![run]),
+            Some(p) if !p.contains(&run) => p.push(run),
             Some(_) => {}
         }
     }
-    let observed: Vec<Vec<_>> = run_cells(programs, jobs, |(bench, size, flavors)| {
+    let runs = programs.concat();
+    // Per run, what each declaration that reads it sees.
+    let observed: Vec<Vec<Option<Seen>>> = run_cells(programs, jobs, |runs| {
+        let (bench, size, _) = runs[0];
         let program = cbs_workloads::generator::build(&bench.spec(size).scaled(scale))?;
-        let interpret = |flavor| -> Result<_, ExperimentError> {
-            // How many profilers each declaration attaches to this run.
-            let mut attached = Vec::new();
-            let m = measure_multi(&program, VmConfig::with_flavor(flavor), |multi| {
-                for d in declarations {
-                    let reads = d.runs.contains(&(bench, size, flavor));
-                    let profilers = reads.then(|| (d.profilers)(flavor));
-                    attached.push(profilers.as_ref().map_or(0, Vec::len));
-                    for p in profilers.into_iter().flatten() {
-                        multi.attach(p);
-                    }
+        let interpret = |&run: &Run| -> Result<_, ExperimentError> {
+            let profilers: Vec<_> = declarations
+                .iter()
+                .map(|d| d.runs.contains(&run).then(|| (d.profilers)(run.2)))
+                .collect();
+            let attached: Vec<_> = profilers.iter().map(|p| p.as_ref().map(Vec::len)).collect();
+            let m = measure_multi(&program, VmConfig::with_flavor(run.2), |multi| {
+                for p in profilers.into_iter().flatten().flatten() {
+                    multi.attach(p);
                 }
             })?;
-            let mut scores = m.outcomes.iter().map(|o| (o.overhead_pct, o.accuracy));
-            let scores: Vec<Vec<_>> = attached
-                .into_iter()
-                .map(|n| scores.by_ref().take(n).collect())
-                .collect();
-            let seen = Seen {
-                run: (bench, size, flavor),
-                bytecode_bytes: m.exec.executed_bytecode_bytes(&program),
-                shape: stats::shape(&m.perfect),
-                exec: m.exec,
-                scores: Vec::new(),
+            let row = Table1Row {
+                benchmark: bench,
+                size,
+                seconds: m.exec.seconds,
+                methods_executed: m.exec.methods_executed(),
+                size_kb: m.exec.executed_bytecode_bytes(&program) as f64 / 1024.0,
+                dynamic_calls: m.exec.calls,
             };
-            Ok((seen, scores))
+            let shape = stats::shape(&m.perfect);
+            let mut scores = m.outcomes.iter().map(|o| (o.overhead_pct, o.accuracy));
+            let mut seen = |n| Seen {
+                row: row.clone(),
+                shape,
+                scores: scores.by_ref().take(n).collect(),
+            };
+            Ok(attached.into_iter().map(|n| n.map(&mut seen)).collect())
         };
-        flavors.into_iter().map(interpret).collect()
-    })?;
-    let observed: Vec<_> = observed.into_iter().flatten().collect();
+        runs.iter().map(interpret).collect::<Result<Vec<_>, _>>()
+    })?
+    .concat();
+    // Cloned, not moved: Table 2's options may list a program twice.
     let seen = |i: usize, run: &Run| {
-        let (seen, scores) = observed
-            .iter()
-            .find(|o| o.0.run == *run)
-            .expect("interpreted");
-        Seen {
-            scores: scores[i].clone(),
-            ..seen.clone()
-        }
+        let at = runs.iter().position(|r| r == run).expect("interpreted");
+        observed[at][i].clone().expect("read")
     };
     let declared = declarations.iter().enumerate();
     Ok(declared

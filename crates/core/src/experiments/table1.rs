@@ -78,16 +78,44 @@ pub(super) fn declare() -> Declaration {
 }
 
 pub(super) fn fold(seen: Vec<Seen>) -> Table1 {
-    let row = |s: Seen| Table1Row {
-        benchmark: s.run.0,
-        size: s.run.1,
-        seconds: s.exec.seconds,
-        methods_executed: s.exec.methods_executed(),
-        size_kb: s.bytecode_bytes as f64 / 1024.0,
-        dynamic_calls: s.exec.calls,
-    };
-    let rows = seen.into_iter().map(row).collect();
+    let rows = seen.into_iter().map(|s| s.row).collect();
     Table1 { rows }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table1_small_scale_has_all_rows() {
+        let t = table1_with(0.01, Parallelism::SERIAL).unwrap();
+        assert_eq!(t.rows.len(), 26);
+        for r in &t.rows {
+            assert!(r.seconds > 0.0, "{}", r.benchmark);
+            assert!(r.methods_executed > 0);
+            assert!(r.size_kb > 0.0);
+        }
+        let text = t.render();
+        assert!(text.contains("compress"));
+        assert!(text.contains("soot"));
+    }
+
+    #[test]
+    fn most_methods_execute() {
+        // The generator is built so the driver reaches every method; at
+        // small scales a few ultra-cold tiers may not fire, but the large
+        // majority must.
+        let t = table1_with(0.01, Parallelism::SERIAL).unwrap();
+        for r in t.rows.iter().filter(|r| r.size == InputSize::Small) {
+            let expected = r.benchmark.spec(InputSize::Small).num_methods as f64;
+            assert!(
+                r.methods_executed as f64 >= 0.9 * expected,
+                "{}: executed {} of {expected}",
+                r.benchmark,
+                r.methods_executed
+            );
+        }
+    }
 }
 
 /// Profile-shape characterization of every benchmark's true DCG.
@@ -148,9 +176,9 @@ pub(super) fn declare_shapes() -> Declaration {
 }
 
 pub(super) fn fold_shapes(seen: Vec<Seen>) -> WorkloadShapes {
-    let row = |Seen { run, shape: s, .. }| {
+    let row = |Seen { row, shape: s, .. }| {
         (
-            run.0,
+            row.benchmark,
             s.edges,
             s.top_decile_share,
             s.edges_for_90pct,
@@ -159,4 +187,39 @@ pub(super) fn fold_shapes(seen: Vec<Seen>) -> WorkloadShapes {
     };
     let rows = seen.into_iter().map(row).collect();
     WorkloadShapes { rows }
+}
+
+#[cfg(test)]
+mod shape_tests {
+    use super::*;
+
+    #[test]
+    fn shapes_distinguish_concentrated_from_flat() {
+        let shapes = workload_shapes_with(0.05, Parallelism::SERIAL).unwrap();
+        assert_eq!(shapes.rows.len(), 13);
+        let find = |b: Benchmark| {
+            shapes
+                .rows
+                .iter()
+                .find(|(x, ..)| *x == b)
+                .expect("benchmark present")
+        };
+        let compress = find(Benchmark::Compress);
+        let kawa = find(Benchmark::Kawa);
+        // compress: a small, fairly even DCG (a handful of kernels doing
+        // everything); kawa: an order of magnitude more edges whose long
+        // cold tail makes the weight distribution far more unequal.
+        assert!(compress.1 < kawa.1 / 2, "edge counts: {shapes:?}");
+        assert!(
+            kawa.4 > compress.4 + 0.1,
+            "kawa's cold tail should raise its gini: {shapes:?}"
+        );
+        // The largest suites have the most edges.
+        let max_edges = shapes.rows.iter().map(|r| r.1).max().unwrap();
+        assert!(
+            max_edges == kawa.1 || max_edges == find(Benchmark::Daikon).1,
+            "kawa/daikon have the largest DCGs"
+        );
+        assert!(shapes.render().contains("gini"));
+    }
 }

@@ -207,3 +207,68 @@ pub(super) fn fold(options: &Table2Options, seen: Vec<Seen>) -> Table2 {
         cells,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quick_grid_shows_the_paper_trends() {
+        let t = table2(&Table2Options::quick(VmFlavor::Jikes, 0.05)).unwrap();
+        assert_eq!(t.cells.len(), 9);
+        let base = t.cell(1, 1).unwrap();
+        let tuned = t.cell(3, 16).unwrap();
+        let heavy = t.cell(1, 256).unwrap();
+        // Accuracy improves as either parameter grows.
+        assert!(
+            tuned.accuracy > base.accuracy,
+            "tuned {} vs base {}",
+            tuned.accuracy,
+            base.accuracy
+        );
+        // Overhead grows with samples per tick.
+        assert!(heavy.overhead_pct > base.overhead_pct);
+        // The render contains the cell separator format.
+        assert!(t.render().contains('/'));
+    }
+
+    #[test]
+    fn best_under_picks_the_most_accurate_cell_below_the_cap() {
+        let t = table2(&Table2Options::quick(VmFlavor::Jikes, 0.05)).unwrap();
+        let best = t.best_under(0.5).expect("some cell fits");
+        assert!(best.overhead_pct < 0.5);
+        // Nothing under the cap beats it.
+        for c in &t.cells {
+            if c.overhead_pct < 0.5 {
+                assert!(c.accuracy <= best.accuracy);
+            }
+        }
+        assert!(t.best_under(0.0).is_none());
+    }
+
+    #[test]
+    fn jobs_do_not_change_the_table() {
+        let serial = table2(&Table2Options::quick(VmFlavor::Jikes, 0.03)).unwrap();
+        let sharded =
+            table2(&Table2Options::quick(VmFlavor::Jikes, 0.03).with_jobs(Parallelism::jobs(3)))
+                .unwrap();
+        assert_eq!(
+            serial.render(),
+            sharded.render(),
+            "parallel grid must render byte-identically"
+        );
+        for (a, b) in serial.cells.iter().zip(&sharded.cells) {
+            assert_eq!(a.overhead_pct.to_bits(), b.overhead_pct.to_bits());
+            assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
+        }
+    }
+
+    #[test]
+    fn j9_flavor_also_runs() {
+        let mut opts = Table2Options::quick(VmFlavor::J9, 0.03);
+        opts.benchmarks.truncate(1);
+        let t = table2(&opts).unwrap();
+        assert_eq!(t.flavor, VmFlavor::J9);
+        assert!(t.cells.iter().all(|c| (0.0..=100.0).contains(&c.accuracy)));
+    }
+}

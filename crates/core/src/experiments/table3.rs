@@ -132,8 +132,8 @@ pub(super) fn declare(benchmarks: &[Benchmark]) -> Declaration {
 /// Pairs each program's Jikes and J9 scores into its row.
 pub(super) fn fold(seen: Vec<Seen>) -> Table3 {
     let row = |pair: &[Seen]| Table3Row {
-        benchmark: pair[0].run.0,
-        size: pair[0].run.1,
+        benchmark: pair[0].row.benchmark,
+        size: pair[0].row.size,
         jikes_base: pair[0].scores[0],
         jikes_cbs: pair[0].scores[1],
         j9_base: pair[1].scores[0],
@@ -141,4 +141,57 @@ pub(super) fn fold(seen: Vec<Seen>) -> Table3 {
     };
     let rows = seen.chunks_exact(2).map(row).collect();
     Table3 { rows }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Average accuracies over one input size:
+    /// `[jikes_base, jikes_cbs, j9_base, j9_cbs]`.
+    fn accuracy_averages(t: &Table3, size: InputSize) -> [f64; 4] {
+        let a = t.averages(|r| r.size == size);
+        [a[1], a[3], a[5], a[7]]
+    }
+
+    #[test]
+    fn cbs_beats_base_on_average() {
+        let t = table3_with(
+            0.05,
+            Some(&[Benchmark::Jess, Benchmark::Javac]),
+            Parallelism::SERIAL,
+        )
+        .unwrap();
+        assert_eq!(t.rows.len(), 4);
+        let small = accuracy_averages(&t, InputSize::Small);
+        assert!(
+            small[1] > small[0],
+            "Jikes CBS {} must beat base {}",
+            small[1],
+            small[0]
+        );
+        assert!(
+            small[3] > small[2],
+            "J9 CBS {} must beat base {}",
+            small[3],
+            small[2]
+        );
+        // Overheads stay low for the chosen configurations.
+        for r in &t.rows {
+            assert!(r.jikes_cbs.0 < 2.0, "{:?}", r);
+            assert!(r.j9_cbs.0 < 2.0, "{:?}", r);
+        }
+        assert!(t.render().contains("Average All"));
+    }
+
+    #[test]
+    fn large_inputs_converge_further() {
+        let t = table3_with(0.05, Some(&[Benchmark::Jess]), Parallelism::SERIAL).unwrap();
+        let small = accuracy_averages(&t, InputSize::Small);
+        let large = accuracy_averages(&t, InputSize::Large);
+        assert!(
+            large[1] >= small[1] * 0.9,
+            "large-input CBS accuracy should not collapse: {large:?} vs {small:?}"
+        );
+    }
 }
